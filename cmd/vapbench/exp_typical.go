@@ -185,7 +185,7 @@ func runE4(h *harness) error {
 	var table [][]string
 	for _, m := range []reduce.Method{reduce.MethodTSNE, reduce.MethodMDS, reduce.MethodSMACOF, reduce.MethodPCA} {
 		t0 := time.Now()
-		emb, err := reduce.Reduce(ctx, rows, m, reduce.MetricPearson, h.seed)
+		emb, err := reduce.Reduce(ctx, rows, m, reduce.MetricPearson, h.seed, h.an.Engine().Workers())
 		if err != nil {
 			return err
 		}

@@ -193,18 +193,25 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 
 // computeTypical is the uncached pipeline body.
 func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*TypicalView, error) {
-	ids, times, rows, err := a.eng.MeterMatrixCtx(ctx, cfg.Selection, cfg.Granularity, cfg.Aggregate)
+	var (
+		ids   []int64
+		times []int64
+		rows  [][]float64
+		err   error
+	)
+	if cfg.UseDailyProfile {
+		// The 24-hour profiles are the features; of the bucketed matrix
+		// only the meter set would be used, so resolve just that.
+		if ids, err = a.eng.ResolveMeters(cfg.Selection); err == nil {
+			rows, err = dailyProfiles(ctx, a.eng, ids, cfg.Selection)
+		}
+	} else {
+		ids, times, rows, err = a.eng.MeterMatrixCtx(ctx, cfg.Selection, cfg.Granularity, cfg.Aggregate)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if cfg.UseDailyProfile {
-		rows, err = dailyProfiles(ctx, a.eng, ids, cfg.Selection)
-		if err != nil {
-			return nil, err
-		}
-		times = nil
-	}
-	emb, err := reduce.Reduce(ctx, rows, cfg.Method, cfg.Metric, cfg.Seed)
+	emb, err := reduce.Reduce(ctx, rows, cfg.Method, cfg.Metric, cfg.Seed, a.eng.Workers())
 	if err != nil {
 		return nil, err
 	}

@@ -309,6 +309,34 @@ func TestForEachRecoversPanic(t *testing.T) {
 	}
 }
 
+// TestForEachPanicKeepsStack: the error a worker panic turns into is a
+// typed PanicError whose stack names the function that panicked, while its
+// message carries the panic value only.
+func TestForEachPanicKeepsStack(t *testing.T) {
+	err := ForEach(context.Background(), 100, 4, func(i int) error {
+		if i == 13 {
+			explode()
+		}
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("worker panic returned %T (%v), want *PanicError", err, err)
+	}
+	if pe.Value != "kaboom" {
+		t.Errorf("Value = %v, want kaboom", pe.Value)
+	}
+	if !contains(string(pe.Stack), "exec.explode") {
+		t.Errorf("stack does not name the panicking function:\n%s", pe.Stack)
+	}
+	if contains(pe.Error(), "goroutine") {
+		t.Errorf("Error() leaks the stack: %q", pe.Error())
+	}
+}
+
+//go:noinline
+func explode() { panic("kaboom") }
+
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

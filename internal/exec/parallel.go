@@ -3,11 +3,25 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"vap/internal/govern"
 )
+
+// PanicError is a panic recovered on one of ForEach's worker goroutines,
+// returned as the loop's error. Error() gives only the panic value — it
+// may reach a client — and Stack keeps the goroutine's stack at the point
+// of the panic, so the fault can be located from the running process.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("exec: panic in parallel task: %v", e.Value)
+}
 
 // ForEach runs fn(i) for every i in [0, n) across up to workers
 // goroutines. Iterations are handed out dynamically (an atomic cursor), so
@@ -64,10 +78,11 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 			// A panic on a bare worker goroutine would kill the whole
 			// process; on the serial path the caller's own recovery (e.g.
 			// net/http's handler recover) would have contained it. Convert
-			// it to an error so both paths degrade the same way.
+			// it to an error — one that keeps the stack — so both paths
+			// degrade the same way.
 			defer func() {
 				if r := recover(); r != nil {
-					fail(fmt.Errorf("exec: panic in parallel task: %v", r))
+					fail(&PanicError{Value: r, Stack: debug.Stack()})
 				}
 			}()
 			for {

@@ -9,10 +9,13 @@ package frontend
 
 import (
 	"context"
+	"errors"
+	"log"
 	"strings"
 	"time"
 
 	"vap/internal/core"
+	"vap/internal/exec"
 	"vap/internal/govern"
 	"vap/internal/vql"
 )
@@ -78,9 +81,21 @@ func (c *Core) Execute(ctx context.Context, sess *Session, src string) (*Result,
 	}
 	out, err := c.an.VQL(ctx, src)
 	if err != nil {
+		logWorkerPanic(err)
 		return nil, err
 	}
 	return &Result{VQLOutput: out}, nil
+}
+
+// logWorkerPanic logs the stack of a panic recovered on a worker
+// goroutine. MapError hands the client the panic value only, as an
+// internal error; every transport's statement errors come out of Execute,
+// so logging here puts each stack in the log once.
+func logWorkerPanic(err error) {
+	var pe *exec.PanicError
+	if errors.As(err, &pe) {
+		log.Printf("frontend: %v\n%s", pe, pe.Stack)
+	}
 }
 
 // ExecuteTimeout is Execute bounded by an overall transport timeout —

@@ -1,13 +1,17 @@
 package frontend
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"vap/internal/exec"
 	"vap/internal/govern"
 	"vap/internal/vql"
 )
@@ -187,5 +191,36 @@ func TestSessionVariables(t *testing.T) {
 	s.NextStmt()
 	if s.Stmts() != 2 {
 		t.Errorf("stmts = %d, want 2", s.Stmts())
+	}
+}
+
+// TestWorkerPanicClassifiedAndLogged: a recovered worker panic is an
+// internal error to the client — value only, no stack — however often it
+// is classified (writeGovErr and writeStmtErr both do), and Execute's
+// logWorkerPanic is what puts its stack in the log.
+func TestWorkerPanicClassifiedAndLogged(t *testing.T) {
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	defer log.SetOutput(prev)
+
+	pe := &exec.PanicError{Value: "slice bounds out of range [35:34]", Stack: []byte("goroutine 7 [running]:\nvap/internal/vql.ExecuteResolved.func1")}
+	err := fmt.Errorf("scan: %w", pe)
+	for i := 0; i < 2; i++ {
+		info := MapError(err)
+		if info.Kind != KindInternal || info.HTTPStatus != http.StatusInternalServerError || info.MyErrno != MyErrInternal {
+			t.Fatalf("worker panic classified as %+v, want internal/500", info)
+		}
+		if !strings.Contains(info.Msg, "slice bounds out of range") || strings.Contains(info.Msg, "goroutine") {
+			t.Errorf("Msg = %q, want the panic value without the stack", info.Msg)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("MapError wrote to the log: %s", buf.String())
+	}
+	logWorkerPanic(err)
+	logWorkerPanic(errors.New("not a panic"))
+	if got := buf.String(); strings.Count(got, "vql.ExecuteResolved.func1") != 1 || !strings.Contains(got, "slice bounds out of range") {
+		t.Errorf("log = %q, want the panic value and its stack once", got)
 	}
 }

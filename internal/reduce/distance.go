@@ -34,7 +34,7 @@ var ErrInput = errors.New("reduce: invalid input")
 
 // DistanceMatrix computes the full symmetric pairwise distance matrix of
 // rows under the metric, serially. Rows must be equal-length and
-// non-empty. It is the reference implementation DistanceMatrixCtx is
+// non-empty. It is the one-worker baseline DistanceMatrixCtx is
 // benchmarked against; new code should prefer DistanceMatrixCtx.
 func DistanceMatrix(rows [][]float64, m Metric) ([][]float64, error) {
 	return DistanceMatrixCtx(context.Background(), rows, m, 1)
@@ -42,7 +42,7 @@ func DistanceMatrix(rows [][]float64, m Metric) ([][]float64, error) {
 
 // DistanceMatrixCtx computes the same matrix with the upper triangle
 // row-chunked across up to workers goroutines (workers <= 0 selects
-// runtime.NumCPU()). Rows are handed out dynamically, so the triangular
+// runtime.GOMAXPROCS(0)). Rows are handed out dynamically, so the triangular
 // imbalance (row i has n-i-1 pairs) spreads evenly. Cancellation of ctx
 // aborts the computation.
 func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers int) ([][]float64, error) {
@@ -56,17 +56,20 @@ func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers 
 			return nil, fmt.Errorf("reduce: row %d has %d cols, want %d nonzero", i, len(r), width)
 		}
 	}
-	var distFn func(a, b []float64) (float64, error)
+	var distFn func(i, j int) float64
 	switch m {
 	case MetricPearson:
-		distFn = stat.PearsonDistance
+		distFn = pearsonDistances(rows)
 	case MetricEuclidean:
-		distFn = stat.Euclidean
+		distFn = func(i, j int) float64 {
+			v, _ := stat.Euclidean(rows[i], rows[j]) // lengths checked above
+			return v
+		}
 	default:
 		return nil, fmt.Errorf("reduce: unknown metric %q", m)
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	d := make([][]float64, n)
 	for i := range d {
@@ -77,10 +80,7 @@ func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers 
 	// so the matrix needs no locking.
 	err := exec.ForEach(ctx, n, workers, func(i int) error {
 		for j := i + 1; j < n; j++ {
-			v, err := distFn(rows[i], rows[j])
-			if err != nil {
-				return err
-			}
+			v := distFn(i, j)
 			if math.IsNaN(v) || v < 0 {
 				v = 0
 			}
@@ -93,6 +93,53 @@ func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers 
 		return nil, err
 	}
 	return d, nil
+}
+
+// pearsonDistances standardizes every row once — mean 0, unit norm — so the
+// Pearson distance 1 - r of a pair is one dot product, where
+// stat.PearsonDistance recomputes both means and three sums per pair. A
+// zero-variance row correlates with nothing (r = 0), as in stat.Pearson.
+func pearsonDistances(rows [][]float64) func(i, j int) float64 {
+	width := len(rows[0])
+	z := make([]float64, len(rows)*width)
+	flat := make([]bool, len(rows))
+	for i, r := range rows {
+		zi := z[i*width : (i+1)*width]
+		mean := stat.Mean(r)
+		ss := 0.0
+		for k, v := range r {
+			zi[k] = v - mean
+			ss += zi[k] * zi[k]
+		}
+		if ss == 0 {
+			flat[i] = true
+			continue
+		}
+		norm := math.Sqrt(ss)
+		for k := range zi {
+			zi[k] /= norm
+		}
+	}
+	return func(i, j int) float64 {
+		if flat[i] || flat[j] {
+			return 1
+		}
+		a, b := z[i*width:(i+1)*width], z[j*width:(j+1)*width]
+		// Four accumulators: a single one would serialize the loop on
+		// the floating-point add latency.
+		var s0, s1, s2, s3 float64
+		k := 0
+		for ; k+4 <= len(a); k += 4 {
+			s0 += a[k] * b[k]
+			s1 += a[k+1] * b[k+1]
+			s2 += a[k+2] * b[k+2]
+			s3 += a[k+3] * b[k+3]
+		}
+		for ; k < len(a); k++ {
+			s0 += a[k] * b[k]
+		}
+		return 1 - ((s0 + s1) + (s2 + s3))
+	}
 }
 
 // Embedding is a set of 2-D points, one per input row, in input order.

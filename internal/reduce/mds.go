@@ -228,19 +228,21 @@ const (
 )
 
 // Reduce runs the named method on rows with the given metric and default
-// configs; the one-call convenience the API layer and examples use.
-func Reduce(ctx context.Context, rows [][]float64, method Method, metric Metric, seed int64) (Embedding, error) {
+// configs; the one-call convenience the API layer and examples use. The
+// distance matrix and t-SNE fan out across up to workers goroutines
+// (workers <= 0 selects runtime.GOMAXPROCS(0)).
+func Reduce(ctx context.Context, rows [][]float64, method Method, metric Metric, seed int64, workers int) (Embedding, error) {
 	switch method {
 	case MethodPCA:
 		return PCA(rows)
 	case MethodTSNE, MethodMDS, MethodSMACOF:
-		d, err := DistanceMatrixCtx(ctx, rows, metric, 0)
+		d, err := DistanceMatrixCtx(ctx, rows, metric, workers)
 		if err != nil {
 			return nil, err
 		}
 		switch method {
 		case MethodTSNE:
-			r, err := TSNE(ctx, d, TSNEConfig{Seed: seed})
+			r, err := TSNE(ctx, d, TSNEConfig{Seed: seed, Workers: workers})
 			if err != nil {
 				return nil, err
 			}

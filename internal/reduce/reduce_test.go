@@ -262,7 +262,7 @@ func TestReduceDispatch(t *testing.T) {
 	rows, _ := threeClusters(24, 12, 3)
 	ctx := context.Background()
 	for _, m := range []Method{MethodTSNE, MethodMDS, MethodSMACOF, MethodPCA} {
-		emb, err := Reduce(ctx, rows, m, MetricPearson, 1)
+		emb, err := Reduce(ctx, rows, m, MetricPearson, 1, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -270,7 +270,7 @@ func TestReduceDispatch(t *testing.T) {
 			t.Fatalf("%s: embedding size %d", m, len(emb))
 		}
 	}
-	if _, err := Reduce(ctx, rows, "umap", MetricPearson, 1); err == nil {
+	if _, err := Reduce(ctx, rows, "umap", MetricPearson, 1, 2); err == nil {
 		t.Error("unknown method should fail")
 	}
 }
@@ -315,8 +315,13 @@ func TestPerplexitySearchHitsTarget(t *testing.T) {
 	rows, _ := threeClusters(50, 16, 7)
 	d, _ := DistanceMatrix(rows, MetricEuclidean)
 	perp := 12.0
-	cond := perplexitySearch(d, perp)
-	for i, row := range cond {
+	n := len(d)
+	cond, err := perplexitySearch(context.Background(), d, perp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		row := cond[i*n : (i+1)*n]
 		// Row must be a probability distribution.
 		sum := 0.0
 		h := 0.0

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+
+	"vap/internal/exec"
 )
 
 // TSNEConfig tunes the exact t-SNE optimizer. Zero values take the
@@ -22,6 +25,10 @@ type TSNEConfig struct {
 	// MinGradNorm stops early when the gradient norm falls below it;
 	// default 1e-7.
 	MinGradNorm float64
+	// Workers fans the perplexity search and each iteration's pass over
+	// the pairs out across row bands: 0 selects runtime.GOMAXPROCS(0).
+	// The result is bit-identical for every worker count.
+	Workers int
 }
 
 func (c *TSNEConfig) defaults(n int) {
@@ -56,6 +63,9 @@ func (c *TSNEConfig) defaults(n int) {
 	if c.MinGradNorm <= 0 {
 		c.MinGradNorm = 1e-7
 	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 }
 
 // TSNEResult carries the embedding and optimization diagnostics.
@@ -70,6 +80,12 @@ type TSNEResult struct {
 // P is built with Gaussian kernels whose bandwidths are binary-searched to
 // match the configured perplexity; Q is the Student-t kernel of Eq. 2. The
 // context allows cancellation of long runs (the API server uses this).
+//
+// P is one flat row-major array and Q is never stored: each iteration makes
+// a single row-parallel pass over the pairs (see gradient). Every row is
+// computed the same way whatever band it falls in, and the cross-row
+// reductions run serially in row order, so the embedding does not depend
+// on cfg.Workers.
 func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, error) {
 	n := len(d)
 	if n < 2 {
@@ -82,13 +98,11 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 	}
 	cfg.defaults(n)
 
-	p := conditionalToJoint(perplexitySearch(d, cfg.Perplexity))
-	// Early exaggeration.
-	for i := range p {
-		for j := range p[i] {
-			p[i][j] *= cfg.Exagger
-		}
+	p, err := perplexitySearch(ctx, d, cfg.Perplexity, cfg.Workers)
+	if err != nil {
+		return nil, err
 	}
+	conditionalToJoint(p, n)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	y := make(Embedding, n)
@@ -101,30 +115,30 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 	for i := range gains {
 		gains[i] = [2]float64{1, 1}
 	}
-	grad := make([][2]float64, n)
-	q := make([][]float64, n)
-	num := make([][]float64, n)
-	for i := range q {
-		q[i] = make([]float64, n)
-		num[i] = make([]float64, n)
-	}
+	grad := newGradient(p, n, cfg.Workers)
 
 	res := &TSNEResult{}
-	exaggerated := true
 	for iter := 1; iter <= cfg.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if exaggerated && iter > cfg.ExaggerEnd {
-			for i := range p {
-				for j := range p[i] {
-					p[i][j] /= cfg.Exagger
-				}
-			}
-			exaggerated = false
+		// Early exaggeration scales P inside the gradient only.
+		exagger := 1.0
+		if iter <= cfg.ExaggerEnd {
+			exagger = cfg.Exagger
 		}
-		computeQ(y, q, num)
-		gradKL(p, q, num, y, grad)
+		if err := grad.compute(ctx, y, exagger); err != nil {
+			return nil, err
+		}
+		if iter%50 == 0 || iter == cfg.Iterations {
+			// Like the gradient, a trace point describes the layout the
+			// iteration starts from.
+			kl, err := grad.klDivergence(ctx, y)
+			if err != nil {
+				return nil, err
+			}
+			res.KLTrace = append(res.KLTrace, kl)
+		}
 
 		gnorm := 0.0
 		mom := cfg.Momentum
@@ -133,7 +147,7 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 		}
 		for i := range y {
 			for k := 0; k < 2; k++ {
-				g := grad[i][k]
+				g := grad.dy[i][k]
 				gnorm += g * g
 				// Adaptive gains per Jacobs (1988): increase when gradient
 				// and velocity agree in direction, decay otherwise.
@@ -151,183 +165,272 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 		}
 		centerEmbedding(y)
 		res.Iterations = iter
-		if iter%50 == 0 || iter == cfg.Iterations {
-			res.KLTrace = append(res.KLTrace, klDivergence(p, q, exaggerated, cfg.Exagger))
-		}
-		if math.Sqrt(gnorm) < cfg.MinGradNorm && !exaggerated {
+		if math.Sqrt(gnorm) < cfg.MinGradNorm && exagger == 1 {
 			break
 		}
 	}
-	computeQ(y, q, num)
-	res.KL = klDivergence(p, q, false, 1)
+	if res.KL, err = grad.klDivergence(ctx, y); err != nil {
+		return nil, err
+	}
 	res.Embedding = y
 	return res, nil
 }
 
-// perplexitySearch finds per-point Gaussian bandwidths sigma_i such that the
-// Shannon entropy of the conditional distribution p_{j|i} equals
-// log2(perplexity), returning the conditional matrix.
-func perplexitySearch(d [][]float64, perplexity float64) [][]float64 {
+// perplexitySearch finds per-point Gaussian precisions beta_i = 1/(2
+// sigma_i^2) such that the Shannon entropy of the conditional distribution
+// p_{j|i} equals ln(perplexity), and returns the conditional matrix, flat
+// and row-major. Rows are independent and searched in parallel bands.
+func perplexitySearch(ctx context.Context, d [][]float64, perplexity float64, workers int) ([]float64, error) {
 	n := len(d)
 	target := math.Log(perplexity)
-	p := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		p[i] = make([]float64, n)
-		betaMin, betaMax := math.Inf(-1), math.Inf(1)
-		beta := 1.0 // beta = 1 / (2 sigma^2)
-		const tol = 1e-5
-		for tries := 0; tries < 64; tries++ {
-			h := condRow(d[i], i, beta, p[i])
-			diff := h - target
-			if math.Abs(diff) < tol {
-				break
+	p := make([]float64, n*n)
+	err := exec.ForEachChunk(ctx, n, workers, func(lo, hi int) error {
+		d2 := make([]float64, n)
+		for i := lo; i < hi; i++ {
+			for j, v := range d[i] {
+				// Capped so an overflowing square stays a kernel of
+				// exactly 0 and not Inf*0 in the entropy's weighted sum.
+				d2[j] = math.Min(v*v, math.MaxFloat64)
 			}
-			if diff > 0 { // entropy too high -> narrower kernel
-				betaMin = beta
-				if math.IsInf(betaMax, 1) {
-					beta *= 2
-				} else {
-					beta = (beta + betaMax) / 2
+			row := p[i*n : (i+1)*n]
+			betaMin, betaMax := math.Inf(-1), math.Inf(1)
+			beta := 1.0
+			const tol = 1e-5
+			var sum float64
+			for tries := 0; tries < 64; tries++ {
+				var h float64
+				h, sum = condRow(d2, i, beta, row)
+				diff := h - target
+				if math.Abs(diff) < tol {
+					break
 				}
-			} else {
-				betaMax = beta
-				if math.IsInf(betaMin, -1) {
-					beta /= 2
+				if diff > 0 { // entropy too high -> narrower kernel
+					betaMin = beta
+					if math.IsInf(betaMax, 1) {
+						beta *= 2
+					} else {
+						beta = (beta + betaMax) / 2
+					}
 				} else {
-					beta = (beta + betaMin) / 2
+					betaMax = beta
+					if math.IsInf(betaMin, -1) {
+						beta /= 2
+					} else {
+						beta = (beta + betaMin) / 2
+					}
 				}
+			}
+			for j := range row {
+				row[j] /= sum
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return p
+	return p, nil
 }
 
-// condRow fills row with p_{j|i} for the given precision beta and returns
-// the entropy H(P_i) in nats.
-func condRow(di []float64, i int, beta float64, row []float64) float64 {
-	sum := 0.0
-	for j := range di {
-		if j == i {
-			row[j] = 0
-			continue
-		}
-		v := math.Exp(-di[j] * di[j] * beta)
-		row[j] = v
-		sum += v
-	}
+// condRow fills row with the unnormalized kernels e_j = exp(-beta d2_j) of
+// point i's squared distances d2 and returns their sum S (p_{j|i} = e_j/S)
+// and the entropy H(P_i) in nats, as
+// H = -sum p_j ln p_j = ln S + beta * sum(d2_j e_j) / S,
+// so a bisection step costs one exp per element, no log and no division.
+func condRow(d2 []float64, i int, beta float64, row []float64) (h, sum float64) {
+	// Point i itself is left out by folding the two sides of it
+	// separately, which keeps the inner loop branch-free.
+	row[i] = 0
+	sum, wsum := gaussKernels(d2[:i], beta, row[:i])
+	s, w := gaussKernels(d2[i+1:], beta, row[i+1:])
+	sum, wsum = sum+s, wsum+w
 	if sum == 0 {
 		// Degenerate: all distances huge; fall back to uniform.
-		u := 1.0 / float64(len(di)-1)
 		for j := range row {
 			if j != i {
-				row[j] = u
+				row[j] = 1
 			}
 		}
-		return math.Log(float64(len(di) - 1))
+		n := float64(len(d2) - 1)
+		return math.Log(n), n
 	}
-	h := 0.0
-	for j := range row {
-		if j == i {
-			continue
-		}
-		row[j] /= sum
-		if row[j] > 1e-300 {
-			h -= row[j] * math.Log(row[j])
-		}
-	}
-	return h
+	return math.Log(sum) + beta*wsum/sum, sum
 }
 
-// conditionalToJoint symmetrizes: P_ij = (p_{j|i} + p_{i|j}) / 2n, floored
-// to keep the KL well defined.
-func conditionalToJoint(cond [][]float64) [][]float64 {
-	n := len(cond)
-	p := make([][]float64, n)
-	for i := range p {
-		p[i] = make([]float64, n)
+// gaussKernels writes e_j = exp(-beta d2_j) into out and returns sum e_j
+// and sum d2_j e_j.
+func gaussKernels(d2 []float64, beta float64, out []float64) (sum, wsum float64) {
+	out = out[:len(d2)]
+	for j, v := range d2 {
+		e := math.Exp(-v * beta)
+		out[j] = e
+		sum += e
+		wsum += v * e
 	}
+	return sum, wsum
+}
+
+// conditionalToJoint symmetrizes in place: P_ij = (p_{j|i} + p_{i|j}) / 2n,
+// floored to keep the KL well defined.
+func conditionalToJoint(p []float64, n int) {
 	inv := 1 / (2 * float64(n))
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := (cond[i][j] + cond[j][i]) * inv
-			if v < 1e-12 {
-				v = 1e-12
-			}
-			p[i][j] = v
-		}
-	}
-	return p
-}
-
-// computeQ fills q with the Student-t similarities of Eq. 2 and num with
-// the unnormalized kernels (1 + ||y_i - y_j||^2)^-1.
-func computeQ(y Embedding, q, num [][]float64) {
-	n := len(y)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		num[i][i] = 0
 		for j := i + 1; j < n; j++ {
-			k := 1 / (1 + y.SquaredDist(i, j))
-			num[i][j] = k
-			num[j][i] = k
-			sum += 2 * k
-		}
-	}
-	if sum == 0 {
-		sum = 1
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := num[i][j] / sum
+			v := (p[i*n+j] + p[j*n+i]) * inv
 			if v < 1e-12 {
 				v = 1e-12
 			}
-			q[i][j] = v
+			p[i*n+j] = v
+			p[j*n+i] = v
 		}
-		q[i][i] = 1e-12
 	}
 }
 
-// gradKL computes dKL/dy into grad: 4 * sum_j (p_ij - q_ij) * num_ij * (y_i - y_j).
-func gradKL(p, q, num [][]float64, y Embedding, grad [][2]float64) {
-	n := len(y)
-	for i := 0; i < n; i++ {
-		var gx, gy float64
+// gradient evaluates dKL/dy for one joint matrix P (flat, row-major).
+//
+// With the Student-t kernel k_ij = (1 + ||y_i - y_j||^2)^-1 of Eq. 2 and
+// q_ij = k_ij/Z, the gradient 4 * sum_j (p_ij - q_ij) k_ij (y_i - y_j)
+// splits into an attractive and a repulsive sum,
+//
+//	4 * ( sum_j p_ij k_ij (y_i - y_j)  -  (1/Z) sum_j k_ij^2 (y_i - y_j) ),
+//
+// neither of which needs the normalizer Z = sum k_ij while it is being
+// accumulated. One pass over the pairs therefore yields both sums and each
+// row's share of Z; no n x n kernel or Q matrix is stored. (The 1e-12
+// floor under q_ij exists for the KL's logarithm; in the gradient it could
+// move a term by at most 1e-12 * k_ij * |y_i - y_j| <= 5e-13 and is left
+// out.)
+type gradient struct {
+	p       []float64
+	n       int
+	workers int
+
+	dy [][2]float64 // dKL/dy of the last compute
+	z  float64      // Z of the last compute
+
+	attr, rep [][2]float64 // per-row attractive / repulsive sums
+	rowAcc    []float64    // per-row partials of Z, then of the KL
+}
+
+func newGradient(p []float64, n, workers int) *gradient {
+	return &gradient{
+		p: p, n: n, workers: workers,
+		dy:   make([][2]float64, n),
+		attr: make([][2]float64, n), rep: make([][2]float64, n),
+		rowAcc: make([]float64, n),
+	}
+}
+
+// compute fills g.dy and g.z for the layout y, with P scaled by exagger.
+func (g *gradient) compute(ctx context.Context, y Embedding, exagger float64) error {
+	n := g.n
+	err := exec.ForEachChunk(ctx, n, g.workers, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			// Point i itself is left out by folding the two sides of it
+			// separately, which keeps the inner loop branch-free.
+			var f pairForces
+			f.add(g.p[i*n:i*n+i], y[:i], y[i])
+			f.add(g.p[i*n+i+1:(i+1)*n], y[i+1:], y[i])
+			g.attr[i] = [2]float64{f.ax, f.ay}
+			g.rep[i] = [2]float64{f.rx, f.ry}
+			g.rowAcc[i] = f.z
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	z := 0.0
+	for _, s := range g.rowAcc {
+		z += s
+	}
+	if z == 0 {
+		z = 1
+	}
+	g.z = z
+	for i := range g.dy {
+		g.dy[i][0] = 4 * (exagger*g.attr[i][0] - g.rep[i][0]/z)
+		g.dy[i][1] = 4 * (exagger*g.attr[i][1] - g.rep[i][1]/z)
+	}
+	return nil
+}
+
+// pairForces accumulates one point's sums over a run of other points.
+type pairForces struct {
+	ax, ay float64 // sum p_ij k_ij (y_i - y_j)
+	rx, ry float64 // sum k_ij^2 (y_i - y_j)
+	z      float64 // sum k_ij
+}
+
+func (f *pairForces) add(prow []float64, ys Embedding, yi [2]float64) {
+	ys = ys[:len(prow)]
+	ax, ay, rx, ry, z := f.ax, f.ay, f.rx, f.ry, f.z
+	for j, pij := range prow {
+		dx, dy := yi[0]-ys[j][0], yi[1]-ys[j][1]
+		k := 1 / (1 + dx*dx + dy*dy)
+		z += k
+		pk, kk := pij*k, k*k
+		ax += pk * dx
+		ay += pk * dy
+		rx += kk * dx
+		ry += kk * dy
+	}
+	f.ax, f.ay, f.rx, f.ry, f.z = ax, ay, rx, ry, z
+}
+
+// klDivergence evaluates Eq. 1 for the layout y. It depends on no earlier
+// compute: a first pass over the pairs sums the kernels into Z, a second
+// the KL terms, per-row partials added in row order both times.
+func (g *gradient) klDivergence(ctx context.Context, y Embedding) (float64, error) {
+	n := g.n
+	z, err := g.sumRows(ctx, func(i int) float64 {
+		s := 0.0
 		for j := 0; j < n; j++ {
-			if i == j {
+			if j != i {
+				s += 1 / (1 + y.SquaredDist(i, j))
+			}
+		}
+		return s
+	})
+	if err != nil {
+		return 0, err
+	}
+	if z == 0 {
+		z = 1
+	}
+	return g.sumRows(ctx, func(i int) float64 {
+		kl := 0.0
+		for j, pij := range g.p[i*n : (i+1)*n] {
+			if j == i {
 				continue
 			}
-			mult := (p[i][j] - q[i][j]) * num[i][j]
-			gx += mult * (y[i][0] - y[j][0])
-			gy += mult * (y[i][1] - y[j][1])
+			q := 1 / (1 + y.SquaredDist(i, j)) / z
+			if q < 1e-12 {
+				q = 1e-12
+			}
+			kl += pij * math.Log(pij/q)
 		}
-		grad[i][0] = 4 * gx
-		grad[i][1] = 4 * gy
-	}
+		return kl
+	})
 }
 
-// klDivergence evaluates Eq. 1. When p is still exaggerated, it is
-// de-exaggerated on the fly so traces are comparable across phases.
-func klDivergence(p, q [][]float64, exaggerated bool, factor float64) float64 {
-	kl := 0.0
-	for i := range p {
-		for j := range p[i] {
-			if i == j {
-				continue
-			}
-			pij := p[i][j]
-			if exaggerated {
-				pij /= factor
-			}
-			if pij > 1e-300 {
-				kl += pij * math.Log(pij/q[i][j])
-			}
+// sumRows evaluates row(i) for every point in parallel bands and adds the
+// results in row order.
+func (g *gradient) sumRows(ctx context.Context, row func(i int) float64) (float64, error) {
+	err := exec.ForEachChunk(ctx, g.n, g.workers, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			g.rowAcc[i] = row(i)
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	return kl
+	sum := 0.0
+	for _, v := range g.rowAcc {
+		sum += v
+	}
+	return sum, nil
 }
 
 func centerEmbedding(y Embedding) {

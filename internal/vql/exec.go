@@ -335,6 +335,11 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 			if hi > len(ids) {
 				hi = len(ids)
 			}
+			if lo >= hi {
+				// Rounding chunkSize up can leave the last chunks empty
+				// (34 ids in 8 chunks of 5: chunk 7 would be ids[35:34]).
+				return nil
+			}
 			_, cerr := sc.scanChunk(ctx, ids[lo:hi], vers[lo:hi], partials[lo:hi], nil)
 			return cerr
 		})

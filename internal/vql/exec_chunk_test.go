@@ -1,0 +1,94 @@
+package vql
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"vap/internal/geo"
+	"vap/internal/query"
+	"vap/internal/store"
+)
+
+// TestFanOutChunkGrid sweeps every (meter count, engine workers) pair of
+// the grid 1..200 x 1..16 through ExecuteResolved. Rounding the chunk size
+// up leaves trailing chunks empty for many sizes (34 meters in 8 chunks of
+// 5: chunk 7 is ids[35:34]), which used to panic; every split must scan
+// every meter exactly once and produce the rows of the sequential scan.
+func TestFanOutChunkGrid(t *testing.T) {
+	const (
+		maxMeters  = 200
+		maxWorkers = 16
+		perMeter   = 700 // 200 meters reach the 16-worker fan-out floor
+	)
+	st, err := store.Open(store.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ids := make([]int64, maxMeters)
+	for i := range ids {
+		id := int64(i + 1)
+		ids[i] = id
+		if err := st.PutMeter(store.Meter{ID: id, Location: geo.Point{Lon: 10, Lat: 55}, Zone: store.ZoneResidential}); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < perMeter; s++ {
+			// Non-dyadic values so a changed merge order would show in sum.
+			v := float64(id)*0.1 + float64(s)*0.37
+			if err := st.Append(id, store.Sample{TS: base + int64(s)*3600, Value: v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	engines := make([]*query.Engine, maxWorkers+1)
+	for w := 1; w <= maxWorkers; w++ {
+		engines[w] = query.NewEngineWorkers(st, w)
+	}
+	// Weekly buckets have no rollup tier, so the scan decodes raw samples
+	// and fans out. All meters share them: the sums fold across meters, so
+	// the rows also pin the merge order, and count(*) a double scan.
+	p := compilePlan(t, `select bucket(weekly), sum(value), count(*) from meters group by bucket(weekly)`)
+	from, to, ok := p.ResolveWindow(st)
+	ctx := context.Background()
+	fanned := 0
+	for n := 1; n <= maxMeters; n++ {
+		sel := ids[:n]
+		ref, err := ExecuteResolved(ctx, engines[1], p, sel, from, to, ok)
+		if err != nil {
+			t.Fatalf("n=%d sequential: %v", n, err)
+		}
+		if ref.Samples != n*perMeter {
+			t.Fatalf("n=%d sequential scanned %d samples, want %d", n, ref.Samples, n*perMeter)
+		}
+		// The split depends only on the planned (workers, chunks)
+		// pair; run each distinct one once.
+		seen := map[[2]int]bool{{1, 1}: true}
+		for w := 2; w <= maxWorkers; w++ {
+			cost, _ := planScan(p, st.SeriesStats(sel), from, to, w, st.RollupResolutions())
+			split := [2]int{cost.Workers, cost.Chunks}
+			if seen[split] {
+				continue
+			}
+			seen[split] = true
+			fanned++
+			got, err := ExecuteResolved(ctx, engines[w], p, sel, from, to, ok)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d chunks=%d: %v", n, w, cost.Chunks, err)
+			}
+			// Samples counts every scanned sample, and the fingerprint
+			// folds each meter's version, which stays 0 for a meter no
+			// chunk visited: together, each id scanned exactly once.
+			if got.Samples != ref.Samples || got.Fingerprint != ref.Fingerprint {
+				t.Fatalf("n=%d workers=%d chunks=%d: samples/fingerprint %d/%#x, sequential %d/%#x",
+					n, w, cost.Chunks, got.Samples, got.Fingerprint, ref.Samples, ref.Fingerprint)
+			}
+			if !reflect.DeepEqual(got.Rows, ref.Rows) {
+				t.Fatalf("n=%d workers=%d chunks=%d: rows differ from the sequential scan", n, w, cost.Chunks)
+			}
+		}
+	}
+	if fanned == 0 {
+		t.Fatal("no grid point fanned out; the fixture is too small to test the split")
+	}
+}
