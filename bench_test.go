@@ -832,9 +832,10 @@ func BenchmarkConcurrentAppendQuery(b *testing.B) {
 
 // BenchmarkRecover measures cold-start recovery of a durable store whose
 // data sits entirely in the snapshot (the WAL was retired by the snapshot
-// cut): the v2 sample-at-a-time format loaded serially — the old path —
-// against the v3 chunk-verbatim format loaded serially and with the
-// recovery worker pool. The fixture defaults to 128 meters x 20k samples
+// cut), loaded serially and with the recovery worker pool. The last
+// measurement of the retired v2 sample-at-a-time format (12.9 s against
+// 0.21 s on the full fixture) is kept in BENCH_recover.json. The fixture
+// defaults to 128 meters x 20k samples
 // so the bench smoke stays fast; set VAP_RECOVER_FIXTURE=1000x100000 for
 // the full acceptance fixture.
 func BenchmarkRecover(b *testing.B) {
@@ -844,46 +845,40 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatalf("bad VAP_RECOVER_FIXTURE %q: want MxN", fx)
 		}
 	}
-	build := func(format int) string {
-		dir := b.TempDir()
-		st, err := store.Open(store.Options{Dir: dir, SnapshotFormat: format})
-		if err != nil {
-			b.Fatal(err)
-		}
-		smps := make([]store.Sample, samplesPer)
-		for id := int64(1); id <= int64(meters); id++ {
-			if err := st.PutMeter(store.Meter{ID: id, Location: vap.Point{Lon: 12.5 + float64(id)*0.0001, Lat: 55.7}, Zone: store.ZoneResidential}); err != nil {
-				b.Fatal(err)
-			}
-			for i := range smps {
-				smps[i] = store.Sample{TS: int64(i+1) * 60, Value: float64(i%96) * 0.25}
-			}
-			if _, err := st.AppendBatch(id, smps); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := st.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return dir
+	dir := b.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
 	}
-	dirV2, dirV3 := build(2), build(3)
+	smps := make([]store.Sample, samplesPer)
+	for id := int64(1); id <= int64(meters); id++ {
+		if err := st.PutMeter(store.Meter{ID: id, Location: vap.Point{Lon: 12.5 + float64(id)*0.0001, Lat: 55.7}, Zone: store.ZoneResidential}); err != nil {
+			b.Fatal(err)
+		}
+		for i := range smps {
+			smps[i] = store.Sample{TS: int64(i+1) * 60, Value: float64(i%96) * 0.25}
+		}
+		if _, err := st.AppendBatch(id, smps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
 	total := meters * samplesPer
 	for _, tc := range []struct {
 		name    string
-		dir     string
 		workers int
 	}{
-		{"V2Serial", dirV2, 1},
-		{"V3Serial", dirV3, 1},
-		{"V3Parallel", dirV3, 0}, // 0 = GOMAXPROCS
+		{"V3Serial", 1},
+		{"V3Parallel", 0}, // 0 = GOMAXPROCS
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, err := store.Open(store.Options{Dir: tc.dir, RecoverWorkers: tc.workers})
+				st, err := store.Open(store.Options{Dir: dir, RecoverWorkers: tc.workers})
 				if err != nil {
 					b.Fatal(err)
 				}

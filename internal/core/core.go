@@ -453,6 +453,10 @@ type ShiftResult struct {
 	Meters   int           `json:"meters"`
 }
 
+// ErrSameBucket is wrapped by ShiftPatterns when the granularity is so
+// coarse that both anchors land in one bucket: there is no shift to map.
+var ErrSameBucket = errors.New("no shift within one bucket")
+
 // ShiftPatterns computes the Figure 2 pipeline: two density-strength maps
 // (Eq. 3) and their difference (Eq. 4), plus renderable flows.
 func (a *Analyzer) ShiftPatterns(cfg ShiftConfig) (*ShiftResult, error) {
@@ -477,7 +481,7 @@ func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*Shif
 	t1a, t1b := g.Truncate(cfg.T1), g.Next(cfg.T1)
 	t2a, t2b := g.Truncate(cfg.T2), g.Next(cfg.T2)
 	if t1a == t2a {
-		return nil, fmt.Errorf("core: T1 and T2 fall in the same %s bucket", g)
+		return nil, fmt.Errorf("core: T1 and T2 fall in the same %s bucket: %w", g, ErrSameBucket)
 	}
 	fp, err := a.eng.VersionFingerprint(cfg.Selection)
 	if err != nil {
@@ -649,7 +653,7 @@ func (a *Analyzer) GranularitySweep(base ShiftConfig) ([]query.Granularity, []fl
 		if err != nil {
 			// Coarse granularities can merge T1 and T2 into one bucket;
 			// that is a meaningful sensitivity result, not a failure.
-			if isSameBucket(err) {
+			if errors.Is(err, ErrSameBucket) {
 				gs = append(gs, g)
 				sums = append(sums, flow.Summary{})
 				continue
@@ -660,19 +664,6 @@ func (a *Analyzer) GranularitySweep(base ShiftConfig) ([]query.Granularity, []fl
 		sums = append(sums, res.Summary)
 	}
 	return gs, sums, nil
-}
-
-func isSameBucket(err error) bool {
-	return err != nil && containsStr(err.Error(), "same") && containsStr(err.Error(), "bucket")
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // IntensitySweep runs ShiftPatterns over intensity quantiles (S2 step 2).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"vap/internal/gen"
@@ -190,8 +191,8 @@ func TestShiftPatternsSameBucketFails(t *testing.T) {
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
 	if _, err := an.ShiftPatterns(ShiftConfig{
 		T1: noon, T2: noon + 3600, Granularity: query.GranDaily,
-	}); err == nil {
-		t.Error("same-bucket anchors should fail")
+	}); !errors.Is(err, ErrSameBucket) {
+		t.Errorf("same-bucket anchors: err = %v, want ErrSameBucket", err)
 	}
 }
 

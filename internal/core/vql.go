@@ -11,10 +11,13 @@ import (
 // VQLOutput is one executed (or explained) VQL statement plus the version
 // metadata clients need to reason about cache freshness: the canonical
 // plan hash and the selection-scoped data fingerprint the result was
-// computed against. SelectionFingerprint comes from the executor's
-// observed per-meter versions (not a separate fingerprint read racing
-// with concurrent appends), so two responses carrying the same value
-// always carry identical rows.
+// computed against. SelectionFingerprint hashes the per-meter versions the
+// executor observed (not a separate fingerprint read racing with
+// concurrent appends) together with the resolved scan window — a statement
+// with no time predicate scans the data extent as of plan time, so the
+// same versions read through two extents are two different results. Two
+// responses to one statement carrying the same value always carry
+// identical rows.
 type VQLOutput struct {
 	*vql.Result
 	PlanHash             uint64 `json:"plan_hash"`
@@ -101,7 +104,12 @@ func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
 		return nil, err
 	}
 	res := v.(*vql.Result)
-	return &VQLOutput{Result: res, PlanHash: p.Fingerprint(), SelectionFingerprint: res.Fingerprint}, nil
+	sfp := res.Fingerprint
+	for _, v := range [2]uint64{uint64(from), uint64(to)} {
+		sfp = (sfp ^ v) * 0x9e3779b97f4a7c15 // multiply-xorshift mix, one round per bound
+		sfp ^= sfp >> 29
+	}
+	return &VQLOutput{Result: res, PlanHash: p.Fingerprint(), SelectionFingerprint: sfp}, nil
 }
 
 func splitLines(s string) []string {

@@ -126,15 +126,78 @@ func (e *Engine) timeWindow(sel Selection) (int64, int64, error) {
 	return from, to, nil
 }
 
-// MeterSeries returns the aggregated series of a single meter, serving
-// complete buckets from the store's rollup tiers when the granularity has
-// a matching tier and streaming the rest out of the pushdown iterator.
+// maxWindowBuckets bounds the bucket axis of one engine call. Windows come
+// from request parameters, and the axis is allocated before any data is
+// read; 2^20 hourly buckets is 119 years.
+const maxWindowBuckets = 1 << 20
+
+// bucketAxis enumerates g's bucket starts over [from, to).
+func bucketAxis(g Granularity, from, to int64) ([]int64, error) {
+	bounds := BucketBounds(g, from, to, maxWindowBuckets)
+	if bounds == nil {
+		return nil, fmt.Errorf("query: window [%d, %d) spans more than %d %s buckets", from, to, maxWindowBuckets, g)
+	}
+	return bounds, nil
+}
+
+// newScan prepares the shared kernel for a fold of [from, to) into the
+// buckets starting at bounds, each width seconds wide (see ServingTier),
+// served from a rollup tier wherever the tier rule allows.
+func (e *Engine) newScan(ctx context.Context, bounds []int64, width int64, fn AggFunc, from, to int64) *Scan {
+	res, _, _ := ServingTier(e.st.RollupResolutions(), width, from, to)
+	return NewScan(ctx, e.st, bounds, from, to, res, fn == AggMax || fn == AggMin)
+}
+
+// scanMeters folds every meter of ids through sc, fanned out across the
+// engine's workers in contiguous chunks that share one decode batch and
+// one bucket scratch. emit receives meter i's touched folds and the index
+// of the first; it may run concurrently for different i.
+func (e *Engine) scanMeters(ctx context.Context, sc *Scan, ids []int64, emit func(i int, folds []Fold, lo int)) error {
+	return exec.ForEachChunk(ctx, len(ids), e.workers, func(a, b int) error {
+		batch := store.GetBatch()
+		defer store.PutBatch(batch)
+		dense := sc.NewDense()
+		for i := a; i < b; i++ {
+			_, lo, hi, _, err := sc.Meter(ctx, ids[i], batch, dense)
+			if err != nil {
+				return err
+			}
+			emit(i, dense[lo:hi], lo)
+			ResetFolds(dense[lo:hi])
+		}
+		return nil
+	})
+}
+
+// MeterSeries returns the aggregated series of a single meter: one Bucket
+// per interval holding at least one reading, complete buckets served from
+// the store's rollup tiers when the granularity has a matching tier.
 func (e *Engine) MeterSeries(meterID int64, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
+	if err := fn.valid(); err != nil {
+		return nil, err
+	}
 	from, to, err := e.timeWindow(sel)
 	if err != nil {
 		return nil, err
 	}
-	return e.meterBuckets(meterID, from, to, g, fn)
+	bounds, err := bucketAxis(g, from, to)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	sc := e.newScan(ctx, bounds, g.FixedWidth(), fn, from, to)
+	var out []Bucket // stays nil when the window holds no reading
+	err = e.scanMeters(ctx, sc, []int64{meterID}, func(_ int, folds []Fold, lo int) {
+		if len(folds) > 0 {
+			out = make([]Bucket, 0, len(folds))
+		}
+		for j := range folds {
+			if f := &folds[j]; !f.Empty() {
+				out = append(out, Bucket{Start: bounds[lo+j], Value: fn.value(f), Count: int(f.Count + f.NaN)})
+			}
+		}
+	})
+	return out, err
 }
 
 // MeterMatrix returns one aggregated row per selected meter, all aligned to
@@ -145,10 +208,13 @@ func (e *Engine) MeterMatrix(sel Selection, g Granularity, fn AggFunc) (ids []in
 	return e.MeterMatrixCtx(context.Background(), sel, g, fn)
 }
 
-// MeterMatrixCtx is MeterMatrix with the per-meter series decode and
-// aggregation fanned out across the engine's workers; row order stays
-// deterministic because each task writes only its own row index.
+// MeterMatrixCtx is MeterMatrix with the per-meter scans fanned out across
+// the engine's workers; row order stays deterministic because each meter
+// writes only its own row.
 func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularity, fn AggFunc) (ids []int64, times []int64, rows [][]float64, err error) {
+	if err := fn.valid(); err != nil {
+		return nil, nil, nil, err
+	}
 	ids, err = e.ResolveMeters(sel)
 	if err != nil {
 		return nil, nil, nil, err
@@ -157,33 +223,40 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Build the global bucket axis.
-	for t := g.Truncate(from); t < to; t = g.Next(t) {
-		times = append(times, t)
+	if times, err = bucketAxis(g, from, to); err != nil {
+		return nil, nil, nil, err
 	}
-	pos := make(map[int64]int, len(times))
-	for i, t := range times {
-		pos[t] = i
-	}
+	sc := e.newScan(ctx, times, g.FixedWidth(), fn, from, to)
 	rows = make([][]float64, len(ids))
-	err = exec.ForEach(ctx, len(ids), e.workers, func(r int) error {
-		buckets, err := e.meterBuckets(ids[r], from, to, g, fn)
-		if err != nil {
-			return err
-		}
+	err = e.scanMeters(ctx, sc, ids, func(r int, folds []Fold, lo int) {
 		row := make([]float64, len(times))
-		for _, b := range buckets {
-			if i, ok := pos[b.Start]; ok {
-				row[i] = b.Value
+		for j := range folds {
+			if f := &folds[j]; !f.Empty() {
+				row[lo+j] = fn.value(f)
 			}
 		}
 		rows[r] = row
-		return nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return ids, times, rows, nil
+}
+
+// windowFolds folds each meter's whole [from, to) window into one state,
+// aligned with ids. The aligned interior comes from the coarsest rollup
+// tier that fits and adds per-bucket subtotals, so with a tier a sum can
+// differ from a raw fold in the last ulp; the callers feed normalized
+// weights and quantile cuts, not bit-compared results.
+func (e *Engine) windowFolds(ctx context.Context, ids []int64, from, to int64) ([]Fold, error) {
+	sc := e.newScan(ctx, []int64{from}, WholeWindow, AggSum, from, to)
+	out := make([]Fold, len(ids))
+	err := e.scanMeters(ctx, sc, ids, func(i int, folds []Fold, _ int) {
+		if len(folds) > 0 {
+			out[i] = folds[0]
+		}
+	})
+	return out, err
 }
 
 // TotalByMeter returns each selected meter's total consumption over the
@@ -202,21 +275,13 @@ func (e *Engine) TotalByMeterCtx(ctx context.Context, sel Selection) (map[int64]
 	if err != nil {
 		return nil, err
 	}
-	totals := make([]float64, len(ids))
-	err = exec.ForEach(ctx, len(ids), e.workers, func(i int) error {
-		s, _, err := e.windowSum(ids[i], from, to)
-		if err != nil {
-			return err
-		}
-		totals[i] = s
-		return nil
-	})
+	folds, err := e.windowFolds(ctx, ids, from, to)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[int64]float64, len(ids))
 	for i, id := range ids {
-		out[id] = totals[i]
+		out[id] = AggSum.value(&folds[i])
 	}
 	return out, nil
 }
@@ -280,19 +345,15 @@ func (e *Engine) DemandSnapshotCtx(ctx context.Context, sel Selection, from, to 
 	if err != nil {
 		return nil, err
 	}
-	means := make([]float64, len(ids))
-	err = exec.ForEach(ctx, len(ids), e.workers, func(i int) error {
-		sum, n, err := e.windowSum(ids[i], from, to)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			means[i] = sum / float64(n)
-		}
-		return nil
-	})
+	folds, err := e.windowFolds(ctx, ids, from, to)
 	if err != nil {
 		return nil, err
+	}
+	means := make([]float64, len(ids))
+	for i := range folds {
+		if f := &folds[i]; !f.Empty() {
+			means[i] = AggMean.value(f)
+		}
 	}
 	weights := stat.Normalize01(means)
 	cat := e.st.Catalog()

@@ -1,0 +1,335 @@
+package query
+
+import (
+	"context"
+	"math"
+
+	"vap/internal/govern"
+	"vap/internal/store"
+)
+
+// This file is the repository's one bucketed fold: the aggregate state,
+// the rule that decides when a rollup tier may stand in for raw samples,
+// and the per-meter kernel that folds a window into a bucket-indexed
+// array. The engine's paper-pipeline calls (engine.go) and the VQL
+// executor (internal/vql) are both finalizers over it.
+
+// Fold is one group's aggregate state. Every aggregate shares it, so a
+// scan folding sum, mean, min, max and count together reads the data
+// once. NaN samples are tallied, never folded; ±Inf folds like any value.
+// Each caller decides at finalization what a NaN tally means.
+type Fold struct {
+	Sum      float64
+	Count    int64 // non-NaN samples folded
+	NaN      int64 // NaN samples tallied
+	Min, Max float64
+}
+
+// EmptyFold returns the state no sample has touched.
+func EmptyFold() Fold { return Fold{Min: math.Inf(1), Max: math.Inf(-1)} }
+
+// ResetFolds re-seeds fs to the empty state.
+func ResetFolds(fs []Fold) {
+	for i := range fs {
+		fs[i] = EmptyFold()
+	}
+}
+
+// Empty reports whether no sample (NaN or not) reached the state.
+func (f *Fold) Empty() bool { return f.Count == 0 && f.NaN == 0 }
+
+// Add folds one sample.
+func (f *Fold) Add(v float64) {
+	if v != v { // NaN
+		f.NaN++
+		return
+	}
+	f.Sum += v
+	f.Count++
+	if v < f.Min {
+		f.Min = v
+	}
+	if v > f.Max {
+		f.Max = v
+	}
+}
+
+// FoldVals folds one run of values from a decoded batch, in the same
+// per-sample order as Add (sums stay bit-identical between the two).
+func (f *Fold) FoldVals(vals []float64) {
+	sum, mn, mx := f.Sum, f.Min, f.Max
+	n, nan := f.Count, f.NaN
+	for _, v := range vals {
+		if v != v {
+			nan++
+			continue
+		}
+		sum += v
+		n++
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	f.Sum, f.Count, f.NaN, f.Min, f.Max = sum, n, nan, mn, mx
+}
+
+// FoldSum is FoldVals without min/max, for scans whose aggregates are only
+// sum/mean/count: one compare and one add per sample.
+func (f *Fold) FoldSum(vals []float64) {
+	sum, n, nan := f.Sum, f.Count, f.NaN
+	for _, v := range vals {
+		if v != v {
+			nan++
+			continue
+		}
+		sum += v
+		n++
+	}
+	f.Sum, f.Count, f.NaN = sum, n, nan
+}
+
+// Merge folds another state into f.
+func (f *Fold) Merge(b *Fold) {
+	f.Sum += b.Sum
+	f.Count += b.Count
+	f.NaN += b.NaN
+	if b.Min < f.Min {
+		f.Min = b.Min
+	}
+	if b.Max > f.Max {
+		f.Max = b.Max
+	}
+}
+
+// MergeRollup folds one pre-aggregated tier bucket into f. A tier bucket's
+// fields were folded sample by sample in the order Add would have used, so
+// merging one whole bucket into an empty state yields exactly the state a
+// raw scan of its samples would have built.
+func (f *Fold) MergeRollup(b *store.RollupBucket) {
+	f.Sum += b.Sum
+	f.Count += b.Count
+	f.NaN += b.NaN
+	if b.Count > 0 {
+		if b.Min < f.Min {
+			f.Min = b.Min
+		}
+		if b.Max > f.Max {
+			f.Max = b.Max
+		}
+	}
+}
+
+// FixedWidth returns g's bucket width in seconds when every bucket of g is
+// one interval aligned to a multiple of that width, else 0. Weekly buckets
+// start on Monday (a 604800s grid sits on the epoch's Thursday) and the
+// calendar units vary in width, so only the first three qualify.
+func (g Granularity) FixedWidth() int64 {
+	switch g {
+	case GranHourly, Gran4Hourly, GranDaily:
+		return g.ApproxSeconds()
+	default:
+		return 0
+	}
+}
+
+// WholeWindow is the bucket width of an unbucketed fold: one bucket
+// spanning the scan window.
+const WholeWindow int64 = math.MaxInt64
+
+// ServingTier is the tier rule: it returns the rollup resolution that may
+// serve buckets of the given width over [from, to), with the aligned
+// interior [aFrom, aTo) it covers, or res 0 for a raw scan. Bucketed scans
+// are served only by the tier whose resolution equals the bucket width
+// exactly: every interior bucket is then one tier bucket, bit-identical to
+// the raw fold. Coarser buckets would add several tier subtotals and move
+// float sums in the last ulp, and a width of 0 (weekly, calendar units) has
+// no aligned grid at all. An unbucketed fold (WholeWindow) takes the
+// coarsest tier; its callers feed normalized weights and totals, not
+// bit-compared rows. Either way the window must hold at least one whole
+// tier bucket — the edges outside [aFrom, aTo) always decode raw, because
+// a partial bucket's tier state covers samples outside the window.
+func ServingTier(tiers []int64, width, from, to int64) (res, aFrom, aTo int64) {
+	for i := len(tiers) - 1; i >= 0; i-- {
+		r := tiers[i]
+		if r != width && width != WholeWindow {
+			continue
+		}
+		if aFrom, aTo = alignUp(from, r), alignDown(to, r); aTo > aFrom {
+			return r, aFrom, aTo
+		}
+	}
+	return 0, 0, 0
+}
+
+// alignUp rounds ts up to the next multiple of w (identity when aligned);
+// alignDown rounds toward -inf. Both are negative-safe.
+func alignUp(ts, w int64) int64 {
+	if m := mod(ts, w); m != 0 {
+		return ts + (w - m)
+	}
+	return ts
+}
+
+func alignDown(ts, w int64) int64 { return ts - mod(ts, w) }
+
+// BucketBounds enumerates the ascending bucket starts of g covering
+// [from, to), or nil when there are none or more than max. The walk uses
+// Truncate/Next, so calendar granularities enumerate too.
+func BucketBounds(g Granularity, from, to int64, max int) []int64 {
+	if to <= from {
+		return nil
+	}
+	// Cheap width-based bound before walking: catches "whole extent at
+	// hourly" class windows without iterating. Unsigned subtraction is
+	// overflow-safe for any from < to.
+	if span := uint64(to) - uint64(from); span/uint64(g.ApproxSeconds()) > uint64(max) {
+		return nil
+	}
+	bounds := make([]int64, 0, (to-from)/g.ApproxSeconds()+2)
+	for t := g.Truncate(from); t < to; t = g.Next(t) {
+		if len(bounds) >= max {
+			return nil
+		}
+		bounds = append(bounds, t)
+	}
+	return bounds
+}
+
+// Scan is the immutable setup of one bucketed fold over [from, to), shared
+// by every worker of a query: the bucket axis, the serving tier, and the
+// per-batch governance check.
+type Scan struct {
+	st         *store.Store
+	from, to   int64
+	bounds     []int64 // ascending bucket starts; the last bucket is open-ended
+	minMax     bool
+	tierRes    int64
+	aFrom, aTo int64
+	// pace surfaces deadline or cancellation between decoded batches (a
+	// cancelled monster scan aborts mid-meter, not after it) and yields the
+	// CPU for admitted analytics grants while interactive work is in flight.
+	pace func(context.Context) error
+}
+
+// NewScan prepares a fold of [from, to) into the buckets starting at
+// bounds (ascending, non-empty, covering the window, not modified while
+// the scan is in use; a single entry folds the whole window into one
+// state). tierRes, from ServingTier, routes the aligned
+// interior through that rollup tier; 0 decodes everything raw. minMax
+// selects the kernel that also tracks Min/Max.
+func NewScan(ctx context.Context, st *store.Store, bounds []int64, from, to, tierRes int64, minMax bool) *Scan {
+	sc := &Scan{st: st, from: from, to: to, bounds: bounds, minMax: minMax, tierRes: tierRes, pace: govern.PaceFunc(ctx)}
+	if tierRes != 0 {
+		sc.aFrom, sc.aTo = alignUp(from, tierRes), alignDown(to, tierRes)
+	}
+	return sc
+}
+
+// NewDense returns the empty bucket-indexed scratch Meter folds into.
+func (sc *Scan) NewDense() []Fold {
+	dense := make([]Fold, len(sc.bounds))
+	ResetFolds(dense)
+	return dense
+}
+
+// foldCursor is one meter's position on the bucket axis. Timestamps only
+// ascend — across the raw left edge, the tier interior and the raw right
+// edge alike — so the bucket index only moves forward: finding a sample's
+// bucket is one compare, and Truncate never runs.
+type foldCursor struct {
+	bi, lo  int
+	touched bool
+	n       int
+}
+
+// seek advances to the bucket holding ts and returns its exclusive end.
+func (c *foldCursor) seek(bounds []int64, ts int64) int64 {
+	for c.bi+1 < len(bounds) && ts >= bounds[c.bi+1] {
+		c.bi++
+	}
+	if !c.touched {
+		c.lo, c.touched = c.bi, true
+	}
+	if c.bi+1 < len(bounds) {
+		return bounds[c.bi+1]
+	}
+	return math.MaxInt64
+}
+
+// Meter folds one meter's window into dense (caller-owned, from NewDense,
+// empty on entry) and returns the in-window sample count, the half-open
+// range of bucket indices it touched — the caller reads dense[lo:hi] and
+// re-seeds it with ResetFolds before the next meter, so sparse meters in a
+// wide window never pay for the whole array — and the per-meter version
+// the data was captured at. A tier-served scan takes one consistent capture
+// (store.TierScan) and merges it in time order: left edge raw, interior
+// tier buckets, right edge raw.
+func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense []Fold) (samples, lo, hi int, version uint64, err error) {
+	var c foldCursor
+	if sc.tierRes == 0 {
+		it, err := sc.st.Iter(id, sc.from, sc.to)
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		version = it.Version()
+		if err := sc.foldRaw(ctx, it, batch, dense, &c); err != nil {
+			return 0, 0, 0, 0, err
+		}
+	} else {
+		tsc, err := sc.st.TierScan(id, sc.tierRes, sc.from, sc.aFrom, sc.aTo, sc.to)
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		version = tsc.Version
+		if tsc.Left != nil {
+			if err := sc.foldRaw(ctx, tsc.Left, batch, dense, &c); err != nil {
+				return 0, 0, 0, 0, err
+			}
+		}
+		tsc.Buckets(func(b *store.RollupBucket) {
+			c.seek(sc.bounds, b.Start)
+			dense[c.bi].MergeRollup(b)
+			c.n += int(b.Count + b.NaN)
+		})
+		if tsc.Right != nil {
+			if err := sc.foldRaw(ctx, tsc.Right, batch, dense, &c); err != nil {
+				return 0, 0, 0, 0, err
+			}
+		}
+	}
+	if c.touched {
+		hi = c.bi + 1
+	}
+	return c.n, c.lo, hi, version, nil
+}
+
+// foldRaw decodes one raw iterator batch by batch; each bucket's run of
+// samples is found by scanning the sorted timestamp column and folded in
+// one tight loop over the value column.
+func (sc *Scan) foldRaw(ctx context.Context, it *store.SeriesIter, batch *store.Batch, dense []Fold, c *foldCursor) error {
+	for it.NextBatch(batch) {
+		if err := sc.pace(ctx); err != nil {
+			return err
+		}
+		ts, vals := batch.TS, batch.Val
+		c.n += len(ts)
+		k := 0
+		for k < len(ts) {
+			e := c.seek(sc.bounds, ts[k])
+			r := k + 1
+			for r < len(ts) && ts[r] < e {
+				r++
+			}
+			if sc.minMax {
+				dense[c.bi].FoldVals(vals[k:r])
+			} else {
+				dense[c.bi].FoldSum(vals[k:r])
+			}
+			k = r
+		}
+	}
+	return it.Err()
+}

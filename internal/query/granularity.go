@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"vap/internal/store"
 )
 
 // Granularity is a temporal bucketing unit.
@@ -142,148 +140,37 @@ type Bucket struct {
 	Count int     `json:"count"`
 }
 
-// SampleIter is the pushdown sample stream the aggregation paths consume
-// instead of materialized slices; *store.SeriesIter satisfies it.
-type SampleIter interface {
-	Next() bool
-	Sample() store.Sample
-	Err() error
-}
-
-// Aggregate buckets the samples by granularity and combines each bucket
-// with fn. Input must be time-ordered; output is time-ordered.
-func Aggregate(samples []store.Sample, g Granularity, fn AggFunc) ([]Bucket, error) {
-	return AggregateIter(&sliceIter{samples: samples}, g, fn)
-}
-
-// sliceIter adapts a materialized slice to SampleIter.
-type sliceIter struct {
-	samples []store.Sample
-	i       int
-}
-
-func (s *sliceIter) Next() bool {
-	if s.i >= len(s.samples) {
-		return false
-	}
-	s.i++
-	return true
-}
-func (s *sliceIter) Sample() store.Sample { return s.samples[s.i-1] }
-func (s *sliceIter) Err() error           { return nil }
-
-// AggregateIter buckets a time-ordered sample stream by granularity and
-// combines each bucket with fn, never holding a full decoded series in
-// memory. Store iterators take the vectorized batch-decode path; other
-// SampleIter implementations fall back to one sample at a time. Both paths
-// fold in identical order, so results are bit-for-bit the same.
-func AggregateIter(it SampleIter, g Granularity, fn AggFunc) ([]Bucket, error) {
+// valid reports whether fn names a supported aggregate.
+func (fn AggFunc) valid() error {
 	switch fn {
 	case AggSum, AggMean, AggMax, AggMin:
-	default:
-		return nil, fmt.Errorf("query: unknown aggregate %q", fn)
+		return nil
 	}
-	if sit, ok := it.(*store.SeriesIter); ok {
-		return aggregateBatch(sit, g, fn)
-	}
-	var out []Bucket
-	for it.Next() {
-		s := it.Sample()
-		start := g.Truncate(s.TS)
-		if n := len(out); n > 0 && out[n-1].Start == start {
-			b := &out[n-1]
-			switch fn {
-			case AggSum, AggMean:
-				b.Value += s.Value
-			case AggMax:
-				if s.Value > b.Value {
-					b.Value = s.Value
-				}
-			case AggMin:
-				if s.Value < b.Value {
-					b.Value = s.Value
-				}
-			}
-			b.Count++
-		} else {
-			out = append(out, Bucket{Start: start, Value: s.Value, Count: 1})
-		}
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	if fn == AggMean {
-		for i := range out {
-			out[i].Value /= float64(out[i].Count)
-		}
-	}
-	return out, nil
+	return fmt.Errorf("query: unknown aggregate %q", fn)
 }
 
-// aggregateBatch is AggregateIter's vectorized body: whole Gorilla blocks
-// decode into a columnar batch, bucket runs are found by scanning the
-// sorted timestamp array (Truncate/Next run once per bucket, not per
-// sample), and each run folds in a tight loop over the value column. The
-// fold order matches the scalar path exactly — same seeding of the first
-// sample, same left-to-right summation — so the two paths agree to the
-// last bit, NaN propagation included.
-func aggregateBatch(it *store.SeriesIter, g Granularity, fn AggFunc) ([]Bucket, error) {
-	var out []Bucket
-	b := store.GetBatch()
-	defer store.PutBatch(b)
-	bEnd := int64(math.MinInt64)
-	for it.NextBatch(b) {
-		ts, vals := b.TS, b.Val
-		k := 0
-		for k < len(ts) {
-			if ts[k] >= bEnd {
-				bEnd = g.Next(ts[k])
-				out = append(out, Bucket{Start: g.Truncate(ts[k]), Value: vals[k], Count: 1})
-				k++
-				continue
-			}
-			r := k + 1
-			for r < len(ts) && ts[r] < bEnd {
-				r++
-			}
-			bkt := &out[len(out)-1]
-			switch fn {
-			case AggSum, AggMean:
-				s := bkt.Value
-				for _, v := range vals[k:r] {
-					s += v
-				}
-				bkt.Value = s
-			case AggMax:
-				m := bkt.Value
-				for _, v := range vals[k:r] {
-					if v > m {
-						m = v
-					}
-				}
-				bkt.Value = m
-			case AggMin:
-				m := bkt.Value
-				for _, v := range vals[k:r] {
-					if v < m {
-						m = v
-					}
-				}
-				bkt.Value = m
-			}
-			bkt.Count += r - k
-			k = r
+// value finalizes one fold for the paper pipeline. A NaN reading poisons
+// the bucket's sum and mean (the analyst should see that the bucket holds
+// a bad reading); min and max range over the non-NaN readings and are NaN
+// when there is none.
+func (fn AggFunc) value(f *Fold) float64 {
+	switch fn {
+	case AggMax, AggMin:
+		if f.Count == 0 {
+			return math.NaN()
 		}
+		if fn == AggMax {
+			return f.Max
+		}
+		return f.Min
 	}
-	if err := it.Err(); err != nil {
-		return nil, err
+	if f.NaN > 0 {
+		return math.NaN()
 	}
 	if fn == AggMean {
-		for i := range out {
-			out[i].Value /= float64(out[i].Count)
-		}
+		return f.Sum / float64(f.Count)
 	}
-	return out, nil
+	return f.Sum
 }
 
 // Values extracts the value column of a bucket slice.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -116,40 +117,104 @@ func TestApproxSecondsOrdering(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	samples := []store.Sample{
-		{TS: ts("2018-01-01 00:15"), Value: 1},
-		{TS: ts("2018-01-01 00:45"), Value: 3},
-		{TS: ts("2018-01-01 01:15"), Value: 5},
-	}
-	sum, err := Aggregate(samples, GranHourly, AggSum)
+// seriesStore holds one meter with the given samples.
+func seriesStore(t *testing.T, samples []store.Sample) *Engine {
+	t.Helper()
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum) != 2 || sum[0].Value != 4 || sum[1].Value != 5 {
+	t.Cleanup(func() { st.Close() })
+	if err := st.PutMeter(store.Meter{ID: 1, Zone: store.ZoneResidential}); err != nil {
+		t.Fatal(err)
+	}
+	for _, smp := range samples {
+		if err := st.Append(1, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewEngine(st)
+}
+
+func TestMeterSeriesAggregates(t *testing.T) {
+	eng := seriesStore(t, []store.Sample{
+		{TS: ts("2018-01-01 00:15"), Value: 1},
+		{TS: ts("2018-01-01 00:45"), Value: 3},
+		{TS: ts("2018-01-01 01:15"), Value: 5},
+	})
+	sum, err := eng.MeterSeries(1, Selection{}, GranHourly, AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum) != 2 || sum[0].Value != 4 || sum[1].Value != 5 || sum[0].Count != 2 || sum[0].Start != ts("2018-01-01 00:00") {
 		t.Fatalf("sum = %+v", sum)
 	}
-	mean, _ := Aggregate(samples, GranHourly, AggMean)
+	mean, _ := eng.MeterSeries(1, Selection{}, GranHourly, AggMean)
 	if mean[0].Value != 2 {
 		t.Errorf("mean = %v", mean[0].Value)
 	}
-	mx, _ := Aggregate(samples, GranHourly, AggMax)
+	mx, _ := eng.MeterSeries(1, Selection{}, GranHourly, AggMax)
 	if mx[0].Value != 3 {
 		t.Errorf("max = %v", mx[0].Value)
 	}
-	mn, _ := Aggregate(samples, GranHourly, AggMin)
+	mn, _ := eng.MeterSeries(1, Selection{}, GranHourly, AggMin)
 	if mn[0].Value != 1 {
 		t.Errorf("min = %v", mn[0].Value)
 	}
-	if _, err := Aggregate(samples, GranHourly, "median"); err == nil {
+	if _, err := eng.MeterSeries(1, Selection{}, GranHourly, "median"); err == nil {
 		t.Error("unknown aggregate should fail")
 	}
 }
 
-func TestAggregateEmpty(t *testing.T) {
-	out, err := Aggregate(nil, GranDaily, AggSum)
+func TestMeterSeriesEmptyWindow(t *testing.T) {
+	eng := seriesStore(t, []store.Sample{{TS: ts("2018-01-01 00:15"), Value: 1}})
+	sel := Selection{From: ts("2018-02-01 00:00"), To: ts("2018-02-03 00:00")}
+	out, err := eng.MeterSeries(1, sel, GranDaily, AggSum)
 	if err != nil || out != nil {
-		t.Errorf("empty aggregate = %v, %v", out, err)
+		t.Errorf("empty window = %v, %v", out, err)
+	}
+}
+
+// TestFinalizeNaN documents the paper pipeline's finalization of a bucket
+// holding NaN readings: sum and mean are NaN, count counts every reading,
+// min and max range over the non-NaN readings (NaN when there is none).
+// The rule must not depend on where in the bucket the NaN sits, nor on
+// whether a rollup tier or the raw samples served the bucket.
+func TestFinalizeNaN(t *testing.T) {
+	nan := math.NaN()
+	h0, h1, h2 := ts("2018-01-01 00:00"), ts("2018-01-01 01:00"), ts("2018-01-01 02:00")
+	samples := []store.Sample{
+		{TS: h0 + 60, Value: nan}, {TS: h0 + 120, Value: 2}, {TS: h0 + 180, Value: 7}, // NaN first
+		{TS: h1 + 60, Value: 4}, {TS: h1 + 120, Value: nan}, {TS: h1 + 180, Value: 1}, // NaN inside
+		{TS: h2 + 60, Value: nan}, {TS: h2 + 120, Value: nan}, // only NaN
+	}
+	want := map[AggFunc][3]float64{
+		AggSum:  {nan, nan, nan},
+		AggMean: {nan, nan, nan},
+		AggMin:  {2, 1, nan},
+		AggMax:  {7, 4, nan},
+	}
+	counts := [3]int{3, 3, 2}
+	eng := seriesStore(t, samples)
+	windows := map[string]Selection{
+		"tier interior": {From: h0, To: h2 + 3600},
+		"raw edges":     {From: h0 + 1, To: h2 + 3599},
+	}
+	for name, sel := range windows {
+		for fn, vals := range want {
+			got, err := eng.MeterSeries(1, sel, GranHourly, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 3 {
+				t.Fatalf("%s %s: %d buckets, want 3", name, fn, len(got))
+			}
+			for i, b := range got {
+				if b.Count != counts[i] || !valueEqual(b.Value, vals[i]) {
+					t.Errorf("%s %s bucket %d = %+v, want value %v count %d", name, fn, i, b, vals[i], counts[i])
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,7 @@ import (
 	"vap/internal/store"
 )
 
-func TestTierWidth(t *testing.T) {
+func TestFixedWidth(t *testing.T) {
 	cases := map[Granularity]int64{
 		GranHourly:    3600,
 		Gran4Hourly:   14400,
@@ -20,8 +21,8 @@ func TestTierWidth(t *testing.T) {
 		GranYearly:    0,
 	}
 	for g, want := range cases {
-		if got := tierWidth(g); got != want {
-			t.Errorf("tierWidth(%s) = %d, want %d", g, got, want)
+		if got := g.FixedWidth(); got != want {
+			t.Errorf("%s.FixedWidth() = %d, want %d", g, got, want)
 		}
 	}
 }
@@ -125,7 +126,18 @@ func TestMeterSeriesTierMatchesRaw(t *testing.T) {
 	}
 }
 
-func TestWindowSumTierMatchesRaw(t *testing.T) {
+// windowSum is one meter's unbucketed window fold, finalized as
+// TotalByMeter does, with the number of readings it covered.
+func windowSum(t *testing.T, e *Engine, id, from, to int64) (float64, int64) {
+	t.Helper()
+	folds, err := e.windowFolds(context.Background(), []int64{id}, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return AggSum.value(&folds[0]), folds[0].Count + folds[0].NaN
+}
+
+func TestWindowFoldsTierMatchesRaw(t *testing.T) {
 	raw, tier, first, last := buildTierPair(t, nil) // default tiers
 	rawEng, tierEng := NewEngine(raw), NewEngine(tier)
 	windows := [][2]int64{
@@ -135,14 +147,8 @@ func TestWindowSumTierMatchesRaw(t *testing.T) {
 	}
 	for wi, w := range windows {
 		for _, id := range []int64{1, 2} {
-			wantSum, wantN, err := rawEng.windowSum(id, w[0], w[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotSum, gotN, err := tierEng.windowSum(id, w[0], w[1])
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantSum, wantN := windowSum(t, rawEng, id, w[0], w[1])
+			gotSum, gotN := windowSum(t, tierEng, id, w[0], w[1])
 			if gotN != wantN {
 				t.Fatalf("window %d meter %d: count %d, want %d", wi, id, gotN, wantN)
 			}

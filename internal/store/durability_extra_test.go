@@ -235,3 +235,40 @@ func TestPutMeterValidationBeforeWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWALCutSegmentCoversInFlightCommit: a buffered record the committer
+// has swapped out of the current batch but not yet written still belongs
+// below the cut. CutSegment used to see a bare tail with nothing pending,
+// skip the rotation and hand out the tail's own index as the watermark —
+// the in-flight batch then landed at or above it, outlived the snapshot
+// that already covered it, and replayed on recovery (every meter's version
+// one too high: flaky TestRecoveryParity).
+func TestWALCutSegmentCoversInFlightCommit(t *testing.T) {
+	w, err := OpenWAL(t.TempDir(), walOptions{CommitInterval: 100 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 300; i++ {
+		if _, err := w.AppendMeter(testMeter(int64(i+1)), false); err != nil {
+			t.Fatal(err)
+		}
+		// Give the ticker a chance to pick the record up, so the cut races
+		// the write instead of finding the record still pending.
+		time.Sleep(time.Duration(i%4) * 50 * time.Microsecond)
+		cut, err := w.CutSegment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil { // waits out whatever was in flight
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		idx, size := w.tailIdx, w.tailSize
+		w.mu.Unlock()
+		if idx != cut || size != walHeaderLen {
+			t.Fatalf("iteration %d: cut at segment %d, but a record enqueued before it sits in segment %d (%d bytes past the header)",
+				i, cut, idx, size-walHeaderLen)
+		}
+	}
+}

@@ -1,10 +1,9 @@
 package store
 
-// Property-based recovery parity: random stores snapshotted as v2 and v3
-// with WAL records layered on top must recover — serially and with a
-// worker pool — into state bit-identical to a live-built store:
-// GlobalFingerprint, per-meter versions, rollup tiers, and every scanned
-// row.
+// Property-based recovery parity: random stores snapshotted with WAL
+// records layered on top must recover — serially and with a worker pool —
+// into state bit-identical to a live-built store: GlobalFingerprint,
+// per-meter versions, rollup tiers, and every scanned row.
 
 import (
 	"fmt"
@@ -71,12 +70,12 @@ func parityApply(t *testing.T, st *Store, meters []parityMeter, phase int) {
 }
 
 // buildParityDir materializes the population into a durable store: pre
-// samples, snapshot in the requested format, then post samples left in
-// the WAL for recovery to replay.
-func buildParityDir(t *testing.T, meters []parityMeter, format int, retain time.Duration) string {
+// samples, snapshot, then post samples left in the WAL for recovery to
+// replay.
+func buildParityDir(t *testing.T, meters []parityMeter, retain time.Duration) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: parityShards, SnapshotFormat: format, RetainRaw: retain})
+	st, err := Open(Options{Dir: dir, Shards: parityShards, RetainRaw: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,45 +182,46 @@ func TestRecoveryParity(t *testing.T) {
 			parityApply(t, ref, meters, 0)
 			parityApply(t, ref, meters, 1)
 
-			dirV2 := buildParityDir(t, meters, 2, 0)
-			dirV3 := buildParityDir(t, meters, 3, 0)
-			for _, tc := range []struct {
-				name    string
-				dir     string
-				workers int
-			}{
-				{"v2/serial", dirV2, 1},
-				{"v2/parallel", dirV2, 8},
-				{"v3/serial", dirV3, 1},
-				{"v3/parallel", dirV3, 8},
-			} {
-				st, err := Open(Options{Dir: tc.dir, Shards: parityShards, RecoverWorkers: tc.workers})
+			dir := buildParityDir(t, meters, 0)
+			for _, workers := range []int{1, 8} {
+				name := fmt.Sprintf("workers=%d", workers)
+				st, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: workers})
 				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
+					t.Fatalf("%s: %v", name, err)
 				}
-				parityCompare(t, tc.name, ref, st)
+				parityCompare(t, name, ref, st)
 				st.Close()
 			}
 		})
 	}
 }
 
-// TestRecoveryParityRetainRaw: with a retention horizon both formats must
-// age out exactly the same chunk-aligned prefix, so a v2-recovered and a
-// v3-parallel-recovered store still match each other bit for bit.
+// TestRecoveryParityRetainRaw: with a retention horizon a live-built store
+// is no reference (its raw prefix is still there), so the serial and the
+// parallel recovery of one directory must match each other bit for bit —
+// and must actually have lost raw samples. The legacy formats' side of the
+// same rule is TestSnapshotV2StillLoads.
 func TestRecoveryParityRetainRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	meters := genParityMeters(rng)
 	const retain = 8 * time.Hour // data-time horizon behind the newest sample
-	a, err := Open(Options{Dir: buildParityDir(t, meters, 2, retain), Shards: parityShards, RecoverWorkers: 1})
+	dir := buildParityDir(t, meters, retain)
+	a, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Open(Options{Dir: buildParityDir(t, meters, 3, retain), Shards: parityShards, RecoverWorkers: 8})
+	b, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	parityCompare(t, "retention v2-vs-v3", a, b)
+	parityCompare(t, "retention serial-vs-parallel", a, b)
+	appended := 0
+	for _, m := range meters {
+		appended += len(m.pre) + len(m.post)
+	}
+	if got := a.Stats().Samples; got >= appended {
+		t.Errorf("recovered %d raw samples of %d appended: retention aged nothing out", got, appended)
+	}
 }

@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -236,41 +234,10 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 
 // TestSnapshotV1Migration: a legacy VAPS snapshot (raw samples, no tiers)
 // loads cleanly and the tiers are rebuilt from the raw data it contains.
+// testdata/legacy/v1.vap holds meter 7 with 3000 samples at a 120 s
+// cadence, written by the last build that had a v1 writer.
 func TestSnapshotV1Migration(t *testing.T) {
-	// Build the capture in an in-memory store, then write it in the legacy
-	// layout exactly as a pre-rollup build would have.
-	src, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Meter{ID: 7, Location: testPoint(0.02, 0.01), Zone: ZoneIndustrial}
-	if err := src.PutMeter(m); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		if err := src.Append(7, Sample{TS: int64(i) * 120, Value: float64(i % 19)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sh := src.shardFor(7)
-	sh.mu.RLock()
-	ser := sh.series[7]
-	entry := snapEntry{m: m, count: ser.Len(), it: ser.Iter(minInt64, maxInt64)}
-	sh.mu.RUnlock()
-
-	dir := t.TempDir()
-	f, err := os.Create(filepath.Join(dir, "snapshot.vap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSnapshotV1(f, []snapEntry{entry}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
-
+	dir := legacySnapshotDir(t, "v1.vap")
 	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("open legacy snapshot: %v", err)

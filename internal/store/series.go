@@ -135,8 +135,10 @@ func (s *Series) seal() {
 
 // captureChunks snapshots the series for a v3 (chunk-verbatim) snapshot:
 // the sealed chunk list is aliased as-is (chunks are immutable) and the
-// head block is copied, applying the same chunk-granular retention rule as
-// retainedFrom — sealed chunks wholly older than cutoff are left out.
+// head block is copied. Retention is chunk-granular on purpose: sealed
+// chunks wholly older than cutoff are left out here and dropped from
+// memory by pruneRawBefore under the same rule, so what a
+// retention-trimmed snapshot persists is exactly what memory keeps.
 // Caller holds the owning shard lock.
 func (s *Series) captureChunks(cutoff int64) (chunks []*chunk, headPayload []byte, headCount int) {
 	for _, c := range s.sealed {
@@ -224,29 +226,8 @@ const (
 // ErrEmptySeries is returned by operations requiring data.
 var ErrEmptySeries = errors.New("store: empty series")
 
-// retainedFrom returns the first timestamp retention at cutoff keeps:
-// whole sealed chunks with maxTS < cutoff age out, everything from the
-// first surviving chunk (or the head) stays. Chunk-granular on purpose —
-// the snapshot capture and the in-memory prune apply the same rule, so
-// what a retention-trimmed snapshot persists is exactly what memory keeps.
-// Returns the retained sample count alongside; (0, 0) for an all-aged or
-// empty series.
-func (s *Series) retainedFrom(cutoff int64) (from int64, count int) {
-	count = s.total
-	for _, c := range s.sealed {
-		if c.maxTS >= cutoff {
-			return c.minTS, count
-		}
-		count -= c.count
-	}
-	if s.head.Len() > 0 {
-		return s.headMinTS, count
-	}
-	return 0, 0
-}
-
 // pruneRawBefore drops sealed chunks wholly older than cutoff (the
-// retention rule of retainedFrom), bumping the version when anything was
+// retention rule of captureChunks), bumping the version when anything was
 // dropped so caches keyed on it invalidate — aging raw data out changes
 // what raw scans observe. Rollup tiers are untouched: they are what
 // survives. Returns the number of samples dropped.

@@ -35,8 +35,7 @@ import (
 //     with sectioned reads (io.ReaderAt), bounding peak memory to the
 //     in-flight sections instead of the whole file.
 //
-// Open reads all three; Snapshot writes v3 (or v2 when
-// Options.SnapshotFormat pins the legacy layout for downgrade paths).
+// Open reads all three; Snapshot writes v3.
 var (
 	snapMagic   = [4]byte{'V', 'A', 'P', 'S'}
 	snapMagicV2 = [4]byte{'V', 'A', 'P', '2'}
@@ -84,17 +83,13 @@ type RecoveryStats struct {
 func (s *Store) Recovery() RecoveryStats { return s.recovery }
 
 // snapEntry is one meter's captured state: metadata, the rollup tier
-// capture, and either a point-in-time iterator over the retained raw
-// samples (v1/v2, materialized 16 B/sample) or the sealed chunk list plus
-// a private head-block copy (v3, verbatim). Captures are taken under brief
-// shard read locks; the disk write itself needs no locks at all. With
-// retention active the raw capture covers only the retained samples while
-// tiers always cover the full history.
+// capture, and the sealed chunk list (immutable, aliased verbatim) plus a
+// private head-block copy. Captures are taken under brief shard read
+// locks; the disk write itself needs no locks at all. With retention
+// active the raw capture covers only the retained chunks while tiers
+// always cover the full history.
 type snapEntry struct {
-	m     Meter
-	count int         // v1/v2: retained raw sample count
-	it    *SeriesIter // v1/v2: retained raw samples
-	// v3: sealed chunks aliased verbatim (immutable), head block copied.
+	m           Meter
 	chunks      []*chunk
 	headPayload []byte
 	headCount   int
@@ -118,10 +113,6 @@ func (s *Store) Snapshot() error {
 	}
 	if s.opts.Dir == "" {
 		return ErrNoDurability
-	}
-	format := s.opts.SnapshotFormat
-	if format == 0 {
-		format = 3
 	}
 	// Watermark first: every record enqueued before the cut lives in a
 	// segment below it, and each such record's in-memory apply happened in
@@ -152,15 +143,7 @@ func (s *Store) Snapshot() error {
 				continue
 			}
 			e := snapEntry{m: m, tiers: ser.captureTiers()}
-			if format == 3 {
-				e.chunks, e.headPayload, e.headCount = ser.captureChunks(cutoff)
-			} else if cutoff == minInt64 {
-				e.count, e.it = ser.Len(), ser.Iter(minInt64, maxInt64)
-			} else if retainFrom, cnt := ser.retainedFrom(cutoff); cnt > 0 {
-				e.count, e.it = cnt, ser.Iter(retainFrom, maxInt64)
-			} else {
-				e.it = ser.Iter(0, 0) // every raw sample aged out
-			}
+			e.chunks, e.headPayload, e.headCount = ser.captureChunks(cutoff)
 			entries = append(entries, e)
 		}
 		sh.mu.RUnlock()
@@ -174,12 +157,7 @@ func (s *Store) Snapshot() error {
 		return err
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
-	if format == 3 {
-		err = writeSnapshotV3(w, s.rollupRes, entries)
-	} else {
-		err = writeSnapshotV2(w, s.rollupRes, entries)
-	}
-	if err != nil {
+	if err := writeSnapshotV3(w, s.rollupRes, entries); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -596,7 +574,13 @@ func (s *Store) installSectionV3(wantID int64, sec []byte, fileRes []int64, mete
 		if int64(nb)*rollupBucketBytes > int64(r.remaining()) {
 			return corrupt("tier bucket count exceeds section")
 		}
-		buckets := make([]RollupBucket, nb)
+		// Room for a quarter more, the slack one append growth step leaves
+		// a live tier. Sized exactly, the first bucket a meter opens after
+		// recovery (in the WAL replay that follows, or the first tick)
+		// re-allocates and copies its whole tier: 560 KB per meter for a
+		// year of hourly buckets, which was most of the replay's time and
+		// the part that differed from one restart to the next.
+		buckets := make([]RollupBucket, nb, int(nb)+int(nb)/4)
 		for bi := range buckets {
 			if err := readRollupBucket(r, &buckets[bi]); err != nil {
 				return corrupt("truncated tier bucket")
@@ -636,143 +620,6 @@ func (s *Store) installSectionV3(wantID int64, sec []byte, fileRes []int64, mete
 	samples.Add(int64(n))
 	chunksN.Add(int64(len(chunks)))
 	return nil
-}
-
-// --- legacy v1/v2 writer ------------------------------------------------
-
-// writeSnapshotV2 serializes the legacy materialized layout: magic, the
-// store's tier resolution list, meter count, then per meter its metadata,
-// retained raw sample run (count + 16 B/sample pairs), and one bucket
-// array per tier in header order — with a trailing CRC of everything.
-// Retained as the downgrade format (Options.SnapshotFormat = 2) and as the
-// serial baseline BenchmarkRecover measures v3 against.
-func writeSnapshotV2(w io.Writer, res []int64, entries []snapEntry) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write(snapMagicV2[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(len(res))); err != nil {
-		return err
-	}
-	for _, r := range res {
-		if err := binary.Write(mw, binary.LittleEndian, r); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := writeSnapMeter(mw, e); err != nil {
-			return err
-		}
-		// Tiers in header order; captureTiers preserves the store's tier
-		// order, so a mismatch here is a programming error worth failing on.
-		if len(e.tiers) != len(res) {
-			return fmt.Errorf("store: snapshot of meter %d captured %d tiers, store maintains %d", e.m.ID, len(e.tiers), len(res))
-		}
-		for ti, t := range e.tiers {
-			if t.res != res[ti] {
-				return fmt.Errorf("store: snapshot tier order mismatch for meter %d", e.m.ID)
-			}
-			if err := binary.Write(mw, binary.LittleEndian, uint32(t.len())); err != nil {
-				return err
-			}
-			for i := range t.interior {
-				if err := writeRollupBucket(mw, &t.interior[i]); err != nil {
-					return err
-				}
-			}
-			if t.hasTail {
-				if err := writeRollupBucket(mw, &t.tail); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
-}
-
-// writeSnapMeter writes one meter's metadata and retained raw samples —
-// the per-meter layout shared by the v1 and v2 snapshot versions.
-func writeSnapMeter(mw io.Writer, e snapEntry) error {
-	zone := []byte(e.m.Zone)
-	if err := binary.Write(mw, binary.LittleEndian, e.m.ID); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, e.m.Location.Lon); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, e.m.Location.Lat); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint16(len(zone))); err != nil {
-		return err
-	}
-	if _, err := mw.Write(zone); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(e.count)); err != nil {
-		return err
-	}
-	written := 0
-	for e.it.Next() {
-		smp := e.it.Sample()
-		if err := binary.Write(mw, binary.LittleEndian, smp.TS); err != nil {
-			return err
-		}
-		if err := binary.Write(mw, binary.LittleEndian, smp.Value); err != nil {
-			return err
-		}
-		written++
-	}
-	if err := e.it.Err(); err != nil {
-		return err
-	}
-	if written != e.count {
-		return fmt.Errorf("store: snapshot of meter %d yielded %d samples, expected %d", e.m.ID, written, e.count)
-	}
-	return nil
-}
-
-func writeRollupBucket(mw io.Writer, b *RollupBucket) error {
-	var buf [rollupBucketBytes]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(b.Start))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(b.Count))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(b.NaN))
-	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(b.Sum))
-	binary.LittleEndian.PutUint64(buf[32:], math.Float64bits(b.Min))
-	binary.LittleEndian.PutUint64(buf[40:], math.Float64bits(b.Max))
-	binary.LittleEndian.PutUint64(buf[48:], math.Float64bits(b.First))
-	binary.LittleEndian.PutUint64(buf[56:], math.Float64bits(b.Last))
-	_, err := mw.Write(buf[:])
-	return err
-}
-
-// writeSnapshotV1 serializes the oldest layout (no tiers). Retained only
-// so the migration path — loading a pre-rollup snapshot — stays testable.
-func writeSnapshotV1(w io.Writer, entries []snapEntry) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	if _, err := mw.Write(snapMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(mw, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := writeSnapMeter(mw, e); err != nil {
-			return err
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
 }
 
 // --- loading ------------------------------------------------------------

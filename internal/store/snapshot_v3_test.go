@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // buildV3Template fills a fresh durable store with meters whose series
@@ -95,6 +96,17 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			}
 		}
 		checkRollupsRebuilt(t, st)
+		// A loaded tier keeps append slack: the next bucket a meter opens
+		// must not re-allocate and copy the whole tier.
+		for _, sh := range st.shards {
+			for id, ser := range sh.series {
+				for _, tier := range ser.rollups {
+					if b := tier.buckets; len(b) >= 8 && cap(b) == len(b) {
+						t.Errorf("workers=%d meter %d: loaded %ds tier of %d buckets has no room to append", workers, id, tier.res, len(b))
+					}
+				}
+			}
+		}
 		rec := st.Recovery()
 		if rec.SnapshotFormat != "v3" || rec.SnapshotMeters != 6 || rec.SnapshotChunks != 12 {
 			t.Errorf("workers=%d: recovery stats = %+v", workers, rec)
@@ -200,44 +212,62 @@ func TestSnapshotV3DirectoryOutOfBounds(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatV2Downgrade pins the legacy escape hatch: format 2
-// still writes VAP2 files that round-trip, and invalid formats are
-// rejected at Open.
-func TestSnapshotFormatV2Downgrade(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SnapshotFormat: 2})
+// legacySnapshotDir returns a fresh durability directory whose snapshot is
+// the named golden file under testdata/legacy — files written once by the
+// last build that still had the v1/v2 writers.
+func legacySnapshotDir(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillStore(t, st, 3, 800)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.vap"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestSnapshotV2StillLoads: a VAP2 file still loads, into state
+// bit-identical to a v3 snapshot of the same data. testdata/legacy/v2.vap
+// is fillStore(3, 1500) snapshotted under a 6 h raw horizon, so both
+// formats must have aged out the same chunk-aligned prefix and the file's
+// tiers cover history its raw samples no longer do.
+func TestSnapshotV2StillLoads(t *testing.T) {
+	const retain = 6 * time.Hour
+	v2, err := Open(Options{Dir: legacySnapshotDir(t, "v2.vap"), RetainRaw: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v2.Close()
+	if got := v2.Recovery().SnapshotFormat; got != "v2" {
+		t.Errorf("recovery format = %q, want v2", got)
+	}
+	if n, _ := v2.SeriesLen(1); n != 780 {
+		t.Errorf("meter 1 has %d raw samples, want the 780 inside the horizon", n)
+	}
+	if tiers := captureTiersOf(t, v2, 1); len(tiers) != 2 || tiers[0].len() != 26 {
+		t.Errorf("meter 1 hourly tier does not cover the full 25 h history: %+v", tiers)
+	}
+
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, RetainRaw: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, st, 3, 1500)
 	if err := st.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.vap"))
+	v3, err := Open(Options{Dir: dir, RetainRaw: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if [4]byte(raw[:4]) != snapMagicV2 {
-		t.Fatalf("SnapshotFormat=2 wrote magic %q, want VAP2", raw[:4])
-	}
-	st2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if got := st2.Recovery().SnapshotFormat; got != "v2" {
-		t.Errorf("recovery format = %q, want v2", got)
-	}
-	if n, _ := st2.SeriesLen(1); n != 800 {
-		t.Errorf("meter 1 has %d samples after v2 round-trip, want 800", n)
-	}
-
-	if _, err := Open(Options{SnapshotFormat: 1}); err == nil {
-		t.Error("Open accepted SnapshotFormat=1")
-	}
+	defer v3.Close()
+	parityCompare(t, "v2 golden vs v3", v3, v2)
 }
 
 // writeRawSnapshot assembles a legacy-layout snapshot file from body bytes

@@ -66,11 +66,6 @@ type Options struct {
 	// across this many goroutines. <= 0 selects GOMAXPROCS; 1 forces the
 	// fully serial paths.
 	RecoverWorkers int
-	// SnapshotFormat selects the layout Snapshot writes: 0 or 3 write the
-	// current chunk-verbatim v3 ("VAP3"); 2 pins the legacy materialized
-	// v2 ("VAP2") for downgrade paths and benchmarking. Open always reads
-	// every format regardless of this setting.
-	SnapshotFormat int
 }
 
 const defaultShards = 16
@@ -184,11 +179,6 @@ func nextPow2(n int) int {
 // across Options.RecoverWorkers workers (snapshot meter installs for v3
 // files, per-shard WAL record appliers). Recovery() reports the breakdown.
 func Open(opts Options) (*Store, error) {
-	switch opts.SnapshotFormat {
-	case 0, 2, 3:
-	default:
-		return nil, fmt.Errorf("store: unsupported SnapshotFormat %d (want 0, 2 or 3)", opts.SnapshotFormat)
-	}
 	n := opts.Shards
 	if n <= 0 {
 		n = defaultShards

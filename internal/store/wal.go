@@ -123,6 +123,7 @@ type WAL struct {
 	f        *os.File // tail segment, append position
 	tailIdx  uint64
 	tailSize int64            // bytes written to the tail segment
+	writing  bool             // a swapped-out batch is on its way into the tail
 	sealed   map[uint64]int64 // sizes of full (rotated-out) segments
 
 	wake chan struct{}
@@ -496,16 +497,16 @@ func (w *WAL) commit() {
 		return
 	}
 	f := w.f
+	w.writing = true
 	w.mu.Unlock()
 
 	err := w.writeBatch(f, b)
-	if err != nil {
-		w.mu.Lock()
-		if w.err == nil {
-			w.err = err
-		}
-		w.mu.Unlock()
+	w.mu.Lock()
+	w.writing = false
+	if err != nil && w.err == nil {
+		w.err = err
 	}
+	w.mu.Unlock()
 	b.err = err
 	close(b.done)
 }
@@ -574,8 +575,9 @@ func (w *WAL) rotate() error {
 // the call lives in a segment with index < W; a snapshot capturing
 // in-memory state after CutSegment returns therefore covers all of them,
 // and DeleteSegmentsBelow(W) is safe once that snapshot is durable. If the
-// tail is already bare the rotation is skipped and the current index is
-// returned.
+// tail is already bare — nothing written, nothing pending, and no batch
+// the committer has swapped out but not yet written — the rotation is
+// skipped and the current index is returned.
 func (w *WAL) CutSegment() (uint64, error) {
 	w.mu.Lock()
 	if w.closed {
@@ -587,7 +589,7 @@ func (w *WAL) CutSegment() (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	if w.tailSize == walHeaderLen && len(w.cur.buf) == 0 {
+	if w.tailSize == walHeaderLen && len(w.cur.buf) == 0 && !w.writing {
 		idx := w.tailIdx
 		w.mu.Unlock()
 		return idx, nil

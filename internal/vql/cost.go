@@ -71,7 +71,7 @@ type ScanCost struct {
 }
 
 // Approximate per-unit sizes for the in-flight memory estimate: one
-// aggregate state (aggState plus slice/alignment overhead), one hash-map
+// aggregate state (query.Fold plus slice/alignment overhead), one hash-map
 // group entry (key + pointer + state), and one decoded sample in batch
 // scratch (timestamp + value).
 const (
@@ -148,7 +148,7 @@ func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers 
 	var bounds []int64
 	if !p.hasBucket {
 		c.Strategy = GroupSingle
-	} else if bounds = bucketBounds(p.Granularity(), from, to, maxDenseBuckets); bounds != nil {
+	} else if bounds = query.BucketBounds(p.Granularity(), from, to, maxDenseBuckets); bounds != nil {
 		c.Strategy = GroupDense
 		c.Buckets = len(bounds)
 	} else {
@@ -210,33 +210,11 @@ func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers 
 	return c, bounds
 }
 
-// tierBucketWidth returns the fixed bucket width of g when every bucket of
-// g is one resolution-aligned interval, or 0 when it is not. Weekly buckets
-// are Monday-aligned (a 604800s tier would sit on epoch-Thursday phase) and
-// the calendar units are variable-width, so only the first three qualify.
-func tierBucketWidth(g query.Granularity) int64 {
-	switch g {
-	case query.GranHourly:
-		return 3600
-	case query.Gran4Hourly:
-		return 4 * 3600
-	case query.GranDaily:
-		return 24 * 3600
-	default:
-		return 0
-	}
-}
-
-// planTier decides whether a rollup tier serves the scan. The rule is
-// deliberately strict — the tier resolution must equal the query's bucket
-// width — because then every interior query bucket is exactly one tier
-// bucket, whose state was folded sample-by-sample in the same order the raw
-// executor would have used: every aggregate (sums included, NaN/±Inf
-// included) is bit-identical to a raw scan. Coarser-than-tier buckets
-// (weekly from a daily tier) would merge several tier sums and perturb
-// float results in the last ulp, so they scan raw. Unaligned window edges
-// always scan raw: a partial edge bucket's tier state would cover samples
-// outside the window.
+// planTier decides whether a rollup tier serves the scan: the shared tier
+// rule (query.ServingTier — exact bucket width, at least one whole aligned
+// bucket inside the window) says whether one may, and the cost estimate
+// below whether it pays. Unbucketed plans always fold raw, which keeps
+// their sum order bit-exact.
 func planTier(p *Plan, c *ScanCost, from, to int64, tiers []int64) {
 	if len(tiers) == 0 {
 		c.TierReason = "no rollup tiers maintained"
@@ -246,26 +224,20 @@ func planTier(p *Plan, c *ScanCost, from, to int64, tiers []int64) {
 		c.TierReason = "no bucket dimension (raw fold keeps the sum order bit-exact)"
 		return
 	}
-	width := tierBucketWidth(p.Granularity())
+	width := p.Granularity().FixedWidth()
 	if width == 0 {
 		c.TierReason = string(p.Granularity()) + " buckets are not tier-aligned"
 		return
 	}
-	have := false
-	for _, r := range tiers {
-		if r == width {
-			have = true
-			break
+	res, aFrom, aTo := query.ServingTier(tiers, width, from, to)
+	if res == 0 {
+		// [0, width) is one whole aligned bucket, so only a missing tier
+		// can refuse it.
+		if r, _, _ := query.ServingTier(tiers, width, 0, width); r == 0 {
+			c.TierReason = fmt.Sprintf("no %ds tier maintained", width)
+		} else {
+			c.TierReason = "window narrower than one tier bucket"
 		}
-	}
-	if !have {
-		c.TierReason = fmt.Sprintf("no %ds tier maintained", width)
-		return
-	}
-	aFrom := alignUp(from, width)
-	aTo := alignDown(to, width)
-	if aTo <= aFrom {
-		c.TierReason = "window narrower than one tier bucket"
 		return
 	}
 	// Interior buckets: at most one per aligned interval per overlapping
@@ -284,50 +256,4 @@ func planTier(p *Plan, c *ScanCost, from, to int64, tiers []int64) {
 	c.TierRes = width
 	c.TierBuckets = estBuckets
 	c.TierEdges = estEdges
-}
-
-// alignUp rounds ts up to the next multiple of w (identity when aligned);
-// alignDown rounds toward -inf. Both are negative-safe.
-func alignUp(ts, w int64) int64 {
-	if m := tmod(ts, w); m != 0 {
-		return ts + (w - m)
-	}
-	return ts
-}
-
-func alignDown(ts, w int64) int64 { return ts - tmod(ts, w) }
-
-func tmod(a, m int64) int64 {
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
-// bucketBounds enumerates the ascending bucket starts covering [from, to),
-// or nil when the count would exceed maxBuckets (or cannot be bounded).
-// Works for calendar granularities too — the walk uses Truncate/Next, the
-// same functions the scalar path buckets with.
-func bucketBounds(g query.Granularity, from, to int64, maxBuckets int) []int64 {
-	if to <= from {
-		return nil
-	}
-	// Cheap width-based bound before walking: catches "whole extent at
-	// hourly" class windows without iterating. Unsigned subtraction is
-	// overflow-safe for any from < to.
-	if span := uint64(to) - uint64(from); span/uint64(g.ApproxSeconds()) > uint64(maxBuckets) {
-		return nil
-	}
-	bounds := make([]int64, 0, (to-from)/g.ApproxSeconds()+2)
-	for t := g.Truncate(from); t < to; t = g.Next(t) {
-		if len(bounds) >= maxBuckets {
-			return nil
-		}
-		bounds = append(bounds, t)
-	}
-	if len(bounds) == 0 {
-		return nil
-	}
-	return bounds
 }

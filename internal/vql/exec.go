@@ -88,104 +88,6 @@ type groupKey struct {
 	zone   store.ZoneType
 }
 
-// aggState folds one group's samples. All aggregate functions share one
-// state so a select list mixing sum/mean/min/max/count scans once. NaN
-// samples are counted but never folded: a single bad reading must not
-// poison a bucket's sum (and count(*) still counts the row).
-type aggState struct {
-	sum      float64
-	count    int64 // finite samples folded
-	nan      int64 // NaN samples skipped
-	min, max float64
-}
-
-func newAggState() *aggState {
-	return &aggState{min: math.Inf(1), max: math.Inf(-1)}
-}
-
-func (a *aggState) add(v float64) {
-	if v != v { // NaN
-		a.nan++
-		return
-	}
-	a.sum += v
-	a.count++
-	if v < a.min {
-		a.min = v
-	}
-	if v > a.max {
-		a.max = v
-	}
-}
-
-// foldVals is the batch kernel: one run of values from a decoded batch,
-// folded with the same per-sample order the scalar add uses (sums stay
-// bit-identical between the two executors).
-func (a *aggState) foldVals(vals []float64) {
-	sum, mn, mx := a.sum, a.min, a.max
-	n, nan := a.count, a.nan
-	for _, v := range vals {
-		if v != v {
-			nan++
-			continue
-		}
-		sum += v
-		n++
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	a.sum, a.count, a.nan, a.min, a.max = sum, n, nan, mn, mx
-}
-
-// foldSum is the min/max-free kernel for plans whose aggregates are only
-// sum/mean/count — one compare and one add per sample.
-func (a *aggState) foldSum(vals []float64) {
-	sum, n, nan := a.sum, a.count, a.nan
-	for _, v := range vals {
-		if v != v {
-			nan++
-			continue
-		}
-		sum += v
-		n++
-	}
-	a.sum, a.count, a.nan = sum, n, nan
-}
-
-func (a *aggState) merge(b *aggState) {
-	a.sum += b.sum
-	a.count += b.count
-	a.nan += b.nan
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-}
-
-// mergeRollup folds one pre-aggregated tier bucket into the state. A tier
-// bucket's fields were folded sample-by-sample in the same order add would
-// have used, so merging a whole aligned bucket into a fresh state yields
-// exactly the state a raw scan of those samples would have produced.
-func (a *aggState) mergeRollup(b *store.RollupBucket) {
-	a.sum += b.Sum
-	a.count += b.Count
-	a.nan += b.NaN
-	if b.Count > 0 {
-		if b.Min < a.min {
-			a.min = b.Min
-		}
-		if b.Max > a.max {
-			a.max = b.Max
-		}
-	}
-}
-
 // finiteOrNull maps non-finite aggregate results to null: NaN and ±Inf
 // have no JSON encoding, and a bucket whose aggregate overflowed carries
 // no usable value anyway.
@@ -196,33 +98,34 @@ func finiteOrNull(v float64) any {
 	return v
 }
 
-// value finalizes one aggregate. Value-folding aggregates over zero
-// finite samples are null (JSON-encodable, unlike NaN/±Inf); count(*)
-// counts every row, NaN readings included, while count(value) counts
-// only the finite samples the value aggregates folded.
-func (a *aggState) value(fn AggFn) any {
+// foldValue finalizes one aggregate for VQL. NaN readings are skipped: a
+// single bad reading must not poison a bucket's sum. Value-folding
+// aggregates over zero non-NaN samples are null (JSON-encodable, unlike
+// NaN/±Inf); count(*) counts every row, NaN readings included, while
+// count(value) counts only the samples the value aggregates folded.
+func foldValue(a *query.Fold, fn AggFn) any {
 	switch fn {
 	case AggCountValue:
-		return a.count
+		return a.Count
 	case AggSum:
-		return finiteOrNull(a.sum)
+		return finiteOrNull(a.Sum)
 	case AggMean:
-		if a.count == 0 {
+		if a.Count == 0 {
 			return nil
 		}
-		return finiteOrNull(a.sum / float64(a.count))
+		return finiteOrNull(a.Sum / float64(a.Count))
 	case AggMin:
-		if a.count == 0 {
+		if a.Count == 0 {
 			return nil
 		}
-		return finiteOrNull(a.min)
+		return finiteOrNull(a.Min)
 	case AggMax:
-		if a.count == 0 {
+		if a.Count == 0 {
 			return nil
 		}
-		return finiteOrNull(a.max)
+		return finiteOrNull(a.Max)
 	default: // AggCount
-		return a.count + a.nan
+		return a.Count + a.NaN
 	}
 }
 
@@ -311,12 +214,7 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	// the scalar executor — and independent of the planner's worker/chunk
 	// split (float addition is not associative; collapsing a chunk's meters
 	// into shared state would tie result bytes to the fan-out choice).
-	sc := newScanConfig(ctx, p, eng, bounds, from, to)
-	if cost.TierRes != 0 {
-		sc.tierRes = cost.TierRes
-		sc.aFrom = alignUp(from, cost.TierRes)
-		sc.aTo = alignDown(to, cost.TierRes)
-	}
+	sc := newScanConfig(ctx, p, eng, &cost, bounds, from, to)
 	sink := newGroupSink(sc)
 	vers := make([]uint64, len(ids))
 	if cost.Chunks == 1 {
@@ -347,13 +245,8 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 			return nil, err
 		}
 		for i := range partials {
-			mp := &partials[i]
-			res.Samples += mp.n
-			if mp.dense != nil {
-				sink.addDense(mp.base, mp.dense, mp.lo)
-			} else if mp.groups != nil {
-				sink.addMap(mp.groups)
-			}
+			res.Samples += partials[i].n
+			sink.add(&partials[i])
 		}
 	}
 
@@ -362,14 +255,14 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	return res, nil
 }
 
-// meterPartial holds one meter's partial aggregates. Dense-strategy scans
-// keep the bucket-indexed slice (covering buckets [lo, lo+len(dense)) of
-// the plan's bounds, base key base) instead of a map, so the hot path
-// never hashes a group key; the other strategies fill groups. n is the
-// meter's in-window sample count.
+// meterPartial holds one meter's partial aggregates. Dense scans keep the
+// touched bucket-indexed folds (covering buckets [lo, lo+len(dense)) of the
+// scan's bounds, base key base) instead of a map, so the hot path never
+// hashes a group key; the map fallback fills groups. n is the meter's
+// in-window sample count.
 type meterPartial struct {
-	groups map[groupKey]*aggState
-	dense  []aggState
+	groups map[groupKey]*query.Fold
+	dense  []query.Fold
 	lo     int
 	base   groupKey
 	n      int
@@ -379,51 +272,57 @@ type meterPartial struct {
 // ascending meter order. When the dense grouping has no meter/zone
 // dimension every partial shares the zero base key, so the merge goes
 // straight into a bucket-indexed array — no group-key hashing on the
-// merge path. An untouched entry is the zero state (count==0 && nan==0, a
-// state no emitted partial can have), and the first merge into it copies
-// rather than folds, keeping the per-group association identical to the
-// map path (and so to the scalar executor).
+// merge path. An untouched entry is the zero state (Empty, a state no
+// emitted partial can have), and the first merge into it copies rather
+// than folds, keeping the per-group association identical to the map path
+// (and so to the scalar executor).
 type groupSink struct {
 	bounds []int64
-	groups map[groupKey]*aggState
-	dense  []aggState // bucket-indexed; non-nil only for base-less dense grouping
+	groups map[groupKey]*query.Fold
+	dense  []query.Fold // bucket-indexed; non-nil only for base-less dense grouping
 }
 
 func newGroupSink(sc *scanConfig) *groupSink {
-	s := &groupSink{bounds: sc.bounds, groups: make(map[groupKey]*aggState)}
+	s := &groupSink{bounds: sc.bounds, groups: make(map[groupKey]*query.Fold)}
 	if sc.bounds != nil && !sc.groupMeter && !sc.needZone {
-		s.dense = make([]aggState, len(sc.bounds))
+		s.dense = make([]query.Fold, len(sc.bounds))
 	}
 	return s
 }
 
+// add merges one meter's partial, whichever shape it has.
+func (s *groupSink) add(mp *meterPartial) {
+	s.addDense(mp.base, mp.dense, mp.lo)
+	s.addMap(mp.groups)
+}
+
 // addDense merges one meter's touched bucket range (states covers buckets
 // [lo, lo+len(states)) of bounds) under base.
-func (s *groupSink) addDense(base groupKey, states []aggState, lo int) {
+func (s *groupSink) addDense(base groupKey, states []query.Fold, lo int) {
 	if s.dense != nil {
 		for j := range states {
 			st := &states[j]
-			if st.count == 0 && st.nan == 0 {
+			if st.Empty() {
 				continue
 			}
 			g := &s.dense[lo+j]
-			if g.count == 0 && g.nan == 0 {
+			if g.Empty() {
 				*g = *st
 			} else {
-				g.merge(st)
+				g.Merge(st)
 			}
 		}
 		return
 	}
 	for j := range states {
 		st := &states[j]
-		if st.count == 0 && st.nan == 0 {
+		if st.Empty() {
 			continue
 		}
 		k := base
 		k.bucket = s.bounds[lo+j]
 		if g, ok := s.groups[k]; ok {
-			g.merge(st)
+			g.Merge(st)
 		} else {
 			cp := *st
 			s.groups[k] = &cp
@@ -433,10 +332,10 @@ func (s *groupSink) addDense(base groupKey, states []aggState, lo int) {
 
 // addMap merges one meter's map-shaped partial. Keys within a single
 // meter's map are distinct groups, so iteration order doesn't matter.
-func (s *groupSink) addMap(local map[groupKey]*aggState) {
+func (s *groupSink) addMap(local map[groupKey]*query.Fold) {
 	for k, st := range local {
 		if g, ok := s.groups[k]; ok {
-			g.merge(st)
+			g.Merge(st)
 		} else {
 			s.groups[k] = st
 		}
@@ -444,10 +343,10 @@ func (s *groupSink) addMap(local map[groupKey]*aggState) {
 }
 
 // finish folds the dense array (if any) into the group map and returns it.
-func (s *groupSink) finish() map[groupKey]*aggState {
+func (s *groupSink) finish() map[groupKey]*query.Fold {
 	for bi := range s.dense {
 		st := &s.dense[bi]
-		if st.count == 0 && st.nan == 0 {
+		if st.Empty() {
 			continue
 		}
 		s.groups[groupKey{bucket: s.bounds[bi]}] = st
@@ -464,45 +363,45 @@ type scanConfig struct {
 	gran       query.Granularity
 	groupMeter bool
 	needZone   bool
-	hasBucket  bool
 	minMax     bool
-	bounds     []int64 // dense: ascending bucket starts (nil otherwise)
-	ends       []int64 // dense: exclusive end per bucket, last = sentinel
-	// tierRes != 0 routes the scan through the store's rollup tier of that
-	// resolution: interior buckets [aFrom, aTo) merge pre-aggregated, the
-	// window edges outside them decode raw.
+	// bounds are the ascending bucket starts the shared kernel (dense)
+	// folds into; a plan with no bucket dimension is its one-bucket case.
+	// Both are nil when the axis is too long to enumerate (GroupMap).
+	bounds []int64
+	dense  *query.Scan
+	// GroupMap only: tierRes != 0 serves interior buckets [aFrom, aTo)
+	// from the rollup tier of that resolution.
 	tierRes    int64
 	aFrom, aTo int64
-	// pace is the per-batch governance check: it surfaces deadline or
-	// cancellation between batches (so a cancelled monster scan aborts
-	// mid-meter, not after it) and yields the CPU for admitted analytics
-	// grants while interactive work is in flight.
+	// pace is the governance check between meters and, on the map
+	// fallback, between decoded batches (see query.Scan).
 	pace func(context.Context) error
 }
 
-func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, bounds []int64, from, to int64) *scanConfig {
+func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCost, bounds []int64, from, to int64) *scanConfig {
 	sc := &scanConfig{
-		eng:       eng,
-		pace:      govern.PaceFunc(ctx),
-		from:      from,
-		to:        to,
-		gran:      p.Granularity(),
-		hasBucket: p.hasBucket,
-		needZone:  p.needZone,
-		minMax:    p.needMinMax(),
-		bounds:    bounds,
+		eng:      eng,
+		pace:     govern.PaceFunc(ctx),
+		from:     from,
+		to:       to,
+		gran:     p.Granularity(),
+		needZone: p.needZone,
+		minMax:   p.needMinMax(),
+		bounds:   bounds,
 	}
 	for _, k := range p.Keys {
 		if k.Kind == KeyMeter {
 			sc.groupMeter = true
 		}
 	}
-	if bounds != nil {
-		sc.ends = make([]int64, len(bounds))
-		for i := 1; i < len(bounds); i++ {
-			sc.ends[i-1] = bounds[i]
-		}
-		sc.ends[len(bounds)-1] = math.MaxInt64
+	if !p.hasBucket {
+		// One bucket, whose start is the zero group key's bucket.
+		sc.bounds = []int64{0}
+	}
+	if sc.bounds != nil {
+		sc.dense = query.NewScan(ctx, eng.Store(), sc.bounds, from, to, cost.TierRes, sc.minMax)
+	} else if cost.TierRes != 0 {
+		sc.tierRes, sc.aFrom, sc.aTo = query.ServingTier(eng.Store().RollupResolutions(), cost.TierRes, from, to)
 	}
 	return sc
 }
@@ -519,17 +418,9 @@ func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, bounds []int
 func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64, partials []meterPartial, sink *groupSink) (int, error) {
 	batch := store.GetBatch()
 	defer store.PutBatch(batch)
-
-	// Dense scratch: one bucket-indexed array reused across the chunk's
-	// meters. Only the bucket range a meter actually touched is flushed and
-	// re-seeded after it, so sparse meters inside a wide window don't pay
-	// for the whole array.
-	var dense []aggState
-	if sc.bounds != nil {
-		dense = make([]aggState, len(sc.bounds))
-		for i := range dense {
-			dense[i] = aggState{min: math.Inf(1), max: math.Inf(-1)}
-		}
+	var dense []query.Fold
+	if sc.dense != nil {
+		dense = sc.dense.NewDense()
 	}
 
 	cat := sc.eng.Store().Catalog()
@@ -538,164 +429,93 @@ func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64,
 		if err := sc.pace(ctx); err != nil {
 			return 0, err
 		}
-		base := groupKey{}
+		mp := meterPartial{}
 		if sc.groupMeter {
-			base.meter = id
+			mp.base.meter = id
 		}
 		if sc.needZone {
 			if m, ok := cat.Get(id); ok {
-				base.zone = m.Zone
+				mp.base.zone = m.Zone
 			}
 		}
-		if sc.tierRes != 0 {
-			if sc.bounds != nil {
-				// Tier-served dense scan: interior buckets merge by index
-				// arithmetic into the same bucket-indexed scratch the raw
-				// path uses — no group-key hashing on the hot path.
-				n, lo, hi, ver, terr := sc.scanTierDense(ctx, id, batch, dense)
-				if terr != nil {
-					return 0, terr
-				}
-				vers[i] = ver
-				samples += n
-				if sink != nil {
-					if hi > lo {
-						sink.addDense(base, dense[lo:hi], lo)
-					}
-				} else {
-					var cp []aggState
-					if hi > lo {
-						cp = make([]aggState, hi-lo)
-						copy(cp, dense[lo:hi])
-					}
-					partials[i] = meterPartial{dense: cp, lo: lo, base: base, n: n}
-				}
-				for bi := lo; bi < hi; bi++ {
-					dense[bi] = aggState{min: math.Inf(1), max: math.Inf(-1)}
-				}
-				continue
-			}
-			local := make(map[groupKey]*aggState)
-			n, ver, terr := sc.scanTier(ctx, id, base, batch, local)
-			if terr != nil {
-				return 0, terr
-			}
-			vers[i] = ver
-			samples += n
-			if sink != nil {
-				sink.addMap(local)
-			} else {
-				partials[i] = meterPartial{groups: local, n: n}
-			}
-			continue
+		var err error
+		if sc.dense != nil {
+			var hi int
+			mp.n, mp.lo, hi, vers[i], err = sc.dense.Meter(ctx, id, batch, dense)
+			mp.dense = dense[mp.lo:hi]
+		} else {
+			mp.groups = make(map[groupKey]*query.Fold)
+			mp.n, vers[i], err = sc.scanMap(ctx, id, mp.base, batch, mp.groups)
 		}
-		it, err := sc.eng.Store().Iter(id, sc.from, sc.to)
 		if err != nil {
 			return 0, err
 		}
-		vers[i] = it.Version()
-
-		switch {
-		case sc.bounds != nil: // dense
-			n, lo, hi, derr := sc.scanDense(ctx, it, batch, dense)
-			if derr != nil {
-				return 0, derr
-			}
-			samples += n
-			if sink != nil {
-				if hi > lo {
-					sink.addDense(base, dense[lo:hi], lo)
-				}
-			} else {
-				var cp []aggState
-				if hi > lo {
-					cp = make([]aggState, hi-lo)
-					copy(cp, dense[lo:hi])
-				}
-				partials[i] = meterPartial{dense: cp, lo: lo, base: base, n: n}
-			}
-			for bi := lo; bi < hi; bi++ {
-				dense[bi] = aggState{min: math.Inf(1), max: math.Inf(-1)}
-			}
-		case sc.hasBucket: // map grouping, run-at-a-time
-			local := make(map[groupKey]*aggState)
-			n, merr := sc.scanMap(ctx, it, batch, base, local)
-			if merr != nil {
-				return 0, merr
-			}
-			samples += n
-			if sink != nil {
-				sink.addMap(local)
-			} else {
-				partials[i] = meterPartial{groups: local, n: n}
-			}
-		default: // single group per base key
-			local := make(map[groupKey]*aggState)
-			n, serr := sc.scanSingle(ctx, it, batch, base, local)
-			if serr != nil {
-				return 0, serr
-			}
-			samples += n
-			if sink != nil {
-				sink.addMap(local)
-			} else {
-				partials[i] = meterPartial{groups: local, n: n}
-			}
+		samples += mp.n
+		if sink != nil {
+			sink.add(&mp)
+		} else {
+			partials[i] = mp
+			partials[i].dense = append([]query.Fold(nil), mp.dense...)
 		}
+		// Only the bucket range the meter touched is re-seeded, so sparse
+		// meters inside a wide window don't pay for the whole array.
+		query.ResetFolds(mp.dense)
 	}
 	return samples, nil
 }
 
-// scanDense folds one meter into the bucket-indexed array, returning the
-// half-open range of bucket indices it touched. Bucket boundaries come
-// from the precomputed ends array; because timestamps are ascending the
-// bucket index only moves forward, so boundary detection is one compare
-// per sample and the Truncate function never runs. Each decoded batch is
-// bracketed by a pace call: governed scans observe deadlines and yield to
-// interactive work at batch granularity, never mid-kernel.
-func (sc *scanConfig) scanDense(ctx context.Context, it *store.SeriesIter, batch *store.Batch, dense []aggState) (n, lo, hi int, err error) {
-	ends := sc.ends
-	bi := 0
-	first := true
-	for it.NextBatch(batch) {
-		if err := sc.pace(ctx); err != nil {
-			return n, lo, hi, err
+// scanMap folds one meter with hash grouping on the bucket start — the
+// fallback when the bucket axis is too long to enumerate (maxDenseBuckets).
+// A tier-served scan merges one consistent capture in time order: left
+// edge raw, interior tier buckets, right edge raw; the planner only serves
+// tiers whose resolution equals the bucket width, so each interior group
+// receives exactly one tier bucket. Returns the meter's in-window sample
+// count and its capture version.
+func (sc *scanConfig) scanMap(ctx context.Context, id int64, base groupKey, batch *store.Batch, local map[groupKey]*query.Fold) (int, uint64, error) {
+	if sc.tierRes == 0 {
+		it, err := sc.eng.Store().Iter(id, sc.from, sc.to)
+		if err != nil {
+			return 0, 0, err
 		}
-		ts, vals := batch.TS, batch.Val
-		n += len(ts)
-		k := 0
-		for k < len(ts) {
-			for ts[k] >= ends[bi] {
-				bi++
-			}
-			if first {
-				lo, first = bi, false
-			}
-			e := ends[bi]
-			r := k + 1
-			for r < len(ts) && ts[r] < e {
-				r++
-			}
-			if sc.minMax {
-				dense[bi].foldVals(vals[k:r])
-			} else {
-				dense[bi].foldSum(vals[k:r])
-			}
-			k = r
+		n, err := sc.foldMap(ctx, it, batch, base, local)
+		return n, it.Version(), err
+	}
+	tsc, err := sc.eng.Store().TierScan(id, sc.tierRes, sc.from, sc.aFrom, sc.aTo, sc.to)
+	if err != nil {
+		return 0, 0, err
+	}
+	n := 0
+	if tsc.Left != nil {
+		if n, err = sc.foldMap(ctx, tsc.Left, batch, base, local); err != nil {
+			return 0, 0, err
 		}
 	}
-	if !first {
-		hi = bi + 1
+	tsc.Buckets(func(b *store.RollupBucket) {
+		key := base
+		key.bucket = sc.gran.Truncate(b.Start)
+		cur := local[key]
+		if cur == nil {
+			cur = newFold()
+			local[key] = cur
+		}
+		cur.MergeRollup(b)
+		n += int(b.Count + b.NaN)
+	})
+	if tsc.Right != nil {
+		en, err := sc.foldMap(ctx, tsc.Right, batch, base, local)
+		if err != nil {
+			return 0, 0, err
+		}
+		n += en
 	}
-	return n, lo, hi, it.Err()
+	return n, tsc.Version, nil
 }
 
-// scanMap folds one meter with hash grouping on the bucket start —
-// the fallback when bucket starts are not enumerable. Truncate/Next and
-// the map lookup run once per bucket run, not per sample.
-func (sc *scanConfig) scanMap(ctx context.Context, it *store.SeriesIter, batch *store.Batch, base groupKey, local map[groupKey]*aggState) (int, error) {
+// foldMap decodes one raw iterator into local. Truncate/Next and the map
+// lookup run once per bucket run, not per sample.
+func (sc *scanConfig) foldMap(ctx context.Context, it *store.SeriesIter, batch *store.Batch, base groupKey, local map[groupKey]*query.Fold) (int, error) {
 	key := base
-	var cur *aggState
+	var cur *query.Fold
 	bEnd := int64(math.MinInt64)
 	n := 0
 	for it.NextBatch(batch) {
@@ -711,7 +531,7 @@ func (sc *scanConfig) scanMap(ctx context.Context, it *store.SeriesIter, batch *
 				bEnd = sc.gran.Next(ts[k])
 				cur = local[key]
 				if cur == nil {
-					cur = newAggState()
+					cur = newFold()
 					local[key] = cur
 				}
 			}
@@ -720,9 +540,9 @@ func (sc *scanConfig) scanMap(ctx context.Context, it *store.SeriesIter, batch *
 				r++
 			}
 			if sc.minMax {
-				cur.foldVals(vals[k:r])
+				cur.FoldVals(vals[k:r])
 			} else {
-				cur.foldSum(vals[k:r])
+				cur.FoldSum(vals[k:r])
 			}
 			k = r
 		}
@@ -730,139 +550,9 @@ func (sc *scanConfig) scanMap(ctx context.Context, it *store.SeriesIter, batch *
 	return n, it.Err()
 }
 
-// scanSingle folds one meter into its base-key group — plans with no
-// bucket dimension, where a whole batch is one run.
-func (sc *scanConfig) scanSingle(ctx context.Context, it *store.SeriesIter, batch *store.Batch, base groupKey, local map[groupKey]*aggState) (int, error) {
-	cur := local[base]
-	n := 0
-	for it.NextBatch(batch) {
-		if err := sc.pace(ctx); err != nil {
-			return n, err
-		}
-		// Lazily created on the first non-empty batch: a meter with no
-		// in-window samples must not materialize an empty group (the scalar
-		// semantics — groups exist only where samples do).
-		if cur == nil {
-			cur = newAggState()
-			local[base] = cur
-		}
-		n += batch.Len()
-		if sc.minMax {
-			cur.foldVals(batch.Val)
-		} else {
-			cur.foldSum(batch.Val)
-		}
-	}
-	return n, it.Err()
-}
-
-// scanTier folds one meter through its rollup tier: a consistent capture
-// (raw edge iterators + interior tier buckets, all under one lock
-// acquisition) merges in time order — left edge raw, interior buckets
-// ascending, right edge raw. Because the planner only serves tiers whose
-// resolution equals the bucket width, each interior query bucket receives
-// exactly one tier bucket and each edge bucket only raw samples, so every
-// group's state is bit-identical to what a raw scan would have built.
-// Returns the meter's in-window sample count (edge samples decoded plus
-// the samples summarized by the merged buckets) and its capture version.
-func (sc *scanConfig) scanTier(ctx context.Context, id int64, base groupKey, batch *store.Batch, local map[groupKey]*aggState) (int, uint64, error) {
-	tsc, err := sc.eng.Store().TierScan(id, sc.tierRes, sc.from, sc.aFrom, sc.aTo, sc.to)
-	if err != nil {
-		return 0, 0, err
-	}
-	n := 0
-	if tsc.Left != nil {
-		en, err := sc.foldEdge(ctx, tsc.Left, batch, base, local)
-		if err != nil {
-			return 0, 0, err
-		}
-		n += en
-	}
-	tsc.Buckets(func(b *store.RollupBucket) {
-		key := base
-		if sc.hasBucket {
-			key.bucket = sc.gran.Truncate(b.Start)
-		}
-		cur := local[key]
-		if cur == nil {
-			cur = newAggState()
-			local[key] = cur
-		}
-		cur.mergeRollup(b)
-		n += int(b.Count + b.NaN)
-	})
-	if tsc.Right != nil {
-		en, err := sc.foldEdge(ctx, tsc.Right, batch, base, local)
-		if err != nil {
-			return 0, 0, err
-		}
-		n += en
-	}
-	return n, tsc.Version, nil
-}
-
-// scanTierDense is scanTier for the dense grouping strategy: edges decode
-// raw through the scanDense kernel, interior tier buckets merge straight
-// into the bucket-indexed scratch at (Start-bounds[0])/tierRes — exact
-// because the serving rule guarantees tierRes equals the bucket width, so
-// bucket starts ascend in tierRes steps from bounds[0]. Returns the
-// touched bucket-index range [lo, hi) alongside the sample count and the
-// meter's snapshot version.
-func (sc *scanConfig) scanTierDense(ctx context.Context, id int64, batch *store.Batch, dense []aggState) (n, lo, hi int, ver uint64, err error) {
-	tsc, terr := sc.eng.Store().TierScan(id, sc.tierRes, sc.from, sc.aFrom, sc.aTo, sc.to)
-	if terr != nil {
-		return 0, 0, 0, 0, terr
-	}
-	ver = tsc.Version
-	first := true
-	touch := func(l, h int) {
-		if h <= l {
-			return
-		}
-		if first {
-			lo, hi, first = l, h, false
-			return
-		}
-		if l < lo {
-			lo = l
-		}
-		if h > hi {
-			hi = h
-		}
-	}
-	if tsc.Left != nil {
-		en, el, eh, eerr := sc.scanDense(ctx, tsc.Left, batch, dense)
-		if eerr != nil {
-			return 0, 0, 0, 0, eerr
-		}
-		n += en
-		touch(el, eh)
-	}
-	b0 := sc.bounds[0]
-	tsc.Buckets(func(b *store.RollupBucket) {
-		bi := int((b.Start - b0) / sc.tierRes)
-		dense[bi].mergeRollup(b)
-		n += int(b.Count + b.NaN)
-		touch(bi, bi+1)
-	})
-	if tsc.Right != nil {
-		en, el, eh, eerr := sc.scanDense(ctx, tsc.Right, batch, dense)
-		if eerr != nil {
-			return 0, 0, 0, 0, eerr
-		}
-		n += en
-		touch(el, eh)
-	}
-	return n, lo, hi, ver, nil
-}
-
-// foldEdge decodes one raw edge of a tier-served scan with the matching
-// grouping kernel.
-func (sc *scanConfig) foldEdge(ctx context.Context, it *store.SeriesIter, batch *store.Batch, base groupKey, local map[groupKey]*aggState) (int, error) {
-	if sc.hasBucket {
-		return sc.scanMap(ctx, it, batch, base, local)
-	}
-	return sc.scanSingle(ctx, it, batch, base, local)
+func newFold() *query.Fold {
+	f := query.EmptyFold()
+	return &f
 }
 
 // ExecuteResolvedScalar is the sample-at-a-time reference executor: the
@@ -892,7 +582,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		}
 	}
 
-	partials := make([]map[groupKey]*aggState, len(ids))
+	partials := make([]map[groupKey]*query.Fold, len(ids))
 	counts := make([]int, len(ids))
 	vers := make([]uint64, len(ids))
 	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
@@ -908,12 +598,12 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 			return err
 		}
 		vers[i] = it.Version()
-		local := make(map[groupKey]*aggState)
+		local := make(map[groupKey]*query.Fold)
 		key := groupKey{zone: zone}
 		if groupMeter {
 			key.meter = id
 		}
-		var cur *aggState
+		var cur *query.Fold
 		var curBucket int64 = math.MinInt64
 		n := 0
 		for it.Next() {
@@ -925,18 +615,18 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 					key.bucket = b
 					cur = local[key]
 					if cur == nil {
-						cur = newAggState()
+						cur = newFold()
 						local[key] = cur
 					}
 				}
 			} else if cur == nil {
 				cur = local[key]
 				if cur == nil {
-					cur = newAggState()
+					cur = newFold()
 					local[key] = cur
 				}
 			}
-			cur.add(s.Value)
+			cur.Add(s.Value)
 			n++
 		}
 		if err := it.Err(); err != nil {
@@ -952,12 +642,12 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 
 	res.Fingerprint = store.FingerprintPairs(ids, vers)
 
-	groups := make(map[groupKey]*aggState)
+	groups := make(map[groupKey]*query.Fold)
 	for i, local := range partials {
 		res.Samples += counts[i]
 		for k, st := range local {
 			if g, ok := groups[k]; ok {
-				g.merge(st)
+				g.Merge(st)
 			} else {
 				groups[k] = st
 			}
@@ -971,9 +661,9 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 // buildRows materializes, orders, and limits the output rows. An
 // ungrouped aggregate always yields exactly one row (SQL semantics): over
 // an empty selection count is 0 and the value-folding aggregates are null.
-func (p *Plan) buildRows(groups map[groupKey]*aggState) [][]any {
+func (p *Plan) buildRows(groups map[groupKey]*query.Fold) [][]any {
 	if len(p.Keys) == 0 && len(groups) == 0 {
-		groups = map[groupKey]*aggState{{}: newAggState()}
+		groups = map[groupKey]*query.Fold{{}: newFold()}
 	}
 	keys := make([]groupKey, 0, len(groups))
 	for k := range groups {
@@ -1006,7 +696,7 @@ func (p *Plan) buildRows(groups map[groupKey]*aggState) [][]any {
 					row[c] = string(k.zone)
 				}
 			} else {
-				row[c] = st.value(col.Agg)
+				row[c] = foldValue(st, col.Agg)
 			}
 		}
 		rows[r] = row

@@ -220,22 +220,22 @@ func TestPlanScanCostModel(t *testing.T) {
 func TestBucketBounds(t *testing.T) {
 	const hour = int64(3600)
 	// Mid-bucket from: the first bound is the truncated start.
-	b := bucketBounds(query.GranHourly, base+1800, base+3*hour, 100)
+	b := query.BucketBounds(query.GranHourly, base+1800, base+3*hour, 100)
 	want := []int64{base, base + hour, base + 2*hour}
 	if !reflect.DeepEqual(b, want) {
 		t.Errorf("bounds = %v, want %v", b, want)
 	}
 	// Calendar granularity: walks real month lengths.
-	b = bucketBounds(query.GranMonthly, base, base+40*24*hour, 100)
+	b = query.BucketBounds(query.GranMonthly, base, base+40*24*hour, 100)
 	if len(b) != 2 || b[0] != base { // 2017-06-01 is a month start
 		t.Errorf("monthly bounds = %v, want [Jun Jul]", b)
 	}
 	// Over the cap (both via the width pre-check and the walk) → nil.
-	if b := bucketBounds(query.GranHourly, 0, int64(200)*hour, 100); b != nil {
+	if b := query.BucketBounds(query.GranHourly, 0, int64(200)*hour, 100); b != nil {
 		t.Errorf("over-cap bounds = %v, want nil", b)
 	}
 	// Degenerate window → nil.
-	if b := bucketBounds(query.GranHourly, 10, 10, 100); b != nil {
+	if b := query.BucketBounds(query.GranHourly, 10, 10, 100); b != nil {
 		t.Errorf("empty-window bounds = %v, want nil", b)
 	}
 }

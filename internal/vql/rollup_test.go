@@ -112,7 +112,7 @@ func TestRollupMatchesRaw(t *testing.T) {
 		windows = append(windows, [2]int64{lo, hi})
 	}
 	for _, width := range []int64{3600, 14400, 86400} {
-		edge := alignUp(base, width) + 3*width
+		edge := (base+width-1)/width*width + 3*width // base rounded up to the width grid
 		windows = append(windows,
 			[2]int64{edge - 7, edge + 2*width + 13},
 			[2]int64{edge + 1, edge + width},

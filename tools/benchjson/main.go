@@ -11,9 +11,7 @@
 // of their ns/op means is recorded as derived.vql_exec_speedup — the
 // within-run, same-binary number the ≥5× vectorization floor is judged
 // on. The paired VQLRollup/Raw and VQLRollup/Tier benchmarks likewise
-// record derived.rollup_speedup, the ≥10× tier-serving floor, the
-// paired Recover/V2Serial and Recover/V3Parallel benchmarks record
-// derived.recover_speedup, the ≥4× cold-start recovery floor, and the
+// record derived.rollup_speedup, the ≥10× tier-serving floor, and the
 // paired GovernMixed/Unloaded and GovernMixed/Loaded benchmarks record
 // derived.govern_cheap_p99_ms plus derived.govern_tail_ratio, the ≤5×
 // cheap-query tail-latency bound governance must hold under load, and the
@@ -145,14 +143,6 @@ func parse(r *bufio.Scanner) (run, error) {
 		}
 		out.Derived["rollup_speedup"] = round2(raw["ns_per_op"] / tier["ns_per_op"])
 	}
-	v2s, ok2 := out.Benchmarks["Recover/V2Serial"]
-	v3p, ok3 := out.Benchmarks["Recover/V3Parallel"]
-	if ok2 && ok3 && v3p["ns_per_op"] > 0 {
-		if out.Derived == nil {
-			out.Derived = map[string]float64{}
-		}
-		out.Derived["recover_speedup"] = round2(v2s["ns_per_op"] / v3p["ns_per_op"])
-	}
 	wir, okW := out.Benchmarks["WireQuery/Wire"]
 	htp, okH := out.Benchmarks["WireQuery/HTTP"]
 	if okW && okH && htp["ns_per_op"] > 0 {
@@ -230,9 +220,6 @@ func main() {
 	}
 	if d := entry.Derived["rollup_speedup"]; d != 0 {
 		note += fmt.Sprintf(" (rollup_speedup %.2fx)", d)
-	}
-	if d := entry.Derived["recover_speedup"]; d != 0 {
-		note += fmt.Sprintf(" (recover_speedup %.2fx)", d)
 	}
 	if d := entry.Derived["govern_tail_ratio"]; d != 0 {
 		note += fmt.Sprintf(" (govern_tail_ratio %.2fx)", d)
