@@ -1,0 +1,132 @@
+package api
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"vap/internal/core"
+	"vap/internal/exec"
+	"vap/internal/flow"
+	"vap/internal/kde"
+	"vap/internal/query"
+)
+
+// TestWriteAnalysisErrTaxonomy pins the status of every kind of error the
+// flow-map and density handlers can be handed: the request's own faults
+// stay 400, a dead context is a 504 and anything else a 500 — with a
+// worker panic's stack in the log exactly once and not in the body.
+func TestWriteAnalysisErrTaxonomy(t *testing.T) {
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(prev)
+
+	pe := &exec.PanicError{Value: "index out of range [96]", Stack: []byte("goroutine 9 [running]:\nvap/internal/kde.(*Field).stampRows")}
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"same bucket", fmt.Errorf("core: T1 and T2 fall in the same daily bucket: %w", core.ErrSameBucket), 400},
+		{"no meters", fmt.Errorf("resolve: %w", query.ErrNoMeters), 400},
+		{"kde input", kde.ErrInput, 400},
+		{"flow input", flow.ErrInput, 400},
+		{"deadline", fmt.Errorf("scan: %w", context.DeadlineExceeded), 504},
+		{"cancelled", context.Canceled, 504},
+		{"worker panic", fmt.Errorf("kde: %w", pe), 500},
+		{"anything else", errors.New("kde: field geometry mismatch"), 500},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		writeAnalysisErr(rec, tc.err)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+		body := rec.Body.String()
+		if !strings.Contains(body, `"error"`) || strings.Contains(body, "goroutine") {
+			t.Errorf("%s: body %q, want a JSON error without a stack", tc.name, body)
+		}
+	}
+	if got := logged.String(); strings.Count(got, "stampRows") != 1 || !strings.Contains(got, "index out of range [96]") {
+		t.Errorf("log = %q, want the panic value and its stack once", got)
+	}
+}
+
+// TestFlowAndMapErrorStatuses drives the three handlers that used to
+// answer every failure with 400: a request that cannot be right still gets
+// 400, one whose context is dead gets 504.
+func TestFlowAndMapErrorStatuses(t *testing.T) {
+	an, ds := newTestAnalyzer(t)
+	mux := NewServer(an, nil).Routes()
+	noon := ds.Start.Unix() + 5*86400 + 12*3600
+	paths := map[string]string{
+		"flow":  fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
+		"shift": fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
+		"heat":  fmt.Sprintf("/view/map.svg?mode=heat&from=%d&to=%d", noon, noon+4*3600),
+	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// A box over open sea: the selection resolves to no meters.
+	const nowhere = "&bbox=-40,-40,-39,-39"
+	type probe struct {
+		what string
+		ctx  context.Context
+		path string
+		want int
+	}
+	for name, p := range paths {
+		cases := []probe{
+			{"ok", context.Background(), p, 200},
+			{"expired", expired, p, 504},
+			{"cancelled", cancelled, p, 504},
+			{"no meters", context.Background(), p + nowhere, 400},
+		}
+		if name != "heat" {
+			same := strings.Replace(p, "granularity=4hourly", "granularity=monthly", 1)
+			cases = append(cases, probe{"same bucket", context.Background(), same, 400})
+		}
+		for _, tc := range cases {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil).WithContext(tc.ctx))
+			if rec.Code != tc.want {
+				t.Errorf("%s, %s: status %d, want %d (%s)", name, tc.what, rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
+			}
+		}
+	}
+}
+
+// TestShiftMapSharesFlowCacheEntry is the regression test for the flow map
+// being computed twice: /api/flow passes an explicit 96x96 grid and
+// /view/map.svg?mode=shift leaves the grid unset, which kde defaults to
+// the same 96x96 — one flow map, so the second request must be a hit.
+func TestShiftMapSharesFlowCacheEntry(t *testing.T) {
+	an, ds := newTestAnalyzer(t)
+	mux := NewServer(an, nil).Routes()
+	noon := ds.Start.Unix() + 5*86400 + 12*3600
+	get := func(path string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	get(fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600))
+	before := an.ExecStats()
+	get(fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600))
+	after := an.ExecStats()
+	if after.Computes != before.Computes || after.Hits != before.Hits+1 {
+		t.Errorf("map.svg?mode=shift after the matching /api/flow: computes %d -> %d, hits %d -> %d; want no compute and one hit",
+			before.Computes, after.Computes, before.Hits, after.Hits)
+	}
+}

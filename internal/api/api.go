@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"vap/internal/core"
+	"vap/internal/flow"
 	"vap/internal/frontend"
 	"vap/internal/geo"
 	"vap/internal/govern"
@@ -105,6 +106,22 @@ func writeGovErr(w http.ResponseWriter, err error) bool {
 		return true
 	}
 	return false
+}
+
+// writeAnalysisErr answers a failed flow-map or density computation. What
+// the request itself got wrong — both anchors in one bucket, a selection
+// matching no meters, nothing to estimate — is a 400. Everything else goes
+// through the statement taxonomy: an expired or cancelled context is a 504,
+// any other fault a 500, a worker panic's stack being logged here, once.
+func writeAnalysisErr(w http.ResponseWriter, err error) {
+	for _, bad := range []error{core.ErrSameBucket, query.ErrNoMeters, kde.ErrInput, flow.ErrInput} {
+		if errors.Is(err, bad) {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+	}
+	frontend.LogWorkerPanic(err)
+	writeStmtErr(w, err)
 }
 
 // Routes registers all endpoints on a new mux.
@@ -518,7 +535,7 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		OD:                core.ODMode(qStr(r, "od", "matching")),
 	})
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeAnalysisErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

@@ -18,8 +18,8 @@ import (
 	"vap/internal/stream"
 )
 
-// newTestServer builds a small dataset and an httptest server around it.
-func newTestServer(t *testing.T, hub *stream.Hub) (*httptest.Server, *gen.Dataset) {
+// newTestAnalyzer builds a small dataset and an analyzer over it.
+func newTestAnalyzer(t *testing.T) (*core.Analyzer, *gen.Dataset) {
 	t.Helper()
 	ds := gen.Generate(gen.Config{
 		Seed: 3,
@@ -39,7 +39,14 @@ func newTestServer(t *testing.T, hub *stream.Hub) (*httptest.Server, *gen.Datase
 	if err := ds.LoadInto(st); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(core.NewAnalyzer(st), hub).Routes())
+	return core.NewAnalyzer(st), ds
+}
+
+// newTestServer builds a small dataset and an httptest server around it.
+func newTestServer(t *testing.T, hub *stream.Hub) (*httptest.Server, *gen.Dataset) {
+	t.Helper()
+	an, ds := newTestAnalyzer(t)
+	srv := httptest.NewServer(NewServer(an, hub).Routes())
 	t.Cleanup(srv.Close)
 	return srv, ds
 }

@@ -42,7 +42,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 		}
 		field, err := s.an.DemandDensity(r.Context(), sel, from, to, kde.Config{})
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeAnalysisErr(w, err)
 			return
 		}
 		mv.Heat = field
@@ -63,7 +63,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 			OD:                core.ODMode(qStr(r, "od", "matching")),
 		})
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeAnalysisErr(w, err)
 			return
 		}
 		mv.Heat = res.Shift

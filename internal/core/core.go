@@ -471,9 +471,11 @@ func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*Shif
 	if cfg.Granularity == "" {
 		cfg.Granularity = query.GranHourly
 	}
-	if cfg.Kernel == "" {
-		cfg.Kernel = kde.KernelGaussian
-	}
+	// Canonicalize the grid and kernel kde would default anyway, so
+	// equivalent requests (/api/flow's explicit 96x96, /view/map.svg's unset
+	// grid) share one cached flow map.
+	k := kde.Config{Cols: cfg.GridCols, Rows: cfg.GridRows, Kernel: cfg.Kernel}.WithDefaults()
+	cfg.GridCols, cfg.GridRows, cfg.Kernel = k.Cols, k.Rows, k.Kernel
 	if cfg.OD == "" {
 		cfg.OD = ODMatching
 	}
@@ -569,15 +571,7 @@ func (a *Analyzer) computeShift(ctx context.Context, cfg ShiftConfig, t1a, t1b, 
 func (a *Analyzer) DemandDensity(ctx context.Context, sel query.Selection, from, to int64, kcfg kde.Config) (*kde.Field, error) {
 	// Canonicalize the knobs kde would default anyway, so equivalent
 	// requests share one cache entry.
-	if kcfg.Cols <= 0 {
-		kcfg.Cols = 96
-	}
-	if kcfg.Rows <= 0 {
-		kcfg.Rows = 96
-	}
-	if kcfg.Kernel == "" {
-		kcfg.Kernel = kde.KernelGaussian
-	}
+	kcfg = kcfg.WithDefaults()
 	kcfg.Workers = a.ex.Workers()
 	fp, err := a.eng.VersionFingerprint(sel)
 	if err != nil {

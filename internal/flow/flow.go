@@ -16,7 +16,6 @@ package flow
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"vap/internal/geo"
 	"vap/internal/kde"
@@ -55,8 +54,7 @@ func GradientField(shift *kde.Field, stride int, cutoff float64) []Vector {
 		stride = 4
 	}
 	cols, rows := shift.Cols, shift.Rows
-	cellW := (shift.Box.Max.Lon - shift.Box.Min.Lon) / float64(cols)
-	cellH := (shift.Box.Max.Lat - shift.Box.Min.Lat) / float64(rows)
+	cellW, cellH := shift.CellSize()
 	type g struct {
 		c, r   int
 		gx, gy float64
@@ -149,6 +147,42 @@ type cellMass struct {
 	mass float64 // positive
 }
 
+// keepTop inserts cm into top, the at most k heaviest cells seen so far in
+// descending mass, equal masses in arrival order. Nearly every cell fails
+// the first comparison, so the selection is one pass over the raster.
+func keepTop(top []cellMass, k int, cm cellMass) []cellMass {
+	if len(top) == k {
+		if cm.mass <= top[k-1].mass {
+			return top
+		}
+		top = top[:k-1]
+	}
+	j := len(top)
+	top = append(top, cm)
+	for ; j > 0 && top[j-1].mass < cm.mass; j-- {
+		top[j] = top[j-1]
+	}
+	top[j] = cm
+	return top
+}
+
+// topCells returns the k strongest demand-losing cells (sources) and the k
+// strongest demand-gaining cells (sinks), ties in row-major order.
+func topCells(shift *kde.Field, k int) (sources, sinks []cellMass) {
+	for r := 0; r < shift.Rows; r++ {
+		for c := 0; c < shift.Cols; c++ {
+			v := shift.At(c, r)
+			switch {
+			case v < 0:
+				sources = keepTop(sources, k, cellMass{c, r, -v})
+			case v > 0:
+				sinks = keepTop(sinks, k, cellMass{c, r, v})
+			}
+		}
+	}
+	return sources, sinks
+}
+
 // ExtractOD extracts discrete flows from the shift field: the strongest
 // demand-losing cells (negative shift) are greedily matched to the
 // strongest demand-gaining cells (positive shift), nearest-first weighted
@@ -158,31 +192,9 @@ func ExtractOD(shift *kde.Field, cfg ODConfig) []Vector {
 		return nil
 	}
 	cfg.defaults()
-	var sources, sinks []cellMass // sources lose demand, sinks gain
-	for r := 0; r < shift.Rows; r++ {
-		for c := 0; c < shift.Cols; c++ {
-			v := shift.At(c, r)
-			switch {
-			case v < 0:
-				sources = append(sources, cellMass{c, r, -v})
-			case v > 0:
-				sinks = append(sinks, cellMass{c, r, v})
-			}
-		}
-	}
+	sources, sinks := topCells(shift, cfg.TopK)
 	if len(sources) == 0 || len(sinks) == 0 {
 		return nil
-	}
-	byMass := func(s []cellMass) {
-		sort.Slice(s, func(i, j int) bool { return s[i].mass > s[j].mass })
-	}
-	byMass(sources)
-	byMass(sinks)
-	if len(sources) > cfg.TopK {
-		sources = sources[:cfg.TopK]
-	}
-	if len(sinks) > cfg.TopK {
-		sinks = sinks[:cfg.TopK]
 	}
 	// Greedy transport: repeatedly move mass along the pair maximizing
 	// transferable mass / (1 + normalized distance).
@@ -264,23 +276,25 @@ func Summarize(shift *kde.Field) Summary {
 	}
 	var gainMass, lossMass float64
 	var gLon, gLat, lLon, lLat float64
+	cellW, cellH := shift.CellSize()
 	for r := 0; r < shift.Rows; r++ {
+		lat := shift.Box.Min.Lat + (float64(r)+0.5)*cellH
 		for c := 0; c < shift.Cols; c++ {
 			v := shift.At(c, r)
-			p := shift.CellCenter(c, r)
+			lon := shift.Box.Min.Lon + (float64(c)+0.5)*cellW
 			switch {
 			case v > 0:
 				gainMass += v
-				gLon += v * p.Lon
-				gLat += v * p.Lat
+				gLon += v * lon
+				gLat += v * lat
 				if v > s.MaxGain {
 					s.MaxGain = v
 				}
 			case v < 0:
 				m := -v
 				lossMass += m
-				lLon += m * p.Lon
-				lLat += m * p.Lat
+				lLon += m * lon
+				lLat += m * lat
 				if m > s.MaxLoss {
 					s.MaxLoss = m
 				}

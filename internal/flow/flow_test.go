@@ -2,6 +2,9 @@ package flow
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"vap/internal/geo"
@@ -179,5 +182,56 @@ func TestSummarizeSymmetricSwap(t *testing.T) {
 	}
 	if math.Abs(sum1.L1-sum2.L1) > 1e-12 {
 		t.Errorf("L1 not symmetric: %v vs %v", sum1.L1, sum2.L1)
+	}
+}
+
+// topCellsRef is the selection ExtractOD used to make, with the tie order
+// pinned: every signed cell, stably sorted by descending mass from
+// row-major order, cut to k.
+func topCellsRef(shift *kde.Field, k int) (sources, sinks []cellMass) {
+	for r := 0; r < shift.Rows; r++ {
+		for c := 0; c < shift.Cols; c++ {
+			switch v := shift.At(c, r); {
+			case v < 0:
+				sources = append(sources, cellMass{c, r, -v})
+			case v > 0:
+				sinks = append(sinks, cellMass{c, r, v})
+			}
+		}
+	}
+	for _, s := range []*[]cellMass{&sources, &sinks} {
+		sort.SliceStable(*s, func(i, j int) bool { return (*s)[i].mass > (*s)[j].mass })
+		if len(*s) > k {
+			*s = (*s)[:k]
+		}
+	}
+	return sources, sinks
+}
+
+func TestTopCellsMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		cols, rows := 1+rng.Intn(24), 1+rng.Intn(24)
+		f := &kde.Field{Box: box(), Cols: cols, Rows: rows, Values: make([]float64, cols*rows)}
+		// Few distinct magnitudes plant exact ties, within the top k and
+		// across its cut; zeros and a sparse fill leave fewer than k cells
+		// of a sign.
+		levels := 1 + rng.Intn(6)
+		fill := rng.Float64()
+		for i := range f.Values {
+			if rng.Float64() < fill {
+				f.Values[i] = float64(rng.Intn(2*levels+1) - levels)
+			}
+			if trial%3 == 0 { // every third field has no ties at all
+				f.Values[i] += rng.NormFloat64()
+			}
+		}
+		k := 1 + rng.Intn(40)
+		gotSrc, gotSink := topCells(f, k)
+		wantSrc, wantSink := topCellsRef(f, k)
+		if !reflect.DeepEqual(gotSrc, wantSrc) || !reflect.DeepEqual(gotSink, wantSink) {
+			t.Fatalf("trial %d (%dx%d, k=%d):\n sources %v\n want    %v\n sinks   %v\n want    %v",
+				trial, cols, rows, k, gotSrc, wantSrc, gotSink, wantSink)
+		}
 	}
 }

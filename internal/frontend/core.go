@@ -81,17 +81,18 @@ func (c *Core) Execute(ctx context.Context, sess *Session, src string) (*Result,
 	}
 	out, err := c.an.VQL(ctx, src)
 	if err != nil {
-		logWorkerPanic(err)
+		LogWorkerPanic(err)
 		return nil, err
 	}
 	return &Result{VQLOutput: out}, nil
 }
 
-// logWorkerPanic logs the stack of a panic recovered on a worker
+// LogWorkerPanic logs the stack of a panic recovered on a worker
 // goroutine. MapError hands the client the panic value only, as an
 // internal error; every transport's statement errors come out of Execute,
-// so logging here puts each stack in the log once.
-func logWorkerPanic(err error) {
+// so logging here puts each stack in the log once; the HTTP view handlers
+// that call the analyzer directly call it where they classify their errors.
+func LogWorkerPanic(err error) {
 	var pe *exec.PanicError
 	if errors.As(err, &pe) {
 		log.Printf("frontend: %v\n%s", pe, pe.Stack)

@@ -197,7 +197,7 @@ func TestSessionVariables(t *testing.T) {
 // TestWorkerPanicClassifiedAndLogged: a recovered worker panic is an
 // internal error to the client — value only, no stack — however often it
 // is classified (writeGovErr and writeStmtErr both do), and Execute's
-// logWorkerPanic is what puts its stack in the log.
+// LogWorkerPanic is what puts its stack in the log.
 func TestWorkerPanicClassifiedAndLogged(t *testing.T) {
 	var buf bytes.Buffer
 	prev := log.Writer()
@@ -218,8 +218,8 @@ func TestWorkerPanicClassifiedAndLogged(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Errorf("MapError wrote to the log: %s", buf.String())
 	}
-	logWorkerPanic(err)
-	logWorkerPanic(errors.New("not a panic"))
+	LogWorkerPanic(err)
+	LogWorkerPanic(errors.New("not a panic"))
 	if got := buf.String(); strings.Count(got, "vql.ExecuteResolved.func1") != 1 || !strings.Contains(got, "slice bounds out of range") {
 		t.Errorf("log = %q, want the panic value and its stack once", got)
 	}

@@ -6,9 +6,15 @@
 // over a raster grid covering the study area. The Gaussian kernel is the
 // paper's default ("it can cover a larger spatial area ... and has a lower
 // computational complexity"); Epanechnikov and Uniform kernels are provided
-// for the ablation. Evaluation is available both exactly (every point
-// against every cell) and via a truncated-support fast path that skips
-// kernel tails below numerical relevance.
+// for the ablation.
+//
+// A point's contribution to the raster is its stamp: the kernel over the
+// point's footprint (5 bandwidths for the Gaussian, whose tail beyond is
+// below 4e-6 of the peak; one bandwidth for the compact kernels; the whole
+// raster under Config.Exact). A stamp is evaluated per axis, not per cell:
+// the Gaussian factors exactly as exp(-dx²/2)·exp(-dy²/2), so w×h cells
+// cost w+h exponentials and w·h multiply-adds. The batch EstimateCtx and
+// the live stream.Tracker (through Field.Stamp) run the same stamp loop.
 package kde
 
 import (
@@ -17,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 
 	"vap/internal/exec"
 	"vap/internal/geo"
@@ -53,12 +60,16 @@ type Config struct {
 	// ablation; truncation error is below ~1e-5 of the peak density).
 	Exact bool
 	// Workers fans the grid evaluation out across row bands: 0 selects
-	// runtime.NumCPU(), 1 forces the serial reference path. Bands are
-	// disjoint raster rows, so the accumulation is lock-free.
+	// runtime.GOMAXPROCS(0), 1 runs the bands in turn on the caller. Bands
+	// are disjoint raster rows and every cell adds its points in input
+	// order, so no lock is needed and every Workers value gives the same bits.
 	Workers int
 }
 
-func (c *Config) defaults() {
+// WithDefaults returns c with an unset grid (96x96) and kernel (Gaussian)
+// filled in: the form EstimateCtx evaluates, and the form callers that
+// memoize fields key on, so equivalent requests share one entry.
+func (c Config) WithDefaults() Config {
 	if c.Cols <= 0 {
 		c.Cols = 96
 	}
@@ -68,6 +79,7 @@ func (c *Config) defaults() {
 	if c.Kernel == "" {
 		c.Kernel = KernelGaussian
 	}
+	return c
 }
 
 // Field is a scalar raster over a geographic box: Values[row*Cols+col],
@@ -86,10 +98,15 @@ func (f *Field) At(col, row int) float64 { return f.Values[row*f.Cols+col] }
 // Set assigns the value at (col, row).
 func (f *Field) Set(col, row int, v float64) { f.Values[row*f.Cols+col] = v }
 
+// CellSize returns the width and height of one cell in degrees.
+func (f *Field) CellSize() (w, h float64) {
+	return (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols),
+		(f.Box.Max.Lat - f.Box.Min.Lat) / float64(f.Rows)
+}
+
 // CellCenter returns the geographic center of cell (col, row).
 func (f *Field) CellCenter(col, row int) geo.Point {
-	w := (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols)
-	h := (f.Box.Max.Lat - f.Box.Min.Lat) / float64(f.Rows)
+	w, h := f.CellSize()
 	return geo.Point{
 		Lon: f.Box.Min.Lon + (float64(col)+0.5)*w,
 		Lat: f.Box.Min.Lat + (float64(row)+0.5)*h,
@@ -98,8 +115,7 @@ func (f *Field) CellCenter(col, row int) geo.Point {
 
 // CellOf returns the cell containing p, clamped to the raster.
 func (f *Field) CellOf(p geo.Point) (col, row int) {
-	w := (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols)
-	h := (f.Box.Max.Lat - f.Box.Min.Lat) / float64(f.Rows)
+	w, h := f.CellSize()
 	col = clamp(int((p.Lon-f.Box.Min.Lon)/w), 0, f.Cols-1)
 	row = clamp(int((p.Lat-f.Box.Min.Lat)/h), 0, f.Rows-1)
 	return col, row
@@ -149,8 +165,7 @@ func (f *Field) Sub(g *Field) (*Field, error) {
 // Integral returns the raster sum times cell area (degree^2), a proxy for
 // total mass used in conservation tests.
 func (f *Field) Integral() float64 {
-	w := (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols)
-	h := (f.Box.Max.Lat - f.Box.Min.Lat) / float64(f.Rows)
+	w, h := f.CellSize()
 	s := 0.0
 	for _, v := range f.Values {
 		s += v
@@ -160,8 +175,7 @@ func (f *Field) Integral() float64 {
 
 // L1Norm returns sum |v| * cellArea.
 func (f *Field) L1Norm() float64 {
-	w := (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols)
-	h := (f.Box.Max.Lat - f.Box.Min.Lat) / float64(f.Rows)
+	w, h := f.CellSize()
 	s := 0.0
 	for _, v := range f.Values {
 		s += math.Abs(v)
@@ -190,6 +204,7 @@ func SilvermanBandwidth(pts []WeightedPoint) float64 {
 	return h
 }
 
+// silverman1D sorts xs in place.
 func silverman1D(xs []float64) float64 {
 	n := float64(len(xs))
 	mu := 0.0
@@ -203,6 +218,7 @@ func silverman1D(xs []float64) float64 {
 		v += d * d
 	}
 	sd := math.Sqrt(v / n)
+	sort.Float64s(xs)
 	iqr := quantile(xs, 0.75) - quantile(xs, 0.25)
 	spread := sd
 	if iqr > 0 && iqr/1.34 < spread {
@@ -211,15 +227,8 @@ func silverman1D(xs []float64) float64 {
 	return 1.06 * spread * math.Pow(n, -0.2)
 }
 
-func quantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	// insertion sort is fine at the call sizes here; avoid pulling sort for
-	// clarity of the hot path. n is customer count (hundreds).
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+// quantile interpolates the q-quantile of the sorted slice s.
+func quantile(s []float64, q float64) float64 {
 	h := q * float64(len(s)-1)
 	lo := int(h)
 	if lo >= len(s)-1 {
@@ -246,7 +255,7 @@ func EstimateCtx(ctx context.Context, pts []WeightedPoint, box geo.BBox, cfg Con
 	if box.IsEmpty() {
 		return nil, fmt.Errorf("kde: empty study area box")
 	}
-	cfg.defaults()
+	cfg = cfg.WithDefaults()
 	h := cfg.Bandwidth
 	if h <= 0 {
 		h = SilvermanBandwidth(pts)
@@ -256,34 +265,23 @@ func EstimateCtx(ctx context.Context, pts []WeightedPoint, box geo.BBox, cfg Con
 		Values:    make([]float64, cfg.Cols*cfg.Rows),
 		Bandwidth: h, Kernel: cfg.Kernel,
 	}
-	cellW := (box.Max.Lon - box.Min.Lon) / float64(cfg.Cols)
-	cellH := (box.Max.Lat - box.Min.Lat) / float64(cfg.Rows)
-	invN := 1 / float64(len(pts))
-	// Support radius: the Gaussian tail beyond 5h contributes < 4e-6 of
-	// the peak; compact kernels end exactly at h.
-	support := h
-	if cfg.Kernel == KernelGaussian {
-		support = 5 * h
-	}
-	// Precompute each point's raster footprint once so every band pays
-	// only a range intersection per point.
-	type footprint struct {
-		c0, c1, r0, r1 int
-	}
+	// Each point's footprint and column terms are built once per call, not
+	// once per band: a footprint spans several bands, and the column terms
+	// are where the exponentials are.
 	fps := make([]footprint, len(pts))
+	off := make([]int, len(pts)+1)
 	for i, p := range pts {
-		fp := footprint{0, cfg.Cols - 1, 0, cfg.Rows - 1}
-		if !cfg.Exact {
-			fp.c0 = clamp(int((p.Loc.Lon-support-box.Min.Lon)/cellW), 0, cfg.Cols-1)
-			fp.c1 = clamp(int((p.Loc.Lon+support-box.Min.Lon)/cellW), 0, cfg.Cols-1)
-			fp.r0 = clamp(int((p.Loc.Lat-support-box.Min.Lat)/cellH), 0, cfg.Rows-1)
-			fp.r1 = clamp(int((p.Loc.Lat+support-box.Min.Lat)/cellH), 0, cfg.Rows-1)
-		}
-		fps[i] = fp
+		fps[i] = f.footprint(p.Loc, cfg.Exact)
+		off[i+1] = off[i] + fps[i].c1 - fps[i].c0 + 1
 	}
+	terms := make([]float64, 0, off[len(pts)])
+	for i, p := range pts {
+		terms = f.colTerms(terms, p.Loc.Lon, fps[i])
+	}
+	invN := 1 / float64(len(pts))
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	err := exec.ForEachChunk(ctx, cfg.Rows, workers, func(lo, hi int) error {
 		for k, p := range pts {
@@ -291,26 +289,8 @@ func EstimateCtx(ctx context.Context, pts []WeightedPoint, box geo.BBox, cfg Con
 				continue
 			}
 			fp := fps[k]
-			r0, r1 := fp.r0, fp.r1
-			if r0 < lo {
-				r0 = lo
-			}
-			if r1 >= hi {
-				r1 = hi - 1
-			}
-			for r := r0; r <= r1; r++ {
-				cy := box.Min.Lat + (float64(r)+0.5)*cellH
-				dy := (cy - p.Loc.Lat) / h
-				for c := fp.c0; c <= fp.c1; c++ {
-					cx := box.Min.Lon + (float64(c)+0.5)*cellW
-					dx := (cx - p.Loc.Lon) / h
-					u2 := dx*dx + dy*dy
-					k := kernelValue(cfg.Kernel, u2)
-					if k != 0 {
-						f.Values[r*cfg.Cols+c] += invN * p.Weight * k / (h * h)
-					}
-				}
-			}
+			fp.r0, fp.r1 = max(fp.r0, lo), min(fp.r1, hi-1)
+			f.stampRows(p.Loc.Lat, invN*p.Weight, terms[off[k]:off[k+1]], fp)
 		}
 		return nil
 	})
@@ -318,6 +298,95 @@ func EstimateCtx(ctx context.Context, pts []WeightedPoint, box geo.BBox, cfg Con
 		return nil, err
 	}
 	return f, nil
+}
+
+// Stamp adds scale·p.Weight·K_h(x − p.Loc) over p's truncated footprint,
+// with the field's own kernel and bandwidth. Eq. 3 is every point's stamp
+// at scale 1/n; a negative scale takes one back out (the live tracker).
+func (f *Field) Stamp(p WeightedPoint, scale float64) {
+	if p.Weight == 0 {
+		return
+	}
+	fp := f.footprint(p.Loc, false)
+	var buf [128]float64 // keeps the usual footprint's column terms off the heap
+	f.stampRows(p.Loc.Lat, scale*p.Weight, f.colTerms(buf[:0], p.Loc.Lon, fp), fp)
+}
+
+// footprint is the inclusive cell range one point's kernel reaches.
+type footprint struct {
+	c0, c1, r0, r1 int
+}
+
+// footprint returns the cells within the kernel's support of p (5h for the
+// Gaussian, h for the compact kernels), or the whole raster when exact.
+func (f *Field) footprint(p geo.Point, exact bool) footprint {
+	if exact {
+		return footprint{0, f.Cols - 1, 0, f.Rows - 1}
+	}
+	support := f.Bandwidth
+	if f.Kernel == KernelGaussian {
+		support = 5 * f.Bandwidth
+	}
+	cellW, cellH := f.CellSize()
+	return footprint{
+		c0: clamp(int((p.Lon-support-f.Box.Min.Lon)/cellW), 0, f.Cols-1),
+		c1: clamp(int((p.Lon+support-f.Box.Min.Lon)/cellW), 0, f.Cols-1),
+		r0: clamp(int((p.Lat-support-f.Box.Min.Lat)/cellH), 0, f.Rows-1),
+		r1: clamp(int((p.Lat+support-f.Box.Min.Lat)/cellH), 0, f.Rows-1),
+	}
+}
+
+// colTerms appends the per-column half of a stamp at longitude lon over
+// fp's columns: the Gaussian's factor exp(-dx²/2), or dx² for the compact
+// kernels, dx being the cell center's distance in bandwidths.
+func (f *Field) colTerms(dst []float64, lon float64, fp footprint) []float64 {
+	cellW, _ := f.CellSize()
+	gaussian := f.Kernel == KernelGaussian
+	for c := fp.c0; c <= fp.c1; c++ {
+		cx := f.Box.Min.Lon + (float64(c)+0.5)*cellW
+		dx := (cx - lon) / f.Bandwidth
+		if gaussian {
+			dst = append(dst, math.Exp(-0.5*dx*dx))
+		} else {
+			dst = append(dst, dx*dx)
+		}
+	}
+	return dst
+}
+
+// stampRows adds scale·K_h to rows fp.r0..fp.r1 of a stamp at latitude lat
+// whose colTerms are cols: the repository's one footprint loop, with the
+// kernel chosen per row, not per cell.
+func (f *Field) stampRows(lat, scale float64, cols []float64, fp footprint) {
+	_, cellH := f.CellSize()
+	h := f.Bandwidth
+	scale /= h * h
+	for r := fp.r0; r <= fp.r1; r++ {
+		cy := f.Box.Min.Lat + (float64(r)+0.5)*cellH
+		dy := (cy - lat) / h
+		row := f.Values[r*f.Cols+fp.c0:][:len(cols)]
+		switch f.Kernel {
+		case KernelGaussian:
+			rf := scale * math.Exp(-0.5*dy*dy) / (2 * math.Pi)
+			for i, cf := range cols {
+				row[i] += rf * cf
+			}
+		case KernelEpanechnikov:
+			a := scale * 2 / math.Pi
+			for i, dx2 := range cols {
+				if u2 := dx2 + dy*dy; u2 < 1 {
+					row[i] += a * (1 - u2)
+				}
+			}
+		case KernelUniform:
+			a := scale / math.Pi
+			for i, dx2 := range cols {
+				if dx2+dy*dy < 1 {
+					row[i] += a
+				}
+			}
+		}
+	}
 }
 
 // kernelValue evaluates the 2-D kernel given the squared scaled distance

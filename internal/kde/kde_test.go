@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"vap/internal/geo"
@@ -208,31 +209,150 @@ func TestEstimateAtMatchesFieldPeak(t *testing.T) {
 	}
 }
 
-func TestEstimateParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var pts []WeightedPoint
-	for i := 0; i < 120; i++ {
-		pts = append(pts, WeightedPoint{
+// randomPoints scatters n weighted points over box(), one of them with
+// zero weight.
+func randomPoints(seed int64, n int) []WeightedPoint {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]WeightedPoint, n)
+	for i := range pts {
+		pts[i] = WeightedPoint{
 			Loc:    geo.Point{Lon: 12.4 + rng.Float64()*0.4, Lat: 55.5 + rng.Float64()*0.4},
 			Weight: rng.Float64(),
-		})
+		}
 	}
-	for _, exact := range []bool{false, true} {
-		serial, err := Estimate(pts, box(), Config{Cols: 80, Rows: 80, Bandwidth: 0.02, Exact: exact, Workers: 1})
+	pts[n/2].Weight = 0
+	return pts
+}
+
+var allKernels = []Kernel{KernelGaussian, KernelEpanechnikov, KernelUniform}
+
+// TestEstimateMatchesOracle holds the separable stamp to the per-cell loop
+// it replaced (estimateRef): every cell within 1e-12 of the peak, for every
+// kernel, truncated and exact, and the same total mass.
+func TestEstimateMatchesOracle(t *testing.T) {
+	pts := randomPoints(9, 120)
+	for _, k := range allKernels {
+		for _, exact := range []bool{false, true} {
+			// The compact kernels end at one bandwidth; give them one wide
+			// enough to cover several cells.
+			cfg := Config{Cols: 80, Rows: 60, Bandwidth: 0.03, Kernel: k, Exact: exact, Workers: 3}
+			got, err := Estimate(pts, box(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := estimateRef(pts, box(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, peak := want.MinMax()
+			if peak <= 0 {
+				t.Fatalf("%s exact=%v: oracle field is empty", k, exact)
+			}
+			worst := 0.0
+			for i := range want.Values {
+				d := math.Abs(got.Values[i] - want.Values[i])
+				if d > 1e-12*peak {
+					t.Fatalf("%s exact=%v: cell %d = %v, oracle %v (off by %.3g of the peak)",
+						k, exact, i, got.Values[i], want.Values[i], d/peak)
+				}
+				worst = math.Max(worst, d/peak)
+			}
+			t.Logf("%s exact=%v: largest difference %.2g of the peak", k, exact, worst)
+			if g, w := got.Integral(), want.Integral(); math.Abs(g-w) > 1e-12*math.Abs(w) {
+				t.Errorf("%s exact=%v: integral %v, oracle %v", k, exact, g, w)
+			}
+		}
+	}
+}
+
+// TestEstimateSinglePoint: one point, one stamp — also through the exported
+// Stamp, which must add exactly what Estimate does and take it back out.
+func TestEstimateSinglePoint(t *testing.T) {
+	p := WeightedPoint{Loc: geo.Point{Lon: 12.61, Lat: 55.73}, Weight: 0.7}
+	for _, k := range allKernels {
+		cfg := Config{Cols: 50, Rows: 70, Bandwidth: 0.03, Kernel: k}
+		got, err := Estimate([]WeightedPoint{p}, box(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 3, 7, 0} {
-			par, err := Estimate(pts, box(), Config{Cols: 80, Rows: 80, Bandwidth: 0.02, Exact: exact, Workers: workers})
-			if err != nil {
-				t.Fatalf("workers=%d exact=%v: %v", workers, exact, err)
+		want, _ := estimateRef([]WeightedPoint{p}, box(), cfg)
+		_, peak := want.MinMax()
+		stamped := &Field{Box: box(), Cols: 50, Rows: 70, Values: make([]float64, 50*70), Bandwidth: 0.03, Kernel: k}
+		stamped.Stamp(p, 1)
+		for i := range want.Values {
+			if math.Abs(got.Values[i]-want.Values[i]) > 1e-12*peak {
+				t.Fatalf("%s: cell %d = %v, oracle %v", k, i, got.Values[i], want.Values[i])
 			}
-			for i := range serial.Values {
-				if par.Values[i] != serial.Values[i] {
-					t.Fatalf("workers=%d exact=%v: cell %d = %v, serial %v",
-						workers, exact, i, par.Values[i], serial.Values[i])
+			if stamped.Values[i] != got.Values[i] {
+				t.Fatalf("%s: Stamp cell %d = %v, Estimate %v", k, i, stamped.Values[i], got.Values[i])
+			}
+		}
+		stamped.Stamp(p, -1)
+		if lo, hi := stamped.MinMax(); lo != 0 || hi != 0 {
+			t.Errorf("%s: stamp then unstamp left [%v, %v]", k, lo, hi)
+		}
+	}
+}
+
+// TestEstimateWorkerCountIdentity: the field is bit-identical for every
+// Workers value, including more workers than raster rows.
+func TestEstimateWorkerCountIdentity(t *testing.T) {
+	pts := randomPoints(9, 120)
+	for _, grid := range [][2]int{{80, 80}, {40, 5}, {7, 2}} {
+		for _, k := range allKernels {
+			for _, exact := range []bool{false, true} {
+				cfg := Config{Cols: grid[0], Rows: grid[1], Bandwidth: 0.03, Kernel: k, Exact: exact, Workers: 1}
+				serial, err := Estimate(pts, box(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{2, 3, 8, 0} {
+					cfg.Workers = workers
+					par, err := Estimate(pts, box(), cfg)
+					if err != nil {
+						t.Fatalf("%v %s workers=%d exact=%v: %v", grid, k, workers, exact, err)
+					}
+					for i := range serial.Values {
+						if par.Values[i] != serial.Values[i] {
+							t.Fatalf("%v %s workers=%d exact=%v: cell %d = %v, serial %v",
+								grid, k, workers, exact, i, par.Values[i], serial.Values[i])
+						}
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestSilvermanBandwidthMatchesDefinition checks the sort-once quartiles
+// against the rule written out longhand.
+func TestSilvermanBandwidthMatchesDefinition(t *testing.T) {
+	pts := randomPoints(4, 101)
+	axis := func(get func(geo.Point) float64) float64 {
+		xs := make([]float64, len(pts))
+		mu := 0.0
+		for i, p := range pts {
+			xs[i] = get(p.Loc)
+			mu += xs[i]
+		}
+		mu /= float64(len(xs))
+		v := 0.0
+		for _, x := range xs {
+			v += (x - mu) * (x - mu)
+		}
+		sort.Float64s(xs)
+		// n = 101: the quartiles fall exactly on ranks 25 and 75.
+		spread := math.Min(math.Sqrt(v/float64(len(xs))), (xs[75]-xs[25])/1.34)
+		return 1.06 * spread * math.Pow(float64(len(xs)), -0.2)
+	}
+	want := (axis(func(p geo.Point) float64 { return p.Lon }) + axis(func(p geo.Point) float64 { return p.Lat })) / 2
+	before := append([]WeightedPoint(nil), pts...)
+	if got := SilvermanBandwidth(pts); math.Abs(got-want) > 1e-15 {
+		t.Errorf("SilvermanBandwidth = %v, want %v", got, want)
+	}
+	for i := range pts {
+		if pts[i] != before[i] {
+			t.Fatalf("SilvermanBandwidth reordered its input at %d", i)
 		}
 	}
 }

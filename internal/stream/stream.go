@@ -9,7 +9,6 @@ package stream
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
@@ -154,9 +153,8 @@ func (h *Hub) Subscribers() int {
 type Tracker struct {
 	mu     sync.Mutex
 	field  *kde.Field
-	h      float64
 	points map[int64]kde.WeightedPoint // last contribution per meter
-	n      int                         // population size used for 1/n scaling
+	invN   float64                     // Eq. 3's 1/n over the fixed population size
 }
 
 // NewTracker builds a tracker over box with the given grid and bandwidth.
@@ -183,53 +181,23 @@ func NewTracker(box geo.BBox, cols, rows int, bandwidth float64, n int) (*Tracke
 			Values:    make([]float64, cols*rows),
 			Bandwidth: bandwidth, Kernel: kde.KernelGaussian,
 		},
-		h:      bandwidth,
 		points: make(map[int64]kde.WeightedPoint),
-		n:      n,
+		invN:   1 / float64(n),
 	}, nil
 }
 
-// Update replaces the contribution of meterID with a new weighted location.
+// Update replaces the contribution of meterID with a new weighted location:
+// the old reading's stamp is taken out and the new one added, through the
+// same kde.Field.Stamp the batch KDE sums, so the live field equals a batch
+// estimate of the current points up to the rounding the take-outs leave.
 func (t *Tracker) Update(meterID int64, p kde.WeightedPoint) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if old, ok := t.points[meterID]; ok {
-		t.apply(old, -1)
+		t.field.Stamp(old, -t.invN)
 	}
 	t.points[meterID] = p
-	t.apply(p, +1)
-}
-
-// apply adds sign * the kernel footprint of p to the field.
-func (t *Tracker) apply(p kde.WeightedPoint, sign float64) {
-	f := t.field
-	if p.Weight == 0 {
-		return
-	}
-	cellW := (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols)
-	cellH := (f.Box.Max.Lat - f.Box.Min.Lat) / float64(f.Rows)
-	// Same 5-bandwidth truncation as the batch KDE so online and batch
-	// fields agree to ~1e-5 of the peak.
-	support := 5 * t.h
-	c0 := clampInt(int((p.Loc.Lon-support-f.Box.Min.Lon)/cellW), 0, f.Cols-1)
-	c1 := clampInt(int((p.Loc.Lon+support-f.Box.Min.Lon)/cellW), 0, f.Cols-1)
-	r0 := clampInt(int((p.Loc.Lat-support-f.Box.Min.Lat)/cellH), 0, f.Rows-1)
-	r1 := clampInt(int((p.Loc.Lat+support-f.Box.Min.Lat)/cellH), 0, f.Rows-1)
-	inv := sign * p.Weight / (float64(t.n) * t.h * t.h)
-	for r := r0; r <= r1; r++ {
-		cy := f.Box.Min.Lat + (float64(r)+0.5)*cellH
-		dy := (cy - p.Loc.Lat) / t.h
-		for c := c0; c <= c1; c++ {
-			cx := f.Box.Min.Lon + (float64(c)+0.5)*cellW
-			dx := (cx - p.Loc.Lon) / t.h
-			f.Values[r*f.Cols+c] += inv * gauss2(dx*dx+dy*dy)
-		}
-	}
-}
-
-func gauss2(u2 float64) float64 {
-	const inv2pi = 0.15915494309189535
-	return inv2pi * math.Exp(-u2/2)
+	t.field.Stamp(p, t.invN)
 }
 
 // Snapshot returns a copy of the current field and its summary.
@@ -253,16 +221,6 @@ func (t *Tracker) Snapshot() (*kde.Field, DensitySummary) {
 	}
 	sum.HotCell = f.CellCenter(bestIdx%f.Cols, bestIdx/f.Cols)
 	return cp, sum
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Replayer feeds a dataset's readings into a store and tracker in

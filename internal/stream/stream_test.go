@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -78,32 +79,46 @@ func TestHubSlowSubscriberDropsNotBlocks(t *testing.T) {
 }
 
 func TestTrackerMatchesBatchKDE(t *testing.T) {
-	// Feeding each meter's latest reading through the tracker must equal a
-	// batch KDE over the same weighted points.
-	tr, err := NewTracker(box(), 48, 48, 0.02, 3)
+	// After any sequence of updates the tracker must equal a batch KDE over
+	// each meter's latest reading. Both run on kde.Field.Stamp, so what is
+	// left is the rounding of the replaced readings' take-outs: 1e-12 of
+	// the peak, not the 1e-5 a second footprint loop would need.
+	const meters, updates = 40, 2000
+	rng := rand.New(rand.NewSource(7))
+	locs := make([]geo.Point, meters)
+	for i := range locs {
+		locs[i] = geo.Point{Lon: 12.4 + rng.Float64()*0.4, Lat: 55.5 + rng.Float64()*0.4}
+	}
+	tr, err := NewTracker(box(), 48, 40, 0.02, meters)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := []kde.WeightedPoint{
-		{Loc: geo.Point{Lon: 12.5, Lat: 55.6}, Weight: 0.5},
-		{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1.0},
-		{Loc: geo.Point{Lon: 12.7, Lat: 55.8}, Weight: 0.25},
+	latest := make([]kde.WeightedPoint, meters)
+	for i := range latest {
+		latest[i].Loc = locs[i] // never-updated meters weigh nothing
 	}
-	for i, p := range pts {
-		// Update twice with different weights: only the last must count.
-		tr.Update(int64(i), kde.WeightedPoint{Loc: p.Loc, Weight: 99})
-		tr.Update(int64(i), p)
+	for u := 0; u < updates; u++ {
+		i := rng.Intn(meters - 1) // the last meter is never updated
+		w := rng.Float64()
+		if u%97 == 0 {
+			w = 0
+		}
+		latest[i].Weight = w
+		tr.Update(int64(i), latest[i])
 	}
-	snap, _ := tr.Snapshot()
-	batch, err := kde.Estimate(pts, box(), kde.Config{Cols: 48, Rows: 48, Bandwidth: 0.02})
+	snap, sum := tr.Snapshot()
+	batch, err := kde.Estimate(latest, box(), kde.Config{Cols: 48, Rows: 40, Bandwidth: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, peak := batch.MinMax()
 	for i := range snap.Values {
-		if math.Abs(snap.Values[i]-batch.Values[i]) > 1e-6*peak {
+		if math.Abs(snap.Values[i]-batch.Values[i]) > 1e-12*peak {
 			t.Fatalf("cell %d: tracker %v vs batch %v", i, snap.Values[i], batch.Values[i])
 		}
+	}
+	if math.Abs(sum.MaxDensity-peak) > 1e-12*peak {
+		t.Errorf("summary peak %v, batch %v", sum.MaxDensity, peak)
 	}
 }
 

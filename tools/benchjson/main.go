@@ -37,6 +37,8 @@
 //	    go run ./tools/benchjson -series wire -out BENCH_wire.json -label "my change"
 //	go test -run XXX -bench '^BenchmarkTSNE$|DistanceMatrixPearson' -count=10 . |
 //	    go run ./tools/benchjson -series reduce -out BENCH_reduce.json -label "my change"
+//	go test -run XXX -bench '^BenchmarkKDE$|KDEExact|FlowMap|ShiftGranularity' -cpu 2 -count=10 . |
+//	    go run ./tools/benchjson -series shift -out BENCH_shift.json -label "my change"
 package main
 
 import (
