@@ -10,11 +10,9 @@ package vap_test
 
 import (
 	"context"
-	"database/sql"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http/httptest"
 	"os"
 	"reflect"
@@ -308,133 +306,6 @@ func BenchmarkVQLEndToEnd(b *testing.B) {
 	})
 }
 
-// BenchmarkVQLExec pairs the retained scalar reference executor against
-// the vectorized executor on the same compiled plan and resolved meter
-// set (memoization bypassed on both sides) — the apples-to-apples
-// measurement of the batch-execution speedup, robust to machine noise
-// because both sides run under the same conditions.
-func BenchmarkVQLExec(b *testing.B) {
-	setupBench(b)
-	ctx := context.Background()
-	q, err := vql.Parse(`SELECT bucket(daily) AS day, mean(value) AS avg_kwh, count(*)
-		FROM meters WHERE zone = 'residential'
-		GROUP BY bucket(daily) ORDER BY avg_kwh DESC LIMIT 14`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := vql.Compile(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := benchData.an.Engine()
-	ids, err := vql.ResolveScanMeters(eng, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	from, to, ok := p.ResolveWindow(eng.Store())
-	run := func(b *testing.B, execFn func(context.Context, *query.Engine, *vql.Plan, []int64, int64, int64, bool) (*vql.Result, error)) {
-		b.ReportAllocs()
-		samples := 0
-		for i := 0; i < b.N; i++ {
-			res, err := execFn(ctx, eng, p, ids, from, to, ok)
-			if err != nil {
-				b.Fatal(err)
-			}
-			samples = res.Samples
-		}
-		b.ReportMetric(float64(samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
-	}
-	b.Run("Scalar", func(b *testing.B) { run(b, vql.ExecuteResolvedScalar) })
-	b.Run("Vectorized", func(b *testing.B) { run(b, vql.ExecuteResolved) })
-}
-
-// BenchmarkWireQuery pairs the two statement transports over the same
-// warmed query core: the MySQL wire protocol (database/sql through the
-// in-repo vapwire driver against a real TCP listener) and the HTTP JSON
-// codec (POST /api/query). The exec cache stays warm, so each round trip
-// measures parse + admission + memo hit + transport encode/decode — the
-// per-query cost a dashboard pays — and tools/benchjson derives
-// wire_overhead_ratio = Wire ns/op over HTTP ns/op for BENCH_wire.json.
-func BenchmarkWireQuery(b *testing.B) {
-	setupBench(b)
-	const q = `SELECT bucket(daily) AS day, mean(value) AS avg_kwh, count(*)
-		FROM meters WHERE zone = 'residential'
-		GROUP BY bucket(daily) ORDER BY avg_kwh DESC LIMIT 14`
-
-	b.Run("Wire", func(b *testing.B) {
-		ws, err := vap.NewWireServer(vap.WireConfig{
-			Core:         vap.NewQueryCore(benchData.an),
-			QueryTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go ws.Serve(ln)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			ws.Shutdown(ctx)
-		}()
-		db, err := sql.Open("vapwire", "vap@"+ln.Addr().String()+"/vap")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		db.SetMaxOpenConns(1)
-		run := func() int {
-			rows, err := db.Query(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for rows.Next() {
-				var day, avg, cnt string
-				if err := rows.Scan(&day, &avg, &cnt); err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			if err := rows.Close(); err != nil {
-				b.Fatal(err)
-			}
-			return n
-		}
-		if n := run(); n != 14 {
-			b.Fatalf("warmup returned %d rows, want 14", n)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run()
-		}
-	})
-
-	b.Run("HTTP", func(b *testing.B) {
-		srv := httptest.NewServer(vap.NewHTTPServer(benchData.an, nil))
-		defer srv.Close()
-		client := srv.Client()
-		run := func() {
-			resp, err := client.Post(srv.URL+"/api/query", "text/plain", strings.NewReader(q))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Fatalf("status %d", resp.StatusCode)
-			}
-		}
-		run() // warm the exec cache before timing
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run()
-		}
-	})
-}
-
 // rollupBench holds two identically loaded dense multi-month stores — one
 // opened with rollups disabled, one with the default hourly+daily tiers —
 // so the Raw/Tier pair below measures exactly the tier-serving delta.
@@ -477,7 +348,7 @@ func setupRollupBench(b *testing.B) {
 					return nil, err
 				}
 			}
-			return query.NewEngine(st), nil
+			return query.NewEngineWorkers(st, 0), nil
 		}
 		var err error
 		if rollupBench.raw, err = open([]int64{}); err != nil {

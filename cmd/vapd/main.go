@@ -61,7 +61,7 @@ func main() {
 	days := flag.Int("days", 365, "days of synthetic data")
 	doStream := flag.Bool("stream", false, "replay the last week live (S2 step 3)")
 	interval := flag.Duration("interval", 10*time.Second, "streaming tick interval")
-	workers := flag.Int("workers", 0, "parallel kernel fan-out (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "parallel kernel fan-out (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 0, "versioned result-cache entries (0 = default 64)")
 	shards := flag.Int("shards", 0, "store lock shards, rounded up to a power of two (0 = default 16)")
 	syncEvery := flag.Bool("sync", false, "fsync every append via group commit (durable acks)")
@@ -72,7 +72,7 @@ func main() {
 	rollupRes := flag.String("rollup-res", "", "comma-separated rollup tier resolutions in seconds (empty = default 3600,86400; 'off' disables rollups)")
 	recoverWorkers := flag.Int("recover-workers", 0, "recovery fan-out: workers installing snapshot sections and applying WAL records on open (0 = GOMAXPROCS, 1 = serial)")
 	// Resource governance (admission control, budgets, shedding).
-	maxConcurrent := flag.Int("max-concurrent", 0, "global concurrently-admitted request bound (0 = 4 x NumCPU)")
+	maxConcurrent := flag.Int("max-concurrent", 0, "global concurrently-admitted request bound (0 = 4 x GOMAXPROCS)")
 	memBudget := flag.String("mem-budget", "", "global in-flight memory budget, e.g. 512MiB (empty = default 512MiB)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant quotas: name=maxConcurrent,memBudget,maxCostSamples[;...] — 0 fields inherit the global bound; e.g. 'dash=16,64MiB,2e6;batch=2,256MiB,0'")
 	queryDeadline := flag.Duration("query-deadline", 0, "per-query execution deadline enforced in the executor's batch loops (0 = only the handler timeout)")

@@ -37,7 +37,7 @@ func main() {
 	dir := flag.String("dir", "", "durability directory (empty = in-memory synthetic data)")
 	seed := flag.Int64("seed", 42, "synthetic data seed")
 	days := flag.Int("days", 90, "days of synthetic data when generating")
-	workers := flag.Int("workers", 0, "parallel fan-out (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "parallel fan-out (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 0, "versioned result-cache entries (0 = default)")
 	shards := flag.Int("shards", 0, "store lock shards (0 = default 16)")
 	oneShot := flag.String("e", "", "execute one statement and exit")

@@ -17,12 +17,14 @@ import (
 	"vap/internal/flow"
 	"vap/internal/kde"
 	"vap/internal/query"
+	"vap/internal/reduce"
 )
 
 // TestWriteAnalysisErrTaxonomy pins the status of every kind of error the
-// flow-map and density handlers can be handed: the request's own faults
-// stay 400, a dead context is a 504 and anything else a 500 — with a
-// worker panic's stack in the log exactly once and not in the body.
+// typical-pattern, flow-map and density handlers can be handed: the
+// request's own faults stay 400, a dead context is a 504 and anything else
+// a 500 — with a worker panic's stack in the log exactly once and not in
+// the body.
 func TestWriteAnalysisErrTaxonomy(t *testing.T) {
 	var logged bytes.Buffer
 	prev := log.Writer()
@@ -39,6 +41,7 @@ func TestWriteAnalysisErrTaxonomy(t *testing.T) {
 		{"no meters", fmt.Errorf("resolve: %w", query.ErrNoMeters), 400},
 		{"kde input", kde.ErrInput, 400},
 		{"flow input", flow.ErrInput, 400},
+		{"reduce input", fmt.Errorf("%w: unknown method %q", reduce.ErrInput, "umap"), 400},
 		{"deadline", fmt.Errorf("scan: %w", context.DeadlineExceeded), 504},
 		{"cancelled", context.Canceled, 504},
 		{"worker panic", fmt.Errorf("kde: %w", pe), 500},
@@ -60,17 +63,22 @@ func TestWriteAnalysisErrTaxonomy(t *testing.T) {
 	}
 }
 
-// TestFlowAndMapErrorStatuses drives the three handlers that used to
+// TestFlowAndMapErrorStatuses drives the analysis handlers that used to
 // answer every failure with 400: a request that cannot be right still gets
-// 400, one whose context is dead gets 504.
+// 400, one whose context is dead — the client's, or the server's own
+// -handler-timeout — gets 504.
 func TestFlowAndMapErrorStatuses(t *testing.T) {
 	an, ds := newTestAnalyzer(t)
 	mux := NewServer(an, nil).Routes()
+	impatient := NewServerWith(an, nil, Config{HandlerTimeout: time.Nanosecond}).Routes()
 	noon := ds.Start.Unix() + 5*86400 + 12*3600
 	paths := map[string]string{
-		"flow":  fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
-		"shift": fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
-		"heat":  fmt.Sprintf("/view/map.svg?mode=heat&from=%d&to=%d", noon, noon+4*3600),
+		"flow":     fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
+		"shift":    fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
+		"heat":     fmt.Sprintf("/view/map.svg?mode=heat&from=%d&to=%d", noon, noon+4*3600),
+		"reduce":   "/api/reduce?method=mds",
+		"patterns": "/api/patterns?method=mds",
+		"scatter":  "/view/scatter.svg?method=mds",
 	}
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelExpired()
@@ -80,24 +88,32 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 	const nowhere = "&bbox=-40,-40,-39,-39"
 	type probe struct {
 		what string
+		mux  http.Handler
 		ctx  context.Context
 		path string
 		want int
 	}
 	for name, p := range paths {
 		cases := []probe{
-			{"ok", context.Background(), p, 200},
-			{"expired", expired, p, 504},
-			{"cancelled", cancelled, p, 504},
-			{"no meters", context.Background(), p + nowhere, 400},
+			{"handler timeout", impatient, context.Background(), p, 504},
+			{"ok", mux, context.Background(), p, 200},
+			{"expired", mux, expired, p, 504},
+			{"cancelled", mux, cancelled, p, 504},
+			{"no meters", mux, context.Background(), p + nowhere, 400},
 		}
-		if name != "heat" {
+		switch name {
+		case "flow", "shift":
 			same := strings.Replace(p, "granularity=4hourly", "granularity=monthly", 1)
-			cases = append(cases, probe{"same bucket", context.Background(), same, 400})
+			cases = append(cases, probe{"same bucket", mux, context.Background(), same, 400})
+		case "reduce", "patterns", "scatter":
+			cases = append(cases,
+				probe{"unknown method", mux, context.Background(), strings.Replace(p, "method=mds", "method=umap", 1), 400},
+				probe{"one point", mux, context.Background(), p + "&ids=1", 400},
+				probe{"bad selection", mux, context.Background(), p + "&bbox=1,2,3", 400})
 		}
 		for _, tc := range cases {
 			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil).WithContext(tc.ctx))
+			tc.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil).WithContext(tc.ctx))
 			if rec.Code != tc.want {
 				t.Errorf("%s, %s: status %d, want %d (%s)", name, tc.what, rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
 			}

@@ -108,13 +108,15 @@ func writeGovErr(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// writeAnalysisErr answers a failed flow-map or density computation. What
-// the request itself got wrong — both anchors in one bucket, a selection
-// matching no meters, nothing to estimate — is a 400. Everything else goes
-// through the statement taxonomy: an expired or cancelled context is a 504,
-// any other fault a 500, a worker panic's stack being logged here, once.
+// writeAnalysisErr answers a failed typical-pattern, flow-map or density
+// computation. What the request itself got wrong — both anchors in one
+// bucket, a selection matching no meters, nothing to estimate or too
+// little to reduce, an unknown method or metric — is a 400. Everything
+// else goes through the statement taxonomy: an expired or cancelled
+// context is a 504, any other fault a 500, a worker panic's stack being
+// logged here, once.
 func writeAnalysisErr(w http.ResponseWriter, err error) {
-	for _, bad := range []error{core.ErrSameBucket, query.ErrNoMeters, kde.ErrInput, flow.ErrInput} {
+	for _, bad := range []error{core.ErrSameBucket, query.ErrNoMeters, kde.ErrInput, flow.ErrInput, reduce.ErrInput} {
 		if errors.Is(err, bad) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
@@ -449,12 +451,14 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 }
 
 // reduceView computes (or returns the memoized) typical-pattern view for
-// the request's parameters. Caching, in-flight deduplication, and
-// version-based invalidation all live in the analyzer's execution engine.
-func (s *Server) reduceView(r *http.Request) (*core.TypicalView, error) {
+// the request's parameters; when it cannot it answers the request itself
+// and reports false. Caching, in-flight deduplication, and version-based
+// invalidation all live in the analyzer's execution engine.
+func (s *Server) reduceView(w http.ResponseWriter, r *http.Request) (*core.TypicalView, bool) {
 	sel, err := parseSelection(r)
 	if err != nil {
-		return nil, err
+		writeErr(w, http.StatusBadRequest, err)
+		return nil, false
 	}
 	cfg := core.TypicalConfig{
 		Selection:       sel,
@@ -466,24 +470,25 @@ func (s *Server) reduceView(r *http.Request) (*core.TypicalView, error) {
 	}
 	ctx, cancel := s.handlerCtx(r)
 	defer cancel()
-	return s.an.TypicalPatterns(ctx, cfg)
+	v, err := s.an.TypicalPatterns(ctx, cfg)
+	if err != nil {
+		writeAnalysisErr(w, err)
+		return nil, false
+	}
+	return v, true
 }
 
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	v, err := s.reduceView(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	if v, ok := s.reduceView(w, r); ok {
+		writeJSON(w, http.StatusOK, v)
 	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // handlePatterns applies a brush (bx0,by0,bx1,by1 in [0,1]) to the reduced
 // view and returns the group profile — the S1 interaction.
 func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
-	v, err := s.reduceView(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	v, ok := s.reduceView(w, r)
+	if !ok {
 		return
 	}
 	brush := core.Brush{
@@ -523,7 +528,9 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: t1 and t2 parameters required"))
 		return
 	}
-	res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
+	ctx, cancel := s.handlerCtx(r)
+	defer cancel()
+	res, err := s.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
 		Selection:         sel,
 		T1:                t1,
 		T2:                t2,

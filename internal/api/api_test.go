@@ -478,9 +478,8 @@ func TestStreamEndpointSSE(t *testing.T) {
 			}
 		}
 	}()
-	// Give the subscriber a moment to register, then publish.
+	// Keep publishing until the subscriber has registered and read one.
 	deadline := time.After(3 * time.Second)
-	published := false
 	for {
 		select {
 		case line := <-lines:
@@ -492,10 +491,7 @@ func TestStreamEndpointSSE(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no SSE event received")
 		default:
-			if !published || hub.Subscribers() > 0 {
-				hub.Publish(stream.Event{Seq: 7, Count: 1})
-				published = true
-			}
+			hub.Publish(stream.Event{Seq: 7, Count: 1})
 			time.Sleep(20 * time.Millisecond)
 		}
 	}

@@ -142,7 +142,7 @@ func TestIngestOversizedBinaryFrame(t *testing.T) {
 	if out["meters"] != 1.0 || out["samples"] != 2.0 {
 		t.Errorf("pre-frame work missing from 413 report: %v", out)
 	}
-	if n, _ := st.SeriesLen(3); n != 2 {
+	if n := st.SeriesStats([]int64{3})[0].Samples; n != 2 {
 		t.Errorf("meter 3 has %d samples, want the 2 applied pre-frame", n)
 	}
 }

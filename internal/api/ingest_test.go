@@ -70,7 +70,7 @@ func TestIngestNDJSON(t *testing.T) {
 	if len(smps) != 3 || smps[2].Value != 3.5 {
 		t.Errorf("meter 1 rows = %v", smps)
 	}
-	if n, _ := st.SeriesLen(2); n != 1 {
+	if n := st.SeriesStats([]int64{2})[0].Samples; n != 1 {
 		t.Errorf("meter 2 has %d samples, want 1", n)
 	}
 }
@@ -90,7 +90,7 @@ func TestIngestSkipsOutOfOrderAndUnknown(t *testing.T) {
 	if out["samples"] != 2.0 || out["skipped_out_of_order"] != 2.0 || out["skipped_unknown_meter"] != 1.0 {
 		t.Errorf("response = %v, want 2 accepted / 2 out-of-order / 1 unknown-meter", out)
 	}
-	if n, _ := st.SeriesLen(1); n != 2 {
+	if n := st.SeriesStats([]int64{1})[0].Samples; n != 2 {
 		t.Errorf("meter 1 has %d samples, want 2", n)
 	}
 }
@@ -148,7 +148,7 @@ func TestIngestSyncDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if n, _ := st2.SeriesLen(1); n != 1 {
+	if n := st2.SeriesStats([]int64{1})[0].Samples; n != 1 {
 		t.Errorf("recovered %d samples after synced ingest, want 1", n)
 	}
 }

@@ -24,6 +24,8 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode := qStr(r, "mode", "markers")
+	ctx, cancel := s.handlerCtx(r)
+	defer cancel()
 	mv := &viz.MapView{
 		Box:    s.an.Store().Catalog().Bounds().Buffer(0.002),
 		W:      int(qInt64(r, "w", 720)),
@@ -40,7 +42,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("api: heat mode requires from and to"))
 			return
 		}
-		field, err := s.an.DemandDensity(r.Context(), sel, from, to, kde.Config{})
+		field, err := s.an.DemandDensity(ctx, sel, from, to, kde.Config{})
 		if err != nil {
 			writeAnalysisErr(w, err)
 			return
@@ -54,7 +56,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
+		res, err := s.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
 			Selection:         sel,
 			T1:                qInt64(r, "t1", 0),
 			T2:                qInt64(r, "t2", 0),
@@ -106,9 +108,8 @@ func (s *Server) handleSeriesSVG(w http.ResponseWriter, r *http.Request) {
 
 // handleScatterSVG renders view C with an optional brush overlay.
 func (s *Server) handleScatterSVG(w http.ResponseWriter, r *http.Request) {
-	v, err := s.reduceView(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	v, ok := s.reduceView(w, r)
+	if !ok {
 		return
 	}
 	sv := &viz.ScatterView{

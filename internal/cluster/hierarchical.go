@@ -159,42 +159,3 @@ func (d *Dendrogram) Cut(k int) ([]int, error) {
 	}
 	return labels, nil
 }
-
-// CutByDistance flattens at a distance threshold: merges with
-// Distance <= threshold are applied.
-func (d *Dendrogram) CutByDistance(threshold float64) []int {
-	parent := make([]int, d.N+len(d.Merges))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i, m := range d.Merges {
-		if m.Distance > threshold {
-			break // merges are non-decreasing in distance for these linkages
-		}
-		node := d.N + i
-		parent[find(m.A)] = node
-		parent[find(m.B)] = node
-	}
-	labels := make([]int, d.N)
-	next := 0
-	name := map[int]int{}
-	for leaf := 0; leaf < d.N; leaf++ {
-		root := find(leaf)
-		id, ok := name[root]
-		if !ok {
-			id = next
-			next++
-			name[root] = id
-		}
-		labels[leaf] = id
-	}
-	return labels
-}

@@ -112,33 +112,6 @@ func TestCutExtremes(t *testing.T) {
 	}
 }
 
-func TestCutByDistance(t *testing.T) {
-	pos := []float64{0, 0.5, 10, 10.5}
-	dg, _ := Agglomerative(lineDist(pos), LinkageSingle)
-	labels := dg.CutByDistance(1.0)
-	truth := []int{0, 0, 1, 1}
-	ari, _ := stat.AdjustedRandIndex(labels, truth)
-	if ari != 1 {
-		t.Errorf("distance cut = %v", labels)
-	}
-	// Threshold above the max merge distance: one cluster.
-	all := dg.CutByDistance(1e9)
-	for _, l := range all {
-		if l != all[0] {
-			t.Errorf("full threshold should give one cluster: %v", all)
-		}
-	}
-	// Threshold below everything: all singletons.
-	none := dg.CutByDistance(0.1)
-	seen := map[int]bool{}
-	for _, l := range none {
-		seen[l] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("zero threshold should give singletons: %v", none)
-	}
-}
-
 func TestAgglomerativeErrors(t *testing.T) {
 	if _, err := Agglomerative(nil, LinkageSingle); err == nil {
 		t.Error("empty should fail")

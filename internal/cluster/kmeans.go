@@ -242,22 +242,3 @@ func lloyd(data [][]float64, cfg KMeansConfig, rng *rand.Rand) *KMeansResult {
 		Iters:     iters,
 	}
 }
-
-// ElbowCurve returns the best inertia for each k in [1, maxK], the standard
-// diagnostic for choosing k in the baseline comparison.
-func ElbowCurve(rows [][]float64, maxK int, cfg KMeansConfig) ([]float64, error) {
-	if maxK < 1 {
-		return nil, ErrInput
-	}
-	out := make([]float64, 0, maxK)
-	for k := 1; k <= maxK && k <= len(rows); k++ {
-		c := cfg
-		c.K = k
-		res, err := KMeans(rows, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res.Inertia)
-	}
-	return out, nil
-}

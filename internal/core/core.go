@@ -36,7 +36,7 @@ import (
 type Options struct {
 	// Workers is the parallel fan-out width for the expensive kernels
 	// (distance matrix, KDE grid, per-meter decode). <= 0 selects
-	// runtime.NumCPU().
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheEntries bounds the versioned result cache (<= 0 selects 64).
 	CacheEntries int

@@ -5,7 +5,7 @@
 //
 // It combines three mechanisms:
 //
-//   - a bounded fan-out width (Options.Workers, default runtime.NumCPU())
+//   - a bounded fan-out width (Options.Workers, default runtime.GOMAXPROCS(0))
 //     that parallel helpers like ForEach use to chunk work across
 //     goroutines with dynamic scheduling and context cancellation;
 //   - singleflight deduplication: concurrent Do calls for the same Key
@@ -32,7 +32,7 @@ import (
 // Options tunes an Engine. The zero value selects sensible defaults.
 type Options struct {
 	// Workers is the fan-out width for parallel kernels. <= 0 selects
-	// runtime.NumCPU().
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheEntries bounds the result cache (LRU eviction). <= 0 selects
 	// 64 entries. The bound is a count, not a byte size: one cached
@@ -45,7 +45,7 @@ type Options struct {
 
 func (o *Options) defaults() {
 	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 64
@@ -228,13 +228,4 @@ func (e *Engine) insertLocked(key Key, val any) {
 		delete(e.byKey, tail.Value.(*entry).key)
 		e.evictions.Add(1)
 	}
-}
-
-// Cached reports whether key currently has a cached value, without
-// touching recency or counters. Intended for tests and introspection.
-func (e *Engine) Cached(key Key) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ok := e.byKey[key]
-	return ok
 }

@@ -10,6 +10,15 @@ import (
 	"time"
 )
 
+// Cached reports whether key currently has a cached value, without
+// touching recency or counters.
+func (e *Engine) Cached(key Key) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	_, ok := e.byKey[key]
+	return ok
+}
+
 func TestKeyOfCanonical(t *testing.T) {
 	a := KeyOf(1, "typical", []int64{1, 2, 3}, "pearson")
 	b := KeyOf(1, "typical", []int64{1, 2, 3}, "pearson")

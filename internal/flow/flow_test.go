@@ -36,8 +36,12 @@ func TestShiftIsDifference(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Demand moved west -> east: negative at west, positive at east.
-	wc, wr := shift.CellOf(west)
-	ec, er := shift.CellOf(east)
+	cellOf := func(p geo.Point) (col, row int) {
+		w, h := shift.CellSize()
+		return int((p.Lon - shift.Box.Min.Lon) / w), int((p.Lat - shift.Box.Min.Lat) / h)
+	}
+	wc, wr := cellOf(west)
+	ec, er := cellOf(east)
 	if shift.At(wc, wr) >= 0 {
 		t.Errorf("west cell shift = %v, want negative", shift.At(wc, wr))
 	}

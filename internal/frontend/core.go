@@ -21,7 +21,7 @@ import (
 )
 
 // Result is the typed, transport-neutral outcome of one statement:
-// column names and types plus a row iterator over already-typed cells
+// column names and types plus rows of already-typed cells
 // (int64 | float64 | string | nil) — not pre-marshaled JSON. The HTTP
 // codec JSON-encodes rows; the wire server renders the text protocol from
 // the same cells, which is why the two transports return byte-identical
@@ -33,18 +33,6 @@ type Result struct {
 // ColumnTypes returns the per-column cell types, aligned with Columns.
 func (r *Result) ColumnTypes() []vql.ColType { return r.Types }
 
-// EachRow streams the result rows in output order, stopping at the first
-// error fn returns. Cells within a row are typed per ColumnTypes, with
-// nil for null aggregate cells.
-func (r *Result) EachRow(fn func(row []any) error) error {
-	for _, row := range r.Rows {
-		if err := fn(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Core owns the statement lifecycle over one analyzer. It is stateless
 // across statements (sessions carry the per-client state), so one Core is
 // shared by every transport and every connection.
@@ -54,10 +42,6 @@ type Core struct {
 
 // NewCore returns a query core over an analyzer.
 func NewCore(an *core.Analyzer) *Core { return &Core{an: an} }
-
-// Analyzer exposes the underlying analyzer for codecs that also serve
-// non-statement endpoints (stats, ingest, views).
-func (c *Core) Analyzer() *core.Analyzer { return c.an }
 
 // Gov exposes the admission controller (the wire server's per-connection
 // admission hook calls it before the first statement).

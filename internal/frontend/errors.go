@@ -38,11 +38,6 @@ const (
 	KindInternal Kind = "internal"
 )
 
-// Kinds enumerates every statement-error kind MapError can return, in a
-// fixed order — the parity test iterates it so a new kind cannot be added
-// without extending both transports' expectations.
-var Kinds = []Kind{KindParse, KindBadRequest, KindCost, KindShed, KindTimeout, KindInternal}
-
 // MySQL protocol error numbers and SQL states the wire server emits.
 // Values are the standard server errnos clients already know how to
 // render and retry on.

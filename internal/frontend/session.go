@@ -25,16 +25,14 @@ type Session struct {
 	user   string
 
 	mu       sync.Mutex
-	db       string
 	deadline time.Duration
-	format   string
 
 	stmts atomic.Uint64
 }
 
 // NewSession returns a session for tenant (empty = the default tenant).
 func NewSession(tenant string) *Session {
-	return &Session{tenant: tenant, db: DatabaseName, format: "json"}
+	return &Session{tenant: tenant}
 }
 
 // WithUser records the authenticated username (wire transport); the
@@ -52,34 +50,20 @@ func (s *Session) Tenant() string { return s.tenant }
 func (s *Session) User() string { return s.user }
 
 // UseDB switches the session's current database. VAP exposes exactly one
-// logical database, so anything but "vap" (or "") is an error.
+// logical database, so anything but "vap" (or "") is an error and there is
+// nothing to switch.
 func (s *Session) UseDB(name string) error {
 	if name != "" && !strings.EqualFold(name, DatabaseName) {
 		return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("frontend: unknown database %q", name), MyErrno: MyErrUnknownDB}
 	}
-	s.mu.Lock()
-	s.db = DatabaseName
-	s.mu.Unlock()
 	return nil
 }
 
-// DB returns the session's current database.
-func (s *Session) DB() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.db
-}
-
-// Set assigns one session variable. Recognized variables:
-//
-//   - "deadline": a Go duration ("500ms", "30s") bounding every following
-//     statement; "0" clears it. Tightens — never widens — the transport's
-//     own handler timeout.
-//   - "format": "json" or "table", a rendering hint transports may use
-//     for their own output (the wire protocol ignores it; HTTP may later
-//     honor it).
-//
-// Unknown names are an error so a typo cannot silently do nothing.
+// Set assigns one session variable. The one recognized variable is
+// "deadline": a Go duration ("500ms", "30s") bounding every following
+// statement; "0" clears it. It tightens — never widens — the transport's
+// own handler timeout. Unknown names are an error so a typo cannot
+// silently do nothing.
 func (s *Session) Set(name, value string) error {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "deadline":
@@ -98,15 +82,6 @@ func (s *Session) Set(name, value string) error {
 		s.deadline = d
 		s.mu.Unlock()
 		return nil
-	case "format":
-		v := strings.ToLower(strings.TrimSpace(value))
-		if v != "json" && v != "table" {
-			return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("frontend: bad format %q (want json or table)", value)}
-		}
-		s.mu.Lock()
-		s.format = v
-		s.mu.Unlock()
-		return nil
 	default:
 		return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("frontend: unknown session variable %q", name)}
 	}
@@ -119,17 +94,7 @@ func (s *Session) Deadline() time.Duration {
 	return s.deadline
 }
 
-// Format returns the session's rendering hint.
-func (s *Session) Format() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.format
-}
-
 // NextStmt increments and returns the session's statement counter
 // (1-based). The wire server logs it; the counter also gives every
 // statement a session-unique id for tracing.
 func (s *Session) NextStmt() uint64 { return s.stmts.Add(1) }
-
-// Stmts returns how many statements the session has executed.
-func (s *Session) Stmts() uint64 { return s.stmts.Load() }

@@ -358,39 +358,3 @@ func (d *Dataset) CustomerByID(id int64) (Customer, bool) {
 	}
 	return Customer{}, false
 }
-
-// DailyProfile returns the mean value per hour-of-day (24 values) of a
-// sample slice — the canonical "typical pattern" representation View B
-// draws.
-func DailyProfile(samples []store.Sample) [24]float64 {
-	var sums, counts [24]float64
-	for _, s := range samples {
-		h := time.Unix(s.TS, 0).UTC().Hour()
-		sums[h] += s.Value
-		counts[h]++
-	}
-	var out [24]float64
-	for i := range sums {
-		if counts[i] > 0 {
-			out[i] = sums[i] / counts[i]
-		}
-	}
-	return out
-}
-
-// MonthlyProfile returns the mean value per month (12 values).
-func MonthlyProfile(samples []store.Sample) [12]float64 {
-	var sums, counts [12]float64
-	for _, s := range samples {
-		m := int(time.Unix(s.TS, 0).UTC().Month()) - 1
-		sums[m] += s.Value
-		counts[m]++
-	}
-	var out [12]float64
-	for i := range sums {
-		if counts[i] > 0 {
-			out[i] = sums[i] / counts[i]
-		}
-	}
-	return out
-}

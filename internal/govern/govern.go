@@ -93,7 +93,7 @@ type Quota struct {
 // defaults sized to the host.
 type Config struct {
 	// MaxConcurrent is the global concurrently-admitted request bound
-	// (<= 0 selects 4 x NumCPU).
+	// (<= 0 selects 4 x GOMAXPROCS).
 	MaxConcurrent int
 	// MemBudget is the global estimated in-flight memory bound in bytes
 	// (<= 0 selects 512 MiB).
@@ -128,7 +128,7 @@ type Config struct {
 
 func (c *Config) defaults() {
 	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 4 * runtime.NumCPU()
+		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.MemBudget <= 0 {
 		c.MemBudget = 512 << 20
@@ -585,12 +585,6 @@ type Grant struct {
 	deadline time.Time
 	released atomic.Bool
 }
-
-// Tenant returns the grant's tenant.
-func (g *Grant) Tenant() string { return g.tenant }
-
-// Class returns the admission class the request ran under.
-func (g *Grant) Class() Class { return g.class }
 
 // Deadline returns the execution deadline the controller stamped on the
 // grant (zero when none is configured).

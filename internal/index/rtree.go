@@ -1,11 +1,10 @@
 // Package index provides the spatial indexes VAP's data layer uses in place
 // of PostGIS: an in-memory R-tree with quadratic split (Guttman 1984) for
-// bounding-box and nearest-neighbor search over customer locations, and a
-// uniform grid index for dense raster-style lookups.
+// bounding-box search over customer locations, and a uniform grid index
+// for dense raster-style lookups.
 package index
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -322,173 +321,4 @@ func collectItems(n *node, out *[]Item) {
 	for _, c := range n.children {
 		collectItems(c, out)
 	}
-}
-
-// Neighbor is a nearest-neighbor search result.
-type Neighbor struct {
-	ID       int64
-	Distance float64 // meters
-}
-
-// nnEntry is a priority-queue element for best-first NN search.
-type nnEntry struct {
-	dist float64
-	n    *node
-	item *Item
-}
-
-type nnQueue []nnEntry
-
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnEntry)) }
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// boxDistance returns the great-circle distance from p to the nearest point
-// of b (0 if p is inside b).
-func boxDistance(p geo.Point, b geo.BBox) float64 {
-	if b.IsEmpty() {
-		return math.Inf(1)
-	}
-	q := geo.Point{
-		Lon: math.Max(b.Min.Lon, math.Min(p.Lon, b.Max.Lon)),
-		Lat: math.Max(b.Min.Lat, math.Min(p.Lat, b.Max.Lat)),
-	}
-	return p.DistanceTo(q)
-}
-
-// Nearest returns up to k items closest to p, ordered by ascending distance,
-// using best-first traversal.
-func (t *RTree) Nearest(p geo.Point, k int) []Neighbor {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	pq := &nnQueue{}
-	heap.Push(pq, nnEntry{dist: boxDistance(p, t.root.box), n: t.root})
-	out := make([]Neighbor, 0, k)
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(nnEntry)
-		switch {
-		case e.item != nil:
-			out = append(out, Neighbor{ID: e.item.ID, Distance: e.dist})
-		case e.n.leaf:
-			for i := range e.n.items {
-				it := &e.n.items[i]
-				heap.Push(pq, nnEntry{dist: boxDistance(p, it.Box), item: it})
-			}
-		default:
-			for _, c := range e.n.children {
-				heap.Push(pq, nnEntry{dist: boxDistance(p, c.box), n: c})
-			}
-		}
-	}
-	return out
-}
-
-// WithinRadius returns IDs of items whose boxes lie within radiusM meters of
-// p, sorted by distance.
-func (t *RTree) WithinRadius(p geo.Point, radiusM float64) []Neighbor {
-	if radiusM < 0 || t.size == 0 {
-		return nil
-	}
-	// Conservative degree-space prefilter box.
-	dLat := radiusM / geo.MetersPerDegreeLat
-	mpl := geo.MetersPerDegreeLon(p.Lat)
-	dLon := 180.0
-	if mpl > 1 {
-		dLon = radiusM / mpl
-	}
-	box := geo.BBox{
-		Min: geo.Point{Lon: p.Lon - dLon, Lat: p.Lat - dLat},
-		Max: geo.Point{Lon: p.Lon + dLon, Lat: p.Lat + dLat},
-	}
-	var out []Neighbor
-	collectWithin(t.root, box, p, radiusM, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
-	return out
-}
-
-func collectWithin(n *node, box geo.BBox, p geo.Point, radiusM float64, out *[]Neighbor) {
-	if !n.box.Intersects(box) {
-		return
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			d := boxDistance(p, it.Box)
-			if d <= radiusM {
-				*out = append(*out, Neighbor{ID: it.ID, Distance: d})
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		collectWithin(c, box, p, radiusM, out)
-	}
-}
-
-// Walk calls fn for every stored item. Iteration order is unspecified.
-func (t *RTree) Walk(fn func(Item)) {
-	walk(t.root, fn)
-}
-
-func walk(n *node, fn func(Item)) {
-	if n.leaf {
-		for _, it := range n.items {
-			fn(it)
-		}
-		return
-	}
-	for _, c := range n.children {
-		walk(c, fn)
-	}
-}
-
-// Height returns the tree height (1 for a lone leaf), useful for tests and
-// diagnostics.
-func (t *RTree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
-// CheckInvariants validates structural invariants (box containment, fill
-// factors) and returns false with a description on the first violation.
-// It is exported for tests.
-func (t *RTree) CheckInvariants() (bool, string) {
-	return checkNode(t.root, true)
-}
-
-func checkNode(n *node, isRoot bool) (bool, string) {
-	if n.leaf {
-		if !isRoot && len(n.items) < minEntries {
-			return false, "leaf underflow"
-		}
-		for _, it := range n.items {
-			if n.box.Union(it.Box) != n.box {
-				return false, "leaf box does not cover item"
-			}
-		}
-		return true, ""
-	}
-	if !isRoot && len(n.children) < minEntries {
-		return false, "internal underflow"
-	}
-	for _, c := range n.children {
-		if n.box.Union(c.box) != n.box {
-			return false, "internal box does not cover child"
-		}
-		if ok, msg := checkNode(c, false); !ok {
-			return false, msg
-		}
-	}
-	return true, ""
 }

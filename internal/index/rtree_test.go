@@ -16,6 +16,67 @@ func randPoint(rng *rand.Rand) geo.Point {
 	}
 }
 
+// The tests' structural oracle: a full walk, the height, and the R-tree
+// invariants, read straight off the nodes.
+
+// Walk calls fn for every stored item. Iteration order is unspecified.
+func (t *RTree) Walk(fn func(Item)) {
+	walk(t.root, fn)
+}
+
+func walk(n *node, fn func(Item)) {
+	if n.leaf {
+		for _, it := range n.items {
+			fn(it)
+		}
+		return
+	}
+	for _, c := range n.children {
+		walk(c, fn)
+	}
+}
+
+// Height returns the tree height (1 for a lone leaf).
+func (t *RTree) Height() int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
+// CheckInvariants validates structural invariants (box containment, fill
+// factors) and returns false with a description on the first violation.
+func (t *RTree) CheckInvariants() (bool, string) {
+	return checkNode(t.root, true)
+}
+
+func checkNode(n *node, isRoot bool) (bool, string) {
+	if n.leaf {
+		if !isRoot && len(n.items) < minEntries {
+			return false, "leaf underflow"
+		}
+		for _, it := range n.items {
+			if n.box.Union(it.Box) != n.box {
+				return false, "leaf box does not cover item"
+			}
+		}
+		return true, ""
+	}
+	if !isRoot && len(n.children) < minEntries {
+		return false, "internal underflow"
+	}
+	for _, c := range n.children {
+		if n.box.Union(c.box) != n.box {
+			return false, "internal box does not cover child"
+		}
+		if ok, msg := checkNode(c, false); !ok {
+			return false, msg
+		}
+	}
+	return true, ""
+}
+
 func TestRTreeEmpty(t *testing.T) {
 	tr := NewRTree()
 	if tr.Len() != 0 {
@@ -23,9 +84,6 @@ func TestRTreeEmpty(t *testing.T) {
 	}
 	if got := tr.Search(geo.NewBBox(geo.Point{Lon: 0, Lat: 0}, geo.Point{Lon: 90, Lat: 90}), nil); len(got) != 0 {
 		t.Errorf("search on empty = %v", got)
-	}
-	if nn := tr.Nearest(geo.Point{Lon: 12, Lat: 55}, 3); nn != nil {
-		t.Errorf("nearest on empty = %v", nn)
 	}
 }
 
@@ -63,76 +121,6 @@ func TestRTreeInsertSearchExhaustive(t *testing.T) {
 				t.Fatalf("query %d: got[%d]=%d want %d", q, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestRTreeNearestMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tr := NewRTree()
-	pts := make([]geo.Point, 300)
-	for i := range pts {
-		pts[i] = randPoint(rng)
-		tr.InsertPoint(pts[i], int64(i))
-	}
-	for q := 0; q < 20; q++ {
-		origin := randPoint(rng)
-		k := 1 + rng.Intn(10)
-		got := tr.Nearest(origin, k)
-		if len(got) != k {
-			t.Fatalf("nearest returned %d, want %d", len(got), k)
-		}
-		// Brute force.
-		type pd struct {
-			id int64
-			d  float64
-		}
-		all := make([]pd, len(pts))
-		for i, p := range pts {
-			all[i] = pd{int64(i), origin.DistanceTo(p)}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-		for i := 0; i < k; i++ {
-			if got[i].Distance > all[i].d+1e-6 {
-				t.Fatalf("rank %d: got distance %.2f, brute force %.2f", i, got[i].Distance, all[i].d)
-			}
-		}
-		// Distances must be non-decreasing.
-		for i := 1; i < k; i++ {
-			if got[i].Distance < got[i-1].Distance {
-				t.Fatalf("nearest result not sorted at %d", i)
-			}
-		}
-	}
-}
-
-func TestRTreeNearestKLargerThanSize(t *testing.T) {
-	tr := NewRTree()
-	tr.InsertPoint(geo.Point{Lon: 12.5, Lat: 55.7}, 1)
-	tr.InsertPoint(geo.Point{Lon: 12.6, Lat: 55.7}, 2)
-	got := tr.Nearest(geo.Point{Lon: 12.5, Lat: 55.7}, 10)
-	if len(got) != 2 {
-		t.Errorf("k > size returns %d, want 2", len(got))
-	}
-}
-
-func TestRTreeWithinRadius(t *testing.T) {
-	tr := NewRTree()
-	origin := geo.Point{Lon: 12.5, Lat: 55.7}
-	// One point every 500 m heading east.
-	for i := 0; i < 10; i++ {
-		tr.InsertPoint(geo.Destination(origin, float64(i)*500, 90), int64(i))
-	}
-	got := tr.WithinRadius(origin, 1600)
-	if len(got) != 4 { // 0, 500, 1000, 1500
-		t.Fatalf("within 1600m = %d points, want 4", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Distance < got[i-1].Distance {
-			t.Fatal("WithinRadius not sorted by distance")
-		}
-	}
-	if got := tr.WithinRadius(origin, -1); got != nil {
-		t.Error("negative radius should return nil")
 	}
 }
 

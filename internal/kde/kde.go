@@ -113,14 +113,6 @@ func (f *Field) CellCenter(col, row int) geo.Point {
 	}
 }
 
-// CellOf returns the cell containing p, clamped to the raster.
-func (f *Field) CellOf(p geo.Point) (col, row int) {
-	w, h := f.CellSize()
-	col = clamp(int((p.Lon-f.Box.Min.Lon)/w), 0, f.Cols-1)
-	row = clamp(int((p.Lat-f.Box.Min.Lat)/h), 0, f.Rows-1)
-	return col, row
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo
@@ -160,17 +152,6 @@ func (f *Field) Sub(g *Field) (*Field, error) {
 		out.Values[i] = f.Values[i] - g.Values[i]
 	}
 	return out, nil
-}
-
-// Integral returns the raster sum times cell area (degree^2), a proxy for
-// total mass used in conservation tests.
-func (f *Field) Integral() float64 {
-	w, h := f.CellSize()
-	s := 0.0
-	for _, v := range f.Values {
-		s += v
-	}
-	return s * w * h
 }
 
 // L1Norm returns sum |v| * cellArea.
@@ -387,39 +368,4 @@ func (f *Field) stampRows(lat, scale float64, cols []float64, fp footprint) {
 			}
 		}
 	}
-}
-
-// kernelValue evaluates the 2-D kernel given the squared scaled distance
-// u2 = ||(x - xi)/h||^2.
-func kernelValue(k Kernel, u2 float64) float64 {
-	switch k {
-	case KernelGaussian:
-		return math.Exp(-0.5*u2) / (2 * math.Pi)
-	case KernelEpanechnikov:
-		if u2 >= 1 {
-			return 0
-		}
-		return 2 / math.Pi * (1 - u2)
-	case KernelUniform:
-		if u2 >= 1 {
-			return 0
-		}
-		return 1 / math.Pi
-	default:
-		return 0
-	}
-}
-
-// EstimateAt evaluates the density at a single point exactly.
-func EstimateAt(pts []WeightedPoint, at geo.Point, h float64, k Kernel) float64 {
-	if h <= 0 || len(pts) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, p := range pts {
-		dx := (at.Lon - p.Loc.Lon) / h
-		dy := (at.Lat - p.Loc.Lat) / h
-		s += p.Weight * kernelValue(k, dx*dx+dy*dy)
-	}
-	return s / (float64(len(pts)) * h * h)
 }

@@ -1,6 +1,8 @@
 package kde
 
 import (
+	"math"
+
 	"vap/internal/geo"
 )
 
@@ -75,4 +77,58 @@ func estimateRef(pts []WeightedPoint, box geo.BBox, cfg Config) (*Field, error) 
 		}
 	}
 	return f, nil
+}
+
+// kernelValue evaluates the 2-D kernel given the squared scaled distance
+// u2 = ||(x - xi)/h||^2.
+func kernelValue(k Kernel, u2 float64) float64 {
+	switch k {
+	case KernelGaussian:
+		return math.Exp(-0.5*u2) / (2 * math.Pi)
+	case KernelEpanechnikov:
+		if u2 >= 1 {
+			return 0
+		}
+		return 2 / math.Pi * (1 - u2)
+	case KernelUniform:
+		if u2 >= 1 {
+			return 0
+		}
+		return 1 / math.Pi
+	default:
+		return 0
+	}
+}
+
+// EstimateAt evaluates the density at a single point exactly.
+func EstimateAt(pts []WeightedPoint, at geo.Point, h float64, k Kernel) float64 {
+	if h <= 0 || len(pts) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, p := range pts {
+		dx := (at.Lon - p.Loc.Lon) / h
+		dy := (at.Lat - p.Loc.Lat) / h
+		s += p.Weight * kernelValue(k, dx*dx+dy*dy)
+	}
+	return s / (float64(len(pts)) * h * h)
+}
+
+// CellOf returns the cell containing p, clamped to the raster.
+func (f *Field) CellOf(p geo.Point) (col, row int) {
+	w, h := f.CellSize()
+	col = clamp(int((p.Lon-f.Box.Min.Lon)/w), 0, f.Cols-1)
+	row = clamp(int((p.Lat-f.Box.Min.Lat)/h), 0, f.Rows-1)
+	return col, row
+}
+
+// Integral returns the raster sum times cell area (degree^2), a proxy for
+// total mass.
+func (f *Field) Integral() float64 {
+	w, h := f.CellSize()
+	s := 0.0
+	for _, v := range f.Values {
+		s += v
+	}
+	return s * w * h
 }

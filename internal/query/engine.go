@@ -20,14 +20,11 @@ type Engine struct {
 	workers int
 }
 
-// NewEngine returns an engine bound to st with runtime.NumCPU() workers.
-func NewEngine(st *store.Store) *Engine { return NewEngineWorkers(st, 0) }
-
-// NewEngineWorkers returns an engine with an explicit fan-out width
-// (<= 0 selects runtime.NumCPU()).
+// NewEngineWorkers returns an engine bound to st with an explicit fan-out
+// width (<= 0 selects runtime.GOMAXPROCS(0)).
 func NewEngineWorkers(st *store.Store, workers int) *Engine {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{st: st, workers: workers}
 }
@@ -259,13 +256,8 @@ func (e *Engine) windowFolds(ctx context.Context, ids []int64, from, to int64) (
 	return out, err
 }
 
-// TotalByMeter returns each selected meter's total consumption over the
-// window, keyed by meter ID.
-func (e *Engine) TotalByMeter(sel Selection) (map[int64]float64, error) {
-	return e.TotalByMeterCtx(context.Background(), sel)
-}
-
-// TotalByMeterCtx is TotalByMeter with per-meter range scans parallelized.
+// TotalByMeterCtx returns each selected meter's total consumption over
+// the window, keyed by meter ID; per-meter range scans run in parallel.
 func (e *Engine) TotalByMeterCtx(ctx context.Context, sel Selection) (map[int64]float64, error) {
 	ids, err := e.ResolveMeters(sel)
 	if err != nil {

@@ -38,24 +38,9 @@ func ResetFolds(fs []Fold) {
 // Empty reports whether no sample (NaN or not) reached the state.
 func (f *Fold) Empty() bool { return f.Count == 0 && f.NaN == 0 }
 
-// Add folds one sample.
-func (f *Fold) Add(v float64) {
-	if v != v { // NaN
-		f.NaN++
-		return
-	}
-	f.Sum += v
-	f.Count++
-	if v < f.Min {
-		f.Min = v
-	}
-	if v > f.Max {
-		f.Max = v
-	}
-}
-
-// FoldVals folds one run of values from a decoded batch, in the same
-// per-sample order as Add (sums stay bit-identical between the two).
+// FoldVals folds one run of values from a decoded batch, one sample at a
+// time in stored order, so sums are bit-identical however a scan splits
+// its runs.
 func (f *Fold) FoldVals(vals []float64) {
 	sum, mn, mx := f.Sum, f.Min, f.Max
 	n, nan := f.Count, f.NaN
@@ -105,7 +90,7 @@ func (f *Fold) Merge(b *Fold) {
 }
 
 // MergeRollup folds one pre-aggregated tier bucket into f. A tier bucket's
-// fields were folded sample by sample in the order Add would have used, so
+// fields were folded sample by sample in the order FoldVals uses, so
 // merging one whole bucket into an empty state yields exactly the state a
 // raw scan of its samples would have built.
 func (f *Fold) MergeRollup(b *store.RollupBucket) {

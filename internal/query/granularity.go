@@ -172,12 +172,3 @@ func (fn AggFunc) value(f *Fold) float64 {
 	}
 	return f.Sum
 }
-
-// Values extracts the value column of a bucket slice.
-func Values(bs []Bucket) []float64 {
-	out := make([]float64, len(bs))
-	for i, b := range bs {
-		out[i] = b.Value
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func seriesStore(t *testing.T, samples []store.Sample) *Engine {
 			t.Fatal(err)
 		}
 	}
-	return NewEngine(st)
+	return NewEngineWorkers(st, 0)
 }
 
 func TestMeterSeriesAggregates(t *testing.T) {
@@ -258,7 +259,7 @@ func buildStore(t *testing.T, days int) *store.Store {
 func TestResolveMetersAll(t *testing.T) {
 	st := buildStore(t, 2)
 	defer st.Close()
-	eng := NewEngine(st)
+	eng := NewEngineWorkers(st, 0)
 	ids, err := eng.ResolveMeters(Selection{})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestResolveMetersAll(t *testing.T) {
 func TestResolveMetersBBoxAndZone(t *testing.T) {
 	st := buildStore(t, 1)
 	defer st.Close()
-	eng := NewEngine(st)
+	eng := NewEngineWorkers(st, 0)
 	west := geo.NewBBox(geo.Point{Lon: 12.49, Lat: 55.59}, geo.Point{Lon: 12.55, Lat: 55.65})
 	ids, err := eng.ResolveMeters(Selection{BBox: &west})
 	if err != nil {
@@ -305,7 +306,7 @@ func TestResolveMetersBBoxAndZone(t *testing.T) {
 func TestMeterMatrixAlignment(t *testing.T) {
 	st := buildStore(t, 3)
 	defer st.Close()
-	eng := NewEngine(st)
+	eng := NewEngineWorkers(st, 0)
 	ids, times, rows, err := eng.MeterMatrix(Selection{}, GranDaily, AggMean)
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +333,8 @@ func TestMeterMatrixAlignment(t *testing.T) {
 func TestTotalByMeterAndIntensityBand(t *testing.T) {
 	st := buildStore(t, 2)
 	defer st.Close()
-	eng := NewEngine(st)
-	totals, err := eng.TotalByMeter(Selection{})
+	eng := NewEngineWorkers(st, 0)
+	totals, err := eng.TotalByMeterCtx(context.Background(), Selection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestTotalByMeterAndIntensityBand(t *testing.T) {
 func TestDemandSnapshotWeights(t *testing.T) {
 	st := buildStore(t, 1)
 	defer st.Close()
-	eng := NewEngine(st)
+	eng := NewEngineWorkers(st, 0)
 	noon := ts("2018-01-01 12:00")
 	pts, err := eng.DemandSnapshot(Selection{}, noon, noon+3600)
 	if err != nil {
@@ -387,7 +388,7 @@ func TestDemandSnapshotWeights(t *testing.T) {
 func TestAggregateSelection(t *testing.T) {
 	st := buildStore(t, 2)
 	defer st.Close()
-	eng := NewEngine(st)
+	eng := NewEngineWorkers(st, 0)
 	buckets, err := eng.AggregateSelection(Selection{MeterIDs: []int64{1, 2}}, GranDaily, AggMean)
 	if err != nil {
 		t.Fatal(err)
@@ -404,7 +405,7 @@ func TestAggregateSelection(t *testing.T) {
 func TestMeterSeriesWindow(t *testing.T) {
 	st := buildStore(t, 2)
 	defer st.Close()
-	eng := NewEngine(st)
+	eng := NewEngineWorkers(st, 0)
 	from := ts("2018-01-01 00:00")
 	to := ts("2018-01-02 00:00")
 	buckets, err := eng.MeterSeries(1, Selection{From: from, To: to}, GranHourly, AggSum)

@@ -92,7 +92,7 @@ func valueEqual(a, b float64) bool {
 
 func TestMeterSeriesTierMatchesRaw(t *testing.T) {
 	raw, tier, first, last := buildTierPair(t, []int64{3600, 14400, 86400})
-	rawEng, tierEng := NewEngine(raw), NewEngine(tier)
+	rawEng, tierEng := NewEngineWorkers(raw, 0), NewEngineWorkers(tier, 0)
 	const day = int64(86400)
 	windows := []Selection{
 		{},                                   // full extent
@@ -139,7 +139,7 @@ func windowSum(t *testing.T, e *Engine, id, from, to int64) (float64, int64) {
 
 func TestWindowFoldsTierMatchesRaw(t *testing.T) {
 	raw, tier, first, last := buildTierPair(t, nil) // default tiers
-	rawEng, tierEng := NewEngine(raw), NewEngine(tier)
+	rawEng, tierEng := NewEngineWorkers(raw, 0), NewEngineWorkers(tier, 0)
 	windows := [][2]int64{
 		{first, last + 1},
 		{first + 501, last - 2000},
@@ -177,7 +177,7 @@ func TestWindowFoldsTierMatchesRaw(t *testing.T) {
 // the paired stores: the normalized weights must agree within float noise.
 func TestDemandSnapshotTierConsistency(t *testing.T) {
 	raw, tier, first, last := buildTierPair(t, nil)
-	rawEng, tierEng := NewEngine(raw), NewEngine(tier)
+	rawEng, tierEng := NewEngineWorkers(raw, 0), NewEngineWorkers(tier, 0)
 	want, err := rawEng.DemandSnapshot(Selection{}, first, last+1)
 	if err != nil {
 		t.Fatal(err)

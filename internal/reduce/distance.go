@@ -29,7 +29,9 @@ const (
 	MetricEuclidean Metric = "euclidean"
 )
 
-// ErrInput flags invalid reduction input.
+// ErrInput flags reduction input the caller got wrong — an unknown method
+// or metric, fewer than two points, ragged rows — as opposed to a fault
+// while reducing; every such error wraps it.
 var ErrInput = errors.New("reduce: invalid input")
 
 // DistanceMatrix computes the full symmetric pairwise distance matrix of
@@ -53,7 +55,7 @@ func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers 
 	width := len(rows[0])
 	for i, r := range rows {
 		if len(r) != width || width == 0 {
-			return nil, fmt.Errorf("reduce: row %d has %d cols, want %d nonzero", i, len(r), width)
+			return nil, fmt.Errorf("%w: row %d has %d cols, want %d nonzero", ErrInput, i, len(r), width)
 		}
 	}
 	var distFn func(i, j int) float64
@@ -66,7 +68,7 @@ func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers 
 			return v
 		}
 	default:
-		return nil, fmt.Errorf("reduce: unknown metric %q", m)
+		return nil, fmt.Errorf("%w: unknown metric %q", ErrInput, m)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -17,12 +17,12 @@ import (
 func ClassicalMDS(d [][]float64) (Embedding, error) {
 	n := len(d)
 	if n < 2 {
-		return nil, fmt.Errorf("reduce: MDS needs at least 2 points, got %d", n)
+		return nil, fmt.Errorf("%w: MDS needs at least 2 points, got %d", ErrInput, n)
 	}
 	d2 := mat.NewDense(n, n)
 	for i := 0; i < n; i++ {
 		if len(d[i]) != n {
-			return nil, fmt.Errorf("reduce: distance matrix row %d has %d cols, want %d", i, len(d[i]), n)
+			return nil, fmt.Errorf("%w: distance matrix row %d has %d cols, want %d", ErrInput, i, len(d[i]), n)
 		}
 		for j := 0; j < n; j++ {
 			d2.Set(i, j, d[i][j]*d[i][j])
@@ -91,7 +91,7 @@ type SMACOFResult struct {
 func SMACOF(ctx context.Context, d [][]float64, cfg SMACOFConfig) (*SMACOFResult, error) {
 	n := len(d)
 	if n < 2 {
-		return nil, fmt.Errorf("reduce: SMACOF needs at least 2 points, got %d", n)
+		return nil, fmt.Errorf("%w: SMACOF needs at least 2 points, got %d", ErrInput, n)
 	}
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -164,12 +164,12 @@ func stress(d [][]float64, x Embedding) float64 {
 func PCA(rows [][]float64) (Embedding, error) {
 	n := len(rows)
 	if n < 2 {
-		return nil, fmt.Errorf("reduce: PCA needs at least 2 rows, got %d", n)
+		return nil, fmt.Errorf("%w: PCA needs at least 2 rows, got %d", ErrInput, n)
 	}
 	dim := len(rows[0])
 	for i, r := range rows {
 		if len(r) != dim || dim == 0 {
-			return nil, fmt.Errorf("reduce: PCA row %d has %d cols, want %d nonzero", i, len(r), dim)
+			return nil, fmt.Errorf("%w: PCA row %d has %d cols, want %d nonzero", ErrInput, i, len(r), dim)
 		}
 	}
 	// Column means.
@@ -257,6 +257,6 @@ func Reduce(ctx context.Context, rows [][]float64, method Method, metric Metric,
 			return r.Embedding, nil
 		}
 	default:
-		return nil, fmt.Errorf("reduce: unknown method %q", method)
+		return nil, fmt.Errorf("%w: unknown method %q", ErrInput, method)
 	}
 }

@@ -89,11 +89,11 @@ type TSNEResult struct {
 func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, error) {
 	n := len(d)
 	if n < 2 {
-		return nil, fmt.Errorf("reduce: t-SNE needs at least 2 points, got %d", n)
+		return nil, fmt.Errorf("%w: t-SNE needs at least 2 points, got %d", ErrInput, n)
 	}
 	for i := range d {
 		if len(d[i]) != n {
-			return nil, fmt.Errorf("reduce: distance matrix row %d has %d cols, want %d", i, len(d[i]), n)
+			return nil, fmt.Errorf("%w: distance matrix row %d has %d cols, want %d", ErrInput, i, len(d[i]), n)
 		}
 	}
 	cfg.defaults(n)

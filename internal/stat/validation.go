@@ -242,38 +242,3 @@ func partition(idx []int, d []float64, lo, hi int) int {
 	idx[i], idx[hi] = idx[hi], idx[i]
 	return i
 }
-
-// KendallTau computes Kendall's tau-b rank correlation between two numeric
-// slices, used to compare sensitivity orderings across granularities (E6).
-func KendallTau(x, y []float64) (float64, error) {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0, ErrLength
-	}
-	var concordant, discordant, tiesX, tiesY float64
-	n := len(x)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := x[i] - x[j]
-			dy := y[i] - y[j]
-			switch {
-			case dx == 0 && dy == 0:
-				tiesX++
-				tiesY++
-			case dx == 0:
-				tiesX++
-			case dy == 0:
-				tiesY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	n0 := float64(n*(n-1)) / 2
-	den := math.Sqrt((n0 - tiesX) * (n0 - tiesY))
-	if den == 0 {
-		return 0, nil
-	}
-	return (concordant - discordant) / den, nil
-}

@@ -182,20 +182,6 @@ func TestNeighborhoodPurityErrors(t *testing.T) {
 	}
 }
 
-func TestKendallTau(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if tau, _ := KendallTau(x, x); !almostEq(tau, 1, 1e-12) {
-		t.Errorf("tau(identical) = %v", tau)
-	}
-	rev := []float64{4, 3, 2, 1}
-	if tau, _ := KendallTau(x, rev); !almostEq(tau, -1, 1e-12) {
-		t.Errorf("tau(reversed) = %v", tau)
-	}
-	if _, err := KendallTau([]float64{1}, []float64{1}); err == nil {
-		t.Error("n<2 should fail")
-	}
-}
-
 func TestRanksMidrankTies(t *testing.T) {
 	r := ranks([]float64{10, 20, 20, 30})
 	want := []float64{1, 2.5, 2.5, 4}

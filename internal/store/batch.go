@@ -117,10 +117,6 @@ type blockReader struct {
 	err     error
 }
 
-func newBlockReader(payload []byte, n int) *blockReader {
-	return &blockReader{data: payload, end: uint64(len(payload)) * 8, n: n, leading: 0xff}
-}
-
 // reset points the reader at a new payload, reusing the receiver.
 func (d *blockReader) reset(payload []byte, n int) {
 	*d = blockReader{data: payload, end: uint64(len(payload)) * 8, n: n, leading: 0xff}

@@ -6,10 +6,7 @@
 // write-ahead log plus snapshots.
 package store
 
-import (
-	"errors"
-	"io"
-)
+import "errors"
 
 // ErrEndOfStream signals a reader has consumed all bits.
 var ErrEndOfStream = errors.New("store: end of bit stream")
@@ -56,9 +53,6 @@ func (w *bitWriter) writeBits(v uint64, nbits uint) {
 // bytes returns the encoded bytes. The final byte may contain padding zeros.
 func (w *bitWriter) bytes() []byte { return w.data }
 
-// bitLen returns the number of meaningful bits written.
-func (w *bitWriter) bitLen() int { return len(w.data)*8 - int(w.avail) }
-
 // bitReader reads bits MSB-first from a byte slice.
 type bitReader struct {
 	data []byte
@@ -103,13 +97,4 @@ func (r *bitReader) readBits(nbits uint) (uint64, error) {
 		nbits -= take
 	}
 	return v, nil
-}
-
-// readFull reads exactly len(p) bytes from rd, translating EOF conditions.
-func readFull(rd io.Reader, p []byte) error {
-	_, err := io.ReadFull(rd, p)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

@@ -117,20 +117,6 @@ func (c *Catalog) Within(box geo.BBox) []int64 {
 	return c.tree.SearchSorted(box)
 }
 
-// Near returns up to k meters nearest p with their distances in meters.
-func (c *Catalog) Near(p geo.Point, k int) []index.Neighbor {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tree.Nearest(p, k)
-}
-
-// WithinRadius returns meters within radiusM meters of p, nearest first.
-func (c *Catalog) WithinRadius(p geo.Point, radiusM float64) []index.Neighbor {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tree.WithinRadius(p, radiusM)
-}
-
 // Bounds returns the bounding box of all meters (empty box when empty).
 func (c *Catalog) Bounds() geo.BBox {
 	c.mu.RLock()

@@ -176,10 +176,10 @@ func TestStoreReadAccessors(t *testing.T) {
 	if st.GlobalFingerprint() == before {
 		t.Error("GlobalFingerprint did not change on append")
 	}
-	if ids := st.MeterIDsSorted(); len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
-		t.Errorf("MeterIDsSorted = %v", ids)
-	}
 	cat := st.Catalog()
+	if ids := cat.IDs(); len(ids) != 3 || ids[0] != 1 || ids[2] != 3 {
+		t.Errorf("Catalog.IDs = %v", ids)
+	}
 	if got := len(cat.All()); got != 3 {
 		t.Errorf("Catalog.All = %d meters", got)
 	}
@@ -187,17 +187,11 @@ func TestStoreReadAccessors(t *testing.T) {
 	if ids := st.Within(box.Buffer(0.001)); len(ids) != 3 {
 		t.Errorf("Within(bounds) = %v", ids)
 	}
-	if n := st.Near(testPoint(0.01, 0), 2); len(n) != 2 {
-		t.Errorf("Near = %v", n)
-	}
-	if n := cat.WithinRadius(testPoint(0.01, 0), 10); len(n) == 0 {
-		t.Error("WithinRadius found nothing at the meter's own location")
-	}
 
 	// Per-meter versions through the series and its iterators.
-	v, err := st.MeterVersion(2)
-	if err != nil || v == 0 {
-		t.Errorf("MeterVersion = %d, %v", v, err)
+	v := meterVersion(st, 2)
+	if v == 0 {
+		t.Errorf("meter version = %d", v)
 	}
 	it, err := st.Iter(2, minInt64, maxInt64)
 	if err != nil {

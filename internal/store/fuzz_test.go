@@ -94,7 +94,8 @@ func FuzzGorillaRoundTrip(f *testing.F) {
 		// Batch-decode leg: the vectorized blockReader must reproduce the
 		// scalar decode bit-for-bit over the same payload.
 		{
-			br := newBlockReader(payload, len(want))
+			var br blockReader
+			br.reset(payload, len(want))
 			batch := NewBatch()
 			i := 0
 			for !br.done() {
@@ -144,7 +145,8 @@ func FuzzGorillaRoundTrip(f *testing.F) {
 			if out, err := Decode(data, n); err == nil && len(out) != n {
 				t.Fatalf("raw decode n=%d returned %d samples without error", n, len(out))
 			}
-			br := newBlockReader(data, n)
+			var br blockReader
+			br.reset(data, n)
 			batch := NewBatch()
 			total := 0
 			for !br.done() {

@@ -263,6 +263,9 @@ func TestBitStreamMixedWidths(t *testing.T) {
 	}
 }
 
+// bitLen returns the number of meaningful bits written.
+func (w *bitWriter) bitLen() int { return len(w.data)*8 - int(w.avail) }
+
 func TestBitLen(t *testing.T) {
 	w := newBitWriter()
 	if w.bitLen() != 0 {

@@ -108,20 +108,12 @@ func parityCompare(t *testing.T, label string, a, b *Store) {
 	if af, bf := a.GlobalFingerprint(), b.GlobalFingerprint(); af != bf {
 		t.Errorf("%s: GlobalFingerprint %#x, want %#x", label, bf, af)
 	}
-	aIDs, bIDs := a.MeterIDsSorted(), b.MeterIDsSorted()
+	aIDs, bIDs := a.Catalog().IDs(), b.Catalog().IDs()
 	if len(aIDs) != len(bIDs) {
 		t.Fatalf("%s: %d meters, want %d", label, len(bIDs), len(aIDs))
 	}
 	for _, id := range aIDs {
-		av, err := a.MeterVersion(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bv, err := b.MeterVersion(id)
-		if err != nil {
-			t.Fatalf("%s meter %d: %v", label, id, err)
-		}
-		if av != bv {
+		if av, bv := meterVersion(a, id), meterVersion(b, id); av != bv {
 			t.Errorf("%s meter %d: version %d, want %d", label, id, bv, av)
 		}
 		as, err := a.Range(id, minInt64, maxInt64)

@@ -126,13 +126,6 @@ func normalizeRollupRes(res []int64) []int64 {
 	return dedup
 }
 
-// rebuildRollups recomputes every tier from the raw samples currently in
-// the series — the from-scratch reference the crash tests compare
-// recovered tiers against. Caller holds the shard lock.
-func (s *Series) rebuildRollups(res []int64) error {
-	return s.installRollups(res, nil)
-}
-
 // installRollups sets the series' tiers to the configured resolutions,
 // taking bucket arrays from file (a persisted capture) where the
 // resolution matches and deriving the rest from the raw samples present.

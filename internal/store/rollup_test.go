@@ -129,12 +129,8 @@ func TestTierScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ver, err := st.MeterVersion(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tsc.Version != ver {
-			t.Errorf("TierScan version %d, MeterVersion %d", tsc.Version, ver)
+		if ver := meterVersion(st, 1); tsc.Version != ver {
+			t.Errorf("TierScan version %d, meter version %d", tsc.Version, ver)
 		}
 	})
 
@@ -302,11 +298,7 @@ func TestRetentionAgesRawKeepsTiers(t *testing.T) {
 		if first > keepFrom {
 			t.Errorf("%s: first retained raw sample %d, but the horizon covers %d — pruning overshot", phase, first, keepFrom)
 		}
-		n, err := st.SeriesLen(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n >= len(all) {
+		if n := seriesLen(st, 1); n >= len(all) {
 			t.Errorf("%s: %d raw samples survive, want fewer than %d (aged out)", phase, n, len(all))
 		}
 		// Chunk-granular: everything from the first surviving chunk on is

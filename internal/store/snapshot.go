@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -439,6 +440,14 @@ func (s *Store) loadSnapshotV3(f *os.File, size int64) error {
 
 	var meters, samples, chunks atomic.Int64
 	workers := s.recoverWorkers()
+	// One section buffer per worker, reused from meter to meter (install
+	// keeps nothing of it). A fresh buffer per meter was as many new pages
+	// as the whole file, and first-touch page faults are the part of a
+	// restart whose price differs from one run to the next.
+	bufs := make(chan []byte, workers)
+	for w := 0; w < workers; w++ {
+		bufs <- nil
+	}
 	err := exec.ForEach(context.Background(), int(nMeters), workers, func(i int) error {
 		ent := dir[int64(i)*snapV3DirEntryLen:]
 		id := int64(binary.LittleEndian.Uint64(ent[0:]))
@@ -447,7 +456,12 @@ func (s *Store) loadSnapshotV3(f *os.File, size int64) error {
 		if off < hdrLen || length < snapV3SectionMin || off+length > dirOff {
 			return fmt.Errorf("store: snapshot directory entry for meter %d out of bounds: %w", id, ErrCorrupt)
 		}
-		sec := make([]byte, length)
+		buf := <-bufs
+		if int64(cap(buf)) < length {
+			buf = make([]byte, length)
+		}
+		defer func() { bufs <- buf }()
+		sec := buf[:length]
 		if _, err := f.ReadAt(sec, off); err != nil {
 			return err
 		}
@@ -531,8 +545,6 @@ func (s *Store) installSectionV3(wantID int64, sec []byte, fileRes []int64, mete
 		if err != nil {
 			return corrupt("truncated chunk header")
 		}
-		// The payload aliases the section buffer: chunks dominate section
-		// size, so pinning the buffer costs little and skips a copy.
 		payload, err := r.bytes(int(plen))
 		if err != nil {
 			return corrupt("truncated chunk payload")
@@ -544,7 +556,11 @@ func (s *Store) installSectionV3(wantID int64, sec []byte, fileRes []int64, mete
 			return corrupt("chunk payload checksum mismatch")
 		}
 		total += int(count)
-		chunks = append(chunks, &chunk{minTS: minTS, maxTS: maxTS, count: int(count), payload: payload})
+		// The chunk gets its own copy of the payload. Aliasing sec pinned
+		// the whole section for the life of the store, and since sections
+		// carry the rollup tiers the payloads are a tenth of one: a
+		// restarted store held the snapshot file's size in dead bytes.
+		chunks = append(chunks, &chunk{minTS: minTS, maxTS: maxTS, count: int(count), payload: bytes.Clone(payload)})
 	}
 	headCount, err := r.uint32()
 	if err != nil {
@@ -574,13 +590,15 @@ func (s *Store) installSectionV3(wantID int64, sec []byte, fileRes []int64, mete
 		if int64(nb)*rollupBucketBytes > int64(r.remaining()) {
 			return corrupt("tier bucket count exceeds section")
 		}
-		// Room for a quarter more, the slack one append growth step leaves
-		// a live tier. Sized exactly, the first bucket a meter opens after
-		// recovery (in the WAL replay that follows, or the first tick)
+		// Room for half as many again (untouched room is never faulted
+		// in). When the buckets opened after recovery (by the WAL replay
+		// that follows, then by live ticks) outrun the room, the meter
 		// re-allocates and copies its whole tier: 560 KB per meter for a
 		// year of hourly buckets, which was most of the replay's time and
-		// the part that differed from one restart to the next.
-		buckets := make([]RollupBucket, nb, int(nb)+int(nb)/4)
+		// the part that differed from one restart to the next. A quarter,
+		// one append growth step, was outrun by a WAL tail of 30 % of the
+		// snapshot's span.
+		buckets := make([]RollupBucket, nb, int(nb)+int(nb)/2)
 		for bi := range buckets {
 			if err := readRollupBucket(r, &buckets[bi]); err != nil {
 				return corrupt("truncated tier bucket")

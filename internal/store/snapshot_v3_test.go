@@ -96,10 +96,18 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			}
 		}
 		checkRollupsRebuilt(t, st)
-		// A loaded tier keeps append slack: the next bucket a meter opens
-		// must not re-allocate and copy the whole tier.
 		for _, sh := range st.shards {
 			for id, ser := range sh.series {
+				// A loaded chunk owns its payload: one that aliased the
+				// section it was read from would keep the whole section
+				// (tiers included) alive behind it.
+				for _, c := range ser.sealed {
+					if cap(c.payload) > 2*len(c.payload)+64 {
+						t.Errorf("workers=%d meter %d: chunk payload of %d bytes pins %d", workers, id, len(c.payload), cap(c.payload))
+					}
+				}
+				// A loaded tier keeps append slack: the next bucket a meter
+				// opens must not re-allocate and copy the whole tier.
 				for _, tier := range ser.rollups {
 					if b := tier.buckets; len(b) >= 8 && cap(b) == len(b) {
 						t.Errorf("workers=%d meter %d: loaded %ds tier of %d buckets has no room to append", workers, id, tier.res, len(b))
@@ -243,7 +251,7 @@ func TestSnapshotV2StillLoads(t *testing.T) {
 	if got := v2.Recovery().SnapshotFormat; got != "v2" {
 		t.Errorf("recovery format = %q, want v2", got)
 	}
-	if n, _ := v2.SeriesLen(1); n != 780 {
+	if n := seriesLen(v2, 1); n != 780 {
 		t.Errorf("meter 1 has %d raw samples, want the 780 inside the horizon", n)
 	}
 	if tiers := captureTiersOf(t, v2, 1); len(tiers) != 2 || tiers[0].len() != 26 {

@@ -9,13 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vap/internal/geo"
-	"vap/internal/index"
 )
 
 func float64Bits(f float64) uint64     { return math.Float64bits(f) }
@@ -502,18 +500,6 @@ func (s *Store) Iter(meterID int64, from, to int64) (*SeriesIter, error) {
 	return ser.Iter(from, to), nil
 }
 
-// SeriesLen returns the number of samples stored for a meter.
-func (s *Store) SeriesLen(meterID int64) (int, error) {
-	sh := s.shardFor(meterID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ser, ok := sh.series[meterID]
-	if !ok {
-		return 0, ErrUnknownMeter
-	}
-	return ser.Len(), nil
-}
-
 // Bounds returns the first and last timestamps of a meter's series.
 func (s *Store) Bounds(meterID int64) (int64, int64, error) {
 	sh := s.shardFor(meterID)
@@ -526,22 +512,10 @@ func (s *Store) Bounds(meterID int64) (int64, int64, error) {
 	return ser.Bounds()
 }
 
-// MeterVersion returns the per-meter version: a counter bumped on every
-// mutation of that meter (registration, metadata replacement, append).
-func (s *Store) MeterVersion(meterID int64) (uint64, error) {
-	sh := s.shardFor(meterID)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	ser, ok := sh.series[meterID]
-	if !ok {
-		return 0, ErrUnknownMeter
-	}
-	return ser.ver, nil
-}
-
 // MeterVersions returns the per-meter versions of ids, aligned by index
-// (0 for unknown meters). Lookups are grouped so each shard is locked at
-// most once.
+// (0 for unknown meters). A meter's version is a counter bumped on every
+// mutation of that meter (registration, metadata replacement, append).
+// Lookups are grouped so each shard is locked at most once.
 func (s *Store) MeterVersions(ids []int64) []uint64 {
 	vers := make([]uint64, len(ids))
 	byShard := make(map[*shard][]int, len(s.shards))
@@ -716,14 +690,3 @@ func (s *Store) LastSnapshotUnix() int64 { return s.lastSnapUnix.Load() }
 
 // Within returns meter IDs inside a geographic box.
 func (s *Store) Within(box geo.BBox) []int64 { return s.catalog.Within(box) }
-
-// Near returns up to k nearest meters to p.
-func (s *Store) Near(p geo.Point, k int) []index.Neighbor { return s.catalog.Near(p, k) }
-
-// MeterIDsSorted returns all meter IDs ascending; convenience for callers
-// iterating deterministically.
-func (s *Store) MeterIDsSorted() []int64 {
-	ids := s.catalog.IDs()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}

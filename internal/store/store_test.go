@@ -18,6 +18,12 @@ func testMeter(id int64) Meter {
 	}
 }
 
+// seriesLen and meterVersion read one meter's sample count and version
+// (0 for an unknown meter) the way production callers do.
+func seriesLen(st *Store, id int64) int { return st.SeriesStats([]int64{id})[0].Samples }
+
+func meterVersion(st *Store, id int64) uint64 { return st.MeterVersions([]int64{id})[0] }
+
 func TestSeriesAppendRange(t *testing.T) {
 	s := NewSeries(1)
 	for i := 0; i < 2000; i++ {
@@ -167,12 +173,11 @@ func TestCatalogByZoneAndNear(t *testing.T) {
 	if len(com) != 5 {
 		t.Fatalf("commercial = %d, want 5", len(com))
 	}
-	near := c.Near(geo.Point{Lon: 12.5, Lat: 55.6}, 3)
-	if len(near) != 3 {
-		t.Fatalf("near = %d", len(near))
-	}
-	if near[0].ID != 1 { // closest to lon offset 0.001*1
-		t.Errorf("nearest = %d, want 1", near[0].ID)
+	// Meter i sits at lon offset 0.001*i: a box reaching 0.0035 east of
+	// the origin holds the three nearest.
+	near := c.Within(geo.PointBox(geo.Point{Lon: 12.5, Lat: 55.6}).Buffer(0.0035))
+	if len(near) != 3 || near[0] != 1 {
+		t.Fatalf("near = %v, want [1 2 3]", near)
 	}
 }
 
@@ -195,9 +200,8 @@ func TestStoreInMemoryBasics(t *testing.T) {
 	if err != nil || len(got) != 1 {
 		t.Fatalf("range: %v %v", got, err)
 	}
-	n, err := st.SeriesLen(1)
-	if err != nil || n != 1 {
-		t.Fatalf("series len = %d (%v)", n, err)
+	if n := seriesLen(st, 1); n != 1 {
+		t.Fatalf("series len = %d", n)
 	}
 	stats := st.Stats()
 	if stats.Meters != 1 || stats.Samples != 1 || stats.RawBytes != 16 {
@@ -422,8 +426,7 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 	}
 	wg.Wait()
 	for id := int64(1); id <= 4; id++ {
-		n, _ := st.SeriesLen(id)
-		if n != 500 {
+		if n := seriesLen(st, id); n != 500 {
 			t.Fatalf("meter %d has %d samples, want 500", id, n)
 		}
 	}
@@ -535,12 +538,12 @@ func TestStoreMeterVersionsAndFingerprint(t *testing.T) {
 	defer st.Close()
 	_ = st.PutMeter(testMeter(1))
 	_ = st.PutMeter(testMeter(2))
-	v1, err := st.MeterVersion(1)
-	if err != nil || v1 != 1 {
-		t.Fatalf("fresh meter version = %d (%v), want 1", v1, err)
+	v1 := meterVersion(st, 1)
+	if v1 != 1 {
+		t.Fatalf("fresh meter version = %d, want 1", v1)
 	}
-	if _, err := st.MeterVersion(99); err != ErrUnknownMeter {
-		t.Fatalf("unknown meter version err = %v", err)
+	if v := meterVersion(st, 99); v != 0 {
+		t.Fatalf("unknown meter version = %d, want 0", v)
 	}
 	fpBoth := st.Fingerprint([]int64{1, 2})
 	fpOne := st.Fingerprint([]int64{2})
@@ -554,10 +557,10 @@ func TestStoreMeterVersionsAndFingerprint(t *testing.T) {
 	if err := st.Append(1, Sample{TS: 10, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := st.MeterVersion(1); got != v1+1 {
+	if got := meterVersion(st, 1); got != v1+1 {
 		t.Fatalf("append did not bump per-meter version: %d", got)
 	}
-	if got, _ := st.MeterVersion(2); got != 1 {
+	if got := meterVersion(st, 2); got != 1 {
 		t.Fatalf("append to meter 1 bumped meter 2: %d", got)
 	}
 	if st.Fingerprint([]int64{1, 2}) == fpBoth {
@@ -674,12 +677,8 @@ func TestStoreShardedSnapshotWALRoundTrip(t *testing.T) {
 	wantVers := make(map[int64]uint64, meters)
 	wantLens := make(map[int64]int, meters)
 	for id := int64(1); id <= meters; id++ {
-		v, err := st.MeterVersion(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantVers[id] = v
-		wantLens[id], _ = st.SeriesLen(id)
+		wantVers[id] = meterVersion(st, id)
+		wantLens[id] = seriesLen(st, id)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -696,18 +695,10 @@ func TestStoreShardedSnapshotWALRoundTrip(t *testing.T) {
 		t.Fatalf("meters after reopen = %d, want %d", st2.Stats().Meters, meters)
 	}
 	for id := int64(1); id <= meters; id++ {
-		n, err := st2.SeriesLen(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != wantLens[id] {
+		if n := seriesLen(st2, id); n != wantLens[id] {
 			t.Errorf("meter %d: %d samples after reopen, want %d", id, n, wantLens[id])
 		}
-		v, err := st2.MeterVersion(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != wantVers[id] {
+		if v := meterVersion(st2, id); v != wantVers[id] {
 			t.Errorf("meter %d: version %d after reopen, want %d", id, v, wantVers[id])
 		}
 		got, err := st2.Range(id, 0, 1<<40)

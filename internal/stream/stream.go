@@ -140,13 +140,6 @@ func (h *Hub) Publish(e Event) {
 	h.mu.Unlock()
 }
 
-// Subscribers returns the current subscriber count.
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // Tracker maintains an online KDE of the most recent reading per meter,
 // updated incrementally: replacing one meter's weight only touches the
 // kernel footprint of that meter, not the whole map.

@@ -14,7 +14,6 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -213,11 +212,4 @@ func niceTicks(lo, hi float64, n int) []float64 {
 		out = append(out, v)
 	}
 	return out
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s
 }

@@ -555,109 +555,6 @@ func newFold() *query.Fold {
 	return &f
 }
 
-// ExecuteResolvedScalar is the sample-at-a-time reference executor: the
-// pre-vectorization implementation, retained for differential testing and
-// the paired scalar-vs-vectorized benchmark. Results are identical to
-// ExecuteResolved (including float summation order) except for the Plan
-// rendering, which reflects the scalar pipeline.
-func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids []int64, from, to int64, windowOK bool) (*Result, error) {
-	res := &Result{Columns: make([]string, len(p.Cols)), Types: p.ColumnTypes(), Rows: [][]any{}}
-	for i, c := range p.Cols {
-		res.Columns[i] = c.Name
-	}
-	cat := eng.Store().Catalog()
-	res.Plan = "VQL plan (scalar reference executor)\n"
-	if len(ids) == 0 || !windowOK {
-		res.Rows = p.buildRows(nil)
-		return res, nil
-	}
-	res.Window = [2]int64{from, to}
-	res.Meters = len(ids)
-
-	gran := p.Granularity()
-	groupMeter := false
-	for _, k := range p.Keys {
-		if k.Kind == KeyMeter {
-			groupMeter = true
-		}
-	}
-
-	partials := make([]map[groupKey]*query.Fold, len(ids))
-	counts := make([]int, len(ids))
-	vers := make([]uint64, len(ids))
-	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
-		id := ids[i]
-		var zone store.ZoneType
-		if p.needZone {
-			if m, ok := cat.Get(id); ok {
-				zone = m.Zone
-			}
-		}
-		it, err := eng.Store().Iter(id, from, to)
-		if err != nil {
-			return err
-		}
-		vers[i] = it.Version()
-		local := make(map[groupKey]*query.Fold)
-		key := groupKey{zone: zone}
-		if groupMeter {
-			key.meter = id
-		}
-		var cur *query.Fold
-		var curBucket int64 = math.MinInt64
-		n := 0
-		for it.Next() {
-			s := it.Sample()
-			if p.hasBucket {
-				b := gran.Truncate(s.TS)
-				if b != curBucket || cur == nil {
-					curBucket = b
-					key.bucket = b
-					cur = local[key]
-					if cur == nil {
-						cur = newFold()
-						local[key] = cur
-					}
-				}
-			} else if cur == nil {
-				cur = local[key]
-				if cur == nil {
-					cur = newFold()
-					local[key] = cur
-				}
-			}
-			cur.Add(s.Value)
-			n++
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
-		partials[i] = local
-		counts[i] = n
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res.Fingerprint = store.FingerprintPairs(ids, vers)
-
-	groups := make(map[groupKey]*query.Fold)
-	for i, local := range partials {
-		res.Samples += counts[i]
-		for k, st := range local {
-			if g, ok := groups[k]; ok {
-				g.Merge(st)
-			} else {
-				groups[k] = st
-			}
-		}
-	}
-
-	res.Rows = p.buildRows(groups)
-	return res, nil
-}
-
 // buildRows materializes, orders, and limits the output rows. An
 // ungrouped aggregate always yields exactly one row (SQL semantics): over
 // an empty selection count is 0 and the value-folding aggregates are null.

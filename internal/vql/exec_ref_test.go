@@ -1,0 +1,185 @@
+package vql
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"vap/internal/exec"
+	"vap/internal/gen"
+	"vap/internal/query"
+	"vap/internal/store"
+)
+
+// ExecuteResolvedScalar is the oracle TestVectorizedMatchesScalar and
+// BenchmarkVQLExec hold ExecuteResolved against: the sample-at-a-time
+// executor that ran before vectorization, verbatim. Results are identical
+// to ExecuteResolved (including float summation order) except for the
+// Plan rendering, which reflects the scalar pipeline.
+func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids []int64, from, to int64, windowOK bool) (*Result, error) {
+	res := &Result{Columns: make([]string, len(p.Cols)), Types: p.ColumnTypes(), Rows: [][]any{}}
+	for i, c := range p.Cols {
+		res.Columns[i] = c.Name
+	}
+	cat := eng.Store().Catalog()
+	res.Plan = "VQL plan (scalar reference executor)\n"
+	if len(ids) == 0 || !windowOK {
+		res.Rows = p.buildRows(nil)
+		return res, nil
+	}
+	res.Window = [2]int64{from, to}
+	res.Meters = len(ids)
+
+	gran := p.Granularity()
+	groupMeter := false
+	for _, k := range p.Keys {
+		if k.Kind == KeyMeter {
+			groupMeter = true
+		}
+	}
+
+	partials := make([]map[groupKey]*query.Fold, len(ids))
+	counts := make([]int, len(ids))
+	vers := make([]uint64, len(ids))
+	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
+		id := ids[i]
+		var zone store.ZoneType
+		if p.needZone {
+			if m, ok := cat.Get(id); ok {
+				zone = m.Zone
+			}
+		}
+		it, err := eng.Store().Iter(id, from, to)
+		if err != nil {
+			return err
+		}
+		vers[i] = it.Version()
+		local := make(map[groupKey]*query.Fold)
+		key := groupKey{zone: zone}
+		if groupMeter {
+			key.meter = id
+		}
+		var cur *query.Fold
+		var curBucket int64 = math.MinInt64
+		n := 0
+		for it.Next() {
+			s := it.Sample()
+			if p.hasBucket {
+				b := gran.Truncate(s.TS)
+				if b != curBucket || cur == nil {
+					curBucket = b
+					key.bucket = b
+					cur = local[key]
+					if cur == nil {
+						cur = newFold()
+						local[key] = cur
+					}
+				}
+			} else if cur == nil {
+				cur = local[key]
+				if cur == nil {
+					cur = newFold()
+					local[key] = cur
+				}
+			}
+			foldSample(cur, s.Value)
+			n++
+		}
+		if err := it.Err(); err != nil {
+			return err
+		}
+		partials[i] = local
+		counts[i] = n
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	res.Fingerprint = store.FingerprintPairs(ids, vers)
+
+	groups := make(map[groupKey]*query.Fold)
+	for i, local := range partials {
+		res.Samples += counts[i]
+		for k, st := range local {
+			if g, ok := groups[k]; ok {
+				g.Merge(st)
+			} else {
+				groups[k] = st
+			}
+		}
+	}
+
+	res.Rows = p.buildRows(groups)
+	return res, nil
+}
+
+// foldSample folds one sample into f: the per-sample order Fold.FoldVals
+// and the rollup tiers must reproduce bit for bit.
+func foldSample(f *query.Fold, v float64) {
+	if v != v { // NaN
+		f.NaN++
+		return
+	}
+	f.Sum += v
+	f.Count++
+	if v < f.Min {
+		f.Min = v
+	}
+	if v > f.Max {
+		f.Max = v
+	}
+}
+
+// BenchmarkVQLExec pairs the scalar reference executor against the
+// vectorized executor on the same compiled plan and resolved meter set
+// (no memoization on either side) — the apples-to-apples measurement of
+// the batch-execution speedup, robust to machine noise because both
+// sides run under the same conditions. tools/benchjson derives
+// vql_exec_speedup from the pair.
+func BenchmarkVQLExec(b *testing.B) {
+	ds := gen.Generate(gen.Config{
+		Seed: 42,
+		Days: 90,
+		Counts: map[gen.Pattern]int{
+			gen.PatternBimodal:      60,
+			gen.PatternEnergySaving: 50,
+			gen.PatternIdle:         30,
+			gen.PatternConstantHigh: 40,
+			gen.PatternSuspicious:   20,
+			gen.PatternEarlyBird:    30,
+		},
+	})
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	if err := ds.LoadInto(st); err != nil {
+		b.Fatal(err)
+	}
+	eng := query.NewEngineWorkers(st, 0)
+	ctx := context.Background()
+	p := compilePlan(b, `SELECT bucket(daily) AS day, mean(value) AS avg_kwh, count(*)
+		FROM meters WHERE zone = 'residential'
+		GROUP BY bucket(daily) ORDER BY avg_kwh DESC LIMIT 14`)
+	ids, err := ResolveScanMeters(eng, p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	from, to, ok := p.ResolveWindow(eng.Store())
+	run := func(b *testing.B, execFn func(context.Context, *query.Engine, *Plan, []int64, int64, int64, bool) (*Result, error)) {
+		b.ReportAllocs()
+		samples := 0
+		for i := 0; i < b.N; i++ {
+			res, err := execFn(ctx, eng, p, ids, from, to, ok)
+			if err != nil {
+				b.Fatal(err)
+			}
+			samples = res.Samples
+		}
+		b.ReportMetric(float64(samples)*float64(b.N)/b.Elapsed().Seconds(), "samples/sec")
+	}
+	b.Run("Scalar", func(b *testing.B) { run(b, ExecuteResolvedScalar) })
+	b.Run("Vectorized", func(b *testing.B) { run(b, ExecuteResolved) })
+}

@@ -270,9 +270,6 @@ func (p *Plan) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Canonical returns the canonical plan text backing Fingerprint.
-func (p *Plan) Canonical() string { return p.canonical }
-
 func (p *Plan) buildCanonical() string {
 	var sb strings.Builder
 	sb.WriteString("select ")

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/sha1"
 	"crypto/subtle"
@@ -171,10 +170,4 @@ func buildAuthSwitch(scramble []byte) []byte {
 	b = append(b, scramble...)
 	b = append(b, 0)
 	return b
-}
-
-// isAuthSwitch reports whether a server payload is an AuthSwitchRequest
-// (used by the in-repo test client).
-func isAuthSwitch(payload []byte) bool {
-	return len(payload) > 1 && payload[0] == eofHeader && bytes.IndexByte(payload[1:], 0) > 0
 }

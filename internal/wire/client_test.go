@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"database/sql"
 	"database/sql/driver"
@@ -9,22 +10,26 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
+	"testing"
 	"time"
 )
 
-// DriverName is the database/sql driver name the in-repo client
-// registers. DSN shape: "user:password@host:port/db" (db optional; when
-// present the client issues COM_INIT_DB after authenticating).
+// DriverName is the database/sql driver name the test client registers.
+// DSN shape: "user:password@host:port/db" (db optional; when present the
+// client issues COM_INIT_DB after authenticating).
 //
-// The client exists so the integration tests and benchmarks can drive
-// the wire server through database/sql without an external MySQL driver
-// dependency; it speaks just enough of the protocol for that (text
-// queries, no prepared statements, no TLS).
+// The client exists so this package's integration tests and
+// BenchmarkWireQuery can drive the wire server through database/sql
+// without an external MySQL driver dependency; it speaks just enough of
+// the protocol for that (text queries, no prepared statements, no TLS).
+// It lives in a _test.go file so no binary links database/sql.
 const DriverName = "vapwire"
 
-func init() {
+func TestMain(m *testing.M) {
 	sql.Register(DriverName, vapDriver{})
+	os.Exit(m.Run())
 }
 
 // ClientError is a server ERR packet surfaced by the client, exposing
@@ -137,6 +142,11 @@ func (c *clientConn) handshake(user, pass string) error {
 		}
 	}
 	return expectOK(reply)
+}
+
+// isAuthSwitch reports whether a server payload is an AuthSwitchRequest.
+func isAuthSwitch(payload []byte) bool {
+	return len(payload) > 1 && payload[0] == eofHeader && bytes.IndexByte(payload[1:], 0) > 0
 }
 
 // parseHandshakeV10 extracts the 20-byte scramble from an Initial

@@ -25,7 +25,7 @@
 //
 // Usage:
 //
-//	go test -run XXX -bench 'VQLEndToEnd|VQLExec' -benchmem -count=3 . |
+//	go test -run XXX -bench 'VQLEndToEnd|VQLExec' -benchmem -count=3 . ./internal/vql |
 //	    go run ./tools/benchjson -out BENCH_vql.json -label "my change"
 //	go test -run XXX -bench VQLRollup -benchmem -count=3 . |
 //	    go run ./tools/benchjson -series rollup -out BENCH_rollup.json -label "my change"
@@ -33,7 +33,7 @@
 //	    go run ./tools/benchjson -series recover -out BENCH_recover.json -label "my change"
 //	go test -run XXX -bench GovernMixed -benchtime 1000x . |
 //	    go run ./tools/benchjson -series govern -out BENCH_govern.json -label "my change"
-//	go test -run XXX -bench WireQuery -count=3 . |
+//	go test -run XXX -bench WireQuery -count=3 ./internal/wire |
 //	    go run ./tools/benchjson -series wire -out BENCH_wire.json -label "my change"
 //	go test -run XXX -bench '^BenchmarkTSNE$|DistanceMatrixPearson' -count=10 . |
 //	    go run ./tools/benchjson -series reduce -out BENCH_reduce.json -label "my change"

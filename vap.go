@@ -140,8 +140,8 @@ func GenerateDataset(cfg DatasetConfig) *Dataset { return gen.Generate(cfg) }
 type Analyzer = core.Analyzer
 
 // ExecOptions tunes the analyzer's execution engine: Workers is the
-// parallel fan-out width (default runtime.NumCPU()), CacheEntries bounds
-// the versioned result cache (default 64; entries can be megabytes).
+// parallel fan-out width (default runtime.GOMAXPROCS(0)), CacheEntries
+// bounds the versioned result cache (default 64; entries can be megabytes).
 type ExecOptions = core.Options
 
 // ExecStats reports the execution engine's cache and deduplication
@@ -279,8 +279,8 @@ func NewHTTPServer(an *Analyzer, hub *StreamHub) http.Handler {
 // --- Protocol-agnostic frontend core ---------------------------------------
 
 // Session is one client conversation with the query core — tenant
-// identity, per-session variables (deadline, format), statement counter
-// — independent of the transport carrying it.
+// identity, the per-session statement deadline, statement counter —
+// independent of the transport carrying it.
 type Session = frontend.Session
 
 // NewFrontendSession returns a session for a tenant (empty = default).
