@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"vap/internal/frontend"
+	"vap/internal/stream"
 )
 
 // maxQueryBytes bounds a /api/query request body.
@@ -104,18 +107,153 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeStmtErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"columns":               out.Columns,
-		"column_types":          out.Types,
-		"rows":                  out.Rows,
-		"row_count":             len(out.Rows),
-		"window":                out.Window,
-		"meters":                out.Meters,
-		"samples":               out.Samples,
-		"plan":                  out.Plan,
-		"explain":               out.Explain,
-		"plan_hash":             out.PlanHash,
-		"selection_fingerprint": out.SelectionFingerprint,
-		"data_version":          s.dataVersion(),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// The status line is out; a write error means the client is gone.
+	_ = encodeQueryResult(w, out, s.dataVersion())
+}
+
+// queryFlushBytes is how much of a response body encodeQueryResult gathers
+// before handing it to the connection: a large result is never held whole.
+const queryFlushBytes = 32 << 10
+
+// queryBufPool recycles encodeQueryResult's buffers, so a cached dashboard
+// statement does not pay for one per response.
+var queryBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, queryFlushBytes+4096)
+	return &b
+}}
+
+// encodeQueryResult writes the /api/query success body: the twelve-key
+// envelope, indented by two spaces, with every row of "rows" on a line of
+// its own — flush left, because indenting them would be a tenth of a
+// 40 320-row body.
+// Cells are appended by type — no reflection, no indenter pass over the
+// body — and the text of every value is the text encoding/json produces,
+// so clients decode the value they always did. Non-finite floats, which
+// the executor never emits, become null like its own non-finite aggregates.
+func encodeQueryResult(w io.Writer, out *frontend.Result, dv stream.DataVersion) error {
+	bp := queryBufPool.Get().(*[]byte)
+	b := (*bp)[:0]
+	defer func() {
+		if cap(b) <= 2*queryFlushBytes { // a huge plan or cell grew it: let it go
+			*bp = b
+			queryBufPool.Put(bp)
+		}
+	}()
+	b = append(b, "{\n  \"column_types\": ["...)
+	for i, t := range out.Types {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendJSON(b, t)
+	}
+	b = append(b, "],\n  \"columns\": ["...)
+	for i, c := range out.Columns {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendJSON(b, c)
+	}
+	b = append(b, "],\n  \"data_version\": {\"global\": "...)
+	b = strconv.AppendUint(b, dv.Global, 10)
+	b = append(b, ", \"fingerprint\": "...)
+	b = strconv.AppendUint(b, dv.Fingerprint, 10)
+	b = append(b, "},\n  \"explain\": "...)
+	b = strconv.AppendBool(b, out.Explain)
+	b = append(b, ",\n  \"meters\": "...)
+	b = strconv.AppendInt(b, int64(out.Meters), 10)
+	b = append(b, ",\n  \"plan\": "...)
+	b = appendJSON(b, out.Plan)
+	b = append(b, ",\n  \"plan_hash\": "...)
+	b = strconv.AppendUint(b, out.PlanHash, 10)
+	b = append(b, ",\n  \"row_count\": "...)
+	b = strconv.AppendInt(b, int64(len(out.Rows)), 10)
+	b = append(b, ",\n  \"rows\": ["...)
+	// Zone names repeat down a result: quote each distinct one once.
+	var quoted map[string][]byte
+	for r, row := range out.Rows {
+		if r > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n["...)
+		for c, cell := range row {
+			if c > 0 {
+				b = append(b, ',')
+			}
+			switch v := cell.(type) {
+			case nil:
+				b = append(b, "null"...)
+			case int64:
+				b = strconv.AppendInt(b, v, 10)
+			case float64:
+				b = appendJSONFloat(b, v)
+			case string:
+				q, ok := quoted[v]
+				if !ok {
+					if quoted == nil {
+						quoted = make(map[string][]byte)
+					}
+					q = appendJSON(nil, v)
+					quoted[v] = q
+				}
+				b = append(b, q...)
+			default: // not a cell type the executor produces
+				b = appendJSON(b, v)
+			}
+		}
+		b = append(b, ']')
+		if len(b) >= queryFlushBytes {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	if len(out.Rows) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "],\n  \"samples\": "...)
+	b = strconv.AppendInt(b, int64(out.Samples), 10)
+	b = append(b, ",\n  \"selection_fingerprint\": "...)
+	b = strconv.AppendUint(b, out.SelectionFingerprint, 10)
+	b = append(b, ",\n  \"window\": ["...)
+	b = strconv.AppendInt(b, out.Window[0], 10)
+	b = append(b, ", "...)
+	b = strconv.AppendInt(b, out.Window[1], 10)
+	b = append(b, "]\n}\n"...)
+	_, err := w.Write(b)
+	return err
+}
+
+// appendJSON appends v as encoding/json itself marshals it, null if it
+// cannot. Strings go through it, so their escaping (HTML-safe, U+2028/9,
+// invalid UTF-8 as U+FFFD) cannot drift from what the other endpoints'
+// writeJSON produces.
+func appendJSON(b []byte, v any) []byte {
+	q, err := json.Marshal(v)
+	if err != nil {
+		return append(b, "null"...)
+	}
+	return append(b, q...)
+}
+
+// appendJSONFloat appends f in encoding/json's number format: the shortest
+// text that round-trips, in exponent form only below 1e-6 or from 1e21 up,
+// and then with a single-digit exponent written as one digit (e-07 is
+// e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(b, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }

@@ -88,6 +88,18 @@ type groupKey struct {
 	zone   store.ZoneType
 }
 
+// less is the default row order: the group-key tuple ascending, so
+// unordered queries are still deterministic.
+func (k groupKey) less(o groupKey) bool {
+	if k.bucket != o.bucket {
+		return k.bucket < o.bucket
+	}
+	if k.meter != o.meter {
+		return k.meter < o.meter
+	}
+	return k.zone < o.zone
+}
+
 // finiteOrNull maps non-finite aggregate results to null: NaN and ±Inf
 // have no JSON encoding, and a bucket whose aggregate overflowed carries
 // no usable value anyway.
@@ -202,16 +214,16 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	cost, bounds := planScan(p, eng.Store().SeriesStats(ids), from, to, eng.Workers(), eng.Store().RollupResolutions())
 	res.Plan = explainText(p, &cost, true)
 	if len(ids) == 0 || !windowOK {
-		res.Rows = p.buildRows(nil)
+		res.Rows = (&groupSink{}).rows(p)
 		return res, nil
 	}
 	res.Window = [2]int64{from, to}
 	res.Meters = len(ids)
 
-	// Partials are per METER, not per chunk, and merge in ascending meter
-	// order below: every meter's samples fold into their own states and the
-	// states combine left-associatively, so the result is bit-identical to
-	// the scalar executor — and independent of the planner's worker/chunk
+	// Partials are per METER, not per chunk, and merge in the order ids
+	// lists them below: every meter's samples fold into their own states and
+	// the states combine left-associatively, so the result is bit-identical
+	// to the scalar executor — and independent of the planner's worker/chunk
 	// split (float addition is not associative; collapsing a chunk's meters
 	// into shared state would tie result bytes to the fan-out choice).
 	sc := newScanConfig(ctx, p, eng, &cost, bounds, from, to)
@@ -219,7 +231,7 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	vers := make([]uint64, len(ids))
 	if cost.Chunks == 1 {
 		// Sequential scan: each meter's partial merges into the sink as
-		// soon as the meter finishes — no partial storage, no copies.
+		// soon as the meter finishes — no partial storage.
 		n, err := sc.scanChunk(ctx, ids, vers, nil, sink)
 		if err != nil {
 			return nil, err
@@ -246,12 +258,12 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 		}
 		for i := range partials {
 			res.Samples += partials[i].n
-			sink.add(&partials[i])
+			sink.add(&partials[i], true)
 		}
 	}
 
 	res.Fingerprint = store.FingerprintPairs(ids, vers)
-	res.Rows = p.buildRows(sink.finish())
+	res.Rows = sink.rows(p)
 	return res, nil
 }
 
@@ -268,90 +280,224 @@ type meterPartial struct {
 	n      int
 }
 
-// groupSink accumulates per-meter partials into the final group states in
-// ascending meter order. When the dense grouping has no meter/zone
-// dimension every partial shares the zero base key, so the merge goes
-// straight into a bucket-indexed array — no group-key hashing on the
-// merge path. An untouched entry is the zero state (Empty, a state no
-// emitted partial can have), and the first merge into it copies rather
-// than folds, keeping the per-group association identical to the map path
-// (and so to the scalar executor).
+// slab is the group states of one base key — (meter, zone), bucket unused —
+// along the bucket axis: folds covers buckets [lo, lo+len(folds)) of the
+// scan's bounds, and an entry no sample reached is Empty.
+type slab struct {
+	base  groupKey
+	lo    int
+	folds []query.Fold
+}
+
+// groupSink accumulates per-meter partials into the final group states, in
+// the order the meters are handed over. A dense scan keeps one slab per
+// base key: without a meter/zone key that is a single slab, GROUP BY meter
+// gives each meter its own, GROUP BY zone merges a zone's meters into one.
+// The base key is looked up once per meter, never per group, and the slabs
+// still hold the groups in bucket order when the scan ends, so rows are
+// emitted from them directly. The first partial to reach an entry is
+// copied and later ones Merge into it — the association of the scalar
+// executor's per-group map, so results stay bit-identical to it. Only the
+// map fallback (an axis too long to enumerate) hashes whole group keys.
 type groupSink struct {
 	bounds []int64
-	groups map[groupKey]*query.Fold
-	dense  []query.Fold // bucket-indexed; non-nil only for base-less dense grouping
+	slabs  []slab
+	index  map[groupKey]int         // base key -> position in slabs
+	groups map[groupKey]*query.Fold // map fallback only
 }
 
 func newGroupSink(sc *scanConfig) *groupSink {
-	s := &groupSink{bounds: sc.bounds, groups: make(map[groupKey]*query.Fold)}
-	if sc.bounds != nil && !sc.groupMeter && !sc.needZone {
-		s.dense = make([]query.Fold, len(sc.bounds))
+	if sc.dense == nil {
+		return &groupSink{groups: make(map[groupKey]*query.Fold)}
 	}
-	return s
+	return &groupSink{bounds: sc.bounds, index: make(map[groupKey]int)}
 }
 
-// add merges one meter's partial, whichever shape it has.
-func (s *groupSink) add(mp *meterPartial) {
-	s.addDense(mp.base, mp.dense, mp.lo)
-	s.addMap(mp.groups)
-}
-
-// addDense merges one meter's touched bucket range (states covers buckets
-// [lo, lo+len(states)) of bounds) under base.
-func (s *groupSink) addDense(base groupKey, states []query.Fold, lo int) {
-	if s.dense != nil {
-		for j := range states {
-			st := &states[j]
-			if st.Empty() {
-				continue
-			}
-			g := &s.dense[lo+j]
-			if g.Empty() {
-				*g = *st
-			} else {
-				g.Merge(st)
-			}
-		}
-		return
-	}
-	for j := range states {
-		st := &states[j]
-		if st.Empty() {
-			continue
-		}
-		k := base
-		k.bucket = s.bounds[lo+j]
-		if g, ok := s.groups[k]; ok {
-			g.Merge(st)
-		} else {
-			cp := *st
-			s.groups[k] = &cp
-		}
-	}
-}
-
-// addMap merges one meter's map-shaped partial. Keys within a single
-// meter's map are distinct groups, so iteration order doesn't matter.
-func (s *groupSink) addMap(local map[groupKey]*query.Fold) {
-	for k, st := range local {
+// add merges one meter's partial, whichever shape it has. owned says the
+// partial's dense states are a private copy the sink may keep; otherwise
+// they alias the chunk's scratch and are copied out.
+func (s *groupSink) add(mp *meterPartial, owned bool) {
+	// Keys within a single meter's map are distinct groups, so iteration
+	// order doesn't matter.
+	for k, st := range mp.groups {
 		if g, ok := s.groups[k]; ok {
 			g.Merge(st)
 		} else {
 			s.groups[k] = st
 		}
 	}
-}
-
-// finish folds the dense array (if any) into the group map and returns it.
-func (s *groupSink) finish() map[groupKey]*query.Fold {
-	for bi := range s.dense {
-		st := &s.dense[bi]
+	if len(mp.dense) == 0 {
+		return
+	}
+	i, ok := s.index[mp.base]
+	if !ok {
+		folds := mp.dense
+		if !owned {
+			folds = append([]query.Fold(nil), folds...)
+		}
+		s.index[mp.base] = len(s.slabs)
+		s.slabs = append(s.slabs, slab{base: mp.base, lo: mp.lo, folds: folds})
+		return
+	}
+	sl := &s.slabs[i]
+	if mp.lo < sl.lo || mp.lo+len(mp.dense) > sl.lo+len(sl.folds) {
+		// A second meter with another touched range: re-home the slab on
+		// the whole axis once (the zero Fold is Empty) rather than grow it
+		// meter by meter.
+		folds := make([]query.Fold, len(s.bounds))
+		copy(folds[sl.lo:], sl.folds)
+		sl.lo, sl.folds = 0, folds
+	}
+	dst := sl.folds[mp.lo-sl.lo:]
+	for j := range mp.dense {
+		st := &mp.dense[j]
 		if st.Empty() {
 			continue
 		}
-		s.groups[groupKey{bucket: s.bounds[bi]}] = st
+		if g := &dst[j]; g.Empty() {
+			*g = *st
+		} else {
+			g.Merge(st)
+		}
 	}
-	return s.groups
+}
+
+// rows materializes, orders, and limits the output rows. Without ORDER BY
+// they come out in ascending (bucket, meter, zone) order — from the slabs
+// by construction, with no sort over rows — and emission stops at LIMIT.
+// An ungrouped aggregate always yields exactly one row (SQL semantics):
+// over an empty selection count is 0 and the value-folding aggregates are
+// null.
+func (s *groupSink) rows(p *Plan) [][]any {
+	n := len(s.groups)
+	for i := range s.slabs {
+		for j := range s.slabs[i].folds {
+			if !s.slabs[i].folds[j].Empty() {
+				n++
+			}
+		}
+	}
+	var none *query.Fold
+	if n == 0 && len(p.Keys) == 0 {
+		empty := query.EmptyFold()
+		none, n = &empty, 1
+	}
+	if len(p.Order) == 0 && p.Limit >= 0 && n > p.Limit {
+		n = p.Limit
+	}
+	b := newRowBuilder(p, n)
+	switch {
+	case n == 0: // no group, or LIMIT 0
+	case none != nil:
+		b.add(nil, nil, nil, none)
+	case s.groups != nil:
+		s.emitGroups(b, n)
+	default:
+		s.emitSlabs(b, n)
+	}
+	rows := b.rows
+	if len(p.Order) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			for _, o := range p.Order {
+				c := cmpVal(rows[i][o.col], rows[j][o.col])
+				if c != 0 {
+					if o.desc {
+						return c > 0
+					}
+					return c < 0
+				}
+			}
+			return false
+		})
+		if p.Limit >= 0 && len(rows) > p.Limit {
+			// Copy the survivors out: the result may sit in the cache, and
+			// a truncated slice would pin every sorted-away row's cells.
+			top := newRowBuilder(p, p.Limit)
+			for _, row := range rows[:p.Limit] {
+				top.cells = append(top.cells, row...)
+				top.seal()
+			}
+			rows = top.rows
+		}
+	}
+	return rows
+}
+
+// emitSlabs emits the first n groups bucket-major over the slabs sorted by
+// base key. Key cells are boxed once per bucket and once per slab.
+func (s *groupSink) emitSlabs(b *rowBuilder, n int) {
+	sort.Slice(s.slabs, func(i, j int) bool { return s.slabs[i].base.less(s.slabs[j].base) })
+	type keyCells struct{ meter, zone any }
+	keys := make([]keyCells, len(s.slabs))
+	lo, hi := len(s.bounds), 0
+	for i := range s.slabs {
+		sl := &s.slabs[i]
+		keys[i] = keyCells{sl.base.meter, string(sl.base.zone)}
+		lo, hi = min(lo, sl.lo), max(hi, sl.lo+len(sl.folds))
+	}
+	for bi := lo; bi < hi && len(b.rows) < n; bi++ {
+		var bucket any = s.bounds[bi]
+		for i := range s.slabs {
+			sl := &s.slabs[i]
+			// One unsigned compare covers both ends of the slab's range.
+			if j := uint(bi - sl.lo); j < uint(len(sl.folds)) && !sl.folds[j].Empty() {
+				b.add(bucket, keys[i].meter, keys[i].zone, &sl.folds[j])
+				if len(b.rows) == n {
+					break
+				}
+			}
+		}
+	}
+}
+
+// emitGroups emits the first n groups of the map fallback in ascending key
+// order.
+func (s *groupSink) emitGroups(b *rowBuilder, n int) {
+	keys := make([]groupKey, 0, len(s.groups))
+	for k := range s.groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	for _, k := range keys[:n] {
+		b.add(k.bucket, k.meter, string(k.zone), s.groups[k])
+	}
+}
+
+// rowBuilder lays result rows out in one cell allocation: each row is a
+// full (three-index) sub-slice of cells, so appending to a row can never
+// write into its neighbour.
+type rowBuilder struct {
+	p     *Plan
+	cells []any
+	rows  [][]any
+}
+
+func newRowBuilder(p *Plan, n int) *rowBuilder {
+	return &rowBuilder{p: p, cells: make([]any, 0, n*len(p.Cols)), rows: make([][]any, 0, n)}
+}
+
+// add appends one group's row: the boxed key cells for the plan's key
+// columns, the finalized aggregates for the rest.
+func (b *rowBuilder) add(bucket, meter, zone any, st *query.Fold) {
+	for _, col := range b.p.Cols {
+		switch {
+		case !col.IsKey:
+			b.cells = append(b.cells, foldValue(st, col.Agg))
+		case b.p.Keys[col.Key].Kind == KeyBucket:
+			b.cells = append(b.cells, bucket)
+		case b.p.Keys[col.Key].Kind == KeyMeter:
+			b.cells = append(b.cells, meter)
+		default:
+			b.cells = append(b.cells, zone)
+		}
+	}
+	b.seal()
+}
+
+// seal closes the cells appended since the last row into a row.
+func (b *rowBuilder) seal() {
+	at, end := len(b.rows)*len(b.p.Cols), len(b.cells)
+	b.rows = append(b.rows, b.cells[at:end:end])
 }
 
 // scanConfig is the immutable per-query scan setup shared by every chunk
@@ -409,9 +555,9 @@ func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCo
 // scanChunk scans one contiguous run of meters on the calling goroutine.
 // Exactly one of partials and sink is non-nil: parallel chunks fill each
 // meter's partial aggregates into partials (aligned with ids, as is vers,
-// which receives the per-meter snapshot versions) for the caller to merge
-// in ascending meter order; a sequential scan passes sink instead and each
-// meter merges as soon as it finishes, skipping the partial copies.
+// which receives the per-meter snapshot versions) as private copies the
+// caller hands to the sink in ids order; a sequential scan passes sink
+// instead and each meter merges as soon as it finishes.
 // Scratch (the decode batch and the dense bucket array) is shared across
 // the chunk's meters; group state is not — see ExecuteResolved on why
 // partials stay per meter. Returns the chunk's in-window sample count.
@@ -452,7 +598,7 @@ func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64,
 		}
 		samples += mp.n
 		if sink != nil {
-			sink.add(&mp)
+			sink.add(&mp, false)
 		} else {
 			partials[i] = mp
 			partials[i].dense = append([]query.Fold(nil), mp.dense...)
@@ -553,69 +699,6 @@ func (sc *scanConfig) foldMap(ctx context.Context, it *store.SeriesIter, batch *
 func newFold() *query.Fold {
 	f := query.EmptyFold()
 	return &f
-}
-
-// buildRows materializes, orders, and limits the output rows. An
-// ungrouped aggregate always yields exactly one row (SQL semantics): over
-// an empty selection count is 0 and the value-folding aggregates are null.
-func (p *Plan) buildRows(groups map[groupKey]*query.Fold) [][]any {
-	if len(p.Keys) == 0 && len(groups) == 0 {
-		groups = map[groupKey]*query.Fold{{}: newFold()}
-	}
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	// Default ordering: the group-key tuple ascending, so unordered queries
-	// are still deterministic.
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.bucket != b.bucket {
-			return a.bucket < b.bucket
-		}
-		if a.meter != b.meter {
-			return a.meter < b.meter
-		}
-		return a.zone < b.zone
-	})
-	rows := make([][]any, len(keys))
-	for r, k := range keys {
-		st := groups[k]
-		row := make([]any, len(p.Cols))
-		for c, col := range p.Cols {
-			if col.IsKey {
-				switch p.Keys[col.Key].Kind {
-				case KeyBucket:
-					row[c] = k.bucket
-				case KeyMeter:
-					row[c] = k.meter
-				default:
-					row[c] = string(k.zone)
-				}
-			} else {
-				row[c] = foldValue(st, col.Agg)
-			}
-		}
-		rows[r] = row
-	}
-	if len(p.Order) > 0 {
-		sort.SliceStable(rows, func(i, j int) bool {
-			for _, o := range p.Order {
-				c := cmpVal(rows[i][o.col], rows[j][o.col])
-				if c != 0 {
-					if o.desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-	}
-	if p.Limit >= 0 && len(rows) > p.Limit {
-		rows = rows[:p.Limit]
-	}
-	return rows
 }
 
 // cmpVal orders two homogeneous cell values (int64, float64, string, or

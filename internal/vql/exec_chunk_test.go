@@ -30,7 +30,8 @@ func TestFanOutChunkGrid(t *testing.T) {
 	for i := range ids {
 		id := int64(i + 1)
 		ids[i] = id
-		if err := st.PutMeter(store.Meter{ID: id, Location: geo.Point{Lon: 10, Lat: 55}, Zone: store.ZoneResidential}); err != nil {
+		zone := []store.ZoneType{store.ZoneResidential, store.ZoneCommercial, store.ZoneIndustrial}[i%3]
+		if err := st.PutMeter(store.Meter{ID: id, Location: geo.Point{Lon: 10, Lat: 55}, Zone: zone}); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < perMeter; s++ {
@@ -90,5 +91,40 @@ func TestFanOutChunkGrid(t *testing.T) {
 	}
 	if fanned == 0 {
 		t.Fatal("no grid point fanned out; the fixture is too small to test the split")
+	}
+
+	// Grouping by meter or zone keeps one slab of states per base key: a
+	// fanned-out scan hands the sink each meter's private partial to keep,
+	// the sequential scan has it copy the states out of the chunk's
+	// scratch. Both must give the scalar oracle's rows in the oracle's
+	// order at every worker count — also when the meter set arrives
+	// descending and names a meter twice, which no planner would send but
+	// the exported ExecuteResolved accepts.
+	shuffled := make([]int64, 0, maxMeters+1)
+	for i := maxMeters - 1; i >= 0; i-- {
+		shuffled = append(shuffled, ids[i])
+	}
+	shuffled = append(shuffled, ids[maxMeters/2])
+	for _, src := range []string{
+		`select meter, bucket(weekly), sum(value), count(*) from meters group by meter, bucket(weekly)`,
+		`select bucket(weekly), zone, sum(value), count(*) from meters group by bucket(weekly), zone`,
+		`select meter, zone, sum(value) from meters group by meter, zone limit 7`,
+	} {
+		p := compilePlan(t, src)
+		for _, sel := range [][]int64{ids, shuffled} {
+			want, err := ExecuteResolvedScalar(ctx, engines[1], p, sel, from, to, ok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 1; w <= maxWorkers; w++ {
+				got, err := ExecuteResolved(ctx, engines[w], p, sel, from, to, ok)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", src, w, err)
+				}
+				if !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s workers=%d first id %d: rows differ from the scalar oracle's", src, w, sel[0])
+				}
+			}
+		}
 	}
 }

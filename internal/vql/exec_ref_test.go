@@ -3,6 +3,7 @@ package vql
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"vap/internal/exec"
@@ -24,7 +25,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 	cat := eng.Store().Catalog()
 	res.Plan = "VQL plan (scalar reference executor)\n"
 	if len(ids) == 0 || !windowOK {
-		res.Rows = p.buildRows(nil)
+		res.Rows = buildRowsRef(p, nil)
 		return res, nil
 	}
 	res.Window = [2]int64{from, to}
@@ -110,8 +111,70 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		}
 	}
 
-	res.Rows = p.buildRows(groups)
+	res.Rows = buildRowsRef(p, groups)
 	return res, nil
+}
+
+// buildRowsRef is the oracle's row assembly, the one ExecuteResolved used
+// before it emitted rows from its slabs: every group through one map, the
+// keys sorted into the default (bucket, meter, zone) order, one allocation
+// per row, then ORDER BY and LIMIT.
+func buildRowsRef(p *Plan, groups map[groupKey]*query.Fold) [][]any {
+	if len(p.Keys) == 0 && len(groups) == 0 {
+		groups = map[groupKey]*query.Fold{{}: newFold()}
+	}
+	keys := make([]groupKey, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.bucket != b.bucket {
+			return a.bucket < b.bucket
+		}
+		if a.meter != b.meter {
+			return a.meter < b.meter
+		}
+		return a.zone < b.zone
+	})
+	rows := make([][]any, len(keys))
+	for r, k := range keys {
+		st := groups[k]
+		row := make([]any, len(p.Cols))
+		for c, col := range p.Cols {
+			if col.IsKey {
+				switch p.Keys[col.Key].Kind {
+				case KeyBucket:
+					row[c] = k.bucket
+				case KeyMeter:
+					row[c] = k.meter
+				default:
+					row[c] = string(k.zone)
+				}
+			} else {
+				row[c] = foldValue(st, col.Agg)
+			}
+		}
+		rows[r] = row
+	}
+	if len(p.Order) > 0 {
+		sort.SliceStable(rows, func(i, j int) bool {
+			for _, o := range p.Order {
+				c := cmpVal(rows[i][o.col], rows[j][o.col])
+				if c != 0 {
+					if o.desc {
+						return c > 0
+					}
+					return c < 0
+				}
+			}
+			return false
+		})
+	}
+	if p.Limit >= 0 && len(rows) > p.Limit {
+		rows = rows[:p.Limit]
+	}
+	return rows
 }
 
 // foldSample folds one sample into f: the per-sample order Fold.FoldVals

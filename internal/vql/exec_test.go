@@ -291,10 +291,29 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 			maxTS = ts
 		}
 	}
+	// Sparse meters, so the per-meter slabs cover different bucket ranges:
+	// 7 reports only at the start of the extent, 8 only at its end (their
+	// touched ranges are disjoint), and 9 is registered but never reported —
+	// in every window a meter with no sample.
+	for _, m := range []struct{ id, at, n int64 }{{7, base, 40}, {8, maxTS - 40*3600, 40}, {9, 0, 0}} {
+		if err := st.PutMeter(store.Meter{ID: m.id, Location: geo.Point{Lon: 10.5, Lat: 55.5}, Zone: zones[m.id%3]}); err != nil {
+			t.Fatal(err)
+		}
+		for s := int64(0); s < m.n; s++ {
+			if err := st.Append(m.id, store.Sample{TS: m.at + s*3500, Value: float64(m.id) + 0.1*float64(s)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	eng := query.NewEngineWorkers(st, 4)
 
 	queries := []string{
 		`select count(*), count(value), sum(value) from meters`,
+		`select bucket(daily), zone, sum(value), count(*) from meters group by bucket(daily), zone`,
+		`select meter, bucket(hourly), sum(value) from meters group by meter, bucket(hourly) limit 5`,
+		`select meter, bucket(hourly), sum(value) from meters group by meter, bucket(hourly) order by 3 desc, meter limit 5`,
+		`select zone, bucket(weekly), max(value) from meters group by zone, bucket(weekly) limit 5`,
+		`select count(*) from meters limit 0`,
 		`select bucket(hourly), sum(value), count(*) from meters group by bucket(hourly)`,
 		`select bucket(daily), avg(value), min(value), max(value) from meters group by bucket(daily)`,
 		`select meter, bucket(daily), sum(value) from meters group by meter, bucket(daily)`,
@@ -322,25 +341,38 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 				p.HasFrom, p.From = true, win[0]
 				p.HasTo, p.To = true, win[1]
 			}
-			ids, err := ResolveScanMeters(eng, p)
+			asc, err := ResolveScanMeters(eng, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			from, to, ok := p.ResolveWindow(eng.Store())
 
-			vec, err := ExecuteResolved(context.Background(), eng, p, ids, from, to, ok)
-			if err != nil {
-				t.Fatalf("%s win=%v: vectorized: %v", src, win, err)
+			// ExecuteResolved is exported: the meter set may arrive in any
+			// order and name a meter twice (it is then scanned twice, by both
+			// executors). No sort repairs the row order afterwards, so the
+			// rows are compared in order, as DeepEqual does.
+			desc := make([]int64, 0, len(asc)+1)
+			for i := len(asc) - 1; i >= 0; i-- {
+				desc = append(desc, asc[i])
 			}
-			ref, err := ExecuteResolvedScalar(context.Background(), eng, p, ids, from, to, ok)
-			if err != nil {
-				t.Fatalf("%s win=%v: scalar: %v", src, win, err)
+			if len(asc) > 0 {
+				desc = append(desc, asc[len(asc)/2])
 			}
-			// The Plan rendering legitimately differs; everything else must
-			// agree bit-for-bit.
-			vec.Plan, ref.Plan = "", ""
-			if !reflect.DeepEqual(vec, ref) {
-				t.Errorf("%s win=%v: executors diverge:\nvec: %+v\nref: %+v", src, win, vec, ref)
+			for _, ids := range [][]int64{asc, desc} {
+				vec, err := ExecuteResolved(context.Background(), eng, p, ids, from, to, ok)
+				if err != nil {
+					t.Fatalf("%s win=%v: vectorized: %v", src, win, err)
+				}
+				ref, err := ExecuteResolvedScalar(context.Background(), eng, p, ids, from, to, ok)
+				if err != nil {
+					t.Fatalf("%s win=%v: scalar: %v", src, win, err)
+				}
+				// The Plan rendering legitimately differs; everything else
+				// must agree bit-for-bit.
+				vec.Plan, ref.Plan = "", ""
+				if !reflect.DeepEqual(vec, ref) {
+					t.Errorf("%s win=%v ids=%v: executors diverge:\nvec: %+v\nref: %+v", src, win, ids, vec, ref)
+				}
 			}
 		}
 	}

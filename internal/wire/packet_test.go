@@ -192,15 +192,23 @@ func TestRenderCellMatchesJSON(t *testing.T) {
 		{"residential", "residential"},
 	}
 	for _, c := range cases {
-		got, isNull, err := renderCell(c.cell)
-		if err != nil || isNull || got != c.want {
-			t.Errorf("renderCell(%v) = %q null=%v err=%v, want %q", c.cell, got, isNull, err, c.want)
+		b, err := appendCell(nil, c.cell)
+		if err != nil {
+			t.Errorf("appendCell(%v): %v", c.cell, err)
+			continue
+		}
+		if got, rest, err := readLenencString(b); err != nil || len(rest) != 0 || got != c.want {
+			t.Errorf("appendCell(%v) = %x (text %q, %d bytes over, err %v), want %q", c.cell, b, got, len(rest), err, c.want)
 		}
 	}
-	if _, isNull, _ := renderCell(nil); !isNull {
-		t.Errorf("nil cell not NULL")
+	// Cells append after what the row already holds and leave it alone.
+	if b, _ := appendCell([]byte{nullCell}, int64(-7)); !bytes.Equal(b, []byte{nullCell, 2, '-', '7'}) {
+		t.Errorf("appendCell onto a row = %x", b)
 	}
-	if _, _, err := renderCell(struct{}{}); err == nil {
+	if b, _ := appendCell(nil, nil); !bytes.Equal(b, []byte{nullCell}) {
+		t.Errorf("nil cell = %x, want the NULL marker", b)
+	}
+	if _, err := appendCell(nil, struct{}{}); err == nil {
 		t.Errorf("unsupported cell type accepted")
 	}
 }

@@ -61,45 +61,37 @@ func buildColumnDef(name string, t vql.ColType) []byte {
 	return b
 }
 
-// renderCell renders one typed result cell as its text-protocol string.
-// The encodings match what the JSON codec emits for the same cell, so a
-// wire client and an HTTP client see identical values.
-func renderCell(cell any) (string, bool, error) {
+// appendCell appends one typed result cell in its text-protocol encoding:
+// the NULL marker, or the value's text as a length-encoded string. The
+// texts match what the JSON codec emits for the same cell, so a wire
+// client and an HTTP client see identical values.
+func appendCell(b []byte, cell any) ([]byte, error) {
 	switch v := cell.(type) {
 	case nil:
-		return "", true, nil
+		return append(b, nullCell), nil
 	case int64:
-		return strconv.FormatInt(v, 10), false, nil
+		return patchLen(strconv.AppendInt(append(b, 0), v, 10), len(b)), nil
 	case float64:
-		return strconv.FormatFloat(v, 'g', -1, 64), false, nil
+		return patchLen(strconv.AppendFloat(append(b, 0), v, 'g', -1, 64), len(b)), nil
 	case string:
-		return v, false, nil
+		return appendLenencString(b, v), nil
 	default:
-		return "", false, fmt.Errorf("wire: unsupported cell type %T", cell)
+		return b, fmt.Errorf("wire: unsupported cell type %T", cell)
 	}
 }
 
-// buildRow builds a text-protocol row payload from typed cells.
-func buildRow(row []any) ([]byte, error) {
-	var b []byte
-	for _, cell := range row {
-		s, isNull, err := renderCell(cell)
-		if err != nil {
-			return nil, err
-		}
-		if isNull {
-			b = append(b, nullCell)
-			continue
-		}
-		b = appendLenencString(b, s)
-	}
-	return b, nil
+// patchLen fills in the length byte reserved at b[at] for the number text
+// appended after it: a formatted int64 or float64 is at most 24 bytes, so
+// its length-encoded prefix is always the one byte.
+func patchLen(b []byte, at int) []byte {
+	b[at] = byte(len(b) - at - 1)
+	return b
 }
 
 // writeResultSet writes a complete classic-protocol text result set:
 // column count, column definitions, EOF, rows, EOF. seq is the first
-// sequence id to use; the last sequence id used is returned so callers
-// continue numbering correctly.
+// sequence id to use (ids wrap at 256, as the protocol says); the last
+// sequence id used is returned so callers continue numbering correctly.
 func writeResultSet(w pktWriter, seq uint8, cols []string, types []vql.ColType, rows [][]any) (uint8, error) {
 	if err := w.writePacket(seq, appendLenencInt(nil, uint64(len(cols)))); err != nil {
 		return seq, err
@@ -118,10 +110,14 @@ func writeResultSet(w pktWriter, seq uint8, cols []string, types []vql.ColType, 
 	if err := w.writePacket(seq, buildEOF()); err != nil {
 		return seq, err
 	}
+	var payload []byte // one buffer for every row: writePacket copies it out
 	for _, row := range rows {
-		payload, err := buildRow(row)
-		if err != nil {
-			return seq, err
+		payload = payload[:0]
+		for _, cell := range row {
+			var err error
+			if payload, err = appendCell(payload, cell); err != nil {
+				return seq, err
+			}
 		}
 		seq++
 		if err := w.writePacket(seq, payload); err != nil {
@@ -137,7 +133,7 @@ func writeResultSet(w pktWriter, seq uint8, cols []string, types []vql.ColType, 
 
 // pktWriter is the minimal packet sink writeResultSet needs — the
 // server's per-connection locked writer implements it, and tests can
-// substitute an in-memory recorder.
+// substitute an in-memory recorder. writePacket must not keep payload.
 type pktWriter interface {
 	writePacket(seq uint8, payload []byte) error
 }

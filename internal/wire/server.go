@@ -34,7 +34,8 @@ type Config struct {
 	// HTTP codec's handler timeout (0 = no bound). Sessions may tighten
 	// it with SET vap_deadline.
 	QueryTimeout time.Duration
-	// IdleTimeout closes connections idle between commands
+	// IdleTimeout closes connections idle between commands, and ones
+	// whose client accepts no byte of a response for as long
 	// (default 5m).
 	IdleTimeout time.Duration
 	// AuthTimeout bounds the handshake exchange (default 10s).
@@ -175,7 +176,7 @@ func (s *Server) serveConn(nc net.Conn, release func()) {
 		srv: s,
 		nc:  nc,
 		br:  bufio.NewReader(nc),
-		bw:  bufio.NewWriter(nc),
+		bw:  bufio.NewWriterSize(stallWriter{nc: nc, timeout: s.cfg.IdleTimeout}, writeBufBytes),
 		id:  s.nextID.Add(1),
 	}
 	if !s.track(c) {
@@ -185,6 +186,27 @@ func (s *Server) serveConn(nc net.Conn, release func()) {
 	if err := c.run(); err != nil && !errors.Is(err, net.ErrClosed) {
 		s.logf("wire: conn %d: %v", c.id, err)
 	}
+}
+
+// writeBufBytes sizes a connection's write buffer: a 40 000-row result set
+// leaves in some twenty socket writes, where bufio's 4 KB default made
+// hundreds.
+const writeBufBytes = 64 << 10
+
+// stallWriter is the socket end of a connection's write buffer. It arms the
+// write deadline where bytes actually leave — once per flushed buffer, not
+// per packet — so a client that stops reading a result set is dropped after
+// IdleTimeout without progress, the bound the read side already applies
+// between commands, instead of holding its connection slot, its goroutine
+// and the rows until the process exits.
+type stallWriter struct {
+	nc      net.Conn
+	timeout time.Duration
+}
+
+func (w stallWriter) Write(p []byte) (int, error) {
+	w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
+	return w.nc.Write(p)
 }
 
 // Shutdown drains the server: stops accepting, sends idle connections a

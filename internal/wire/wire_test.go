@@ -1,15 +1,18 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"database/sql"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +24,7 @@ import (
 	"vap/internal/geo"
 	"vap/internal/govern"
 	"vap/internal/store"
+	"vap/internal/vql"
 )
 
 // testBase is 2017-06-01 00:00:00 UTC, matching the API test dataset so
@@ -70,7 +74,38 @@ type testStack struct {
 
 func newStack(t testing.TB, govCfg govern.Config, users Users) *testStack {
 	t.Helper()
-	st := newTestStore(t)
+	return newStackOn(t, newTestStore(t), govCfg, users)
+}
+
+// newExportStore builds a store whose `meter, bucket(hourly)` result is
+// meters x hours rows — big enough to wrap the packet sequence id or to
+// overflow a socket buffer, which the four-meter store's 192 rows are not.
+func newExportStore(t testing.TB, meters, hours int) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for id := int64(1); id <= int64(meters); id++ {
+		if err := st.PutMeter(store.Meter{ID: id, Location: geo.Point{Lon: 10.1, Lat: 55.6}, Zone: store.ZoneResidential}); err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < hours; h++ {
+			if err := st.Append(id, store.Sample{TS: testBase + int64(h)*3600, Value: float64(id) + float64(h)/7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return st
+}
+
+// exportQuery returns one row per (meter, hour) of the store.
+const exportQuery = "SELECT meter, bucket(hourly), sum(value) FROM meters GROUP BY meter, bucket(hourly)"
+
+// newStackOn is newStack over a given store.
+func newStackOn(t testing.TB, st *store.Store, govCfg govern.Config, users Users) *testStack {
+	t.Helper()
 	gov := govern.New(govCfg)
 	an := core.NewAnalyzerOpts(st, core.Options{Gov: gov})
 	apiSrv := api.NewServerWith(an, nil, api.Config{})
@@ -477,6 +512,142 @@ func TestWireMaxConns(t *testing.T) {
 		t.Fatalf("connection after release refused: %v", err)
 	}
 	raw3.(*clientConn).Close()
+}
+
+// smallSendBufListener gives every accepted connection a 4 KB send buffer,
+// so how much of a response the kernel absorbs for a client that is not
+// reading does not depend on the host's TCP autotuning limits.
+type smallSendBufListener struct{ net.Listener }
+
+func (l smallSendBufListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err == nil {
+		err = nc.(*net.TCPConn).SetWriteBuffer(4096)
+	}
+	return nc, err
+}
+
+// TestWireStalledReaderDropped: a client that sends a statement and then
+// stops reading must not hold its connection slot for ever. The result set
+// is far larger than the socket buffers, so the server's write blocks; the
+// write deadline (IdleTimeout without progress) drops the connection, the
+// slot frees, and the connection's goroutine ends.
+func TestWireStalledReaderDropped(t *testing.T) {
+	s := newStackOn(t, newExportStore(t, 40, 500), govern.Config{MaxConns: 1}, nil)
+	ws, err := NewServer(Config{Core: s.core, QueryTimeout: 30 * time.Second, IdleTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ws.Serve(smallSendBufListener{ln})
+	shutdown := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		return ws.Shutdown(ctx)
+	}
+	t.Cleanup(func() { _ = shutdown() })
+	addr := ln.Addr().String()
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	cc := &clientConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+	if err := cc.handshake("vap", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.send(0, append([]byte{comQuery}, exportQuery...)); err != nil {
+		t.Fatal(err)
+	}
+	// ... and never read the 20 000 rows.
+	waitFor(t, time.Second, func() bool { return s.gov.Snapshot().OpenConns == 1 })
+	waitFor(t, 5*time.Second, func() bool { return s.gov.Snapshot().OpenConns == 0 })
+
+	raw, err := vapDriver{}.Open("vap:@" + addr)
+	if err != nil {
+		t.Fatalf("connection after the stalled one was dropped refused: %v", err)
+	}
+	raw.(*clientConn).Close()
+	// Shutdown waits for every connection goroutine: it returns at once
+	// only if the dropped connection's has ended.
+	if err := shutdown(); err != nil {
+		t.Fatalf("a connection goroutine outlived its connection: %v", err)
+	}
+}
+
+// TestResultSetSequenceWraps: the packet sequence id is one byte, and a
+// result set of more than 250 rows wraps it — 157 times for the 40 320-row
+// export. Every packet's id is its predecessor's plus one modulo 256, and a
+// database/sql client reads every row of a wrapped set from a real listener.
+func TestResultSetSequenceWraps(t *testing.T) {
+	const nRows = 600
+	rows := make([][]any, nRows)
+	for i := range rows {
+		rows[i] = []any{int64(i), float64(i) / 3, nil}
+	}
+	w := &recWriter{}
+	last, err := writeResultSet(w, 1, []string{"i", "x", "n"}, []vql.ColType{vql.TypeInt64, vql.TypeFloat64, vql.TypeFloat64}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(&w.buf)
+	packets := 0
+	for want := uint8(1); ; want++ {
+		payload, seq, err := readPacket(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != want {
+			t.Fatalf("packet %d has sequence id %d, want %d", packets, seq, want)
+		}
+		// Packets 5..604 are the rows (after the count, 3 definitions, EOF).
+		if i := packets - 5; i >= 0 && i < nRows {
+			cells, err := parseTextRow(payload, 3)
+			if err != nil {
+				t.Fatalf("row %d: %v", i, err)
+			}
+			if cells[0] != strconv.Itoa(i) || cells[1] != strconv.FormatFloat(float64(i)/3, 'g', -1, 64) || cells[2] != nil {
+				t.Fatalf("row %d = %v", i, cells)
+			}
+		}
+		packets++
+	}
+	if want := 1 + 3 + 1 + nRows + 1; packets != want || last != uint8(want) {
+		t.Errorf("%d packets, last sequence id %d; want %d packets ending on id %d", packets, last, want, uint8(want))
+	}
+
+	s := newStackOn(t, newExportStore(t, 3, nRows/3), govern.Config{}, nil)
+	got, err := s.open(t, "vap:@"+s.addr+"/vap").Query(exportQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	n := 0
+	for ; got.Next(); n++ {
+		var meter, bucket int64
+		var sum float64
+		if err := got.Scan(&meter, &bucket, &sum); err != nil {
+			t.Fatal(err)
+		}
+		// Bucket-major order: all three meters of an hour, then the next hour.
+		h := n / 3
+		if wantMeter := int64(n%3 + 1); meter != wantMeter || bucket != testBase+int64(h)*3600 || sum != float64(wantMeter)+float64(h)/7 {
+			t.Fatalf("row %d = (%d, %d, %v)", n, meter, bucket, sum)
+		}
+	}
+	if err := got.Err(); err != nil || n != nRows {
+		t.Fatalf("read %d rows (err %v), want %d", n, err, nRows)
+	}
 }
 
 // TestWireShutdown drains the server under load: an idle connection
