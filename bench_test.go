@@ -679,14 +679,7 @@ func BenchmarkConcurrentAppendQuery(b *testing.B) {
 						defer wg.Done()
 						for i := 0; i < burst; i++ {
 							id := int64((r*burst+i)%meters) + 1
-							it, err := st.Iter(id, 0, preload*60)
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							for it.Next() {
-							}
-							if err := it.Err(); err != nil {
+							if _, err := st.Range(id, 0, preload*60); err != nil {
 								b.Error(err)
 								return
 							}

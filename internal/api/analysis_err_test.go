@@ -39,6 +39,7 @@ func TestWriteAnalysisErrTaxonomy(t *testing.T) {
 	}{
 		{"same bucket", fmt.Errorf("core: T1 and T2 fall in the same daily bucket: %w", core.ErrSameBucket), 400},
 		{"no meters", fmt.Errorf("resolve: %w", query.ErrNoMeters), 400},
+		{"window too wide", fmt.Errorf("%w: [0, 4000000000) spans more than 1048576 hourly buckets", query.ErrWindowTooWide), 400},
 		{"kde input", kde.ErrInput, 400},
 		{"flow input", flow.ErrInput, 400},
 		{"reduce input", fmt.Errorf("%w: unknown method %q", reduce.ErrInput, "umap"), 400},
@@ -79,6 +80,7 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 		"reduce":   "/api/reduce?method=mds",
 		"patterns": "/api/patterns?method=mds",
 		"scatter":  "/view/scatter.svg?method=mds",
+		"series":   "/view/series.svg?granularity=daily",
 	}
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelExpired()
@@ -109,7 +111,11 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 			cases = append(cases,
 				probe{"unknown method", mux, context.Background(), strings.Replace(p, "method=mds", "method=umap", 1), 400},
 				probe{"one point", mux, context.Background(), p + "&ids=1", 400},
-				probe{"bad selection", mux, context.Background(), p + "&bbox=1,2,3", 400})
+				probe{"bad selection", mux, context.Background(), p + "&bbox=1,2,3", 400},
+				probe{"window too wide", mux, context.Background(), p + "&granularity=hourly&from=1&to=4000000000", 400})
+		case "series":
+			wide := strings.Replace(p, "granularity=daily", "granularity=hourly&from=1&to=4000000000", 1)
+			cases = append(cases, probe{"window too wide", mux, context.Background(), wide, 400})
 		}
 		for _, tc := range cases {
 			rec := httptest.NewRecorder()

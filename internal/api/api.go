@@ -108,15 +108,16 @@ func writeGovErr(w http.ResponseWriter, err error) bool {
 	return false
 }
 
-// writeAnalysisErr answers a failed typical-pattern, flow-map or density
-// computation. What the request itself got wrong — both anchors in one
-// bucket, a selection matching no meters, nothing to estimate or too
-// little to reduce, an unknown method or metric — is a 400. Everything
+// writeAnalysisErr answers a failed typical-pattern, flow-map, density or
+// aggregated-series computation. What the request itself got wrong — both
+// anchors in one bucket, a selection matching no meters, a window of more
+// than 2^20 buckets, nothing to estimate or too little to reduce, an
+// unknown method or metric — is a 400. Everything
 // else goes through the statement taxonomy: an expired or cancelled
 // context is a 504, any other fault a 500, a worker panic's stack being
 // logged here, once.
 func writeAnalysisErr(w http.ResponseWriter, err error) {
-	for _, bad := range []error{core.ErrSameBucket, query.ErrNoMeters, kde.ErrInput, flow.ErrInput, reduce.ErrInput} {
+	for _, bad := range []error{core.ErrSameBucket, query.ErrNoMeters, query.ErrWindowTooWide, kde.ErrInput, flow.ErrInput, reduce.ErrInput} {
 		if errors.Is(err, bad) {
 			writeErr(w, http.StatusBadRequest, err)
 			return

@@ -92,9 +92,11 @@ func (s *Server) handleSeriesSVG(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	buckets, err := s.an.Engine().AggregateSelection(sel, g, query.AggMean)
+	ctx, cancel := s.handlerCtx(r)
+	defer cancel()
+	buckets, err := s.an.Engine().AggregateSelection(ctx, sel, g, query.AggMean)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeAnalysisErr(w, err)
 		return
 	}
 	tsv := &viz.TimeSeriesView{

@@ -154,10 +154,6 @@ type TypicalView struct {
 	gran     query.Granularity
 }
 
-// Rows returns the feature matrix backing the view (row i belongs to
-// MeterIDs[i]).
-func (v *TypicalView) Rows() [][]float64 { return v.rows }
-
 // TypicalPatterns runs the pipeline: select meters, build the feature
 // matrix, reduce to 2-D. Results are memoized against the selection's
 // version fingerprint — the hash of the per-meter versions of exactly the

@@ -51,7 +51,7 @@ func TestDailyProfileViewSkipsMatrix(t *testing.T) {
 		if !reflect.DeepEqual(view.Points, points) {
 			t.Errorf("selection %+v: points differ from the profiles' reduction", sel)
 		}
-		if !reflect.DeepEqual(view.Rows(), rows) {
+		if !reflect.DeepEqual(view.rows, rows) {
 			t.Errorf("selection %+v: rows differ from the daily profiles", sel)
 		}
 	}

@@ -159,9 +159,9 @@ func TestMapErrorDetails(t *testing.T) {
 }
 
 func TestSessionVariables(t *testing.T) {
-	s := NewSession("dash").WithUser("alice")
-	if s.Tenant() != "dash" || s.User() != "alice" {
-		t.Fatalf("identity = %q/%q", s.Tenant(), s.User())
+	s := NewSession("dash")
+	if s.Tenant() != "dash" {
+		t.Fatalf("tenant = %q", s.Tenant())
 	}
 	if err := s.Set("deadline", "250ms"); err != nil {
 		t.Fatalf("set deadline: %v", err)

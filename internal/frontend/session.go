@@ -22,7 +22,6 @@ const DatabaseName = "vap"
 // session while its command loop executes.
 type Session struct {
 	tenant string
-	user   string
 
 	mu       sync.Mutex
 	deadline time.Duration
@@ -35,19 +34,8 @@ func NewSession(tenant string) *Session {
 	return &Session{tenant: tenant}
 }
 
-// WithUser records the authenticated username (wire transport); the
-// tenant, not the username, is the governance identity.
-func (s *Session) WithUser(user string) *Session {
-	s.user = user
-	return s
-}
-
 // Tenant returns the session's governance identity.
 func (s *Session) Tenant() string { return s.tenant }
-
-// User returns the authenticated username ("" for transports without
-// user auth).
-func (s *Session) User() string { return s.user }
 
 // UseDB switches the session's current database. VAP exposes exactly one
 // logical database, so anything but "vap" (or "") is an error and there is

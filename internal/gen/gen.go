@@ -348,13 +348,3 @@ func (d *Dataset) LoadInto(st *store.Store) error {
 	}
 	return nil
 }
-
-// CustomerByID returns the customer with the given meter ID.
-func (d *Dataset) CustomerByID(id int64) (Customer, bool) {
-	for _, c := range d.Customers {
-		if c.Meter.ID == id {
-			return c, true
-		}
-	}
-	return Customer{}, false
-}

@@ -270,13 +270,6 @@ func TestLabelsAndCustomerByID(t *testing.T) {
 	if len(labels) != len(ds.Customers) {
 		t.Fatal("labels length mismatch")
 	}
-	c, ok := ds.CustomerByID(ds.Customers[3].Meter.ID)
-	if !ok || c.Meter.ID != ds.Customers[3].Meter.ID {
-		t.Fatal("CustomerByID failed")
-	}
-	if _, ok := ds.CustomerByID(-1); ok {
-		t.Fatal("missing ID should fail")
-	}
 }
 
 func TestDefaultsApplied(t *testing.T) {

@@ -93,14 +93,6 @@ func (b BBox) Intersects(o BBox) bool {
 		b.Min.Lat <= o.Max.Lat && b.Max.Lat >= o.Min.Lat
 }
 
-// Extend returns the smallest box containing both b and p.
-func (b BBox) Extend(p Point) BBox {
-	return BBox{
-		Min: Point{Lon: math.Min(b.Min.Lon, p.Lon), Lat: math.Min(b.Min.Lat, p.Lat)},
-		Max: Point{Lon: math.Max(b.Max.Lon, p.Lon), Lat: math.Max(b.Max.Lat, p.Lat)},
-	}
-}
-
 // Union returns the smallest box containing both b and o.
 func (b BBox) Union(o BBox) BBox {
 	if b.IsEmpty() {
@@ -135,14 +127,6 @@ func (b BBox) Center() Point {
 	return Point{Lon: (b.Min.Lon + b.Max.Lon) / 2, Lat: (b.Min.Lat + b.Max.Lat) / 2}
 }
 
-// Margin returns the half-perimeter of the box, used by split heuristics.
-func (b BBox) Margin() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.Max.Lon - b.Min.Lon) + (b.Max.Lat - b.Min.Lat)
-}
-
 // Buffer returns the box grown by d degrees on every side.
 func (b BBox) Buffer(d float64) BBox {
 	return BBox{
@@ -164,14 +148,6 @@ func Mercator(p Point) (x, y float64) {
 	return x, y
 }
 
-// InverseMercator converts Web-Mercator world coordinates back to lon/lat.
-func InverseMercator(x, y float64) Point {
-	lon := x*360 - 180
-	n := math.Pi - 2*math.Pi*y
-	lat := 180 / math.Pi * math.Atan(0.5*(math.Exp(n)-math.Exp(-n)))
-	return Point{Lon: lon, Lat: lat}
-}
-
 // MetersPerDegreeLat is the approximate north-south extent of one degree of
 // latitude.
 const MetersPerDegreeLat = 111132.954
@@ -180,18 +156,4 @@ const MetersPerDegreeLat = 111132.954
 // at the given latitude.
 func MetersPerDegreeLon(lat float64) float64 {
 	return MetersPerDegreeLat * math.Cos(lat*math.Pi/180)
-}
-
-// Destination returns the point reached by moving from p the given distance
-// in meters along the given bearing in degrees (0 = north, 90 = east). It
-// uses a local flat-earth approximation, accurate at the city scales VAP
-// operates on.
-func Destination(p Point, distanceM, bearingDeg float64) Point {
-	rad := bearingDeg * math.Pi / 180
-	dNorth := distanceM * math.Cos(rad)
-	dEast := distanceM * math.Sin(rad)
-	return Point{
-		Lon: p.Lon + dEast/MetersPerDegreeLon(p.Lat),
-		Lat: p.Lat + dNorth/MetersPerDegreeLat,
-	}
 }

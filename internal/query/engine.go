@@ -47,6 +47,10 @@ type Selection struct {
 // ErrNoMeters is returned when a selection matches nothing.
 var ErrNoMeters = errors.New("query: selection matches no meters")
 
+// ErrWindowTooWide is wrapped by the error for a window that spans more
+// than maxWindowBuckets buckets: the request's fault, not the server's.
+var ErrWindowTooWide = errors.New("query: window too wide")
+
 // ResolveMeters returns the sorted meter IDs matching sel.
 func (e *Engine) ResolveMeters(sel Selection) ([]int64, error) {
 	cat := e.st.Catalog()
@@ -132,7 +136,7 @@ const maxWindowBuckets = 1 << 20
 func bucketAxis(g Granularity, from, to int64) ([]int64, error) {
 	bounds := BucketBounds(g, from, to, maxWindowBuckets)
 	if bounds == nil {
-		return nil, fmt.Errorf("query: window [%d, %d) spans more than %d %s buckets", from, to, maxWindowBuckets, g)
+		return nil, fmt.Errorf("%w: [%d, %d) spans more than %d %s buckets", ErrWindowTooWide, from, to, maxWindowBuckets, g)
 	}
 	return bounds, nil
 }
@@ -363,12 +367,11 @@ func (e *Engine) DemandSnapshotCtx(ctx context.Context, sel Selection, from, to 
 // AggregateSelection sums the aggregated series of every selected meter into
 // one combined series (View B's "aggregated consumption pattern for the
 // customers selected in view C").
-func (e *Engine) AggregateSelection(sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
-	ids, times, rows, err := e.MeterMatrix(sel, g, fn)
+func (e *Engine) AggregateSelection(ctx context.Context, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
+	_, times, rows, err := e.MeterMatrixCtx(ctx, sel, g, fn)
 	if err != nil {
 		return nil, err
 	}
-	_ = ids
 	out := make([]Bucket, len(times))
 	for i, t := range times {
 		out[i].Start = t

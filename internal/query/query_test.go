@@ -389,7 +389,7 @@ func TestAggregateSelection(t *testing.T) {
 	st := buildStore(t, 2)
 	defer st.Close()
 	eng := NewEngineWorkers(st, 0)
-	buckets, err := eng.AggregateSelection(Selection{MeterIDs: []int64{1, 2}}, GranDaily, AggMean)
+	buckets, err := eng.AggregateSelection(context.Background(), Selection{MeterIDs: []int64{1, 2}}, GranDaily, AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}

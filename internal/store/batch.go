@@ -51,6 +51,14 @@ func PutBatch(b *Batch) {
 // Len returns the number of samples currently in the batch.
 func (b *Batch) Len() int { return len(b.TS) }
 
+// appendTo appends the batch's samples to out, row-wise.
+func (b *Batch) appendTo(out []Sample) []Sample {
+	for i, ts := range b.TS {
+		out = append(out, Sample{TS: ts, Value: b.Val[i]})
+	}
+	return out
+}
+
 // Reset empties the batch, keeping its capacity.
 func (b *Batch) Reset() {
 	b.TS, b.Val = b.tsBuf[:0], b.valBuf[:0]
@@ -100,11 +108,11 @@ func read64(data []byte, pos uint64) uint64 {
 	return hi<<32 | lo
 }
 
-// blockReader decodes one Gorilla payload batch-at-a-time. It is the
-// vectorized counterpart of Iterator: same state machine, same error
-// behavior on corrupt input (a partial batch followed by ErrCorrupt), but
-// it dispatches on whole prefix-code words loaded 64 bits at a time
-// instead of per-bit reads, and emits into columnar arrays.
+// blockReader decodes one Gorilla payload batch-at-a-time: it dispatches
+// on whole prefix-code words loaded 64 bits at a time and emits into
+// columnar arrays. On corrupt input it yields a partial batch (the valid
+// prefix) followed by ErrCorrupt. The bit-at-a-time reference decoder it is
+// tested against lives in gorilla_ref_test.go.
 type blockReader struct {
 	data    []byte
 	pos     uint64 // bit position
@@ -262,7 +270,8 @@ func (d *blockReader) decodeInto(b *Batch) int {
 			s := (w<<7)>>58 + 1
 			if l+s > 64 {
 				// The encoder always satisfies lead+sig+trail == 64; a
-				// wider window is malformed input (see Iterator).
+				// wider window is malformed input, and the unsigned shift
+				// below would underflow into silent value corruption.
 				derr = ErrCorrupt
 				break
 			}
@@ -306,8 +315,6 @@ func (d *blockReader) decodeInto(b *Batch) int {
 // NextBatch fills b with the next run of in-window samples, decoding one
 // compressed block per call through the word-based batch decoder. It
 // returns false when the window is exhausted or on a decode error (Err).
-// A SeriesIter must be consumed through either Next or NextBatch, not a
-// mix: the two paths keep independent positions.
 func (it *SeriesIter) NextBatch(b *Batch) bool {
 	for {
 		b.Reset()
@@ -321,21 +328,21 @@ func (it *SeriesIter) NextBatch(b *Batch) bool {
 			}
 			seg := it.segs[0]
 			it.segs = it.segs[1:]
-			it.curB.reset(seg.payload, seg.count)
+			it.cur.reset(seg.payload, seg.count)
 			it.inBlock = true
 		}
-		it.curB.decodeInto(b)
-		if err := it.curB.err; err != nil {
+		it.cur.decodeInto(b)
+		if err := it.cur.err; err != nil {
 			it.err = err
 			// Surface the valid prefix (clamped) before reporting the
-			// error, matching Next's sample-at-a-time behavior.
+			// error.
 			it.inBlock = false
 			if b.clamp(it.from, it.to) {
 				it.done = true
 			}
 			return b.Len() > 0
 		}
-		if it.curB.done() {
+		if it.cur.done() {
 			it.inBlock = false
 		}
 		if b.clamp(it.from, it.to) {

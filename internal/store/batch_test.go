@@ -39,70 +39,116 @@ func randSeries(t *testing.T, rng *rand.Rand, n int) *Series {
 	return ser
 }
 
-// TestNextBatchMatchesNext is the batch/scalar parity property: over random
-// series and random windows, NextBatch must yield bit-for-bit the samples
-// Next yields.
+// drainBatches reads an iterator to its end through NextBatch, returning
+// what it yielded (the valid prefix on a decode error) and Err.
+func drainBatches(t *testing.T, it *SeriesIter) ([]Sample, error) {
+	t.Helper()
+	b := NewBatch()
+	var got []Sample
+	for it.NextBatch(b) {
+		if b.Len() == 0 {
+			t.Fatal("NextBatch returned true with an empty batch")
+		}
+		if b.Len() > BatchSize {
+			t.Fatalf("batch overflow: %d > %d", b.Len(), BatchSize)
+		}
+		got = b.appendTo(got)
+	}
+	return got, it.Err()
+}
+
+// sameSamples compares bit for bit: NaN payloads and -0.0 must survive.
+func sameSamples(t *testing.T, what string, got, want []Sample) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, reference decoder %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].TS != want[i].TS ||
+			math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			t.Fatalf("%s: sample %d = (%d, %#x), reference (%d, %#x)",
+				what, i, got[i].TS, math.Float64bits(got[i].Value),
+				want[i].TS, math.Float64bits(want[i].Value))
+		}
+	}
+}
+
+// TestNextBatchMatchesNext is the decoder parity property: over random
+// series and windows (empty, inside one block, across sealed chunks and
+// the head, clipped on both sides), NextBatch, Series.Range and Decode must
+// yield bit for bit the samples the reference decoder (gorilla_ref_test.go)
+// yields, and on a truncated payload the same valid prefix and ErrCorrupt.
 func TestNextBatchMatchesNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	check := func(ser *Series, from, to int64) {
+		t.Helper()
+		want, err := refRange(ser, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainBatches(t, ser.Iter(from, to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSamples(t, "NextBatch", got, want)
+		got, err = ser.Range(from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSamples(t, "Range", got, want)
+	}
 	for trial := 0; trial < 60; trial++ {
 		// Cross the seal boundary (720) regularly so multi-chunk series and
 		// the private head copy are both exercised.
 		n := 1 + rng.Intn(2200)
 		ser := randSeries(t, rng, n)
 		first, last, _ := ser.Bounds()
-		for w := 0; w < 6; w++ {
-			var from, to int64
-			switch w {
-			case 0:
-				from, to = minInt64, maxInt64 // full scan
-			case 1:
-				from, to = first, last+1
-			default:
-				span := last - first + 1
-				from = first + rng.Int63n(span+1) - span/4
-				to = from + rng.Int63n(span+1)
-			}
-			var want []Sample
-			sIt := ser.Iter(from, to)
-			for sIt.Next() {
-				want = append(want, sIt.Sample())
-			}
-			if err := sIt.Err(); err != nil {
-				t.Fatal(err)
-			}
-
-			bIt := ser.Iter(from, to)
-			b := NewBatch()
-			var got []Sample
-			for bIt.NextBatch(b) {
-				if b.Len() == 0 {
-					t.Fatal("NextBatch returned true with an empty batch")
-				}
-				if b.Len() > BatchSize {
-					t.Fatalf("batch overflow: %d > %d", b.Len(), BatchSize)
-				}
-				for i := range b.TS {
-					got = append(got, Sample{TS: b.TS[i], Value: b.Val[i]})
-				}
-			}
-			if err := bIt.Err(); err != nil {
-				t.Fatal(err)
-			}
-
-			if len(got) != len(want) {
-				t.Fatalf("n=%d window=[%d,%d): batch decoded %d samples, scalar %d",
-					n, from, to, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].TS != want[i].TS ||
-					math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
-					t.Fatalf("sample %d: batch (%d, %#x) != scalar (%d, %#x)",
-						i, got[i].TS, math.Float64bits(got[i].Value),
-						want[i].TS, math.Float64bits(want[i].Value))
-				}
-			}
+		span := last - first + 1
+		check(ser, minInt64, maxInt64) // full scan
+		check(ser, first, last+1)
+		check(ser, first+span/2, first+span/2) // empty
+		check(ser, last, first)                // inverted
+		check(ser, first+1, first+span/8)      // inside the first block
+		check(ser, first+span/8, last)         // clipped on both sides, sealed chunks + head
+		for w := 0; w < 4; w++ {
+			from := first + rng.Int63n(span+1) - span/4
+			check(ser, from, from+rng.Int63n(span+1))
 		}
+		// Every block on its own through Decode.
+		var all []Sample
+		for _, c := range seriesBlocks(ser) {
+			got, err := Decode(c.payload, c.count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, got...)
+		}
+		want, _ := refRange(ser, minInt64, maxInt64)
+		sameSamples(t, "Decode", all, want)
 	}
+
+	// A sealed chunk cut in half, between two intact ones.
+	ser := randSeries(t, rng, 3*chunkTargetSamples+10)
+	cut := *ser.sealed[1]
+	cut.payload = cut.payload[:len(cut.payload)/2]
+	ser.sealed[1] = &cut
+	want, err := refRange(ser, minInt64, maxInt64)
+	if err != ErrCorrupt || len(want) <= chunkTargetSamples || len(want) >= 2*chunkTargetSamples {
+		t.Fatalf("reference decoder: %d samples, err %v; want a prefix ending inside the second chunk and ErrCorrupt", len(want), err)
+	}
+	got, err := drainBatches(t, ser.Iter(minInt64, maxInt64))
+	if err != ErrCorrupt {
+		t.Fatalf("NextBatch err = %v, want ErrCorrupt", err)
+	}
+	sameSamples(t, "NextBatch on a truncated chunk", got, want)
+	if got, err := ser.Range(minInt64, maxInt64); err != ErrCorrupt || got != nil {
+		t.Fatalf("Range on a truncated chunk = %d samples, %v; want none and ErrCorrupt", len(got), err)
+	}
+	if got, err := Decode(cut.payload, cut.count); err != ErrCorrupt || got != nil {
+		t.Fatalf("Decode of a truncated chunk = %d samples, %v; want none and ErrCorrupt", len(got), err)
+	}
+	// A window that ends before the damage never decodes it.
+	check(ser, minInt64, ser.sealed[0].maxTS+1)
 }
 
 // TestNextBatchCorruptPayload: a corrupt sealed payload must surface the
@@ -161,8 +207,8 @@ func TestSeriesStats(t *testing.T) {
 	if st.CompressedBytes <= 0 || st.CompressedBytes != ser.CompressedBytes() {
 		t.Fatalf("CompressedBytes = %d", st.CompressedBytes)
 	}
-	if st.Version != ser.Version() {
-		t.Fatalf("Version = %d, want %d", st.Version, ser.Version())
+	if st.Version != ser.ver {
+		t.Fatalf("Version = %d, want %d", st.Version, ser.ver)
 	}
 }
 
@@ -197,8 +243,8 @@ func TestStoreSeriesStats(t *testing.T) {
 	}
 }
 
-// BenchmarkSeriesDecode pairs the scalar pushdown iterator against the
-// vectorized batch decoder over one multi-chunk series, reporting
+// BenchmarkSeriesDecode pairs the reference decoder (gorilla_ref_test.go)
+// against the shipping batch decoder over one multi-chunk series, reporting
 // samples/sec so BENCH_vql.json can track the decode kernel directly.
 func BenchmarkSeriesDecode(b *testing.B) {
 	ser := NewSeries(1)
@@ -216,13 +262,16 @@ func BenchmarkSeriesDecode(b *testing.B) {
 	b.Run("Scalar", func(b *testing.B) {
 		b.ReportAllocs()
 		var sum float64
+		blocks := seriesBlocks(ser)
 		for i := 0; i < b.N; i++ {
-			it := ser.Iter(minInt64, maxInt64)
-			for it.Next() {
-				sum += it.Sample().Value
-			}
-			if err := it.Err(); err != nil {
-				b.Fatal(err)
+			for _, c := range blocks {
+				it := NewIterator(c.payload, c.count)
+				for it.Next() {
+					sum += it.Sample().Value
+				}
+				if err := it.Err(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/sec")

@@ -6,11 +6,6 @@
 // write-ahead log plus snapshots.
 package store
 
-import "errors"
-
-// ErrEndOfStream signals a reader has consumed all bits.
-var ErrEndOfStream = errors.New("store: end of bit stream")
-
 // bitWriter writes bits MSB-first into a growing byte slice.
 type bitWriter struct {
 	data  []byte
@@ -52,49 +47,3 @@ func (w *bitWriter) writeBits(v uint64, nbits uint) {
 
 // bytes returns the encoded bytes. The final byte may contain padding zeros.
 func (w *bitWriter) bytes() []byte { return w.data }
-
-// bitReader reads bits MSB-first from a byte slice.
-type bitReader struct {
-	data []byte
-	pos  int  // byte index
-	bit  uint // bits already consumed in data[pos]
-}
-
-func newBitReader(data []byte) *bitReader { return &bitReader{data: data} }
-
-func (r *bitReader) readBit() (bool, error) {
-	if r.pos >= len(r.data) {
-		return false, ErrEndOfStream
-	}
-	b := r.data[r.pos]&(1<<(7-r.bit)) != 0
-	r.bit++
-	if r.bit == 8 {
-		r.bit = 0
-		r.pos++
-	}
-	return b, nil
-}
-
-func (r *bitReader) readBits(nbits uint) (uint64, error) {
-	var v uint64
-	for nbits > 0 {
-		if r.pos >= len(r.data) {
-			return 0, ErrEndOfStream
-		}
-		remain := 8 - r.bit
-		take := nbits
-		if take > remain {
-			take = remain
-		}
-		shift := remain - take
-		chunk := (r.data[r.pos] >> shift) & ((1 << take) - 1)
-		v = v<<take | uint64(chunk)
-		r.bit += take
-		if r.bit == 8 {
-			r.bit = 0
-			r.pos++
-		}
-		nbits -= take
-	}
-	return v, nil
-}

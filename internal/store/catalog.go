@@ -73,19 +73,6 @@ func (c *Catalog) Get(id int64) (Meter, bool) {
 	return m, ok
 }
 
-// Delete removes a meter; it returns false if absent.
-func (c *Catalog) Delete(id int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.meters[id]
-	if !ok {
-		return false
-	}
-	delete(c.meters, id)
-	c.tree.Delete(geo.PointBox(m.Location), id)
-	return true
-}
-
 // All returns every meter sorted by ID.
 func (c *Catalog) All() []Meter {
 	c.mu.RLock()
@@ -122,18 +109,4 @@ func (c *Catalog) Bounds() geo.BBox {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.tree.Bounds()
-}
-
-// ByZone returns the IDs of all meters in the given zone, sorted ascending.
-func (c *Catalog) ByZone(z ZoneType) []int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []int64
-	for id, m := range c.meters {
-		if m.Zone == z {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

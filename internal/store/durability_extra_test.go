@@ -18,7 +18,7 @@ func TestWALClosedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.AppendSample(1, Sample{TS: 1, Value: 1}, true)
+	c, err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestWALClosedErrors(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendSample(1, Sample{TS: 2, Value: 1}, true); !errors.Is(err, ErrWALClosed) {
+	if _, err := w.AppendSamples(1, []Sample{{TS: 2, Value: 1}}, true); !errors.Is(err, ErrWALClosed) {
 		t.Errorf("append after close = %v, want ErrWALClosed", err)
 	}
 	if err := w.Sync(); !errors.Is(err, ErrWALClosed) {
@@ -51,7 +51,7 @@ func TestWALStickyCommitError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.AppendSample(1, Sample{TS: 1, Value: 1}, false); err != nil {
+	if _, err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}, false); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk on fire")
@@ -60,7 +60,7 @@ func TestWALStickyCommitError(t *testing.T) {
 	w.mu.Unlock()
 	w.commit() // the pending batch must be failed, not silently dropped
 
-	if _, err := w.AppendSample(1, Sample{TS: 2, Value: 1}, true); !errors.Is(err, boom) {
+	if _, err := w.AppendSamples(1, []Sample{{TS: 2, Value: 1}}, true); !errors.Is(err, boom) {
 		t.Errorf("append after sticky failure = %v, want %v", err, boom)
 	}
 	if err := w.Sync(); !errors.Is(err, boom) {
@@ -80,7 +80,7 @@ func TestWALReplayCallbackErrors(t *testing.T) {
 	if _, err := w.AppendMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneMixed}, false); err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.AppendSample(1, Sample{TS: 1, Value: 1}, true)
+	c, err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,9 +200,7 @@ func TestStoreReadAccessors(t *testing.T) {
 	if it.Version() != v {
 		t.Errorf("iterator version %d != meter version %d", it.Version(), v)
 	}
-	for it.Next() {
-	}
-	if err := it.Err(); err != nil {
+	if _, err := drainBatches(t, it); err != nil {
 		t.Fatal(err)
 	}
 }

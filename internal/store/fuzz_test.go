@@ -91,36 +91,24 @@ func FuzzGorillaRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Batch-decode leg: the vectorized blockReader must reproduce the
-		// scalar decode bit-for-bit over the same payload.
+		// Differential leg: the reference decoder (gorilla_ref_test.go) must
+		// read the same samples out of the shipping encoder's payload.
 		{
-			var br blockReader
-			br.reset(payload, len(want))
-			batch := NewBatch()
+			ref := NewIterator(payload, len(want))
 			i := 0
-			for !br.done() {
-				batch.Reset()
-				if br.decodeInto(batch) == 0 {
-					break
-				}
-				for k := range batch.TS {
-					if i >= len(want) {
-						t.Fatalf("batch decode overran: %d samples, want %d", i+1, len(want))
-					}
-					if batch.TS[k] != want[i].TS ||
-						math.Float64bits(batch.Val[k]) != math.Float64bits(want[i].Value) {
-						t.Fatalf("batch sample %d = (%d, %#x), want (%d, %#x)",
-							i, batch.TS[k], math.Float64bits(batch.Val[k]),
-							want[i].TS, math.Float64bits(want[i].Value))
-					}
-					i++
+			for ; ref.Next(); i++ {
+				if s := ref.Sample(); s.TS != want[i].TS ||
+					math.Float64bits(s.Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("reference sample %d = (%d, %#x), want (%d, %#x)",
+						i, s.TS, math.Float64bits(s.Value),
+						want[i].TS, math.Float64bits(want[i].Value))
 				}
 			}
-			if br.err != nil {
-				t.Fatalf("batch decode of a valid payload: %v", br.err)
+			if ref.Err() != nil {
+				t.Fatalf("reference decode of a valid payload: %v", ref.Err())
 			}
 			if i != len(want) {
-				t.Fatalf("batch decode yielded %d samples, want %d", i, len(want))
+				t.Fatalf("reference decode yielded %d samples, want %d", i, len(want))
 			}
 		}
 
@@ -139,12 +127,14 @@ func FuzzGorillaRoundTrip(f *testing.F) {
 		}
 
 		// Arbitrary bytes as a payload (corrupt chunk on disk): any error
-		// is fine, panics and runaway allocation are not — on both the
-		// scalar and the batch decoder.
+		// is fine, panics and runaway allocation are not, and the batch
+		// decoder must stop where the reference decoder stops: the same
+		// valid prefix, an error on both or on neither.
 		for _, n := range []int{0, 1, len(data), len(data) * 8, 1 << 30} {
 			if out, err := Decode(data, n); err == nil && len(out) != n {
 				t.Fatalf("raw decode n=%d returned %d samples without error", n, len(out))
 			}
+			ref := NewIterator(data, n)
 			var br blockReader
 			br.reset(data, n)
 			batch := NewBatch()
@@ -156,9 +146,22 @@ func FuzzGorillaRoundTrip(f *testing.F) {
 				if got == 0 && !br.done() {
 					t.Fatalf("raw batch decode n=%d stalled at %d samples", n, total)
 				}
+				for k := range batch.TS {
+					if !ref.Next() {
+						t.Fatalf("raw decode n=%d: reference decoder stopped before sample %d (err %v)", n, total-got+k, ref.Err())
+					}
+					if s := ref.Sample(); s.TS != batch.TS[k] ||
+						math.Float64bits(s.Value) != math.Float64bits(batch.Val[k]) {
+						t.Fatalf("raw decode n=%d: sample %d differs from the reference decoder", n, total-got+k)
+					}
+				}
 			}
 			if br.err == nil && total != n {
 				t.Fatalf("raw batch decode n=%d yielded %d samples without error", n, total)
+			}
+			if ref.Next() || (ref.Err() == nil) != (br.err == nil) {
+				t.Fatalf("raw decode n=%d: batch decoder stopped after %d samples (err %v), reference decoder went on or ended with err %v",
+					n, total, br.err, ref.Err())
 			}
 		}
 	})
@@ -219,7 +222,7 @@ func FuzzWALSegment(f *testing.F) {
 			func(int64, Sample) error { pre++; return nil }); err != nil {
 			t.Fatalf("replay of repaired segment: %v", err)
 		}
-		c, err := w.AppendSample(7, Sample{TS: 1 << 40, Value: 3.5}, true)
+		c, err := w.AppendSamples(7, []Sample{{TS: 1 << 40, Value: 3.5}}, true)
 		if err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}

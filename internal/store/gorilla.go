@@ -154,170 +154,17 @@ func Decode(data []byte, n int) ([]Sample, error) {
 		capHint = max
 	}
 	out := make([]Sample, 0, capHint)
-	it := NewIterator(data, n)
-	for it.Next() {
-		out = append(out, it.Sample())
+	var d blockReader
+	d.reset(data, n)
+	b := GetBatch()
+	defer PutBatch(b)
+	for !d.done() {
+		b.Reset()
+		d.decodeInto(b)
+		out = b.appendTo(out)
 	}
-	if it.Err() != nil {
-		return nil, it.Err()
-	}
-	if len(out) != n {
-		return nil, ErrCorrupt
+	if d.err != nil {
+		return nil, d.err
 	}
 	return out, nil
-}
-
-// Iterator streams samples out of a compressed payload without materializing
-// the whole slice.
-type Iterator struct {
-	r       *bitReader
-	n, i    int
-	t       int64
-	d       int64
-	v       uint64
-	leading uint8
-	sigbits uint8
-	cur     Sample
-	err     error
-}
-
-// NewIterator returns an iterator over a payload with n samples.
-func NewIterator(data []byte, n int) *Iterator {
-	return &Iterator{r: newBitReader(data), n: n, leading: 0xff}
-}
-
-// Next advances to the next sample, returning false at the end or on error.
-func (it *Iterator) Next() bool {
-	if it.err != nil || it.i >= it.n {
-		return false
-	}
-	switch it.i {
-	case 0:
-		ts, err := it.r.readBits(64)
-		if err != nil {
-			it.err = ErrCorrupt
-			return false
-		}
-		vb, err := it.r.readBits(64)
-		if err != nil {
-			it.err = ErrCorrupt
-			return false
-		}
-		it.t = int64(ts)
-		it.v = vb
-	default:
-		d, err := it.readVarDelta()
-		if err != nil {
-			it.err = ErrCorrupt
-			return false
-		}
-		if it.i == 1 {
-			it.d = d
-		} else {
-			it.d += d
-		}
-		it.t += it.d
-		if err := it.readValue(); err != nil {
-			it.err = ErrCorrupt
-			return false
-		}
-	}
-	it.cur = Sample{TS: it.t, Value: math.Float64frombits(it.v)}
-	it.i++
-	return true
-}
-
-// Sample returns the current sample after a successful Next.
-func (it *Iterator) Sample() Sample { return it.cur }
-
-// Err returns the first decoding error encountered.
-func (it *Iterator) Err() error { return it.err }
-
-func (it *Iterator) readVarDelta() (int64, error) {
-	b, err := it.r.readBit()
-	if err != nil {
-		return 0, err
-	}
-	if !b {
-		return 0, nil
-	}
-	// Count additional prefix ones (max 3 more).
-	ones := 1
-	for ones < 4 {
-		b, err = it.r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		if !b {
-			break
-		}
-		ones++
-	}
-	switch ones {
-	case 1:
-		v, err := it.r.readBits(7)
-		if err != nil {
-			return 0, err
-		}
-		return int64(v) - 63, nil
-	case 2:
-		v, err := it.r.readBits(9)
-		if err != nil {
-			return 0, err
-		}
-		return int64(v) - 255, nil
-	case 3:
-		v, err := it.r.readBits(12)
-		if err != nil {
-			return 0, err
-		}
-		return int64(v) - 2047, nil
-	default:
-		v, err := it.r.readBits(64)
-		if err != nil {
-			return 0, err
-		}
-		return int64(v), nil
-	}
-}
-
-func (it *Iterator) readValue() error {
-	b, err := it.r.readBit()
-	if err != nil {
-		return err
-	}
-	if !b {
-		return nil // identical value
-	}
-	ctrl, err := it.r.readBit()
-	if err != nil {
-		return err
-	}
-	if ctrl {
-		lead, err := it.r.readBits(5)
-		if err != nil {
-			return err
-		}
-		sigm1, err := it.r.readBits(6)
-		if err != nil {
-			return err
-		}
-		it.leading = uint8(lead)
-		it.sigbits = uint8(sigm1) + 1
-		if uint(it.leading)+uint(it.sigbits) > 64 {
-			// The encoder always satisfies lead+sig+trail == 64; a wider
-			// window is malformed input and the unsigned shift below would
-			// underflow into silent value corruption.
-			return ErrCorrupt
-		}
-	} else if it.leading == 0xff {
-		return ErrCorrupt // window reuse before any window was defined
-	}
-	xbits, err := it.r.readBits(uint(it.sigbits))
-	if err != nil {
-		return err
-	}
-	shift := 64 - uint(it.leading) - uint(it.sigbits)
-	it.v ^= xbits << shift
-	return nil
 }

@@ -19,11 +19,9 @@ type iterSegment struct {
 // appends. It is not safe for concurrent use by multiple goroutines.
 type SeriesIter struct {
 	segs     []iterSegment
-	cur      *Iterator   // scalar (Next) decode position
-	curB     blockReader // vectorized (NextBatch) decode position
-	inBlock  bool        // curB holds a partially decoded block
+	cur      blockReader // decode position
+	inBlock  bool        // cur holds a partially decoded block
 	from, to int64
-	smp      Sample
 	err      error
 	done     bool
 	ver      uint64 // per-meter version at snapshot time
@@ -52,47 +50,6 @@ func (s *Series) Iter(from, to int64) *SeriesIter {
 	}
 	return it
 }
-
-// Next advances to the next in-window sample, returning false at the end
-// of the window or on a decode error.
-func (it *SeriesIter) Next() bool {
-	for {
-		if it.done || it.err != nil {
-			return false
-		}
-		if it.cur == nil {
-			if len(it.segs) == 0 {
-				it.done = true
-				return false
-			}
-			seg := it.segs[0]
-			it.segs = it.segs[1:]
-			it.cur = NewIterator(seg.payload, seg.count)
-		}
-		for it.cur.Next() {
-			s := it.cur.Sample()
-			if s.TS < it.from {
-				continue
-			}
-			if s.TS >= it.to {
-				// Blocks are time-ordered and disjoint: nothing later can
-				// be in the window either.
-				it.done = true
-				return false
-			}
-			it.smp = s
-			return true
-		}
-		if err := it.cur.Err(); err != nil {
-			it.err = err
-			return false
-		}
-		it.cur = nil
-	}
-}
-
-// Sample returns the current sample after a successful Next.
-func (it *SeriesIter) Sample() Sample { return it.smp }
 
 // Err returns the first decode error encountered, if any.
 func (it *SeriesIter) Err() error { return it.err }

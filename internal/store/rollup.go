@@ -151,12 +151,16 @@ func (s *Series) installRollups(res []int64, file []rollupTier) error {
 	}
 	if len(missing) > 0 && s.total > 0 {
 		it := s.Iter(minInt64, maxInt64)
-		for it.Next() {
-			smp := it.Sample()
-			for _, t := range missing {
-				t.fold(smp)
+		b := GetBatch()
+		for it.NextBatch(b) {
+			for i, ts := range b.TS {
+				smp := Sample{TS: ts, Value: b.Val[i]}
+				for _, t := range missing {
+					t.fold(smp)
+				}
 			}
 		}
+		PutBatch(b)
 		if err := it.Err(); err != nil {
 			return err
 		}

@@ -106,11 +106,11 @@ func TestTierScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		count := func(it *SeriesIter) int {
-			n := 0
-			for it.Next() {
-				n++
+			smps, err := drainBatches(t, it)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return n
+			return len(smps)
 		}
 		interior := 0
 		tsc.Buckets(func(b *RollupBucket) { interior += int(b.Count + b.NaN) })

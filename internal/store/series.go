@@ -52,9 +52,6 @@ func NewSeriesRollup(meterID int64, res []int64) *Series {
 	return s
 }
 
-// Version returns the per-meter version.
-func (s *Series) Version() uint64 { return s.ver }
-
 // Len returns the total number of stored samples.
 func (s *Series) Len() int { return s.total }
 
@@ -67,17 +64,6 @@ func (s *Series) LastTS() int64 {
 		return s.sealed[n-1].maxTS
 	}
 	return 0
-}
-
-// CheckAppend reports whether Append(smp) would succeed, without mutating
-// the series. The store uses it to validate a sample before enqueueing its
-// WAL record, so the log is never ahead of what memory will accept — and a
-// WAL failure can return before memory is touched.
-func (s *Series) CheckAppend(smp Sample) error {
-	if s.total > 0 && smp.TS <= s.LastTS() {
-		return ErrOutOfOrder
-	}
-	return nil
 }
 
 // Append adds one sample. Timestamps must be strictly increasing across the
@@ -94,8 +80,8 @@ func (s *Series) Append(smp Sample) error {
 // snapshots, whose tiers are persisted and installed separately (folding
 // here too would double-count).
 func (s *Series) appendRaw(smp Sample) error {
-	if err := s.CheckAppend(smp); err != nil {
-		return err
+	if s.total > 0 && smp.TS <= s.LastTS() {
+		return ErrOutOfOrder
 	}
 	if s.head.Len() == 0 {
 		s.headMinTS = smp.TS
@@ -201,8 +187,10 @@ func (s *Series) CompressedBytes() int {
 func (s *Series) Range(from, to int64) ([]Sample, error) {
 	var out []Sample
 	it := s.Iter(from, to)
-	for it.Next() {
-		out = append(out, it.Sample())
+	b := GetBatch()
+	defer PutBatch(b)
+	for it.NextBatch(b) {
+		out = b.appendTo(out)
 	}
 	if err := it.Err(); err != nil {
 		return nil, err

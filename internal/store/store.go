@@ -371,57 +371,26 @@ func (s *Store) appendShardLocked(sh *shard, meterID int64, smp Sample) error {
 	return nil
 }
 
-// Append stores one sample for a registered meter.
-//
-// Durability contract: the WAL record is enqueued before the sample is
-// applied in memory, so a WAL failure (sticky commit error, closed log)
-// returns without mutating the series and the caller can retry without
-// hitting ErrOutOfOrder. With SyncEveryAppend the call additionally waits
-// for the group commit: a nil return means the sample is fsynced. If that
-// wait itself reports a commit failure, the sample is applied in memory
-// but its durability is unknown; the WAL's failure is sticky, so every
-// subsequent append fails fast until the store is reopened.
+// Append stores one sample for a registered meter: the one-sample case of
+// AppendBatch, under the same durability contract.
 func (s *Store) Append(meterID int64, smp Sample) error {
-	sh := s.shardFor(meterID)
-	sh.mu.Lock()
-	if s.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
-	ser, ok := sh.series[meterID]
-	if !ok {
-		sh.mu.Unlock()
-		return ErrUnknownMeter
-	}
-	if err := ser.CheckAppend(smp); err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	var commit *WALCommit
-	if s.wal != nil {
-		c, err := s.wal.AppendSample(meterID, smp, s.opts.SyncEveryAppend)
-		if err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		commit = c
-	}
-	// Cannot fail after CheckAppend; the WAL and the series stay in step.
-	_ = ser.Append(smp)
-	sh.version.Add(1)
-	s.version.Add(1)
-	sh.mu.Unlock()
-	if commit != nil {
-		return commit.Wait()
-	}
-	return nil
+	_, err := s.AppendBatch(meterID, []Sample{smp})
+	return err
 }
 
 // AppendBatch stores a batch of in-order samples for one meter, amortizing
 // lock and WAL overhead: the whole batch is logged as one enqueue and
 // covered by one group commit. It stops at the first invalid sample,
-// returning the number of samples stored. Like Append, the WAL enqueue
-// happens before any in-memory mutation.
+// returning the number of samples stored.
+//
+// Durability contract: the WAL records are enqueued before any sample is
+// applied in memory, so a WAL failure (sticky commit error, closed log)
+// returns without mutating the series and the caller can retry without
+// hitting ErrOutOfOrder. With SyncEveryAppend the call additionally waits
+// for the group commit: a nil return means the batch is fsynced. If that
+// wait itself reports a commit failure, the samples are applied in memory
+// but their durability is unknown; the WAL's failure is sticky, so every
+// subsequent append fails fast until the store is reopened.
 func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 	sh := s.shardFor(meterID)
 	sh.mu.Lock()

@@ -1,11 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"vap/internal/geo"
 )
@@ -139,15 +142,6 @@ func TestCatalogCRUD(t *testing.T) {
 	if len(ids) != 1 || ids[0] != 1 {
 		t.Fatalf("relocated search = %v", ids)
 	}
-	if !c.Delete(2) {
-		t.Fatal("delete failed")
-	}
-	if c.Delete(2) {
-		t.Fatal("double delete should fail")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len after delete = %d", c.Len())
-	}
 }
 
 func TestCatalogRejectsInvalidLocation(t *testing.T) {
@@ -168,10 +162,6 @@ func TestCatalogByZoneAndNear(t *testing.T) {
 		if err := c.Put(m); err != nil {
 			t.Fatal(err)
 		}
-	}
-	com := c.ByZone(ZoneCommercial)
-	if len(com) != 5 {
-		t.Fatalf("commercial = %d, want 5", len(com))
 	}
 	// Meter i sits at lon offset 0.001*i: a box reaching 0.0035 east of
 	// the origin holds the three nearest.
@@ -229,6 +219,147 @@ func TestStoreAppendBatch(t *testing.T) {
 	n, err = st.AppendBatch(1, bad)
 	if err != ErrOutOfOrder || n != 1 {
 		t.Fatalf("bad batch: n=%d err=%v", n, err)
+	}
+}
+
+// TestAppendEqualsAppendBatchOfOne pins Append as the one-sample case of
+// AppendBatch: the same operations fed to two durable stores, one through
+// each call, must return the same errors and leave the same WAL bytes, the
+// same versions and fingerprints, and the same state after a reopen.
+func TestAppendEqualsAppendBatchOfOne(t *testing.T) {
+	type op struct {
+		meter int64
+		smp   Sample
+	}
+	var ops []op
+	var last2 Sample
+	for i := 0; i < chunkTargetSamples+40; i++ { // meter 1 seals a chunk
+		ops = append(ops, op{1, Sample{TS: int64(i+1) * 60, Value: float64(i % 13)}})
+		if i%9 == 0 {
+			last2 = Sample{TS: int64(i+1) * 60, Value: -float64(i)}
+			ops = append(ops, op{2, last2})
+		}
+	}
+	ops = append(ops,
+		op{1, Sample{TS: 60, Value: 1}}, // out of order
+		op{2, last2},                    // duplicate timestamp
+		op{99, Sample{TS: 1, Value: 1}}, // unknown meter
+		op{2, Sample{TS: int64(chunkTargetSamples+100) * 60, Value: 7.5}}, // accepted again after the rejects
+	)
+	ids := []int64{1, 2, 99}
+
+	for _, mode := range []struct {
+		name string
+		opts Options
+		ops  []op
+	}{
+		// Every record is its own commit, so marker positions are fixed.
+		{"sync", Options{SyncEveryAppend: true}, ops[len(ops)-30:]},
+		// Nothing commits before Close: one batch holds the whole log.
+		{"buffered", Options{CommitInterval: time.Hour}, ops},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			open := func(dir string) *Store {
+				t.Helper()
+				o := mode.opts
+				o.Dir = dir
+				st, err := Open(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			same := func(when string, a, b *Store) {
+				t.Helper()
+				if a.Version() != b.Version() {
+					t.Errorf("%s: Version %d != %d", when, a.Version(), b.Version())
+				}
+				if !reflect.DeepEqual(a.ShardVersions(), b.ShardVersions()) {
+					t.Errorf("%s: ShardVersions %v != %v", when, a.ShardVersions(), b.ShardVersions())
+				}
+				if a.Fingerprint(ids) != b.Fingerprint(ids) || a.GlobalFingerprint() != b.GlobalFingerprint() {
+					t.Errorf("%s: fingerprints differ", when)
+				}
+				if !reflect.DeepEqual(a.SeriesStats(ids), b.SeriesStats(ids)) {
+					t.Errorf("%s: SeriesStats %+v != %+v", when, a.SeriesStats(ids), b.SeriesStats(ids))
+				}
+				for _, id := range ids[:2] {
+					ra, errA := a.Range(id, minInt64, maxInt64)
+					rb, errB := b.Range(id, minInt64, maxInt64)
+					if errA != nil || errB != nil || !reflect.DeepEqual(ra, rb) {
+						t.Errorf("%s: meter %d ranges differ (%d vs %d samples, %v, %v)", when, id, len(ra), len(rb), errA, errB)
+					}
+				}
+			}
+			batchOfOne := func(st *Store, o op) error {
+				n, err := st.AppendBatch(o.meter, []Sample{o.smp})
+				if (n == 1) != (err == nil) {
+					t.Fatalf("AppendBatch of one stored %d with err %v", n, err)
+				}
+				return err
+			}
+
+			dirA, dirB := t.TempDir(), t.TempDir()
+			a, b := open(dirA), open(dirB)
+			for _, st := range []*Store{a, b} {
+				for _, id := range ids[:2] {
+					if err := st.PutMeter(testMeter(id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rejected := 0
+			for i, o := range mode.ops {
+				errA, errB := a.Append(o.meter, o.smp), batchOfOne(b, o)
+				if errA != errB {
+					t.Fatalf("op %d %+v: Append err %v, AppendBatch err %v", i, o, errA, errB)
+				}
+				if errA != nil {
+					rejected++
+				}
+			}
+			if rejected != 3 {
+				t.Fatalf("%d operations rejected, want 3 (out of order, duplicate, unknown meter)", rejected)
+			}
+			same("before close", a, b)
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			late := op{1, Sample{TS: 1 << 40, Value: 1}}
+			if errA, errB := a.Append(late.meter, late.smp), batchOfOne(b, late); errA != ErrClosed || errB != ErrClosed {
+				t.Fatalf("after close: Append err %v, AppendBatch err %v, want ErrClosed twice", errA, errB)
+			}
+
+			segsA, err := listSegments(dirA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segsB, err := listSegments(dirB)
+			if err != nil || !reflect.DeepEqual(segsA, segsB) {
+				t.Fatalf("segments %v vs %v (err %v)", segsA, segsB, err)
+			}
+			for _, idx := range segsA {
+				wa, errA := os.ReadFile(filepath.Join(dirA, segmentName(idx)))
+				wb, errB := os.ReadFile(filepath.Join(dirB, segmentName(idx)))
+				if errA != nil || errB != nil {
+					t.Fatal(errA, errB)
+				}
+				if !bytes.Equal(wa, wb) {
+					t.Fatalf("segment %d: %d bytes through Append, %d through AppendBatch, or different content", idx, len(wa), len(wb))
+				}
+			}
+
+			a, b = open(dirA), open(dirB)
+			defer a.Close()
+			defer b.Close()
+			same("after reopen", a, b)
+			if got, want := seriesLen(a, 1)+seriesLen(a, 2), len(mode.ops)-rejected; got != want {
+				t.Fatalf("reopened store holds %d samples, want the %d accepted", got, want)
+			}
+		})
 	}
 }
 
@@ -727,13 +858,9 @@ func TestSeriesIterStreamsWindow(t *testing.T) {
 	// A window crossing the chunk/head boundary.
 	from := int64((chunkTargetSamples*2 - 5) * 10)
 	to := int64((chunkTargetSamples*2 + 5) * 10)
-	it := s.Iter(from, to)
-	var got []Sample
-	for it.Next() {
-		got = append(got, it.Sample())
-	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
+	got, err := drainBatches(t, s.Iter(from, to))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != 10 {
 		t.Fatalf("iter yielded %d samples, want 10", len(got))
@@ -750,10 +877,10 @@ func TestSeriesIterStreamsWindow(t *testing.T) {
 		t.Fatalf("range all = %d (%v), want %d", len(all), err, n)
 	}
 	// Empty and inverted windows terminate immediately.
-	if it := s.Iter(50, 50); it.Next() {
+	if it := s.Iter(50, 50); it.NextBatch(NewBatch()) {
 		t.Error("empty window iterator yielded a sample")
 	}
-	if it := s.Iter(100, 50); it.Next() {
+	if it := s.Iter(100, 50); it.NextBatch(NewBatch()) {
 		t.Error("inverted window iterator yielded a sample")
 	}
 }
@@ -773,14 +900,11 @@ func TestSeriesIterSnapshotUnaffectedByAppend(t *testing.T) {
 	for i := 100; i < 200; i++ {
 		_ = st.Append(1, Sample{TS: int64(i), Value: float64(i)})
 	}
-	count := 0
-	for it.Next() {
-		count++
+	got, err := drainBatches(t, it)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if it.Err() != nil {
-		t.Fatal(it.Err())
-	}
-	if count != 100 {
-		t.Fatalf("iterator saw %d samples, want the 100 snapshotted", count)
+	if len(got) != 100 {
+		t.Fatalf("iterator saw %d samples, want the 100 snapshotted", len(got))
 	}
 }

@@ -415,11 +415,6 @@ func (w *WAL) AppendMeter(m Meter, syncWait bool) (*WALCommit, error) {
 	return w.enqueue(appendFrame(nil, recMeter, meterPayload(m)), syncWait)
 }
 
-// AppendSample logs one sample append.
-func (w *WAL) AppendSample(meterID int64, s Sample, syncWait bool) (*WALCommit, error) {
-	return w.enqueue(appendFrame(nil, recSample, samplePayload(nil, meterID, s)), syncWait)
-}
-
 // AppendSamples logs a batch of samples for one meter as a single enqueue,
 // so the whole batch lands in one commit.
 func (w *WAL) AppendSamples(meterID int64, smps []Sample, syncWait bool) (*WALCommit, error) {
@@ -689,15 +684,7 @@ func (w *WAL) Close() error {
 // CorruptError carrying the segment path and byte offset — never silently
 // skipped, because records after it were acknowledged appends.
 func (w *WAL) Replay(onMeter func(Meter) error, onSample func(int64, Sample) error) error {
-	w.mu.Lock()
-	idxs := make([]uint64, 0, len(w.sealed)+1)
-	for i := range w.sealed {
-		idxs = append(idxs, i)
-	}
-	idxs = append(idxs, w.tailIdx)
-	w.mu.Unlock()
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
+	for _, idx := range w.segmentIndices() {
 		path := w.segPath(idx)
 		data, err := os.ReadFile(path)
 		if err != nil {

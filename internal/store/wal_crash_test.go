@@ -756,7 +756,7 @@ func TestSnapshotDoesNotBlockAppends(t *testing.T) {
 				t.Errorf("iter during snapshot: %v", err)
 				return
 			}
-			for it.Next() {
+			for b := NewBatch(); it.NextBatch(b); {
 			}
 			if err := it.Err(); err != nil {
 				t.Errorf("iter decode during snapshot: %v", err)

@@ -152,19 +152,6 @@ func (p *Plan) needMinMax() bool {
 	return false
 }
 
-// Execute runs a compiled plan against the engine's store: it resolves
-// the meter selection and delegates to ExecuteResolved. A selection
-// matching no meters or an unresolvable window yields zero rows, not an
-// error (SQL semantics).
-func Execute(ctx context.Context, eng *query.Engine, p *Plan) (*Result, error) {
-	ids, err := ResolveScanMeters(eng, p)
-	if err != nil {
-		return nil, err
-	}
-	from, to, ok := p.ResolveWindow(eng.Store())
-	return ExecuteResolved(ctx, eng, p, ids, from, to, ok)
-}
-
 // ResolveScanMeters resolves the plan's meter set for execution: the
 // selection's meters minus ids that are not registered (an explicit
 // meter set naming unknown ids filters to nothing instead of erroring the

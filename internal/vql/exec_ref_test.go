@@ -41,7 +41,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 
 	partials := make([]map[groupKey]*query.Fold, len(ids))
 	counts := make([]int, len(ids))
-	vers := make([]uint64, len(ids))
+	vers := eng.Store().MeterVersions(ids)
 	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
 		id := ids[i]
 		var zone store.ZoneType
@@ -50,11 +50,10 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 				zone = m.Zone
 			}
 		}
-		it, err := eng.Store().Iter(id, from, to)
+		smps, err := eng.Store().Range(id, from, to)
 		if err != nil {
 			return err
 		}
-		vers[i] = it.Version()
 		local := make(map[groupKey]*query.Fold)
 		key := groupKey{zone: zone}
 		if groupMeter {
@@ -62,9 +61,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		}
 		var cur *query.Fold
 		var curBucket int64 = math.MinInt64
-		n := 0
-		for it.Next() {
-			s := it.Sample()
+		for _, s := range smps {
 			if p.hasBucket {
 				b := gran.Truncate(s.TS)
 				if b != curBucket || cur == nil {
@@ -84,13 +81,9 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 				}
 			}
 			foldSample(cur, s.Value)
-			n++
-		}
-		if err := it.Err(); err != nil {
-			return err
 		}
 		partials[i] = local
-		counts[i] = n
+		counts[i] = len(smps)
 		return nil
 	})
 	if err != nil {

@@ -45,6 +45,17 @@ func newTestEngine(t testing.TB) *query.Engine {
 	return query.NewEngineWorkers(st, 4)
 }
 
+// execute runs a compiled plan the way core.Analyzer.VQL does: resolve the
+// meter set and the window, then ExecuteResolved.
+func execute(ctx context.Context, eng *query.Engine, p *Plan) (*Result, error) {
+	ids, err := ResolveScanMeters(eng, p)
+	if err != nil {
+		return nil, err
+	}
+	from, to, ok := p.ResolveWindow(eng.Store())
+	return ExecuteResolved(ctx, eng, p, ids, from, to, ok)
+}
+
 func run(t *testing.T, eng *query.Engine, src string) *Result {
 	t.Helper()
 	q, err := Parse(src)
@@ -55,7 +66,7 @@ func run(t *testing.T, eng *query.Engine, src string) *Result {
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	res, err := Execute(context.Background(), eng, p)
+	res, err := execute(context.Background(), eng, p)
 	if err != nil {
 		t.Fatalf("execute %q: %v", src, err)
 	}
@@ -541,7 +552,7 @@ func TestContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Execute(ctx, eng, p); !errors.Is(err, context.Canceled) {
+	if _, err := execute(ctx, eng, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled execute = %v, want context.Canceled", err)
 	}
 }

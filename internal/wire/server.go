@@ -379,7 +379,7 @@ func (c *conn) auth() (string, error) {
 		_ = c.writeErrPacket(seq+1, frontend.MyErrAccess, "28000", msg)
 		return "", fmt.Errorf("wire: %s", msg)
 	}
-	c.sess = frontend.NewSession(user.Tenant).WithUser(user.Name)
+	c.sess = frontend.NewSession(user.Tenant)
 	if resp.database != "" {
 		if err := c.sess.UseDB(resp.database); err != nil {
 			_ = c.writeStmtErr(seq+1, err)
