@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -18,6 +19,7 @@ import (
 	"vap/internal/kde"
 	"vap/internal/query"
 	"vap/internal/reduce"
+	"vap/internal/store"
 )
 
 // TestWriteAnalysisErrTaxonomy pins the status of every kind of error the
@@ -40,6 +42,8 @@ func TestWriteAnalysisErrTaxonomy(t *testing.T) {
 		{"same bucket", fmt.Errorf("core: T1 and T2 fall in the same daily bucket: %w", core.ErrSameBucket), 400},
 		{"no meters", fmt.Errorf("resolve: %w", query.ErrNoMeters), 400},
 		{"window too wide", fmt.Errorf("%w: [0, 4000000000) spans more than 1048576 hourly buckets", query.ErrWindowTooWide), 400},
+		{"empty window", fmt.Errorf("%w: time window [1600000000, 1500000000) is empty", query.ErrInput), 400},
+		{"unknown meter", fmt.Errorf("%w: 999999", store.ErrUnknownMeter), 400},
 		{"kde input", kde.ErrInput, 400},
 		{"flow input", flow.ErrInput, 400},
 		{"reduce input", fmt.Errorf("%w: unknown method %q", reduce.ErrInput, "umap"), 400},
@@ -123,6 +127,55 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 			if rec.Code != tc.want {
 				t.Errorf("%s, %s: status %d, want %d (%s)", name, tc.what, rec.Code, tc.want, strings.TrimSpace(rec.Body.String()))
 			}
+		}
+	}
+
+	// The window rule and the ids rule are the VQL door's: an absent from or
+	// to is the data's own edge, an id list is a filter over the catalog.
+	get := func(path string) (int, string) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code, rec.Body.String()
+	}
+	first, last, _ := an.Store().TimeBounds()
+	day3 := ds.Start.Unix() + 3*86400
+	paths["api series"] = "/api/series?id=1&granularity=daily"
+	for _, name := range []string{"reduce", "patterns", "scatter", "series", "api series"} {
+		if code, body := get(fmt.Sprintf("%s&from=%d", paths[name], day3)); code != 200 {
+			t.Errorf("%s, from only: status %d, want 200 (%s)", name, code, strings.TrimSpace(body))
+		}
+		if code, body := get(fmt.Sprintf("%s&from=%d", paths[name], last+86400)); code != 400 {
+			t.Errorf("%s, from past the last sample: status %d, want 400 (%s)", name, code, strings.TrimSpace(body))
+		}
+	}
+	var view struct {
+		FeatDim int `json:"feature_dim"`
+	}
+	axis, _ := query.BucketAxis(query.GranDaily, first, day3)
+	days := len(axis)
+	code, body := get(fmt.Sprintf("%s&to=%d", paths["reduce"], day3))
+	if err := json.Unmarshal([]byte(body), &view); code != 200 || err != nil || view.FeatDim != days {
+		t.Errorf("reduce, to only: status %d, feature_dim %d (%v), want the data's %d daily buckets before to", code, view.FeatDim, err, days)
+	}
+	for _, name := range []string{"reduce", "flow", "series"} {
+		code, known := get(paths[name] + "&ids=1,2,3")
+		if code != 200 {
+			t.Fatalf("%s, three known ids: status %d (%s)", name, code, strings.TrimSpace(known))
+		}
+		if code, body := get(paths[name] + "&ids=1,2,3,999999"); code != 200 || body != known {
+			t.Errorf("%s, three known ids and an unknown one: status %d, want 200 and the answer over the three (%s)", name, code, strings.TrimSpace(body))
+		}
+		if code, body := get(paths[name] + "&ids=999999"); code != 400 || !strings.Contains(body, query.ErrNoMeters.Error()) {
+			t.Errorf("%s, no known id: status %d, want 400 ErrNoMeters (%s)", name, code, strings.TrimSpace(body))
+		}
+	}
+	for what, path := range map[string]string{
+		"api series, unknown meter":     "/api/series?id=999999",
+		"api series, unknown aggregate": paths["api series"] + "&agg=median",
+		"flow, quantile out of range":   paths["flow"] + "&quantile=2",
+	} {
+		if code, body := get(path); code != 400 {
+			t.Errorf("%s: status %d, want 400 (%s)", what, code, strings.TrimSpace(body))
 		}
 	}
 }

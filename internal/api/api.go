@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"vap/internal/core"
-	"vap/internal/flow"
 	"vap/internal/frontend"
 	"vap/internal/geo"
 	"vap/internal/govern"
@@ -109,20 +108,11 @@ func writeGovErr(w http.ResponseWriter, err error) bool {
 }
 
 // writeAnalysisErr answers a failed typical-pattern, flow-map, density or
-// aggregated-series computation. What the request itself got wrong — both
-// anchors in one bucket, a selection matching no meters, a window of more
-// than 2^20 buckets, nothing to estimate or too little to reduce, an
-// unknown method or metric — is a 400. Everything
-// else goes through the statement taxonomy: an expired or cancelled
-// context is a 504, any other fault a 500, a worker panic's stack being
+// series computation through the statement taxonomy (frontend.MapError):
+// what the request itself got wrong is a 400, an expired or cancelled
+// context a 504, any other fault a 500 — a worker panic's stack being
 // logged here, once.
 func writeAnalysisErr(w http.ResponseWriter, err error) {
-	for _, bad := range []error{core.ErrSameBucket, query.ErrNoMeters, query.ErrWindowTooWide, kde.ErrInput, flow.ErrInput, reduce.ErrInput} {
-		if errors.Is(err, bad) {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
 	frontend.LogWorkerPanic(err)
 	writeStmtErr(w, err)
 }
@@ -445,7 +435,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	}
 	buckets, err := s.an.Engine().MeterSeries(id, sel, g, query.AggFunc(qStr(r, "agg", "mean")))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeAnalysisErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"id": id, "granularity": g, "buckets": buckets})

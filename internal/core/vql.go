@@ -79,6 +79,9 @@ func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
 	// against it, and the controller's query deadline (if configured)
 	// bounds execution.
 	cost := vql.EstimateScan(a.eng, p, ids, from, to)
+	if cost.Refused != nil {
+		return nil, cost.Refused
+	}
 	grant, err := a.gov.Admit(ctx, govern.Request{
 		Tenant:     govern.TenantFrom(ctx),
 		EstSamples: cost.EstSamples,

@@ -4,9 +4,16 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"time"
 
+	"vap/internal/core"
+	"vap/internal/flow"
 	"vap/internal/govern"
+	"vap/internal/kde"
+	"vap/internal/query"
+	"vap/internal/reduce"
+	"vap/internal/store"
 	"vap/internal/vql"
 )
 
@@ -21,8 +28,9 @@ const (
 	// 1-based source position. HTTP 400 / MySQL ER_PARSE_ERROR.
 	KindParse Kind = "parse"
 	// KindBadRequest: a well-formed request the core refuses (empty
-	// statement, bad session variable). HTTP 400 / ER_EMPTY_QUERY or
-	// ER_WRONG_ARGUMENTS.
+	// statement, bad session variable, and the request-fault sentinels of
+	// the query and analysis layers: badRequests). HTTP 400 /
+	// ER_EMPTY_QUERY or ER_WRONG_ARGUMENTS.
 	KindBadRequest Kind = "bad_request"
 	// KindCost: the governance cost ceiling rejected the query up front;
 	// retrying unchanged can never succeed. HTTP 422 / ER_SIGNAL_EXCEPTION.
@@ -44,6 +52,7 @@ const (
 const (
 	MyErrParse      uint16 = 1064 // ER_PARSE_ERROR
 	MyErrEmptyQuery uint16 = 1065 // ER_EMPTY_QUERY
+	MyErrWrongArgs  uint16 = 1210 // ER_WRONG_ARGUMENTS
 	MyErrCost       uint16 = 1644 // ER_SIGNAL_EXCEPTION (user-raised condition)
 	MyErrShed       uint16 = 1041 // ER_OUT_OF_RESOURCES
 	MyErrTimeout    uint16 = 3024 // ER_QUERY_TIMEOUT
@@ -87,6 +96,16 @@ type Error struct {
 }
 
 func (e *Error) Error() string { return e.Msg }
+
+// badRequests are the sentinels the layers under both doors wrap around
+// what the request itself got wrong: both anchors in one bucket, a
+// selection matching no meters, a window of too many buckets, inverted or
+// holding no data, a meter nobody registered, an unknown aggregate, method
+// or metric, nothing to estimate, too little to reduce.
+var badRequests = []error{
+	core.ErrSameBucket, query.ErrNoMeters, query.ErrWindowTooWide, query.ErrInput,
+	store.ErrUnknownMeter, kde.ErrInput, flow.ErrInput, reduce.ErrInput,
+}
 
 // MapError classifies err into the shared error taxonomy. It is the ONE
 // place the error→status tables live: the HTTP codec renders
@@ -133,6 +152,11 @@ func MapError(err error) Info {
 			info.Kind = fe.Kind
 		}
 		return info
+	case slices.ContainsFunc(badRequests, func(bad error) bool { return errors.Is(err, bad) }):
+		return Info{
+			Kind: KindBadRequest, HTTPStatus: http.StatusBadRequest,
+			MyErrno: MyErrWrongArgs, SQLState: "HY000", Msg: err.Error(),
+		}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return Info{
 			Kind: KindTimeout, HTTPStatus: http.StatusGatewayTimeout,

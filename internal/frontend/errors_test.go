@@ -11,8 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"vap/internal/core"
 	"vap/internal/exec"
+	"vap/internal/flow"
 	"vap/internal/govern"
+	"vap/internal/kde"
+	"vap/internal/query"
+	"vap/internal/reduce"
+	"vap/internal/store"
 	"vap/internal/vql"
 )
 
@@ -149,6 +155,20 @@ func TestMapErrorDetails(t *testing.T) {
 	info = MapError(fmt.Errorf("admission: %w", se))
 	if info.Kind != KindShed {
 		t.Errorf("wrapped shed classified as %q", info.Kind)
+	}
+
+	// The request-fault sentinels of the layers under both doors are bad
+	// requests on both transports, wrapped or bare.
+	for _, bad := range []error{
+		core.ErrSameBucket, query.ErrNoMeters, query.ErrWindowTooWide, query.ErrInput,
+		store.ErrUnknownMeter, kde.ErrInput, flow.ErrInput, reduce.ErrInput,
+	} {
+		for _, err := range []error{bad, fmt.Errorf("scan: %w", bad)} {
+			info = MapError(err)
+			if info.Kind != KindBadRequest || info.HTTPStatus != http.StatusBadRequest || info.MyErrno != MyErrWrongArgs || info.Msg != err.Error() {
+				t.Errorf("%v classified as %+v, want bad_request / 400 / %d", err, info, MyErrWrongArgs)
+			}
+		}
 	}
 
 	// A frontend.Error with an explicit kind and errno keeps both.

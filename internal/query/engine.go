@@ -51,13 +51,26 @@ var ErrNoMeters = errors.New("query: selection matches no meters")
 // than maxWindowBuckets buckets: the request's fault, not the server's.
 var ErrWindowTooWide = errors.New("query: window too wide")
 
-// ResolveMeters returns the sorted meter IDs matching sel.
+// ErrInput is wrapped by the other failures the request itself causes: a
+// window that is inverted or holds no data, an unknown aggregate, a quantile
+// outside [0, 1].
+var ErrInput = errors.New("query: invalid input")
+
+// ResolveMeters returns the sorted meter IDs matching sel. An explicit
+// meter set is a filter over the catalog like the other predicates: ids
+// nobody registered drop out (into a fresh slice — sel.MeterIDs is the
+// caller's), and a set naming none that is known matches nothing.
 func (e *Engine) ResolveMeters(sel Selection) ([]int64, error) {
 	cat := e.st.Catalog()
 	var ids []int64
 	switch {
 	case sel.MeterIDs != nil:
-		ids = append(ids, sel.MeterIDs...)
+		ids = make([]int64, 0, len(sel.MeterIDs))
+		for _, id := range sel.MeterIDs {
+			if _, ok := cat.Get(id); ok {
+				ids = append(ids, id)
+			}
+		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	case sel.BBox != nil:
 		ids = cat.Within(*sel.BBox)
@@ -101,41 +114,49 @@ func (e *Engine) VersionFingerprint(sel Selection) (uint64, error) {
 	return e.st.Fingerprint(ids), nil
 }
 
-// TimeWindow resolves the selection's effective half-open time window:
-// explicit From/To when set, the store's full data extent otherwise.
-// Callers memoizing window-dependent results must key on this resolved
-// window, not the literal selection fields — the default extent moves when
-// any meter (inside the selection or not) receives a newer sample.
-func (e *Engine) TimeWindow(sel Selection) (int64, int64, error) {
-	return e.timeWindow(sel)
-}
-
-// timeWindow resolves the selection's window, defaulting to the store's full
-// data extent (half-open, so To is one past the last sample).
-func (e *Engine) timeWindow(sel Selection) (int64, int64, error) {
-	from, to := sel.From, sel.To
-	if from == 0 && to == 0 {
-		f, l, ok := e.st.TimeBounds()
+// ResolveWindow is the one window rule of both front doors: [from, to)
+// where the request gave a side (hasFrom, hasTo), st's data extent on a side
+// it left open — half-open, so an absent to is one past the last sample. A
+// window that comes out inverted or empty, or an open side over an empty
+// store, is the request's fault (ErrInput). Callers memoizing
+// window-dependent results must key on the resolved window, not on what the
+// request spelled: the extent moves when any meter receives a newer sample.
+func ResolveWindow(st *store.Store, from, to int64, hasFrom, hasTo bool) (int64, int64, error) {
+	if !hasFrom || !hasTo {
+		first, last, ok := st.TimeBounds()
 		if !ok {
-			return 0, 0, errors.New("query: store is empty")
+			return 0, 0, fmt.Errorf("%w: the store holds no data", ErrInput)
 		}
-		return f, l + 1, nil
+		if !hasFrom {
+			from = first
+		}
+		if !hasTo {
+			to = last + 1
+		}
 	}
 	if to <= from {
-		return 0, 0, fmt.Errorf("query: invalid time window [%d, %d)", from, to)
+		return 0, 0, fmt.Errorf("%w: time window [%d, %d) is empty", ErrInput, from, to)
 	}
 	return from, to, nil
 }
 
-// maxWindowBuckets bounds the bucket axis of one engine call. Windows come
-// from request parameters, and the axis is allocated before any data is
-// read; 2^20 hourly buckets is 119 years.
+// TimeWindow resolves the selection's effective window; a zero From or To is
+// an absent side.
+func (e *Engine) TimeWindow(sel Selection) (int64, int64, error) {
+	return ResolveWindow(e.st, sel.From, sel.To, sel.From != 0, sel.To != 0)
+}
+
+// maxWindowBuckets bounds the bucket axis of one request on either front
+// door. Windows come from request parameters, and the axis is allocated
+// before any data is read; 2^20 hourly buckets is 119 years.
 const maxWindowBuckets = 1 << 20
 
-// bucketAxis enumerates g's bucket starts over [from, to).
-func bucketAxis(g Granularity, from, to int64) ([]int64, error) {
+// BucketAxis enumerates g's bucket starts over [from, to) — nil for an empty
+// window — and is the one place an axis of more than maxWindowBuckets
+// becomes ErrWindowTooWide.
+func BucketAxis(g Granularity, from, to int64) ([]int64, error) {
 	bounds := BucketBounds(g, from, to, maxWindowBuckets)
-	if bounds == nil {
+	if bounds == nil && to > from {
 		return nil, fmt.Errorf("%w: [%d, %d) spans more than %d %s buckets", ErrWindowTooWide, from, to, maxWindowBuckets, g)
 	}
 	return bounds, nil
@@ -177,11 +198,11 @@ func (e *Engine) MeterSeries(meterID int64, sel Selection, g Granularity, fn Agg
 	if err := fn.valid(); err != nil {
 		return nil, err
 	}
-	from, to, err := e.timeWindow(sel)
+	from, to, err := e.TimeWindow(sel)
 	if err != nil {
 		return nil, err
 	}
-	bounds, err := bucketAxis(g, from, to)
+	bounds, err := BucketAxis(g, from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -220,11 +241,11 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	from, to, err := e.timeWindow(sel)
+	from, to, err := e.TimeWindow(sel)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if times, err = bucketAxis(g, from, to); err != nil {
+	if times, err = BucketAxis(g, from, to); err != nil {
 		return nil, nil, nil, err
 	}
 	sc := e.newScan(ctx, times, g.FixedWidth(), fn, from, to)
@@ -267,7 +288,7 @@ func (e *Engine) TotalByMeterCtx(ctx context.Context, sel Selection) (map[int64]
 	if err != nil {
 		return nil, err
 	}
-	from, to, err := e.timeWindow(sel)
+	from, to, err := e.TimeWindow(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +314,7 @@ func (e *Engine) IntensityBand(sel Selection, q float64) ([]int64, error) {
 // scan parallelized and cancellable.
 func (e *Engine) IntensityBandCtx(ctx context.Context, sel Selection, q float64) ([]int64, error) {
 	if q < 0 || q > 1 {
-		return nil, fmt.Errorf("query: quantile %v out of [0,1]", q)
+		return nil, fmt.Errorf("%w: quantile %v out of [0,1]", ErrInput, q)
 	}
 	totals, err := e.TotalByMeterCtx(ctx, sel)
 	if err != nil {

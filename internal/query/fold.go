@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"math"
+	"sort"
 
 	"vap/internal/govern"
 	"vap/internal/store"
@@ -230,13 +231,18 @@ type foldCursor struct {
 	n       int
 }
 
-// seek advances to the bucket holding ts and returns its exclusive end.
+// seek advances to the bucket holding ts and returns its exclusive end. A
+// meter's first bucket is found by binary search — its data may start far
+// into a long axis — and every later one by walking forward. A sample
+// before the axis (VQL's one-bucket axis nominally starts at 0) belongs to
+// bucket 0.
 func (c *foldCursor) seek(bounds []int64, ts int64) int64 {
+	if !c.touched {
+		c.bi = max(sort.Search(len(bounds), func(i int) bool { return bounds[i] > ts })-1, 0)
+		c.lo, c.touched = c.bi, true
+	}
 	for c.bi+1 < len(bounds) && ts >= bounds[c.bi+1] {
 		c.bi++
-	}
-	if !c.touched {
-		c.lo, c.touched = c.bi, true
 	}
 	if c.bi+1 < len(bounds) {
 		return bounds[c.bi+1]

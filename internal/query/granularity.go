@@ -146,7 +146,7 @@ func (fn AggFunc) valid() error {
 	case AggSum, AggMean, AggMax, AggMin:
 		return nil
 	}
-	return fmt.Errorf("query: unknown aggregate %q", fn)
+	return fmt.Errorf("%w: unknown aggregate %q", ErrInput, fn)
 }
 
 // value finalizes one fold for the paper pipeline. A NaN reading poisons

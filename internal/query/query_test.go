@@ -2,7 +2,9 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -301,6 +303,16 @@ func TestResolveMetersBBoxAndZone(t *testing.T) {
 	if _, err := eng.ResolveMeters(Selection{BBox: &far}); err != ErrNoMeters {
 		t.Errorf("empty selection err = %v", err)
 	}
+	// An explicit id list is a filter too: unknown ids drop out (of the
+	// result, not of the caller's slice), and none known matches nothing.
+	named := []int64{3, 99, 1}
+	ids, err = eng.ResolveMeters(Selection{MeterIDs: named})
+	if err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) || !reflect.DeepEqual(named, []int64{3, 99, 1}) {
+		t.Errorf("ids {3, 99, 1} = %v, %v (selection now %v), want [1 3] and the selection untouched", ids, err, named)
+	}
+	if _, err := eng.ResolveMeters(Selection{MeterIDs: []int64{99}}); err != ErrNoMeters {
+		t.Errorf("only an unknown id: err = %v, want ErrNoMeters", err)
+	}
 }
 
 func TestMeterMatrixAlignment(t *testing.T) {
@@ -415,7 +427,20 @@ func TestMeterSeriesWindow(t *testing.T) {
 	if len(buckets) != 24 {
 		t.Fatalf("buckets = %d, want 24", len(buckets))
 	}
-	if _, err := eng.MeterSeries(1, Selection{From: 100, To: 50}, GranHourly, AggSum); err == nil {
-		t.Error("inverted window should fail")
+	if _, err := eng.MeterSeries(1, Selection{From: 100, To: 50}, GranHourly, AggSum); !errors.Is(err, ErrInput) {
+		t.Errorf("inverted window: err = %v, want ErrInput", err)
+	}
+	// An absent side is the data's own edge (two days of hourly readings),
+	// and a from past the last reading leaves nothing to answer over.
+	for _, tc := range []struct {
+		sel  Selection
+		want int
+	}{{Selection{From: to}, 24}, {Selection{To: to}, 24}, {Selection{From: to - 3600}, 25}, {Selection{To: from + 3600}, 1}} {
+		if buckets, err := eng.MeterSeries(1, tc.sel, GranHourly, AggSum); err != nil || len(buckets) != tc.want {
+			t.Errorf("window %+v: %d buckets, %v; want %d", tc.sel, len(buckets), err, tc.want)
+		}
+	}
+	if _, err := eng.MeterSeries(1, Selection{From: to + 365*86400}, GranHourly, AggSum); !errors.Is(err, ErrInput) {
+		t.Errorf("from past the data: err = %v, want ErrInput", err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package stat provides the statistics VAP relies on: descriptive moments,
-// Pearson/Spearman correlation (the paper's distance metric for typical
+// Pearson correlation (the paper's distance metric for typical
 // pattern discovery), quantiles (S2's intensity selection), and external
 // cluster-validation indices (silhouette, adjusted Rand index, NMI) used to
 // quantify the demo scenarios.
@@ -115,37 +115,6 @@ func Euclidean(x, y []float64) (float64, error) {
 	return math.Sqrt(s), nil
 }
 
-// ranks returns average ranks (1-based) handling ties by midrank.
-func ranks(x []float64) []float64 {
-	n := len(x)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && x[idx[j+1]] == x[idx[i]] {
-			j++
-		}
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
-}
-
-// Spearman returns the Spearman rank correlation between x and y.
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) || len(x) == 0 {
-		return 0, ErrLength
-	}
-	return Pearson(ranks(x), ranks(y))
-}
-
 // Quantile returns the q-th quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 // xs need not be sorted; it is not modified.
@@ -215,39 +184,6 @@ func ZScoresRobust(xs []float64) []float64 {
 		out[i] = (x - mu) / sd
 	}
 	return out
-}
-
-// Histogram counts xs into nbins equal-width bins over [min, max]. Values
-// exactly at max fall into the last bin. It returns the counts and the bin
-// edges (nbins+1 values).
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64) {
-	if nbins < 1 {
-		nbins = 1
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	if len(xs) == 0 {
-		return counts, edges
-	}
-	lo, hi := MinMax(xs)
-	if hi == lo {
-		hi = lo + 1
-	}
-	w := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return counts, edges
 }
 
 // Normalize01 linearly rescales xs into [0,1] (all 0.5 if constant), used by

@@ -123,29 +123,6 @@ func TestEuclidean(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Any monotone transform gives rho = 1.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 8, 27, 64, 125}
-	rho, err := Spearman(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rho, 1, 1e-12) {
-		t.Errorf("monotone spearman = %v", rho)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	rho, err := Spearman([]float64{1, 2, 2, 3}, []float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(rho, 1, 1e-12) {
-		t.Errorf("tied identical spearman = %v", rho)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
@@ -196,24 +173,6 @@ func TestZScoresRobustConstant(t *testing.T) {
 		if v != 0 {
 			t.Errorf("constant input z = %v, want 0", v)
 		}
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if len(counts) != 5 || len(edges) != 6 {
-		t.Fatalf("shape = %d counts, %d edges", len(counts), len(edges))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total = %d, want 10", total)
-	}
-	// Max value lands in the last bin.
-	if counts[4] != 2 { // 8 and 9
-		t.Errorf("last bin = %d, want 2", counts[4])
 	}
 }
 

@@ -181,13 +181,3 @@ func TestNeighborhoodPurityErrors(t *testing.T) {
 		t.Error("k=n should fail")
 	}
 }
-
-func TestRanksMidrankTies(t *testing.T) {
-	r := ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("ranks = %v, want %v", r, want)
-		}
-	}
-}

@@ -8,29 +8,20 @@ import (
 )
 
 // GroupStrategy names the physical grouping layout the planner chose for a
-// scan.
+// scan. Both fold through query.Scan into bucket-indexed arrays; a plan
+// without a bucket key is the one-bucket case.
 type GroupStrategy string
 
 const (
 	// GroupSingle: no bucket key — one aggregate state per (meter, zone)
 	// base key, whole batches fold in one kernel call.
 	GroupSingle GroupStrategy = "single"
-	// GroupDense: bucket starts are enumerable from the window and the
+	// GroupDense: bucket starts are enumerated from the window and the
 	// granularity, so each worker aggregates into a bucket-indexed array
 	// with precomputed boundaries — no hashing and no per-sample Truncate
 	// on the hot path.
 	GroupDense GroupStrategy = "dense"
-	// GroupMap: bucket count is unknown or too large for an array; groups
-	// hash on the bucket start, still one lookup per bucket run rather
-	// than per sample.
-	GroupMap GroupStrategy = "map"
 )
-
-// maxDenseBuckets caps the dense path's per-worker array. Beyond this the
-// array itself starts to out-weigh hashing (40 B of aggregate state per
-// bucket, mostly empty for sparse series), so the planner falls back to
-// GroupMap.
-const maxDenseBuckets = 1 << 16
 
 // minSamplesPerWorker is the fan-out floor: a goroutine (plus its batch
 // scratch) is only worth spinning up when it has at least this many samples
@@ -46,6 +37,11 @@ type ScanCost struct {
 	EstSamples int64 // window-overlap estimate of samples to decode
 	EstBlocks  int64 // compressed blocks touched
 	EstBytes   int64 // compressed bytes touched
+
+	// Refused is non-nil when the scan must not run: the window spans more
+	// buckets than one request may enumerate (query.ErrWindowTooWide).
+	// Callers return it before admission and before any decode.
+	Refused error
 
 	Strategy GroupStrategy
 	Buckets  int // dense bucket count (0 unless Strategy == GroupDense)
@@ -71,9 +67,9 @@ type ScanCost struct {
 }
 
 // Approximate per-unit sizes for the in-flight memory estimate: one
-// aggregate state (query.Fold plus slice/alignment overhead), one hash-map
-// group entry (key + pointer + state), and one decoded sample in batch
-// scratch (timestamp + value).
+// aggregate state (query.Fold plus slice/alignment overhead), one group
+// (its state in a meter's partial and again in the sink), and one decoded
+// sample in batch scratch (timestamp + value).
 const (
 	aggStateBytes   = 48
 	groupEntryBytes = 96
@@ -111,8 +107,7 @@ func EstimateScan(eng *query.Engine, p *Plan, ids []int64, from, to int64) ScanC
 // per-series stats and picks the serving tier (if any), the grouping
 // strategy, and the parallelism degree. tiers lists the store's maintained
 // rollup resolutions (ascending; nil disables tier serving). The returned
-// bounds are the dense path's ascending bucket starts (nil for the other
-// strategies).
+// bounds are a bucketed plan's ascending bucket starts.
 func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers int, tiers []int64) (ScanCost, []int64) {
 	c := ScanCost{Meters: len(stats)}
 	for _, s := range stats {
@@ -145,36 +140,20 @@ func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers 
 		c.EstBytes += ebytes
 	}
 
-	var bounds []int64
-	if !p.hasBucket {
-		c.Strategy = GroupSingle
-	} else if bounds = query.BucketBounds(p.Granularity(), from, to, maxDenseBuckets); bounds != nil {
-		c.Strategy = GroupDense
-		c.Buckets = len(bounds)
-	} else {
-		c.Strategy = GroupMap
-	}
-	planTier(p, &c, from, to, tiers)
-
 	// Group-state estimate: one state per overlapping meter without a
-	// bucket dimension; per (meter, bucket) otherwise, with the map
-	// strategy's bucket count bounded by the window span. Both bounds cap
-	// at the sample estimate — a group needs at least one sample to exist.
-	switch {
-	case !p.hasBucket:
-		c.EstGroups = int64(c.overlap)
-	case c.Strategy == GroupDense:
-		c.EstGroups = int64(c.overlap) * int64(c.Buckets)
-	default:
-		bw := p.Granularity().ApproxSeconds()
-		if bw < 1 {
-			bw = 1
-		}
-		c.EstGroups = int64(c.overlap) * ((to-from)/bw + 1)
+	// bucket dimension, per (meter, bucket) otherwise, capped at the sample
+	// estimate — a group needs at least one sample to exist.
+	var bounds []int64
+	c.Strategy, c.EstGroups = GroupSingle, int64(c.overlap)
+	if p.hasBucket {
+		bounds, c.Refused = query.BucketAxis(p.Granularity(), from, to)
+		c.Strategy, c.Buckets = GroupDense, len(bounds)
+		c.EstGroups *= int64(c.Buckets)
 	}
 	if c.EstGroups > c.EstSamples {
 		c.EstGroups = c.EstSamples
 	}
+	planTier(p, &c, from, to, tiers)
 
 	// Fan-out sizes to the work actually done: tier buckets merged plus
 	// edge samples decoded when a tier serves, decoded samples otherwise.

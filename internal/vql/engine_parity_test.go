@@ -75,6 +75,7 @@ func TestEngineMatchesVQL(t *testing.T) {
 				{From: aligned - 4321, To: aligned + 3*day + 7}, // raw edges either side
 				{From: first + 100, To: first + 1700},           // narrower than any bucket
 				{From: last - 40*day, To: last + 40*day},        // runs past the data
+				{From: first - 70000*3600, To: last + 1},        // more than 65,536 hourly buckets
 			}
 			for wi, sel := range windows {
 				where := ""

@@ -56,44 +56,27 @@ type Result struct {
 }
 
 // ResolveWindow returns the plan's effective half-open scan window over
-// st: explicit bounds where the query set them, the store's data extent
-// filling the absent side(s). ok is false when the window cannot be
-// resolved (an empty store, or an extent entirely outside the bounds) —
-// the query then yields zero rows. Callers memoizing results of plans
-// with an absent side must key on the resolved window: the extent moves
-// when any meter receives newer samples.
+// st under the shared rule (query.ResolveWindow): explicit bounds where the
+// query set them, the store's data extent filling the absent side(s). ok is
+// false when the window cannot be resolved (an empty store, an extent
+// entirely outside the bounds, inverted bounds) — the query then yields
+// zero rows rather than the error the engine's endpoints answer with.
 func (p *Plan) ResolveWindow(st *store.Store) (from, to int64, ok bool) {
-	if p.HasFrom && p.HasTo {
-		return p.From, p.To, p.To > p.From
-	}
-	first, last, has := st.TimeBounds()
-	if !has {
-		return 0, 0, false
-	}
-	from, to = first, last+1
-	if p.HasFrom {
-		from = p.From
-	}
-	if p.HasTo {
-		to = p.To
-	}
-	return from, to, to > from
+	from, to, err := query.ResolveWindow(st, p.From, p.To, p.HasFrom, p.HasTo)
+	return from, to, err == nil
 }
 
-// groupKey identifies one output group. Unused dimensions stay at their
-// zero values, so the ungrouped (single-row) query uses the zero key.
+// groupKey is the part of a group's key that is not its bucket. Unused
+// dimensions stay at their zero values, so a query grouped by neither meter
+// nor zone uses the zero key.
 type groupKey struct {
-	bucket int64
-	meter  int64
-	zone   store.ZoneType
+	meter int64
+	zone  store.ZoneType
 }
 
-// less is the default row order: the group-key tuple ascending, so
-// unordered queries are still deterministic.
+// less is the default row order within one bucket: the key tuple ascending,
+// so unordered queries are still deterministic.
 func (k groupKey) less(o groupKey) bool {
-	if k.bucket != o.bucket {
-		return k.bucket < o.bucket
-	}
 	if k.meter != o.meter {
 		return k.meter < o.meter
 	}
@@ -152,30 +135,16 @@ func (p *Plan) needMinMax() bool {
 	return false
 }
 
-// ResolveScanMeters resolves the plan's meter set for execution: the
-// selection's meters minus ids that are not registered (an explicit
-// meter set naming unknown ids filters to nothing instead of erroring the
-// scan with ErrUnknownMeter). A selection matching nothing returns an
-// empty set, not query.ErrNoMeters.
+// ResolveScanMeters resolves the plan's meter set for execution through
+// the engine's resolver (an explicit meter set is a filter: unknown ids drop
+// out). The one difference is SQL's: a selection matching nothing returns
+// an empty set, not query.ErrNoMeters.
 func ResolveScanMeters(eng *query.Engine, p *Plan) ([]int64, error) {
 	ids, err := eng.ResolveMeters(p.Sel)
-	if err != nil {
-		if errors.Is(err, query.ErrNoMeters) {
-			return nil, nil
-		}
-		return nil, err
+	if errors.Is(err, query.ErrNoMeters) {
+		return nil, nil
 	}
-	cat := eng.Store().Catalog()
-	// Filter into a fresh slice: ids may alias memory the engine handed out
-	// (an explicit MeterIDs selection returns the caller's backing array),
-	// and compacting in place would corrupt it.
-	known := make([]int64, 0, len(ids))
-	for _, id := range ids {
-		if _, ok := cat.Get(id); ok {
-			known = append(known, id)
-		}
-	}
-	return known, nil
+	return ids, err
 }
 
 // ExecuteResolved runs a compiled plan over an already-resolved meter set
@@ -185,11 +154,13 @@ func ResolveScanMeters(eng *query.Engine, p *Plan) ([]int64, error) {
 // diverge from the executed one). windowOK false yields zero rows.
 //
 // Execution is vectorized: a cost model over per-series statistics picks
-// the grouping layout (dense bucket array, hash, or single group) and the
-// fan-out width, then contiguous meter chunks scan through the store's
-// batch decoder into per-chunk partial aggregates. Bucket boundaries are
-// found by scanning the sorted timestamp array — the kernels never
-// truncate or hash per sample.
+// the serving tier and the fan-out width, then contiguous meter chunks scan
+// through the store's batch decoder into per-meter bucket-indexed partial
+// aggregates (one bucket when the plan has no bucket key). Bucket
+// boundaries are found by scanning the sorted timestamp array — the kernel
+// never truncates or hashes per sample. A window of more buckets than one
+// request may enumerate is refused (query.ErrWindowTooWide) before anything
+// is decoded.
 func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int64, from, to int64, windowOK bool) (*Result, error) {
 	res := &Result{Columns: make([]string, len(p.Cols)), Types: p.ColumnTypes(), Rows: [][]any{}}
 	for i, c := range p.Cols {
@@ -199,6 +170,9 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 		from, to = 0, 0
 	}
 	cost, bounds := planScan(p, eng.Store().SeriesStats(ids), from, to, eng.Workers(), eng.Store().RollupResolutions())
+	if cost.Refused != nil {
+		return nil, cost.Refused
+	}
 	res.Plan = explainText(p, &cost, true)
 	if len(ids) == 0 || !windowOK {
 		res.Rows = (&groupSink{}).rows(p)
@@ -214,7 +188,7 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	// split (float addition is not associative; collapsing a chunk's meters
 	// into shared state would tie result bytes to the fan-out choice).
 	sc := newScanConfig(ctx, p, eng, &cost, bounds, from, to)
-	sink := newGroupSink(sc)
+	sink := &groupSink{bounds: sc.bounds, index: make(map[groupKey]int)}
 	vers := make([]uint64, len(ids))
 	if cost.Chunks == 1 {
 		// Sequential scan: each meter's partial merges into the sink as
@@ -254,20 +228,18 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	return res, nil
 }
 
-// meterPartial holds one meter's partial aggregates. Dense scans keep the
-// touched bucket-indexed folds (covering buckets [lo, lo+len(dense)) of the
-// scan's bounds, base key base) instead of a map, so the hot path never
-// hashes a group key; the map fallback fills groups. n is the meter's
-// in-window sample count.
+// meterPartial holds one meter's partial aggregates: the touched
+// bucket-indexed folds (covering buckets [lo, lo+len(dense)) of the scan's
+// bounds, base key base), so the hot path never hashes a group key. n is
+// the meter's in-window sample count.
 type meterPartial struct {
-	groups map[groupKey]*query.Fold
-	dense  []query.Fold
-	lo     int
-	base   groupKey
-	n      int
+	dense []query.Fold
+	lo    int
+	base  groupKey
+	n     int
 }
 
-// slab is the group states of one base key — (meter, zone), bucket unused —
+// slab is the group states of one base key — a (meter, zone) pair —
 // along the bucket axis: folds covers buckets [lo, lo+len(folds)) of the
 // scan's bounds, and an entry no sample reached is Empty.
 type slab struct {
@@ -277,42 +249,24 @@ type slab struct {
 }
 
 // groupSink accumulates per-meter partials into the final group states, in
-// the order the meters are handed over. A dense scan keeps one slab per
+// the order the meters are handed over. It keeps one slab per
 // base key: without a meter/zone key that is a single slab, GROUP BY meter
 // gives each meter its own, GROUP BY zone merges a zone's meters into one.
 // The base key is looked up once per meter, never per group, and the slabs
 // still hold the groups in bucket order when the scan ends, so rows are
 // emitted from them directly. The first partial to reach an entry is
 // copied and later ones Merge into it — the association of the scalar
-// executor's per-group map, so results stay bit-identical to it. Only the
-// map fallback (an axis too long to enumerate) hashes whole group keys.
+// executor's per-group map, so results stay bit-identical to it.
 type groupSink struct {
 	bounds []int64
 	slabs  []slab
-	index  map[groupKey]int         // base key -> position in slabs
-	groups map[groupKey]*query.Fold // map fallback only
+	index  map[groupKey]int // base key -> position in slabs
 }
 
-func newGroupSink(sc *scanConfig) *groupSink {
-	if sc.dense == nil {
-		return &groupSink{groups: make(map[groupKey]*query.Fold)}
-	}
-	return &groupSink{bounds: sc.bounds, index: make(map[groupKey]int)}
-}
-
-// add merges one meter's partial, whichever shape it has. owned says the
-// partial's dense states are a private copy the sink may keep; otherwise
-// they alias the chunk's scratch and are copied out.
+// add merges one meter's partial. owned says the partial's states are a
+// private copy the sink may keep; otherwise they alias the chunk's scratch
+// and are copied out.
 func (s *groupSink) add(mp *meterPartial, owned bool) {
-	// Keys within a single meter's map are distinct groups, so iteration
-	// order doesn't matter.
-	for k, st := range mp.groups {
-		if g, ok := s.groups[k]; ok {
-			g.Merge(st)
-		} else {
-			s.groups[k] = st
-		}
-	}
 	if len(mp.dense) == 0 {
 		return
 	}
@@ -356,7 +310,7 @@ func (s *groupSink) add(mp *meterPartial, owned bool) {
 // over an empty selection count is 0 and the value-folding aggregates are
 // null.
 func (s *groupSink) rows(p *Plan) [][]any {
-	n := len(s.groups)
+	n := 0
 	for i := range s.slabs {
 		for j := range s.slabs[i].folds {
 			if !s.slabs[i].folds[j].Empty() {
@@ -377,8 +331,6 @@ func (s *groupSink) rows(p *Plan) [][]any {
 	case n == 0: // no group, or LIMIT 0
 	case none != nil:
 		b.add(nil, nil, nil, none)
-	case s.groups != nil:
-		s.emitGroups(b, n)
 	default:
 		s.emitSlabs(b, n)
 	}
@@ -437,19 +389,6 @@ func (s *groupSink) emitSlabs(b *rowBuilder, n int) {
 	}
 }
 
-// emitGroups emits the first n groups of the map fallback in ascending key
-// order.
-func (s *groupSink) emitGroups(b *rowBuilder, n int) {
-	keys := make([]groupKey, 0, len(s.groups))
-	for k := range s.groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-	for _, k := range keys[:n] {
-		b.add(k.bucket, k.meter, string(k.zone), s.groups[k])
-	}
-}
-
 // rowBuilder lays result rows out in one cell allocation: each row is a
 // full (three-index) sub-slice of cells, so appending to a row can never
 // write into its neighbour.
@@ -488,26 +427,18 @@ func (b *rowBuilder) seal() {
 }
 
 // scanConfig is the immutable per-query scan setup shared by every chunk
-// worker: the grouping layout the planner chose plus the plan dimensions
-// the key construction needs.
+// worker: the shared kernel over the plan's bucket axis plus the plan
+// dimensions the key construction needs.
 type scanConfig struct {
 	eng        *query.Engine
-	from, to   int64
-	gran       query.Granularity
 	groupMeter bool
 	needZone   bool
-	minMax     bool
-	// bounds are the ascending bucket starts the shared kernel (dense)
-	// folds into; a plan with no bucket dimension is its one-bucket case.
-	// Both are nil when the axis is too long to enumerate (GroupMap).
+	// bounds are the ascending bucket starts the shared kernel folds into;
+	// a plan with no bucket dimension is its one-bucket case.
 	bounds []int64
 	dense  *query.Scan
-	// GroupMap only: tierRes != 0 serves interior buckets [aFrom, aTo)
-	// from the rollup tier of that resolution.
-	tierRes    int64
-	aFrom, aTo int64
-	// pace is the governance check between meters and, on the map
-	// fallback, between decoded batches (see query.Scan).
+	// pace is the governance check between meters (see query.Scan for the
+	// one between decoded batches).
 	pace func(context.Context) error
 }
 
@@ -515,11 +446,7 @@ func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCo
 	sc := &scanConfig{
 		eng:      eng,
 		pace:     govern.PaceFunc(ctx),
-		from:     from,
-		to:       to,
-		gran:     p.Granularity(),
 		needZone: p.needZone,
-		minMax:   p.needMinMax(),
 		bounds:   bounds,
 	}
 	for _, k := range p.Keys {
@@ -531,11 +458,7 @@ func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCo
 		// One bucket, whose start is the zero group key's bucket.
 		sc.bounds = []int64{0}
 	}
-	if sc.bounds != nil {
-		sc.dense = query.NewScan(ctx, eng.Store(), sc.bounds, from, to, cost.TierRes, sc.minMax)
-	} else if cost.TierRes != 0 {
-		sc.tierRes, sc.aFrom, sc.aTo = query.ServingTier(eng.Store().RollupResolutions(), cost.TierRes, from, to)
-	}
+	sc.dense = query.NewScan(ctx, eng.Store(), sc.bounds, from, to, cost.TierRes, p.needMinMax())
 	return sc
 }
 
@@ -551,10 +474,7 @@ func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCo
 func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64, partials []meterPartial, sink *groupSink) (int, error) {
 	batch := store.GetBatch()
 	defer store.PutBatch(batch)
-	var dense []query.Fold
-	if sc.dense != nil {
-		dense = sc.dense.NewDense()
-	}
+	dense := sc.dense.NewDense()
 
 	cat := sc.eng.Store().Catalog()
 	samples := 0
@@ -571,18 +491,13 @@ func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64,
 				mp.base.zone = m.Zone
 			}
 		}
+		var hi int
 		var err error
-		if sc.dense != nil {
-			var hi int
-			mp.n, mp.lo, hi, vers[i], err = sc.dense.Meter(ctx, id, batch, dense)
-			mp.dense = dense[mp.lo:hi]
-		} else {
-			mp.groups = make(map[groupKey]*query.Fold)
-			mp.n, vers[i], err = sc.scanMap(ctx, id, mp.base, batch, mp.groups)
-		}
+		mp.n, mp.lo, hi, vers[i], err = sc.dense.Meter(ctx, id, batch, dense)
 		if err != nil {
 			return 0, err
 		}
+		mp.dense = dense[mp.lo:hi]
 		samples += mp.n
 		if sink != nil {
 			sink.add(&mp, false)
@@ -595,97 +510,6 @@ func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64,
 		query.ResetFolds(mp.dense)
 	}
 	return samples, nil
-}
-
-// scanMap folds one meter with hash grouping on the bucket start — the
-// fallback when the bucket axis is too long to enumerate (maxDenseBuckets).
-// A tier-served scan merges one consistent capture in time order: left
-// edge raw, interior tier buckets, right edge raw; the planner only serves
-// tiers whose resolution equals the bucket width, so each interior group
-// receives exactly one tier bucket. Returns the meter's in-window sample
-// count and its capture version.
-func (sc *scanConfig) scanMap(ctx context.Context, id int64, base groupKey, batch *store.Batch, local map[groupKey]*query.Fold) (int, uint64, error) {
-	if sc.tierRes == 0 {
-		it, err := sc.eng.Store().Iter(id, sc.from, sc.to)
-		if err != nil {
-			return 0, 0, err
-		}
-		n, err := sc.foldMap(ctx, it, batch, base, local)
-		return n, it.Version(), err
-	}
-	tsc, err := sc.eng.Store().TierScan(id, sc.tierRes, sc.from, sc.aFrom, sc.aTo, sc.to)
-	if err != nil {
-		return 0, 0, err
-	}
-	n := 0
-	if tsc.Left != nil {
-		if n, err = sc.foldMap(ctx, tsc.Left, batch, base, local); err != nil {
-			return 0, 0, err
-		}
-	}
-	tsc.Buckets(func(b *store.RollupBucket) {
-		key := base
-		key.bucket = sc.gran.Truncate(b.Start)
-		cur := local[key]
-		if cur == nil {
-			cur = newFold()
-			local[key] = cur
-		}
-		cur.MergeRollup(b)
-		n += int(b.Count + b.NaN)
-	})
-	if tsc.Right != nil {
-		en, err := sc.foldMap(ctx, tsc.Right, batch, base, local)
-		if err != nil {
-			return 0, 0, err
-		}
-		n += en
-	}
-	return n, tsc.Version, nil
-}
-
-// foldMap decodes one raw iterator into local. Truncate/Next and the map
-// lookup run once per bucket run, not per sample.
-func (sc *scanConfig) foldMap(ctx context.Context, it *store.SeriesIter, batch *store.Batch, base groupKey, local map[groupKey]*query.Fold) (int, error) {
-	key := base
-	var cur *query.Fold
-	bEnd := int64(math.MinInt64)
-	n := 0
-	for it.NextBatch(batch) {
-		if err := sc.pace(ctx); err != nil {
-			return n, err
-		}
-		ts, vals := batch.TS, batch.Val
-		n += len(ts)
-		k := 0
-		for k < len(ts) {
-			if ts[k] >= bEnd {
-				key.bucket = sc.gran.Truncate(ts[k])
-				bEnd = sc.gran.Next(ts[k])
-				cur = local[key]
-				if cur == nil {
-					cur = newFold()
-					local[key] = cur
-				}
-			}
-			r := k + 1
-			for r < len(ts) && ts[r] < bEnd {
-				r++
-			}
-			if sc.minMax {
-				cur.FoldVals(vals[k:r])
-			} else {
-				cur.FoldSum(vals[k:r])
-			}
-			k = r
-		}
-	}
-	return n, it.Err()
-}
-
-func newFold() *query.Fold {
-	f := query.EmptyFold()
-	return &f
 }
 
 // cmpVal orders two homogeneous cell values (int64, float64, string, or

@@ -12,6 +12,18 @@ import (
 	"vap/internal/store"
 )
 
+// refKey is the oracle's group key: every group, bucket included, through
+// one map. (The shipping executor keys only the (meter, zone) slabs.)
+type refKey struct {
+	bucket, meter int64
+	zone          store.ZoneType
+}
+
+func newFold() *query.Fold {
+	f := query.EmptyFold()
+	return &f
+}
+
 // ExecuteResolvedScalar is the oracle TestVectorizedMatchesScalar and
 // BenchmarkVQLExec hold ExecuteResolved against: the sample-at-a-time
 // executor that ran before vectorization, verbatim. Results are identical
@@ -39,7 +51,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		}
 	}
 
-	partials := make([]map[groupKey]*query.Fold, len(ids))
+	partials := make([]map[refKey]*query.Fold, len(ids))
 	counts := make([]int, len(ids))
 	vers := eng.Store().MeterVersions(ids)
 	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
@@ -54,8 +66,8 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		if err != nil {
 			return err
 		}
-		local := make(map[groupKey]*query.Fold)
-		key := groupKey{zone: zone}
+		local := make(map[refKey]*query.Fold)
+		key := refKey{zone: zone}
 		if groupMeter {
 			key.meter = id
 		}
@@ -92,7 +104,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 
 	res.Fingerprint = store.FingerprintPairs(ids, vers)
 
-	groups := make(map[groupKey]*query.Fold)
+	groups := make(map[refKey]*query.Fold)
 	for i, local := range partials {
 		res.Samples += counts[i]
 		for k, st := range local {
@@ -112,11 +124,11 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 // before it emitted rows from its slabs: every group through one map, the
 // keys sorted into the default (bucket, meter, zone) order, one allocation
 // per row, then ORDER BY and LIMIT.
-func buildRowsRef(p *Plan, groups map[groupKey]*query.Fold) [][]any {
+func buildRowsRef(p *Plan, groups map[refKey]*query.Fold) [][]any {
 	if len(p.Keys) == 0 && len(groups) == 0 {
-		groups = map[groupKey]*query.Fold{{}: newFold()}
+		groups = map[refKey]*query.Fold{{}: newFold()}
 	}
-	keys := make([]groupKey, 0, len(groups))
+	keys := make([]refKey, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
 	}

@@ -3,9 +3,11 @@ package vql
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vap/internal/geo"
@@ -193,11 +195,25 @@ func TestPlanScanCostModel(t *testing.T) {
 		}
 	})
 
-	t.Run("map fallback beyond maxDenseBuckets", func(t *testing.T) {
+	t.Run("dense past 65536 buckets and refused past the cap", func(t *testing.T) {
 		p := compilePlan(t, `select bucket(hourly), sum(value) from meters group by bucket(hourly)`)
-		c, bounds := planScan(p, stats, 0, int64(maxDenseBuckets+2)*hour, 4, nil)
-		if c.Strategy != GroupMap || bounds != nil {
-			t.Errorf("strategy = %q (bounds %d), want map with nil bounds", c.Strategy, len(bounds))
+		for _, n := range []int{1<<16 + 2, 1 << 20} {
+			c, bounds := planScan(p, stats, 0, int64(n)*hour, 4, nil)
+			if c.Strategy != GroupDense || c.Refused != nil || c.Buckets != n || len(bounds) != n {
+				t.Errorf("%d buckets: strategy = %q, refused = %v, buckets = %d (bounds %d), want dense over all of them",
+					n, c.Strategy, c.Refused, c.Buckets, len(bounds))
+			}
+		}
+		c, bounds := planScan(p, stats, 0, (1<<20+1)*hour, 4, nil)
+		if !errors.Is(c.Refused, query.ErrWindowTooWide) || bounds != nil {
+			t.Errorf("2^20+1 buckets: refused = %v (bounds %d), want ErrWindowTooWide and no axis", c.Refused, len(bounds))
+		}
+		if got := groupingStr(&c); !strings.Contains(got, "refused") || !strings.Contains(got, "window too wide") {
+			t.Errorf("grouping line of a refused plan = %q", got)
+		}
+		// An empty window is not a wide one.
+		if c, _ := planScan(p, stats, 0, 0, 4, nil); c.Refused != nil || c.Buckets != 0 {
+			t.Errorf("empty window: refused = %v, buckets = %d, want none of either", c.Refused, c.Buckets)
 		}
 	})
 
@@ -333,9 +349,11 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 			hi := lo + 1 + rng.Int63n(maxTS-lo)
 			windows = append(windows, [2]int64{lo, hi})
 		}
-		// One window too wide to enumerate hourly buckets for: the hourly
-		// queries leave the dense bucket array for the map grouping.
-		windows = append(windows, [2]int64{base - (maxDenseBuckets+1)*3600, maxTS + 1})
+		// One window of more than 65,536 hourly buckets, nearly all of them
+		// before the first sample: the width that used to leave the dense
+		// bucket array for a hash grouping, and no longer does.
+		const wideBuckets = 1<<16 + 1
+		windows = append(windows, [2]int64{base - wideBuckets*3600, maxTS + 1})
 		for _, win := range windows {
 			if win[0] != 0 {
 				p.HasFrom, p.From = true, win[0]
@@ -346,6 +364,11 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			from, to, ok := p.ResolveWindow(eng.Store())
+			cost := EstimateScan(eng, p, asc, from, to)
+			wideHourly := win[0] == base-wideBuckets*3600 && p.Granularity() == query.GranHourly
+			if p.hasBucket && (cost.Strategy != GroupDense || cost.Refused != nil) || wideHourly && cost.Buckets <= wideBuckets {
+				t.Errorf("%s win=%v: planned %q over %d buckets (refused: %v), want dense", src, win, cost.Strategy, cost.Buckets, cost.Refused)
+			}
 
 			// ExecuteResolved is exported: the meter set may arrive in any
 			// order and name a meter twice (it is then scanned twice, by both
@@ -375,5 +398,14 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Past 2^20 buckets there is no layout to compare: the statement is
+	// refused before any meter is opened (id 99 is not registered — an
+	// iterator on it would fail with store.ErrUnknownMeter instead).
+	p := compilePlan(t, `select bucket(hourly), count(*) from meters group by bucket(hourly)`)
+	res, err := ExecuteResolved(context.Background(), eng, p, []int64{99, 1}, base, base+(1<<20+1)*3600, true)
+	if res != nil || !errors.Is(err, query.ErrWindowTooWide) {
+		t.Errorf("2^20+1 hourly buckets: res = %v, err = %v, want no result and ErrWindowTooWide", res, err)
 	}
 }

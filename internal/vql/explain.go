@@ -134,13 +134,14 @@ func tierStr(c *ScanCost) string {
 	return "raw scan (" + reason + ")"
 }
 
-// groupingStr renders the planner's grouping choice.
+// groupingStr renders the planner's grouping choice, or why it refuses the
+// scan.
 func groupingStr(c *ScanCost) string {
-	switch c.Strategy {
-	case GroupDense:
+	switch {
+	case c.Refused != nil:
+		return "refused (" + c.Refused.Error() + ")"
+	case c.Strategy == GroupDense:
 		return fmt.Sprintf("dense bucket array (%d buckets, boundaries precomputed)", c.Buckets)
-	case GroupMap:
-		return "hash on bucket start (bucket count not enumerable)"
 	default:
 		return "single group per key (no bucket dimension)"
 	}

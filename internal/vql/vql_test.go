@@ -379,6 +379,13 @@ func TestExplain(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
+	// A window of more buckets than one request may enumerate still
+	// explains, and the plan says the scan would be refused.
+	wide := compilePlan(t, `EXPLAIN SELECT bucket(hourly), count(*) FROM meters
+		WHERE time >= 1 AND time < 4000000000 GROUP BY bucket(hourly)`)
+	if out := ExplainString(wide, eng); !strings.Contains(out, "grouping: refused (query: window too wide: [1, 4000000000) spans more than 1048576 hourly buckets)") {
+		t.Errorf("explain of a too-wide window does not name the refusal:\n%s", out)
+	}
 	// Static rendering without an engine must not panic.
 	static := ExplainString(p, nil)
 	if strings.Contains(static, "meters resolved") {
@@ -509,6 +516,30 @@ func TestEpochZeroTimeBounds(t *testing.T) {
 	}
 	if pa.Fingerprint() == pb.Fingerprint() {
 		t.Fatal("explicit time >= 0 shares a plan fingerprint with the unconstrained query")
+	}
+
+	// Pre-epoch readings: an unbucketed plan folds into the one bucket that
+	// nominally starts at 0, so its first sample sits before the axis — the
+	// kernel's first-bucket search must land on bucket 0, not before it.
+	old, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if err := old.PutMeter(store.Meter{ID: 1, Location: geo.Point{Lon: 10.1, Lat: 55.6}, Zone: store.ZoneResidential}); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int64{-7200, -3600, 3600} {
+		if err := old.Append(1, store.Sample{TS: at, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldEng := query.NewEngineWorkers(old, 1)
+	if got := run(t, oldEng, `SELECT count(*) FROM meters`).Rows[0][0].(int64); got != 3 {
+		t.Fatalf("count over pre-epoch data = %v, want 3", got)
+	}
+	if got := run(t, oldEng, `SELECT count(*) FROM meters WHERE time < 0`).Rows[0][0].(int64); got != 2 {
+		t.Fatalf("pre-epoch count = %v, want 2", got)
 	}
 }
 

@@ -406,6 +406,22 @@ func TestWireGovernanceTaxonomy(t *testing.T) {
 		t.Errorf("HTTP cost status = %d (%v), want 422", status, body)
 	}
 
+	// A window of more than 2^20 buckets is refused before admission: even
+	// the capped tenant hears about its window (400 / ER_WRONG_ARGUMENTS),
+	// not about its ceiling, in the same words on both transports.
+	const wide = "SELECT bucket(hourly), count(*) FROM meters WHERE time >= 1 AND time < 4000000000 GROUP BY bucket(hourly)"
+	_, err = db.Query(wide)
+	if err == nil {
+		t.Fatal("statement of more than 2^20 buckets ran")
+	}
+	if got := wireErrno(t, err); got != frontend.MyErrWrongArgs || !strings.Contains(err.Error(), "window too wide") {
+		t.Errorf("too-wide errno = %d (%v), want %d naming the window", got, err, frontend.MyErrWrongArgs)
+	}
+	status, body = postQuery(t, s.http.URL, "batch", wide)
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "window too wide") {
+		t.Errorf("HTTP too-wide status = %d (%v), want 400 naming the window", status, body)
+	}
+
 	// Overload shed: occupy the single admission slot, then query with a
 	// short queue wait. Both transports reject from the same ShedError.
 	grant, err := s.gov.Admit(context.Background(), govern.Request{Tenant: "hold", EstSamples: 1})
