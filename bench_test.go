@@ -400,7 +400,7 @@ func BenchmarkVQLRollup(b *testing.B) {
 	if !reflect.DeepEqual(rawRes.Rows, tierRes.Rows) {
 		b.Fatal("rollup-served rows differ from raw-scan rows")
 	}
-	if !strings.Contains(tierRes.Plan, "rollup serves interior") {
+	if !strings.Contains(tierRes.Plan, "rollup serves") {
 		b.Fatalf("tier store planned a raw scan:\n%s", tierRes.Plan)
 	}
 	bench := func(eng *query.Engine) func(*testing.B) {

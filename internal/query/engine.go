@@ -163,11 +163,11 @@ func BucketAxis(g Granularity, from, to int64) ([]int64, error) {
 }
 
 // newScan prepares the shared kernel for a fold of [from, to) into the
-// buckets starting at bounds, each width seconds wide (see ServingTier),
-// served from a rollup tier wherever the tier rule allows.
+// buckets starting at bounds, cut from a grid of the given width (see
+// ServingTier), served from a rollup tier wherever the tier rule allows.
 func (e *Engine) newScan(ctx context.Context, bounds []int64, width int64, fn AggFunc, from, to int64) *Scan {
 	res, _, _ := ServingTier(e.st.RollupResolutions(), width, from, to)
-	return NewScan(ctx, e.st, bounds, from, to, res, fn == AggMax || fn == AggMin)
+	return NewScan(ctx, e.st, bounds, width, from, to, res, fn == AggMax || fn == AggMin)
 }
 
 // scanMeters folds every meter of ids through sc, fanned out across the
@@ -192,8 +192,8 @@ func (e *Engine) scanMeters(ctx context.Context, sc *Scan, ids []int64, emit fun
 }
 
 // MeterSeries returns the aggregated series of a single meter: one Bucket
-// per interval holding at least one reading, complete buckets served from
-// the store's rollup tiers when the granularity has a matching tier.
+// per interval holding at least one reading, whole grid cells served from
+// the store's rollup tier of the granularity's FixedWidth when it keeps one.
 func (e *Engine) MeterSeries(meterID int64, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
 	if err := fn.valid(); err != nil {
 		return nil, err
@@ -266,10 +266,11 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 }
 
 // windowFolds folds each meter's whole [from, to) window into one state,
-// aligned with ids. The aligned interior comes from the coarsest rollup
-// tier that fits and adds per-bucket subtotals, so with a tier a sum can
-// differ from a raw fold in the last ulp; the callers feed normalized
-// weights and quantile cuts, not bit-compared results.
+// aligned with ids. The aligned interior comes from the coarsest rollup tier
+// that fits: the daily tier gives the raw fold's states bit for bit (both
+// merge day cells, see Fold); a window holding no whole day — the flow map's
+// 4-hour ones — falls to the hourly tier, whose subtotals can move a sum in
+// the last ulp, and its callers feed normalized weights and quantile cuts.
 func (e *Engine) windowFolds(ctx context.Context, ids []int64, from, to int64) ([]Fold, error) {
 	sc := e.newScan(ctx, []int64{from}, WholeWindow, AggSum, from, to)
 	out := make([]Fold, len(ids))

@@ -19,6 +19,16 @@ import (
 // scan folding sum, mean, min, max and count together reads the data
 // once. NaN samples are tallied, never folded; ±Inf folds like any value.
 // Each caller decides at finalization what a NaN tally means.
+//
+// The order of a float sum is part of the result, and every path — raw
+// kernel, rollup tier, the oracle in vql/exec_ref_test.go — honours one
+// association. Per meter, a bucket at least one UTC day wide (daily and
+// coarser, and the one bucket of an unbucketed fold) is the in-time-order
+// Merge of its day cells, a day cell being the sample-order fold of the
+// meter's samples in [day, day+86400) ∩ window ∩ bucket; hourly and 4-hourly
+// buckets are sample-order folds. Meters then merge in the caller's order. A
+// daily rollup bucket is one whole day cell, which is what lets the daily
+// tier stand in for the raw samples of every such bucket bit for bit.
 type Fold struct {
 	Sum      float64
 	Count    int64 // non-NaN samples folded
@@ -108,16 +118,19 @@ func (f *Fold) MergeRollup(b *store.RollupBucket) {
 	}
 }
 
-// FixedWidth returns g's bucket width in seconds when every bucket of g is
-// one interval aligned to a multiple of that width, else 0. Weekly buckets
-// start on Monday (a 604800s grid sits on the epoch's Thursday) and the
-// calendar units vary in width, so only the first three qualify.
+const daySeconds int64 = 86400 // a day cell's width (see Fold)
+
+// FixedWidth returns the width in seconds of the fixed epoch-aligned grid
+// g's buckets are cut from: the bucket itself for the two sub-day units, the
+// UTC day for everything coarser (weeks start on a Monday and calendar units
+// on a 1st, both at 00:00 UTC). It is the cell of g's sum association (see
+// Fold) and the one rollup resolution that may serve g.
 func (g Granularity) FixedWidth() int64 {
 	switch g {
-	case GranHourly, Gran4Hourly, GranDaily:
+	case GranHourly, Gran4Hourly:
 		return g.ApproxSeconds()
 	default:
-		return 0
+		return daySeconds
 	}
 }
 
@@ -126,17 +139,17 @@ func (g Granularity) FixedWidth() int64 {
 const WholeWindow int64 = math.MaxInt64
 
 // ServingTier is the tier rule: it returns the rollup resolution that may
-// serve buckets of the given width over [from, to), with the aligned
-// interior [aFrom, aTo) it covers, or res 0 for a raw scan. Bucketed scans
-// are served only by the tier whose resolution equals the bucket width
-// exactly: every interior bucket is then one tier bucket, bit-identical to
-// the raw fold. Coarser buckets would add several tier subtotals and move
-// float sums in the last ulp, and a width of 0 (weekly, calendar units) has
-// no aligned grid at all. An unbucketed fold (WholeWindow) takes the
-// coarsest tier; its callers feed normalized weights and totals, not
-// bit-compared rows. Either way the window must hold at least one whole
-// tier bucket — the edges outside [aFrom, aTo) always decode raw, because
-// a partial bucket's tier state covers samples outside the window.
+// serve buckets cut from a grid of the given width (Granularity.FixedWidth)
+// over [from, to), with the aligned interior [aFrom, aTo) it covers, or res 0
+// for a raw scan. Bucketed scans are served only by the tier whose
+// resolution equals the width exactly: every tier bucket is then one cell of
+// the sum association, so the rows are bit-identical to the raw fold's. An
+// unbucketed fold (WholeWindow) takes the coarsest tier that fits; when a
+// window holds no whole day and that is the hourly tier, its sum can differ
+// from the raw fold's in the last ulp (see Engine.windowFolds). Either way
+// the window must hold at least one whole tier bucket — the edges outside
+// [aFrom, aTo) always decode raw, because a partial bucket's tier state
+// covers samples outside the window.
 func ServingTier(tiers []int64, width, from, to int64) (res, aFrom, aTo int64) {
 	for i := len(tiers) - 1; i >= 0; i-- {
 		r := tiers[i]
@@ -188,12 +201,12 @@ func BucketBounds(g Granularity, from, to int64, max int) []int64 {
 // by every worker of a query: the bucket axis, the serving tier, and the
 // per-batch governance check.
 type Scan struct {
-	st         *store.Store
-	from, to   int64
-	bounds     []int64 // ascending bucket starts; the last bucket is open-ended
-	minMax     bool
-	tierRes    int64
-	aFrom, aTo int64
+	st       *store.Store
+	from, to int64
+	bounds   []int64 // ascending bucket starts; the last bucket is open-ended
+	dayCells bool    // buckets are a day or wider: fold through day cells
+	minMax   bool
+	tierRes  int64
 	// pace surfaces deadline or cancellation between decoded batches (a
 	// cancelled monster scan aborts mid-meter, not after it) and yields the
 	// CPU for admitted analytics grants while interactive work is in flight.
@@ -203,15 +216,12 @@ type Scan struct {
 // NewScan prepares a fold of [from, to) into the buckets starting at
 // bounds (ascending, non-empty, covering the window, not modified while
 // the scan is in use; a single entry folds the whole window into one
-// state). tierRes, from ServingTier, routes the aligned
+// state), cut from a grid of the given width (Granularity.FixedWidth, or
+// WholeWindow). tierRes, from ServingTier, routes the aligned
 // interior through that rollup tier; 0 decodes everything raw. minMax
 // selects the kernel that also tracks Min/Max.
-func NewScan(ctx context.Context, st *store.Store, bounds []int64, from, to, tierRes int64, minMax bool) *Scan {
-	sc := &Scan{st: st, from: from, to: to, bounds: bounds, minMax: minMax, tierRes: tierRes, pace: govern.PaceFunc(ctx)}
-	if tierRes != 0 {
-		sc.aFrom, sc.aTo = alignUp(from, tierRes), alignDown(to, tierRes)
-	}
-	return sc
+func NewScan(ctx context.Context, st *store.Store, bounds []int64, width, from, to, tierRes int64, minMax bool) *Scan {
+	return &Scan{st: st, from: from, to: to, bounds: bounds, dayCells: width >= daySeconds, minMax: minMax, tierRes: tierRes, pace: govern.PaceFunc(ctx)}
 }
 
 // NewDense returns the empty bucket-indexed scratch Meter folds into.
@@ -229,6 +239,17 @@ type foldCursor struct {
 	bi, lo  int
 	touched bool
 	n       int
+	// cell is a day-cell scan's open cell, where raw samples fold, and
+	// cellEnd its exclusive end: the earlier of the day's and the bucket's.
+	cell    Fold
+	cellEnd int64
+}
+
+// flush merges the open cell (a no-op when nothing reached it) into its
+// bucket and closes it: the next raw sample opens a new one.
+func (c *foldCursor) flush(dense []Fold) {
+	dense[c.bi].Merge(&c.cell)
+	c.cell, c.cellEnd = EmptyFold(), math.MinInt64
 }
 
 // seek advances to the bucket holding ts and returns its exclusive end. A
@@ -257,9 +278,10 @@ func (c *foldCursor) seek(bounds []int64, ts int64) int64 {
 // wide window never pay for the whole array — and the per-meter version
 // the data was captured at. A tier-served scan takes one consistent capture
 // (store.TierScan) and merges it in time order: left edge raw, interior
-// tier buckets, right edge raw.
+// tier buckets, right edge raw — on a day-cell scan each daily tier bucket
+// is one whole cell, so that is the raw scan's merge order.
 func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense []Fold) (samples, lo, hi int, version uint64, err error) {
-	var c foldCursor
+	c := foldCursor{cell: EmptyFold(), cellEnd: math.MinInt64}
 	if sc.tierRes == 0 {
 		it, err := sc.st.Iter(id, sc.from, sc.to)
 		if err != nil {
@@ -270,7 +292,7 @@ func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense [
 			return 0, 0, 0, 0, err
 		}
 	} else {
-		tsc, err := sc.st.TierScan(id, sc.tierRes, sc.from, sc.aFrom, sc.aTo, sc.to)
+		tsc, err := sc.st.TierScan(id, sc.tierRes, sc.from, alignUp(sc.from, sc.tierRes), alignDown(sc.to, sc.tierRes), sc.to)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -279,6 +301,7 @@ func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense [
 			if err := sc.foldRaw(ctx, tsc.Left, batch, dense, &c); err != nil {
 				return 0, 0, 0, 0, err
 			}
+			c.flush(dense)
 		}
 		tsc.Buckets(func(b *store.RollupBucket) {
 			c.seek(sc.bounds, b.Start)
@@ -292,14 +315,15 @@ func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense [
 		}
 	}
 	if c.touched {
+		c.flush(dense)
 		hi = c.bi + 1
 	}
 	return c.n, c.lo, hi, version, nil
 }
 
-// foldRaw decodes one raw iterator batch by batch; each bucket's run of
-// samples is found by scanning the sorted timestamp column and folded in
-// one tight loop over the value column.
+// foldRaw decodes one raw iterator batch by batch; each bucket's (or day
+// cell's) run of samples is found by scanning the sorted timestamp column
+// and folded in one tight loop over the value column.
 func (sc *Scan) foldRaw(ctx context.Context, it *store.SeriesIter, batch *store.Batch, dense []Fold, c *foldCursor) error {
 	for it.NextBatch(batch) {
 		if err := sc.pace(ctx); err != nil {
@@ -309,15 +333,24 @@ func (sc *Scan) foldRaw(ctx context.Context, it *store.SeriesIter, batch *store.
 		c.n += len(ts)
 		k := 0
 		for k < len(ts) {
-			e := c.seek(sc.bounds, ts[k])
+			e, dst := c.cellEnd, &c.cell
+			if !sc.dayCells {
+				e = c.seek(sc.bounds, ts[k])
+				dst = &dense[c.bi]
+			} else if ts[k] >= e {
+				// The day or the bucket ended: close the cell before seek moves.
+				c.flush(dense)
+				e = min(c.seek(sc.bounds, ts[k]), alignDown(ts[k], daySeconds)+daySeconds)
+				c.cellEnd = e
+			}
 			r := k + 1
 			for r < len(ts) && ts[r] < e {
 				r++
 			}
 			if sc.minMax {
-				dense[c.bi].FoldVals(vals[k:r])
+				dst.FoldVals(vals[k:r])
 			} else {
-				dense[c.bi].FoldSum(vals[k:r])
+				dst.FoldSum(vals[k:r])
 			}
 			k = r
 		}

@@ -15,20 +15,29 @@ func TestFixedWidth(t *testing.T) {
 		GranHourly:    3600,
 		Gran4Hourly:   14400,
 		GranDaily:     86400,
-		GranWeekly:    0, // Monday phase vs epoch-Thursday tier alignment
-		GranMonthly:   0, // variable width
-		GranQuarterly: 0,
-		GranYearly:    0,
+		GranWeekly:    86400, // Monday 00:00 UTC starts: seven whole days
+		GranMonthly:   86400, // variable width, always whole days
+		GranQuarterly: 86400,
+		GranYearly:    86400,
 	}
 	for g, want := range cases {
 		if got := g.FixedWidth(); got != want {
 			t.Errorf("%s.FixedWidth() = %d, want %d", g, got, want)
 		}
+		// The grid must really cut g's buckets: every bucket start of a few
+		// years, pre-epoch included, is a multiple of the width.
+		for ts := int64(-3 * 365 * 86400); ts < 3*365*86400; ts = g.Next(ts) {
+			if start := g.Truncate(ts); mod(start, want) != 0 {
+				t.Fatalf("%s bucket start %d is off the %ds grid", g, start, want)
+			}
+		}
 	}
 }
 
-// buildTierPair loads the same messy series — gaps, NaN and ±Inf readings —
-// into a store without rollups and a store with the given tiers.
+// buildTierPair loads the same messy series — uneven cadence with gaps;
+// meter 1 finite and non-dyadic, so the last bits of a multi-day sum name
+// its association, meter 2 with NaN and ±Inf readings — into a store without
+// rollups and a store with the given tiers.
 func buildTierPair(t *testing.T, tiers []int64) (raw, tier *store.Store, first, last int64) {
 	t.Helper()
 	open := func(res []int64) *store.Store {
@@ -56,14 +65,16 @@ func buildTierPair(t *testing.T, tiers []int64) (raw, tier *store.Store, first, 
 		n := 900 + rng.Intn(300) // ~6-8 days of 10-minute readings
 		for i := 0; i < n; i++ {
 			tsNow += 600 + int64(rng.Intn(200))*3 // uneven cadence with gaps
-			v := float64(rng.Intn(40)) * 0.25
-			switch rng.Intn(35) {
-			case 0:
-				v = math.NaN()
-			case 1:
-				v = math.Inf(1)
-			case 2:
-				v = math.Inf(-1)
+			v := float64(rng.Intn(40)) * 0.1
+			if poison := rng.Intn(35); m.ID == 2 {
+				switch poison {
+				case 0:
+					v = math.NaN()
+				case 1:
+					v = math.Inf(1)
+				case 2:
+					v = math.Inf(-1)
+				}
 			}
 			smp := store.Sample{TS: tsNow, Value: v}
 			if err := raw.Append(m.ID, smp); err != nil {
@@ -100,7 +111,7 @@ func TestMeterSeriesTierMatchesRaw(t *testing.T) {
 		{From: alignUp(first, day), To: alignUp(first, day) + day}, // one aligned day
 		{From: first + 10, To: first + 400},                        // narrower than any tier bucket
 	}
-	for _, g := range []Granularity{GranHourly, Gran4Hourly, GranDaily, GranWeekly, GranMonthly} {
+	for _, g := range AllGranularities {
 		for _, fn := range []AggFunc{AggSum, AggMean, AggMin, AggMax} {
 			for wi, sel := range windows {
 				for _, id := range []int64{1, 2} {
@@ -140,34 +151,38 @@ func windowSum(t *testing.T, e *Engine, id, from, to int64) (float64, int64) {
 func TestWindowFoldsTierMatchesRaw(t *testing.T) {
 	raw, tier, first, last := buildTierPair(t, nil) // default tiers
 	rawEng, tierEng := NewEngineWorkers(raw, 0), NewEngineWorkers(tier, 0)
-	windows := [][2]int64{
-		{first, last + 1},
-		{first + 501, last - 2000},
-		{first + 10, first + 120}, // too narrow for any tier: both decode raw
+	const hour, day = int64(3600), int64(86400)
+	day1 := alignUp(first, day)
+	windows := []struct {
+		from, to, res int64 // res: the tier ServingTier must pick
+	}{
+		{first, last + 1, day},
+		{first + 501, last - 2000, day},
+		{day1 + 5*hour, day1 + 3*day + 7*hour, day}, // hour offsets on both sides
+		{day1 - 3*hour, day1 + day + 2*hour, day},   // exactly one whole day
+		{day1 + 2*hour + 7, day1 + 9*hour + 11, hour},
+		{first + 10, first + 120, 0}, // too narrow for any tier: both decode raw
 	}
 	for wi, w := range windows {
+		if res, _, _ := ServingTier(tier.RollupResolutions(), WholeWindow, w.from, w.to); res != w.res {
+			t.Fatalf("window %d: served by the %ds tier, want %ds", wi, res, w.res)
+		}
 		for _, id := range []int64{1, 2} {
-			wantSum, wantN := windowSum(t, rawEng, id, w[0], w[1])
-			gotSum, gotN := windowSum(t, tierEng, id, w[0], w[1])
+			wantSum, wantN := windowSum(t, rawEng, id, w.from, w.to)
+			gotSum, gotN := windowSum(t, tierEng, id, w.from, w.to)
 			if gotN != wantN {
 				t.Fatalf("window %d meter %d: count %d, want %d", wi, id, gotN, wantN)
 			}
-			// The tier interior adds per-bucket subtotals, so the sum may
-			// differ from the flat raw fold in the last ulps — but NaN
-			// poisoning and Inf must agree exactly.
-			switch {
-			case math.IsNaN(wantSum):
-				if !math.IsNaN(gotSum) {
-					t.Fatalf("window %d meter %d: sum %v, want NaN", wi, id, gotSum)
-				}
-			case math.IsInf(wantSum, 0):
-				if gotSum != wantSum {
+			// Raw and the daily tier both merge day cells: bit-equal. Only
+			// the hourly tier, serving a window that holds no whole day, adds
+			// hourly subtotals and may differ in the last ulps — but NaN
+			// poisoning and Inf must agree exactly there too.
+			if w.res != hour || math.IsNaN(wantSum) || math.IsInf(wantSum, 0) {
+				if !valueEqual(gotSum, wantSum) {
 					t.Fatalf("window %d meter %d: sum %v, want %v", wi, id, gotSum, wantSum)
 				}
-			default:
-				if diff := math.Abs(gotSum - wantSum); diff > 1e-9*math.Max(1, math.Abs(wantSum)) {
-					t.Fatalf("window %d meter %d: sum %v, want %v (diff %g)", wi, id, gotSum, wantSum, diff)
-				}
+			} else if diff := math.Abs(gotSum - wantSum); diff > 1e-9*math.Max(1, math.Abs(wantSum)) {
+				t.Fatalf("window %d meter %d: sum %v, want %v (diff %g)", wi, id, gotSum, wantSum, diff)
 			}
 		}
 	}

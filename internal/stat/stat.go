@@ -60,15 +60,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Pearson returns the Pearson correlation coefficient between x and y.
 // A zero-variance input yields 0 (no linear association measurable), which
 // keeps the derived distance well defined for constant consumption profiles
@@ -202,20 +193,6 @@ func Normalize01(xs []float64) []float64 {
 	}
 	for i, x := range xs {
 		out[i] = (x - lo) / (hi - lo)
-	}
-	return out
-}
-
-// ZNormalize returns (x - mean) / std per element; zeros if std is 0.
-func ZNormalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	mu := Mean(xs)
-	sd := StdDev(xs)
-	if sd == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - mu) / sd
 	}
 	return out
 }

@@ -30,9 +30,6 @@ func TestMinMaxSum(t *testing.T) {
 	if lo != -1 || hi != 7 {
 		t.Errorf("minmax = %v,%v", lo, hi)
 	}
-	if s := Sum([]float64{1, 2, 3}); s != 6 {
-		t.Errorf("sum = %v", s)
-	}
 }
 
 func TestPearsonPerfect(t *testing.T) {
@@ -184,16 +181,5 @@ func TestNormalize01(t *testing.T) {
 	flat := Normalize01([]float64{7, 7})
 	if flat[0] != 0.5 || flat[1] != 0.5 {
 		t.Errorf("constant normalize = %v", flat)
-	}
-}
-
-func TestZNormalize(t *testing.T) {
-	out := ZNormalize([]float64{1, 2, 3})
-	if !almostEq(Mean(out), 0, 1e-12) || !almostEq(StdDev(out), 1, 1e-12) {
-		t.Errorf("znorm mean/sd = %v/%v", Mean(out), StdDev(out))
-	}
-	zero := ZNormalize([]float64{4, 4})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("constant znorm = %v", zero)
 	}
 }

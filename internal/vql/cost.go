@@ -2,6 +2,7 @@ package vql
 
 import (
 	"fmt"
+	"slices"
 
 	"vap/internal/query"
 	"vap/internal/store"
@@ -190,32 +191,24 @@ func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers 
 }
 
 // planTier decides whether a rollup tier serves the scan: the shared tier
-// rule (query.ServingTier — exact bucket width, at least one whole aligned
-// bucket inside the window) says whether one may, and the cost estimate
-// below whether it pays. Unbucketed plans always fold raw, which keeps
-// their sum order bit-exact.
+// rule (query.ServingTier — the tier of the granularity's grid width, at
+// least one whole aligned tier bucket inside the window) says whether one
+// may, and the cost estimate below whether it pays.
 func planTier(p *Plan, c *ScanCost, from, to int64, tiers []int64) {
 	if len(tiers) == 0 {
 		c.TierReason = "no rollup tiers maintained"
 		return
 	}
 	if !p.hasBucket {
-		c.TierReason = "no bucket dimension (raw fold keeps the sum order bit-exact)"
+		c.TierReason = "no bucket dimension (tier serving of unbucketed plans waits on the benchmark's raw-scan probe, ROADMAP item 8(b))"
 		return
 	}
 	width := p.Granularity().FixedWidth()
-	if width == 0 {
-		c.TierReason = string(p.Granularity()) + " buckets are not tier-aligned"
-		return
-	}
 	res, aFrom, aTo := query.ServingTier(tiers, width, from, to)
 	if res == 0 {
-		// [0, width) is one whole aligned bucket, so only a missing tier
-		// can refuse it.
-		if r, _, _ := query.ServingTier(tiers, width, 0, width); r == 0 {
+		c.TierReason = "window narrower than one tier bucket"
+		if !slices.Contains(tiers, width) {
 			c.TierReason = fmt.Sprintf("no %ds tier maintained", width)
-		} else {
-			c.TierReason = "window narrower than one tier bucket"
 		}
 		return
 	}

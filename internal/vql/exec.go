@@ -454,11 +454,12 @@ func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCo
 			sc.groupMeter = true
 		}
 	}
+	width := p.Granularity().FixedWidth()
 	if !p.hasBucket {
 		// One bucket, whose start is the zero group key's bucket.
-		sc.bounds = []int64{0}
+		sc.bounds, width = []int64{0}, query.WholeWindow
 	}
-	sc.dense = query.NewScan(ctx, eng.Store(), sc.bounds, from, to, cost.TierRes, p.needMinMax())
+	sc.dense = query.NewScan(ctx, eng.Store(), sc.bounds, width, from, to, cost.TierRes, p.needMinMax())
 	return sc
 }
 

@@ -21,7 +21,9 @@ func TestFanOutChunkGrid(t *testing.T) {
 		maxWorkers = 16
 		perMeter   = 700 // 200 meters reach the 16-worker fan-out floor
 	)
-	st, err := store.Open(store.Options{Shards: 4})
+	// No rollup tiers: the daily tier would serve the weekly plan below from
+	// ~30 buckets a meter, too little work for any grid point to fan out.
+	st, err := store.Open(store.Options{Shards: 4, RollupRes: []int64{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +48,9 @@ func TestFanOutChunkGrid(t *testing.T) {
 	for w := 1; w <= maxWorkers; w++ {
 		engines[w] = query.NewEngineWorkers(st, w)
 	}
-	// Weekly buckets have no rollup tier, so the scan decodes raw samples
-	// and fans out. All meters share them: the sums fold across meters, so
-	// the rows also pin the merge order, and count(*) a double scan.
+	// The scan decodes raw samples (through day cells) and fans out. All
+	// meters share the weekly buckets: the sums fold across meters, so the
+	// rows also pin the merge order, and count(*) a double scan.
 	p := compilePlan(t, `select bucket(weekly), sum(value), count(*) from meters group by bucket(weekly)`)
 	from, to, ok := p.ResolveWindow(st)
 	ctx := context.Background()

@@ -2,7 +2,6 @@ package vql
 
 import (
 	"context"
-	"math"
 	"sort"
 	"testing"
 
@@ -26,9 +25,13 @@ func newFold() *query.Fold {
 
 // ExecuteResolvedScalar is the oracle TestVectorizedMatchesScalar and
 // BenchmarkVQLExec hold ExecuteResolved against: the sample-at-a-time
-// executor that ran before vectorization, verbatim. Results are identical
-// to ExecuteResolved (including float summation order) except for the
-// Plan rendering, which reflects the scalar pipeline.
+// executor that ran before vectorization, under the sum association
+// query.Fold documents — per meter, a bucket at least a UTC day wide (and
+// the one bucket of an unbucketed plan) is the in-order merge of its day
+// cells, an hourly or 4-hourly bucket the sample-order fold; meters merge
+// in ids order. Results are identical to ExecuteResolved (float bits
+// included) except for the Plan rendering, which reflects the scalar
+// pipeline.
 func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids []int64, from, to int64, windowOK bool) (*Result, error) {
 	res := &Result{Columns: make([]string, len(p.Cols)), Types: p.ColumnTypes(), Rows: [][]any{}}
 	for i, c := range p.Cols {
@@ -44,6 +47,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 	res.Meters = len(ids)
 
 	gran := p.Granularity()
+	dayCells := !p.hasBucket || (gran != query.GranHourly && gran != query.Gran4Hourly)
 	groupMeter := false
 	for _, k := range p.Keys {
 		if k.Kind == KeyMeter {
@@ -71,28 +75,38 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		if groupMeter {
 			key.meter = id
 		}
-		var cur *query.Fold
-		var curBucket int64 = math.MinInt64
-		for _, s := range smps {
-			if p.hasBucket {
-				b := gran.Truncate(s.TS)
-				if b != curBucket || cur == nil {
-					curBucket = b
-					key.bucket = b
-					cur = local[key]
-					if cur == nil {
-						cur = newFold()
-						local[key] = cur
-					}
-				}
-			} else if cur == nil {
-				cur = local[key]
-				if cur == nil {
-					cur = newFold()
-					local[key] = cur
-				}
+		group := func(bucket int64) *query.Fold {
+			key.bucket = bucket
+			g := local[key]
+			if g == nil {
+				g = newFold()
+				local[key] = g
 			}
-			foldSample(cur, s.Value)
+			return g
+		}
+		// The open day cell, its bucket and its UTC day (query.Fold's sum
+		// association); sub-day buckets fold straight into their group.
+		var cell *query.Fold
+		var cellBucket, cellDay int64
+		for _, s := range smps {
+			var b int64
+			if p.hasBucket {
+				b = gran.Truncate(s.TS)
+			}
+			if !dayCells {
+				foldSample(group(b), s.Value)
+				continue
+			}
+			if day := query.GranDaily.Truncate(s.TS); cell == nil || b != cellBucket || day != cellDay {
+				if cell != nil {
+					group(cellBucket).Merge(cell)
+				}
+				cell, cellBucket, cellDay = newFold(), b, day
+			}
+			foldSample(cell, s.Value)
+		}
+		if cell != nil {
+			group(cellBucket).Merge(cell)
 		}
 		partials[i] = local
 		counts[i] = len(smps)
@@ -183,7 +197,7 @@ func buildRowsRef(p *Plan, groups map[refKey]*query.Fold) [][]any {
 }
 
 // foldSample folds one sample into f: the per-sample order Fold.FoldVals
-// and the rollup tiers must reproduce bit for bit.
+// and the rollup tiers must reproduce bit for bit within a cell.
 func foldSample(f *query.Fold, v float64) {
 	if v != v { // NaN
 		f.NaN++

@@ -137,6 +137,28 @@ func TestResolveScanMetersPreservesSelection(t *testing.T) {
 	}
 }
 
+// messyValue draws one reading of the differential fixtures: non-dyadic,
+// and on even meters 3 in 40 of them NaN or ±Inf (poisoning must be the raw
+// fold's). Odd meters stay finite, so their multi-day sums are numbers whose
+// last bits name the association that built them — with an Inf in every
+// meter, every such sum is ±Inf or NaN and any association passes. The
+// draws do not depend on id, so a meter's timestamps don't either.
+func messyValue(rng *rand.Rand, id int64) float64 {
+	v, poison := rng.NormFloat64()*1000, rng.Intn(40)
+	if id%2 != 0 {
+		return v
+	}
+	switch poison {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	}
+	return v
+}
+
 func compilePlan(t testing.TB, src string) *Plan {
 	t.Helper()
 	q, err := Parse(src)
@@ -290,15 +312,7 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 		ts := base
 		for s := 0; s < n; s++ {
 			ts += 60 + int64(rng.Intn(7200)) // irregular ascending gaps
-			v := rng.NormFloat64() * 1000
-			switch rng.Intn(40) {
-			case 0:
-				v = math.NaN()
-			case 1:
-				v = math.Inf(1)
-			case 2:
-				v = math.Inf(-1)
-			}
+			v := messyValue(rng, id)
 			if err := st.Append(id, store.Sample{TS: ts, Value: v}); err != nil {
 				t.Fatal(err)
 			}
@@ -337,6 +351,14 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 		`select meter, zone, max(value), count(*) from meters group by meter, zone`,
 		`select bucket(weekly), sum(value) from meters where zone = 'residential' group by bucket(weekly)`,
 		`select bucket(hourly), min(value) from meters where meter in (1, 3, 5) group by bucket(hourly)`,
+		// Finite sums over every day-cell axis, per meter and across meters.
+		`select meter, bucket(weekly), sum(value), avg(value) from meters group by meter, bucket(weekly)`,
+		`select bucket(monthly), sum(value), min(value) from meters where meter in (1, 3, 5, 7, 8) group by bucket(monthly)`,
+		`select zone, bucket(quarterly), sum(value) from meters where meter in (1, 3, 5, 7, 8) group by zone, bucket(quarterly)`,
+		`select bucket(yearly), avg(value) from meters where meter in (1, 3, 5) group by bucket(yearly)`,
+		`select bucket('4hourly'), sum(value) from meters where meter in (1, 3, 5) group by bucket('4hourly')`,
+		`select meter, sum(value), avg(value) from meters group by meter`,
+		`select sum(value) from meters where meter in (5, 3, 1)`,
 	}
 
 	for _, src := range queries {

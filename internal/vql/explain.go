@@ -110,7 +110,7 @@ func explainText(p *Plan, cost *ScanCost, runtime bool) string {
 		details = append(details, fmt.Sprintf("cost: est %d samples (~%d/meter), %d blocks, %s compressed",
 			cost.EstSamples, perMeter, cost.EstBlocks, humanBytes(cost.EstBytes)))
 		details = append(details, "grouping: "+groupingStr(cost))
-		details = append(details, "tier: "+tierStr(cost))
+		details = append(details, "tier: "+tierStr(p, cost))
 		details = append(details, fmt.Sprintf("fanout: %d workers via internal/exec, %d chunks, cancellable",
 			cost.Workers, cost.Chunks))
 	}
@@ -121,11 +121,11 @@ func explainText(p *Plan, cost *ScanCost, runtime bool) string {
 }
 
 // tierStr renders the planner's tier decision: which rollup tier serves
-// the scan (and its estimated cost), or why the scan reads raw blocks.
-func tierStr(c *ScanCost) string {
+// which buckets (and its estimated cost), or why the scan reads raw blocks.
+func tierStr(p *Plan, c *ScanCost) string {
 	if c.TierRes != 0 {
-		return fmt.Sprintf("%ds rollup serves interior (est %d buckets + %d raw edge samples)",
-			c.TierRes, c.TierBuckets, c.TierEdges)
+		return fmt.Sprintf("%ds rollup serves %s buckets: est %d tier buckets + %d raw edge samples",
+			c.TierRes, p.Granularity(), c.TierBuckets, c.TierEdges)
 	}
 	reason := c.TierReason
 	if reason == "" {
