@@ -87,12 +87,15 @@ func (s *Server) Core() *frontend.Core { return s.fc }
 // defaulting, so a co-hosted wire server can bound statements identically.
 func (s *Server) HandlerTimeout() time.Duration { return s.cfg.HandlerTimeout }
 
-// handlerCtx derives one request's working context: the tenant header
-// stamped for admission control, bounded by the configured handler
-// timeout.
-func (s *Server) handlerCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	ctx := govern.WithTenant(r.Context(), r.Header.Get(TenantHeader))
-	return context.WithTimeout(ctx, s.cfg.HandlerTimeout)
+// analysis wraps an analysis or view handler: its request context carries
+// the tenant header, stamped for admission control, and is bounded by the
+// configured handler timeout.
+func (s *Server) analysis(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(govern.WithTenant(r.Context(), r.Header.Get(TenantHeader)), s.cfg.HandlerTimeout)
+		defer cancel()
+		h(w, r.WithContext(ctx))
+	}
 }
 
 // writeGovErr maps the admission controller's typed rejections onto the
@@ -123,9 +126,9 @@ func (s *Server) Routes() *http.ServeMux {
 	mux.HandleFunc("/api/health", s.handleHealth)
 	mux.HandleFunc("/api/customers", s.handleCustomers)
 	mux.HandleFunc("/api/series", s.handleSeries)
-	mux.HandleFunc("/api/reduce", s.handleReduce)
-	mux.HandleFunc("/api/patterns", s.handlePatterns)
-	mux.HandleFunc("/api/flow", s.handleFlow)
+	mux.HandleFunc("/api/reduce", s.analysis(s.handleReduce))
+	mux.HandleFunc("/api/patterns", s.analysis(s.handlePatterns))
+	mux.HandleFunc("/api/flow", s.analysis(s.handleFlow))
 	mux.HandleFunc("/api/ingest", s.handleIngest)
 	mux.HandleFunc("/api/stats", s.handleStats)
 	mux.HandleFunc("/api/stats/series", s.handleSeriesStats)
@@ -133,9 +136,9 @@ func (s *Server) Routes() *http.ServeMux {
 	mux.HandleFunc("/api/exec", s.handleExec)
 	mux.HandleFunc("/api/query", s.handleQuery)
 	mux.HandleFunc("/api/stream", s.handleStream)
-	mux.HandleFunc("/view/map.svg", s.handleMapSVG)
-	mux.HandleFunc("/view/series.svg", s.handleSeriesSVG)
-	mux.HandleFunc("/view/scatter.svg", s.handleScatterSVG)
+	mux.HandleFunc("/view/map.svg", s.analysis(s.handleMapSVG))
+	mux.HandleFunc("/view/series.svg", s.analysis(s.handleSeriesSVG))
+	mux.HandleFunc("/view/scatter.svg", s.analysis(s.handleScatterSVG))
 	mux.HandleFunc("/", s.handleIndex)
 	return mux
 }
@@ -459,9 +462,7 @@ func (s *Server) reduceView(w http.ResponseWriter, r *http.Request) (*core.Typic
 		Seed:            qInt64(r, "seed", 42),
 		UseDailyProfile: qStr(r, "profile", "") == "daily",
 	}
-	ctx, cancel := s.handlerCtx(r)
-	defer cancel()
-	v, err := s.an.TypicalPatterns(ctx, cfg)
+	v, err := s.an.TypicalPatterns(r.Context(), cfg)
 	if err != nil {
 		writeAnalysisErr(w, err)
 		return nil, false
@@ -519,9 +520,7 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: t1 and t2 parameters required"))
 		return
 	}
-	ctx, cancel := s.handlerCtx(r)
-	defer cancel()
-	res, err := s.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
+	res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
 		Selection:         sel,
 		T1:                t1,
 		T2:                t2,

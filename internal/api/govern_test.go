@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -21,21 +22,23 @@ import (
 	"vap/internal/core"
 	"vap/internal/gen"
 	"vap/internal/govern"
+	"vap/internal/query"
 	"vap/internal/store"
 )
 
-// newGovServer builds a dataset-backed server whose analyzer runs under
-// an explicit admission controller.
-func newGovServer(t *testing.T, cfg govern.Config) (*httptest.Server, *core.Analyzer, *gen.Dataset) {
+// newGovServer builds a dataset-backed server — perPattern meters of each
+// of four load patterns, 20 days — whose analyzer runs under an explicit
+// admission controller.
+func newGovServer(t *testing.T, cfg govern.Config, perPattern int) (*httptest.Server, *core.Analyzer, *gen.Dataset) {
 	t.Helper()
 	ds := gen.Generate(gen.Config{
 		Seed: 11,
 		Days: 20,
 		Counts: map[gen.Pattern]int{
-			gen.PatternBimodal:      8,
-			gen.PatternEnergySaving: 8,
-			gen.PatternConstantHigh: 8,
-			gen.PatternEarlyBird:    8,
+			gen.PatternBimodal:      perPattern,
+			gen.PatternEnergySaving: perPattern,
+			gen.PatternConstantHigh: perPattern,
+			gen.PatternEarlyBird:    perPattern,
 		},
 	})
 	st, err := store.Open(store.Options{})
@@ -52,15 +55,19 @@ func newGovServer(t *testing.T, cfg govern.Config) (*httptest.Server, *core.Anal
 	return srv, an, ds
 }
 
-// postQueryAs posts a VQL statement under a tenant header.
+// postQueryAs sends one request under a tenant header: a path is a GET, any
+// other text a VQL statement posted to /api/query.
 func postQueryAs(t *testing.T, url, tenant, query string) (*http.Response, map[string]any) {
 	t.Helper()
-	body, _ := json.Marshal(map[string]string{"query": query})
-	req, err := http.NewRequest(http.MethodPost, url+"/api/query", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodGet, url+query, nil)
+	if !strings.HasPrefix(query, "/") {
+		body, _ := json.Marshal(map[string]string{"query": query})
+		req, err = http.NewRequest(http.MethodPost, url+"/api/query", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
 	if tenant != "" {
 		req.Header.Set(TenantHeader, tenant)
 	}
@@ -85,7 +92,7 @@ const monsterQuery = "SELECT zone, sum(value) FROM meters GROUP BY zone"
 func TestQueryCostCeiling422(t *testing.T) {
 	srv, an, _ := newGovServer(t, govern.Config{
 		Tenants: map[string]govern.Quota{"capped": {MaxCostSamples: 100}},
-	})
+	}, 8)
 	resp, out := postQueryAs(t, srv.URL, "capped", monsterQuery)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d (%v), want 422", resp.StatusCode, out)
@@ -130,7 +137,7 @@ func TestQueryShed429(t *testing.T) {
 		MaxQueueWait:      time.Minute,
 		RetryAfter:        2 * time.Second,
 		InteractiveCutoff: 1, // everything estimable is analytics
-	})
+	}, 8)
 	gov := an.Gov()
 	// Hold the slot and fill the one queue space with analytics work.
 	held, err := gov.Admit(context.Background(), govern.Request{Class: govern.ClassAnalytics})
@@ -180,23 +187,158 @@ func TestQueryShed429(t *testing.T) {
 	}
 }
 
-// TestGovernMixedWorkload is the -race mixed-workload test: concurrent
-// cheap interactive queries, monster analytics scans, and NDJSON ingest
-// against one governed server. Cheap queries must never starve (every one
-// completes with 200), monsters may run or shed but nothing else, quota
-// tenants stay within their ceilings, and when the dust settles the
-// controller holds zero active grants, zero queue depth, and zero
-// reserved memory.
+// TestGovernMixedWorkload is the -race mixed-workload test, one row per
+// kind of monster: concurrent cheap interactive queries, monster work, and
+// NDJSON ingest against one governed server. Cheap queries must never
+// starve (every one completes with 200), monsters may run or shed but
+// nothing else, quota tenants stay within their ceilings, and when the dust
+// settles the controller holds zero active grants, zero queue depth, and
+// zero reserved memory. The analysis views pass the same admission as VQL:
+// cold reduces queue or shed, a capped tenant's reduce is a 422, a flow map
+// that finds the queue full is a 429, and a reduce whose feature matrix
+// exceeds the memory budget is refused before it is built.
 func TestGovernMixedWorkload(t *testing.T) {
-	srv, an, ds := newGovServer(t, govern.Config{
-		MaxConcurrent:     4,
-		MaxQueue:          64,
-		MaxQueueWait:      30 * time.Second,
-		InteractiveCutoff: 5_000, // one-meter/one-day reads stay interactive
-		Tenants: map[string]govern.Quota{
-			"capped": {MaxCostSamples: 100},
+	rows := []struct {
+		name       string
+		cfg        govern.Config
+		perPattern int
+		// monster is monster client k's request of round i (a path or a
+		// statement, see postQueryAs); nil runs no mixed phase.
+		monster  func(k, i int) string
+		monsters int
+		capped   string // the capped tenant's over-ceiling request
+		// probe runs after the mixed phase, before the residue checks.
+		probe func(t *testing.T, srv *httptest.Server, an *core.Analyzer, ds *gen.Dataset)
+	}{{
+		name: "vql scans",
+		cfg: govern.Config{
+			MaxConcurrent:     4,
+			MaxQueue:          64,
+			MaxQueueWait:      30 * time.Second,
+			InteractiveCutoff: 5_000, // one-meter/one-day reads stay interactive
+			Tenants: map[string]govern.Quota{
+				"capped": {MaxCostSamples: 100},
+			},
 		},
-	})
+		perPattern: 8,
+		// Distinct GROUP BY shapes defeat exec-cache/singleflight
+		// coalescing so the scans really run concurrently with the cheap
+		// reads.
+		monster: func(k, _ int) string {
+			return []string{
+				"SELECT zone, sum(value) FROM meters GROUP BY zone",
+				"SELECT meter, sum(value), min(value), max(value) FROM meters GROUP BY meter",
+			}[k]
+		},
+		monsters: 2,
+		capped:   monsterQuery,
+	}, {
+		// The reducing tenant may run two at a time and queue one more;
+		// the cheap and ingest clients never wait for a slot.
+		name: "cold reduces",
+		cfg: govern.Config{
+			MaxConcurrent:     16,
+			MaxQueue:          1,
+			MaxQueueWait:      30 * time.Second,
+			RetryAfter:        2 * time.Second,
+			InteractiveCutoff: 5_000,
+			Tenants: map[string]govern.Quota{
+				"capped": {MaxCostSamples: 100},
+				"batch":  {MaxConcurrent: 2},
+			},
+		},
+		perPattern: 8,
+		monster: func(k, i int) string {
+			return fmt.Sprintf("/api/reduce?method=mds&seed=%d", 1000*k+i)
+		},
+		monsters: 8,
+		capped:   "/api/reduce?method=mds",
+		probe: func(t *testing.T, srv *httptest.Server, an *core.Analyzer, ds *gen.Dataset) {
+			// Hold the batch tenant's two slots and fill the queue's one
+			// place; a flow map whose intensity band makes it analytics
+			// then overflows.
+			gov := an.Gov()
+			analytics := govern.Request{Tenant: "batch", Class: govern.ClassAnalytics}
+			var held []*govern.Grant
+			for range 2 {
+				g, err := gov.Admit(context.Background(), analytics)
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, g)
+			}
+			waiterDone := make(chan error, 1)
+			go func() {
+				g, err := gov.Admit(context.Background(), analytics)
+				g.Release()
+				waiterDone <- err
+			}()
+			for deadline := time.Now().Add(2 * time.Second); gov.Snapshot().QueueDepth != 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("waiter never queued")
+				}
+			}
+			noon := ds.Start.Unix() + 5*86400 + 12*3600
+			resp, out := postQueryAs(t, srv.URL, "batch", fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly&quantile=0.5", noon, noon+8*3600))
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "2" {
+				t.Errorf("overflowing flow map: status %d, Retry-After %q (%v), want 429 and \"2\"", resp.StatusCode, resp.Header.Get("Retry-After"), out["error"])
+			}
+			for _, g := range held {
+				g.Release()
+			}
+			if err := <-waiterDone; err != nil {
+				t.Errorf("queued waiter: %v", err)
+			}
+		},
+	}, {
+		name:       "reduce over the memory budget",
+		cfg:        govern.Config{MemBudget: 4 << 20},
+		perPattern: 2,
+		probe: func(t *testing.T, srv *httptest.Server, an *core.Analyzer, ds *gen.Dataset) {
+			// An hourly feature matrix from 1970: 8 meters x ~420k buckets.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			resp, out := postQueryAs(t, srv.URL, "", "/api/reduce?from=1&granularity=hourly")
+			runtime.ReadMemStats(&after)
+			if est, _ := out["est_mem_bytes"].(float64); resp.StatusCode != http.StatusUnprocessableEntity || est <= 4<<20 {
+				t.Fatalf("status %d (%v), want 422 with est_mem_bytes over the budget", resp.StatusCode, out["error"])
+			}
+			_, last, _ := an.Store().TimeBounds()
+			axis, _ := query.BucketAxis(query.GranHourly, 1, last+1)
+			matrix := uint64(8 * len(ds.Customers) * len(axis))
+			if grown := after.TotalAlloc - before.TotalAlloc; grown >= matrix {
+				t.Errorf("the refused reduce allocated %d bytes, not less than its %d-byte matrix", grown, matrix)
+			}
+		},
+	}}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			srv, an, ds := newGovServer(t, row.cfg, row.perPattern)
+			if row.monster != nil {
+				mixedWorkload(t, srv, an, ds, row.monster, row.monsters, row.capped)
+			}
+			if row.probe != nil {
+				row.probe(t, srv, an, ds)
+			}
+			// The dust settles clean: nothing active, queued, or reserved.
+			snap := an.Gov().Snapshot()
+			if snap.Active != 0 || snap.ActiveMemBytes != 0 || snap.QueueDepth != 0 || snap.Interactive != 0 {
+				t.Errorf("residual controller state: %+v", snap)
+			}
+			for name, ts := range snap.Tenants {
+				if ts.Active != 0 || ts.ActiveMemBytes != 0 {
+					t.Errorf("tenant %q residue: %+v", name, ts)
+				}
+			}
+		})
+	}
+}
+
+// mixedWorkload is TestGovernMixedWorkload's concurrent phase: eight cheap
+// clients of five queries each, two ingest writers, a capped tenant sending
+// capped five times, and monsters clients sending monster(k, i) in rounds
+// until the others are done.
+func mixedWorkload(t *testing.T, srv *httptest.Server, an *core.Analyzer, ds *gen.Dataset, monster func(k, i int) string, monsters int, capped string) {
 	day0 := ds.Start.Unix()
 	cheapQuery := func(meter int, day int64) string {
 		return fmt.Sprintf("SELECT sum(value) FROM meters WHERE meter IN (%d) AND time >= %d AND time < %d",
@@ -212,17 +354,10 @@ func TestGovernMixedWorkload(t *testing.T) {
 		mu.Unlock()
 	}
 
-	// 2 monster scanners looping analytics-class full scans. Distinct
-	// GROUP BY shapes defeat exec-cache/singleflight coalescing so the
-	// scans really run concurrently with the cheap reads.
 	stop := make(chan struct{})
-	monsters := []string{
-		"SELECT zone, sum(value) FROM meters GROUP BY zone",
-		"SELECT meter, sum(value), min(value), max(value) FROM meters GROUP BY meter",
-	}
-	for _, q := range monsters {
+	for k := range monsters {
 		wg.Add(1)
-		go func(q string) {
+		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -231,10 +366,10 @@ func TestGovernMixedWorkload(t *testing.T) {
 				default:
 				}
 				an.Exec().Invalidate() // force a real scan every round
-				resp, _ := postQueryAs(t, srv.URL, "batch", q)
+				resp, _ := postQueryAs(t, srv.URL, "batch", monster(k, i))
 				record("monster", resp.StatusCode)
 			}
-		}(q)
+		}()
 	}
 	// 8 cheap interactive clients, 5 queries each.
 	for c := 0; c < 8; c++ {
@@ -279,13 +414,17 @@ func TestGovernMixedWorkload(t *testing.T) {
 			}
 		}(c)
 	}
-	// A capped tenant hammering an over-ceiling query: always 422.
+	// A capped tenant hammering an over-ceiling request: always 422, with
+	// the estimate that exceeded the ceiling.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for j := 0; j < 5; j++ {
-			resp, _ := postQueryAs(t, srv.URL, "capped", monsterQuery)
+			resp, out := postQueryAs(t, srv.URL, "capped", capped)
 			record("capped", resp.StatusCode)
+			if est, _ := out["est_samples"].(float64); resp.StatusCode == http.StatusUnprocessableEntity && est <= 100 {
+				t.Errorf("capped 422 without the estimate over the ceiling: %v", out)
+			}
 		}
 	}()
 
@@ -313,20 +452,10 @@ func TestGovernMixedWorkload(t *testing.T) {
 	if statuses["capped"][http.StatusUnprocessableEntity] != 5 {
 		t.Errorf("capped statuses %v, want 5x 422", statuses["capped"])
 	}
+	t.Logf("monster statuses %v", statuses["monster"])
 	for code := range statuses["monster"] {
 		if code != http.StatusOK && code != http.StatusTooManyRequests {
 			t.Errorf("monster got status %d; only 200/429 are legal under load", code)
-		}
-	}
-
-	// The dust settles clean: nothing active, queued, or reserved.
-	snap := an.Gov().Snapshot()
-	if snap.Active != 0 || snap.ActiveMemBytes != 0 || snap.QueueDepth != 0 || snap.Interactive != 0 {
-		t.Errorf("residual controller state: %+v", snap)
-	}
-	for name, ts := range snap.Tenants {
-		if ts.Active != 0 || ts.ActiveMemBytes != 0 {
-			t.Errorf("tenant %q residue: %+v", name, ts)
 		}
 	}
 	// /api/stats surfaces the same governance object.

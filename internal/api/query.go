@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"vap/internal/core"
 	"vap/internal/frontend"
 	"vap/internal/stream"
 )
@@ -64,9 +65,9 @@ func writeStmtErr(w http.ResponseWriter, err error) {
 // handleQuery is the HTTP codec over the frontend query core: it decodes
 // the statement from the request (JSON envelope or raw text), builds a
 // per-request session from the tenant and deadline headers, and encodes
-// the typed Result as JSON. The statement lifecycle — parse, plan,
-// governance admission, execution, error taxonomy — lives in
-// frontend.Core, shared verbatim with the MySQL wire server.
+// the typed result as JSON. The statement entry point and the error
+// taxonomy are frontend.Core's, shared verbatim with the MySQL wire server;
+// parse, plan, admission and execution are the analyzer's.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -132,7 +133,7 @@ var queryBufPool = sync.Pool{New: func() any {
 // body — and the text of every value is the text encoding/json produces,
 // so clients decode the value they always did. Non-finite floats, which
 // the executor never emits, become null like its own non-finite aggregates.
-func encodeQueryResult(w io.Writer, out *frontend.Result, dv stream.DataVersion) error {
+func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) error {
 	bp := queryBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	defer func() {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"vap/internal/core"
-	"vap/internal/frontend"
 	"vap/internal/stream"
 	"vap/internal/vql"
 )
@@ -20,7 +19,7 @@ import (
 // referenceQueryBody is the /api/query success body as it was produced
 // before encodeQueryResult existed: the envelope as a map[string]any
 // through encoding/json. It is what the hand-written encoder is held to.
-func referenceQueryBody(t testing.TB, out *frontend.Result, dv stream.DataVersion) []byte {
+func referenceQueryBody(t testing.TB, out *core.VQLOutput, dv stream.DataVersion) []byte {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
 		"columns":               out.Columns,
@@ -59,8 +58,8 @@ func decodeNumbersAsText(t testing.TB, body []byte) any {
 	return v
 }
 
-func result(cols []string, types []vql.ColType, rows [][]any) *frontend.Result {
-	return &frontend.Result{VQLOutput: &core.VQLOutput{
+func result(cols []string, types []vql.ColType, rows [][]any) *core.VQLOutput {
+	return &core.VQLOutput{
 		Result: &vql.Result{
 			Columns: cols, Types: types, Rows: rows,
 			Window: [2]int64{vqlBase, vqlBase + 86400}, Meters: 4, Samples: 192,
@@ -69,7 +68,7 @@ func result(cols []string, types []vql.ColType, rows [][]any) *frontend.Result {
 		},
 		PlanHash:             math.MaxUint64,
 		SelectionFingerprint: 1 << 63,
-	}}
+	}
 }
 
 // TestQueryResponseMatchesEncodingJSON holds encodeQueryResult to
@@ -90,7 +89,7 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	} {
 		floats = append(floats, []any{int64(i), "z", f})
 	}
-	corpus := map[string]*frontend.Result{
+	corpus := map[string]*core.VQLOutput{
 		"zero rows":        result(threeCols, threeTypes, [][]any{}),
 		"one null row":     result([]string{"count(*)", "sum(value)", "max(value)"}, []vql.ColType{vql.TypeInt64, vql.TypeFloat64, vql.TypeFloat64}, [][]any{{int64(0), nil, nil}}),
 		"explain":          explain,

@@ -24,8 +24,6 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mode := qStr(r, "mode", "markers")
-	ctx, cancel := s.handlerCtx(r)
-	defer cancel()
 	mv := &viz.MapView{
 		Box:    s.an.Store().Catalog().Bounds().Buffer(0.002),
 		W:      int(qInt64(r, "w", 720)),
@@ -42,7 +40,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("api: heat mode requires from and to"))
 			return
 		}
-		field, err := s.an.DemandDensity(ctx, sel, from, to, kde.Config{})
+		field, err := s.an.DemandDensity(r.Context(), sel, from, to, kde.Config{})
 		if err != nil {
 			writeAnalysisErr(w, err)
 			return
@@ -56,7 +54,7 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		res, err := s.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
+		res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
 			Selection:         sel,
 			T1:                qInt64(r, "t1", 0),
 			T2:                qInt64(r, "t2", 0),
@@ -92,9 +90,7 @@ func (s *Server) handleSeriesSVG(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.handlerCtx(r)
-	defer cancel()
-	buckets, err := s.an.Engine().AggregateSelection(ctx, sel, g, query.AggMean)
+	buckets, err := s.an.Engine().AggregateSelection(r.Context(), sel, g, query.AggMean)
 	if err != nil {
 		writeAnalysisErr(w, err)
 		return

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"vap/internal/exec"
 	"vap/internal/flow"
@@ -30,6 +29,7 @@ import (
 	"vap/internal/reduce"
 	"vap/internal/stat"
 	"vap/internal/store"
+	"vap/internal/vql"
 )
 
 // Options tunes the analyzer's execution engine.
@@ -40,16 +40,17 @@ type Options struct {
 	Workers int
 	// CacheEntries bounds the versioned result cache (<= 0 selects 64).
 	CacheEntries int
-	// Gov is the admission controller all VQL executions pass through
-	// (nil selects one with govern.Config defaults).
+	// Gov is the admission controller every VQL statement and analysis
+	// request passes through (nil selects one with govern.Config defaults).
 	Gov *govern.Controller
 }
 
 // Analyzer is the façade over the data layer the presentation layer talks
-// to. It is safe for concurrent use: analysis results are memoized in a
-// versioned cache (keyed by store data version plus a canonical config
-// fingerprint), concurrent identical requests share one computation, and
-// any store mutation precisely invalidates stale entries.
+// to. It is safe for concurrent use: every request is estimated and
+// admitted by the governor, results are memoized in a versioned cache
+// (keyed by the resolved meters' version fingerprint plus the plan, window
+// and a canonical config), concurrent identical requests share one
+// computation, and any store mutation precisely invalidates stale entries.
 type Analyzer struct {
 	eng *query.Engine
 	ex  *exec.Engine
@@ -91,21 +92,81 @@ func (a *Analyzer) ExecStats() exec.Stats { return a.ex.Stats() }
 // admission for ingest).
 func (a *Analyzer) Gov() *govern.Controller { return a.gov }
 
-// selectionKeyParts canonicalizes a Selection for cache keying: explicit
-// meter sets are sorted (ResolveMeters sorts them anyway), so two
-// selections that resolve identically fingerprint identically.
-func selectionKeyParts(sel query.Selection) []any {
-	ids := sel.MeterIDs
-	if len(ids) > 0 && !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-		ids = append([]int64(nil), ids...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-	box := "-"
-	if sel.BBox != nil {
-		box = fmt.Sprintf("%v", *sel.BBox)
-	}
-	return []any{box, sel.Zone, ids, sel.From, sel.To}
+// job is one request as the lifecycle sees it, over meters its caller
+// resolved once. plan is the VQL statement each of its scans is equivalent
+// to; mem is what the post-step allocates beyond the scans, bucketMem more
+// per bucket of each scan (the feature matrix's columns).
+type job struct {
+	kind           string // cache namespace
+	plan           *vql.Plan
+	ids            []int64
+	mem, bucketMem int64
+	config         []any // the post-step's knobs, keyed after the windows
 }
+
+// run is the one request lifecycle of VQL and the paper's views alike: it
+// estimates the scan of each resolved [from, to) window with the planner's
+// cost model, admits the whole request under the context's tenant before
+// the exec engine sees it (a rejected or shed request leaves no cache or
+// singleflight state), and memoizes compute under the meters' version
+// fingerprint. The grant rides the context: the executor's batch loops
+// pace against it, and the controller's query deadline bounds execution.
+func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute func(context.Context) (any, error)) (any, error) {
+	req := govern.Request{Tenant: govern.TenantFrom(ctx), EstMem: j.mem}
+	for _, w := range windows {
+		cost := vql.EstimateScan(a.eng, j.plan, j.ids, w[0], w[1])
+		if cost.Refused != nil {
+			return nil, cost.Refused
+		}
+		req.EstSamples += cost.EstSamples
+		req.EstMem += cost.EstMemBytes() + int64(cost.Buckets)*j.bucketMem
+	}
+	grant, err := a.gov.Admit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	defer grant.Release()
+	ctx = govern.WithGrant(ctx, grant)
+	if d := grant.Deadline(); !d.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, d)
+		defer cancel()
+	}
+
+	parts := make([]any, 0, 16)
+	parts = append(parts, j.plan.Fingerprint())
+	for _, w := range windows {
+		parts = append(parts, w[0], w[1])
+	}
+	parts = append(parts, j.config...)
+	return a.ex.Do(ctx, exec.KeyOf(a.Store().Fingerprint(j.ids), j.kind, parts...), compute)
+}
+
+// scanPlan compiles the VQL statement an analysis scan is equivalent to
+// (TestEngineMatchesVQL): fn of each meter's readings, per g bucket unless
+// g is empty.
+func scanPlan(fn query.AggFunc, g query.Granularity) (*vql.Plan, error) {
+	src := "SELECT meter, " + string(fn) + "(value) FROM meters GROUP BY meter"
+	if g != "" {
+		if _, bad := query.ParseGranularity(string(g)); bad != nil {
+			return nil, fmt.Errorf("%w: unknown granularity %q", query.ErrInput, g)
+		}
+		src = fmt.Sprintf("SELECT meter, bucket('%s'), %s(value) FROM meters GROUP BY meter, bucket('%s')", g, fn, g)
+	}
+	q, err := vql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return vql.Compile(q)
+}
+
+// windowPlan is every flow and density scan: one fold per meter of one
+// window.
+var windowPlan, _ = scanPlan(query.AggMean, "")
+
+// fieldBytes is one cols x rows KDE grid, saturating: the request chooses
+// the grid.
+func fieldBytes(cols, rows int) int64 { return int64(min(8*float64(cols)*float64(rows), 1<<60)) }
 
 // --- Typical pattern discovery -----------------------------------------
 
@@ -155,15 +216,14 @@ type TypicalView struct {
 }
 
 // TypicalPatterns runs the pipeline: select meters, build the feature
-// matrix, reduce to 2-D. Results are memoized against the selection's
-// version fingerprint — the hash of the per-meter versions of exactly the
-// meters the selection resolves to — so repeated brushes over an unchanged
-// selection return the same *TypicalView without re-running t-SNE even
-// while other meters stream in, and concurrent identical requests share
-// one computation.
+// matrix (GROUP BY meter, bucket(g); hourly means for the daily profiles),
+// reduce to 2-D. Results are memoized against the version fingerprint of
+// exactly the meters the selection resolves to, so repeated brushes over an
+// unchanged selection return the same *TypicalView without re-running t-SNE
+// even while other meters stream in.
 func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*TypicalView, error) {
 	cfg.defaults()
-	fp, err := a.eng.VersionFingerprint(cfg.Selection)
+	ids, err := a.eng.ResolveMeters(cfg.Selection)
 	if err != nil {
 		return nil, err
 	}
@@ -175,10 +235,20 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 	if err != nil {
 		return nil, err
 	}
-	parts := append(selectionKeyParts(cfg.Selection), from, to,
-		cfg.Granularity, cfg.Aggregate, cfg.Method, cfg.Metric, cfg.Seed, cfg.UseDailyProfile)
-	key := exec.KeyOf(fp, "typical", parts...)
-	v, err := a.ex.Do(ctx, key, func(ctx context.Context) (any, error) {
+	n := int64(len(ids))
+	fn, g, mem, bucketMem := cfg.Aggregate, cfg.Granularity, 8*n*n, 8*n
+	if cfg.UseDailyProfile {
+		fn, g, mem, bucketMem = query.AggMean, query.GranHourly, mem+24*8*n, 0
+	}
+	p, err := scanPlan(fn, g)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Selection = query.Selection{MeterIDs: ids, From: from, To: to}
+	v, err := a.run(ctx, job{
+		kind: "typical", plan: p, ids: ids, mem: mem, bucketMem: bucketMem,
+		config: []any{cfg.Method, cfg.Metric, cfg.Seed, cfg.UseDailyProfile},
+	}, [][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
 		return a.computeTypical(ctx, cfg)
 	})
 	if err != nil {
@@ -187,7 +257,7 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 	return v.(*TypicalView), nil
 }
 
-// computeTypical is the uncached pipeline body.
+// computeTypical is the uncached pipeline body over a resolved selection.
 func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*TypicalView, error) {
 	var (
 		ids   []int64
@@ -197,10 +267,9 @@ func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*Typi
 	)
 	if cfg.UseDailyProfile {
 		// The 24-hour profiles are the features; of the bucketed matrix
-		// only the meter set would be used, so resolve just that.
-		if ids, err = a.eng.ResolveMeters(cfg.Selection); err == nil {
-			rows, err = dailyProfiles(ctx, a.eng, ids, cfg.Selection)
-		}
+		// only the meter set would be used, and that is resolved already.
+		ids = cfg.Selection.MeterIDs
+		rows, err = dailyProfiles(ctx, a.eng, ids, cfg.Selection)
 	} else {
 		ids, times, rows, err = a.eng.MeterMatrixCtx(ctx, cfg.Selection, cfg.Granularity, cfg.Aggregate)
 	}
@@ -460,9 +529,9 @@ func (a *Analyzer) ShiftPatterns(cfg ShiftConfig) (*ShiftResult, error) {
 }
 
 // ShiftPatternsCtx is ShiftPatterns with context cancellation and the same
-// versioned memoization as TypicalPatterns: anchors are canonicalized to
-// their bucket starts, so any two requests landing in the same (T1, T2)
-// buckets on unchanged data share one cached flow map.
+// admission and versioned memoization as TypicalPatterns: anchors are
+// canonicalized to their bucket starts, so any two requests landing in the
+// same (T1, T2) buckets on unchanged data share one cached flow map.
 func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*ShiftResult, error) {
 	if cfg.Granularity == "" {
 		cfg.Granularity = query.GranHourly
@@ -481,19 +550,27 @@ func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*Shif
 	if t1a == t2a {
 		return nil, fmt.Errorf("core: T1 and T2 fall in the same %s bucket: %w", g, ErrSameBucket)
 	}
-	fp, err := a.eng.VersionFingerprint(cfg.Selection)
+	ids, err := a.eng.ResolveMeters(cfg.Selection)
 	if err != nil {
 		return nil, err
 	}
+	windows := [][2]int64{{t1a, t1b}, {t2a, t2b}}
+	sel := query.Selection{MeterIDs: ids}
+	if cfg.IntensityQuantile > 0 {
+		// The intensity band ranks the meters over the selection's window.
+		if sel.From, sel.To, err = a.eng.TimeWindow(cfg.Selection); err != nil {
+			return nil, err
+		}
+		windows = append(windows, [2]int64{sel.From, sel.To})
+	}
+	cfg.Selection = sel
 	// The study-area box is derived from the whole catalog, not the
-	// selection, so it enters the key parts explicitly: a meter registered
+	// selection, so it enters the key explicitly: a meter registered
 	// outside the selection that widens the box must still miss.
-	box := a.Store().Catalog().Bounds()
-	parts := append(selectionKeyParts(cfg.Selection),
-		t1a, t2a, g, cfg.IntensityQuantile, cfg.GridCols, cfg.GridRows,
-		cfg.Bandwidth, cfg.Kernel, cfg.OD, box)
-	key := exec.KeyOf(fp, "shift", parts...)
-	v, err := a.ex.Do(ctx, key, func(ctx context.Context) (any, error) {
+	v, err := a.run(ctx, job{
+		kind: "shift", plan: windowPlan, ids: ids, mem: 3 * fieldBytes(cfg.GridCols, cfg.GridRows),
+		config: []any{g, cfg.IntensityQuantile, cfg.GridCols, cfg.GridRows, cfg.Bandwidth, cfg.Kernel, cfg.OD, a.Store().Catalog().Bounds()},
+	}, windows, func(ctx context.Context) (any, error) {
 		return a.computeShift(ctx, cfg, t1a, t1b, t2a, t2b)
 	})
 	if err != nil {
@@ -502,12 +579,12 @@ func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*Shif
 	return v.(*ShiftResult), nil
 }
 
-// computeShift is the uncached pipeline body. The two density maps are
-// evaluated with the engine's parallel KDE path.
+// computeShift is the uncached pipeline body over a resolved selection. The
+// two density maps are evaluated with the engine's parallel KDE path.
 func (a *Analyzer) computeShift(ctx context.Context, cfg ShiftConfig, t1a, t1b, t2a, t2b int64) (*ShiftResult, error) {
 	sel := cfg.Selection
 	if cfg.IntensityQuantile > 0 {
-		ids, err := a.intensityBand(ctx, sel, cfg.IntensityQuantile)
+		ids, err := a.eng.IntensityBandCtx(ctx, sel, cfg.IntensityQuantile)
 		if err != nil {
 			return nil, err
 		}
@@ -561,26 +638,25 @@ func (a *Analyzer) computeShift(ctx context.Context, cfg ShiftConfig, t1a, t1b, 
 
 // DemandDensity returns the Eq. 3 density map of the selection's demand in
 // [from, to) over the catalog's study area — the standalone heat map of
-// view A. It carries the same versioned-memoization contract as the
-// pattern entry points, so repeated renders of an unchanged dataset reuse
-// the grid.
+// view A. It carries the same admission and versioned-memoization contract
+// as the pattern entry points, so repeated renders of an unchanged dataset
+// reuse the grid.
 func (a *Analyzer) DemandDensity(ctx context.Context, sel query.Selection, from, to int64, kcfg kde.Config) (*kde.Field, error) {
 	// Canonicalize the knobs kde would default anyway, so equivalent
 	// requests share one cache entry.
 	kcfg = kcfg.WithDefaults()
 	kcfg.Workers = a.ex.Workers()
-	fp, err := a.eng.VersionFingerprint(sel)
+	ids, err := a.eng.ResolveMeters(sel)
 	if err != nil {
 		return nil, err
 	}
 	// Like ShiftPatternsCtx, the catalog-wide study-area box is a real
 	// input the fingerprint does not cover.
-	parts := append(selectionKeyParts(sel),
-		from, to, kcfg.Cols, kcfg.Rows, kcfg.Bandwidth, kcfg.Kernel, kcfg.Exact,
-		a.Store().Catalog().Bounds())
-	key := exec.KeyOf(fp, "density", parts...)
-	v, err := a.ex.Do(ctx, key, func(ctx context.Context) (any, error) {
-		dps, err := a.eng.DemandSnapshotCtx(ctx, sel, from, to)
+	v, err := a.run(ctx, job{
+		kind: "density", plan: windowPlan, ids: ids, mem: fieldBytes(kcfg.Cols, kcfg.Rows),
+		config: []any{kcfg.Cols, kcfg.Rows, kcfg.Bandwidth, kcfg.Kernel, kcfg.Exact, a.Store().Catalog().Bounds()},
+	}, [][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
+		dps, err := a.eng.DemandSnapshotCtx(ctx, query.Selection{MeterIDs: ids}, from, to)
 		if err != nil {
 			return nil, err
 		}
@@ -595,12 +671,6 @@ func (a *Analyzer) DemandDensity(ctx context.Context, sel query.Selection, from,
 		return nil, err
 	}
 	return v.(*kde.Field), nil
-}
-
-// intensityBand resolves the S2 intensity filter through the parallel,
-// cancellable query path.
-func (a *Analyzer) intensityBand(ctx context.Context, sel query.Selection, q float64) ([]int64, error) {
-	return a.eng.IntensityBandCtx(ctx, sel, q)
 }
 
 // demand returns a snapshot whose weights are rescaled to unit total mass.

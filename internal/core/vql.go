@@ -2,9 +2,8 @@ package core
 
 import (
 	"context"
+	"strings"
 
-	"vap/internal/exec"
-	"vap/internal/govern"
 	"vap/internal/vql"
 )
 
@@ -48,7 +47,7 @@ func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
 	if p.Explain {
 		text := vql.ExplainString(p, a.eng)
 		res := &vql.Result{Columns: []string{"plan"}, Types: []vql.ColType{vql.TypeString}, Plan: text}
-		for _, line := range splitLines(text) {
+		for _, line := range strings.FieldsFunc(text, func(r rune) bool { return r == '\n' }) {
 			res.Rows = append(res.Rows, []any{line})
 		}
 		return &VQLOutput{Result: res, PlanHash: p.Fingerprint(), Explain: true}, nil
@@ -71,36 +70,7 @@ func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
 		}
 		return &VQLOutput{Result: res, PlanHash: p.Fingerprint()}, nil
 	}
-	// Admission: the planner's estimates (samples to decode, peak in-flight
-	// bytes) are checked against the tenant's ceilings and budgets BEFORE
-	// the exec engine sees the query — a rejected or shed query never
-	// reaches the cache or the singleflight table, so it leaves no residual
-	// state. The grant rides the context: the executor's batch loops pace
-	// against it, and the controller's query deadline (if configured)
-	// bounds execution.
-	cost := vql.EstimateScan(a.eng, p, ids, from, to)
-	if cost.Refused != nil {
-		return nil, cost.Refused
-	}
-	grant, err := a.gov.Admit(ctx, govern.Request{
-		Tenant:     govern.TenantFrom(ctx),
-		EstSamples: cost.EstSamples,
-		EstMem:     cost.EstMemBytes(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer grant.Release()
-	ctx = govern.WithGrant(ctx, grant)
-	if d := grant.Deadline(); !d.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
-	}
-
-	fp := a.Store().Fingerprint(ids)
-	key := exec.KeyOf(fp, "vql", p.Fingerprint(), from, to)
-	v, err := a.ex.Do(ctx, key, func(ctx context.Context) (any, error) {
+	v, err := a.run(ctx, job{kind: "vql", plan: p, ids: ids}, [][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
 		return vql.ExecuteResolved(ctx, a.eng, p, ids, from, to, true)
 	})
 	if err != nil {
@@ -113,21 +83,4 @@ func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
 		sfp ^= sfp >> 29
 	}
 	return &VQLOutput{Result: res, PlanHash: p.Fingerprint(), SelectionFingerprint: sfp}, nil
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

@@ -12,7 +12,7 @@
 //     share one computation instead of racing duplicates;
 //   - a versioned, LRU-bounded result cache: keys embed a data-layer
 //     version — typically the selection fingerprint of exactly the meters
-//     a task reads (query.Engine.VersionFingerprint over the sharded
+//     a task reads (store.Store.Fingerprint over the sharded
 //     store's per-meter versions) — so an append invalidates only the
 //     results whose selections contain the mutated meters, without any
 //     explicit cache flush.

@@ -1,10 +1,10 @@
-// Package frontend is the protocol-agnostic front-door core: the full
-// statement lifecycle (parse → plan → governance admission → execute →
-// typed result → typed error taxonomy) extracted from the HTTP handlers
-// so every transport — the JSON REST codec, the MySQL wire-protocol
-// server, future gRPC — is a thin encoder over the same Core. Transports
-// own only bytes-on-the-wire concerns; tenancy, deadlines, admission, and
-// the error→status tables live here exactly once.
+// Package frontend is the protocol-agnostic front door of a statement:
+// sessions (tenant, deadline), the statement entry point every transport
+// calls — the JSON REST codec, the MySQL wire-protocol server — and the one
+// error→status table both encode. Transports own only bytes-on-the-wire
+// concerns. Parse, plan, governance admission and execution are not here:
+// they are core.Analyzer's one request lifecycle, which the HTTP analysis
+// views pass through too.
 package frontend
 
 import (
@@ -17,21 +17,7 @@ import (
 	"vap/internal/core"
 	"vap/internal/exec"
 	"vap/internal/govern"
-	"vap/internal/vql"
 )
-
-// Result is the typed, transport-neutral outcome of one statement:
-// column names and types plus rows of already-typed cells
-// (int64 | float64 | string | nil) — not pre-marshaled JSON. The HTTP
-// codec JSON-encodes rows; the wire server renders the text protocol from
-// the same cells, which is why the two transports return byte-identical
-// values for the same statement.
-type Result struct {
-	*core.VQLOutput
-}
-
-// ColumnTypes returns the per-column cell types, aligned with Columns.
-func (r *Result) ColumnTypes() []vql.ColType { return r.Types }
 
 // Core owns the statement lifecycle over one analyzer. It is stateless
 // across statements (sessions carry the per-client state), so one Core is
@@ -51,8 +37,12 @@ func (c *Core) Gov() *govern.Controller { return c.an.Gov() }
 // admission, applies the session's statement deadline (tightening, never
 // widening, whatever bound ctx already carries), counts the statement,
 // and delegates parse → plan → admission → execution to the analyzer.
+// The result's rows hold already-typed cells (int64 | float64 | string |
+// nil), not pre-marshaled JSON: the HTTP codec JSON-encodes them and the
+// wire server renders the text protocol from the same cells, which is why
+// the two transports return byte-identical values for the same statement.
 // Every returned error classifies through MapError.
-func (c *Core) Execute(ctx context.Context, sess *Session, src string) (*Result, error) {
+func (c *Core) Execute(ctx context.Context, sess *Session, src string) (*core.VQLOutput, error) {
 	sess.NextStmt()
 	if strings.TrimSpace(src) == "" {
 		return nil, &Error{Kind: KindBadRequest, Msg: "frontend: empty statement", MyErrno: MyErrEmptyQuery}
@@ -66,9 +56,8 @@ func (c *Core) Execute(ctx context.Context, sess *Session, src string) (*Result,
 	out, err := c.an.VQL(ctx, src)
 	if err != nil {
 		LogWorkerPanic(err)
-		return nil, err
 	}
-	return &Result{VQLOutput: out}, nil
+	return out, err
 }
 
 // LogWorkerPanic logs the stack of a panic recovered on a worker
@@ -86,7 +75,7 @@ func LogWorkerPanic(err error) {
 // ExecuteTimeout is Execute bounded by an overall transport timeout —
 // the shared shape of "a handler/command gets at most d, sessions may
 // tighten it".
-func (c *Core) ExecuteTimeout(ctx context.Context, sess *Session, src string, d time.Duration) (*Result, error) {
+func (c *Core) ExecuteTimeout(ctx context.Context, sess *Session, src string, d time.Duration) (*core.VQLOutput, error) {
 	if d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)

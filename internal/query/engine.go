@@ -101,19 +101,6 @@ func (e *Engine) ResolveMeters(sel Selection) ([]int64, error) {
 	return ids, nil
 }
 
-// VersionFingerprint resolves sel and hashes the per-meter versions of
-// exactly the meters it covers into one selection-scoped data version.
-// Execution-layer caches keyed on it stay valid across appends to meters
-// outside the selection — the fine-grained replacement for keying every
-// result on the store's global version.
-func (e *Engine) VersionFingerprint(sel Selection) (uint64, error) {
-	ids, err := e.ResolveMeters(sel)
-	if err != nil {
-		return 0, err
-	}
-	return e.st.Fingerprint(ids), nil
-}
-
 // ResolveWindow is the one window rule of both front doors: [from, to)
 // where the request gave a side (hasFrom, hasTo), st's data extent on a side
 // it left open — half-open, so an absent to is one past the last sample. A

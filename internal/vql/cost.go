@@ -8,22 +8,6 @@ import (
 	"vap/internal/store"
 )
 
-// GroupStrategy names the physical grouping layout the planner chose for a
-// scan. Both fold through query.Scan into bucket-indexed arrays; a plan
-// without a bucket key is the one-bucket case.
-type GroupStrategy string
-
-const (
-	// GroupSingle: no bucket key — one aggregate state per (meter, zone)
-	// base key, whole batches fold in one kernel call.
-	GroupSingle GroupStrategy = "single"
-	// GroupDense: bucket starts are enumerated from the window and the
-	// granularity, so each worker aggregates into a bucket-indexed array
-	// with precomputed boundaries — no hashing and no per-sample Truncate
-	// on the hot path.
-	GroupDense GroupStrategy = "dense"
-)
-
 // minSamplesPerWorker is the fan-out floor: a goroutine (plus its batch
 // scratch) is only worth spinning up when it has at least this many samples
 // to decode.
@@ -44,10 +28,13 @@ type ScanCost struct {
 	// Callers return it before admission and before any decode.
 	Refused error
 
-	Strategy GroupStrategy
-	Buckets  int // dense bucket count (0 unless Strategy == GroupDense)
-	Workers  int // chosen fan-out width
-	Chunks   int // contiguous meter chunks handed to workers
+	// Buckets is a bucketed plan's bucket count: its starts are enumerated
+	// from the window and the granularity, so each worker folds into a
+	// bucket-indexed array with precomputed boundaries. 0 for a plan
+	// without a bucket key (one state per base key) and for a refused one.
+	Buckets int
+	Workers int // chosen fan-out width
+	Chunks  int // contiguous meter chunks handed to workers
 
 	// TierRes is the rollup tier resolution chosen to serve the scan; 0
 	// means a raw-block scan, with TierReason naming why. When non-zero,
@@ -88,10 +75,7 @@ func (c *ScanCost) EstMemBytes() int64 {
 	if w < 1 {
 		w = 1
 	}
-	mem := w * store.BatchSize * sampleBytes
-	if c.Strategy == GroupDense {
-		mem += (w + 1) * int64(c.Buckets) * aggStateBytes
-	}
+	mem := w*store.BatchSize*sampleBytes + (w+1)*int64(c.Buckets)*aggStateBytes
 	return mem + c.EstGroups*groupEntryBytes
 }
 
@@ -105,8 +89,8 @@ func EstimateScan(eng *query.Engine, p *Plan, ids []int64, from, to int64) ScanC
 }
 
 // planScan estimates the cost of scanning ids over [from, to) from
-// per-series stats and picks the serving tier (if any), the grouping
-// strategy, and the parallelism degree. tiers lists the store's maintained
+// per-series stats and picks the serving tier (if any), the bucket axis,
+// and the parallelism degree. tiers lists the store's maintained
 // rollup resolutions (ascending; nil disables tier serving). The returned
 // bounds are a bucketed plan's ascending bucket starts.
 func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers int, tiers []int64) (ScanCost, []int64) {
@@ -145,10 +129,10 @@ func planScan(p *Plan, stats []store.SeriesStats, from, to int64, engineWorkers 
 	// bucket dimension, per (meter, bucket) otherwise, capped at the sample
 	// estimate — a group needs at least one sample to exist.
 	var bounds []int64
-	c.Strategy, c.EstGroups = GroupSingle, int64(c.overlap)
+	c.EstGroups = int64(c.overlap)
 	if p.hasBucket {
 		bounds, c.Refused = query.BucketAxis(p.Granularity(), from, to)
-		c.Strategy, c.Buckets = GroupDense, len(bounds)
+		c.Buckets = len(bounds)
 		c.EstGroups *= int64(c.Buckets)
 	}
 	if c.EstGroups > c.EstSamples {

@@ -189,8 +189,8 @@ func TestPlanScanCostModel(t *testing.T) {
 		if c.EstSamples < 80 || c.EstSamples > 120 {
 			t.Errorf("EstSamples = %d, want ~100 (half of 200)", c.EstSamples)
 		}
-		if c.Strategy != GroupSingle {
-			t.Errorf("strategy = %q, want single", c.Strategy)
+		if c.Buckets != 0 {
+			t.Errorf("buckets = %d, want none without a bucket key", c.Buckets)
 		}
 		// Tiny scan: fan-out is not worth a goroutine per meter.
 		if c.Workers != 1 || c.Chunks != 1 {
@@ -209,9 +209,6 @@ func TestPlanScanCostModel(t *testing.T) {
 	t.Run("dense grouping for enumerable buckets", func(t *testing.T) {
 		p := compilePlan(t, `select bucket(hourly), sum(value) from meters group by bucket(hourly)`)
 		c, bounds := planScan(p, stats, 0, 10*hour, 4, nil)
-		if c.Strategy != GroupDense {
-			t.Fatalf("strategy = %q, want dense", c.Strategy)
-		}
 		if c.Buckets != 10 || len(bounds) != 10 {
 			t.Errorf("buckets = %d (bounds %d), want 10", c.Buckets, len(bounds))
 		}
@@ -221,16 +218,16 @@ func TestPlanScanCostModel(t *testing.T) {
 		p := compilePlan(t, `select bucket(hourly), sum(value) from meters group by bucket(hourly)`)
 		for _, n := range []int{1<<16 + 2, 1 << 20} {
 			c, bounds := planScan(p, stats, 0, int64(n)*hour, 4, nil)
-			if c.Strategy != GroupDense || c.Refused != nil || c.Buckets != n || len(bounds) != n {
-				t.Errorf("%d buckets: strategy = %q, refused = %v, buckets = %d (bounds %d), want dense over all of them",
-					n, c.Strategy, c.Refused, c.Buckets, len(bounds))
+			if c.Refused != nil || c.Buckets != n || len(bounds) != n {
+				t.Errorf("%d buckets: refused = %v, buckets = %d (bounds %d), want dense over all of them",
+					n, c.Refused, c.Buckets, len(bounds))
 			}
 		}
 		c, bounds := planScan(p, stats, 0, (1<<20+1)*hour, 4, nil)
 		if !errors.Is(c.Refused, query.ErrWindowTooWide) || bounds != nil {
 			t.Errorf("2^20+1 buckets: refused = %v (bounds %d), want ErrWindowTooWide and no axis", c.Refused, len(bounds))
 		}
-		if got := groupingStr(&c); !strings.Contains(got, "refused") || !strings.Contains(got, "window too wide") {
+		if got := groupingStr(p, &c); !strings.Contains(got, "refused") || !strings.Contains(got, "window too wide") {
 			t.Errorf("grouping line of a refused plan = %q", got)
 		}
 		// An empty window is not a wide one.
@@ -388,8 +385,8 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 			from, to, ok := p.ResolveWindow(eng.Store())
 			cost := EstimateScan(eng, p, asc, from, to)
 			wideHourly := win[0] == base-wideBuckets*3600 && p.Granularity() == query.GranHourly
-			if p.hasBucket && (cost.Strategy != GroupDense || cost.Refused != nil) || wideHourly && cost.Buckets <= wideBuckets {
-				t.Errorf("%s win=%v: planned %q over %d buckets (refused: %v), want dense", src, win, cost.Strategy, cost.Buckets, cost.Refused)
+			if p.hasBucket && (cost.Buckets == 0 || cost.Refused != nil) || wideHourly && cost.Buckets <= wideBuckets {
+				t.Errorf("%s win=%v: planned %d buckets (refused: %v), want dense", src, win, cost.Buckets, cost.Refused)
 			}
 
 			// ExecuteResolved is exported: the meter set may arrive in any

@@ -109,7 +109,7 @@ func explainText(p *Plan, cost *ScanCost, runtime bool) string {
 		}
 		details = append(details, fmt.Sprintf("cost: est %d samples (~%d/meter), %d blocks, %s compressed",
 			cost.EstSamples, perMeter, cost.EstBlocks, humanBytes(cost.EstBytes)))
-		details = append(details, "grouping: "+groupingStr(cost))
+		details = append(details, "grouping: "+groupingStr(p, cost))
 		details = append(details, "tier: "+tierStr(p, cost))
 		details = append(details, fmt.Sprintf("fanout: %d workers via internal/exec, %d chunks, cancellable",
 			cost.Workers, cost.Chunks))
@@ -134,13 +134,13 @@ func tierStr(p *Plan, c *ScanCost) string {
 	return "raw scan (" + reason + ")"
 }
 
-// groupingStr renders the planner's grouping choice, or why it refuses the
+// groupingStr renders the planner's grouping layout, or why it refuses the
 // scan.
-func groupingStr(c *ScanCost) string {
+func groupingStr(p *Plan, c *ScanCost) string {
 	switch {
 	case c.Refused != nil:
 		return "refused (" + c.Refused.Error() + ")"
-	case c.Strategy == GroupDense:
+	case p.hasBucket:
 		return fmt.Sprintf("dense bucket array (%d buckets, boundaries precomputed)", c.Buckets)
 	default:
 		return "single group per key (no bucket dimension)"

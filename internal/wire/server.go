@@ -529,7 +529,7 @@ func (c *conn) handleQuery(src string) error {
 	if qerr != nil {
 		return c.writeStmtErr(1, qerr)
 	}
-	if _, err := writeResultSet(c, 1, res.Columns, res.ColumnTypes(), res.Rows); err != nil {
+	if _, err := writeResultSet(c, 1, res.Columns, res.Types, res.Rows); err != nil {
 		return err
 	}
 	return c.flush()
