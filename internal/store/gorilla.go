@@ -39,6 +39,13 @@ func NewEncoder() *Encoder {
 	return &Encoder{w: newBitWriter(), leading: 0xff}
 }
 
+// reset empties the encoder for a new block, keeping its bit buffer.
+func (e *Encoder) reset() {
+	w := e.w
+	w.data, w.avail = w.data[:0], 0
+	*e = Encoder{w: w, leading: 0xff}
+}
+
 // Len returns the number of encoded samples.
 func (e *Encoder) Len() int { return e.n }
 

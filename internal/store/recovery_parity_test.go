@@ -142,20 +142,18 @@ func parityCompare(t *testing.T, label string, a, b *Store) {
 		}
 		for i := range at {
 			g, w := &bt[i], &at[i]
-			if g.res != w.res || len(g.interior) != len(w.interior) || g.hasTail != w.hasTail {
-				t.Errorf("%s meter %d tier %d: shape (res=%d interior=%d tail=%t), want (res=%d interior=%d tail=%t)",
-					label, id, i, g.res, len(g.interior), g.hasTail, w.res, len(w.interior), w.hasTail)
+			gb, wb := flatBuckets(&g.tierView), flatBuckets(&w.tierView)
+			if g.res != w.res || len(gb) != len(wb) || g.hasTail != w.hasTail {
+				t.Errorf("%s meter %d tier %d: shape (res=%d buckets=%d tail=%t), want (res=%d buckets=%d tail=%t)",
+					label, id, i, g.res, len(gb), g.hasTail, w.res, len(wb), w.hasTail)
 				continue
 			}
-			for j := range g.interior {
-				if !rollupBucketEqual(&g.interior[j], &w.interior[j]) {
+			for j := range gb {
+				if !rollupBucketEqual(&gb[j], &wb[j]) {
 					t.Errorf("%s meter %d %ds tier bucket %d: %+v, want %+v",
-						label, id, g.res, j, g.interior[j], w.interior[j])
+						label, id, g.res, j, gb[j], wb[j])
 					break
 				}
-			}
-			if g.hasTail && !rollupBucketEqual(&g.tail, &w.tail) {
-				t.Errorf("%s meter %d %ds tier tail: %+v, want %+v", label, id, g.res, g.tail, w.tail)
 			}
 		}
 	}

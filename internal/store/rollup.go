@@ -8,7 +8,7 @@ import (
 
 // Rollup tiers are per-meter pre-aggregated summaries of the raw series at
 // fixed resolutions (DefaultRollupRes: one hour and one day). Each tier is
-// an ascending array of buckets, one per resolution-aligned interval that
+// an ascending run of buckets, one per resolution-aligned interval that
 // received at least one sample, holding exactly the state the query
 // layer's aggregates need (sum/count/min/max/first/last plus a NaN tally).
 //
@@ -17,8 +17,9 @@ import (
 // section that appends it to the head block, so rollups cost a few float
 // ops per sample and no additional locking. Because timestamps are
 // strictly increasing, only the last bucket of a tier ever mutates — the
-// interior of the bucket array is immutable, which is what lets TierScan
-// hand out zero-copy views consistent with a point-in-time raw iterator.
+// interior is immutable, and it is held in pages whose backing arrays never
+// grow (Gorilla's closed blocks), which is what lets TierScan hand out
+// zero-copy views consistent with a point-in-time raw iterator.
 //
 // Rollup state is a pure function of the appended samples, so WAL replay
 // and legacy (v1) snapshot loads rebuild tiers exactly by re-appending.
@@ -72,20 +73,82 @@ func (b *RollupBucket) fold(v float64) {
 	}
 }
 
-// rollupTier is one resolution's bucket array, ascending by Start.
+// tierPageBuckets is the size of a tier page opened without a
+// reservation: 256 buckets, 16 KiB.
+const tierPageBuckets = 256
+
+// rollupTier is one resolution's buckets, ascending by Start, kept as a
+// list of pages. A page's backing array is allocated once and never grows:
+// opening a bucket appends to the last page while it has room and starts a
+// new page otherwise, so no append ever copies the buckets already held.
+// No page is empty, and only the last bucket of the last page mutates.
 type rollupTier struct {
-	res     int64
-	buckets []RollupBucket
+	res   int64
+	pages [][]RollupBucket
+	// want is the room the next page must have (see reserveRollups); zero
+	// means tierPageBuckets.
+	want int
 }
 
 // fold folds one in-order sample into the tier: extend the last bucket or
-// open a new one — the interior is never touched.
+// open a new one — the interior is never touched. A sample in the last
+// bucket or the next one finds its bucket without a division; the
+// difference is taken unsigned so a jump across the whole int64 range
+// cannot alias into either.
 func (t *rollupTier) fold(smp Sample) {
-	start := smp.TS - mod64(smp.TS, t.res)
-	if n := len(t.buckets); n > 0 && t.buckets[n-1].Start == start {
-		t.buckets[n-1].fold(smp.Value)
-	} else {
-		t.buckets = append(t.buckets, newRollupBucket(start, smp.Value))
+	if last := t.last(); last != nil {
+		d, res := uint64(smp.TS)-uint64(last.Start), uint64(t.res)
+		if d < res {
+			last.fold(smp.Value)
+			return
+		}
+		if d < 2*res {
+			t.open(last.Start+t.res, smp.Value)
+			return
+		}
+	}
+	t.open(smp.TS-mod64(smp.TS, t.res), smp.Value)
+}
+
+// last returns the tier's live last bucket, or nil when the tier is empty.
+func (t *rollupTier) last() *RollupBucket {
+	n := len(t.pages)
+	if n == 0 {
+		return nil
+	}
+	p := t.pages[n-1]
+	return &p[len(p)-1]
+}
+
+// open appends a new bucket, starting a page when the last one is full.
+func (t *rollupTier) open(start int64, v float64) {
+	n := len(t.pages)
+	if n == 0 || len(t.pages[n-1]) == cap(t.pages[n-1]) {
+		t.pages = append(t.pages, make([]RollupBucket, 0, max(tierPageBuckets, t.want)))
+		t.want = 0
+		n++
+	}
+	t.pages[n-1] = append(t.pages[n-1], newRollupBucket(start, v))
+}
+
+// reserveRollups makes room, once per batch, for every bucket the in-order
+// batch smps can open in each tier: at most one per sample, and at most
+// span/res + 2. When a tier's last page lacks that room, its next page is
+// opened with all of it, so a year-long batch allocates each tier once.
+func (s *Series) reserveRollups(smps []Sample) {
+	if len(smps) == 0 {
+		return
+	}
+	span := uint64(smps[len(smps)-1].TS) - uint64(smps[0].TS)
+	for i := range s.rollups {
+		t := &s.rollups[i]
+		k := len(smps)
+		if b := span / uint64(t.res); b < uint64(k) {
+			k = min(k, int(b)+2)
+		}
+		if n := len(t.pages); n == 0 || cap(t.pages[n-1])-len(t.pages[n-1]) < k {
+			t.want = k
+		}
 	}
 }
 
@@ -127,7 +190,7 @@ func normalizeRollupRes(res []int64) []int64 {
 }
 
 // installRollups sets the series' tiers to the configured resolutions,
-// taking bucket arrays from file (a persisted capture) where the
+// taking bucket pages from file (a persisted capture) where the
 // resolution matches and deriving the rest from the raw samples present.
 // A derived tier is exact only while raw data covers the full history —
 // after retention has aged chunks out, only persisted tiers cover the
@@ -140,7 +203,7 @@ func (s *Series) installRollups(res []int64, file []rollupTier) error {
 		found := false
 		for j := range file {
 			if file[j].res == r {
-				final[i].buckets = file[j].buckets
+				final[i].pages = file[j].pages
 				found = true
 				break
 			}
@@ -169,21 +232,95 @@ func (s *Series) installRollups(res []int64, file []rollupTier) error {
 	return nil
 }
 
-// snapTier is one tier's zero-copy capture for snapshotting: the immutable
-// interior aliased, the live last bucket copied.
-type snapTier struct {
-	res      int64
-	interior []RollupBucket
-	tail     RollupBucket
-	hasTail  bool
+// loadedTier wraps a tier read from a snapshot as one exactly sized page;
+// buckets opened after recovery land on new pages.
+func loadedTier(res int64, buckets []RollupBucket) rollupTier {
+	t := rollupTier{res: res}
+	if len(buckets) > 0 {
+		t.pages = [][]RollupBucket{buckets}
+	}
+	return t
 }
 
-func (t *snapTier) len() int {
-	n := len(t.interior)
-	if t.hasTail {
+// tierView is a point-in-time capture of a run of one tier's buckets: the
+// immutable interior as page sub-slices (zero-copy), and the tier's live
+// last bucket, when the run includes it, copied into tail, since that one
+// bucket keeps mutating under appends.
+type tierView struct {
+	interior [][]RollupBucket
+	tail     RollupBucket
+	hasTail  bool
+	// two backs interior when the run spans at most two pages (a loaded
+	// tier is one page), so a capture allocates nothing in the common case.
+	two [2][]RollupBucket
+}
+
+func (v *tierView) len() int {
+	n := 0
+	for _, p := range v.interior {
+		n += len(p)
+	}
+	if v.hasTail {
 		n++
 	}
 	return n
+}
+
+// each calls fn on every captured bucket in ascending Start order.
+func (v *tierView) each(fn func(*RollupBucket)) {
+	for _, p := range v.interior {
+		for i := range p {
+			fn(&p[i])
+		}
+	}
+	if v.hasTail {
+		fn(&v.tail)
+	}
+}
+
+// search returns the position (page, index) of the first bucket whose
+// Start >= ts; (len(pages), 0) when there is none.
+func (t *rollupTier) search(ts int64) (p, i int) {
+	p = sort.Search(len(t.pages), func(k int) bool { pg := t.pages[k]; return pg[len(pg)-1].Start >= ts })
+	if p < len(t.pages) {
+		i = searchBuckets(t.pages[p], ts)
+	}
+	return p, i
+}
+
+// capture fills v with the buckets from position (p0, i0) up to, not
+// including, (p1, i1).
+func (t *rollupTier) capture(v *tierView, p0, i0, p1, i1 int) {
+	if p0 > p1 || p0 == p1 && i0 >= i1 {
+		return
+	}
+	if p1 == len(t.pages) {
+		p1 = len(t.pages) - 1
+		i1 = len(t.pages[p1]) - 1
+		v.tail, v.hasTail = t.pages[p1][i1], true
+	}
+	v.interior = v.two[:0]
+	if p1-p0 >= len(v.two) {
+		v.interior = make([][]RollupBucket, 0, p1-p0+1)
+	}
+	for p := p0; p <= p1; p++ {
+		lo, hi := 0, len(t.pages[p])
+		if p == p0 {
+			lo = i0
+		}
+		if p == p1 {
+			hi = i1
+		}
+		if hi > lo {
+			v.interior = append(v.interior, t.pages[p][lo:hi])
+		}
+	}
+}
+
+// snapTier is one tier's zero-copy capture for snapshotting.
+type snapTier struct {
+	res int64
+	tierView
 }
 
 // captureTiers snapshots every tier under the caller-held shard lock.
@@ -192,11 +329,7 @@ func (s *Series) captureTiers() []snapTier {
 	for i := range s.rollups {
 		t := &s.rollups[i]
 		out[i].res = t.res
-		if n := len(t.buckets); n > 0 {
-			out[i].interior = t.buckets[:n-1]
-			out[i].tail = t.buckets[n-1]
-			out[i].hasTail = true
-		}
+		t.capture(&out[i].tierView, 0, 0, len(t.pages), 0)
 	}
 	return out
 }
@@ -214,29 +347,16 @@ func (s *Series) rollupFor(res int64) *rollupTier {
 // TierScan is a point-in-time capture of everything one meter contributes
 // to a tier-served window [from, to): raw iterators over the unaligned
 // edges, the tier buckets covering the aligned interior, and the per-meter
-// version the whole capture was taken at. Interior aliases the tier's
-// immutable bucket prefix (zero-copy); when the capture includes the
-// series' live last bucket it is copied into Tail instead, since that one
-// bucket keeps mutating under appends.
+// version the whole capture was taken at.
 type TierScan struct {
-	Left     *SeriesIter // raw samples in [from, alignedFrom); nil when empty
-	Right    *SeriesIter // raw samples in [alignedTo, to); nil when empty
-	Interior []RollupBucket
-	Tail     RollupBucket
-	HasTail  bool
-	Version  uint64
+	Left    *SeriesIter // raw samples in [from, alignedFrom); nil when empty
+	Right   *SeriesIter // raw samples in [alignedTo, to); nil when empty
+	Version uint64
+	buckets tierView
 }
 
-// Buckets iterates the captured interior buckets (including the tail) in
-// ascending Start order.
-func (t *TierScan) Buckets(fn func(*RollupBucket)) {
-	for i := range t.Interior {
-		fn(&t.Interior[i])
-	}
-	if t.HasTail {
-		fn(&t.Tail)
-	}
-}
+// Buckets iterates the captured interior buckets in ascending Start order.
+func (t *TierScan) Buckets(fn func(*RollupBucket)) { t.buckets.each(fn) }
 
 // TierScan captures one meter's tier-served scan of [from, to) under a
 // single shard read lock: the raw edges [from, aFrom) and [aTo, to) and
@@ -258,22 +378,14 @@ func (s *Store) TierScan(meterID, res, from, aFrom, aTo, to int64) (*TierScan, e
 		return nil, ErrNoRollupTier
 	}
 	ts := &TierScan{Version: ser.ver}
+	p0, i0 := tier.search(aFrom)
+	p1, i1 := tier.search(aTo)
+	tier.capture(&ts.buckets, p0, i0, p1, i1)
 	if aFrom > from {
 		ts.Left = ser.Iter(from, aFrom)
 	}
 	if to > aTo {
 		ts.Right = ser.Iter(aTo, to)
-	}
-	lo, hi := bucketRange(tier.buckets, aFrom, aTo)
-	if hi > lo {
-		if hi == len(tier.buckets) {
-			// The series' last bucket keeps mutating in place; copy it out.
-			ts.Interior = tier.buckets[lo : hi-1]
-			ts.Tail = tier.buckets[hi-1]
-			ts.HasTail = true
-		} else {
-			ts.Interior = tier.buckets[lo:hi]
-		}
 	}
 	return ts, nil
 }
@@ -282,14 +394,6 @@ func (s *Store) TierScan(meterID, res, from, aFrom, aTo, to int64) (*TierScan, e
 // not maintained (rollups disabled, or a resolution the store was not
 // opened with).
 var ErrNoRollupTier = errors.New("store: no rollup tier at requested resolution")
-
-// bucketRange binary-searches the half-open index range of buckets with
-// from <= Start < to.
-func bucketRange(buckets []RollupBucket, from, to int64) (lo, hi int) {
-	lo = searchBuckets(buckets, from)
-	hi = searchBuckets(buckets, to)
-	return lo, hi
-}
 
 // searchBuckets returns the first index whose Start >= ts.
 func searchBuckets(buckets []RollupBucket, ts int64) int {
@@ -311,14 +415,16 @@ func searchBuckets(buckets []RollupBucket, ts int64) int {
 func (s *Store) RollupResolutions() []int64 { return s.rollupRes }
 
 // RollupTierStats is one tier's store-wide footprint, reported by Stats
-// and /api/stats.
+// and /api/stats. Bytes is what the tier's pages hold, room not yet filled
+// included.
 type RollupTierStats struct {
 	Res     int64 `json:"res_sec"`
 	Buckets int   `json:"buckets"`
 	Bytes   int64 `json:"bytes"`
 }
 
-// rollupStats sums per-tier bucket counts across every series.
+// rollupStats sums per-tier bucket counts and page capacities across
+// every series.
 func (s *Store) rollupStats() []RollupTierStats {
 	if len(s.rollupRes) == 0 {
 		return nil
@@ -332,16 +438,17 @@ func (s *Store) rollupStats() []RollupTierStats {
 		for _, ser := range sh.series {
 			for _, t := range ser.rollups {
 				for i, r := range s.rollupRes {
-					if t.res == r {
-						out[i].Buckets += len(t.buckets)
+					if t.res != r {
+						continue
+					}
+					for _, p := range t.pages {
+						out[i].Buckets += len(p)
+						out[i].Bytes += int64(cap(p)) * rollupBucketBytes
 					}
 				}
 			}
 		}
 		sh.mu.RUnlock()
-	}
-	for i := range out {
-		out[i].Bytes = int64(out[i].Buckets) * rollupBucketBytes
 	}
 	return out
 }

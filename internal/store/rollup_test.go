@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -97,6 +98,97 @@ func TestTierScan(t *testing.T) {
 		}
 	})
 
+	// Every append pattern, checked after each step and again after
+	// Snapshot -> Open -> WAL replay: every window's buckets equal the flat
+	// fold of the raw samples, across tier page boundaries, and the live
+	// last bucket is copied out exactly when the window holds it.
+	t.Run("append patterns match reference fold across pages", func(t *testing.T) {
+		const hour, day = int64(3600), int64(86400)
+		regular := func(n int, first, step int64) []Sample {
+			out := make([]Sample, n)
+			for i := range out {
+				out[i] = Sample{TS: first + int64(i)*step, Value: float64(i%17) * 0.5}
+			}
+			return out
+		}
+		year := regular(8760, 1483228800, hour)
+		var gaps []Sample
+		for i, ts := 0, int64(0); i < 3000; i++ {
+			gaps = append(gaps, Sample{TS: ts, Value: float64(i % 7)})
+			ts += []int64{hour, 7 * hour, 3 * day, hour / 2, 2*hour + 1}[i%5]
+		}
+		extremes := append(regular(300, math.MinInt64+day+5, 1234), regular(300, math.MaxInt64-300*1234-5, 1234)...)
+		for _, row := range []struct {
+			name  string
+			smps  []Sample
+			batch int // 1: per-sample Append
+		}{
+			{"ten-minute, gaps and NaN, per sample", all, 1},
+			{"hourly, per sample", regular(1000, 0, hour), 1},
+			{"year hourly, batch 255", year, 255},
+			{"year hourly, batch 256", year, 256},
+			{"year hourly, batch 257", year, 257},
+			{"year hourly, batch 720", year, 720},
+			{"year hourly, batch 8760", year, 8760},
+			{"multi-bucket gaps, batch 97", gaps, 97},
+			{"pre-epoch, batch 300", regular(2000, -400*day+17, 1234), 300},
+			{"min to max int64 jump, per sample", extremes, 1},
+			{"min to max int64 jump, one batch", extremes, len(extremes)},
+		} {
+			t.Run(row.name, func(t *testing.T) {
+				dir := t.TempDir()
+				st, err := Open(Options{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				reopen := func() {
+					t.Helper()
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if st, err = Open(Options{Dir: dir}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := st.PutMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneResidential}); err != nil {
+					t.Fatal(err)
+				}
+				steps := (len(row.smps) + row.batch - 1) / row.batch
+				end := 0
+				for step := 0; step < steps; step++ {
+					switch step {
+					case steps / 3:
+						if err := st.Snapshot(); err != nil {
+							t.Fatal(err)
+						}
+					case 2 * steps / 3:
+						reopen() // the middle third comes back through WAL replay
+						checkTierWindows(t, st, row.smps[:end])
+					}
+					next := min(end+row.batch, len(row.smps))
+					if row.batch == 1 {
+						err = st.Append(1, row.smps[end])
+					} else {
+						_, err = st.AppendBatch(1, row.smps[end:next])
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					end = next
+					checkTierWindows(t, st, row.smps[:end])
+				}
+				if err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				reopen()
+				checkTierWindows(t, st, row.smps)
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
+
 	t.Run("edges cover the unaligned remainder", func(t *testing.T) {
 		const res = int64(3600)
 		from, to := int64(1800), int64(9000) // 0:30 .. 2:30
@@ -147,6 +239,63 @@ func TestTierScan(t *testing.T) {
 	})
 }
 
+// checkTierWindows checks meter 1's tiers against the flat fold of smps,
+// its raw history: every window whose bounds sit on, next to or between
+// the buckets at tier page boundaries and at both ends yields exactly the
+// reference buckets, and copies the live last bucket exactly when the
+// window holds it — no captured page sub-slice aliases it.
+func checkTierWindows(t *testing.T, st *Store, smps []Sample) {
+	t.Helper()
+	for _, res := range st.RollupResolutions() {
+		ref := foldReference(smps, res)
+		n := len(ref)
+		start := func(i int) int64 {
+			if i >= n {
+				return maxInt64
+			}
+			return ref[i].Start
+		}
+		type window struct{ from, to int64 }
+		wins := []window{{minInt64, maxInt64}}
+		for _, a := range []int{0, 1, tierPageBuckets - 1, tierPageBuckets, tierPageBuckets + 1, 2 * tierPageBuckets, n / 2, n - 2, n - 1, n} {
+			if a < 0 || a > n {
+				continue
+			}
+			wins = append(wins, window{start(a), maxInt64}, window{minInt64, start(a)}, window{start(a), start(a + 1)})
+			if a < n {
+				wins = append(wins, window{start(a) + 1, start(a + 300)})
+			}
+		}
+		sh := st.shardFor(1)
+		sh.mu.RLock()
+		live := sh.series[1].rollupFor(res).last()
+		sh.mu.RUnlock()
+		for _, w := range wins {
+			tsc, err := st.TierScan(1, res, w.from, w.from, w.to, w.to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := searchBuckets(ref, w.from), searchBuckets(ref, w.to)
+			i, bad := lo, false
+			tsc.Buckets(func(b *RollupBucket) {
+				bad = bad || i >= hi || !rollupBucketEqual(b, &ref[i])
+				i++
+			})
+			if bad || i != hi {
+				t.Fatalf("%d samples, %ds tier, window [%d, %d): buckets differ from the flat fold's %d..%d", len(smps), res, w.from, w.to, lo, hi)
+			}
+			if want := hi == n && hi > lo; tsc.buckets.hasTail != want {
+				t.Fatalf("%ds tier, window [%d, %d): tail copied %t, want %t", res, w.from, w.to, tsc.buckets.hasTail, want)
+			}
+			for _, p := range tsc.buckets.interior {
+				if &p[len(p)-1] == live {
+					t.Fatalf("%ds tier, window [%d, %d): interior aliases the live bucket", res, w.from, w.to)
+				}
+			}
+		}
+	}
+}
+
 // TestTierScanSeesLiveTail: the last (still-mutating) bucket is captured by
 // value, so a TierScan taken before later appends keeps its point-in-time
 // state.
@@ -176,6 +325,52 @@ func TestTierScanSeesLiveTail(t *testing.T) {
 	if len(got) != 1 || got[0].Count != 10 || got[0].Sum != 10 {
 		t.Errorf("snapshot bucket = %+v, want the 10-sample state from capture time", got)
 	}
+
+	// Under appends that keep opening buckets across tier pages, every
+	// capture is still the state at its version: ascending buckets holding
+	// exactly the samples appended by then (the version counts one
+	// registration and one per sample).
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3*tierPageBuckets; i++ {
+			if err := st.Append(1, Sample{TS: 3600 + int64(i)*1800, Value: 1}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				tsc, err := st.TierScan(1, 3600, minInt64, minInt64, maxInt64, maxInt64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n, prev := int64(0), int64(minInt64)
+				tsc.Buckets(func(b *RollupBucket) {
+					if b.Start <= prev {
+						t.Errorf("bucket %d after %d", b.Start, prev)
+					}
+					n, prev = n+b.Count, b.Start
+				})
+				if want := int64(tsc.Version) - 1; n != want {
+					t.Errorf("capture at version %d holds %d samples, want %d", tsc.Version, n, want)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
 }
 
 // TestSnapshotV2RoundTrip: a durable cycle persists the tiers and the
@@ -224,6 +419,16 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	for i, rs := range stats.Rollups {
 		if rs.Res != DefaultRollupRes[i] || rs.Buckets == 0 || rs.Bytes != int64(rs.Buckets)*rollupBucketBytes {
 			t.Errorf("Rollups[%d] = %+v, want res %d with buckets*%d bytes", i, rs, DefaultRollupRes[i], rollupBucketBytes)
+		}
+	}
+	// A bucket opened after recovery starts a new page in each tier, and
+	// Bytes counts the room the page holds, not only the bucket in it.
+	if err := st2.Append(1, Sample{TS: 2 * 86400, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i, rs := range st2.Stats().Rollups {
+		if want := int64(stats.Rollups[i].Buckets+tierPageBuckets) * rollupBucketBytes; rs.Buckets != stats.Rollups[i].Buckets+1 || rs.Bytes != want {
+			t.Errorf("after one append Rollups[%d] = %+v, want %d buckets in %d bytes", i, rs, stats.Rollups[i].Buckets+1, want)
 		}
 	}
 }

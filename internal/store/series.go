@@ -97,26 +97,43 @@ func (s *Series) appendRaw(smp Sample) error {
 	return nil
 }
 
-// seal freezes the head encoder into an immutable chunk.
+// seal freezes the head encoder into an immutable chunk. The payload is
+// decoded once, to verify it, before the head lets go of it: through a
+// pooled batch, keeping only the count and the first and last timestamps.
+// The encoder then reuses its bit buffer for the next block; nothing
+// aliases it, since Bytes copies and Iter and captureChunks go through
+// Bytes.
 func (s *Series) seal() {
-	if s.head.Len() == 0 {
+	n := s.head.Len()
+	if n == 0 {
 		return
 	}
 	payload := s.head.Bytes()
-	samples, err := Decode(payload, s.head.Len())
-	if err != nil || len(samples) == 0 {
+	var d blockReader
+	d.reset(payload, n)
+	b := GetBatch()
+	defer PutBatch(b)
+	c := &chunk{payload: payload}
+	for !d.done() {
+		b.Reset()
+		d.decodeInto(b)
+		if b.Len() == 0 {
+			continue
+		}
+		if c.count == 0 {
+			c.minTS = b.TS[0]
+		}
+		c.maxTS = b.TS[b.Len()-1]
+		c.count += b.Len()
+	}
+	if d.err != nil || c.count == 0 {
 		// A decode failure here indicates an encoder bug; keep data raw in
 		// the head rather than lose it. This path is exercised in tests via
 		// corruption injection only.
 		return
 	}
-	s.sealed = append(s.sealed, &chunk{
-		minTS:   samples[0].TS,
-		maxTS:   samples[len(samples)-1].TS,
-		count:   len(samples),
-		payload: payload,
-	})
-	s.head = NewEncoder()
+	s.sealed = append(s.sealed, c)
+	s.head.reset()
 }
 
 // captureChunks snapshots the series for a v3 (chunk-verbatim) snapshot:

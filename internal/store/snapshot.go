@@ -348,12 +348,7 @@ func appendSnapSectionV3(buf []byte, res []int64, e *snapEntry) ([]byte, error) 
 			return nil, fmt.Errorf("store: snapshot tier order mismatch for meter %d", e.m.ID)
 		}
 		buf = le32(buf, uint32(t.len()))
-		for i := range t.interior {
-			buf = appendRollupBucket(buf, &t.interior[i])
-		}
-		if t.hasTail {
-			buf = appendRollupBucket(buf, &t.tail)
-		}
+		t.each(func(b *RollupBucket) { buf = appendRollupBucket(buf, b) })
 	}
 	return le32(buf, crc32.ChecksumIEEE(buf)), nil
 }
@@ -590,21 +585,13 @@ func (s *Store) installSectionV3(wantID int64, sec []byte, fileRes []int64, mete
 		if int64(nb)*rollupBucketBytes > int64(r.remaining()) {
 			return corrupt("tier bucket count exceeds section")
 		}
-		// Room for half as many again (untouched room is never faulted
-		// in). When the buckets opened after recovery (by the WAL replay
-		// that follows, then by live ticks) outrun the room, the meter
-		// re-allocates and copies its whole tier: 560 KB per meter for a
-		// year of hourly buckets, which was most of the replay's time and
-		// the part that differed from one restart to the next. A quarter,
-		// one append growth step, was outrun by a WAL tail of 30 % of the
-		// snapshot's span.
-		buckets := make([]RollupBucket, nb, int(nb)+int(nb)/2)
+		buckets := make([]RollupBucket, nb)
 		for bi := range buckets {
 			if err := readRollupBucket(r, &buckets[bi]); err != nil {
 				return corrupt("truncated tier bucket")
 			}
 		}
-		file[ti] = rollupTier{res: fileRes[ti], buckets: buckets}
+		file[ti] = loadedTier(fileRes[ti], buckets)
 	}
 	if r.remaining() != 0 {
 		return corrupt("trailing bytes in section")
@@ -851,7 +838,7 @@ func (s *Store) loadSnapshotV2(r *sliceReader) error {
 				if loadErr != nil {
 					break
 				}
-				file[ti] = rollupTier{res: fileRes[ti], buckets: buckets}
+				file[ti] = loadedTier(fileRes[ti], buckets)
 			}
 			if loadErr == nil {
 				loadErr = ser.installRollups(s.rollupRes, file)

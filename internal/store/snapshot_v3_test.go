@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -76,7 +77,8 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 8} {
-		st, err := Open(Options{Dir: dir, RecoverWorkers: workers})
+		// A copy per reopen: the live appends below must not reach the next.
+		st, err := Open(Options{Dir: cloneDir(t, dir), RecoverWorkers: workers})
 		if err != nil {
 			t.Fatalf("reopen with %d workers: %v", workers, err)
 		}
@@ -96,6 +98,10 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			}
 		}
 		checkRollupsRebuilt(t, st)
+		// A loaded tier is one page sized exactly to the snapshot (no
+		// slack), and no append ever copies it: the WAL replay folded into
+		// its last bucket in place, and live appends open new pages.
+		loaded := map[*RollupBucket]int{}
 		for _, sh := range st.shards {
 			for id, ser := range sh.series {
 				// A loaded chunk owns its payload: one that aliased the
@@ -106,11 +112,30 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 						t.Errorf("workers=%d meter %d: chunk payload of %d bytes pins %d", workers, id, len(c.payload), cap(c.payload))
 					}
 				}
-				// A loaded tier keeps append slack: the next bucket a meter
-				// opens must not re-allocate and copy the whole tier.
 				for _, tier := range ser.rollups {
-					if b := tier.buckets; len(b) >= 8 && cap(b) == len(b) {
-						t.Errorf("workers=%d meter %d: loaded %ds tier of %d buckets has no room to append", workers, id, tier.res, len(b))
+					if p := tier.pages[0]; cap(p) != len(p) {
+						t.Errorf("workers=%d meter %d: loaded %ds page of %d buckets has capacity %d", workers, id, tier.res, len(p), cap(p))
+					} else {
+						loaded[&p[0]] = len(p)
+					}
+				}
+			}
+		}
+		for id := int64(1); id <= 6; id++ {
+			smps := make([]Sample, 600) // ten more hours, past the loaded pages
+			for i := range smps {
+				smps[i] = Sample{TS: 1501*60 + int64(i+1)*60, Value: float64(i)}
+			}
+			if _, err := st.AppendBatch(id, smps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkRollupsRebuilt(t, st)
+		for _, sh := range st.shards {
+			for id, ser := range sh.series {
+				for _, tier := range ser.rollups {
+					if p := tier.pages[0]; loaded[&p[0]] != len(p) || cap(p) != len(p) {
+						t.Errorf("workers=%d meter %d: appends moved or grew the loaded %ds page", workers, id, tier.res)
 					}
 				}
 			}
@@ -123,6 +148,50 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			t.Errorf("workers=%d: recovery reported no WAL records", workers)
 		}
 		st.Close()
+	}
+}
+
+// TestYearAppendAllocatesWhatItKeeps: one AppendBatch of a year of hourly
+// samples into a fresh two-tier series allocates each tier once, one page
+// at the size the batch reserves, so it allocates little more than the tier pages
+// and chunk payloads it keeps. Tiers grown by append re-allocated and
+// copied themselves at every growth step: over four times what was kept.
+func TestYearAppendAllocatesWhatItKeeps(t *testing.T) {
+	st, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.PutMeter(testMeter(1)); err != nil {
+		t.Fatal(err)
+	}
+	smps := make([]Sample, 8760)
+	for i := range smps {
+		smps[i] = Sample{TS: 1483228800 + int64(i)*3600, Value: float64(i%24) * 0.37}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := st.AppendBatch(1, smps); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+
+	ser := st.shardFor(1).series[1]
+	kept := uint64(cap(ser.head.w.data))
+	for _, c := range ser.sealed {
+		kept += uint64(cap(c.payload))
+	}
+	for _, tier := range ser.rollups {
+		if len(tier.pages) != 1 {
+			t.Errorf("%ds tier: the batch allocated %d pages, want 1", tier.res, len(tier.pages))
+		}
+		for _, p := range tier.pages {
+			kept += uint64(cap(p)) * rollupBucketBytes
+		}
+	}
+	if float64(allocated) >= 1.2*float64(kept) {
+		t.Errorf("a year's AppendBatch allocated %d bytes to keep %d (%.2fx), want under 1.2x", allocated, kept, float64(allocated)/float64(kept))
 	}
 }
 

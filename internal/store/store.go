@@ -425,6 +425,7 @@ func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 		}
 		commit = c
 	}
+	ser.reserveRollups(smps[:n])
 	for _, smp := range smps[:n] {
 		_ = ser.Append(smp) // validated above
 	}

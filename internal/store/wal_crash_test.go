@@ -108,6 +108,14 @@ func rollupBucketEqual(a, b *RollupBucket) bool {
 		math.Float64bits(a.Last) == math.Float64bits(b.Last)
 }
 
+// flatBuckets returns a tier capture's buckets as one ascending sequence,
+// the copied tail included.
+func flatBuckets(v *tierView) []RollupBucket {
+	var out []RollupBucket
+	v.each(func(b *RollupBucket) { out = append(out, *b) })
+	return out
+}
+
 // checkRollupsRebuilt asserts every meter's in-memory rollup tiers equal a
 // from-scratch fold of the recovered raw samples — the invariant that
 // recovery (snapshot tier load, WAL replay folding, or both) never
@@ -133,20 +141,18 @@ func checkRollupsRebuilt(t *testing.T, st *Store) {
 		}
 		for i := range got {
 			g, w := &got[i], &want[i]
-			if g.res != w.res || len(g.interior) != len(w.interior) || g.hasTail != w.hasTail {
-				t.Errorf("meter %d tier %d: shape (res=%d interior=%d tail=%t), want (res=%d interior=%d tail=%t)",
-					id, i, g.res, len(g.interior), g.hasTail, w.res, len(w.interior), w.hasTail)
+			gb, wb := flatBuckets(&g.tierView), flatBuckets(&w.tierView)
+			if g.res != w.res || len(gb) != len(wb) || g.hasTail != w.hasTail {
+				t.Errorf("meter %d tier %d: shape (res=%d buckets=%d tail=%t), want (res=%d buckets=%d tail=%t)",
+					id, i, g.res, len(gb), g.hasTail, w.res, len(wb), w.hasTail)
 				continue
 			}
-			for j := range g.interior {
-				if !rollupBucketEqual(&g.interior[j], &w.interior[j]) {
+			for j := range gb {
+				if !rollupBucketEqual(&gb[j], &wb[j]) {
 					t.Errorf("meter %d %ds tier: recovered bucket %d diverges from a from-scratch rebuild: %+v vs %+v",
-						id, g.res, j, g.interior[j], w.interior[j])
+						id, g.res, j, gb[j], wb[j])
 					break
 				}
-			}
-			if g.hasTail && !rollupBucketEqual(&g.tail, &w.tail) {
-				t.Errorf("meter %d %ds tier: recovered tail bucket diverges: %+v vs %+v", id, g.res, g.tail, w.tail)
 			}
 		}
 	}
