@@ -376,8 +376,8 @@ func setupRollupBench(b *testing.B) {
 // for the same daily GROUP BY over the same dense multi-month data, through
 // the real executor (memoization bypassed). The exact-width serving rule
 // makes the two results bit-identical — asserted before timing — so the
-// ns/op ratio is the tier speedup benchjson records as
-// derived.rollup_speedup in BENCH_rollup.json (the ≥10x acceptance floor).
+// ns/op ratio is the tier speedup, recorded as derived.rollup_speedup in
+// BENCH_rollup.json (the ≥10x acceptance floor).
 func BenchmarkVQLRollup(b *testing.B) {
 	setupRollupBench(b)
 	ctx := context.Background()
@@ -763,8 +763,8 @@ func BenchmarkRecover(b *testing.B) {
 // keep the loaded cheap-query p99 within 5x its unloaded value — without
 // governance the cheap reads queue behind the monsters' full-store scans
 // and the tail is unbounded. Each sub-benchmark reports its latency
-// distribution (p50-ms / p99-ms via ReportMetric); tools/benchjson
-// derives govern_tail_ratio = Loaded p99 / Unloaded p99 for the
+// distribution (p50-ms / p99-ms via ReportMetric); their ratio
+// govern_tail_ratio = Loaded p99 / Unloaded p99 is recorded in the
 // BENCH_govern.json trajectory.
 func BenchmarkGovernMixed(b *testing.B) {
 	setupBench(b)

@@ -125,7 +125,7 @@ func (s *Server) Routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/health", s.handleHealth)
 	mux.HandleFunc("/api/customers", s.handleCustomers)
-	mux.HandleFunc("/api/series", s.handleSeries)
+	mux.HandleFunc("/api/series", s.analysis(s.handleSeries))
 	mux.HandleFunc("/api/reduce", s.analysis(s.handleReduce))
 	mux.HandleFunc("/api/patterns", s.analysis(s.handlePatterns))
 	mux.HandleFunc("/api/flow", s.analysis(s.handleFlow))
@@ -436,7 +436,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	buckets, err := s.an.Engine().MeterSeries(id, sel, g, query.AggFunc(qStr(r, "agg", "mean")))
+	buckets, err := s.an.MeterSeries(r.Context(), id, sel, g, query.AggFunc(qStr(r, "agg", "mean")))
 	if err != nil {
 		writeAnalysisErr(w, err)
 		return

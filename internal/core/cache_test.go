@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
+	"vap/internal/govern"
 	"vap/internal/kde"
 	"vap/internal/query"
 	"vap/internal/reduce"
@@ -300,5 +303,42 @@ func TestDefaultWindowInvalidatedByExtentGrowth(t *testing.T) {
 	}
 	if got := an.ExecStats().Computes; got != warm+1 {
 		t.Fatalf("extent growth did not invalidate the default-window view: computes = %d, want %d", got, warm+1)
+	}
+}
+
+// TestMeterSeriesAdmittedAndMemoized: one meter's series takes the views'
+// lifecycle — the engine's buckets, memoized per meter under its version,
+// an aggregate checked before it reaches the plan text, and a window over
+// the memory budget refused before anything is scanned.
+func TestMeterSeriesAdmittedAndMemoized(t *testing.T) {
+	an, ds := fixture(t)
+	ctx := context.Background()
+	id := ds.Customers[0].Meter.ID
+	sel := query.Selection{From: ds.Start.Unix() + 86400, To: ds.Start.Unix() + 9*86400}
+	want, err := an.Engine().MeterSeries(id, sel, query.GranHourly, query.AggSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := an.MeterSeries(ctx, id, sel, query.GranHourly, query.AggSum)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("series differs from the engine's (%v)", err)
+	}
+	if _, err := an.MeterSeries(ctx, id, sel, query.GranHourly, query.AggSum); err != nil || an.ExecStats().Computes != 1 {
+		t.Fatalf("identical repeat: computes = %d, want 1 (%v)", an.ExecStats().Computes, err)
+	}
+	if _, err := an.MeterSeries(ctx, ds.Customers[1].Meter.ID, sel, query.GranHourly, query.AggSum); err != nil || an.ExecStats().Computes != 2 {
+		t.Fatalf("another meter: computes = %d, want 2 (%v)", an.ExecStats().Computes, err)
+	}
+	if _, err := an.MeterSeries(ctx, id, sel, query.GranHourly, "sum(value) FROM meters --"); !errors.Is(err, query.ErrInput) {
+		t.Fatalf("unknown aggregate: %v, want ErrInput", err)
+	}
+
+	small := NewAnalyzerOpts(an.Store(), Options{Gov: govern.New(govern.Config{MemBudget: 4 << 20})})
+	var ce *govern.CostError
+	if _, err := small.MeterSeries(ctx, id, query.Selection{From: 1}, query.GranHourly, query.AggMean); !errors.As(err, &ce) {
+		t.Fatalf("hourly series from 1970 under a 4 MiB budget: %v, want a cost refusal", err)
+	}
+	if got := small.ExecStats().Computes; got != 0 {
+		t.Fatalf("refused series computed %d times", got)
 	}
 }

@@ -144,8 +144,14 @@ func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute f
 
 // scanPlan compiles the VQL statement an analysis scan is equivalent to
 // (TestEngineMatchesVQL): fn of each meter's readings, per g bucket unless
-// g is empty.
+// g is empty. Both come from requests, so each is checked before it is
+// spliced into the statement.
 func scanPlan(fn query.AggFunc, g query.Granularity) (*vql.Plan, error) {
+	switch fn {
+	case query.AggSum, query.AggMean, query.AggMax, query.AggMin:
+	default:
+		return nil, fmt.Errorf("%w: unknown aggregate %q", query.ErrInput, fn)
+	}
 	src := "SELECT meter, " + string(fn) + "(value) FROM meters GROUP BY meter"
 	if g != "" {
 		if _, bad := query.ParseGranularity(string(g)); bad != nil {
@@ -269,7 +275,7 @@ func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*Typi
 		// The 24-hour profiles are the features; of the bucketed matrix
 		// only the meter set would be used, and that is resolved already.
 		ids = cfg.Selection.MeterIDs
-		rows, err = dailyProfiles(ctx, a.eng, ids, cfg.Selection)
+		rows, err = a.eng.DayProfilesCtx(ctx, ids, cfg.Selection.From, cfg.Selection.To)
 	} else {
 		ids, times, rows, err = a.eng.MeterMatrixCtx(ctx, cfg.Selection, cfg.Granularity, cfg.Aggregate)
 	}
@@ -289,37 +295,6 @@ func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*Typi
 		MeterIDs: ids, Points: emb, Method: cfg.Method, Metric: cfg.Metric,
 		FeatDim: dim, rows: rows, times: times, gran: cfg.Granularity,
 	}, nil
-}
-
-func dailyProfiles(ctx context.Context, eng *query.Engine, ids []int64, sel query.Selection) ([][]float64, error) {
-	rows := make([][]float64, len(ids))
-	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
-		id := ids[i]
-		s := sel
-		s.MeterIDs = []int64{id}
-		buckets, err := eng.MeterSeries(id, s, query.GranHourly, query.AggMean)
-		if err != nil {
-			return err
-		}
-		var sums, counts [24]float64
-		for _, b := range buckets {
-			h := int((b.Start%86400 + 86400) % 86400 / 3600) // floored: pre-1970 hours too
-			sums[h] += b.Value
-			counts[h]++
-		}
-		row := make([]float64, 24)
-		for h := 0; h < 24; h++ {
-			if counts[h] > 0 {
-				row[h] = sums[h] / counts[h]
-			}
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // SelectionSeries is view B: the mean of the selection's meters per g
@@ -343,6 +318,28 @@ func (a *Analyzer) SelectionSeries(ctx context.Context, sel query.Selection, g q
 	v, err := a.run(ctx, job{kind: "series", plan: p, ids: ids, bucketMem: 8*int64(len(ids)) + 24},
 		[][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
 			return a.eng.AggregateSelection(ctx, sel, g, query.AggMean)
+		})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]query.Bucket), nil
+}
+
+// MeterSeries is one meter's fn per g bucket over sel's window
+// (Engine.MeterSeriesCtx), estimated, admitted and memoized like the other
+// views: 24 bytes a bucket.
+func (a *Analyzer) MeterSeries(ctx context.Context, id int64, sel query.Selection, g query.Granularity, fn query.AggFunc) ([]query.Bucket, error) {
+	p, err := scanPlan(fn, g)
+	if err != nil {
+		return nil, err
+	}
+	from, to, err := a.eng.TimeWindow(sel)
+	if err != nil {
+		return nil, err
+	}
+	v, err := a.run(ctx, job{kind: "meter-series", plan: p, ids: []int64{id}, bucketMem: 24},
+		[][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
+			return a.eng.MeterSeriesCtx(ctx, id, query.Selection{From: from, To: to}, g, fn)
 		})
 	if err != nil {
 		return nil, err

@@ -41,9 +41,16 @@ func TestDailyProfileViewSkipsMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := dailyProfiles(ctx, an.Engine(), ids, sel)
+		rows, err := dailyProfiles(an.Engine(), ids, sel)
 		if err != nil {
 			t.Fatal(err)
+		}
+		from, to, err := an.Engine().TimeWindow(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := an.Engine().DayProfilesCtx(ctx, ids, from, to); err != nil || !reflect.DeepEqual(got, rows) {
+			t.Errorf("selection %+v: DayProfilesCtx differs from the per-meter series fold (%v)", sel, err)
 		}
 		points, err := reduce.Reduce(ctx, rows, reduce.MethodMDS, reduce.MetricPearson, 1, an.Engine().Workers())
 		if err != nil {
@@ -64,7 +71,11 @@ func TestDailyProfileViewSkipsMatrix(t *testing.T) {
 			t.Errorf("selection %+v: rows differ from the daily profiles", sel)
 		}
 	}
-	rows, err := dailyProfiles(ctx, pre.Engine(), []int64{1, 2, 3}, query.Selection{})
+	from, to, err := pre.Engine().TimeWindow(query.Selection{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := pre.Engine().DayProfilesCtx(ctx, []int64{1, 2, 3}, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +86,35 @@ func TestDailyProfileViewSkipsMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dailyProfiles is the reference Engine.DayProfilesCtx must equal bit for
+// bit: each meter's hourly mean series, one MeterSeries call a meter, folded
+// by floored hour of day.
+func dailyProfiles(eng *query.Engine, ids []int64, sel query.Selection) ([][]float64, error) {
+	rows := make([][]float64, len(ids))
+	for i, id := range ids {
+		s := sel
+		s.MeterIDs = []int64{id}
+		buckets, err := eng.MeterSeries(id, s, query.GranHourly, query.AggMean)
+		if err != nil {
+			return nil, err
+		}
+		var sums, counts [24]float64
+		for _, b := range buckets {
+			h := int((b.Start%86400 + 86400) % 86400 / 3600) // floored: pre-1970 hours too
+			sums[h] += b.Value
+			counts[h]++
+		}
+		row := make([]float64, 24)
+		for h := 0; h < 24; h++ {
+			if counts[h] > 0 {
+				row[h] = sums[h] / counts[h]
+			}
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 // preEpochValue is what preEpochAnalyzer's meter id reads at every hour h

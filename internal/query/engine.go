@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 
-	"vap/internal/exec"
 	"vap/internal/geo"
 	"vap/internal/stat"
 	"vap/internal/store"
@@ -157,31 +156,15 @@ func (e *Engine) newScan(ctx context.Context, bounds []int64, width int64, fn Ag
 	return NewScan(ctx, e.st, bounds, width, from, to, res, fn == AggMax || fn == AggMin)
 }
 
-// scanMeters folds every meter of ids through sc, fanned out across the
-// engine's workers in contiguous chunks that share one decode batch and
-// one bucket scratch. emit receives meter i's touched folds and the index
-// of the first; it may run concurrently for different i.
-func (e *Engine) scanMeters(ctx context.Context, sc *Scan, ids []int64, emit func(i int, folds []Fold, lo int)) error {
-	return exec.ForEachChunk(ctx, len(ids), e.workers, func(a, b int) error {
-		batch := store.GetBatch()
-		defer store.PutBatch(batch)
-		dense := sc.NewDense()
-		for i := a; i < b; i++ {
-			_, lo, hi, _, err := sc.Meter(ctx, ids[i], batch, dense)
-			if err != nil {
-				return err
-			}
-			emit(i, dense[lo:hi], lo)
-			ResetFolds(dense[lo:hi])
-		}
-		return nil
-	})
-}
-
 // MeterSeries returns the aggregated series of a single meter: one Bucket
 // per interval holding at least one reading, whole grid cells served from
 // the store's rollup tier of the granularity's FixedWidth when it keeps one.
 func (e *Engine) MeterSeries(meterID int64, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
+	return e.MeterSeriesCtx(context.Background(), meterID, sel, g, fn)
+}
+
+// MeterSeriesCtx is MeterSeries under ctx's deadline, cancellation and grant.
+func (e *Engine) MeterSeriesCtx(ctx context.Context, meterID int64, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
 	if err := fn.valid(); err != nil {
 		return nil, err
 	}
@@ -193,10 +176,9 @@ func (e *Engine) MeterSeries(meterID int64, sel Selection, g Granularity, fn Agg
 	if err != nil {
 		return nil, err
 	}
-	ctx := context.Background()
 	sc := e.newScan(ctx, bounds, g.FixedWidth(), fn, from, to)
 	var out []Bucket // stays nil when the window holds no reading
-	err = e.scanMeters(ctx, sc, []int64{meterID}, func(_ int, folds []Fold, lo int) {
+	err = sc.Run(ctx, []int64{meterID}, 4*e.workers, e.workers, func(_ int, folds []Fold, lo, _ int, _ uint64) {
 		if len(folds) > 0 {
 			out = make([]Bucket, 0, len(folds))
 		}
@@ -237,7 +219,7 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 	}
 	sc := e.newScan(ctx, times, g.FixedWidth(), fn, from, to)
 	rows = make([][]float64, len(ids))
-	err = e.scanMeters(ctx, sc, ids, func(r int, folds []Fold, lo int) {
+	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(r int, folds []Fold, lo, _ int, _ uint64) {
 		row := make([]float64, len(times))
 		for j := range folds {
 			if f := &folds[j]; !f.Empty() {
@@ -252,6 +234,45 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 	return ids, times, rows, nil
 }
 
+// DayProfilesCtx folds each meter of ids into its 24-hour mean day profile
+// over [from, to), rows aligned with ids: entry h is the mean of the
+// meter's hourly bucket means over the buckets starting h hours into a UTC
+// day (floored, so pre-1970 hours too), 0 where no bucket holds a reading.
+// It is one hourly scan, not a series per meter.
+func (e *Engine) DayProfilesCtx(ctx context.Context, ids []int64, from, to int64) ([][]float64, error) {
+	from, to, err := ResolveWindow(e.st, from, to, true, true)
+	if err != nil {
+		return nil, err
+	}
+	bounds, err := BucketAxis(GranHourly, from, to)
+	if err != nil {
+		return nil, err
+	}
+	sc := e.newScan(ctx, bounds, GranHourly.FixedWidth(), AggMean, from, to)
+	rows := make([][]float64, len(ids))
+	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []Fold, lo, _ int, _ uint64) {
+		var sums, counts [24]float64
+		for j := range folds {
+			if f := &folds[j]; !f.Empty() {
+				h := mod(bounds[lo+j], daySeconds) / 3600
+				sums[h] += AggMean.value(f)
+				counts[h]++
+			}
+		}
+		row := make([]float64, 24)
+		for h := range row {
+			if counts[h] > 0 {
+				row[h] = sums[h] / counts[h]
+			}
+		}
+		rows[i] = row
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // windowFolds folds each meter's whole [from, to) window into one state,
 // aligned with ids. The aligned interior comes from the coarsest rollup tier
 // that fits: the daily tier gives the raw fold's states bit for bit (both
@@ -261,7 +282,7 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 func (e *Engine) windowFolds(ctx context.Context, ids []int64, from, to int64) ([]Fold, error) {
 	sc := e.newScan(ctx, []int64{from}, WholeWindow, AggSum, from, to)
 	out := make([]Fold, len(ids))
-	err := e.scanMeters(ctx, sc, ids, func(i int, folds []Fold, _ int) {
+	err := sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []Fold, _, _ int, _ uint64) {
 		if len(folds) > 0 {
 			out[i] = folds[0]
 		}

@@ -5,15 +5,17 @@ import (
 	"math"
 	"sort"
 
+	"vap/internal/exec"
 	"vap/internal/govern"
 	"vap/internal/store"
 )
 
 // This file is the repository's one bucketed fold: the aggregate state,
 // the rule that decides when a rollup tier may stand in for raw samples,
-// and the per-meter kernel that folds a window into a bucket-indexed
-// array. The engine's paper-pipeline calls (engine.go) and the VQL
-// executor (internal/vql) are both finalizers over it.
+// the per-meter kernel that folds a window into a bucket-indexed array,
+// and the one driver that fans a meter list out over it. The engine's
+// paper-pipeline calls (engine.go) and the VQL executor (internal/vql) are
+// both finalizers over it.
 
 // Fold is one group's aggregate state. Every aggregate shares it, so a
 // scan folding sum, mean, min, max and count together reads the data
@@ -207,9 +209,10 @@ type Scan struct {
 	dayCells bool    // buckets are a day or wider: fold through day cells
 	minMax   bool
 	tierRes  int64
-	// pace surfaces deadline or cancellation between decoded batches (a
-	// cancelled monster scan aborts mid-meter, not after it) and yields the
-	// CPU for admitted analytics grants while interactive work is in flight.
+	// pace surfaces deadline or cancellation between meters and between
+	// decoded batches (a cancelled monster scan aborts mid-meter, not after
+	// it) and yields the CPU for admitted analytics grants while
+	// interactive work is in flight.
 	pace func(context.Context) error
 }
 
@@ -229,6 +232,41 @@ func (sc *Scan) NewDense() []Fold {
 	dense := make([]Fold, len(sc.bounds))
 	ResetFolds(dense)
 	return dense
+}
+
+// Run is the one per-meter scan driver of both front doors: it folds every
+// meter of ids through sc in chunks contiguous runs (the run length rounded
+// up, so trailing runs can come out empty and are skipped) handed to
+// exec.ForEach over workers, each run sharing one decode batch and one
+// bucket scratch. emit receives meter i's touched folds, the index of the
+// first, its in-window sample count and the per-meter version its data was
+// captured at; the folds are re-seeded once emit returns, so an emit that
+// keeps them copies them. One run emits in ids order; runs may emit
+// concurrently, and a single run emits on the calling goroutine.
+func (sc *Scan) Run(ctx context.Context, ids []int64, chunks, workers int, emit func(i int, folds []Fold, lo, n int, version uint64)) error {
+	chunks = max(min(chunks, len(ids)), 1)
+	size := (len(ids) + chunks - 1) / chunks
+	return exec.ForEach(ctx, chunks, workers, func(c int) error {
+		lo, hi := c*size, min((c+1)*size, len(ids))
+		if lo >= hi {
+			return nil
+		}
+		batch := store.GetBatch()
+		defer store.PutBatch(batch)
+		dense := sc.NewDense()
+		for i := lo; i < hi; i++ {
+			if err := sc.pace(ctx); err != nil {
+				return err
+			}
+			n, blo, bhi, version, err := sc.Meter(ctx, ids[i], batch, dense)
+			if err != nil {
+				return err
+			}
+			emit(i, dense[blo:bhi], blo, n, version)
+			ResetFolds(dense[blo:bhi])
+		}
+		return nil
+	})
 }
 
 // foldCursor is one meter's position on the bucket axis. Timestamps only

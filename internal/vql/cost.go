@@ -184,7 +184,7 @@ func planTier(p *Plan, c *ScanCost, from, to int64, tiers []int64) {
 		return
 	}
 	if !p.hasBucket {
-		c.TierReason = "no bucket dimension (tier serving of unbucketed plans waits on the benchmark's raw-scan probe, ROADMAP item 8(b))"
+		c.TierReason = "no bucket dimension (tier serving of unbucketed plans waits on the benchmark's raw-scan probe)"
 		return
 	}
 	width := p.Granularity().FixedWidth()

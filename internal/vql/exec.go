@@ -19,11 +19,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
-	"vap/internal/exec"
 	"vap/internal/geo"
-	"vap/internal/govern"
 	"vap/internal/query"
 	"vap/internal/store"
 )
@@ -182,45 +181,51 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	res.Meters = len(ids)
 
 	// Partials are per METER, not per chunk, and merge in the order ids
-	// lists them below: every meter's samples fold into their own states and
-	// the states combine left-associatively, so the result is bit-identical
-	// to the scalar executor — and independent of the planner's worker/chunk
+	// lists them: every meter's samples fold into their own states and the
+	// states combine left-associatively, so the result is bit-identical to
+	// the scalar executor — and independent of the planner's worker/chunk
 	// split (float addition is not associative; collapsing a chunk's meters
 	// into shared state would tie result bytes to the fan-out choice).
-	sc := newScanConfig(ctx, p, eng, &cost, bounds, from, to)
-	sink := &groupSink{bounds: sc.bounds, index: make(map[groupKey]int)}
+	width := p.Granularity().FixedWidth()
+	if !p.hasBucket {
+		// One bucket, whose start is the zero group key's bucket.
+		bounds, width = []int64{0}, query.WholeWindow
+	}
+	sc := query.NewScan(ctx, eng.Store(), bounds, width, from, to, cost.TierRes, p.needMinMax())
+	sink := &groupSink{bounds: bounds, index: make(map[groupKey]int)}
+	groupMeter := slices.ContainsFunc(p.Keys, func(k KeyExpr) bool { return k.Kind == KeyMeter })
+	cat := eng.Store().Catalog()
 	vers := make([]uint64, len(ids))
-	if cost.Chunks == 1 {
-		// Sequential scan: each meter's partial merges into the sink as
-		// soon as the meter finishes — no partial storage.
-		n, err := sc.scanChunk(ctx, ids, vers, nil, sink)
-		if err != nil {
-			return nil, err
+	var partials []meterPartial // nil for a sequential scan: each meter merges as it finishes
+	if cost.Chunks > 1 {
+		partials = make([]meterPartial, len(ids))
+	}
+	err := sc.Run(ctx, ids, cost.Chunks, cost.Workers, func(i int, folds []query.Fold, lo, n int, version uint64) {
+		mp := meterPartial{dense: folds, lo: lo, n: n}
+		if groupMeter {
+			mp.base.meter = ids[i]
 		}
-		res.Samples = n
-	} else {
-		chunkSize := (len(ids) + cost.Chunks - 1) / cost.Chunks
-		partials := make([]meterPartial, len(ids))
-		err := exec.ForEach(ctx, cost.Chunks, cost.Workers, func(c int) error {
-			lo, hi := c*chunkSize, (c+1)*chunkSize
-			if hi > len(ids) {
-				hi = len(ids)
+		if p.needZone {
+			if m, ok := cat.Get(ids[i]); ok {
+				mp.base.zone = m.Zone
 			}
-			if lo >= hi {
-				// Rounding chunkSize up can leave the last chunks empty
-				// (34 ids in 8 chunks of 5: chunk 7 would be ids[35:34]).
-				return nil
-			}
-			_, cerr := sc.scanChunk(ctx, ids[lo:hi], vers[lo:hi], partials[lo:hi], nil)
-			return cerr
-		})
-		if err != nil {
-			return nil, err
 		}
-		for i := range partials {
-			res.Samples += partials[i].n
-			sink.add(&partials[i], true)
+		vers[i] = version
+		if partials == nil {
+			res.Samples += n
+			sink.add(&mp, false)
+			return
 		}
+		// The folds alias the run's scratch: keep a private copy.
+		mp.dense = append([]query.Fold(nil), folds...)
+		partials[i] = mp
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range partials {
+		res.Samples += partials[i].n
+		sink.add(&partials[i], true)
 	}
 
 	res.Fingerprint = store.FingerprintPairs(ids, vers)
@@ -424,93 +429,6 @@ func (b *rowBuilder) add(bucket, meter, zone any, st *query.Fold) {
 func (b *rowBuilder) seal() {
 	at, end := len(b.rows)*len(b.p.Cols), len(b.cells)
 	b.rows = append(b.rows, b.cells[at:end:end])
-}
-
-// scanConfig is the immutable per-query scan setup shared by every chunk
-// worker: the shared kernel over the plan's bucket axis plus the plan
-// dimensions the key construction needs.
-type scanConfig struct {
-	eng        *query.Engine
-	groupMeter bool
-	needZone   bool
-	// bounds are the ascending bucket starts the shared kernel folds into;
-	// a plan with no bucket dimension is its one-bucket case.
-	bounds []int64
-	dense  *query.Scan
-	// pace is the governance check between meters (see query.Scan for the
-	// one between decoded batches).
-	pace func(context.Context) error
-}
-
-func newScanConfig(ctx context.Context, p *Plan, eng *query.Engine, cost *ScanCost, bounds []int64, from, to int64) *scanConfig {
-	sc := &scanConfig{
-		eng:      eng,
-		pace:     govern.PaceFunc(ctx),
-		needZone: p.needZone,
-		bounds:   bounds,
-	}
-	for _, k := range p.Keys {
-		if k.Kind == KeyMeter {
-			sc.groupMeter = true
-		}
-	}
-	width := p.Granularity().FixedWidth()
-	if !p.hasBucket {
-		// One bucket, whose start is the zero group key's bucket.
-		sc.bounds, width = []int64{0}, query.WholeWindow
-	}
-	sc.dense = query.NewScan(ctx, eng.Store(), sc.bounds, width, from, to, cost.TierRes, p.needMinMax())
-	return sc
-}
-
-// scanChunk scans one contiguous run of meters on the calling goroutine.
-// Exactly one of partials and sink is non-nil: parallel chunks fill each
-// meter's partial aggregates into partials (aligned with ids, as is vers,
-// which receives the per-meter snapshot versions) as private copies the
-// caller hands to the sink in ids order; a sequential scan passes sink
-// instead and each meter merges as soon as it finishes.
-// Scratch (the decode batch and the dense bucket array) is shared across
-// the chunk's meters; group state is not — see ExecuteResolved on why
-// partials stay per meter. Returns the chunk's in-window sample count.
-func (sc *scanConfig) scanChunk(ctx context.Context, ids []int64, vers []uint64, partials []meterPartial, sink *groupSink) (int, error) {
-	batch := store.GetBatch()
-	defer store.PutBatch(batch)
-	dense := sc.dense.NewDense()
-
-	cat := sc.eng.Store().Catalog()
-	samples := 0
-	for i, id := range ids {
-		if err := sc.pace(ctx); err != nil {
-			return 0, err
-		}
-		mp := meterPartial{}
-		if sc.groupMeter {
-			mp.base.meter = id
-		}
-		if sc.needZone {
-			if m, ok := cat.Get(id); ok {
-				mp.base.zone = m.Zone
-			}
-		}
-		var hi int
-		var err error
-		mp.n, mp.lo, hi, vers[i], err = sc.dense.Meter(ctx, id, batch, dense)
-		if err != nil {
-			return 0, err
-		}
-		mp.dense = dense[mp.lo:hi]
-		samples += mp.n
-		if sink != nil {
-			sink.add(&mp, false)
-		} else {
-			partials[i] = mp
-			partials[i].dense = append([]query.Fold(nil), mp.dense...)
-		}
-		// Only the bucket range the meter touched is re-seeded, so sparse
-		// meters inside a wide window don't pay for the whole array.
-		query.ResetFolds(mp.dense)
-	}
-	return samples, nil
 }
 
 // cmpVal orders two homogeneous cell values (int64, float64, string, or

@@ -15,6 +15,8 @@ import (
 // up leaves trailing chunks empty for many sizes (34 meters in 8 chunks of
 // 5: chunk 7 is ids[35:34]), which used to panic; every split must scan
 // every meter exactly once and produce the rows of the sequential scan.
+// The engine's matrix, window totals and day profiles go through the same
+// driver, and must not move with the worker count either.
 func TestFanOutChunkGrid(t *testing.T) {
 	const (
 		maxMeters  = 200
@@ -93,6 +95,44 @@ func TestFanOutChunkGrid(t *testing.T) {
 	}
 	if fanned == 0 {
 		t.Fatal("no grid point fanned out; the fixture is too small to test the split")
+	}
+
+	// The engine splits n meters into min(4*workers, n) runs: 34 meters at
+	// 2 workers are 8 runs of 5, the last one empty; 200 at 16 are 64 of 4.
+	wfrom, wto, err := engines[1].TimeWindow(query.Selection{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type engineOut struct {
+		ids, times []int64
+		matrix     [][]float64
+		totals     map[int64]float64
+		profiles   [][]float64
+	}
+	engineRun := func(eng *query.Engine, sel []int64) engineOut {
+		var o engineOut
+		var err error
+		if o.ids, o.times, o.matrix, err = eng.MeterMatrixCtx(ctx, query.Selection{MeterIDs: sel}, query.GranHourly, query.AggMean); err != nil {
+			t.Fatal(err)
+		}
+		if o.totals, err = eng.TotalByMeterCtx(ctx, query.Selection{MeterIDs: sel}); err != nil {
+			t.Fatal(err)
+		}
+		if o.profiles, err = eng.DayProfilesCtx(ctx, sel, wfrom, wto); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	for _, n := range []int{1, 34, 200} {
+		want := engineRun(engines[1], ids[:n])
+		if len(want.matrix) != n || len(want.totals) != n || len(want.profiles) != n {
+			t.Fatalf("n=%d: %d matrix rows, %d totals, %d profiles", n, len(want.matrix), len(want.totals), len(want.profiles))
+		}
+		for w := 2; w <= maxWorkers; w++ {
+			if got := engineRun(engines[w], ids[:n]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d workers=%d: engine outputs differ from one worker's", n, w)
+			}
+		}
 	}
 
 	// Grouping by meter or zone keeps one slab of states per base key: a

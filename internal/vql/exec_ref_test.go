@@ -217,8 +217,8 @@ func foldSample(f *query.Fold, v float64) {
 // vectorized executor on the same compiled plan and resolved meter set
 // (no memoization on either side) — the apples-to-apples measurement of
 // the batch-execution speedup, robust to machine noise because both
-// sides run under the same conditions. tools/benchjson derives
-// vql_exec_speedup from the pair.
+// sides run under the same conditions. The pair's ratio is the
+// vql_exec_speedup recorded in BENCH_vql.json.
 func BenchmarkVQLExec(b *testing.B) {
 	ds := gen.Generate(gen.Config{
 		Seed: 42,

@@ -25,8 +25,8 @@ import (
 // test client in client_test.go against a real TCP listener) and the HTTP
 // JSON codec (POST /api/query). The exec cache stays warm, so each round
 // trip measures parse + admission + memo hit + transport encode/decode —
-// the per-query cost a dashboard pays — and tools/benchjson derives
-// wire_overhead_ratio = Wire ns/op over HTTP ns/op for BENCH_wire.json.
+// the per-query cost a dashboard pays — and wire_overhead_ratio = Wire
+// ns/op over HTTP ns/op is recorded in BENCH_wire.json.
 // Wire/Export and HTTP/Export run the 40 320-row result, never cached,
 // through the same two transports.
 func BenchmarkWireQuery(b *testing.B) {
