@@ -224,8 +224,8 @@ func TestStatsReportsRecovery(t *testing.T) {
 	if stats.LastRecoveryMS == nil {
 		t.Error("stats missing last_recovery_ms")
 	}
-	if stats.Recovery.SnapshotFormat != "v3" || stats.Recovery.SnapshotMeters != 1 {
-		t.Errorf("stats recovery = %+v, want v3 snapshot with 1 meter", stats.Recovery)
+	if stats.Recovery.SnapshotFormat != "v4" || stats.Recovery.SnapshotMeters != 1 {
+		t.Errorf("stats recovery = %+v, want v4 snapshot with 1 meter", stats.Recovery)
 	}
 }
 

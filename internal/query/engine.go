@@ -178,7 +178,7 @@ func (e *Engine) MeterSeriesCtx(ctx context.Context, meterID int64, sel Selectio
 	}
 	sc := e.newScan(ctx, bounds, g.FixedWidth(), fn, from, to)
 	var out []Bucket // stays nil when the window holds no reading
-	err = sc.Run(ctx, []int64{meterID}, 4*e.workers, e.workers, func(_ int, folds []Fold, lo, _ int, _ uint64) {
+	err = sc.Run(ctx, []int64{meterID}, 4*e.workers, e.workers, func(_ int, folds []store.Fold, lo, _ int, _ uint64) {
 		if len(folds) > 0 {
 			out = make([]Bucket, 0, len(folds))
 		}
@@ -219,7 +219,7 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 	}
 	sc := e.newScan(ctx, times, g.FixedWidth(), fn, from, to)
 	rows = make([][]float64, len(ids))
-	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(r int, folds []Fold, lo, _ int, _ uint64) {
+	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(r int, folds []store.Fold, lo, _ int, _ uint64) {
 		row := make([]float64, len(times))
 		for j := range folds {
 			if f := &folds[j]; !f.Empty() {
@@ -250,7 +250,7 @@ func (e *Engine) DayProfilesCtx(ctx context.Context, ids []int64, from, to int64
 	}
 	sc := e.newScan(ctx, bounds, GranHourly.FixedWidth(), AggMean, from, to)
 	rows := make([][]float64, len(ids))
-	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []Fold, lo, _ int, _ uint64) {
+	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []store.Fold, lo, _ int, _ uint64) {
 		var sums, counts [24]float64
 		for j := range folds {
 			if f := &folds[j]; !f.Empty() {
@@ -276,13 +276,13 @@ func (e *Engine) DayProfilesCtx(ctx context.Context, ids []int64, from, to int64
 // windowFolds folds each meter's whole [from, to) window into one state,
 // aligned with ids. The aligned interior comes from the coarsest rollup tier
 // that fits: the daily tier gives the raw fold's states bit for bit (both
-// merge day cells, see Fold); a window holding no whole day — the flow map's
+// merge day cells, see store.Fold); a window holding no whole day — the flow map's
 // 4-hour ones — falls to the hourly tier, whose subtotals can move a sum in
 // the last ulp, and its callers feed normalized weights and quantile cuts.
-func (e *Engine) windowFolds(ctx context.Context, ids []int64, from, to int64) ([]Fold, error) {
+func (e *Engine) windowFolds(ctx context.Context, ids []int64, from, to int64) ([]store.Fold, error) {
 	sc := e.newScan(ctx, []int64{from}, WholeWindow, AggSum, from, to)
-	out := make([]Fold, len(ids))
-	err := sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []Fold, _, _ int, _ uint64) {
+	out := make([]store.Fold, len(ids))
+	err := sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []store.Fold, _, _ int, _ uint64) {
 		if len(folds) > 0 {
 			out[i] = folds[0]
 		}

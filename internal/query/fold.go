@@ -10,123 +10,20 @@ import (
 	"vap/internal/store"
 )
 
-// This file is the repository's one bucketed fold: the aggregate state,
-// the rule that decides when a rollup tier may stand in for raw samples,
-// the per-meter kernel that folds a window into a bucket-indexed array,
-// and the one driver that fans a meter list out over it. The engine's
-// paper-pipeline calls (engine.go) and the VQL executor (internal/vql) are
-// both finalizers over it.
+// This file is the repository's one bucketed fold: the rule that decides
+// when a rollup tier may stand in for raw samples, the per-meter kernel that
+// folds a window into a bucket-indexed array of store.Fold states (the
+// aggregate state a tier bucket holds too), and the one driver that fans a
+// meter list out over it. The engine's paper-pipeline calls (engine.go) and
+// the VQL executor (internal/vql) are both finalizers over it.
 
-// Fold is one group's aggregate state. Every aggregate shares it, so a
-// scan folding sum, mean, min, max and count together reads the data
-// once. NaN samples are tallied, never folded; ±Inf folds like any value.
-// Each caller decides at finalization what a NaN tally means.
-//
-// The order of a float sum is part of the result, and every path — raw
-// kernel, rollup tier, the oracle in vql/exec_ref_test.go — honours one
-// association. Per meter, a bucket at least one UTC day wide (daily and
-// coarser, and the one bucket of an unbucketed fold) is the in-time-order
-// Merge of its day cells, a day cell being the sample-order fold of the
-// meter's samples in [day, day+86400) ∩ window ∩ bucket; hourly and 4-hourly
-// buckets are sample-order folds. Meters then merge in the caller's order. A
-// daily rollup bucket is one whole day cell, which is what lets the daily
-// tier stand in for the raw samples of every such bucket bit for bit.
-type Fold struct {
-	Sum      float64
-	Count    int64 // non-NaN samples folded
-	NaN      int64 // NaN samples tallied
-	Min, Max float64
-}
-
-// EmptyFold returns the state no sample has touched.
-func EmptyFold() Fold { return Fold{Min: math.Inf(1), Max: math.Inf(-1)} }
-
-// ResetFolds re-seeds fs to the empty state.
-func ResetFolds(fs []Fold) {
-	for i := range fs {
-		fs[i] = EmptyFold()
-	}
-}
-
-// Empty reports whether no sample (NaN or not) reached the state.
-func (f *Fold) Empty() bool { return f.Count == 0 && f.NaN == 0 }
-
-// FoldVals folds one run of values from a decoded batch, one sample at a
-// time in stored order, so sums are bit-identical however a scan splits
-// its runs.
-func (f *Fold) FoldVals(vals []float64) {
-	sum, mn, mx := f.Sum, f.Min, f.Max
-	n, nan := f.Count, f.NaN
-	for _, v := range vals {
-		if v != v {
-			nan++
-			continue
-		}
-		sum += v
-		n++
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	f.Sum, f.Count, f.NaN, f.Min, f.Max = sum, n, nan, mn, mx
-}
-
-// FoldSum is FoldVals without min/max, for scans whose aggregates are only
-// sum/mean/count: one compare and one add per sample.
-func (f *Fold) FoldSum(vals []float64) {
-	sum, n, nan := f.Sum, f.Count, f.NaN
-	for _, v := range vals {
-		if v != v {
-			nan++
-			continue
-		}
-		sum += v
-		n++
-	}
-	f.Sum, f.Count, f.NaN = sum, n, nan
-}
-
-// Merge folds another state into f.
-func (f *Fold) Merge(b *Fold) {
-	f.Sum += b.Sum
-	f.Count += b.Count
-	f.NaN += b.NaN
-	if b.Min < f.Min {
-		f.Min = b.Min
-	}
-	if b.Max > f.Max {
-		f.Max = b.Max
-	}
-}
-
-// MergeRollup folds one pre-aggregated tier bucket into f. A tier bucket's
-// fields were folded sample by sample in the order FoldVals uses, so
-// merging one whole bucket into an empty state yields exactly the state a
-// raw scan of its samples would have built.
-func (f *Fold) MergeRollup(b *store.RollupBucket) {
-	f.Sum += b.Sum
-	f.Count += b.Count
-	f.NaN += b.NaN
-	if b.Count > 0 {
-		if b.Min < f.Min {
-			f.Min = b.Min
-		}
-		if b.Max > f.Max {
-			f.Max = b.Max
-		}
-	}
-}
-
-const daySeconds int64 = 86400 // a day cell's width (see Fold)
+const daySeconds int64 = 86400 // a day cell's width (see store.Fold)
 
 // FixedWidth returns the width in seconds of the fixed epoch-aligned grid
 // g's buckets are cut from: the bucket itself for the two sub-day units, the
 // UTC day for everything coarser (weeks start on a Monday and calendar units
 // on a 1st, both at 00:00 UTC). It is the cell of g's sum association (see
-// Fold) and the one rollup resolution that may serve g.
+// store.Fold) and the one rollup resolution that may serve g.
 func (g Granularity) FixedWidth() int64 {
 	switch g {
 	case GranHourly, Gran4Hourly:
@@ -228,9 +125,9 @@ func NewScan(ctx context.Context, st *store.Store, bounds []int64, width, from, 
 }
 
 // NewDense returns the empty bucket-indexed scratch Meter folds into.
-func (sc *Scan) NewDense() []Fold {
-	dense := make([]Fold, len(sc.bounds))
-	ResetFolds(dense)
+func (sc *Scan) NewDense() []store.Fold {
+	dense := make([]store.Fold, len(sc.bounds))
+	store.ResetFolds(dense)
 	return dense
 }
 
@@ -243,7 +140,7 @@ func (sc *Scan) NewDense() []Fold {
 // captured at; the folds are re-seeded once emit returns, so an emit that
 // keeps them copies them. One run emits in ids order; runs may emit
 // concurrently, and a single run emits on the calling goroutine.
-func (sc *Scan) Run(ctx context.Context, ids []int64, chunks, workers int, emit func(i int, folds []Fold, lo, n int, version uint64)) error {
+func (sc *Scan) Run(ctx context.Context, ids []int64, chunks, workers int, emit func(i int, folds []store.Fold, lo, n int, version uint64)) error {
 	chunks = max(min(chunks, len(ids)), 1)
 	size := (len(ids) + chunks - 1) / chunks
 	return exec.ForEach(ctx, chunks, workers, func(c int) error {
@@ -263,7 +160,7 @@ func (sc *Scan) Run(ctx context.Context, ids []int64, chunks, workers int, emit 
 				return err
 			}
 			emit(i, dense[blo:bhi], blo, n, version)
-			ResetFolds(dense[blo:bhi])
+			store.ResetFolds(dense[blo:bhi])
 		}
 		return nil
 	})
@@ -279,15 +176,15 @@ type foldCursor struct {
 	n       int
 	// cell is a day-cell scan's open cell, where raw samples fold, and
 	// cellEnd its exclusive end: the earlier of the day's and the bucket's.
-	cell    Fold
+	cell    store.Fold
 	cellEnd int64
 }
 
 // flush merges the open cell (a no-op when nothing reached it) into its
 // bucket and closes it: the next raw sample opens a new one.
-func (c *foldCursor) flush(dense []Fold) {
+func (c *foldCursor) flush(dense []store.Fold) {
 	dense[c.bi].Merge(&c.cell)
-	c.cell, c.cellEnd = EmptyFold(), math.MinInt64
+	c.cell, c.cellEnd = store.EmptyFold(), math.MinInt64
 }
 
 // seek advances to the bucket holding ts and returns its exclusive end. A
@@ -312,14 +209,14 @@ func (c *foldCursor) seek(bounds []int64, ts int64) int64 {
 // Meter folds one meter's window into dense (caller-owned, from NewDense,
 // empty on entry) and returns the in-window sample count, the half-open
 // range of bucket indices it touched — the caller reads dense[lo:hi] and
-// re-seeds it with ResetFolds before the next meter, so sparse meters in a
+// re-seeds it with store.ResetFolds before the next meter, so sparse meters in a
 // wide window never pay for the whole array — and the per-meter version
 // the data was captured at. A tier-served scan takes one consistent capture
 // (store.TierScan) and merges it in time order: left edge raw, interior
 // tier buckets, right edge raw — on a day-cell scan each daily tier bucket
 // is one whole cell, so that is the raw scan's merge order.
-func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense []Fold) (samples, lo, hi int, version uint64, err error) {
-	c := foldCursor{cell: EmptyFold(), cellEnd: math.MinInt64}
+func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense []store.Fold) (samples, lo, hi int, version uint64, err error) {
+	c := foldCursor{cell: store.EmptyFold(), cellEnd: math.MinInt64}
 	if sc.tierRes == 0 {
 		it, err := sc.st.Iter(id, sc.from, sc.to)
 		if err != nil {
@@ -343,7 +240,7 @@ func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense [
 		}
 		tsc.Buckets(func(b *store.RollupBucket) {
 			c.seek(sc.bounds, b.Start)
-			dense[c.bi].MergeRollup(b)
+			dense[c.bi].Merge(&b.Fold)
 			c.n += int(b.Count + b.NaN)
 		})
 		if tsc.Right != nil {
@@ -362,7 +259,7 @@ func (sc *Scan) Meter(ctx context.Context, id int64, batch *store.Batch, dense [
 // foldRaw decodes one raw iterator batch by batch; each bucket's (or day
 // cell's) run of samples is found by scanning the sorted timestamp column
 // and folded in one tight loop over the value column.
-func (sc *Scan) foldRaw(ctx context.Context, it *store.SeriesIter, batch *store.Batch, dense []Fold, c *foldCursor) error {
+func (sc *Scan) foldRaw(ctx context.Context, it *store.SeriesIter, batch *store.Batch, dense []store.Fold, c *foldCursor) error {
 	for it.NextBatch(batch) {
 		if err := sc.pace(ctx); err != nil {
 			return err

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"vap/internal/store"
 )
 
 // Granularity is a temporal bucketing unit.
@@ -153,7 +155,7 @@ func (fn AggFunc) valid() error {
 // the bucket's sum and mean (the analyst should see that the bucket holds
 // a bad reading); min and max range over the non-NaN readings and are NaN
 // when there is none.
-func (fn AggFunc) value(f *Fold) float64 {
+func (fn AggFunc) value(f *store.Fold) float64 {
 	switch fn {
 	case AggMax, AggMin:
 		if f.Count == 0 {

@@ -14,13 +14,14 @@ import (
 // TestPersistenceBytesPinned holds the on-disk formats byte for byte, where
 // the round-trip tests only compare recovered states.
 //
-//   - testdata/legacy/v3.vap is Snapshot() of fillStore(3, 1500) with no
+//   - testdata/v4.vap is Snapshot() of fillStore(3, 1500) with no
 //     retention; a fresh fill must write exactly those bytes at any shard
-//     count, and the file must load to the live-built state.
+//     count. It and testdata/legacy/v3.vap, the same fill as the last VAP3
+//     writer wrote it, must both load to the live-built state.
 //   - A WAL segment of three group commits must hold exactly the frames
 //     below.
 func TestPersistenceBytesPinned(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "legacy", "v3.vap"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "v4.vap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,22 +43,31 @@ func TestPersistenceBytesPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(raw, golden) {
-			t.Errorf("shards=%d: snapshot is %d bytes and differs from the %d-byte golden v3.vap", shards, len(raw), len(golden))
+			t.Errorf("shards=%d: snapshot is %d bytes and differs from the %d-byte golden v4.vap", shards, len(raw), len(golden))
 		}
 	}
 
-	loaded, err := Open(Options{Dir: legacySnapshotDir(t, "v3.vap")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loaded.Close()
 	live, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
 	fillStore(t, live, 3, 1500)
-	parityCompare(t, "golden v3 vs live", live, loaded)
+	v4Dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(v4Dir, "snapshot.vap"), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct{ format, dir string }{{"v3", legacySnapshotDir(t, "v3.vap")}, {"v4", v4Dir}} {
+		loaded, err := Open(Options{Dir: g.dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Recovery().SnapshotFormat; got != g.format {
+			t.Errorf("golden %s loaded as format %q", g.format, got)
+		}
+		parityCompare(t, "golden "+g.format+" vs live", live, loaded)
+		loaded.Close()
+	}
 
 	// One synced append per group commit: each batch is its commit marker
 	// (naming its own segment offset) followed by the record.

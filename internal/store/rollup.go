@@ -10,7 +10,7 @@ import (
 // fixed resolutions (DefaultRollupRes: one hour and one day). Each tier is
 // an ascending run of buckets, one per resolution-aligned interval that
 // received at least one sample, holding exactly the state the query
-// layer's aggregates need (sum/count/min/max/first/last plus a NaN tally).
+// layer's aggregates need: a Fold (sum/count/min/max plus a NaN tally).
 //
 // Maintenance rides the ingest path: Series.Append folds the sample into
 // the last bucket of every tier inside the same shard-lock critical
@@ -25,7 +25,7 @@ import (
 // and legacy (v1) snapshot loads rebuild tiers exactly from the raw data.
 // Once retention (Options.RetainRaw) starts aging raw chunks out of
 // snapshots the equivalence breaks — rollups outlive the raw data that
-// built them — so v2 and v3 snapshots persist the tiers alongside it.
+// built them — so v2, v3 and v4 snapshots persist the tiers alongside it.
 
 // DefaultRollupRes is the tier set used when Options.RollupRes is nil:
 // hourly and daily buckets. Hourly serves hourly/4-hourly queries; daily
@@ -33,48 +33,105 @@ import (
 // units all start on midnight boundaries).
 var DefaultRollupRes = []int64{3600, 86400}
 
-// RollupBucket is one pre-aggregated interval [Start, Start+res) of one
-// meter. Sum/Count/Min/Max fold only finite values (NaN readings are
-// tallied in NaN so count(*) and count(value) both reconstruct; a single
-// bad reading must not poison a bucket, matching the executors). First and
-// Last are the raw first/last sample values of the bucket, NaN included.
-type RollupBucket struct {
-	Start    int64
-	Count    int64 // finite samples folded
-	NaN      int64 // NaN samples tallied, not folded
+// Fold is one group's aggregate state. Every aggregate shares it, so a
+// scan folding sum, mean, min, max and count together reads the data
+// once. NaN samples are tallied, never folded; ±Inf folds like any value.
+// Each caller decides at finalization what a NaN tally means.
+//
+// The order of a float sum is part of the result, and every path — raw
+// kernel, rollup tier, the oracle in vql/exec_ref_test.go — honours one
+// association. Per meter, a bucket at least one UTC day wide (daily and
+// coarser, and the one bucket of an unbucketed fold) is the in-time-order
+// Merge of its day cells, a day cell being the sample-order fold of the
+// meter's samples in [day, day+86400) ∩ window ∩ bucket; hourly and 4-hourly
+// buckets are sample-order folds. Meters then merge in the caller's order. A
+// daily rollup bucket is one whole day cell, which is what lets the daily
+// tier stand in for the raw samples of every such bucket bit for bit.
+type Fold struct {
 	Sum      float64
+	Count    int64 // non-NaN samples folded
+	NaN      int64 // NaN samples tallied
 	Min, Max float64
-	First    float64
-	Last     float64
 }
 
-// rollupBucketBytes is the in-memory (and on-disk) footprint of one bucket.
-const rollupBucketBytes = 64
+// EmptyFold returns the state no sample has touched.
+func EmptyFold() Fold { return Fold{Min: math.Inf(1), Max: math.Inf(-1)} }
 
-func newRollupBucket(start int64, v float64) RollupBucket {
-	b := RollupBucket{Start: start, Min: math.Inf(1), Max: math.Inf(-1), First: v, Last: v}
-	b.fold(v)
-	return b
+// ResetFolds re-seeds fs to the empty state.
+func ResetFolds(fs []Fold) {
+	for i := range fs {
+		fs[i] = EmptyFold()
+	}
 }
 
-func (b *RollupBucket) fold(v float64) {
-	b.Last = v
-	if v != v { // NaN
-		b.NaN++
-		return
+// Empty reports whether no sample (NaN or not) reached the state.
+func (f *Fold) Empty() bool { return f.Count == 0 && f.NaN == 0 }
+
+// FoldVals folds one run of values from a decoded batch, one sample at a
+// time in stored order, so sums are bit-identical however a scan splits
+// its runs.
+func (f *Fold) FoldVals(vals []float64) {
+	sum, mn, mx := f.Sum, f.Min, f.Max
+	n, nan := f.Count, f.NaN
+	for _, v := range vals {
+		if v != v {
+			nan++
+			continue
+		}
+		sum += v
+		n++
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
 	}
-	b.Sum += v
-	b.Count++
-	if v < b.Min {
-		b.Min = v
+	f.Sum, f.Count, f.NaN, f.Min, f.Max = sum, n, nan, mn, mx
+}
+
+// FoldSum is FoldVals without min/max, for scans whose aggregates are only
+// sum/mean/count: one compare and one add per sample.
+func (f *Fold) FoldSum(vals []float64) {
+	sum, n, nan := f.Sum, f.Count, f.NaN
+	for _, v := range vals {
+		if v != v {
+			nan++
+			continue
+		}
+		sum += v
+		n++
 	}
-	if v > b.Max {
-		b.Max = v
+	f.Sum, f.Count, f.NaN = sum, n, nan
+}
+
+// Merge folds another state into f.
+func (f *Fold) Merge(b *Fold) {
+	f.Sum += b.Sum
+	f.Count += b.Count
+	f.NaN += b.NaN
+	if b.Min < f.Min {
+		f.Min = b.Min
+	}
+	if b.Max > f.Max {
+		f.Max = b.Max
 	}
 }
+
+// RollupBucket is one pre-aggregated interval [Start, Start+res) of one
+// meter: the Fold of its samples in append order, built by the same
+// FoldVals a raw scan runs, so merging a whole bucket yields exactly the
+// state a raw scan of its samples would have built.
+type RollupBucket struct {
+	Start int64
+	Fold
+}
+
+// rollupBucketBytes is one bucket's size in memory and in a v4 snapshot.
+const rollupBucketBytes = 48
 
 // tierPageBuckets is the size of a tier page opened without a
-// reservation: 256 buckets, 16 KiB.
+// reservation: 256 buckets, 12 KiB.
 const tierPageBuckets = 256
 
 // rollupTier is one resolution's buckets, ascending by Start, kept as a
@@ -99,15 +156,15 @@ func (t *rollupTier) fold(smp Sample) {
 	if last := t.last(); last != nil {
 		d, res := uint64(smp.TS)-uint64(last.Start), uint64(t.res)
 		if d < res {
-			last.fold(smp.Value)
+			last.FoldVals([]float64{smp.Value})
 			return
 		}
 		if d < 2*res {
-			t.open(last.Start+t.res, smp.Value)
+			t.open(last.Start + t.res).FoldVals([]float64{smp.Value})
 			return
 		}
 	}
-	t.open(smp.TS-mod64(smp.TS, t.res), smp.Value)
+	t.open(smp.TS - mod64(smp.TS, t.res)).FoldVals([]float64{smp.Value})
 }
 
 // last returns the tier's live last bucket, or nil when the tier is empty.
@@ -120,15 +177,17 @@ func (t *rollupTier) last() *RollupBucket {
 	return &p[len(p)-1]
 }
 
-// open appends a new bucket, starting a page when the last one is full.
-func (t *rollupTier) open(start int64, v float64) {
+// open appends an empty bucket, starting a page when the last one is full,
+// and returns its fold state.
+func (t *rollupTier) open(start int64) *Fold {
 	n := len(t.pages)
 	if n == 0 || len(t.pages[n-1]) == cap(t.pages[n-1]) {
 		t.pages = append(t.pages, make([]RollupBucket, 0, max(tierPageBuckets, t.want)))
 		t.want = 0
 		n++
 	}
-	t.pages[n-1] = append(t.pages[n-1], newRollupBucket(start, v))
+	t.pages[n-1] = append(t.pages[n-1], RollupBucket{Start: start, Fold: EmptyFold()})
+	return &t.pages[n-1][len(t.pages[n-1])-1].Fold
 }
 
 // reserveRollups makes room, once per batch, for every bucket the in-order
@@ -149,13 +208,6 @@ func (s *Series) reserveRollups(smps []Sample) {
 		if n := len(t.pages); n == 0 || cap(t.pages[n-1])-len(t.pages[n-1]) < k {
 			t.want = k
 		}
-	}
-}
-
-// foldRollups folds one appended sample into every tier.
-func (s *Series) foldRollups(smp Sample) {
-	for i := range s.rollups {
-		s.rollups[i].fold(smp)
 	}
 }
 

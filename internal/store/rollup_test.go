@@ -33,17 +33,33 @@ func TestNormalizeRollupRes(t *testing.T) {
 	}
 }
 
-// foldReference folds samples into width-aligned buckets the same way the
-// ingest path does — the oracle the TierScan tests compare against.
+// foldReference folds samples into width-aligned buckets sample by sample,
+// written out here rather than through Fold so the TierScan tests do not
+// check the ingest path against its own code: ±Inf seeds, NaN tallied and
+// never folded, strict compares for the bounds (math.Min / math.Max order
+// -0 and +0, which the kernel does not).
 func foldReference(smps []Sample, width int64) []RollupBucket {
 	var out []RollupBucket
 	for _, s := range smps {
 		start := s.TS - mod64(s.TS, width)
 		if len(out) == 0 || out[len(out)-1].Start != start {
-			out = append(out, newRollupBucket(start, s.Value))
-			continue
+			b := RollupBucket{Start: start}
+			b.Min, b.Max = math.Inf(1), math.Inf(-1)
+			out = append(out, b)
 		}
-		out[len(out)-1].fold(s.Value)
+		b := &out[len(out)-1]
+		if v := s.Value; v != v {
+			b.NaN++
+		} else {
+			b.Sum += v
+			b.Count++
+			if v < b.Min {
+				b.Min = v
+			}
+			if v > b.Max {
+				b.Max = v
+			}
+		}
 	}
 	return out
 }

@@ -68,18 +68,28 @@ func (s *Series) LastTS() int64 {
 
 // Append adds one sample. Timestamps must be strictly increasing across the
 // series lifetime.
-func (s *Series) Append(smp Sample) error {
-	if err := s.appendRaw(smp); err != nil {
-		return err
+func (s *Series) Append(smp Sample) error { return s.appendRun([]Sample{smp}, nil) }
+
+// appendRun appends an in-order run, stopping at the first sample out of
+// order: each tier reserves its room once, and every chunk the run fills
+// seals through b (a pooled batch when b is nil).
+func (s *Series) appendRun(smps []Sample, b *Batch) error {
+	s.reserveRollups(smps)
+	for _, smp := range smps {
+		if err := s.appendRaw(smp, b); err != nil {
+			return err
+		}
+		for i := range s.rollups {
+			s.rollups[i].fold(smp)
+		}
 	}
-	s.foldRollups(smp)
 	return nil
 }
 
 // appendRaw is Append without the rollup fold: the snapshot load path
 // (installChunks), whose tiers are installed separately (folding here too
 // would double-count).
-func (s *Series) appendRaw(smp Sample) error {
+func (s *Series) appendRaw(smp Sample, b *Batch) error {
 	if s.total > 0 && smp.TS <= s.LastTS() {
 		return ErrOutOfOrder
 	}
@@ -92,18 +102,18 @@ func (s *Series) appendRaw(smp Sample) error {
 	s.total++
 	s.ver++
 	if s.head.Len() >= chunkTargetSamples {
-		s.seal()
+		s.seal(b)
 	}
 	return nil
 }
 
 // seal freezes the head encoder into an immutable chunk. The payload is
-// decoded once, to verify it, before the head lets go of it: through a
-// pooled batch, keeping only the count and the first and last timestamps.
-// The encoder then reuses its bit buffer for the next block; nothing
-// aliases it, since Bytes copies and Iter and captureChunks go through
-// Bytes.
-func (s *Series) seal() {
+// decoded once, to verify it, before the head lets go of it: through b, or
+// a pooled batch when b is nil, keeping only the count and the first and
+// last timestamps. The encoder then reuses its bit buffer for the next
+// block; nothing aliases it, since Bytes copies and Iter and captureChunks
+// go through Bytes.
+func (s *Series) seal(b *Batch) {
 	n := s.head.Len()
 	if n == 0 {
 		return
@@ -111,8 +121,10 @@ func (s *Series) seal() {
 	payload := s.head.Bytes()
 	var d blockReader
 	d.reset(payload, n)
-	b := GetBatch()
-	defer PutBatch(b)
+	if b == nil {
+		b = GetBatch()
+		defer PutBatch(b)
+	}
 	c := &chunk{payload: payload}
 	for !d.done() {
 		b.Reset()
@@ -136,7 +148,7 @@ func (s *Series) seal() {
 	s.head.reset()
 }
 
-// captureChunks snapshots the series for a v3 (chunk-verbatim) snapshot:
+// captureChunks snapshots the series for a v4 (chunk-verbatim) snapshot:
 // the sealed chunk list is aliased as-is (chunks are immutable) and the
 // head block is copied. Retention is chunk-granular on purpose: sealed
 // chunks wholly older than cutoff are left out here and dropped from
@@ -157,9 +169,10 @@ func (s *Series) captureChunks(cutoff int64) (chunks []*chunk, headPayload []byt
 }
 
 // installChunks bulk-loads a parsed snapshot meter into an empty series:
-// sealed chunks (v3) are installed wholesale — no decode, no re-encode —
-// and the raw samples (the v3 head, which an Encoder cannot resume from
-// payload bytes, or a v1/v2 sample run) are re-appended through appendRaw.
+// sealed chunks (v3 / v4) are installed wholesale — no decode, no
+// re-encode — and the raw samples (their head, which an Encoder cannot
+// resume from payload bytes, or a v1/v2 sample run) are re-appended through
+// appendRaw.
 // No rollup folding: installRollups sets the tiers afterwards. Version
 // accounting matches the sample-at-a-time path exactly (+1 per sample on
 // top of the registration version), so a chunk-installed series
@@ -183,7 +196,7 @@ func (s *Series) installChunks(chunks []*chunk, head []Sample) error {
 	}
 	for _, smp := range head {
 		// appendRaw validates ordering against the last sealed chunk too.
-		if err := s.appendRaw(smp); err != nil {
+		if err := s.appendRaw(smp, nil); err != nil {
 			return err
 		}
 	}

@@ -24,7 +24,7 @@ import (
 //   - snapMagic ("VAPS", v1): raw 16 B/sample pairs only, no rollup tiers.
 //   - snapMagicV2 ("VAP2"): v1 plus per-meter rollup tier bucket arrays, so
 //     tiers survive retention aging raw data out.
-//   - snapMagicV3 ("VAP3"): the current chunk-verbatim layout. Sealed
+//   - snapMagicV3 ("VAP3"): the chunk-verbatim layout. Sealed
 //     Gorilla chunks are written as their compressed block bytes plus
 //     count/TS-bounds/CRC — the snapshot writer never decodes a sealed
 //     chunk and the loader installs them wholesale without re-encoding,
@@ -35,8 +35,12 @@ import (
 //     end of the file let Open fan meter installs out across a worker pool
 //     with sectioned reads (io.ReaderAt), bounding peak memory to the
 //     in-flight sections instead of the whole file.
+//   - snapMagicV4 ("VAP4"): the current layout, VAP3's with 48-byte tier
+//     buckets (rollupBucketBytes). VAP2 and VAP3 buckets are 64 bytes, the
+//     last 16 the first/last sample values no reader used, and load with
+//     those bytes skipped.
 //
-// Open reads all three; Snapshot writes v3. Every format encodes its meter
+// Open reads all four; Snapshot writes v4. Every format encodes its meter
 // records, (ts, value) pairs and tier buckets with the codec at the end of
 // this file (which the WAL shares), and every format installs a parsed
 // meter through installSeries.
@@ -44,7 +48,11 @@ var (
 	snapMagic   = [4]byte{'V', 'A', 'P', 'S'}
 	snapMagicV2 = [4]byte{'V', 'A', 'P', '2'}
 	snapMagicV3 = [4]byte{'V', 'A', 'P', '3'}
+	snapMagicV4 = [4]byte{'V', 'A', 'P', '4'}
 )
+
+// legacyBucketBytes is the size of a VAP2 / VAP3 tier bucket record.
+const legacyBucketBytes = 64
 
 const (
 	// snapV3FooterLen is the fixed trailer: directory offset (8), meter
@@ -220,9 +228,12 @@ func (s *Store) Snapshot() error {
 	return nil
 }
 
-// --- v3: chunk-verbatim writer -----------------------------------------
+// --- v4: chunk-verbatim writer -----------------------------------------
+//
+// The functions and constants named V3 cover the chunk-verbatim layout
+// VAP3 and VAP4 share; the two differ only in magic and bucket size.
 
-// countingWriter tracks the byte offset the v3 writer is at, so section
+// countingWriter tracks the byte offset the v4 writer is at, so section
 // offsets recorded in the directory match the file layout.
 type countingWriter struct {
 	w io.Writer
@@ -237,10 +248,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // writeSnapshotV3 serializes the chunk-verbatim layout:
 //
-//	header:   magic "VAP3", tier resolutions, meter count, header CRC
+//	header:   magic "VAP4", tier resolutions, meter count, header CRC
 //	sections: one per meter, back to back (layout in appendSnapSectionV3)
 //	directory: per meter (id, section offset, section length)
-//	footer:   directory offset, meter count, directory CRC, magic "VAP3"
+//	footer:   directory offset, meter count, directory CRC, magic "VAP4"
 //
 // The footer-at-the-end arrangement lets the writer stream sections
 // without knowing their sizes up front, and lets the loader find the
@@ -249,7 +260,7 @@ func writeSnapshotV3(w io.Writer, res []int64, entries []snapEntry) error {
 	cw := &countingWriter{w: w}
 	le := binary.LittleEndian
 	hdr := make([]byte, 0, 16+8*len(res))
-	hdr = append(hdr, snapMagicV3[:]...)
+	hdr = append(hdr, snapMagicV4[:]...)
 	hdr = le.AppendUint32(hdr, uint32(len(res)))
 	for _, r := range res {
 		hdr = le.AppendUint64(hdr, uint64(r))
@@ -282,7 +293,7 @@ func writeSnapshotV3(w io.Writer, res []int64, entries []snapEntry) error {
 	foot := le.AppendUint64(make([]byte, 0, snapV3FooterLen), uint64(dirOff))
 	foot = le.AppendUint32(foot, uint32(len(entries)))
 	foot = le.AppendUint32(foot, crc32.ChecksumIEEE(dir))
-	_, err := cw.Write(append(foot, snapMagicV3[:]...))
+	_, err := cw.Write(append(foot, snapMagicV4[:]...))
 	return err
 }
 
@@ -338,12 +349,12 @@ func appendSnapSectionV3(buf []byte, res []int64, e *snapEntry) ([]byte, error) 
 
 // --- loading ------------------------------------------------------------
 
-// loadTally counts what a snapshot load installed; v3 workers add to it
+// loadTally counts what a snapshot load installed; v3 / v4 workers add to it
 // concurrently.
 type loadTally struct{ meters, samples, chunks atomic.Int64 }
 
-// loadSnapshot dispatches on the snapshot magic. v3 files are loaded with
-// positioned section reads through the worker pool; the legacy v1/v2
+// loadSnapshot dispatches on the snapshot magic. v3 / v4 files are loaded
+// with positioned section reads through the worker pool; the legacy v1/v2
 // layouts have no directory, so they still load from one whole-file read.
 func (s *Store) loadSnapshot(path string) error {
 	f, err := os.Open(path)
@@ -362,9 +373,12 @@ func (s *Store) loadSnapshot(path string) error {
 	}
 	var tally loadTally
 	switch magic {
+	case snapMagicV4:
+		s.recovery.SnapshotFormat = "v4"
+		err = s.loadSnapshotV3(f, st.Size(), magic, rollupBucketBytes, &tally)
 	case snapMagicV3:
 		s.recovery.SnapshotFormat = "v3"
-		err = s.loadSnapshotV3(f, st.Size(), &tally)
+		err = s.loadSnapshotV3(f, st.Size(), magic, legacyBucketBytes, &tally)
 	case snapMagic:
 		s.recovery.SnapshotFormat = "v1"
 		err = s.loadSnapshotLegacy(path, false, &tally)
@@ -380,12 +394,13 @@ func (s *Store) loadSnapshot(path string) error {
 	return err
 }
 
-// loadSnapshotV3 restores a chunk-verbatim snapshot. It reads the footer
+// loadSnapshotV3 restores a chunk-verbatim snapshot whose magic is magic
+// and whose tier buckets are bucketBytes long. It reads the footer
 // and directory with two small positioned reads, then fans the per-meter
 // sections out across the recovery worker pool: each worker preads only
 // its own section (bounding peak memory to the in-flight sections), checks
 // its CRCs, parses it and installs the meter through installSeries.
-func (s *Store) loadSnapshotV3(f *os.File, size int64, tally *loadTally) error {
+func (s *Store) loadSnapshotV3(f *os.File, size int64, magic [4]byte, bucketBytes int, tally *loadTally) error {
 	if size < int64(16+snapV3FooterLen) {
 		return ErrCorrupt
 	}
@@ -393,7 +408,7 @@ func (s *Store) loadSnapshotV3(f *os.File, size int64, tally *loadTally) error {
 	if _, err := f.ReadAt(foot[:], size-snapV3FooterLen); err != nil {
 		return err
 	}
-	if [4]byte(foot[16:20]) != snapMagicV3 {
+	if [4]byte(foot[16:20]) != magic {
 		return ErrCorrupt
 	}
 	dirOff := int64(binary.LittleEndian.Uint64(foot[0:]))
@@ -462,7 +477,7 @@ func (s *Store) loadSnapshotV3(f *os.File, size int64, tally *loadTally) error {
 		if _, err := f.ReadAt(sec, off); err != nil {
 			return err
 		}
-		sm, err := parseSectionV3(id, sec, fileRes)
+		sm, err := parseSectionV3(id, sec, fileRes, bucketBytes)
 		if err != nil {
 			return err
 		}
@@ -474,7 +489,7 @@ func (s *Store) loadSnapshotV3(f *os.File, size int64, tally *loadTally) error {
 // (it covers every byte including chunk payloads), then each chunk's own
 // payload CRC. Chunks get their own copy of the payload: aliasing sec would
 // pin the section, tiers and all, for the life of the store.
-func parseSectionV3(wantID int64, sec []byte, fileRes []int64) (snapMeter, error) {
+func parseSectionV3(wantID int64, sec []byte, fileRes []int64, bucketBytes int) (snapMeter, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("store: snapshot section for meter %d: %s: %w", wantID, what, ErrCorrupt)
 	}
@@ -498,7 +513,7 @@ func parseSectionV3(wantID int64, sec []byte, fileRes []int64) (snapMeter, error
 		sm.chunks[i] = &chunk{minTS: minTS, maxTS: maxTS, count: count, payload: bytes.Clone(payload)}
 	}
 	sm.head = r.samples()
-	sm.tiers = r.tiers(fileRes)
+	sm.tiers = r.tiers(fileRes, bucketBytes)
 	switch {
 	case r.err != nil:
 		return snapMeter{}, fmt.Errorf("store: snapshot section for meter %d: %w", wantID, r.err)
@@ -542,7 +557,7 @@ func (s *Store) loadSnapshotLegacy(path string, v2 bool, tally *loadTally) error
 	}
 	for n := r.uint32(); n > 0 && r.err == nil; n-- {
 		sm := snapMeter{m: r.meter(), head: r.samples()}
-		if sm.tiers = r.tiers(fileRes); r.err != nil {
+		if sm.tiers = r.tiers(fileRes, legacyBucketBytes); r.err != nil {
 			break
 		}
 		if err := s.installSeries(&sm, tally); err != nil {
@@ -558,7 +573,7 @@ func (s *Store) loadSnapshotLegacy(path string, v2 bool, tally *loadTally) error
 // --- the one install path -----------------------------------------------
 
 // snapMeter is one meter as a snapshot file holds it, parsed but not yet
-// installed: metadata, sealed chunks (v3 only), raw samples (the v3 head,
+// installed: metadata, sealed chunks (v3 / v4), raw samples (their head,
 // or a v1/v2 sample run), and the tiers the file carries (none in v1).
 type snapMeter struct {
 	m      Meter
@@ -571,8 +586,8 @@ type snapMeter struct {
 // snapshot format takes into a shard. The series is assembled off-lock —
 // sealed chunks wholesale, head samples re-appended, the file's tiers
 // verbatim and any tier the file lacks derived from the raw samples — so
-// the shard lock covers only the map insert, and v3 workers installing into
-// one shard serialize for nanoseconds. Versions count 1 for the
+// the shard lock covers only the map insert, and v3 / v4 workers installing
+// into one shard serialize for nanoseconds. Versions count 1 for the
 // registration and 1 per sample, as the live append path does, so a loaded
 // store fingerprints exactly like a live-built one. A meter the file holds
 // twice is corruption.
@@ -649,18 +664,24 @@ func (r *sliceReader) samples() []Sample {
 	return out
 }
 
+// appendRollupBucket appends a tier bucket record, rollupBucketBytes long:
+// start, count, NaN tally, sum, min, max.
 func appendRollupBucket(buf []byte, b *RollupBucket) []byte {
 	for _, v := range [...]uint64{uint64(b.Start), uint64(b.Count), uint64(b.NaN),
-		math.Float64bits(b.Sum), math.Float64bits(b.Min), math.Float64bits(b.Max),
-		math.Float64bits(b.First), math.Float64bits(b.Last)} {
+		math.Float64bits(b.Sum), math.Float64bits(b.Min), math.Float64bits(b.Max)} {
 		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
 	return buf
 }
 
-func readRollupBucket(r *sliceReader, b *RollupBucket) {
-	p := r.bytes(rollupBucketBytes)
-	if len(p) < rollupBucketBytes {
+// readRollupBucket reads one bucket record of size bytes (rollupBucketBytes,
+// or legacyBucketBytes, whose trailing first/last values it skips). A bucket
+// that folded no value holds the empty state's ±Inf bounds, as every writer
+// seeds it with EmptyFold; any other bound would enter a scan that no sample
+// carries, so it is corruption.
+func readRollupBucket(r *sliceReader, b *RollupBucket, size int) {
+	p := r.bytes(size)
+	if p == nil {
 		return
 	}
 	b.Start = int64(binary.LittleEndian.Uint64(p[0:]))
@@ -669,18 +690,19 @@ func readRollupBucket(r *sliceReader, b *RollupBucket) {
 	b.Sum = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
 	b.Min = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
 	b.Max = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-	b.First = math.Float64frombits(binary.LittleEndian.Uint64(p[48:]))
-	b.Last = math.Float64frombits(binary.LittleEndian.Uint64(p[56:]))
+	if b.Count == 0 && (!math.IsInf(b.Min, 1) || !math.IsInf(b.Max, -1)) {
+		r.err = fmt.Errorf("store: tier bucket with no values has bounds: %w", ErrCorrupt)
+	}
 }
 
 // tiers reads one tier per resolution in res: a u32 bucket count, then the
-// buckets, loaded as one exactly sized page.
-func (r *sliceReader) tiers(res []int64) []rollupTier {
+// bucketBytes-long buckets, loaded as one exactly sized page.
+func (r *sliceReader) tiers(res []int64, bucketBytes int) []rollupTier {
 	out := make([]rollupTier, len(res))
 	for i := range out {
-		buckets := make([]RollupBucket, r.count(rollupBucketBytes))
+		buckets := make([]RollupBucket, r.count(bucketBytes))
 		for j := range buckets {
-			readRollupBucket(r, &buckets[j])
+			readRollupBucket(r, &buckets[j], bucketBytes)
 		}
 		out[i] = loadedTier(res[i], buckets)
 	}
@@ -704,10 +726,13 @@ type sliceReader struct {
 func (r *sliceReader) remaining() int { return len(r.data) - r.off }
 
 // bytes returns the next n bytes without copying (the result aliases the
-// reader's data), or nil once the reader has failed.
+// reader's data), or nil once the reader has failed; the first failure is
+// the one err keeps.
 func (r *sliceReader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || n > r.remaining() {
+	if r.err == nil && (n < 0 || n > r.remaining()) {
 		r.err = errShortRecord
+	}
+	if r.err != nil {
 		return nil
 	}
 	out := r.data[r.off : r.off+n : r.off+n]

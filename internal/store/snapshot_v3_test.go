@@ -1,7 +1,8 @@
 package store
 
-// Tests for the chunk-verbatim v3 snapshot format: round-trips through the
-// parallel loader, every-byte corruption and truncation (including the
+// Tests for the chunk-verbatim snapshot layout VAP3 and VAP4 share (the
+// names ending in V3 cover both; Snapshot writes VAP4): round-trips through
+// the parallel loader, every-byte corruption and truncation (including the
 // offset directory and footer), the legacy-format downgrade switch, the
 // alloc-clamp hardening of the v1/v2 loaders, and the recovery stats
 // surface.
@@ -16,10 +17,11 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // buildV3Template fills a fresh durable store with meters whose series
-// span sealed chunks plus a live head, snapshots it (v3 by default), adds
+// span sealed chunks plus a live head, snapshots it (v4), adds
 // post-snapshot appends that ride the WAL, closes it, and returns the dir.
 func buildV3Template(t *testing.T, meters, samplesPer int) string {
 	t.Helper()
@@ -72,8 +74,8 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if [4]byte(raw[:4]) != snapMagicV3 {
-		t.Fatalf("default snapshot magic = %q, want VAP3", raw[:4])
+	if [4]byte(raw[:4]) != snapMagicV4 {
+		t.Fatalf("default snapshot magic = %q, want VAP4", raw[:4])
 	}
 
 	for _, workers := range []int{1, 8} {
@@ -141,7 +143,7 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			}
 		}
 		rec := st.Recovery()
-		if rec.SnapshotFormat != "v3" || rec.SnapshotMeters != 6 || rec.SnapshotChunks != 12 {
+		if rec.SnapshotFormat != "v4" || rec.SnapshotMeters != 6 || rec.SnapshotChunks != 12 {
 			t.Errorf("workers=%d: recovery stats = %+v", workers, rec)
 		}
 		if rec.WALRecords == 0 {
@@ -291,7 +293,7 @@ func TestSnapshotV3DirectoryOutOfBounds(t *testing.T) {
 
 // legacySnapshotDir returns a fresh durability directory whose snapshot is
 // the named golden file under testdata/legacy — files written once by the
-// last build that still had the v1/v2 writers.
+// last build that still had the v1 / v2 / v3 writer.
 func legacySnapshotDir(t *testing.T, name string) string {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
@@ -306,7 +308,7 @@ func legacySnapshotDir(t *testing.T, name string) string {
 }
 
 // TestSnapshotV2StillLoads: a VAP2 file still loads, into state
-// bit-identical to a v3 snapshot of the same data. testdata/legacy/v2.vap
+// bit-identical to a v4 snapshot of the same data. testdata/legacy/v2.vap
 // is fillStore(3, 1500) snapshotted under a 6 h raw horizon, so both
 // formats must have aged out the same chunk-aligned prefix and the file's
 // tiers cover history its raw samples no longer do.
@@ -339,12 +341,12 @@ func TestSnapshotV2StillLoads(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := Open(Options{Dir: dir, RetainRaw: retain})
+	v4, err := Open(Options{Dir: dir, RetainRaw: retain})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v3.Close()
-	parityCompare(t, "v2 golden vs v3", v3, v2)
+	defer v4.Close()
+	parityCompare(t, "v2 golden vs v4", v4, v2)
 }
 
 // writeRawSnapshot assembles a legacy-layout snapshot file from body bytes
@@ -418,9 +420,13 @@ func TestLegacySnapshotCountClamps(t *testing.T) {
 }
 
 // TestLegacySnapshotStrictFraming: a VAPS / VAP2 file with bytes after its
-// last meter, or holding one meter twice, fails with ErrCorrupt, as a VAP3
-// file does; a well-formed one of the same meters loads.
+// last meter, or holding one meter twice, fails with ErrCorrupt, as a VAP4
+// file does, and so does a VAP2 tier bucket that folded no value yet holds
+// a bound; a well-formed one of the same meters loads.
 func TestLegacySnapshotStrictFraming(t *testing.T) {
+	if unsafe.Sizeof(RollupBucket{}) != rollupBucketBytes {
+		t.Fatalf("RollupBucket is %d bytes, rollupBucketBytes says %d", unsafe.Sizeof(RollupBucket{}), rollupBucketBytes)
+	}
 	meter := func(b []byte, id int64) []byte {
 		b = appendMeter(b, testMeter(id))
 		b = binary.LittleEndian.AppendUint32(b, 1) // nSamples
@@ -433,7 +439,8 @@ func TestLegacySnapshotStrictFraming(t *testing.T) {
 		}
 		return b
 	}
-	v2 := func(ids ...int64) []byte {
+	// A VAP2 bucket is the 48-byte record plus first and last (here 1.5).
+	v2Bucket := func(bkt Fold, ids ...int64) []byte {
 		b := append([]byte(nil), snapMagicV2[:]...)
 		b = binary.LittleEndian.AppendUint32(b, 1)                // nRes
 		b = binary.LittleEndian.AppendUint64(b, 86400)            // res
@@ -441,9 +448,14 @@ func TestLegacySnapshotStrictFraming(t *testing.T) {
 		for _, id := range ids {
 			b = meter(b, id)
 			b = binary.LittleEndian.AppendUint32(b, 1) // nBuckets
-			b = appendRollupBucket(b, &RollupBucket{Count: 1, Sum: 1.5, Min: 1.5, Max: 1.5, First: 1.5, Last: 1.5})
+			b = appendRollupBucket(b, &RollupBucket{Fold: bkt})
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1.5))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1.5))
 		}
 		return b
+	}
+	v2 := func(ids ...int64) []byte {
+		return v2Bucket(Fold{Count: 1, Sum: 1.5, Min: 1.5, Max: 1.5}, ids...)
 	}
 	for _, tc := range []struct {
 		name string
@@ -456,6 +468,7 @@ func TestLegacySnapshotStrictFraming(t *testing.T) {
 		{"v2TrailingBytes", append(v2(1, 2), 0, 0, 0, 0), false},
 		{"v1RepeatedMeter", v1(1, 1), false},
 		{"v2RepeatedMeter", v2(2, 1, 2), false},
+		{"v2EmptyBucketWithBounds", v2Bucket(Fold{Min: 1.5, Max: math.Inf(-1)}, 1), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -52,9 +52,9 @@ type Options struct {
 	// newest stored sample.
 	RetainRaw time.Duration
 	// RecoverWorkers is the worker-pool width Open uses for parallel
-	// recovery: v3 snapshot sections are installed and WAL records applied
-	// across this many goroutines. <= 0 selects GOMAXPROCS; 1 forces the
-	// fully serial paths.
+	// recovery: v3 / v4 snapshot sections are installed and WAL records
+	// applied across this many goroutines. <= 0 selects GOMAXPROCS; 1
+	// forces the fully serial paths.
 	RecoverWorkers int
 }
 
@@ -166,8 +166,9 @@ func nextPow2(n int) int {
 
 // Open creates a Store. If opts.Dir is non-empty, it loads the latest
 // snapshot (if any) and replays the WAL on top of it — both fanned out
-// across Options.RecoverWorkers workers (snapshot meter installs for v3
-// files, per-shard WAL record appliers). Recovery() reports the breakdown.
+// across Options.RecoverWorkers workers (snapshot meter installs for
+// v3 / v4 files, per-shard WAL record appliers). Recovery() reports the
+// breakdown.
 func Open(opts Options) (*Store, error) {
 	n := opts.Shards
 	if n <= 0 {
@@ -417,10 +418,9 @@ func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 		}
 		commit = c
 	}
-	ser.reserveRollups(smps[:n])
-	for _, smp := range smps[:n] {
-		_ = ser.Append(smp) // validated above
-	}
+	b := GetBatch()
+	_ = ser.appendRun(smps[:n], b) // validated above
+	PutBatch(b)
 	if n > 0 {
 		sh.version.Add(uint64(n))
 		s.version.Add(uint64(n))

@@ -103,9 +103,7 @@ func rollupBucketEqual(a, b *RollupBucket) bool {
 	return a.Start == b.Start && a.Count == b.Count && a.NaN == b.NaN &&
 		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
 		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
-		math.Float64bits(a.Max) == math.Float64bits(b.Max) &&
-		math.Float64bits(a.First) == math.Float64bits(b.First) &&
-		math.Float64bits(a.Last) == math.Float64bits(b.Last)
+		math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
 // flatBuckets returns a tier capture's buckets as one ascending sequence,
@@ -129,7 +127,9 @@ func checkRollupsRebuilt(t *testing.T, st *Store) {
 		}
 		ref := NewSeriesRollup(id, st.rollupRes)
 		for _, smp := range smps {
-			ref.foldRollups(smp)
+			for i := range ref.rollups {
+				ref.rollups[i].fold(smp)
+			}
 		}
 		want := ref.captureTiers()
 		sh := st.shardFor(id)

@@ -55,7 +55,7 @@ type ScanCost struct {
 }
 
 // Approximate per-unit sizes for the in-flight memory estimate: one
-// aggregate state (query.Fold plus slice/alignment overhead), one group
+// aggregate state (store.Fold plus slice/alignment overhead), one group
 // (its state in a meter's partial and again in the sink), and one decoded
 // sample in batch scratch (timestamp + value).
 const (

@@ -97,7 +97,7 @@ func finiteOrNull(v float64) any {
 // aggregates over zero non-NaN samples are null (JSON-encodable, unlike
 // NaN/±Inf); count(*) counts every row, NaN readings included, while
 // count(value) counts only the samples the value aggregates folded.
-func foldValue(a *query.Fold, fn AggFn) any {
+func foldValue(a *store.Fold, fn AggFn) any {
 	switch fn {
 	case AggCountValue:
 		return a.Count
@@ -200,7 +200,7 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 	if cost.Chunks > 1 {
 		partials = make([]meterPartial, len(ids))
 	}
-	err := sc.Run(ctx, ids, cost.Chunks, cost.Workers, func(i int, folds []query.Fold, lo, n int, version uint64) {
+	err := sc.Run(ctx, ids, cost.Chunks, cost.Workers, func(i int, folds []store.Fold, lo, n int, version uint64) {
 		mp := meterPartial{dense: folds, lo: lo, n: n}
 		if groupMeter {
 			mp.base.meter = ids[i]
@@ -217,7 +217,7 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 			return
 		}
 		// The folds alias the run's scratch: keep a private copy.
-		mp.dense = append([]query.Fold(nil), folds...)
+		mp.dense = append([]store.Fold(nil), folds...)
 		partials[i] = mp
 	})
 	if err != nil {
@@ -238,7 +238,7 @@ func ExecuteResolved(ctx context.Context, eng *query.Engine, p *Plan, ids []int6
 // bounds, base key base), so the hot path never hashes a group key. n is
 // the meter's in-window sample count.
 type meterPartial struct {
-	dense []query.Fold
+	dense []store.Fold
 	lo    int
 	base  groupKey
 	n     int
@@ -250,7 +250,7 @@ type meterPartial struct {
 type slab struct {
 	base  groupKey
 	lo    int
-	folds []query.Fold
+	folds []store.Fold
 }
 
 // groupSink accumulates per-meter partials into the final group states, in
@@ -279,7 +279,7 @@ func (s *groupSink) add(mp *meterPartial, owned bool) {
 	if !ok {
 		folds := mp.dense
 		if !owned {
-			folds = append([]query.Fold(nil), folds...)
+			folds = append([]store.Fold(nil), folds...)
 		}
 		s.index[mp.base] = len(s.slabs)
 		s.slabs = append(s.slabs, slab{base: mp.base, lo: mp.lo, folds: folds})
@@ -290,7 +290,7 @@ func (s *groupSink) add(mp *meterPartial, owned bool) {
 		// A second meter with another touched range: re-home the slab on
 		// the whole axis once (the zero Fold is Empty) rather than grow it
 		// meter by meter.
-		folds := make([]query.Fold, len(s.bounds))
+		folds := make([]store.Fold, len(s.bounds))
 		copy(folds[sl.lo:], sl.folds)
 		sl.lo, sl.folds = 0, folds
 	}
@@ -323,9 +323,9 @@ func (s *groupSink) rows(p *Plan) [][]any {
 			}
 		}
 	}
-	var none *query.Fold
+	var none *store.Fold
 	if n == 0 && len(p.Keys) == 0 {
-		empty := query.EmptyFold()
+		empty := store.EmptyFold()
 		none, n = &empty, 1
 	}
 	if len(p.Order) == 0 && p.Limit >= 0 && n > p.Limit {
@@ -409,7 +409,7 @@ func newRowBuilder(p *Plan, n int) *rowBuilder {
 
 // add appends one group's row: the boxed key cells for the plan's key
 // columns, the finalized aggregates for the rest.
-func (b *rowBuilder) add(bucket, meter, zone any, st *query.Fold) {
+func (b *rowBuilder) add(bucket, meter, zone any, st *store.Fold) {
 	for _, col := range b.p.Cols {
 		switch {
 		case !col.IsKey:

@@ -18,15 +18,15 @@ type refKey struct {
 	zone          store.ZoneType
 }
 
-func newFold() *query.Fold {
-	f := query.EmptyFold()
+func newFold() *store.Fold {
+	f := store.EmptyFold()
 	return &f
 }
 
 // ExecuteResolvedScalar is the oracle TestVectorizedMatchesScalar and
 // BenchmarkVQLExec hold ExecuteResolved against: the sample-at-a-time
 // executor that ran before vectorization, under the sum association
-// query.Fold documents — per meter, a bucket at least a UTC day wide (and
+// store.Fold documents — per meter, a bucket at least a UTC day wide (and
 // the one bucket of an unbucketed plan) is the in-order merge of its day
 // cells, an hourly or 4-hourly bucket the sample-order fold; meters merge
 // in ids order. Results are identical to ExecuteResolved (float bits
@@ -55,7 +55,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		}
 	}
 
-	partials := make([]map[refKey]*query.Fold, len(ids))
+	partials := make([]map[refKey]*store.Fold, len(ids))
 	counts := make([]int, len(ids))
 	vers := eng.Store().MeterVersions(ids)
 	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
@@ -70,12 +70,12 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 		if err != nil {
 			return err
 		}
-		local := make(map[refKey]*query.Fold)
+		local := make(map[refKey]*store.Fold)
 		key := refKey{zone: zone}
 		if groupMeter {
 			key.meter = id
 		}
-		group := func(bucket int64) *query.Fold {
+		group := func(bucket int64) *store.Fold {
 			key.bucket = bucket
 			g := local[key]
 			if g == nil {
@@ -84,9 +84,9 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 			}
 			return g
 		}
-		// The open day cell, its bucket and its UTC day (query.Fold's sum
+		// The open day cell, its bucket and its UTC day (store.Fold's sum
 		// association); sub-day buckets fold straight into their group.
-		var cell *query.Fold
+		var cell *store.Fold
 		var cellBucket, cellDay int64
 		for _, s := range smps {
 			var b int64
@@ -118,7 +118,7 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 
 	res.Fingerprint = store.FingerprintPairs(ids, vers)
 
-	groups := make(map[refKey]*query.Fold)
+	groups := make(map[refKey]*store.Fold)
 	for i, local := range partials {
 		res.Samples += counts[i]
 		for k, st := range local {
@@ -138,9 +138,9 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 // before it emitted rows from its slabs: every group through one map, the
 // keys sorted into the default (bucket, meter, zone) order, one allocation
 // per row, then ORDER BY and LIMIT.
-func buildRowsRef(p *Plan, groups map[refKey]*query.Fold) [][]any {
+func buildRowsRef(p *Plan, groups map[refKey]*store.Fold) [][]any {
 	if len(p.Keys) == 0 && len(groups) == 0 {
-		groups = map[refKey]*query.Fold{{}: newFold()}
+		groups = map[refKey]*store.Fold{{}: newFold()}
 	}
 	keys := make([]refKey, 0, len(groups))
 	for k := range groups {
@@ -198,7 +198,7 @@ func buildRowsRef(p *Plan, groups map[refKey]*query.Fold) [][]any {
 
 // foldSample folds one sample into f: the per-sample order Fold.FoldVals
 // and the rollup tiers must reproduce bit for bit within a cell.
-func foldSample(f *query.Fold, v float64) {
+func foldSample(f *store.Fold, v float64) {
 	if v != v { // NaN
 		f.NaN++
 		return
