@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -261,12 +262,18 @@ func main() {
 		if err != nil {
 			log.Fatalf("wire server: %v", err)
 		}
+		// Bound before the HTTP listener starts, so a client that sees
+		// /api/health answer can dial the wire port.
+		ln, err := net.Listen("tcp", *mysqlAddr)
+		if err != nil {
+			log.Fatalf("wire listen: %v", err)
+		}
 		go func() {
-			if err := wireSrv.ListenAndServe(); err != nil && err != wire.ErrServerClosed {
+			if err := wireSrv.Serve(ln); err != nil && err != wire.ErrServerClosed {
 				log.Fatalf("wire serve: %v", err)
 			}
 		}()
-		log.Printf("MySQL wire protocol listening on %s (%d users)", *mysqlAddr, len(users))
+		log.Printf("MySQL wire protocol listening on %s (%d users)", ln.Addr(), len(users))
 	}
 
 	// Unified graceful shutdown: on SIGINT close the stream hub first (so

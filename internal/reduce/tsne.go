@@ -25,9 +25,10 @@ type TSNEConfig struct {
 	// MinGradNorm stops early when the gradient norm falls below it;
 	// default 1e-7.
 	MinGradNorm float64
-	// Workers fans the perplexity search and each iteration's pass over
-	// the pairs out across row bands: 0 selects runtime.GOMAXPROCS(0).
-	// The result is bit-identical for every worker count.
+	// Workers fans the perplexity search out across row bands and each
+	// iteration's pass over the pairs across fixed tiles of rows: 0
+	// selects runtime.GOMAXPROCS(0). The result is bit-identical for
+	// every worker count.
 	Workers int
 }
 
@@ -82,10 +83,11 @@ type TSNEResult struct {
 // context allows cancellation of long runs (the API server uses this).
 //
 // P is one flat row-major array and Q is never stored: each iteration makes
-// a single row-parallel pass over the pairs (see gradient). Every row is
-// computed the same way whatever band it falls in, and the cross-row
-// reductions run serially in row order, so the embedding does not depend
-// on cfg.Workers.
+// a single pass that visits each unordered pair once, in tiles of rows
+// that the workers share (see gradient). The tiles do not depend on
+// cfg.Workers, each is computed by one goroutine into its own memory, and
+// the reductions across tiles run serially in tile order, so neither does
+// the embedding.
 func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, error) {
 	n := len(d)
 	if n < 2 {
@@ -133,7 +135,7 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 		if iter%50 == 0 || iter == cfg.Iterations {
 			// Like the gradient, a trace point describes the layout the
 			// iteration starts from.
-			kl, err := grad.klDivergence(ctx, y)
+			kl, err := grad.kl(ctx, y)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +171,7 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 			break
 		}
 	}
-	if res.KL, err = grad.klDivergence(ctx, y); err != nil {
+	if res.KL, err = grad.kl(ctx, y); err != nil {
 		return nil, err
 	}
 	res.Embedding = y
@@ -286,6 +288,11 @@ func conditionalToJoint(p []float64, n int) {
 	}
 }
 
+// tileRows is the number of rows one pair tile owns. It is fixed, not
+// derived from the worker count, so the order every sum is taken in — and
+// with it the embedding — is the same however the tiles are scheduled.
+const tileRows = 64
+
 // gradient evaluates dKL/dy for one joint matrix P (flat, row-major).
 //
 // With the Student-t kernel k_ij = (1 + ||y_i - y_j||^2)^-1 of Eq. 2 and
@@ -295,142 +302,178 @@ func conditionalToJoint(p []float64, n int) {
 //	4 * ( sum_j p_ij k_ij (y_i - y_j)  -  (1/Z) sum_j k_ij^2 (y_i - y_j) ),
 //
 // neither of which needs the normalizer Z = sum k_ij while it is being
-// accumulated. One pass over the pairs therefore yields both sums and each
-// row's share of Z; no n x n kernel or Q matrix is stored. (The 1e-12
-// floor under q_ij exists for the KL's logarithm; in the gradient it could
-// move a term by at most 1e-12 * k_ij * |y_i - y_j| <= 5e-13 and is left
-// out.)
+// accumulated. k and P are symmetric and each pair's two terms are
+// antisymmetric, so a pass visits each unordered pair i < j once: the rows
+// are cut into tiles of tileRows, and a tile owns the pairs (i, j > i) of
+// its rows. Row i's sums stay in registers; row j's share is subtracted
+// into the tile's own partial array, so no two tiles write the same
+// memory. A serial reduction then adds, for each row, its own sums and
+// every tile's partial in tile order. No n x n kernel or Q matrix is
+// stored. (The 1e-12 floor under q_ij exists for the KL's logarithm; in
+// the gradient it could move a term by at most 1e-12 * k_ij * |y_i - y_j|
+// <= 5e-13 and is left out.)
 type gradient struct {
 	p       []float64
 	n       int
 	workers int
 
+	// The KL terms that do not depend on the layout:
+	// sum_{i != j} p_ij ln p_ij and sum_{i != j} p_ij.
+	pLogP, pSum float64
+
 	dy [][2]float64 // dKL/dy of the last compute
 	z  float64      // Z of the last compute
 
-	attr, rep [][2]float64 // per-row attractive / repulsive sums
-	rowAcc    []float64    // per-row partials of Z, then of the KL
+	own  [][4]float64   // row i's attractive x, y and repulsive x, y sums over j > i
+	part [][][4]float64 // per tile: row j's share of the tile's pairs, at j - the tile's first row
+	acc  [][3]float64   // per tile: the pass's scalar sums
 }
 
 func newGradient(p []float64, n, workers int) *gradient {
-	return &gradient{
+	g := &gradient{
 		p: p, n: n, workers: workers,
-		dy:   make([][2]float64, n),
-		attr: make([][2]float64, n), rep: make([][2]float64, n),
-		rowAcc: make([]float64, n),
+		dy:  make([][2]float64, n),
+		own: make([][4]float64, n),
 	}
+	for lo := 0; lo < n; lo += tileRows {
+		g.part = append(g.part, make([][4]float64, n-lo))
+	}
+	g.acc = make([][3]float64, len(g.part))
+	for i := 0; i < n; i++ {
+		for _, pij := range p[i*n+i+1 : (i+1)*n] {
+			g.pLogP += 2 * pij * math.Log(pij)
+			g.pSum += 2 * pij
+		}
+	}
+	return g
+}
+
+// eachTile runs f on the rows [lo, hi) of every tile and keeps its result
+// in g.acc. exec.ForEach hands the tiles out in index order, the largest
+// first; the callers add g.acc up in tile order, so no sum depends on the
+// worker count.
+func (g *gradient) eachTile(ctx context.Context, f func(lo, hi int) [3]float64) error {
+	return exec.ForEach(ctx, len(g.acc), g.workers, func(t int) error {
+		lo := t * tileRows
+		g.acc[t] = f(lo, min(lo+tileRows, g.n))
+		return nil
+	})
 }
 
 // compute fills g.dy and g.z for the layout y, with P scaled by exagger.
 func (g *gradient) compute(ctx context.Context, y Embedding, exagger float64) error {
 	n := g.n
-	err := exec.ForEachChunk(ctx, n, g.workers, func(lo, hi int) error {
+	err := g.eachTile(ctx, func(lo, hi int) [3]float64 {
+		part := g.part[lo/tileRows]
+		clear(part)
+		z := 0.0
 		for i := lo; i < hi; i++ {
-			// Point i itself is left out by folding the two sides of it
-			// separately, which keeps the inner loop branch-free.
-			var f pairForces
-			f.add(g.p[i*n:i*n+i], y[:i], y[i])
-			f.add(g.p[i*n+i+1:(i+1)*n], y[i+1:], y[i])
-			g.attr[i] = [2]float64{f.ax, f.ay}
-			g.rep[i] = [2]float64{f.rx, f.ry}
-			g.rowAcc[i] = f.z
+			var zi float64
+			g.own[i], zi = pairRow(y[i], g.p[i*n+i+1:(i+1)*n], y[i+1:], part[i+1-lo:])
+			z += zi
 		}
-		return nil
+		return [3]float64{z}
 	})
 	if err != nil {
 		return err
 	}
 	z := 0.0
-	for _, s := range g.rowAcc {
-		z += s
+	for _, a := range g.acc {
+		z += 2 * a[0]
 	}
 	if z == 0 {
 		z = 1
 	}
 	g.z = z
 	for i := range g.dy {
-		g.dy[i][0] = 4 * (exagger*g.attr[i][0] - g.rep[i][0]/z)
-		g.dy[i][1] = 4 * (exagger*g.attr[i][1] - g.rep[i][1]/z)
+		s := g.own[i]
+		for t := 0; t*tileRows < i; t++ {
+			for k, v := range g.part[t][i-t*tileRows] {
+				s[k] += v
+			}
+		}
+		g.dy[i][0] = 4 * (exagger*s[0] - s[2]/z)
+		g.dy[i][1] = 4 * (exagger*s[1] - s[3]/z)
 	}
 	return nil
 }
 
-// pairForces accumulates one point's sums over a run of other points.
-type pairForces struct {
-	ax, ay float64 // sum p_ij k_ij (y_i - y_j)
-	rx, ry float64 // sum k_ij^2 (y_i - y_j)
-	z      float64 // sum k_ij
-}
-
-func (f *pairForces) add(prow []float64, ys Embedding, yi [2]float64) {
+// pairRow visits the pairs (i, j) of point yi with the points ys, whose
+// P entries are prow, and returns row i's attractive and repulsive sums
+// and its sum of kernels; row j's share is subtracted into part[j].
+func pairRow(yi [2]float64, prow []float64, ys Embedding, part [][4]float64) (s [4]float64, z float64) {
 	ys = ys[:len(prow)]
-	ax, ay, rx, ry, z := f.ax, f.ay, f.rx, f.ry, f.z
+	part = part[:len(prow)]
+	var ax, ay, rx, ry float64
 	for j, pij := range prow {
 		dx, dy := yi[0]-ys[j][0], yi[1]-ys[j][1]
 		k := 1 / (1 + dx*dx + dy*dy)
-		z += k
 		pk, kk := pij*k, k*k
-		ax += pk * dx
-		ay += pk * dy
-		rx += kk * dx
-		ry += kk * dy
+		fax, fay, frx, fry := pk*dx, pk*dy, kk*dx, kk*dy
+		ax, ay, rx, ry, z = ax+fax, ay+fay, rx+frx, ry+fry, z+k
+		pj := &part[j]
+		pj[0], pj[1], pj[2], pj[3] = pj[0]-fax, pj[1]-fay, pj[2]-frx, pj[3]-fry
 	}
-	f.ax, f.ay, f.rx, f.ry, f.z = ax, ay, rx, ry, z
+	return [4]float64{ax, ay, rx, ry}, z
 }
 
-// klDivergence evaluates Eq. 1 for the layout y. It depends on no earlier
-// compute: a first pass over the pairs sums the kernels into Z, a second
-// the KL terms, per-row partials added in row order both times.
-func (g *gradient) klDivergence(ctx context.Context, y Embedding) (float64, error) {
+// kl evaluates Eq. 1 for the layout y; it depends on no earlier compute.
+// With q_ij = 1/((1 + d_ij^2) Z),
+//
+//	KL = sum_{i!=j} p ln p + 2 sum_{i<j} p ln(1 + d^2) + (sum_{i!=j} p) ln Z,
+//
+// so one pass over the pairs i < j, summing the kernels and p ln(1 + d^2),
+// gives the KL with the P-only terms newGradient took. The same pass finds
+// the largest 1 + d^2: when the smallest q could fall under the 1e-12
+// floor, a second pass evaluates each pair with the floor instead.
+func (g *gradient) kl(ctx context.Context, y Embedding) (float64, error) {
 	n := g.n
-	z, err := g.sumRows(ctx, func(i int) float64 {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			if j != i {
-				s += 1 / (1 + y.SquaredDist(i, j))
+	err := g.eachTile(ctx, func(lo, hi int) [3]float64 {
+		var z, pl, wmax float64
+		for i := lo; i < hi; i++ {
+			prow := g.p[i*n+i+1 : (i+1)*n]
+			ys := y[i+1:][:len(prow)]
+			for j, pij := range prow {
+				dx, dy := y[i][0]-ys[j][0], y[i][1]-ys[j][1]
+				w := 1 + dx*dx + dy*dy
+				z += 1 / w
+				pl += pij * math.Log(w)
+				wmax = max(wmax, w)
 			}
 		}
-		return s
+		return [3]float64{z, pl, wmax}
 	})
 	if err != nil {
 		return 0, err
+	}
+	var z, pl, wmax float64
+	for _, a := range g.acc {
+		z, pl, wmax = z+2*a[0], pl+2*a[1], max(wmax, a[2])
 	}
 	if z == 0 {
 		z = 1
 	}
-	return g.sumRows(ctx, func(i int) float64 {
+	if 1/wmax/z >= 1e-12 {
+		return g.pLogP + pl + g.pSum*math.Log(z), nil
+	}
+	err = g.eachTile(ctx, func(lo, hi int) [3]float64 {
 		kl := 0.0
-		for j, pij := range g.p[i*n : (i+1)*n] {
-			if j == i {
-				continue
-			}
-			q := 1 / (1 + y.SquaredDist(i, j)) / z
-			if q < 1e-12 {
-				q = 1e-12
-			}
-			kl += pij * math.Log(pij/q)
-		}
-		return kl
-	})
-}
-
-// sumRows evaluates row(i) for every point in parallel bands and adds the
-// results in row order.
-func (g *gradient) sumRows(ctx context.Context, row func(i int) float64) (float64, error) {
-	err := exec.ForEachChunk(ctx, g.n, g.workers, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			g.rowAcc[i] = row(i)
+			for j, pij := range g.p[i*n+i+1 : (i+1)*n] {
+				q := max(1/(1+y.SquaredDist(i, i+1+j))/z, 1e-12)
+				kl += pij * math.Log(pij/q)
+			}
 		}
-		return nil
+		return [3]float64{kl}
 	})
 	if err != nil {
 		return 0, err
 	}
-	sum := 0.0
-	for _, v := range g.rowAcc {
-		sum += v
+	kl := 0.0
+	for _, a := range g.acc {
+		kl += 2 * a[0]
 	}
-	return sum, nil
+	return kl, nil
 }
 
 func centerEmbedding(y Embedding) {

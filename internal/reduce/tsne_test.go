@@ -60,65 +60,118 @@ func genDailyFixture(t *testing.T) [][]float64 {
 	return d
 }
 
-// TestGradientMatchesOracle: on random layouts, from the tight initial
-// cloud to a spread-out late one, the single fused pass gives the
-// normalizer Z and the gradient of the three-pass oracle, with and without
-// early exaggeration, for every worker count.
-func TestGradientMatchesOracle(t *testing.T) {
-	const n = 150
-	rng := rand.New(rand.NewSource(21))
+// oracleP is the oracle's joint matrix for n clustered points, nested and
+// flat.
+func oracleP(n int) ([][]float64, []float64) {
 	rows, _ := threeClusters(n, 24, 4)
 	d, _ := DistanceMatrix(rows, MetricEuclidean)
 	pRef := refConditionalToJoint(refPerplexitySearch(d, 20))
-	p := flatten(pRef)
+	return pRef, flatten(pRef)
+}
 
-	q := make([][]float64, n)
-	numRef := make([][]float64, n)
-	pEx := make([][]float64, n)
-	for i := range q {
-		q[i] = make([]float64, n)
-		numRef[i] = make([]float64, n)
-		pEx[i] = make([]float64, n)
+func squareMatrix(n int) [][]float64 {
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
 	}
-	gradRef := make([][2]float64, n)
-	ctx := context.Background()
+	return m
+}
 
-	for _, scale := range []float64{1e-2, 1, 30} {
-		y := randomEmbedding(rng, n, scale)
-		refComputeQ(y, q, numRef)
-		zRef := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				zRef += 2 * numRef[i][j]
-			}
-		}
-		for _, exagger := range []float64{1, 12} {
-			for i := range pEx {
-				for j := range pEx[i] {
-					pEx[i][j] = pRef[i][j] * exagger
+// TestGradientMatchesOracle: on random layouts, from the tight initial
+// cloud to a spread-out late one, the pairs-once tile pass gives the
+// normalizer Z and the gradient of the three-pass oracle, with and without
+// early exaggeration, for every worker count. The sizes put a tile edge
+// on each side of the last row and leave a ragged last tile.
+func TestGradientMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{2, 63, 64, 65, 131, 150} {
+		rng := rand.New(rand.NewSource(21))
+		pRef, p := oracleP(n)
+		q, numRef, pEx := squareMatrix(n), squareMatrix(n), squareMatrix(n)
+		gradRef := make([][2]float64, n)
+		for _, scale := range []float64{1e-2, 1, 30} {
+			y := randomEmbedding(rng, n, scale)
+			refComputeQ(y, q, numRef)
+			zRef := 0.0
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					zRef += 2 * numRef[i][j]
 				}
 			}
-			refGradKL(pEx, q, numRef, y, gradRef)
-			gmax := 0.0
-			for _, g := range gradRef {
-				gmax = math.Max(gmax, math.Max(math.Abs(g[0]), math.Abs(g[1])))
-			}
-			for _, workers := range []int{1, 2, 3} {
-				g := newGradient(p, n, workers)
-				if err := g.compute(ctx, y, exagger); err != nil {
-					t.Fatal(err)
+			for _, exagger := range []float64{1, 12} {
+				for i := range pEx {
+					for j := range pEx[i] {
+						pEx[i][j] = pRef[i][j] * exagger
+					}
 				}
-				if math.Abs(g.z-zRef) > 1e-12*zRef {
-					t.Errorf("scale=%g workers=%d: Z = %v, oracle %v", scale, workers, g.z, zRef)
+				refGradKL(pEx, q, numRef, y, gradRef)
+				gmax := 0.0
+				for _, g := range gradRef {
+					gmax = math.Max(gmax, math.Max(math.Abs(g[0]), math.Abs(g[1])))
 				}
-				for i := range g.dy {
-					for k := 0; k < 2; k++ {
-						if math.Abs(g.dy[i][k]-gradRef[i][k]) > 1e-12*gmax {
-							t.Fatalf("scale=%g exagger=%g workers=%d: grad[%d][%d] = %v, oracle %v",
-								scale, exagger, workers, i, k, g.dy[i][k], gradRef[i][k])
+				if gmax == 0 {
+					// n = 2 without exaggeration: P = Q = 1/2 on every
+					// layout, so the exact gradient is 0 and the pass's
+					// attractive and repulsive terms cancel to rounding.
+					// Bound it by the size of those terms instead.
+					gmax = 4 * pRef[0][1] * numRef[0][1] * math.Sqrt(y.SquaredDist(0, 1))
+				}
+				for _, workers := range []int{1, 2, 3, 8} {
+					g := newGradient(p, n, workers)
+					if err := g.compute(ctx, y, exagger); err != nil {
+						t.Fatal(err)
+					}
+					if math.Abs(g.z-zRef) > 1e-12*zRef {
+						t.Errorf("n=%d scale=%g workers=%d: Z = %v, oracle %v", n, scale, workers, g.z, zRef)
+					}
+					for i := range g.dy {
+						for k := 0; k < 2; k++ {
+							if math.Abs(g.dy[i][k]-gradRef[i][k]) > 1e-12*gmax {
+								t.Fatalf("n=%d scale=%g exagger=%g workers=%d: grad[%d][%d] = %v, oracle %v",
+									n, scale, exagger, workers, i, k, g.dy[i][k], gradRef[i][k])
+							}
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestKLMatchesOracle: the one-pass KL, P's own terms taken once, equals
+// the oracle's per-pair Eq. 1 on random layouts at every scale, and on two
+// tight clusters 1e6 apart, where q falls under the 1e-12 floor and the
+// per-pair fallback has to run.
+func TestKLMatchesOracle(t *testing.T) {
+	const n = 131
+	rng := rand.New(rand.NewSource(23))
+	pRef, p := oracleP(n)
+	q, num := squareMatrix(n), squareMatrix(n)
+
+	var layouts []Embedding
+	for _, scale := range []float64{1e-2, 1, 30} {
+		layouts = append(layouts, randomEmbedding(rng, n, scale))
+	}
+	split := randomEmbedding(rng, n, 1e-3)
+	for i := 0; i < n/2; i++ {
+		split[i][0] += 1e6
+	}
+	layouts = append(layouts, split)
+
+	ctx := context.Background()
+	for k, y := range layouts {
+		refComputeQ(y, q, num)
+		want := refKLDivergence(pRef, q, false, 1)
+		if k == len(layouts)-1 && q[0][n-1] != 1e-12 {
+			t.Fatalf("split layout: q = %v across the clusters, want the 1e-12 floor", q[0][n-1])
+		}
+		for _, workers := range []int{1, 2, 3} {
+			got, err := newGradient(p, n, workers).kl(ctx, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Errorf("layout %d workers=%d: KL = %v, oracle %v", k, workers, got, want)
 			}
 		}
 	}
