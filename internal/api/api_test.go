@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -416,6 +418,79 @@ func TestSVGViews(t *testing.T) {
 		t.Errorf("bad mode status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestNonFiniteReadingKeepsViewsRenderable is the regression test for one
+// bad reading blanking the paper's views: a NaN and a +Inf reading (both
+// arrive through VAPB ingest) inside the flow windows used to poison the
+// bucket means, so the JSON views answered 200 with an empty body (NaN has
+// no JSON encoding) and the SVG views drew an empty frame or NaN
+// coordinates. The views finalize a fold the way VQL does: the NaN reading
+// is skipped and the +Inf one leaves its bucket without a value.
+func TestNonFiniteReadingKeepsViewsRenderable(t *testing.T) {
+	ds := gen.Generate(gen.Config{Seed: 1, Days: 30})
+	noon := ds.Start.Unix() + 5*86400 + 12*3600
+	bad := []struct {
+		row int
+		smp store.Sample
+	}{
+		{0, store.Sample{TS: noon + 60, Value: math.NaN()}},           // the t1 window of both flow maps, the heat window
+		{1, store.Sample{TS: noon + 8*3600 + 60, Value: math.Inf(1)}}, // t2, the heat window
+	}
+	for _, b := range bad {
+		rs := ds.Readings[b.row]
+		at := slices.IndexFunc(rs, func(s store.Sample) bool { return s.TS > b.smp.TS })
+		ds.Readings[b.row] = slices.Insert(rs, at, b.smp)
+	}
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if err := ds.LoadInto(st); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(core.NewAnalyzer(st), nil).Routes())
+	t.Cleanup(srv.Close)
+	nanID, infID := ds.Customers[0].Meter.ID, ds.Customers[1].Meter.ID
+	paths := []string{
+		fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
+		fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=hourly", noon, noon+8*3600),
+		fmt.Sprintf("/api/series?id=%d&granularity=hourly", nanID),
+		fmt.Sprintf("/api/series?id=%d&granularity=daily", nanID),
+		fmt.Sprintf("/api/series?id=%d&granularity=hourly", infID),
+		fmt.Sprintf("/api/series?id=%d&granularity=daily", infID),
+		"/api/reduce?method=mds",
+		"/api/patterns?method=mds",
+		fmt.Sprintf("/view/map.svg?mode=heat&from=%d&to=%d", noon, noon+12*3600),
+		fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
+		"/view/series.svg?granularity=daily",
+		"/view/scatter.svg?method=mds",
+	}
+	for _, p := range paths {
+		resp, err := http.Get(srv.URL + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: status %d: %s", p, resp.StatusCode, body[:min(len(body), 120)])
+			continue
+		}
+		if !strings.HasPrefix(p, "/view/") {
+			if !json.Valid(body) {
+				t.Errorf("%s: %d-byte body is not JSON", p, len(body))
+			}
+			continue
+		}
+		// The empty frame is one background rect; a view draws marks on it.
+		svg := string(body)
+		marks := strings.Count(svg, "<rect") + strings.Count(svg, "<circle") + strings.Count(svg, "<polyline")
+		if strings.Contains(svg, "NaN") || marks < 2 {
+			t.Errorf("%s: %d-byte SVG with %d marks holds NaN or only the empty frame", p, len(body), marks)
+		}
+	}
 }
 
 func min(a, b int) int {

@@ -147,10 +147,8 @@ func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute f
 // g is empty. Both come from requests, so each is checked before it is
 // spliced into the statement.
 func scanPlan(fn query.AggFunc, g query.Granularity) (*vql.Plan, error) {
-	switch fn {
-	case query.AggSum, query.AggMean, query.AggMax, query.AggMin:
-	default:
-		return nil, fmt.Errorf("%w: unknown aggregate %q", query.ErrInput, fn)
+	if err := fn.Valid(); err != nil {
+		return nil, err
 	}
 	src := "SELECT meter, " + string(fn) + "(value) FROM meters GROUP BY meter"
 	if g != "" {

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"vap/internal/gen"
 	"vap/internal/geo"
 	"vap/internal/query"
 	"vap/internal/reduce"
@@ -144,4 +147,49 @@ func preEpochAnalyzer(t *testing.T) *Analyzer {
 		}
 	}
 	return NewAnalyzer(st)
+}
+
+// TestNaNReadingKeepsTypicalFeaturesFinite is the regression test for one
+// bad reading moving a meter in view C: a NaN among a meter's readings made
+// its daily mean feature NaN, and the Pearson distance matrix clamps a NaN
+// distance to 0, so the meter sat at distance 0 from every other meter.
+// The feature rows skip the NaN reading the way VQL's mean does.
+func TestNaNReadingKeepsTypicalFeaturesFinite(t *testing.T) {
+	ds := gen.Generate(gen.Config{Seed: 5, Days: 10, Counts: map[gen.Pattern]int{
+		gen.PatternBimodal: 4, gen.PatternConstantHigh: 4, gen.PatternEarlyBird: 4,
+	}})
+	ds.Readings[0][100].Value = math.NaN()
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if err := ds.LoadInto(st); err != nil {
+		t.Fatal(err)
+	}
+	an := NewAnalyzer(st)
+	bad := ds.Customers[0].Meter.ID
+	for _, profile := range []bool{false, true} {
+		view, err := an.TypicalPatterns(context.Background(), TypicalConfig{Seed: 1, Method: reduce.MethodMDS, UseDailyProfile: profile})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range view.rows {
+			for j, v := range row {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("daily profile %t: meter %d feature %d = %v", profile, view.MeterIDs[i], j, v)
+				}
+			}
+		}
+		d, err := reduce.DistanceMatrix(view.rows, reduce.MetricPearson)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.Index(view.MeterIDs, bad)
+		for j, dist := range d[i] {
+			if j != i && dist == 0 {
+				t.Errorf("daily profile %t: meter %d is at Pearson distance 0 from meter %d", profile, bad, view.MeterIDs[j])
+			}
+		}
+	}
 }

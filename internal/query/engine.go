@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"vap/internal/geo"
@@ -55,10 +56,11 @@ var ErrWindowTooWide = errors.New("query: window too wide")
 // outside [0, 1].
 var ErrInput = errors.New("query: invalid input")
 
-// ResolveMeters returns the sorted meter IDs matching sel. An explicit
-// meter set is a filter over the catalog like the other predicates: ids
-// nobody registered drop out (into a fresh slice — sel.MeterIDs is the
-// caller's), and a set naming none that is known matches nothing.
+// ResolveMeters returns the sorted meter IDs matching sel, each once. An
+// explicit meter set is a filter over the catalog like the other predicates:
+// ids nobody registered drop out and a repeated id selects its meter once
+// (into a fresh slice — sel.MeterIDs is the caller's), and a set naming none
+// that is known matches nothing.
 func (e *Engine) ResolveMeters(sel Selection) ([]int64, error) {
 	cat := e.st.Catalog()
 	var ids []int64
@@ -70,7 +72,8 @@ func (e *Engine) ResolveMeters(sel Selection) ([]int64, error) {
 				ids = append(ids, id)
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
 	case sel.BBox != nil:
 		ids = cat.Within(*sel.BBox)
 	default:
@@ -157,15 +160,16 @@ func (e *Engine) newScan(ctx context.Context, bounds []int64, width int64, fn Ag
 }
 
 // MeterSeries returns the aggregated series of a single meter: one Bucket
-// per interval holding at least one reading, whole grid cells served from
-// the store's rollup tier of the granularity's FixedWidth when it keeps one.
+// per interval whose fold has a value (AggFunc.Value), whole grid cells
+// served from the store's rollup tier of the granularity's FixedWidth when
+// it keeps one.
 func (e *Engine) MeterSeries(meterID int64, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
 	return e.MeterSeriesCtx(context.Background(), meterID, sel, g, fn)
 }
 
 // MeterSeriesCtx is MeterSeries under ctx's deadline, cancellation and grant.
 func (e *Engine) MeterSeriesCtx(ctx context.Context, meterID int64, sel Selection, g Granularity, fn AggFunc) ([]Bucket, error) {
-	if err := fn.valid(); err != nil {
+	if err := fn.Valid(); err != nil {
 		return nil, err
 	}
 	from, to, err := e.TimeWindow(sel)
@@ -183,8 +187,9 @@ func (e *Engine) MeterSeriesCtx(ctx context.Context, meterID int64, sel Selectio
 			out = make([]Bucket, 0, len(folds))
 		}
 		for j := range folds {
-			if f := &folds[j]; !f.Empty() {
-				out = append(out, Bucket{Start: bounds[lo+j], Value: fn.value(f), Count: int(f.Count + f.NaN)})
+			f := &folds[j]
+			if v, ok := fn.Value(f); ok && !f.Empty() {
+				out = append(out, Bucket{Start: bounds[lo+j], Value: v, Count: int(f.Count + f.NaN)})
 			}
 		}
 	})
@@ -192,8 +197,9 @@ func (e *Engine) MeterSeriesCtx(ctx context.Context, meterID int64, sel Selectio
 }
 
 // MeterMatrix returns one aggregated row per selected meter, all aligned to
-// the same bucket sequence (missing buckets filled with 0), together with
-// the meter IDs (row order) and the bucket start times (column order).
+// the same bucket sequence (a bucket without a value filled with 0),
+// together with the meter IDs (row order) and the bucket start times
+// (column order).
 // This is the "high-dimensional time series" input to dimension reduction.
 func (e *Engine) MeterMatrix(sel Selection, g Granularity, fn AggFunc) (ids []int64, times []int64, rows [][]float64, err error) {
 	return e.MeterMatrixCtx(context.Background(), sel, g, fn)
@@ -203,7 +209,7 @@ func (e *Engine) MeterMatrix(sel Selection, g Granularity, fn AggFunc) (ids []in
 // the engine's workers; row order stays deterministic because each meter
 // writes only its own row.
 func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularity, fn AggFunc) (ids []int64, times []int64, rows [][]float64, err error) {
-	if err := fn.valid(); err != nil {
+	if err := fn.Valid(); err != nil {
 		return nil, nil, nil, err
 	}
 	ids, err = e.ResolveMeters(sel)
@@ -222,9 +228,7 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(r int, folds []store.Fold, lo, _ int, _ uint64) {
 		row := make([]float64, len(times))
 		for j := range folds {
-			if f := &folds[j]; !f.Empty() {
-				row[lo+j] = fn.value(f)
-			}
+			row[lo+j], _ = fn.Value(&folds[j])
 		}
 		rows[r] = row
 	})
@@ -237,7 +241,7 @@ func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularit
 // DayProfilesCtx folds each meter of ids into its 24-hour mean day profile
 // over [from, to), rows aligned with ids: entry h is the mean of the
 // meter's hourly bucket means over the buckets starting h hours into a UTC
-// day (floored, so pre-1970 hours too), 0 where no bucket holds a reading.
+// day (floored, so pre-1970 hours too), 0 where no bucket has a mean.
 // It is one hourly scan, not a series per meter.
 func (e *Engine) DayProfilesCtx(ctx context.Context, ids []int64, from, to int64) ([][]float64, error) {
 	from, to, err := ResolveWindow(e.st, from, to, true, true)
@@ -253,9 +257,9 @@ func (e *Engine) DayProfilesCtx(ctx context.Context, ids []int64, from, to int64
 	err = sc.Run(ctx, ids, 4*e.workers, e.workers, func(i int, folds []store.Fold, lo, _ int, _ uint64) {
 		var sums, counts [24]float64
 		for j := range folds {
-			if f := &folds[j]; !f.Empty() {
+			if v, ok := AggMean.Value(&folds[j]); ok {
 				h := mod(bounds[lo+j], daySeconds) / 3600
-				sums[h] += AggMean.value(f)
+				sums[h] += v
 				counts[h]++
 			}
 		}
@@ -307,7 +311,7 @@ func (e *Engine) TotalByMeterCtx(ctx context.Context, sel Selection) (map[int64]
 	}
 	out := make(map[int64]float64, len(ids))
 	for i, id := range ids {
-		out[id] = AggSum.value(&folds[i])
+		out[id], _ = AggSum.Value(&folds[i])
 	}
 	return out, nil
 }
@@ -377,9 +381,7 @@ func (e *Engine) DemandSnapshotCtx(ctx context.Context, sel Selection, from, to 
 	}
 	means := make([]float64, len(ids))
 	for i := range folds {
-		if f := &folds[i]; !f.Empty() {
-			means[i] = AggMean.value(f)
-		}
+		means[i], _ = AggMean.Value(&folds[i])
 	}
 	weights := stat.Normalize01(means)
 	cat := e.st.Catalog()

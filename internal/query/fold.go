@@ -14,10 +14,38 @@ import (
 // when a rollup tier may stand in for raw samples, the per-meter kernel that
 // folds a window into a bucket-indexed array of store.Fold states (the
 // aggregate state a tier bucket holds too), and the one driver that fans a
-// meter list out over it. The engine's paper-pipeline calls (engine.go) and
-// the VQL executor (internal/vql) are both finalizers over it.
+// meter list out over it, and the one rule that turns a folded state into an
+// aggregate's value. The engine's paper-pipeline calls (engine.go) and the
+// VQL executor (internal/vql) both finalize through it.
 
 const daySeconds int64 = 86400 // a day cell's width (see store.Fold)
+
+// Value is the one finalization rule of both front doors: fn's value over
+// the readings f folded. NaN readings never reach a fold's value (they are
+// only tallied), so one bad reading does not poison its bucket; the sum of
+// no reading is 0; a mean, min or max over no reading has no value, and
+// neither has a non-finite result (an ±Inf reading, an overflowed sum). v is
+// 0 whenever ok is false.
+func (fn AggFunc) Value(f *store.Fold) (v float64, ok bool) {
+	switch {
+	case fn == AggSum:
+		v = f.Sum
+	case f.Count == 0:
+		return 0, false
+	case fn == AggMean:
+		v = f.Sum / float64(f.Count)
+	case fn == AggMin:
+		v = f.Min
+	case fn == AggMax:
+		v = f.Max
+	default:
+		return 0, false
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, false
+	}
+	return v, true
+}
 
 // FixedWidth returns the width in seconds of the fixed epoch-aligned grid
 // g's buckets are cut from: the bucket itself for the two sub-day units, the

@@ -7,10 +7,7 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"time"
-
-	"vap/internal/store"
 )
 
 // Granularity is a temporal bucketing unit.
@@ -142,35 +139,11 @@ type Bucket struct {
 	Count int     `json:"count"`
 }
 
-// valid reports whether fn names a supported aggregate.
-func (fn AggFunc) valid() error {
+// Valid reports whether fn names a supported aggregate.
+func (fn AggFunc) Valid() error {
 	switch fn {
 	case AggSum, AggMean, AggMax, AggMin:
 		return nil
 	}
 	return fmt.Errorf("%w: unknown aggregate %q", ErrInput, fn)
-}
-
-// value finalizes one fold for the paper pipeline. A NaN reading poisons
-// the bucket's sum and mean (the analyst should see that the bucket holds
-// a bad reading); min and max range over the non-NaN readings and are NaN
-// when there is none.
-func (fn AggFunc) value(f *store.Fold) float64 {
-	switch fn {
-	case AggMax, AggMin:
-		if f.Count == 0 {
-			return math.NaN()
-		}
-		if fn == AggMax {
-			return f.Max
-		}
-		return f.Min
-	}
-	if f.NaN > 0 {
-		return math.NaN()
-	}
-	if fn == AggMean {
-		return f.Sum / float64(f.Count)
-	}
-	return f.Sum
 }

@@ -178,11 +178,12 @@ func TestMeterSeriesEmptyWindow(t *testing.T) {
 	}
 }
 
-// TestFinalizeNaN documents the paper pipeline's finalization of a bucket
-// holding NaN readings: sum and mean are NaN, count counts every reading,
-// min and max range over the non-NaN readings (NaN when there is none).
-// The rule must not depend on where in the bucket the NaN sits, nor on
-// whether a rollup tier or the raw samples served the bucket.
+// TestFinalizeNaN documents the one finalization rule (AggFunc.Value) on
+// buckets holding NaN readings: NaN readings are skipped, so a sum, mean,
+// min or max ranges over the rest; a bucket of only NaN readings sums to 0
+// and has no mean, min or max, so MeterSeries leaves it out; count counts
+// every reading. The rule must not depend on where in the bucket the NaN
+// sits, nor on whether a rollup tier or the raw samples served the bucket.
 func TestFinalizeNaN(t *testing.T) {
 	nan := math.NaN()
 	h0, h1, h2 := ts("2018-01-01 00:00"), ts("2018-01-01 01:00"), ts("2018-01-01 02:00")
@@ -191,11 +192,11 @@ func TestFinalizeNaN(t *testing.T) {
 		{TS: h1 + 60, Value: 4}, {TS: h1 + 120, Value: nan}, {TS: h1 + 180, Value: 1}, // NaN inside
 		{TS: h2 + 60, Value: nan}, {TS: h2 + 120, Value: nan}, // only NaN
 	}
-	want := map[AggFunc][3]float64{
-		AggSum:  {nan, nan, nan},
-		AggMean: {nan, nan, nan},
-		AggMin:  {2, 1, nan},
-		AggMax:  {7, 4, nan},
+	want := map[AggFunc][]float64{
+		AggSum:  {9, 5, 0},
+		AggMean: {4.5, 2.5},
+		AggMin:  {2, 1},
+		AggMax:  {7, 4},
 	}
 	counts := [3]int{3, 3, 2}
 	eng := seriesStore(t, samples)
@@ -209,14 +210,42 @@ func TestFinalizeNaN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != 3 {
-				t.Fatalf("%s %s: %d buckets, want 3", name, fn, len(got))
+			if len(got) != len(vals) {
+				t.Fatalf("%s %s: %d buckets, want %d", name, fn, len(got), len(vals))
 			}
 			for i, b := range got {
-				if b.Count != counts[i] || !valueEqual(b.Value, vals[i]) {
+				if b.Start != []int64{h0, h1, h2}[i] || b.Count != counts[i] || b.Value != vals[i] {
 					t.Errorf("%s %s bucket %d = %+v, want value %v count %d", name, fn, i, b, vals[i], counts[i])
 				}
 			}
+		}
+	}
+}
+
+// TestDayProfilesSkipNonFinite pins DayProfilesCtx's hour means to the one
+// finalization rule: a NaN reading is skipped inside its hourly bucket, and
+// an hourly bucket without a mean (only NaN readings, or an ±Inf one) is
+// left out of its hour, as an hour without readings is.
+func TestDayProfilesSkipNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	d1, d2 := ts("2018-01-01 00:00"), ts("2018-01-02 00:00")
+	eng := seriesStore(t, []store.Sample{
+		{TS: d1 + 3*3600 + 600, Value: nan}, // hour 3: only NaN
+		{TS: d1 + 5*3600 + 600, Value: 2}, {TS: d1 + 5*3600 + 1200, Value: nan}, {TS: d1 + 5*3600 + 2400, Value: 4},
+		{TS: d1 + 7*3600 + 600, Value: inf}, {TS: d1 + 7*3600 + 1200, Value: 1}, // hour 7: +Inf
+		{TS: d2 + 3*3600 + 600, Value: 6},
+		{TS: d2 + 5*3600 + 600, Value: 5},
+		{TS: d2 + 7*3600 + 600, Value: 8},
+	})
+	want := make([]float64, 24)
+	want[3], want[5], want[7] = 6, (3+5)/2.0, 8
+	for _, w := range [][2]int64{{d1, d2 + 86400}, {d1 + 1, d2 + 86400 - 1}} {
+		rows, err := eng.DayProfilesCtx(context.Background(), []int64{1}, w[0], w[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || !reflect.DeepEqual(rows[0], want) {
+			t.Errorf("window %v: profile %v, want %v", w, rows, want)
 		}
 	}
 }
@@ -312,6 +341,11 @@ func TestResolveMetersBBoxAndZone(t *testing.T) {
 	}
 	if _, err := eng.ResolveMeters(Selection{MeterIDs: []int64{99}}); err != ErrNoMeters {
 		t.Errorf("only an unknown id: err = %v, want ErrNoMeters", err)
+	}
+	// A repeated id selects its meter once.
+	ids, err = eng.ResolveMeters(Selection{MeterIDs: []int64{3, 1, 3, 1, 1}})
+	if err != nil || !reflect.DeepEqual(ids, []int64{1, 3}) {
+		t.Errorf("ids {3, 1, 3, 1, 1} = %v, %v, want [1 3]", ids, err)
 	}
 }
 

@@ -137,15 +137,16 @@ func TestMeterSeriesTierMatchesRaw(t *testing.T) {
 	}
 }
 
-// windowSum is one meter's unbucketed window fold, finalized as
-// TotalByMeter does, with the number of readings it covered.
+// windowSum is one meter's unbucketed window fold's sum state, before
+// AggFunc.Value finalizes it (so a non-finite sum is compared too), with the
+// number of readings it covered.
 func windowSum(t *testing.T, e *Engine, id, from, to int64) (float64, int64) {
 	t.Helper()
 	folds, err := e.windowFolds(context.Background(), []int64{id}, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return AggSum.value(&folds[0]), folds[0].Count + folds[0].NaN
+	return folds[0].Sum, folds[0].Count + folds[0].NaN
 }
 
 func TestWindowFoldsTierMatchesRaw(t *testing.T) {
@@ -175,8 +176,8 @@ func TestWindowFoldsTierMatchesRaw(t *testing.T) {
 			}
 			// Raw and the daily tier both merge day cells: bit-equal. Only
 			// the hourly tier, serving a window that holds no whole day, adds
-			// hourly subtotals and may differ in the last ulps — but NaN
-			// poisoning and Inf must agree exactly there too.
+			// hourly subtotals and may differ in the last ulps — but an ±Inf
+			// or NaN (+Inf + -Inf) sum must agree exactly there too.
 			if w.res != hour || math.IsNaN(wantSum) || math.IsInf(wantSum, 0) {
 				if !valueEqual(gotSum, wantSum) {
 					t.Fatalf("window %d meter %d: sum %v, want %v", wi, id, gotSum, wantSum)

@@ -12,7 +12,7 @@ import (
 	"vap/internal/store"
 )
 
-// parityStore loads one random NaN-free dataset — irregular gaps, ±Inf
+// parityStore loads one random dataset — irregular gaps, NaN and ±Inf
 // readings in the even meters (the odd ones stay finite, so their multi-day
 // sums tell one association from another), one multi-chunk meter, one meter
 // with a handful of readings — into a store maintaining the given tiers.
@@ -42,12 +42,14 @@ func parityStore(t *testing.T, seed int64, tiers []int64) (eng *query.Engine, fi
 				ts += rng.Int63n(3 * 86400) // an outage
 			}
 			v := rng.NormFloat64() * 1000
-			if inf := rng.Intn(60); id%2 == 0 {
-				switch inf {
+			if bad := rng.Intn(60); id%2 == 0 {
+				switch bad {
 				case 0:
 					v = math.Inf(1)
 				case 1:
 					v = math.Inf(-1)
+				case 2, 3:
+					v = math.NaN()
 				}
 			}
 			if err := st.Append(id, store.Sample{TS: ts, Value: v}); err != nil {
@@ -60,15 +62,17 @@ func parityStore(t *testing.T, seed int64, tiers []int64) (eng *query.Engine, fi
 }
 
 // TestEngineMatchesVQL pins that the paper pipeline's calls and VQL are
-// two finalizers over one kernel: on NaN-free data Engine.MeterSeries
-// equals the matching bucketed VQL statement bit for bit (VQL renders a
-// non-finite aggregate as null), whichever of the two decides to serve
-// from a tier, MeterMatrix holds the (meter, bucket) rows' values, and
-// TotalByMeter equals the unbucketed per-meter sum — the engine serves it
-// from the daily tier, VQL folds it raw, both through day cells.
+// one finalization rule (query.AggFunc.Value) over one kernel, whichever of
+// the two decides to serve from a tier: a bucketed VQL row with a value is
+// the Engine.MeterSeries bucket with the same start, bits and count(*), and
+// a null row has no bucket; a MeterMatrix cell is the (meter, bucket) row's
+// value, or 0; TotalByMeter is the unbucketed per-meter sum, or 0 — the
+// engine serves it from the daily tier, VQL folds it raw, both through day
+// cells.
 func TestEngineMatchesVQL(t *testing.T) {
 	const day = int64(86400)
 	vqlFn := map[query.AggFunc]string{query.AggSum: "sum", query.AggMean: "mean", query.AggMin: "min", query.AggMax: "max"}
+	nulls := 0
 	for _, tiers := range [][]int64{{}, {3600, 14400, 86400}} {
 		for seed := int64(1); seed <= 3; seed++ {
 			eng, first, last := parityStore(t, seed, tiers)
@@ -94,43 +98,46 @@ func TestEngineMatchesVQL(t *testing.T) {
 								t.Fatal(err)
 							}
 							src := fmt.Sprintf(`SELECT bucket('%s'), %s(value), count(*) FROM meters WHERE meter = %d%s GROUP BY bucket('%s')`, g, name, id, where, g)
-							want := run(t, eng, src).Rows
 							label := fmt.Sprintf("tiers %v seed %d window %d: %s", tiers, seed, wi, src)
-							if len(got) != len(want) {
-								t.Fatalf("%s\n MeterSeries has %d buckets, VQL %d rows", label, len(got), len(want))
+							k := 0 // the next MeterSeries bucket; both sides ascend
+							for i, row := range run(t, eng, src).Rows {
+								v, valued := row[1].(float64)
+								switch {
+								case !valued && k < len(got) && got[k].Start == row[0].(int64):
+									t.Fatalf("%s\n row %d: VQL null, MeterSeries %+v", label, i, got[k])
+								case !valued:
+									nulls++
+								case k == len(got):
+									t.Fatalf("%s\n row %d: VQL %v, MeterSeries has no bucket", label, i, row)
+								case got[k].Start != row[0].(int64) || int64(got[k].Count) != row[2].(int64) || math.Float64bits(v) != math.Float64bits(got[k].Value):
+									t.Fatalf("%s\n row %d: MeterSeries %+v, VQL %v", label, i, got[k], row)
+								default:
+									k++
+								}
 							}
-							for i, b := range got {
-								row := want[i]
-								if b.Start != row[0].(int64) || int64(b.Count) != row[2].(int64) {
-									t.Fatalf("%s\n bucket %d: MeterSeries %+v, VQL %v", label, i, b, row)
-								}
-								if v, finite := row[1].(float64); finite {
-									if math.Float64bits(v) != math.Float64bits(b.Value) {
-										t.Fatalf("%s\n bucket %d: MeterSeries %v, VQL %v", label, i, b.Value, v)
-									}
-								} else if !math.IsNaN(b.Value) && !math.IsInf(b.Value, 0) {
-									t.Fatalf("%s\n bucket %d: MeterSeries %v, VQL null", label, i, b.Value)
-								}
+							if k != len(got) {
+								t.Fatalf("%s\n MeterSeries has %d buckets, VQL %d valued rows", label, len(got), k)
 							}
 						}
 					}
 				}
 				for _, g := range []query.Granularity{query.GranWeekly, query.GranMonthly} {
-					_, times, rows, err := eng.MeterMatrix(sel, g, query.AggSum)
-					if err != nil {
-						t.Fatal(err)
-					}
-					col := map[int64]int{}
-					for j, ts := range times {
-						col[ts] = j
-					}
-					src := fmt.Sprintf(`SELECT meter, bucket('%s'), sum(value) FROM meters WHERE meter IN (1, 2, 3, 4)%s GROUP BY meter, bucket('%s')`, g, where, g)
-					for _, row := range run(t, eng, src).Rows {
-						// The matrix rows are meters 1..4 ascending.
-						got := rows[row[0].(int64)-1][col[row[1].(int64)]]
-						if v, finite := row[2].(float64); finite && math.Float64bits(v) != math.Float64bits(got) ||
-							!finite && !math.IsNaN(got) && !math.IsInf(got, 0) {
-							t.Fatalf("tiers %v seed %d window %d: %s\n meter %d bucket %d: MeterMatrix %v, VQL %v", tiers, seed, wi, src, row[0], row[1], got, row[2])
+					for fn, name := range vqlFn {
+						_, times, rows, err := eng.MeterMatrix(sel, g, fn)
+						if err != nil {
+							t.Fatal(err)
+						}
+						col := map[int64]int{}
+						for j, ts := range times {
+							col[ts] = j
+						}
+						src := fmt.Sprintf(`SELECT meter, bucket('%s'), %s(value) FROM meters WHERE meter IN (1, 2, 3, 4)%s GROUP BY meter, bucket('%s')`, g, name, where, g)
+						for _, row := range run(t, eng, src).Rows {
+							// The matrix rows are meters 1..4 ascending.
+							got := rows[row[0].(int64)-1][col[row[1].(int64)]]
+							if v, _ := row[2].(float64); math.Float64bits(v) != math.Float64bits(got) {
+								t.Fatalf("tiers %v seed %d window %d: %s\n meter %d bucket %d: MeterMatrix %v, VQL %v", tiers, seed, wi, src, row[0], row[1], got, row[2])
+							}
 						}
 					}
 				}
@@ -144,21 +151,14 @@ func TestEngineMatchesVQL(t *testing.T) {
 					sums[row[0].(int64)] = row[1]
 				}
 				for id, tot := range totals {
-					cell, has := sums[id]
-					switch v, finite := cell.(float64); {
-					case !has:
-						if tot != 0 {
-							t.Fatalf("window %d meter %d: TotalByMeter %v, VQL has no row", wi, id, tot)
-						}
-					case finite:
-						if math.Float64bits(v) != math.Float64bits(tot) {
-							t.Fatalf("window %d meter %d: TotalByMeter %v, VQL %v", wi, id, tot, v)
-						}
-					case !math.IsNaN(tot) && !math.IsInf(tot, 0):
-						t.Fatalf("window %d meter %d: TotalByMeter %v, VQL null", wi, id, tot)
+					if v, _ := sums[id].(float64); math.Float64bits(v) != math.Float64bits(tot) {
+						t.Fatalf("tiers %v seed %d window %d meter %d: TotalByMeter %v, VQL %v", tiers, seed, wi, id, tot, sums[id])
 					}
 				}
 			}
 		}
+	}
+	if nulls == 0 {
+		t.Fatal("no VQL row was null: the fixture no longer exercises a bucket without a value")
 	}
 }

@@ -18,7 +18,6 @@ package vql
 import (
 	"context"
 	"errors"
-	"math"
 	"slices"
 	"sort"
 
@@ -82,45 +81,21 @@ func (k groupKey) less(o groupKey) bool {
 	return k.zone < o.zone
 }
 
-// finiteOrNull maps non-finite aggregate results to null: NaN and ±Inf
-// have no JSON encoding, and a bucket whose aggregate overflowed carries
-// no usable value anyway.
-func finiteOrNull(v float64) any {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return v
-}
-
-// foldValue finalizes one aggregate for VQL. NaN readings are skipped: a
-// single bad reading must not poison a bucket's sum. Value-folding
-// aggregates over zero non-NaN samples are null (JSON-encodable, unlike
-// NaN/±Inf); count(*) counts every row, NaN readings included, while
-// count(value) counts only the samples the value aggregates folded.
+// foldValue finalizes one aggregate for VQL: count(*) counts every row, NaN
+// readings included, while count(value) counts only the samples the value
+// aggregates folded; sum, mean, min and max follow query.AggFunc.Value, and
+// an aggregate without a value is null (JSON-encodable, unlike NaN/±Inf).
 func foldValue(a *store.Fold, fn AggFn) any {
 	switch fn {
+	case AggCount:
+		return a.Count + a.NaN
 	case AggCountValue:
 		return a.Count
-	case AggSum:
-		return finiteOrNull(a.Sum)
-	case AggMean:
-		if a.Count == 0 {
-			return nil
-		}
-		return finiteOrNull(a.Sum / float64(a.Count))
-	case AggMin:
-		if a.Count == 0 {
-			return nil
-		}
-		return finiteOrNull(a.Min)
-	case AggMax:
-		if a.Count == 0 {
-			return nil
-		}
-		return finiteOrNull(a.Max)
-	default: // AggCount
-		return a.Count + a.NaN
 	}
+	if v, ok := query.AggFunc(fn).Value(a); ok {
+		return v
+	}
+	return nil
 }
 
 // needMinMax reports whether any output column folds min or max — the

@@ -3,7 +3,7 @@ package vql
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 
 	"vap/internal/query"
@@ -133,17 +133,11 @@ func (p *Plan) lowerPredicates(q *Query) error {
 			if p.Sel.MeterIDs != nil {
 				return errAt(pr.Pos, "duplicate meter predicate")
 			}
-			// Sort and deduplicate: IN (1, 1) must scan meter 1 once, not
-			// double-count its samples into every aggregate.
-			ids := append([]int64(nil), pr.IDs...)
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			uniq := ids[:0]
-			for i, id := range ids {
-				if i == 0 || id != ids[i-1] {
-					uniq = append(uniq, id)
-				}
-			}
-			p.Sel.MeterIDs = uniq
+			// Sort and deduplicate: IN (1, 1) is IN (1), in the plan's
+			// canonical text and fingerprint as in the scan.
+			ids := slices.Clone(pr.IDs)
+			slices.Sort(ids)
+			p.Sel.MeterIDs = slices.Compact(ids)
 		case TimePred:
 			p.applyTime(pr)
 			if pr.Op == ">=" {
