@@ -2,12 +2,17 @@ package api
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"vap/internal/core"
+	"vap/internal/geo"
+	"vap/internal/store"
 )
 
 func TestPickTimeout(t *testing.T) {
@@ -92,5 +97,77 @@ func TestSlowlorisConnectionClosed(t *testing.T) {
 	line, err := bufio.NewReader(conn2).ReadString('\n')
 	if err != nil || !strings.Contains(line, "200") {
 		t.Fatalf("healthy request after slowloris close: line %q, err %v", line, err)
+	}
+}
+
+// smallBufListener shrinks every accepted connection's send buffer, so a
+// response the client does not read fills the socket after a few KiB.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestSlowlorisStalledExportReader is TestSlowlorisConnectionClosed's
+// response-side twin: a client requests a multi-MiB export and never reads
+// a byte of it. http.Server's WriteTimeout stays off (SSE), so only the
+// per-chunk write deadline of /api/query can free the handler: it must
+// return within queryWriteTimeout of its last accepted chunk, not hold its
+// goroutine and the rows until the process exits.
+func TestSlowlorisStalledExportReader(t *testing.T) {
+	t.Parallel()
+	st, err := store.Open(store.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	const meters, hours = 100, 720 // 72 000 rows, ≈ 3 MiB of JSON
+	for id := int64(1); id <= meters; id++ {
+		if err := st.PutMeter(store.Meter{ID: id, Location: geo.Point{Lon: 10.1, Lat: 55.6}, Zone: store.ZoneResidential}); err != nil {
+			t.Fatal(err)
+		}
+		for h := 0; h < hours; h++ {
+			if err := st.Append(id, store.Sample{TS: vqlBase + int64(h)*3600, Value: float64(id) + float64(h)/7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	routes := NewServer(core.NewAnalyzer(st), nil).Routes()
+	returned := make(chan time.Time, 1)
+	srv := NewHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		routes.ServeHTTP(w, r)
+		returned <- time.Now()
+	}), ServerTimeouts{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { srv.Serve(smallBufListener{ln}); close(done) }()
+	t.Cleanup(func() { srv.Close(); <-done })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	const stmt = "SELECT meter, bucket(hourly), sum(value) FROM meters GROUP BY meter, bucket(hourly)"
+	req := fmt.Sprintf("POST /api/query HTTP/1.1\r\nHost: x\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\r\n%s", len(stmt), stmt)
+	if _, err := io.WriteString(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	select {
+	case at := <-returned:
+		if held := at.Sub(start); held < queryWriteTimeout {
+			t.Fatalf("handler returned after %v, before any write could time out: the export fit in the socket buffers", held)
+		}
+	case <-time.After(4 * queryWriteTimeout):
+		t.Fatalf("handler still writing to a stalled reader after %v", 4*queryWriteTimeout)
 	}
 }

@@ -173,6 +173,7 @@ func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) 
 	b = append(b, ",\n  \"rows\": ["...)
 	// Zone names repeat down a result: quote each distinct one once.
 	var quoted map[string][]byte
+	chunked := false // a chunk has gone out; each write from here has a deadline
 	for r, row := range out.Rows {
 		if r > 0 {
 			b = append(b, ',')
@@ -205,10 +206,10 @@ func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) 
 		}
 		b = append(b, ']')
 		if len(b) >= queryFlushBytes {
-			if _, err := w.Write(b); err != nil {
+			if err := writeChunk(w, b); err != nil {
 				return err
 			}
-			b = b[:0]
+			b, chunked = b[:0], true
 		}
 	}
 	if len(out.Rows) > 0 {
@@ -223,6 +224,31 @@ func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) 
 	b = append(b, ", "...)
 	b = strconv.AppendInt(b, out.Window[1], 10)
 	b = append(b, "]\n}\n"...)
+	if chunked {
+		return writeChunk(w, b)
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// queryWriteTimeout bounds each write of a multi-chunk /api/query body.
+// http.Server's WriteTimeout is off by default, because /api/stream's
+// Server-Sent Events must outlive any fixed bound, so without this a client
+// that stops reading an export would hold its handler goroutine, and the
+// rows, forever. A reader that takes a 32 KiB chunk at all takes it well
+// inside the bound. (An operator's -write-timeout, when set, is replaced by
+// these per-chunk deadlines for the rest of an export.)
+const queryWriteTimeout = 5 * time.Second
+
+// writeChunk writes one chunk of a multi-chunk body, under a fresh
+// queryWriteTimeout deadline when w is an HTTP response. The server clears
+// the deadline once the response is finished.
+func writeChunk(w io.Writer, b []byte) error {
+	if rw, ok := w.(http.ResponseWriter); ok {
+		// An error means the response cannot take a deadline (a recorder,
+		// not a connection): it is written unbounded, as before.
+		_ = http.NewResponseController(rw).SetWriteDeadline(time.Now().Add(queryWriteTimeout))
+	}
 	_, err := w.Write(b)
 	return err
 }

@@ -52,9 +52,10 @@ type Options struct {
 // and a canonical config), concurrent identical requests share one
 // computation, and any store mutation precisely invalidates stale entries.
 type Analyzer struct {
-	eng *query.Engine
-	ex  *exec.Engine
-	gov *govern.Controller
+	eng   *query.Engine
+	ex    *exec.Engine
+	gov   *govern.Controller
+	plans planCache
 }
 
 // NewAnalyzer wraps a store with default execution options.
@@ -70,9 +71,10 @@ func NewAnalyzerOpts(st *store.Store, opts Options) *Analyzer {
 		gov = govern.New(govern.Config{})
 	}
 	return &Analyzer{
-		eng: query.NewEngineWorkers(st, ex.Workers()),
-		ex:  ex,
-		gov: gov,
+		eng:   query.NewEngineWorkers(st, ex.Workers()),
+		ex:    ex,
+		gov:   gov,
+		plans: planCache{plans: make(map[string]*vql.Plan)},
 	}
 }
 
@@ -104,42 +106,61 @@ type job struct {
 	config         []any // the post-step's knobs, keyed after the windows
 }
 
-// run is the one request lifecycle of VQL and the paper's views alike: it
-// estimates the scan of each resolved [from, to) window with the planner's
-// cost model, admits the whole request under the context's tenant before
-// the exec engine sees it (a rejected or shed request leaves no cache or
-// singleflight state), and memoizes compute under the meters' version
-// fingerprint. The grant rides the context: the executor's batch loops
-// pace against it, and the controller's query deadline bounds execution.
+// run is the one request lifecycle of VQL and the paper's views alike. It
+// keys the request by its meters' version fingerprint, plan, windows and
+// config, and looks the key up. A miss estimates the scan of each resolved
+// [from, to) window with the planner's cost model, admits the whole request
+// under the context's tenant before the exec engine sees it (a rejected or
+// shed request leaves no cache or singleflight state), and memoizes compute
+// under a key taken after admission, beside the request it was admitted
+// as. A hit is admitted as that request, under its own tenant, and returns
+// the cached value: the estimate reads only the plan, the meters, the
+// windows and the meters' stats, the key holds the first three and the
+// versions, and equal versions mean equal stats (store.Series.ver), so the
+// miss's request is the one the hit would estimate. The grant rides the
+// context: the executor's batch loops pace against it, and the controller's
+// query deadline bounds execution.
 func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute func(context.Context) (any, error)) (any, error) {
-	req := govern.Request{Tenant: govern.TenantFrom(ctx), EstMem: j.mem}
-	for _, w := range windows {
-		cost := vql.EstimateScan(a.eng, j.plan, j.ids, w[0], w[1])
-		if cost.Refused != nil {
-			return nil, cost.Refused
+	val, note, hit := a.ex.Lookup(a.key(j, windows))
+	req, known := note.(govern.Request)
+	if !known {
+		req = govern.Request{EstMem: j.mem}
+		for _, w := range windows {
+			cost := vql.EstimateScan(a.eng, j.plan, j.ids, w[0], w[1])
+			if cost.Refused != nil {
+				return nil, cost.Refused
+			}
+			req.EstSamples += cost.EstSamples
+			req.EstMem += cost.EstMemBytes() + int64(cost.Buckets)*j.bucketMem
 		}
-		req.EstSamples += cost.EstSamples
-		req.EstMem += cost.EstMemBytes() + int64(cost.Buckets)*j.bucketMem
 	}
+	req.Tenant = govern.TenantFrom(ctx)
 	grant, err := a.gov.Admit(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	defer grant.Release()
+	if hit {
+		return val, nil
+	}
 	ctx = govern.WithGrant(ctx, grant)
 	if d := grant.Deadline(); !d.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, d)
 		defer cancel()
 	}
+	return a.ex.DoNote(ctx, a.key(j, windows), req, compute)
+}
 
+// key is the memo key of j over windows as the store stands now.
+func (a *Analyzer) key(j job, windows [][2]int64) exec.Key {
 	parts := make([]any, 0, 16)
 	parts = append(parts, j.plan.Fingerprint())
 	for _, w := range windows {
 		parts = append(parts, w[0], w[1])
 	}
 	parts = append(parts, j.config...)
-	return a.ex.Do(ctx, exec.KeyOf(a.Store().Fingerprint(j.ids), j.kind, parts...), compute)
+	return exec.KeyOf(a.Store().Fingerprint(j.ids), j.kind, parts...)
 }
 
 // scanPlan compiles the VQL statement an analysis scan is equivalent to

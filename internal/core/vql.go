@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 
 	"vap/internal/vql"
 )
@@ -34,13 +35,12 @@ type VQLOutput struct {
 // queries over an unchanged selection hit the cache even while other
 // meters stream in, and an append to any selected meter — or an extent
 // move under an unbounded window — invalidates precisely. EXPLAIN
-// statements resolve the plan without executing or caching.
+// statements resolve the plan without executing or caching. The compiled
+// plan is cached by statement text (planCache); the meters and the window
+// are resolved on every call, so a catalog change or new data reaches the
+// next execution of the same text.
 func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
-	q, err := vql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	p, err := vql.Compile(q)
+	p, err := a.plans.compile(src)
 	if err != nil {
 		return nil, err
 	}
@@ -83,4 +83,51 @@ func (a *Analyzer) VQL(ctx context.Context, src string) (*VQLOutput, error) {
 		sfp ^= sfp >> 29
 	}
 	return &VQLOutput{Result: res, PlanHash: p.Fingerprint(), SelectionFingerprint: sfp}, nil
+}
+
+// Bounds of the plan cache: entries, and the longest statement text it
+// keeps, so that a meter IN (…) list of thousands of ids is compiled per
+// call instead of pinned.
+const (
+	planCacheEntries = 256
+	planCacheMaxText = 4 << 10
+)
+
+// planCache maps statement text to its compiled plan. A plan is a pure
+// function of its text — VQL has no now(), and Compile reads neither the
+// catalog nor the store — so an entry never goes stale and the cache needs
+// no invalidation. Plans are shared read-only by every statement that
+// names them. Parse and compile errors are not cached.
+type planCache struct {
+	mu    sync.RWMutex // read-locked on every statement: a hit must not queue behind another
+	plans map[string]*vql.Plan
+}
+
+// compile returns the plan of src, compiling it on a miss.
+func (c *planCache) compile(src string) (*vql.Plan, error) {
+	c.mu.RLock()
+	p, ok := c.plans[src]
+	c.mu.RUnlock()
+	if ok {
+		return p, nil
+	}
+	q, err := vql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = vql.Compile(q); err != nil {
+		return nil, err
+	}
+	if len(src) <= planCacheMaxText {
+		c.mu.Lock()
+		if len(c.plans) >= planCacheEntries {
+			for old := range c.plans { // full: drop an arbitrary entry
+				delete(c.plans, old)
+				break
+			}
+		}
+		c.plans[strings.Clone(src)] = p
+		c.mu.Unlock()
+	}
+	return p, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"vap/internal/geo"
@@ -123,5 +125,96 @@ func TestVQLFingerprintMatchesObservedData(t *testing.T) {
 	}
 	if c.Rows[0][0].(float64) != a.Rows[0][0].(float64)+7 {
 		t.Fatalf("sum = %v, want %v", c.Rows[0][0], a.Rows[0][0].(float64)+7)
+	}
+}
+
+// TestPlanCacheBounds: the plan cache keeps compiled plans by text, never
+// a parse or compile error, never a text over planCacheMaxText, and never
+// more than planCacheEntries plans.
+func TestPlanCacheBounds(t *testing.T) {
+	an, _ := newVQLAnalyzer(t)
+	ctx := context.Background()
+	const q = "SELECT meter, sum(value) FROM meters GROUP BY meter"
+	a, err := an.VQL(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := an.VQL(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.PlanHash != b.PlanHash || an.plans.plans[q] == nil {
+		t.Fatalf("statement not served from the plan cache: %v", an.plans.plans)
+	}
+	for _, bad := range []string{"SELEKT 1", "SELECT meter, sum(value) FROM meters"} {
+		if _, err := an.VQL(ctx, bad); err == nil {
+			t.Fatalf("%q compiled", bad)
+		}
+		if _, ok := an.plans.plans[bad]; ok {
+			t.Fatalf("error of %q cached", bad)
+		}
+	}
+	long := "SELECT meter, sum(value) FROM meters WHERE meter IN (1" + strings.Repeat(", 2", planCacheMaxText/3) + ") GROUP BY meter"
+	if _, err := an.VQL(ctx, long); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := an.plans.plans[long]; ok {
+		t.Fatalf("a %d-byte text was cached", len(long))
+	}
+	for i := 0; i < 2*planCacheEntries; i++ {
+		if _, err := an.VQL(ctx, fmt.Sprintf("SELECT sum(value) FROM meters WHERE time >= %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(an.plans.plans); n != planCacheEntries {
+		t.Fatalf("plan cache holds %d plans, want the bound %d", n, planCacheEntries)
+	}
+}
+
+// TestPlanCacheSharedPlans runs the same texts from many goroutines (under
+// -race in CI): one compiled plan serves them all, cache hits and misses
+// alike, and every answer equals the one a fresh analyzer gives.
+func TestPlanCacheSharedPlans(t *testing.T) {
+	an, st := newVQLAnalyzer(t)
+	ctx := context.Background()
+	stmts := []string{
+		"SELECT meter, sum(value) FROM meters GROUP BY meter",
+		"SELECT zone, mean(value) FROM meters WHERE zone = 'residential' GROUP BY zone",
+		"SELECT meter, bucket(hourly), max(value) FROM meters WHERE meter IN (1, 3) GROUP BY meter, bucket(hourly)",
+		"SELECT count(*) FROM meters WHERE bbox(10.0, 54.0, 10.025, 56.0)",
+	}
+	want := make([]string, len(stmts))
+	for i, q := range stmts {
+		out, err := NewAnalyzer(st).VQL(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(out.Rows)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := (i + w) % len(stmts)
+				if w%2 == 1 && i%5 == 0 {
+					an.Exec().Invalidate() // misses run the shared plan too
+				}
+				out, err := an.VQL(ctx, stmts[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := fmt.Sprint(out.Rows); got != want[k] {
+					t.Errorf("%s: rows %s, want %s", stmts[k], got, want[k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(an.plans.plans); n != len(stmts) {
+		t.Fatalf("plan cache holds %d plans for %d texts", n, len(stmts))
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -55,7 +54,7 @@ func (o *Options) defaults() {
 // Stats counts engine activity since construction. All counters are
 // cumulative and monotone.
 type Stats struct {
-	Hits      uint64 // Do calls answered from the cache
+	Hits      uint64 // Lookup and Do calls that found a cached value
 	Misses    uint64 // Do calls that found no cached value
 	Computes  uint64 // compute functions actually executed
 	Dedups    uint64 // Do calls that joined an in-flight computation
@@ -73,15 +72,45 @@ type Key struct {
 	Hash    uint64
 }
 
-// KeyOf fingerprints parts into a Key. Parts are formatted with %v in
-// order, so any canonical ordering (e.g. sorted meter IDs) must be done by
-// the caller.
+// KeyOf fingerprints parts into a Key. Parts are hashed in order, so any
+// canonical ordering (e.g. sorted meter IDs) must be done by the caller:
+// uint64, int64 and string parts directly, any other part as its %v text.
 func KeyOf(version uint64, kind string, parts ...any) Key {
-	h := fnv.New64a()
+	h := uint64(fnvOffset)
 	for _, p := range parts {
-		fmt.Fprintf(h, "%v\x1f", p)
+		switch v := p.(type) {
+		case uint64:
+			h = hashWord(h, v)
+		case int64:
+			h = hashWord(h, uint64(v))
+		case string:
+			h = hashString(h, v)
+		default:
+			h = hashString(h, fmt.Sprint(v))
+		}
+		h = (h ^ 0x1f) * fnvPrime // part separator
 	}
-	return Key{Version: version, Kind: kind, Hash: h.Sum64()}
+	return Key{Version: version, Kind: kind, Hash: h}
+}
+
+// 64-bit FNV-1a, inline: a key costs no hasher and no formatting.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func hashWord(h, w uint64) uint64 {
+	for shift := 0; shift < 64; shift += 8 {
+		h = (h ^ (w >> shift & 0xff)) * fnvPrime
+	}
+	return h
+}
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // call is one in-flight computation other Do callers can join.
@@ -106,8 +135,9 @@ type Engine struct {
 }
 
 type entry struct {
-	key Key
-	val any
+	key  Key
+	val  any
+	note any
 }
 
 // New returns an engine with the given options.
@@ -155,11 +185,35 @@ func (e *Engine) Invalidate() {
 	e.byKey = make(map[Key]*list.Element)
 }
 
+// Lookup returns the value cached under key and the note Do stored beside
+// it, counting one hit. A miss counts nothing and starts nothing: the Do
+// that follows it counts the miss.
+func (e *Engine) Lookup(key Key) (val, note any, ok bool) {
+	e.mu.Lock()
+	el, ok := e.byKey[key]
+	if !ok {
+		e.mu.Unlock()
+		return nil, nil, false
+	}
+	e.lru.MoveToFront(el)
+	ent := el.Value.(*entry)
+	e.mu.Unlock()
+	e.hits.Add(1)
+	return ent.val, ent.note, true
+}
+
 // Do returns the cached value for key, or computes it via compute,
 // deduplicating concurrent calls for the same key. Successful results are
 // cached (LRU-bounded); errors are not. If the computation leader is
 // cancelled, joined callers whose own context is still live retry.
 func (e *Engine) Do(ctx context.Context, key Key, compute func(ctx context.Context) (any, error)) (any, error) {
+	return e.DoNote(ctx, key, nil, compute)
+}
+
+// DoNote is Do that caches note beside a value it computes, for Lookup to
+// return with it: what the caller knew about the value before computing
+// it, such as what the computation was admitted as.
+func (e *Engine) DoNote(ctx context.Context, key Key, note any, compute func(ctx context.Context) (any, error)) (any, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -201,7 +255,7 @@ func (e *Engine) Do(ctx context.Context, key Key, compute func(ctx context.Conte
 		e.mu.Lock()
 		delete(e.flight, key)
 		if c.err == nil {
-			e.insertLocked(key, c.val)
+			e.insertLocked(&entry{key: key, val: c.val, note: note})
 		}
 		e.mu.Unlock()
 		close(c.done)
@@ -215,13 +269,13 @@ func isContextErr(err error) bool {
 
 // insertLocked adds a result, evicting from the LRU tail past capacity.
 // Callers hold e.mu.
-func (e *Engine) insertLocked(key Key, val any) {
-	if el, ok := e.byKey[key]; ok {
-		el.Value.(*entry).val = val
+func (e *Engine) insertLocked(ent *entry) {
+	if el, ok := e.byKey[ent.key]; ok {
+		el.Value = ent
 		e.lru.MoveToFront(el)
 		return
 	}
-	e.byKey[key] = e.lru.PushFront(&entry{key: key, val: val})
+	e.byKey[ent.key] = e.lru.PushFront(ent)
 	for e.lru.Len() > e.maxEnt {
 		tail := e.lru.Back()
 		e.lru.Remove(tail)

@@ -6,7 +6,7 @@ package index
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"vap/internal/geo"
 )
@@ -256,7 +256,7 @@ func searchNode(n *node, q geo.BBox, dst []int64) []int64 {
 // deterministic tests and stable API responses.
 func (t *RTree) SearchSorted(query geo.BBox) []int64 {
 	ids := t.Search(query, nil)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

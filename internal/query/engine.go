@@ -66,36 +66,18 @@ func (e *Engine) ResolveMeters(sel Selection) ([]int64, error) {
 	var ids []int64
 	switch {
 	case sel.MeterIDs != nil:
-		ids = make([]int64, 0, len(sel.MeterIDs))
-		for _, id := range sel.MeterIDs {
-			if _, ok := cat.Get(id); ok {
-				ids = append(ids, id)
-			}
-		}
+		ids = slices.Clone(sel.MeterIDs)
 		slices.Sort(ids)
-		ids = slices.Compact(ids)
+		ids = cat.Filter(slices.Compact(ids), sel.Zone, sel.BBox)
 	case sel.BBox != nil:
 		ids = cat.Within(*sel.BBox)
+		if sel.Zone != "" {
+			ids = cat.Filter(ids, sel.Zone, nil)
+		}
+	case sel.Zone != "":
+		ids = cat.ZoneIDs(sel.Zone)
 	default:
 		ids = cat.IDs()
-	}
-	if sel.Zone != "" {
-		filtered := ids[:0]
-		for _, id := range ids {
-			if m, ok := cat.Get(id); ok && m.Zone == sel.Zone {
-				filtered = append(filtered, id)
-			}
-		}
-		ids = filtered
-	}
-	if sel.BBox != nil && sel.MeterIDs != nil {
-		filtered := ids[:0]
-		for _, id := range ids {
-			if m, ok := cat.Get(id); ok && sel.BBox.Contains(m.Location) {
-				filtered = append(filtered, id)
-			}
-		}
-		ids = filtered
 	}
 	if len(ids) == 0 {
 		return nil, ErrNoMeters

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vap/internal/geo"
 	"vap/internal/index"
@@ -32,10 +34,25 @@ type Meter struct {
 
 // Catalog is the metadata registry with a spatial index over meter
 // locations. It is safe for concurrent use.
+//
+// Reads that enumerate meters go through a published view: an immutable
+// sorted copy of the registry, built by the first such read after a Put and
+// shared by every read until the next one. A statement's meter resolution
+// then costs a copy of the ids it selects, not a sort of the catalog and a
+// locked lookup per id.
 type Catalog struct {
 	mu     sync.RWMutex
 	meters map[int64]Meter
 	tree   *index.RTree
+	view   atomic.Pointer[catalogView] // nil after a Put until the next read
+}
+
+// catalogView is one published state of the catalog. Nothing in it is
+// written after it is published; callers get copies.
+type catalogView struct {
+	meters []Meter              // every meter, by ascending ID
+	ids    []int64              // ids[i] == meters[i].ID
+	byZone map[ZoneType][]int64 // each zone's ids, ascending
 }
 
 // NewCatalog returns an empty catalog.
@@ -62,7 +79,35 @@ func (c *Catalog) Put(m Meter) error {
 	}
 	c.meters[m.ID] = m
 	c.tree.InsertPoint(m.Location, m.ID)
+	c.view.Store(nil)
 	return nil
+}
+
+// load returns the current view, building it if a Put retired the last
+// one. The view is built and published under the read lock, which no Put
+// can hold at the same time, so a published view is never older than the
+// last Put that returned.
+func (c *Catalog) load() *catalogView {
+	if v := c.view.Load(); v != nil {
+		return v
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if v := c.view.Load(); v != nil {
+		return v
+	}
+	v := &catalogView{meters: make([]Meter, 0, len(c.meters)), byZone: make(map[ZoneType][]int64)}
+	for _, m := range c.meters {
+		v.meters = append(v.meters, m)
+	}
+	slices.SortFunc(v.meters, func(a, b Meter) int { return cmp.Compare(a.ID, b.ID) })
+	v.ids = make([]int64, len(v.meters))
+	for i, m := range v.meters {
+		v.ids[i] = m.ID
+		v.byZone[m.Zone] = append(v.byZone[m.Zone], m.ID)
+	}
+	c.view.Store(v)
+	return v
 }
 
 // Get returns the meter with the given ID.
@@ -74,27 +119,27 @@ func (c *Catalog) Get(id int64) (Meter, bool) {
 }
 
 // All returns every meter sorted by ID.
-func (c *Catalog) All() []Meter {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Meter, 0, len(c.meters))
-	for _, m := range c.meters {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (c *Catalog) All() []Meter { return slices.Clone(c.load().meters) }
 
 // IDs returns every meter ID sorted ascending.
-func (c *Catalog) IDs() []int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]int64, 0, len(c.meters))
-	for id := range c.meters {
-		out = append(out, id)
+func (c *Catalog) IDs() []int64 { return slices.Clone(c.load().ids) }
+
+// ZoneIDs returns the IDs of the meters in zone z, sorted ascending.
+func (c *Catalog) ZoneIDs(z ZoneType) []int64 { return slices.Clone(c.load().byZone[z]) }
+
+// Filter keeps, in place and in order, the ids that name a registered
+// meter in zone z ("" = any zone) whose location box holds (nil = any
+// location), and returns the kept prefix.
+func (c *Catalog) Filter(ids []int64, z ZoneType, box *geo.BBox) []int64 {
+	v := c.load()
+	kept := ids[:0]
+	for _, id := range ids {
+		i, ok := slices.BinarySearch(v.ids, id)
+		if ok && (z == "" || v.meters[i].Zone == z) && (box == nil || box.Contains(v.meters[i].Location)) {
+			kept = append(kept, id)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return kept
 }
 
 // Within returns the IDs of meters inside box, sorted ascending.

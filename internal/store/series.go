@@ -27,7 +27,12 @@ type Series struct {
 	total     int
 	// ver is the per-meter version: bumped on every mutation of this meter
 	// (Append here; registration/replacement by the Store). Guarded by the
-	// owner's shard lock, like every other field.
+	// owner's shard lock, like every other field. Invariant: every change
+	// to what Stats reports bumps ver — appendRaw, pruneRawBefore,
+	// installChunks and a re-put (Store.putMeterShardLocked) — so equal
+	// versions mean equal stats. A cached statement's key holds its meters'
+	// versions, and core admits a hit with the cost estimated from the
+	// stats those versions name (TestVersionStampsStats).
 	ver uint64
 	// rollups are the pre-aggregated tiers maintained on append; see
 	// rollup.go. Empty when the owning store disables rollups.

@@ -474,50 +474,61 @@ func (s *Store) Bounds(meterID int64) (int64, int64, error) {
 	return ser.Bounds()
 }
 
+// rlockFor read-locks every shard that owns one of ids, each once and in
+// index order — the order lockAll takes — so a reader holding several never
+// deadlocks with a whole-store writer. It returns the set to hand to
+// runlock. Finding the set is one pass over ids that builds nothing.
+func (s *Store) rlockFor(ids []int64) (held uint64) {
+	held = ^uint64(0) // more than 64 shards: lock them all
+	if len(s.shards) <= 64 {
+		held = 0
+		for _, id := range ids {
+			held |= 1 << s.shardIndex(id)
+		}
+	}
+	for i, sh := range s.shards {
+		if i >= 64 || held&(1<<i) != 0 {
+			sh.mu.RLock()
+		}
+	}
+	return held
+}
+
+func (s *Store) runlock(held uint64) {
+	for i, sh := range s.shards {
+		if i >= 64 || held&(1<<i) != 0 {
+			sh.mu.RUnlock()
+		}
+	}
+}
+
 // MeterVersions returns the per-meter versions of ids, aligned by index
 // (0 for unknown meters). A meter's version is a counter bumped on every
 // mutation of that meter (registration, metadata replacement, append).
-// Lookups are grouped so each shard is locked at most once.
 func (s *Store) MeterVersions(ids []int64) []uint64 {
 	vers := make([]uint64, len(ids))
-	byShard := make(map[*shard][]int, len(s.shards))
+	defer s.runlock(s.rlockFor(ids))
 	for i, id := range ids {
-		sh := s.shardFor(id)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
-		sh.mu.RLock()
-		for _, i := range idxs {
-			if ser, ok := sh.series[ids[i]]; ok {
-				vers[i] = ser.ver
-			}
+		if ser, ok := s.shardFor(id).series[id]; ok {
+			vers[i] = ser.ver
 		}
-		sh.mu.RUnlock()
 	}
 	return vers
 }
 
 // SeriesStats returns the per-series statistics of ids, aligned by index
 // (zero-valued entries, with MeterID preserved, for unknown meters).
-// Lookups are grouped so each shard is locked at most once; everything
-// returned is append-time metadata, so the call never decodes a block.
-// This is the statistics surface the VQL cost-based planner reads.
+// Everything returned is append-time metadata, so the call never decodes a
+// block. This is the statistics surface the VQL cost-based planner reads.
 func (s *Store) SeriesStats(ids []int64) []SeriesStats {
 	stats := make([]SeriesStats, len(ids))
-	byShard := make(map[*shard][]int, len(s.shards))
+	defer s.runlock(s.rlockFor(ids))
 	for i, id := range ids {
-		stats[i].MeterID = id
-		sh := s.shardFor(id)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
-		sh.mu.RLock()
-		for _, i := range idxs {
-			if ser, ok := sh.series[ids[i]]; ok {
-				stats[i] = ser.Stats()
-			}
+		if ser, ok := s.shardFor(id).series[id]; ok {
+			stats[i] = ser.Stats()
+		} else {
+			stats[i].MeterID = id
 		}
-		sh.mu.RUnlock()
 	}
 	return stats
 }
@@ -529,12 +540,23 @@ func (s *Store) SeriesStats(ids []int64) []SeriesStats {
 // Each pair is hashed independently and the pair hashes combine
 // commutatively, so the fingerprint is insensitive to the order of ids —
 // two selections resolving to the same meter set fingerprint identically
-// regardless of how the caller enumerated it.
+// regardless of how the caller enumerated it. It equals
+// FingerprintPairs(ids, s.MeterVersions(ids)), in one pass that allocates
+// nothing.
 func (s *Store) Fingerprint(ids []int64) uint64 {
 	if ids == nil {
 		ids = s.catalog.IDs()
 	}
-	return FingerprintPairs(ids, s.MeterVersions(ids))
+	var acc uint64
+	defer s.runlock(s.rlockFor(ids))
+	for _, id := range ids {
+		var ver uint64
+		if ser, ok := s.shardFor(id).series[id]; ok {
+			ver = ser.ver
+		}
+		acc += pairHash(id, ver)
+	}
+	return fingerprintOf(acc, len(ids))
 }
 
 // FingerprintPairs combines (id, version) pairs into the selection-scoped
@@ -545,17 +567,29 @@ func (s *Store) Fingerprint(ids []int64) uint64 {
 // results with the fingerprint of exactly the data they read.
 func FingerprintPairs(ids []int64, vers []uint64) uint64 {
 	var acc uint64
-	var buf [16]byte
 	for i, id := range ids {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(id))
-		binary.LittleEndian.PutUint64(buf[8:], vers[i])
-		h := fnv.New64a()
-		h.Write(buf[:])
-		acc += h.Sum64()
+		acc += pairHash(id, vers[i])
 	}
-	// Fold in the set size so the empty set and pathological cancellations
-	// stay distinguishable from "no data".
-	return acc ^ (uint64(len(ids)) * 0x9e3779b97f4a7c15)
+	return fingerprintOf(acc, len(ids))
+}
+
+// pairHash is 64-bit FNV-1a over the pair's 16 little-endian bytes, id
+// first — the value hash/fnv gives, without a hasher per pair. Clients see
+// the sum as selection_fingerprint, so it must not change.
+func pairHash(id int64, ver uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range [2]uint64{uint64(id), ver} {
+		for shift := 0; shift < 64; shift += 8 {
+			h = (h ^ (w >> shift & 0xff)) * 1099511628211
+		}
+	}
+	return h
+}
+
+// fingerprintOf folds in the set size, so the empty set and pathological
+// cancellations stay distinguishable from "no data".
+func fingerprintOf(acc uint64, n int) uint64 {
+	return acc ^ (uint64(n) * 0x9e3779b97f4a7c15)
 }
 
 // GlobalFingerprint hashes the per-shard versions into one store-wide

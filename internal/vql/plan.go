@@ -90,7 +90,8 @@ type Plan struct {
 	hasBucket bool
 	bucketIdx int // index into Keys
 	needZone  bool
-	canonical string
+	// fingerprint hashes the canonical plan text once, at compile time.
+	fingerprint uint64
 }
 
 // Compile type-checks q and lowers it to a Plan. Errors carry source
@@ -109,7 +110,9 @@ func Compile(q *Query) (*Plan, error) {
 	if err := p.resolveOrder(q); err != nil {
 		return nil, err
 	}
-	p.canonical = p.buildCanonical()
+	h := fnv.New64a()
+	h.Write([]byte(p.buildCanonical()))
+	p.fingerprint = h.Sum64()
 	return p, nil
 }
 
@@ -258,11 +261,7 @@ func normalizeRef(s string) string { return strings.ReplaceAll(strings.ToLower(s
 // the same logical plan (modulo formatting, aliases kept) share one
 // fingerprint, the first half of the analyzer's memoization key (the
 // second being the selection's data-version fingerprint).
-func (p *Plan) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p.canonical))
-	return h.Sum64()
-}
+func (p *Plan) Fingerprint() uint64 { return p.fingerprint }
 
 func (p *Plan) buildCanonical() string {
 	var sb strings.Builder

@@ -334,7 +334,7 @@ func TestCanonicalFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pa.Fingerprint() != pb.Fingerprint() {
-		t.Fatalf("equivalent plans fingerprint differently:\n  %s\n  %s", pa.canonical, pb.canonical)
+		t.Fatalf("equivalent plans fingerprint differently:\n  %s\n  %s", pa.buildCanonical(), pb.buildCanonical())
 	}
 	c, _ := Parse("SELECT sum(value) FROM meters WHERE meter IN (1,2) AND time >= 10 GROUP BY meter ORDER BY 1 DESC LIMIT 5")
 	pc, err := Compile(c)
