@@ -178,6 +178,30 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", what, code, strings.TrimSpace(body))
 		}
 	}
+
+	// t1 and t2 take the literals from and to take, through the same
+	// parser: a date literal is a bound, a malformed value a 400 that names
+	// it, an absent one a 400 on both flow endpoints.
+	day5 := ds.Start.AddDate(0, 0, 5)
+	anchors := fmt.Sprintf("t1=%s&t2=%s&granularity=4hourly",
+		day5.Add(12*time.Hour).Format(time.RFC3339), day5.Add(20*time.Hour).Format("2006-01-02T15:04:05"))
+	for what, path := range map[string]string{
+		"heat, date literals":  fmt.Sprintf("/view/map.svg?mode=heat&from=%s&to=%s", day5.Format("2006-01-02"), day5.AddDate(0, 0, 1).Format("2006-01-02")),
+		"flow, date literals":  "/api/flow?" + anchors,
+		"shift, date literals": "/view/map.svg?mode=shift&" + anchors,
+	} {
+		if code, body := get(path); code != 200 {
+			t.Errorf("%s: status %d, want 200 (%s)", what, code, strings.TrimSpace(body))
+		}
+	}
+	for _, door := range []string{"/api/flow?", "/view/map.svg?mode=shift&"} {
+		if code, body := get(fmt.Sprintf("%st1=abc&t2=%d", door, noon)); code != 400 || !strings.Contains(body, "bad t1 parameter") {
+			t.Errorf("%s t1=abc: status %d, want 400 naming t1 (%s)", door, code, strings.TrimSpace(body))
+		}
+		if code, body := get(fmt.Sprintf("%st1=%d", door, noon)); code != 400 || !strings.Contains(body, "t1 and t2 parameters required") {
+			t.Errorf("%s without t2: status %d, want 400 saying t2 is required (%s)", door, code, strings.TrimSpace(body))
+		}
+	}
 }
 
 // TestShiftMapSharesFlowCacheEntry is the regression test for the flow map

@@ -258,6 +258,21 @@ func qTime(r *http.Request, key string) (int64, error) {
 	return ts, nil
 }
 
+// qAnchors reads a flow map's t1 and t2 with qTime, so they take the same
+// literals as from and to. Both are required.
+func qAnchors(r *http.Request) (t1, t2 int64, err error) {
+	if t1, err = qTime(r, "t1"); err != nil {
+		return 0, 0, err
+	}
+	if t2, err = qTime(r, "t2"); err != nil {
+		return 0, 0, err
+	}
+	if t1 == 0 || t2 == 0 {
+		return 0, 0, fmt.Errorf("api: t1 and t2 parameters required")
+	}
+	return t1, t2, nil
+}
+
 // --- handlers ----------------------------------------------------------------
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -514,10 +529,9 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	t1 := qInt64(r, "t1", 0)
-	t2 := qInt64(r, "t2", 0)
-	if t1 == 0 || t2 == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: t1 and t2 parameters required"))
+	t1, t2, err := qAnchors(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{

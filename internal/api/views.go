@@ -34,13 +34,11 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 	case "markers":
 		mv.Title = "VAP view A: customers"
 	case "heat":
-		from := qInt64(r, "from", 0)
-		to := qInt64(r, "to", 0)
-		if from == 0 || to == 0 {
+		if sel.From == 0 || sel.To == 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("api: heat mode requires from and to"))
 			return
 		}
-		field, err := s.an.DemandDensity(r.Context(), sel, from, to, kde.Config{})
+		field, err := s.an.DemandDensity(r.Context(), sel, sel.From, sel.To, kde.Config{})
 		if err != nil {
 			writeAnalysisErr(w, err)
 			return
@@ -54,10 +52,15 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
+		t1, t2, err := qAnchors(r)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
 			Selection:         sel,
-			T1:                qInt64(r, "t1", 0),
-			T2:                qInt64(r, "t2", 0),
+			T1:                t1,
+			T2:                t2,
 			Granularity:       g,
 			IntensityQuantile: qFloat(r, "quantile", 0),
 			OD:                core.ODMode(qStr(r, "od", "matching")),

@@ -107,19 +107,12 @@ func (b BBox) Union(o BBox) BBox {
 	}
 }
 
-// Area returns the box area in square degrees. It is used only for R-tree
-// split heuristics, where degree-space area is an adequate proxy at city
-// scale.
+// Area returns the box area in square degrees (0 for an empty box).
 func (b BBox) Area() float64 {
 	if b.IsEmpty() {
 		return 0
 	}
 	return (b.Max.Lon - b.Min.Lon) * (b.Max.Lat - b.Min.Lat)
-}
-
-// Enlargement returns how much b's area would grow if extended to cover o.
-func (b BBox) Enlargement(o BBox) float64 {
-	return b.Union(o).Area() - b.Area()
 }
 
 // Center returns the box midpoint.

@@ -142,18 +142,6 @@ func TestBBoxUnionCommutativeProperty(t *testing.T) {
 	}
 }
 
-func TestBBoxEnlargement(t *testing.T) {
-	a := NewBBox(Point{0, 0}, Point{2, 2})
-	inside := NewBBox(Point{1, 1}, Point{2, 2})
-	if e := a.Enlargement(inside); e != 0 {
-		t.Errorf("enlargement by contained box = %v, want 0", e)
-	}
-	outside := NewBBox(Point{0, 0}, Point{4, 2})
-	if e := a.Enlargement(outside); e <= 0 {
-		t.Errorf("enlargement by outside box = %v, want > 0", e)
-	}
-}
-
 func TestBBoxCenterMargin(t *testing.T) {
 	b := NewBBox(Point{0, 0}, Point{4, 2})
 	if c := b.Center(); c != (Point{2, 1}) {

@@ -4,9 +4,8 @@ import (
 	"vap/internal/geo"
 )
 
-// Grid is a uniform spatial hash over a fixed study-area bounding box. It is
-// the index VAP uses for raster-aligned operations (KDE accumulation, flow
-// cell lookups) where the R-tree's generality is unnecessary.
+// Grid is a uniform spatial hash over a fixed study-area bounding box. No
+// binary reaches it; only its tests do.
 type Grid struct {
 	box          geo.BBox
 	cols, rows   int

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -77,8 +78,17 @@ func checkNode(n *node, isRoot bool) (bool, string) {
 	return true, ""
 }
 
+// packPoints packs a tree holding pts[i] under id i.
+func packPoints(pts []geo.Point) *RTree {
+	items := make([]Item, len(pts))
+	for i, p := range pts {
+		items[i] = Item{Box: geo.PointBox(p), ID: int64(i)}
+	}
+	return Pack(items)
+}
+
 func TestRTreeEmpty(t *testing.T) {
-	tr := NewRTree()
+	tr := Pack(nil)
 	if tr.Len() != 0 {
 		t.Fatalf("empty len = %d", tr.Len())
 	}
@@ -89,12 +99,11 @@ func TestRTreeEmpty(t *testing.T) {
 
 func TestRTreeInsertSearchExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := NewRTree()
 	pts := make([]geo.Point, 500)
 	for i := range pts {
 		pts[i] = randPoint(rng)
-		tr.InsertPoint(pts[i], int64(i))
 	}
+	tr := packPoints(pts)
 	if tr.Len() != 500 {
 		t.Fatalf("len = %d, want 500", tr.Len())
 	}
@@ -124,70 +133,9 @@ func TestRTreeInsertSearchExhaustive(t *testing.T) {
 	}
 }
 
-func TestRTreeDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := NewRTree()
-	pts := make([]geo.Point, 200)
-	for i := range pts {
-		pts[i] = randPoint(rng)
-		tr.InsertPoint(pts[i], int64(i))
-	}
-	// Delete half, verify searches shrink accordingly.
-	for i := 0; i < 100; i++ {
-		if !tr.Delete(geo.PointBox(pts[i]), int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("len after deletes = %d, want 100", tr.Len())
-	}
-	if ok, msg := tr.CheckInvariants(); !ok {
-		t.Fatalf("invariant violated after delete: %s", msg)
-	}
-	all := tr.SearchSorted(tr.Bounds())
-	if len(all) != 100 {
-		t.Fatalf("search all after deletes = %d, want 100", len(all))
-	}
-	for _, id := range all {
-		if id < 100 {
-			t.Fatalf("deleted id %d still present", id)
-		}
-	}
-	// Deleting a missing item returns false.
-	if tr.Delete(geo.PointBox(pts[0]), 0) {
-		t.Error("double delete should fail")
-	}
-}
-
-func TestRTreeDeleteAll(t *testing.T) {
-	tr := NewRTree()
-	pts := make([]geo.Point, 60)
-	rng := rand.New(rand.NewSource(9))
-	for i := range pts {
-		pts[i] = randPoint(rng)
-		tr.InsertPoint(pts[i], int64(i))
-	}
-	for i := range pts {
-		if !tr.Delete(geo.PointBox(pts[i]), int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("len = %d after deleting all", tr.Len())
-	}
-	// Tree must remain usable.
-	tr.InsertPoint(pts[0], 999)
-	if got := tr.SearchSorted(geo.PointBox(pts[0])); len(got) != 1 || got[0] != 999 {
-		t.Fatalf("reuse after drain failed: %v", got)
-	}
-}
-
 func TestRTreeDuplicatePoints(t *testing.T) {
-	tr := NewRTree()
 	p := geo.Point{Lon: 12.5, Lat: 55.7}
-	for i := 0; i < 50; i++ {
-		tr.InsertPoint(p, int64(i))
-	}
+	tr := packPoints(slices.Repeat([]geo.Point{p}, 50))
 	got := tr.SearchSorted(geo.PointBox(p))
 	if len(got) != 50 {
 		t.Fatalf("duplicate point search = %d, want 50", len(got))
@@ -196,10 +144,11 @@ func TestRTreeDuplicatePoints(t *testing.T) {
 
 func TestRTreeWalkVisitsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := NewRTree()
-	for i := 0; i < 123; i++ {
-		tr.InsertPoint(randPoint(rng), int64(i))
+	pts := make([]geo.Point, 123)
+	for i := range pts {
+		pts[i] = randPoint(rng)
 	}
+	tr := packPoints(pts)
 	seen := map[int64]bool{}
 	tr.Walk(func(it Item) { seen[it.ID] = true })
 	if len(seen) != 123 {
@@ -209,15 +158,15 @@ func TestRTreeWalkVisitsAll(t *testing.T) {
 
 func TestRTreeHeightGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	tr := NewRTree()
-	if tr.Height() != 1 {
-		t.Fatalf("empty height = %d", tr.Height())
+	if h := Pack(nil).Height(); h != 1 {
+		t.Fatalf("empty height = %d", h)
 	}
-	for i := 0; i < 1000; i++ {
-		tr.InsertPoint(randPoint(rng), int64(i))
+	pts := make([]geo.Point, 1000)
+	for i := range pts {
+		pts[i] = randPoint(rng)
 	}
-	if h := tr.Height(); h < 2 || h > 6 {
-		t.Errorf("height after 1000 inserts = %d, want small and > 1", h)
+	if h := packPoints(pts).Height(); h < 2 || h > 6 {
+		t.Errorf("height over 1000 points = %d, want small and > 1", h)
 	}
 }
 
@@ -225,13 +174,12 @@ func TestRTreePropertySearchContainsInserted(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%120 + 1
-		tr := NewRTree()
 		pts := make([]geo.Point, n)
 		for i := range pts {
 			pts[i] = randPoint(rng)
-			tr.InsertPoint(pts[i], int64(i))
 		}
-		// Every inserted point must be findable by its own point box.
+		tr := packPoints(pts)
+		// Every packed point must be findable by its own point box.
 		for i, p := range pts {
 			found := false
 			for _, id := range tr.Search(geo.PointBox(p), nil) {
@@ -249,5 +197,47 @@ func TestRTreePropertySearchContainsInserted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPackEverySize packs sizes up to a few levels deep and checks the fill
+// and cover invariants, the bounds, that every leaf sits at the same depth,
+// and that the walk returns each id once.
+func TestPackEverySize(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 0; n <= 1100; n += 1 + n/40 {
+		pts := make([]geo.Point, n)
+		for i := range pts {
+			pts[i] = randPoint(rng)
+		}
+		tr := packPoints(pts)
+		if ok, msg := tr.CheckInvariants(); !ok {
+			t.Fatalf("n=%d: %s", n, msg)
+		}
+		bounds := geo.EmptyBBox()
+		for _, p := range pts {
+			bounds = bounds.Union(geo.PointBox(p))
+		}
+		if tr.Bounds() != bounds {
+			t.Fatalf("n=%d: bounds %v, want %v", n, tr.Bounds(), bounds)
+		}
+		seen := map[int64]bool{}
+		tr.Walk(func(it Item) { seen[it.ID] = true })
+		if tr.Len() != n || len(seen) != n {
+			t.Fatalf("n=%d: len %d, walked %d distinct ids", n, tr.Len(), len(seen))
+		}
+		var depth func(nd *node, d int)
+		depth = func(nd *node, d int) {
+			if nd.leaf {
+				if d != tr.Height() {
+					t.Fatalf("n=%d: a leaf at depth %d, height %d", n, d, tr.Height())
+				}
+				return
+			}
+			for _, c := range nd.children {
+				depth(c, d+1)
+			}
+		}
+		depth(tr.root, 1)
 	}
 }

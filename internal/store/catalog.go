@@ -1,8 +1,8 @@
 package store
 
 import (
-	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,15 +35,17 @@ type Meter struct {
 // Catalog is the metadata registry with a spatial index over meter
 // locations. It is safe for concurrent use.
 //
-// Reads that enumerate meters go through a published view: an immutable
-// sorted copy of the registry, built by the first such read after a Put and
-// shared by every read until the next one. A statement's meter resolution
-// then costs a copy of the ids it selects, not a sort of the catalog and a
-// locked lookup per id.
+// Set reads (IDs, ZoneIDs, All, Filter, Within, Bounds) come from a
+// published view: an immutable sorted copy of the registry with its R-tree,
+// built by the first such read after a Put and shared by every read until
+// the next one, without the lock. Point reads (Get, Len) come from the map,
+// so a lookup never forces a rebuild partway through a scan. The lock
+// guards Put and the view build. The view packs a tree rather than
+// filtering its slice by box: a linear filter is faster over 460 meters,
+// but 1.4-4x slower than the tree over 4,600 and about 100x over 46,000.
 type Catalog struct {
 	mu     sync.RWMutex
 	meters map[int64]Meter
-	tree   *index.RTree
 	view   atomic.Pointer[catalogView] // nil after a Put until the next read
 }
 
@@ -53,11 +55,12 @@ type catalogView struct {
 	meters []Meter              // every meter, by ascending ID
 	ids    []int64              // ids[i] == meters[i].ID
 	byZone map[ZoneType][]int64 // each zone's ids, ascending
+	tree   *index.RTree         // every meter's location
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{meters: make(map[int64]Meter), tree: index.NewRTree()}
+	return &Catalog{meters: make(map[int64]Meter)}
 }
 
 // Len returns the number of registered meters.
@@ -67,18 +70,14 @@ func (c *Catalog) Len() int {
 	return len(c.meters)
 }
 
-// Put registers or replaces a meter. Replacing relocates it in the index.
+// Put registers or replaces a meter and retires the published view.
 func (c *Catalog) Put(m Meter) error {
 	if !m.Location.Valid() {
 		return fmt.Errorf("store: meter %d has invalid location %v", m.ID, m.Location)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.meters[m.ID]; ok {
-		c.tree.Delete(geo.PointBox(old.Location), m.ID)
-	}
 	c.meters[m.ID] = m
-	c.tree.InsertPoint(m.Location, m.ID)
 	c.view.Store(nil)
 	return nil
 }
@@ -96,16 +95,16 @@ func (c *Catalog) load() *catalogView {
 	if v := c.view.Load(); v != nil {
 		return v
 	}
-	v := &catalogView{meters: make([]Meter, 0, len(c.meters)), byZone: make(map[ZoneType][]int64)}
-	for _, m := range c.meters {
-		v.meters = append(v.meters, m)
+	v := &catalogView{ids: slices.Sorted(maps.Keys(c.meters)), byZone: make(map[ZoneType][]int64)}
+	v.meters = make([]Meter, len(v.ids))
+	items := make([]index.Item, len(v.ids))
+	for i, id := range v.ids {
+		m := c.meters[id]
+		v.meters[i] = m
+		v.byZone[m.Zone] = append(v.byZone[m.Zone], id)
+		items[i] = index.Item{Box: geo.PointBox(m.Location), ID: id}
 	}
-	slices.SortFunc(v.meters, func(a, b Meter) int { return cmp.Compare(a.ID, b.ID) })
-	v.ids = make([]int64, len(v.meters))
-	for i, m := range v.meters {
-		v.ids[i] = m.ID
-		v.byZone[m.Zone] = append(v.byZone[m.Zone], m.ID)
-	}
+	v.tree = index.Pack(items)
 	c.view.Store(v)
 	return v
 }
@@ -143,15 +142,7 @@ func (c *Catalog) Filter(ids []int64, z ZoneType, box *geo.BBox) []int64 {
 }
 
 // Within returns the IDs of meters inside box, sorted ascending.
-func (c *Catalog) Within(box geo.BBox) []int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tree.SearchSorted(box)
-}
+func (c *Catalog) Within(box geo.BBox) []int64 { return c.load().tree.SearchSorted(box) }
 
 // Bounds returns the bounding box of all meters (empty box when empty).
-func (c *Catalog) Bounds() geo.BBox {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tree.Bounds()
-}
+func (c *Catalog) Bounds() geo.BBox { return c.load().tree.Bounds() }

@@ -6,8 +6,9 @@
 // The library is organized like the paper's three-layer architecture:
 //
 //   - the data layer is an embedded spatio-temporal store (compressed
-//     time series per meter, spatial R-tree over locations, optional WAL
-//     and snapshot durability) — Open/OpenInMemory;
+//     time series per meter, a spatial R-tree over locations bulk-loaded
+//     with the catalog's published view, optional WAL and snapshot
+//     durability) — Open/OpenInMemory;
 //   - the logic layer is the Analyzer with the two pattern-recognition
 //     models: TypicalPatterns (t-SNE/MDS dimension reduction with Pearson
 //     correlation distance, brushed-group profiling) and ShiftPatterns
