@@ -178,6 +178,24 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", what, code, strings.TrimSpace(body))
 		}
 	}
+	// A malformed numeric parameter is a 400 that names it, never its
+	// default read in its place.
+	for _, c := range []struct{ name, param string }{
+		{"flow", "cols"}, {"flow", "quantile"}, {"shift", "quantile"},
+		{"reduce", "seed"}, {"patterns", "bx0"}, {"scatter", "bx0"},
+		{"scatter", "w"}, {"heat", "w"}, {"series", "w"},
+	} {
+		code, body := get(paths[c.name] + "&" + c.param + "=abc")
+		if code != 400 || !strings.Contains(body, "bad "+c.param+" parameter") {
+			t.Errorf("%s, %s=abc: status %d, want 400 naming %s (%s)", c.name, c.param, code, c.param, strings.TrimSpace(body))
+		}
+	}
+	// PCA over a yearly profile of a window inside one calendar year has
+	// one feature column: its second axis is 0, not an index panic.
+	yearly := fmt.Sprintf("/api/reduce?method=pca&granularity=yearly&from=%d&to=%d", ds.Start.Unix(), ds.Start.Unix()+20*86400)
+	if code, body := get(yearly); code != 200 {
+		t.Errorf("pca, yearly inside one year: status %d, want 200 (%s)", code, strings.TrimSpace(body))
+	}
 
 	// t1 and t2 take the literals from and to take, through the same
 	// parser: a date literal is a bound, a malformed value a 400 that names

@@ -87,11 +87,16 @@ func (s *Server) Core() *frontend.Core { return s.fc }
 // defaulting, so a co-hosted wire server can bound statements identically.
 func (s *Server) HandlerTimeout() time.Duration { return s.cfg.HandlerTimeout }
 
-// analysis wraps an analysis or view handler: its request context carries
-// the tenant header, stamped for admission control, and is bounded by the
+// analysis wraps an analysis or view handler: a malformed numeric
+// parameter is a 400 before it runs, and its request context carries the
+// tenant header, stamped for admission control, and is bounded by the
 // configured handler timeout.
 func (s *Server) analysis(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if err := badNumber(r); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
 		ctx, cancel := context.WithTimeout(govern.WithTenant(r.Context(), r.Header.Get(TenantHeader)), s.cfg.HandlerTimeout)
 		defer cancel()
 		h(w, r.WithContext(ctx))
@@ -155,6 +160,33 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// numericParams names every query parameter a handler reads with qFloat
+// (false) or qInt64 (true). analysis answers a malformed one with a 400
+// that names it, as qTime does, so a handler never runs on the default
+// read in its place; an absent one keeps its default.
+var numericParams = map[string]bool{
+	"id": true, "seed": true, "w": true, "h": true, "cols": true, "rows": true,
+	"quantile": false, "bx0": false, "by0": false, "bx1": false, "by1": false,
+}
+
+func badNumber(r *http.Request) error {
+	q := r.URL.Query()
+	for key, integer := range numericParams {
+		v := q.Get(key)
+		if v == "" {
+			continue
+		}
+		_, err := strconv.ParseFloat(v, 64)
+		if integer {
+			_, err = strconv.ParseInt(v, 10, 64)
+		}
+		if err != nil {
+			return fmt.Errorf("api: bad %s parameter: %w", key, err)
+		}
+	}
+	return nil
 }
 
 func qFloat(r *http.Request, key string, def float64) float64 {

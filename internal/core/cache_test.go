@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -310,6 +311,59 @@ func TestDefaultWindowInvalidatedByExtentGrowth(t *testing.T) {
 // lifecycle — the engine's buckets, memoized per meter under its version,
 // an aggregate checked before it reaches the plan text, and a window over
 // the memory budget refused before anything is scanned.
+// TestSelectionSeriesAdmittedAndMemoized: view B is the mean over the
+// selected meters of each meter's bucket mean, computed once per
+// (selection, granularity), refused over the memory budget before it is
+// computed, and a 400-class error for a selection that matches no meter.
+func TestSelectionSeriesAdmittedAndMemoized(t *testing.T) {
+	an, ds := fixture(t)
+	ctx := context.Background()
+	ids := []int64{ds.Customers[0].Meter.ID, ds.Customers[20].Meter.ID, ds.Customers[40].Meter.ID}
+	sel := query.Selection{MeterIDs: ids, From: ds.Start.Unix() + 86400, To: ds.Start.Unix() + 9*86400}
+	got, err := an.SelectionSeries(ctx, sel, query.GranDaily)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(got))
+	for _, id := range ids {
+		s, err := an.Engine().MeterSeries(id, sel, query.GranDaily, query.AggMean)
+		if err != nil || len(s) != len(got) {
+			t.Fatalf("meter %d: %d buckets (%v), view B has %d", id, len(s), err, len(got))
+		}
+		for i, b := range s {
+			if b.Start != got[i].Start {
+				t.Fatalf("bucket %d starts at %d, view B at %d", i, b.Start, got[i].Start)
+			}
+			want[i] += b.Value / float64(len(ids))
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("%d daily buckets, want 8", len(got))
+	}
+	for i := range got {
+		if math.Abs(got[i].Value-want[i]) > 1e-9*math.Abs(want[i]) {
+			t.Errorf("bucket %d = %v, want the meters' mean %v", i, got[i].Value, want[i])
+		}
+	}
+	if _, err := an.SelectionSeries(ctx, sel, query.GranDaily); err != nil || an.ExecStats().Computes != 1 {
+		t.Fatalf("identical repeat: computes = %d, want 1 (%v)", an.ExecStats().Computes, err)
+	}
+	if _, err := an.SelectionSeries(ctx, sel, query.GranHourly); err != nil || an.ExecStats().Computes != 2 {
+		t.Fatalf("another granularity: computes = %d, want 2 (%v)", an.ExecStats().Computes, err)
+	}
+	if _, err := an.SelectionSeries(ctx, query.Selection{MeterIDs: []int64{999999}}, query.GranDaily); !errors.Is(err, query.ErrNoMeters) {
+		t.Fatalf("no known meter: %v, want ErrNoMeters", err)
+	}
+	small := NewAnalyzerOpts(an.Store(), Options{Gov: govern.New(govern.Config{MemBudget: 4 << 20})})
+	var ce *govern.CostError
+	if _, err := small.SelectionSeries(ctx, query.Selection{From: 1}, query.GranHourly); !errors.As(err, &ce) {
+		t.Fatalf("hourly view B from 1970 under a 4 MiB budget: %v, want a cost refusal", err)
+	}
+	if got := small.ExecStats().Computes; got != 0 {
+		t.Fatalf("refused view B computed %d times", got)
+	}
+}
+
 func TestMeterSeriesAdmittedAndMemoized(t *testing.T) {
 	an, ds := fixture(t)
 	ctx := context.Background()

@@ -9,9 +9,10 @@
 //     between two time windows at any of the paper's seven temporal
 //     granularities (view A).
 //
-// The package also provides the brushing/selection session model and a
-// heuristic pattern labeller that names brushed groups after the paper's
-// five canonical profiles.
+// The package also provides the stateless brush over a reduced view
+// (Brush, TypicalView.SelectBrush, TypicalView.Profile) and a heuristic
+// pattern labeller that names brushed groups after the paper's five
+// canonical profiles.
 package core
 
 import (

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -204,8 +205,10 @@ func (e *Engine) Lookup(key Key) (val, note any, ok bool) {
 
 // Do returns the cached value for key, or computes it via compute,
 // deduplicating concurrent calls for the same key. Successful results are
-// cached (LRU-bounded); errors are not. If the computation leader is
-// cancelled, joined callers whose own context is still live retry.
+// cached (LRU-bounded); errors are not. A panic in compute is returned,
+// to the caller and every joiner, as a *PanicError. If the computation
+// leader is cancelled, joined callers whose own context is still live
+// retry.
 func (e *Engine) Do(ctx context.Context, key Key, compute func(ctx context.Context) (any, error)) (any, error) {
 	return e.DoNote(ctx, key, nil, compute)
 }
@@ -250,7 +253,15 @@ func (e *Engine) DoNote(ctx context.Context, key Key, note any, compute func(ctx
 
 		e.misses.Add(1)
 		e.computes.Add(1)
-		c.val, c.err = compute(ctx)
+		func() {
+			// A panic must still release the key and wake the joiners.
+			defer func() {
+				if r := recover(); r != nil {
+					c.val, c.err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+				}
+			}()
+			c.val, c.err = compute(ctx)
+		}()
 
 		e.mu.Lock()
 		delete(e.flight, key)

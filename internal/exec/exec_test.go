@@ -123,6 +123,84 @@ func TestDoSingleflight(t *testing.T) {
 	}
 }
 
+// TestDoPanicReleasesKey: a computation that panics must not poison its
+// key. The leader and a joiner waiting on it both return promptly with the
+// *PanicError, nothing is cached, a later call computes again (and panics
+// again), and a third call computes its value and caches it.
+func TestDoPanicReleasesKey(t *testing.T) {
+	e := New(Options{})
+	key := KeyOf(1, "t", "boom")
+	var computes atomic.Int64
+	call := func(fn func(context.Context) (any, error)) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := e.Do(context.Background(), key, fn)
+			done <- err
+		}()
+		return done
+	}
+	wantPanic := func(who string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			var pe *PanicError
+			if !errors.As(err, &pe) || pe.Value != "kaboom" || !contains(string(pe.Stack), "exec.explode") {
+				t.Errorf("%s: err = %v, want the *PanicError of explode", who, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s hung on a computation that panicked", who)
+		}
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := call(func(context.Context) (any, error) {
+		computes.Add(1)
+		close(started)
+		<-release
+		explode()
+		return nil, nil
+	})
+	<-started
+	joiner := call(func(context.Context) (any, error) {
+		t.Error("the joiner computed instead of joining")
+		return nil, nil
+	})
+	for deadline := time.Now().Add(3 * time.Second); e.Stats().Dedups == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the joiner never joined")
+		}
+	}
+	close(release)
+	wantPanic("leader", leader)
+	wantPanic("joiner", joiner)
+	if e.Cached(key) {
+		t.Fatal("a panic was cached")
+	}
+	wantPanic("later call", call(func(context.Context) (any, error) {
+		computes.Add(1)
+		explode()
+		return nil, nil
+	}))
+	third := make(chan any, 1)
+	go func() {
+		v, _ := e.Do(context.Background(), key, func(context.Context) (any, error) {
+			computes.Add(1)
+			return 7, nil
+		})
+		third <- v
+	}()
+	select {
+	case v := <-third:
+		if v != 7 || !e.Cached(key) {
+			t.Errorf("third call = %v, cached %v; want 7, cached", v, e.Cached(key))
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("third call hung")
+	}
+	if got := computes.Load(); got != 3 {
+		t.Errorf("%d computations, want 3", got)
+	}
+}
+
 func TestDoLeaderCancelRetry(t *testing.T) {
 	e := New(Options{})
 	key := KeyOf(1, "t", "retry")

@@ -10,17 +10,18 @@ import (
 	"vap/internal/govern"
 )
 
-// PanicError is a panic recovered on one of ForEach's worker goroutines,
-// returned as the loop's error. Error() gives only the panic value — it
-// may reach a client — and Stack keeps the goroutine's stack at the point
-// of the panic, so the fault can be located from the running process.
+// PanicError is a panic recovered on one of ForEach's worker goroutines or
+// in an Engine computation, returned as the loop's or the call's error.
+// Error() gives only the panic value — it may reach a client — and Stack
+// keeps the goroutine's stack at the point of the panic, so the fault can
+// be located from the running process.
 type PanicError struct {
 	Value any
 	Stack []byte
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("exec: panic in parallel task: %v", e.Value)
+	return fmt.Sprintf("exec: panic in task: %v", e.Value)
 }
 
 // ForEach runs fn(i) for every i in [0, n) across up to workers

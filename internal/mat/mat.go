@@ -1,17 +1,20 @@
 // Package mat implements the small dense linear-algebra kernel VAP's
-// analytics need: a row-major dense matrix, symmetric eigendecomposition via
-// the cyclic Jacobi method, power iteration with deflation, and the
-// double-centering operator used by classical MDS.
+// analytics need: a row-major dense matrix, the double-centering operator
+// of classical MDS, and one symmetric eigensolver for the reducers —
+// TopEigen, a Lanczos top-k whose small tridiagonal is diagonalized by
+// SymEigen's cyclic Jacobi method.
 //
-// The package is deliberately minimal — it is not a general BLAS — but every
-// routine is exact (no approximations beyond float64) and tested against
-// closed-form cases.
+// The package is deliberately minimal — it is not a general BLAS — and is
+// tested against closed-form cases and, for TopEigen, against the full
+// Jacobi decomposition.
 package mat
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Dense is a row-major dense matrix.
@@ -26,22 +29,6 @@ func NewDense(rows, cols int) *Dense {
 		panic("mat: negative dimension")
 	}
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a Dense from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return NewDense(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			return nil, fmt.Errorf("mat: ragged input: row %d has %d cols, want %d", i, len(r), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m, nil
 }
 
 // At returns element (i, j).
@@ -60,40 +47,6 @@ func (m *Dense) Clone() *Dense {
 	return out
 }
 
-// T returns the transpose as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m * b.
-func (m *Dense) Mul(b *Dense) (*Dense, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("mat: dimension mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := mi[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
-	return out, nil
-}
-
 // MulVec returns m * v.
 func (m *Dense) MulVec(v []float64) ([]float64, error) {
 	if m.Cols != len(v) {
@@ -109,24 +62,6 @@ func (m *Dense) MulVec(v []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// Scale multiplies every element in place by s.
-func (m *Dense) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Add adds b element-wise in place; dimensions must match.
-func (m *Dense) Add(b *Dense) error {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return errors.New("mat: dimension mismatch in Add")
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-	return nil
 }
 
 // IsSymmetric reports whether the matrix is square and symmetric to tol.
@@ -221,33 +156,20 @@ func SymEigen(a *Dense) (*Eigen, error) {
 			}
 		}
 	}
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = w.At(i, i)
-	}
-	// Sort descending by eigenvalue, permuting vector columns to match.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	for i := 0; i < n; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if vals[order[j]] > vals[order[best]] {
-				best = j
-			}
-		}
-		order[i], order[best] = order[best], order[i]
-	}
-	sortedVals := make([]float64, n)
-	vecs := NewDense(n, n)
+	// Descending by eigenvalue, vector columns following.
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(w.At(y, y), w.At(x, x)) })
+	vals, vecs := make([]float64, n), NewDense(n, n)
 	for k, idx := range order {
-		sortedVals[k] = vals[idx]
+		vals[k] = w.At(idx, idx)
 		for r := 0; r < n; r++ {
 			vecs.Set(r, k, v.At(r, idx))
 		}
 	}
-	return &Eigen{Values: sortedVals, Vectors: vecs}, nil
+	return &Eigen{Values: vals, Vectors: vecs}, nil
 }
 
 // rotate applies a Jacobi rotation with cos c, sin s on rows/cols p, q of w,
@@ -305,85 +227,126 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// PowerIteration estimates the dominant eigenpair of symmetric matrix a
-// starting from x0 (a nonzero vector; pass nil for a default). It returns
-// the eigenvalue, the unit eigenvector, and the number of iterations used.
-func PowerIteration(a *Dense, x0 []float64, maxIter int, tol float64) (float64, []float64, int, error) {
-	n := a.Rows
-	if n != a.Cols {
-		return 0, nil, 0, errors.New("mat: PowerIteration requires a square matrix")
-	}
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	} else {
-		for i := range x {
-			// Deterministic quasi-random start avoids orthogonal-start stalls.
-			x[i] = 1 + 0.001*float64(i%7)
-		}
-	}
-	normalize(x)
-	lambda := 0.0
-	for it := 1; it <= maxIter; it++ {
-		y, err := a.MulVec(x)
-		if err != nil {
-			return 0, nil, it, err
-		}
-		newLambda := dot(x, y)
-		ny := norm(y)
-		if ny == 0 {
-			return 0, x, it, nil // a x = 0: eigenvalue 0
-		}
-		for i := range y {
-			y[i] /= ny
-		}
-		diff := 0.0
-		for i := range y {
-			d := y[i] - x[i]
-			// The sign of the eigenvector is arbitrary; track the closer sign.
-			d2 := y[i] + x[i]
-			if math.Abs(d2) < math.Abs(d) {
-				d = d2
-			}
-			diff += d * d
-		}
-		copy(x, y)
-		lambda = newLambda
-		if math.Sqrt(diff) < tol {
-			return lambda, x, it, nil
-		}
-	}
-	return lambda, x, maxIter, nil
-}
-
-// TopEigen computes the k largest-magnitude eigenpairs of symmetric a using
-// power iteration with Hotelling deflation. It is faster than a full Jacobi
-// sweep when k << n, which is the MDS case (k = 2).
+// TopEigen returns the k algebraically largest eigenpairs of symmetric a:
+// values descending, column j of the n x k result the unit eigenvector of
+// value j, zero pairs past n; a non-square a or a non-finite entry is an
+// error. It runs Lanczos with full reorthogonalization from a fixed start
+// vector and diagonalizes the tridiagonal with SymEigen every 4 steps,
+// until every wanted Ritz residual beta_m*|s_mj| is at most tol times the
+// largest |Ritz value|, or for min(n, maxIter) steps.
+//
+// An invariant Krylov space misses what the start vector did not reach,
+// such as the second copy of a repeated value, so the run restarts
+// orthogonally to it and from then on ends only at the step limit or at an
+// invariant space that raises no wanted value. A start vector that reaches
+// every eigenvalue leaves only copies of seen values to a restarted block,
+// which therefore goes invariant as fast. Like any single-vector Krylov
+// method, if a wanted value repeats exactly and the space never goes
+// invariant, its further copies appear only through rounding, and one may
+// be missing.
 func TopEigen(a *Dense, k, maxIter int, tol float64) ([]float64, *Dense, error) {
 	n := a.Rows
-	if k > n {
-		k = n
+	if n != a.Cols {
+		return nil, nil, errors.New("mat: TopEigen requires a square matrix")
 	}
-	work := a.Clone()
-	vals := make([]float64, 0, k)
-	vecs := NewDense(n, k)
-	for c := 0; c < k; c++ {
-		lambda, vec, _, err := PowerIteration(work, nil, maxIter, tol)
-		if err != nil {
-			return nil, nil, err
+	for _, x := range a.Data {
+		if math.IsNaN(x) || math.IsInf(x, 0) { // no Ritz residual would ever converge
+			return nil, nil, errors.New("mat: TopEigen requires finite entries")
 		}
-		vals = append(vals, lambda)
-		for i := 0; i < n; i++ {
-			vecs.Set(i, c, vec[i])
+	}
+	vals, vecs := make([]float64, k), NewDense(n, k)
+	steps := min(n, maxIter)
+	if k == 0 || steps <= 0 {
+		return vals, vecs, nil
+	}
+	v := make([]float64, n)
+	for i := range v {
+		// Deterministic quasi-random start avoids orthogonal-start stalls.
+		v[i] = 1 + 0.001*float64(i%7)
+	}
+	normalize(v)
+	basis := make([][]float64, 0, steps)
+	var alpha, beta []float64
+	var ritz *Eigen
+	scale := 0.0        // largest |alpha|, beta seen: a lower bound on ||a||
+	kth := math.Inf(-1) // k-th Ritz value at the last restart
+	for {
+		basis = append(basis, v)
+		w, _ := a.MulVec(v) // a is square
+		alpha = append(alpha, dot(v, w))
+		orthogonalize(w, basis)
+		b, m := norm(w), len(basis)
+		scale = max(scale, math.Abs(alpha[m-1]), b)
+		invariant := b <= 1e-12*scale
+		// After a restart with k values only an invariant space is checked:
+		// the earlier blocks' pairs have zero residuals.
+		if m == steps || invariant || (m >= k && m%4 == 0 && math.IsInf(kth, -1)) {
+			t := NewDense(m, m)
+			for i := range alpha {
+				t.Set(i, i, alpha[i])
+				if i > 0 {
+					t.Set(i, i-1, beta[i-1])
+					t.Set(i-1, i, beta[i-1])
+				}
+			}
+			ritz, _ = SymEigen(t) // symmetric by construction
+			bound := tol * max(math.Abs(ritz.Values[0]), math.Abs(ritz.Values[m-1]))
+			converged := !invariant
+			for j := 0; j < min(k, m); j++ {
+				converged = converged && b*math.Abs(ritz.Vectors.At(m-1, j)) <= bound
+			}
+			if m == steps || converged || (m >= k && ritz.Values[k-1] <= kth+bound) {
+				break
+			}
+			if invariant {
+				if m >= k {
+					kth = ritz.Values[k-1]
+				}
+				w, b = restartVector(basis), 0
+			}
 		}
-		// Deflate: work -= lambda * v v^T
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				work.Set(i, j, work.At(i, j)-lambda*vec[i]*vec[j])
+		beta = append(beta, b)
+		v = w
+		normalize(v)
+	}
+	for j := 0; j < min(k, len(basis)); j++ {
+		vals[j] = ritz.Values[j]
+		for i, q := range basis { // column j is basis * s_j
+			for r, x := range q {
+				vecs.Data[r*k+j] += ritz.Vectors.At(i, j) * x
 			}
 		}
 	}
 	return vals, vecs, nil
+}
+
+// orthogonalize removes from w its components along the orthonormal basis,
+// in two classical Gram-Schmidt passes.
+func orthogonalize(w []float64, basis [][]float64) {
+	for pass := 0; pass < 2; pass++ {
+		for _, q := range basis {
+			c := dot(q, w)
+			for i := range w {
+				w[i] -= c * q[i]
+			}
+		}
+	}
+}
+
+// restartVector returns e_r for the coordinate r the basis covers least,
+// orthogonalized against the basis: with fewer than n basis vectors, r's
+// squared coverage is below 1, so the result is nonzero.
+func restartVector(basis [][]float64) []float64 {
+	cover := make([]float64, len(basis[0]))
+	for _, q := range basis {
+		for r, x := range q {
+			cover[r] += x * x
+		}
+	}
+	w := make([]float64, len(cover))
+	w[slices.Index(cover, slices.Min(cover))] = 1
+	orthogonalize(w, basis)
+	return w
 }
 
 func dot(a, b []float64) float64 {

@@ -10,10 +10,11 @@ import (
 )
 
 // ClassicalMDS embeds the distance matrix d into 2-D by Torgerson's method:
-// double-center the squared distances into a Gram matrix and project onto
-// its top-2 eigenvectors scaled by sqrt(eigenvalue). For n <= jacobiCutoff
-// a full Jacobi decomposition is used; beyond that, power iteration with
-// deflation (only two eigenpairs are needed).
+// double-center the squared distances into a Gram matrix B and project onto
+// the eigenvectors of B's two largest eigenvalues by value (mat.TopEigen),
+// scaled by sqrt(eigenvalue). B of a non-Euclidean distance such as Pearson
+// is indefinite; a negative value is an axis with no Euclidean extent and
+// embeds as 0.
 func ClassicalMDS(d [][]float64) (Embedding, error) {
 	n := len(d)
 	if n < 2 {
@@ -32,29 +33,13 @@ func ClassicalMDS(d [][]float64) (Embedding, error) {
 	if err != nil {
 		return nil, err
 	}
-	const jacobiCutoff = 64
-	var vals []float64
-	var vecs *mat.Dense
-	if n <= jacobiCutoff {
-		eig, err := mat.SymEigen(b)
-		if err != nil {
-			return nil, err
-		}
-		vals = eig.Values[:2]
-		vecs = eig.Vectors
-	} else {
-		vals, vecs, err = mat.TopEigen(b, 2, 1000, 1e-10)
-		if err != nil {
-			return nil, err
-		}
+	vals, vecs, err := mat.TopEigen(b, 2, 1000, 1e-10)
+	if err != nil {
+		return nil, err
 	}
 	out := make(Embedding, n)
 	for k := 0; k < 2; k++ {
-		lambda := vals[k]
-		if lambda < 0 {
-			lambda = 0 // non-Euclidean dissimilarities can yield negatives
-		}
-		s := math.Sqrt(lambda)
+		s := math.Sqrt(max(vals[k], 0))
 		for i := 0; i < n; i++ {
 			out[i][k] = s * vecs.At(i, k)
 		}
@@ -161,6 +146,8 @@ func stress(d [][]float64, x Embedding) float64 {
 
 // PCA projects the raw rows (not a distance matrix) onto their top-2
 // principal components — the cheap linear baseline for the E4 comparison.
+// The components are mat.TopEigen's two leading eigenvectors of the
+// covariance matrix; with one feature column the second axis is 0.
 func PCA(rows [][]float64) (Embedding, error) {
 	n := len(rows)
 	if n < 2 {

@@ -7,7 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vap/internal/gen"
+	"vap/internal/mat"
+	"vap/internal/query"
 	"vap/internal/stat"
+	"vap/internal/store"
 )
 
 // threeClusters builds n rows in 3 well-separated groups of distinct
@@ -179,8 +183,10 @@ func TestClassicalMDSRecoversLineGeometry(t *testing.T) {
 	check(0, 2, 7)
 }
 
+// TestClassicalMDSLargeUsesPowerIteration keeps the name of the branch n =
+// 90 once took; every n now goes through the same eigen solve.
 func TestClassicalMDSLargeUsesPowerIteration(t *testing.T) {
-	rows, labels := threeClusters(90, 24, 4) // > jacobiCutoff
+	rows, labels := threeClusters(90, 24, 4)
 	d, _ := DistanceMatrix(rows, MetricEuclidean)
 	emb, err := ClassicalMDS(d)
 	if err != nil {
@@ -194,6 +200,111 @@ func TestClassicalMDSLargeUsesPowerIteration(t *testing.T) {
 	}
 	if knn < 0.85 {
 		t.Errorf("large MDS knn purity = %.3f", knn)
+	}
+}
+
+// TestClassicalMDSByValueOnIndefiniteGram pins classical MDS to the Gram
+// matrix's two largest eigenvalues by value. The generated year's monthly
+// profiles of meters 81-145 (n = 65) give a Pearson Gram matrix whose
+// second eigenvalue by magnitude is negative: a largest-magnitude solver
+// clamped that axis to 0 and gave every point the same y.
+func TestClassicalMDSByValueOnIndefiniteGram(t *testing.T) {
+	ds := gen.Generate(gen.Config{Seed: 42, Days: 365})
+	st, err := store.Open(store.Options{RollupRes: []int64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var ids []int64
+	for i := 80; i < 145; i++ {
+		m := ds.Customers[i].Meter
+		if err := st.PutMeter(m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.AppendBatch(m.ID, ds.Readings[i]); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, m.ID)
+	}
+	_, _, rows, err := query.NewEngineWorkers(st, 1).MeterMatrix(query.Selection{MeterIDs: ids}, query.GranMonthly, query.AggMean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DistanceMatrix(rows, MetricPearson)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, err := ClassicalMDS(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ys := map[float64]bool{}
+	for _, p := range emb {
+		ys[p[1]] = true
+	}
+	if len(ys) != len(emb) {
+		t.Errorf("%d distinct y values over %d points", len(ys), len(emb))
+	}
+	// The reference: the full Jacobi decomposition of the same Gram matrix.
+	n := len(d)
+	d2 := mat.NewDense(n, n)
+	for i := range d {
+		for j := range d {
+			d2.Set(i, j, d[i][j]*d[i][j])
+		}
+	}
+	b, _ := mat.DoubleCenter(d2)
+	full, err := mat.SymEigen(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		if full.Values[k] <= 0 {
+			t.Fatalf("reference eigenvalue %d = %v, want positive", k, full.Values[k])
+		}
+		s, sign := math.Sqrt(full.Values[k]), 0.0
+		for i := range emb {
+			sign += emb[i][k] * full.Vectors.At(i, k)
+		}
+		sign = math.Copysign(1, sign)
+		for i := range emb {
+			if want := sign * s * full.Vectors.At(i, k); math.Abs(emb[i][k]-want) > 1e-8 {
+				t.Fatalf("axis %d point %d = %v, Jacobi %v", k, i, emb[i][k], want)
+			}
+		}
+	}
+}
+
+// TestClassicalMDSEquidistantKeepsBothAxes: points all at distance 1 from
+// each other (a selection of flat series, which correlate with nothing)
+// give B = J/2, one eigenvalue 1/2 repeated n-1 times. Both axes must
+// carry it; the Krylov space of one start vector goes invariant after two
+// steps, before it has seen the second copy.
+func TestClassicalMDSEquidistantKeepsBothAxes(t *testing.T) {
+	for _, n := range []int{3, 10, 65, 120} {
+		d := make([][]float64, n)
+		for i := range d {
+			d[i] = make([]float64, n)
+			for j := range d[i] {
+				if i != j {
+					d[i][j] = 1
+				}
+			}
+		}
+		emb, err := ClassicalMDS(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 2; k++ {
+			ss := 0.0
+			for _, p := range emb {
+				ss += p[k] * p[k]
+			}
+			// sum of squared coordinates along an axis is its eigenvalue
+			if math.Abs(ss-0.5) > 1e-9 {
+				t.Errorf("n=%d: axis %d carries %v, want 0.5", n, k, ss)
+			}
+		}
 	}
 }
 
@@ -246,6 +357,21 @@ func TestPCAKnownDirection(t *testing.T) {
 	}
 	if stat.Variance(v1) < 10*stat.Variance(v2) {
 		t.Errorf("PC1 var %v not dominant over PC2 var %v", stat.Variance(v1), stat.Variance(v2))
+	}
+}
+
+// TestPCAOneFeatureColumn covers rows of one feature, such as a yearly
+// profile over a window inside one calendar year: the covariance is 1 x 1,
+// the first axis is the centred value and the second is 0.
+func TestPCAOneFeatureColumn(t *testing.T) {
+	emb, err := PCA([][]float64{{1}, {3}, {8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{-3, -1, 4} {
+		if math.Abs(math.Abs(emb[i][0])-math.Abs(want)) > 1e-12 || emb[i][1] != 0 {
+			t.Errorf("point %d = %v, want (±%v, 0)", i, emb[i], want)
+		}
 	}
 }
 
