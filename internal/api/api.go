@@ -198,6 +198,15 @@ func qFloat(r *http.Request, key string, def float64) float64 {
 	return def
 }
 
+// qBrush reads the brush corners bx0,by0,bx1,by1 (default the unit
+// square) and orders each axis's pair, so a brush dragged backwards on
+// either axis is the same rectangle.
+func qBrush(r *http.Request) core.Brush {
+	x0, y0 := qFloat(r, "bx0", 0), qFloat(r, "by0", 0)
+	x1, y1 := qFloat(r, "bx1", 1), qFloat(r, "by1", 1)
+	return core.Brush{MinX: min(x0, x1), MinY: min(y0, y1), MaxX: max(x0, x1), MaxY: max(y0, y1)}
+}
+
 func qInt64(r *http.Request, key string, def int64) int64 {
 	if v := r.URL.Query().Get(key); v != "" {
 		if f, err := strconv.ParseInt(v, 10, 64); err == nil {
@@ -530,11 +539,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	brush := core.Brush{
-		MinX: qFloat(r, "bx0", 0), MinY: qFloat(r, "by0", 0),
-		MaxX: qFloat(r, "bx1", 1), MaxY: qFloat(r, "by1", 1),
-	}
-	ids, rowIdx, err := v.SelectBrush(brush)
+	ids, rowIdx, err := v.SelectBrush(qBrush(r))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return

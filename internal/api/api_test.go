@@ -8,7 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -343,6 +345,48 @@ func TestReduceAndPatterns(t *testing.T) {
 	}
 }
 
+// TestReversedBrush: a brush dragged right to left and bottom to top is
+// the rectangle of its ordered corners, on /api/patterns (the same body)
+// and on the scatter view (a rect of non-negative size, the same SVG).
+func TestReversedBrush(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	const ordered, reversed = "bx0=0&by0=0&bx1=1&by1=1", "bx0=1&by0=1&bx1=0&by1=0"
+	code, want := get("/api/patterns?method=mds&" + ordered)
+	if code != 200 {
+		t.Fatalf("ordered brush status = %d: %s", code, want)
+	}
+	if code, got := get("/api/patterns?method=mds&" + reversed); code != 200 || got != want {
+		t.Errorf("reversed brush: status %d, body %.120s; want 200, %.120s", code, got, want)
+	}
+
+	_, wantSVG := get("/view/scatter.svg?method=mds&bx0=0.2&by0=0.3&bx1=0.8&by1=0.9")
+	code, svg := get("/view/scatter.svg?method=mds&bx0=0.8&by0=0.9&bx1=0.2&by1=0.3")
+	if code != 200 || svg != wantSVG {
+		t.Errorf("reversed scatter brush: status %d, SVG differs from the ordered brush's", code)
+	}
+	rects := regexp.MustCompile(`<rect [^>]*width="([^"]+)" height="([^"]+)"`).FindAllStringSubmatch(svg, -1)
+	if len(rects) < 2 {
+		t.Fatalf("scatter SVG has %d rects, want the background and the brush", len(rects))
+	}
+	for _, m := range rects {
+		for _, v := range m[1:] {
+			if f, err := strconv.ParseFloat(v, 64); err != nil || f < 0 {
+				t.Errorf("scatter rect %q: negative or malformed size", m[0])
+			}
+		}
+	}
+}
+
 func TestReduceCaching(t *testing.T) {
 	srv, _ := newTestServer(t, nil)
 	t0 := time.Now()
@@ -491,13 +535,6 @@ func TestNonFiniteReadingKeepsViewsRenderable(t *testing.T) {
 			t.Errorf("%s: %d-byte SVG with %d marks holds NaN or only the empty frame", p, len(body), marks)
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestIndexPage(t *testing.T) {

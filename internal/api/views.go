@@ -119,11 +119,8 @@ func (s *Server) handleScatterSVG(w http.ResponseWriter, r *http.Request) {
 		Title:  fmt.Sprintf("VAP view C: %s / %s", v.Method, v.Metric),
 	}
 	if r.URL.Query().Get("bx0") != "" {
-		b := [4]float64{
-			qFloat(r, "bx0", 0), qFloat(r, "by0", 0),
-			qFloat(r, "bx1", 1), qFloat(r, "by1", 1),
-		}
-		sv.Brush = &b
+		b := qBrush(r)
+		sv.Brush = &[4]float64{b.MinX, b.MinY, b.MaxX, b.MaxY}
 	}
 	writeSVG(w, sv.Render())
 }

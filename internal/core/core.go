@@ -263,9 +263,11 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 	}
 	n := int64(len(ids))
 	// The reducer's peak: t-SNE and MDS hold the n x n distance matrix and
-	// P (MDS: B) at once, and t-SNE's pair tiles add their partials, 32
-	// bytes for each of at most n*n/128 + n row shares.
-	fn, g, mem, bucketMem := cfg.Aggregate, cfg.Granularity, 16*n*n+n*n/4+32*n, 8*n
+	// P (MDS: B) at once; t-SNE's pair tiles add their partials, four
+	// float64 slices per tile, 32 bytes for each of at most n*n/128 + n row
+	// shares, and each iteration's copy of the coordinates, 16 bytes a
+	// point.
+	fn, g, mem, bucketMem := cfg.Aggregate, cfg.Granularity, 16*n*n+n*n/4+48*n, 8*n
 	if cfg.UseDailyProfile {
 		fn, g, mem, bucketMem = query.AggMean, query.GranHourly, mem+24*8*n, 0
 	}

@@ -126,21 +126,9 @@ func pearsonDistances(rows [][]float64) func(i, j int) float64 {
 		if flat[i] || flat[j] {
 			return 1
 		}
-		a, b := z[i*width:(i+1)*width], z[j*width:(j+1)*width]
-		// Four accumulators: a single one would serialize the loop on
+		// Four lanes: a single accumulator would serialize the loop on
 		// the floating-point add latency.
-		var s0, s1, s2, s3 float64
-		k := 0
-		for ; k+4 <= len(a); k += 4 {
-			s0 += a[k] * b[k]
-			s1 += a[k+1] * b[k+1]
-			s2 += a[k+2] * b[k+2]
-			s3 += a[k+3] * b[k+3]
-		}
-		for ; k < len(a); k++ {
-			s0 += a[k] * b[k]
-		}
-		return 1 - ((s0 + s1) + (s2 + s3))
+		return 1 - dot(hasAVX2, z[i*width:(i+1)*width], z[j*width:(j+1)*width])
 	}
 }
 

@@ -89,6 +89,11 @@ type TSNEResult struct {
 // the reductions across tiles run serially in tile order, so neither does
 // the embedding.
 func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, error) {
+	return tsne(ctx, d, cfg, hasAVX2)
+}
+
+// tsne is TSNE with the pair pass's kernel chosen by avx2.
+func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNEResult, error) {
 	n := len(d)
 	if n < 2 {
 		return nil, fmt.Errorf("%w: t-SNE needs at least 2 points, got %d", ErrInput, n)
@@ -117,7 +122,7 @@ func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, erro
 	for i := range gains {
 		gains[i] = [2]float64{1, 1}
 	}
-	grad := newGradient(p, n, cfg.Workers)
+	grad := newGradient(p, n, cfg.Workers, avx2)
 
 	res := &TSNEResult{}
 	for iter := 1; iter <= cfg.Iterations; iter++ {
@@ -305,13 +310,13 @@ const tileRows = 64
 // accumulated. k and P are symmetric and each pair's two terms are
 // antisymmetric, so a pass visits each unordered pair i < j once: the rows
 // are cut into tiles of tileRows, and a tile owns the pairs (i, j > i) of
-// its rows. Row i's sums stay in registers; row j's share is subtracted
-// into the tile's own partial array, so no two tiles write the same
-// memory. A serial reduction then adds, for each row, its own sums and
-// every tile's partial in tile order. No n x n kernel or Q matrix is
-// stored. (The 1e-12 floor under q_ij exists for the KL's logarithm; in
-// the gradient it could move a term by at most 1e-12 * k_ij * |y_i - y_j|
-// <= 5e-13 and is left out.)
+// its rows. pairPass keeps row i's sums in four lanes, reduced when the
+// row ends, and subtracts row j's share into the tile's own partial
+// slices, so no two tiles write the same memory. A serial reduction then
+// adds, for each row, its own sums and every tile's partial in tile
+// order. No n x n kernel or Q matrix is stored. (The 1e-12 floor under
+// q_ij exists for the KL's logarithm; in the gradient it could move a term
+// by at most 1e-12 * k_ij * |y_i - y_j| <= 5e-13 and is left out.)
 type gradient struct {
 	p       []float64
 	n       int
@@ -324,19 +329,23 @@ type gradient struct {
 	dy [][2]float64 // dKL/dy of the last compute
 	z  float64      // Z of the last compute
 
-	own  [][4]float64   // row i's attractive x, y and repulsive x, y sums over j > i
-	part [][][4]float64 // per tile: row j's share of the tile's pairs, at j - the tile's first row
-	acc  [][3]float64   // per tile: the pass's scalar sums
+	avx2   bool         // run the pair pass's AVX2 kernel
+	xs, ys []float64    // the layout's coordinates, copied once per compute
+	own    rowSums      // row i's attractive x, y and repulsive x, y sums over j > i
+	part   []rowSums    // per tile: row j's share of the tile's pairs, at j - the tile's first row
+	acc    [][3]float64 // per tile: the pass's scalar sums
 }
 
-func newGradient(p []float64, n, workers int) *gradient {
+func newGradient(p []float64, n, workers int, avx2 bool) *gradient {
 	g := &gradient{
-		p: p, n: n, workers: workers,
+		p: p, n: n, workers: workers, avx2: avx2,
 		dy:  make([][2]float64, n),
-		own: make([][4]float64, n),
+		xs:  make([]float64, n),
+		ys:  make([]float64, n),
+		own: newRowSums(n),
 	}
 	for lo := 0; lo < n; lo += tileRows {
-		g.part = append(g.part, make([][4]float64, n-lo))
+		g.part = append(g.part, newRowSums(n-lo))
 	}
 	g.acc = make([][3]float64, len(g.part))
 	for i := 0; i < n; i++ {
@@ -363,14 +372,18 @@ func (g *gradient) eachTile(ctx context.Context, f func(lo, hi int) [3]float64) 
 // compute fills g.dy and g.z for the layout y, with P scaled by exagger.
 func (g *gradient) compute(ctx context.Context, y Embedding, exagger float64) error {
 	n := g.n
+	for i, pt := range y {
+		g.xs[i], g.ys[i] = pt[0], pt[1]
+	}
 	err := g.eachTile(ctx, func(lo, hi int) [3]float64 {
 		part := g.part[lo/tileRows]
-		clear(part)
+		part.clear()
 		z := 0.0
 		for i := lo; i < hi; i++ {
-			var zi float64
-			g.own[i], zi = pairRow(y[i], g.p[i*n+i+1:(i+1)*n], y[i+1:], part[i+1-lo:])
-			z += zi
+			var s laneSums
+			pairPass(g.avx2, g.xs[i], g.ys[i], g.p[i*n+i+1:(i+1)*n], g.xs[i+1:], g.ys[i+1:], part.from(i+1-lo), &s)
+			g.own.ax[i], g.own.ay[i], g.own.rx[i], g.own.ry[i] = s.total(0), s.total(1), s.total(2), s.total(3)
+			z += s.total(4)
 		}
 		return [3]float64{z}
 	})
@@ -386,35 +399,15 @@ func (g *gradient) compute(ctx context.Context, y Embedding, exagger float64) er
 	}
 	g.z = z
 	for i := range g.dy {
-		s := g.own[i]
+		ax, ay, rx, ry := g.own.ax[i], g.own.ay[i], g.own.rx[i], g.own.ry[i]
 		for t := 0; t*tileRows < i; t++ {
-			for k, v := range g.part[t][i-t*tileRows] {
-				s[k] += v
-			}
+			part, j := g.part[t], i-t*tileRows
+			ax, ay, rx, ry = ax+part.ax[j], ay+part.ay[j], rx+part.rx[j], ry+part.ry[j]
 		}
-		g.dy[i][0] = 4 * (exagger*s[0] - s[2]/z)
-		g.dy[i][1] = 4 * (exagger*s[1] - s[3]/z)
+		g.dy[i][0] = 4 * (exagger*ax - rx/z)
+		g.dy[i][1] = 4 * (exagger*ay - ry/z)
 	}
 	return nil
-}
-
-// pairRow visits the pairs (i, j) of point yi with the points ys, whose
-// P entries are prow, and returns row i's attractive and repulsive sums
-// and its sum of kernels; row j's share is subtracted into part[j].
-func pairRow(yi [2]float64, prow []float64, ys Embedding, part [][4]float64) (s [4]float64, z float64) {
-	ys = ys[:len(prow)]
-	part = part[:len(prow)]
-	var ax, ay, rx, ry float64
-	for j, pij := range prow {
-		dx, dy := yi[0]-ys[j][0], yi[1]-ys[j][1]
-		k := 1 / (1 + dx*dx + dy*dy)
-		pk, kk := pij*k, k*k
-		fax, fay, frx, fry := pk*dx, pk*dy, kk*dx, kk*dy
-		ax, ay, rx, ry, z = ax+fax, ay+fay, rx+frx, ry+fry, z+k
-		pj := &part[j]
-		pj[0], pj[1], pj[2], pj[3] = pj[0]-fax, pj[1]-fay, pj[2]-frx, pj[3]-fry
-	}
-	return [4]float64{ax, ay, rx, ry}, z
 }
 
 // kl evaluates Eq. 1 for the layout y; it depends on no earlier compute.

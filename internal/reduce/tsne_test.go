@@ -117,7 +117,7 @@ func TestGradientMatchesOracle(t *testing.T) {
 					gmax = 4 * pRef[0][1] * numRef[0][1] * math.Sqrt(y.SquaredDist(0, 1))
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					g := newGradient(p, n, workers)
+					g := newGradient(p, n, workers, hasAVX2)
 					if err := g.compute(ctx, y, exagger); err != nil {
 						t.Fatal(err)
 					}
@@ -166,7 +166,7 @@ func TestKLMatchesOracle(t *testing.T) {
 			t.Fatalf("split layout: q = %v across the clusters, want the 1e-12 floor", q[0][n-1])
 		}
 		for _, workers := range []int{1, 2, 3} {
-			got, err := newGradient(p, n, workers).kl(ctx, y)
+			got, err := newGradient(p, n, workers, hasAVX2).kl(ctx, y)
 			if err != nil {
 				t.Fatal(err)
 			}
