@@ -178,16 +178,17 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", what, code, strings.TrimSpace(body))
 		}
 	}
-	// A malformed numeric parameter is a 400 that names it, never its
-	// default read in its place.
-	for _, c := range []struct{ name, param string }{
-		{"flow", "cols"}, {"flow", "quantile"}, {"shift", "quantile"},
-		{"reduce", "seed"}, {"patterns", "bx0"}, {"scatter", "bx0"},
-		{"scatter", "w"}, {"heat", "w"}, {"series", "w"},
+	// A malformed numeric parameter, or a float that is not finite, is a
+	// 400 that names it, never its default read in its place.
+	for _, c := range []struct{ name, param, value string }{
+		{"flow", "cols", "abc"}, {"flow", "quantile", "abc"}, {"shift", "quantile", "abc"},
+		{"reduce", "seed", "abc"}, {"patterns", "bx0", "abc"}, {"scatter", "bx0", "abc"},
+		{"scatter", "w", "abc"}, {"heat", "w", "abc"}, {"series", "w", "abc"},
+		{"patterns", "bx0", "NaN"}, {"patterns", "by1", "Inf"}, {"heat", "quantile", "NaN"},
 	} {
-		code, body := get(paths[c.name] + "&" + c.param + "=abc")
+		code, body := get(paths[c.name] + "&" + c.param + "=" + c.value)
 		if code != 400 || !strings.Contains(body, "bad "+c.param+" parameter") {
-			t.Errorf("%s, %s=abc: status %d, want 400 naming %s (%s)", c.name, c.param, code, c.param, strings.TrimSpace(body))
+			t.Errorf("%s, %s=%s: status %d, want 400 naming %s (%s)", c.name, c.param, c.value, code, c.param, strings.TrimSpace(body))
 		}
 	}
 	// PCA over a yearly profile of a window inside one calendar year has

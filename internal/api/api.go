@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -38,6 +39,8 @@ type Server struct {
 	fc  *frontend.Core
 	hub *stream.Hub
 	cfg Config
+
+	writeTimeout time.Duration // per-chunk /api/query write deadline: queryWriteTimeout
 }
 
 // Config tunes the HTTP front door. The zero value selects the defaults.
@@ -75,7 +78,7 @@ func NewServer(an *core.Analyzer, hub *stream.Hub) *Server {
 // NewServerWith returns a server with explicit front-door configuration.
 func NewServerWith(an *core.Analyzer, hub *stream.Hub, cfg Config) *Server {
 	cfg.defaults()
-	return &Server{an: an, fc: frontend.NewCore(an), hub: hub, cfg: cfg}
+	return &Server{an: an, fc: frontend.NewCore(an), hub: hub, cfg: cfg, writeTimeout: queryWriteTimeout}
 }
 
 // Core exposes the protocol-agnostic query core the HTTP codec runs on —
@@ -163,9 +166,10 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // numericParams names every query parameter a handler reads with qFloat
-// (false) or qInt64 (true). analysis answers a malformed one with a 400
-// that names it, as qTime does, so a handler never runs on the default
-// read in its place; an absent one keeps its default.
+// (false) or qInt64 (true). analysis answers a malformed one, or a float
+// that is NaN or infinite, with a 400 that names it, as qTime does, so a
+// handler never runs on the default read in its place; an absent one
+// keeps its default.
 var numericParams = map[string]bool{
 	"id": true, "seed": true, "w": true, "h": true, "cols": true, "rows": true,
 	"quantile": false, "bx0": false, "by0": false, "bx1": false, "by1": false,
@@ -178,9 +182,11 @@ func badNumber(r *http.Request) error {
 		if v == "" {
 			continue
 		}
-		_, err := strconv.ParseFloat(v, 64)
+		f, err := strconv.ParseFloat(v, 64)
 		if integer {
 			_, err = strconv.ParseInt(v, 10, 64)
+		} else if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			err = errors.New("not a finite number")
 		}
 		if err != nil {
 			return fmt.Errorf("api: bad %s parameter: %w", key, err)

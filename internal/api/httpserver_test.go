@@ -116,8 +116,9 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 // response-side twin: a client requests a multi-MiB export and never reads
 // a byte of it. http.Server's WriteTimeout stays off (SSE), so only the
 // per-chunk write deadline of /api/query can free the handler: it must
-// return within queryWriteTimeout of its last accepted chunk, not hold its
-// goroutine and the rows until the process exits.
+// return within that deadline of its last accepted chunk, not hold its
+// goroutine and the rows until the process exits. The deadline is cut from
+// queryWriteTimeout to keep the test short.
 func TestSlowlorisStalledExportReader(t *testing.T) {
 	t.Parallel()
 	st, err := store.Open(store.Options{Shards: 4})
@@ -136,7 +137,10 @@ func TestSlowlorisStalledExportReader(t *testing.T) {
 			}
 		}
 	}
-	routes := NewServer(core.NewAnalyzer(st), nil).Routes()
+	server := NewServer(core.NewAnalyzer(st), nil)
+	server.writeTimeout = time.Second
+	timeout := server.writeTimeout
+	routes := server.Routes()
 	returned := make(chan time.Time, 1)
 	srv := NewHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		routes.ServeHTTP(w, r)
@@ -164,10 +168,10 @@ func TestSlowlorisStalledExportReader(t *testing.T) {
 	start := time.Now()
 	select {
 	case at := <-returned:
-		if held := at.Sub(start); held < queryWriteTimeout {
+		if held := at.Sub(start); held < timeout {
 			t.Fatalf("handler returned after %v, before any write could time out: the export fit in the socket buffers", held)
 		}
-	case <-time.After(4 * queryWriteTimeout):
-		t.Fatalf("handler still writing to a stalled reader after %v", 4*queryWriteTimeout)
+	case <-time.After(4 * timeout):
+		t.Fatalf("handler still writing to a stalled reader after %v", 4*timeout)
 	}
 }

@@ -111,7 +111,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	// The status line is out; a write error means the client is gone.
-	_ = encodeQueryResult(w, out, s.dataVersion())
+	_ = encodeQueryResult(w, out, s.dataVersion(), s.writeTimeout)
 }
 
 // queryFlushBytes is how much of a response body encodeQueryResult gathers
@@ -133,7 +133,7 @@ var queryBufPool = sync.Pool{New: func() any {
 // body — and the text of every value is the text encoding/json produces,
 // so clients decode the value they always did. Non-finite floats, which
 // the executor never emits, become null like its own non-finite aggregates.
-func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) error {
+func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion, timeout time.Duration) error {
 	bp := queryBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	defer func() {
@@ -206,7 +206,7 @@ func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) 
 		}
 		b = append(b, ']')
 		if len(b) >= queryFlushBytes {
-			if err := writeChunk(w, b); err != nil {
+			if err := writeChunk(w, b, timeout); err != nil {
 				return err
 			}
 			b, chunked = b[:0], true
@@ -225,29 +225,30 @@ func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion) 
 	b = strconv.AppendInt(b, out.Window[1], 10)
 	b = append(b, "]\n}\n"...)
 	if chunked {
-		return writeChunk(w, b)
+		return writeChunk(w, b, timeout)
 	}
 	_, err := w.Write(b)
 	return err
 }
 
-// queryWriteTimeout bounds each write of a multi-chunk /api/query body.
-// http.Server's WriteTimeout is off by default, because /api/stream's
-// Server-Sent Events must outlive any fixed bound, so without this a client
-// that stops reading an export would hold its handler goroutine, and the
-// rows, forever. A reader that takes a 32 KiB chunk at all takes it well
-// inside the bound. (An operator's -write-timeout, when set, is replaced by
-// these per-chunk deadlines for the rest of an export.)
+// queryWriteTimeout is the Server's writeTimeout, the bound on each write
+// of a multi-chunk /api/query body. http.Server's WriteTimeout is off by
+// default, because /api/stream's Server-Sent Events must outlive any fixed
+// bound, so without this a client that stops reading an export would hold
+// its handler goroutine, and the rows, forever. A reader that takes a
+// 32 KiB chunk at all takes it well inside the bound. (An operator's
+// -write-timeout, when set, is replaced by these per-chunk deadlines for
+// the rest of an export.)
 const queryWriteTimeout = 5 * time.Second
 
 // writeChunk writes one chunk of a multi-chunk body, under a fresh
-// queryWriteTimeout deadline when w is an HTTP response. The server clears
-// the deadline once the response is finished.
-func writeChunk(w io.Writer, b []byte) error {
+// deadline, timeout from now, when w is an HTTP response. The server
+// clears the deadline once the response is finished.
+func writeChunk(w io.Writer, b []byte, timeout time.Duration) error {
 	if rw, ok := w.(http.ResponseWriter); ok {
 		// An error means the response cannot take a deadline (a recorder,
 		// not a connection): it is written unbounded, as before.
-		_ = http.NewResponseController(rw).SetWriteDeadline(time.Now().Add(queryWriteTimeout))
+		_ = http.NewResponseController(rw).SetWriteDeadline(time.Now().Add(timeout))
 	}
 	_, err := w.Write(b)
 	return err

@@ -102,7 +102,7 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	dv := stream.DataVersion{Global: 42, Fingerprint: math.MaxUint64}
 	for name, out := range corpus {
 		var got bytes.Buffer
-		if err := encodeQueryResult(&got, out, dv); err != nil {
+		if err := encodeQueryResult(&got, out, dv, queryWriteTimeout); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if want := referenceQueryBody(t, out, dv); !reflect.DeepEqual(decodeNumbersAsText(t, got.Bytes()), decodeNumbersAsText(t, want)) {
@@ -116,7 +116,7 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 
 	// Rows absent altogether still encode as an array, never null.
 	var got bytes.Buffer
-	if err := encodeQueryResult(&got, result(threeCols, threeTypes, nil), dv); err != nil {
+	if err := encodeQueryResult(&got, result(threeCols, threeTypes, nil), dv, queryWriteTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if rows, ok := decodeNumbersAsText(t, got.Bytes()).(map[string]any)["rows"].([]any); !ok || len(rows) != 0 {
@@ -131,7 +131,7 @@ func TestQueryResponseMatchesEncodingJSON(t *testing.T) {
 	}
 	out := result(threeCols, threeTypes, big)
 	var cw countingWriter
-	if err := encodeQueryResult(&cw, out, dv); err != nil {
+	if err := encodeQueryResult(&cw, out, dv, queryWriteTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if cw.writes < 2 || cw.largest > queryFlushBytes+256 {
@@ -167,7 +167,7 @@ func FuzzQueryRowJSON(f *testing.F) {
 		v := math.Float64frombits(bits)
 		out := result([]string{"f", "i", s}, []vql.ColType{vql.TypeFloat64, vql.TypeInt64, vql.TypeString}, [][]any{{v, i, s}, {v, i, s}})
 		var body bytes.Buffer
-		if err := encodeQueryResult(&body, out, stream.DataVersion{}); err != nil {
+		if err := encodeQueryResult(&body, out, stream.DataVersion{}, queryWriteTimeout); err != nil {
 			t.Fatal(err)
 		}
 		if !json.Valid(body.Bytes()) {

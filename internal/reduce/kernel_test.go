@@ -187,7 +187,7 @@ func TestTSNEIdenticalAcrossKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("460-point runs")
 	}
-	d := genDailyFixture(t)
+	d := genDailyFixture(t, 11)
 	var base *TSNEResult
 	for _, avx2 := range []bool{false, true} {
 		for _, workers := range []int{1, 2, 4} {

@@ -442,7 +442,7 @@ func TestPerplexitySearchHitsTarget(t *testing.T) {
 	d, _ := DistanceMatrix(rows, MetricEuclidean)
 	perp := 12.0
 	n := len(d)
-	cond, err := perplexitySearch(context.Background(), d, perp, 2)
+	cond, _, err := perplexitySearch(context.Background(), d, perp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

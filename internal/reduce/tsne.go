@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 
 	"vap/internal/exec"
 )
@@ -78,8 +79,8 @@ type TSNEResult struct {
 }
 
 // TSNE computes an exact t-SNE embedding of the pairwise distance matrix d.
-// P is built with Gaussian kernels whose bandwidths are binary-searched to
-// match the configured perplexity; Q is the Student-t kernel of Eq. 2. The
+// P is built with Gaussian kernels whose bandwidths are searched to match
+// the configured perplexity; Q is the Student-t kernel of Eq. 2. The
 // context allows cancellation of long runs (the API server uses this).
 //
 // P is one flat row-major array and Q is never stored: each iteration makes
@@ -105,7 +106,7 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 	}
 	cfg.defaults(n)
 
-	p, err := perplexitySearch(ctx, d, cfg.Perplexity, cfg.Workers)
+	p, _, err := perplexitySearch(ctx, d, cfg.Perplexity, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -186,95 +187,173 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 // perplexitySearch finds per-point Gaussian precisions beta_i = 1/(2
 // sigma_i^2) such that the Shannon entropy of the conditional distribution
 // p_{j|i} equals ln(perplexity), and returns the conditional matrix, flat
-// and row-major. Rows are independent and searched in parallel bands.
-func perplexitySearch(ctx context.Context, d [][]float64, perplexity float64, workers int) ([]float64, error) {
+// and row-major, and the number of kernel passes the search took. Rows are
+// independent and searched in parallel bands, so both are the same for
+// every worker count.
+func perplexitySearch(ctx context.Context, d [][]float64, perplexity float64, workers int) ([]float64, int, error) {
 	n := len(d)
-	target := math.Log(perplexity)
 	p := make([]float64, n*n)
+	var steps atomic.Int64
 	err := exec.ForEachChunk(ctx, n, workers, func(lo, hi int) error {
-		d2 := make([]float64, n)
+		d2, e := make([]float64, n-1), make([]float64, n-1)
+		chunk := 0
 		for i := lo; i < hi; i++ {
-			for j, v := range d[i] {
-				// Capped so an overflowing square stays a kernel of
-				// exactly 0 and not Inf*0 in the entropy's weighted sum.
-				d2[j] = math.Min(v*v, math.MaxFloat64)
-			}
-			row := p[i*n : (i+1)*n]
-			betaMin, betaMax := math.Inf(-1), math.Inf(1)
-			beta := 1.0
-			const tol = 1e-5
-			var sum float64
-			for tries := 0; tries < 64; tries++ {
-				var h float64
-				h, sum = condRow(d2, i, beta, row)
-				diff := h - target
-				if math.Abs(diff) < tol {
-					break
-				}
-				if diff > 0 { // entropy too high -> narrower kernel
-					betaMin = beta
-					if math.IsInf(betaMax, 1) {
-						beta *= 2
-					} else {
-						beta = (beta + betaMax) / 2
-					}
-				} else {
-					betaMax = beta
-					if math.IsInf(betaMin, -1) {
-						beta /= 2
-					} else {
-						beta = (beta + betaMin) / 2
-					}
-				}
-			}
-			for j := range row {
-				row[j] /= sum
-			}
+			chunk += searchRow(d[i], i, perplexity, d2, e, p[i*n:(i+1)*n])
 		}
+		steps.Add(int64(chunk))
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return p, nil
+	return p, int(steps.Load()), nil
 }
 
-// condRow fills row with the unnormalized kernels e_j = exp(-beta d2_j) of
-// point i's squared distances d2 and returns their sum S (p_{j|i} = e_j/S)
-// and the entropy H(P_i) in nats, as
-// H = -sum p_j ln p_j = ln S + beta * sum(d2_j e_j) / S,
-// so a bisection step costs one exp per element, no log and no division.
-func condRow(d2 []float64, i int, beta float64, row []float64) (h, sum float64) {
-	// Point i itself is left out by folding the two sides of it
-	// separately, which keeps the inner loop branch-free.
-	row[i] = 0
-	sum, wsum := gaussKernels(d2[:i], beta, row[:i])
-	s, w := gaussKernels(d2[i+1:], beta, row[i+1:])
-	sum, wsum = sum+s, wsum+w
-	if sum == 0 {
-		// Degenerate: all distances huge; fall back to uniform.
-		for j := range row {
-			if j != i {
-				row[j] = 1
+// searchRow fills out with p_{j|i} for the distances di of point i and
+// returns the number of kernel passes it took; d and e are scratch of
+// length n-1.
+//
+// The kernels are shifted by the nearest squared distance d2min,
+// e_j = exp(-beta d'_j) with d'_j = d2_j - d2min, which leaves p_j = e_j/S
+// and H = ln S + beta sum(d'_j e_j)/S unchanged but makes the nearest
+// kernel exactly 1, so S >= 1 cannot underflow however narrow the kernel.
+// The root of f(u) = H - ln(perplexity) in u = ln beta is found by Halley
+// steps, with df/du = -beta^2 Var and d2f/du2 = -2 beta^2 Var + beta^3 mu3
+// (the variance and third central moment of d' under p), to |f| < 1e-12.
+// The search starts at beta = 1/d'_(k), the k-th neighbour past the
+// nearest for k = floor(perplexity), found by selection. A row whose
+// perplexity exceeds a group of close neighbours thus starts past the
+// group, not inside it, and need not cross the plateau H has between the
+// two scales, which Newton and Halley overshoot. Every evaluation tightens
+// a bracket on beta, and a step that would leave it, or scale beta by
+// more than e^2, doubles beta, halves it or takes the bracket's geometric
+// midpoint instead.
+func searchRow(di []float64, i int, perplexity float64, d, e, out []float64) int {
+	d = append(append(d[:0], di[:i]...), di[i+1:]...)
+	d2min := math.MaxFloat64
+	for j, v := range d {
+		// Capped so an overflowing square is a kernel of exactly 0 and
+		// its moment terms 0*huge, not Inf*0.
+		d[j] = math.Min(v*v, math.MaxFloat64)
+		d2min = math.Min(d2min, d[j])
+	}
+	if d2min == math.MaxFloat64 {
+		// Every neighbour is out of reach: no width of the kernel sees
+		// one, and the row is uniform.
+		for j := range out {
+			out[j] = 1 / float64(len(d))
+		}
+		out[i] = 0
+		return 0
+	}
+	for j := range d {
+		d[j] -= d2min
+	}
+	// Start where the k-th neighbour past the nearest weighs 1/e, or at
+	// 1 when that neighbour is tied with the nearest or out of reach. The
+	// selection reorders e, which the first pass then overwrites.
+	beta := 1.0
+	if k := int(perplexity); k < len(d) {
+		if b := 1 / nthSmallest(append(e[:0], d...), k); b > 1e-300 && b < 1e300 {
+			beta = b
+		}
+	}
+	target := math.Log(perplexity)
+	lo, hi := 0.0, math.Inf(1)
+	var sum float64
+	steps := 0
+	for steps < 64 {
+		var m1, m2, m3 float64
+		sum, m1, m2, m3 = kernelMoments(d, beta, e)
+		steps++
+		mean := m1 / sum
+		f := math.Log(sum) + beta*mean - target
+		if math.Abs(f) < 1e-12 {
+			break
+		}
+		vr := m2/sum - mean*mean
+		if f > 0 {
+			if vr == 0 {
+				// All weight sits on the nearest distance already; a
+				// narrower kernel cannot lower the entropy further.
+				break
+			}
+			lo = beta
+		} else {
+			hi = beta
+		}
+		mu3 := m3/sum - 3*mean*(m2/sum) + 2*mean*mean*mean
+		fp := -beta * beta * vr
+		fpp := 2*fp + beta*beta*beta*mu3
+		du := -f / fp // Newton
+		if c := f * fpp / (2 * fp * fp); c <= 0.5 {
+			du /= 1 - c // Halley, where it at most doubles Newton's step
+		}
+		next := beta * math.Exp(du)
+		if !(next > lo && next < hi) || math.Abs(du) > 2 {
+			switch {
+			case math.IsInf(hi, 1):
+				next = 2 * beta
+			case lo == 0:
+				next = beta / 2
+			default:
+				next = math.Sqrt(lo) * math.Sqrt(hi)
 			}
 		}
-		n := float64(len(d2) - 1)
-		return math.Log(n), n
+		beta = next
 	}
-	return math.Log(sum) + beta*wsum/sum, sum
+	copy(out[:i], e[:i])
+	out[i] = 0
+	copy(out[i+1:], e[i:])
+	for j := range out {
+		out[j] /= sum
+	}
+	return steps
 }
 
-// gaussKernels writes e_j = exp(-beta d2_j) into out and returns sum e_j
-// and sum d2_j e_j.
-func gaussKernels(d2 []float64, beta float64, out []float64) (sum, wsum float64) {
-	out = out[:len(d2)]
-	for j, v := range d2 {
-		e := math.Exp(-v * beta)
-		out[j] = e
-		sum += e
-		wsum += v * e
+// kernelMoments writes e_j = exp(-beta d_j) into e and returns S = sum e_j
+// and the raw moments sum d_j e_j, sum d_j^2 e_j and sum d_j^3 e_j. Each
+// power is taken as (d_j e_j) d_j, so a capped distance, whose kernel is
+// 0, contributes 0 to every moment.
+func kernelMoments(d []float64, beta float64, e []float64) (sum, m1, m2, m3 float64) {
+	e = e[:len(d)]
+	for j, v := range d {
+		x := math.Exp(-beta * v)
+		e[j] = x
+		sum += x
+		x *= v
+		m1 += x
+		x *= v
+		m2 += x
+		m3 += x * v
 	}
-	return sum, wsum
+	return sum, m1, m2, m3
+}
+
+// nthSmallest returns the (k+1)-th smallest value of a, reordering a.
+func nthSmallest(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		a[mid], a[hi] = a[hi], a[mid]
+		pivot, p := a[hi], lo
+		for j := lo; j < hi; j++ {
+			if a[j] < pivot {
+				a[p], a[j] = a[j], a[p]
+				p++
+			}
+		}
+		a[p], a[hi] = a[hi], a[p]
+		switch {
+		case p == k:
+			return a[k]
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+	return a[k]
 }
 
 // conditionalToJoint symmetrizes in place: P_ij = (p_{j|i} + p_{i|j}) / 2n,
@@ -482,3 +561,5 @@ func centerEmbedding(y Embedding) {
 		y[i][1] -= cy
 	}
 }
+
+var dbgf func(...float64)

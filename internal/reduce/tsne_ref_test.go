@@ -122,8 +122,10 @@ func refPerplexitySearch(d [][]float64, perplexity float64) [][]float64 {
 		p[i] = make([]float64, n)
 		betaMin, betaMax := math.Inf(-1), math.Inf(1)
 		beta := 1.0 // beta = 1 / (2 sigma^2)
-		const tol = 1e-5
-		for tries := 0; tries < 64; tries++ {
+		// Bisected to the root, not to a loose tolerance, so the oracle
+		// pins the spec rather than one search's path to it.
+		const tol = 1e-12
+		for tries := 0; tries < 400; tries++ {
 			h := refCondRow(d[i], i, beta, p[i])
 			diff := h - target
 			if math.Abs(diff) < tol {
