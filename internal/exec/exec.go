@@ -7,7 +7,8 @@
 //
 //   - a bounded fan-out width (Options.Workers, default runtime.GOMAXPROCS(0))
 //     that parallel helpers like ForEach use to chunk work across
-//     goroutines with dynamic scheduling and context cancellation;
+//     goroutines with dynamic scheduling and context cancellation (a
+//     Team keeps those goroutines across the passes of one computation);
 //   - singleflight deduplication: concurrent Do calls for the same Key
 //     share one computation instead of racing duplicates;
 //   - a versioned, LRU-bounded result cache: keys embed a data-layer

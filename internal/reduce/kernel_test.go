@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vap/internal/exec"
 )
 
 func requireAVX2(t *testing.T) {
@@ -225,7 +227,7 @@ func BenchmarkGradient(b *testing.B) {
 			if k.avx2 && !hasAVX2 {
 				b.Skip("no AVX2")
 			}
-			g := newGradient(p, n, 1, k.avx2)
+			g := newGradient(p, n, exec.NewTeam(1), k.avx2)
 			for b.Loop() {
 				if err := g.compute(context.Background(), y, 1); err != nil {
 					b.Fatal(err)

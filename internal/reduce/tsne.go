@@ -73,8 +73,7 @@ func (c *TSNEConfig) defaults(n int) {
 // TSNEResult carries the embedding and optimization diagnostics.
 type TSNEResult struct {
 	Embedding  Embedding
-	KL         float64   // final KL(P || Q), Eq. 1
-	KLTrace    []float64 // KL every 50 iterations
+	KL         float64 // final KL(P || Q), Eq. 1
 	Iterations int
 }
 
@@ -88,7 +87,7 @@ type TSNEResult struct {
 // that the workers share (see gradient). The tiles do not depend on
 // cfg.Workers, each is computed by one goroutine into its own memory, and
 // the reductions across tiles run serially in tile order, so neither does
-// the embedding.
+// the embedding. One exec.Team works every pass of the run.
 func TSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, error) {
 	return tsne(ctx, d, cfg, hasAVX2)
 }
@@ -123,7 +122,10 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 	for i := range gains {
 		gains[i] = [2]float64{1, 1}
 	}
-	grad := newGradient(p, n, cfg.Workers, avx2)
+	// No more workers than tiles: a helper with no tile would only poll.
+	team := exec.NewTeam(min(cfg.Workers, (n+tileRows-1)/tileRows))
+	defer team.Close()
+	grad := newGradient(p, n, team, avx2)
 
 	res := &TSNEResult{}
 	for iter := 1; iter <= cfg.Iterations; iter++ {
@@ -137,15 +139,6 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 		}
 		if err := grad.compute(ctx, y, exagger); err != nil {
 			return nil, err
-		}
-		if iter%50 == 0 || iter == cfg.Iterations {
-			// Like the gradient, a trace point describes the layout the
-			// iteration starts from.
-			kl, err := grad.kl(ctx, y)
-			if err != nil {
-				return nil, err
-			}
-			res.KLTrace = append(res.KLTrace, kl)
 		}
 
 		gnorm := 0.0
@@ -397,9 +390,9 @@ const tileRows = 64
 // q_ij exists for the KL's logarithm; in the gradient it could move a term
 // by at most 1e-12 * k_ij * |y_i - y_j| <= 5e-13 and is left out.)
 type gradient struct {
-	p       []float64
-	n       int
-	workers int
+	p    []float64
+	n    int
+	team *exec.Team
 
 	// The KL terms that do not depend on the layout:
 	// sum_{i != j} p_ij ln p_ij and sum_{i != j} p_ij.
@@ -415,9 +408,9 @@ type gradient struct {
 	acc    [][3]float64 // per tile: the pass's scalar sums
 }
 
-func newGradient(p []float64, n, workers int, avx2 bool) *gradient {
+func newGradient(p []float64, n int, team *exec.Team, avx2 bool) *gradient {
 	g := &gradient{
-		p: p, n: n, workers: workers, avx2: avx2,
+		p: p, n: n, team: team, avx2: avx2,
 		dy:  make([][2]float64, n),
 		xs:  make([]float64, n),
 		ys:  make([]float64, n),
@@ -437,11 +430,11 @@ func newGradient(p []float64, n, workers int, avx2 bool) *gradient {
 }
 
 // eachTile runs f on the rows [lo, hi) of every tile and keeps its result
-// in g.acc. exec.ForEach hands the tiles out in index order, the largest
+// in g.acc. The team hands the tiles out in index order, the largest
 // first; the callers add g.acc up in tile order, so no sum depends on the
 // worker count.
 func (g *gradient) eachTile(ctx context.Context, f func(lo, hi int) [3]float64) error {
-	return exec.ForEach(ctx, len(g.acc), g.workers, func(t int) error {
+	return g.team.Run(ctx, len(g.acc), func(t int) error {
 		lo := t * tileRows
 		g.acc[t] = f(lo, min(lo+tileRows, g.n))
 		return nil
@@ -561,5 +554,3 @@ func centerEmbedding(y Embedding) {
 		y[i][1] -= cy
 	}
 }
-
-var dbgf func(...float64)

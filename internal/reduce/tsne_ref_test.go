@@ -98,15 +98,12 @@ func refTSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, e
 		}
 		centerEmbedding(y)
 		res.Iterations = iter
-		if iter%50 == 0 || iter == cfg.Iterations {
-			res.KLTrace = append(res.KLTrace, refKLDivergence(p, q, exaggerated, cfg.Exagger))
-		}
 		if math.Sqrt(gnorm) < cfg.MinGradNorm && !exaggerated {
 			break
 		}
 	}
 	refComputeQ(y, q, num)
-	res.KL = refKLDivergence(p, q, false, 1)
+	res.KL = refKLDivergence(p, q, exaggerated, cfg.Exagger)
 	res.Embedding = y
 	return res, nil
 }
@@ -259,7 +256,8 @@ func refGradKL(p, q, num [][]float64, y Embedding, grad [][2]float64) {
 }
 
 // refKLDivergence evaluates Eq. 1. When p is still exaggerated, it is
-// de-exaggerated on the fly so traces are comparable across phases.
+// de-exaggerated on the fly, so a run that stops early reports its KL
+// against the true P.
 func refKLDivergence(p, q [][]float64, exaggerated bool, factor float64) float64 {
 	kl := 0.0
 	for i := range p {
