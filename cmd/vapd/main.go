@@ -120,25 +120,12 @@ func main() {
 	if st.Stats().Samples == 0 {
 		log.Printf("generating synthetic dataset (seed=%d days=%d)", *seed, *days)
 		ds = gen.Generate(gen.Config{Seed: *seed, Days: *days})
-		cut := len(ds.Readings[0])
+		load := ds
 		if *doStream {
-			cut -= 7 * 24 // withhold the last week for live replay
-			if cut < 1 {
-				cut = 1
-			}
+			load = ds.Withhold(7) // the last week is replayed live
 		}
-		for i, c := range ds.Customers {
-			if err := st.PutMeter(c.Meter); err != nil {
-				log.Fatalf("put meter: %v", err)
-			}
-			r := ds.Readings[i]
-			n := cut
-			if n > len(r) {
-				n = len(r)
-			}
-			if _, err := st.AppendBatch(c.Meter.ID, r[:n]); err != nil {
-				log.Fatalf("append: %v", err)
-			}
+		if err := load.LoadInto(st); err != nil {
+			log.Fatalf("load dataset: %v", err)
 		}
 		if *dir != "" {
 			if err := st.Snapshot(); err != nil {

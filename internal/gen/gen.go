@@ -17,11 +17,15 @@
 package gen
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sort"
 	"time"
 
+	"vap/internal/exec"
 	"vap/internal/geo"
 	"vap/internal/store"
 )
@@ -137,6 +141,7 @@ func Generate(cfg Config) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hours := cfg.Days * 24
 	ds := &Dataset{Start: cfg.Start, Hours: hours, Center: cfg.Center}
+	cal := newCalendar(cfg.Start, hours)
 	id := int64(1)
 	for p := Pattern(0); p < numPatterns; p++ {
 		n := cfg.Counts[p]
@@ -151,7 +156,7 @@ func Generate(cfg Config) *Dataset {
 				},
 				Pattern: p,
 			}
-			readings := synthesize(rng, cfg, p, zone)
+			readings := synthesize(rng, cfg, cal, p, zone)
 			ds.Customers = append(ds.Customers, cust)
 			ds.Readings = append(ds.Readings, readings)
 			id++
@@ -204,29 +209,84 @@ func placeCustomer(rng *rand.Rand, center geo.Point, p Pattern) (geo.Point, stor
 	return geo.Point{Lon: lon, Lat: lat}, d.zone
 }
 
+// calendar is what the generator reads of the clock over one observation
+// window, worked out once per Generate: every sample shares the start's
+// minute, the first one sits hour0 hours into its UTC day, and days[k]
+// holds the terms of the k-th UTC day the window touches.
+type calendar struct {
+	start  int64
+	hour0  int
+	minute int
+	days   []dayTerms
+}
+
+// dayTerms are the terms of one UTC day.
+type dayTerms struct {
+	weekend       bool
+	bimodal, mild float64 // seasonBimodal and seasonMild of the day
+}
+
+func newCalendar(start time.Time, hours int) *calendar {
+	t := start.UTC()
+	c := &calendar{start: t.Unix(), hour0: t.Hour(), minute: t.Minute()}
+	c.days = make([]dayTerms, (c.hour0+hours+23)/24)
+	for k := range c.days {
+		day := t.AddDate(0, 0, k)
+		c.days[k] = dayTerms{
+			weekend: day.Weekday() == time.Saturday || day.Weekday() == time.Sunday,
+			bimodal: seasonBimodal(day.YearDay()),
+			mild:    seasonMild(day.YearDay()),
+		}
+	}
+	return c
+}
+
+// hourTerms are one customer's hour-of-day terms, indexed by the UTC hour
+// of the sample.
+type hourTerms struct {
+	residential, earlyBird, commercial [24]float64
+	idle, constant                     [24]float64 // the per-customer ripples
+}
+
+func newHourTerms(minute int, phase float64) *hourTerms {
+	ht := new(hourTerms)
+	for h := range ht.residential {
+		hour := float64(h) + float64(minute)/60 // the clock as the shapes read it
+		ht.residential[h] = diurnalResidential(hour)
+		ht.earlyBird[h] = diurnalEarlyBird(hour)
+		// Business-hours modulation, on the whole hour: ~±12% around the
+		// pattern level, peaking mid-day. Kept gentle so constant-high stays
+		// "constant" to the eye while still moving the city's demand
+		// centroid.
+		ht.commercial[h] = 0.88 + 0.24*diurnalCommercial(float64(h))
+		// Faint fridge cycling on the idle standby load.
+		ht.idle[h] = 1 + 0.3*math.Sin(2*math.Pi*hour/3+phase)
+		// Constant-high's tiny diurnal ripple.
+		ht.constant[h] = 1 + 0.05*math.Sin(2*math.Pi*hour/24+phase)
+	}
+	return ht
+}
+
 // synthesize produces the hourly series for one customer of pattern p in
 // the given zone. Commercial/industrial customers carry a mild
 // business-hours modulation on top of their pattern so the city's demand
 // center of mass moves from the core at midday to the residential
 // districts in the evening — the planted Figure 2 shift.
-func synthesize(rng *rand.Rand, cfg Config, p Pattern, zone store.ZoneType) []store.Sample {
+func synthesize(rng *rand.Rand, cfg Config, cal *calendar, p Pattern, zone store.ZoneType) []store.Sample {
 	hours := cfg.Days * 24
 	out := make([]store.Sample, 0, hours)
 	// Per-customer idiosyncrasy so customers of one pattern are similar but
 	// not identical.
 	scale := 0.8 + 0.4*rng.Float64()
 	phase := rng.Float64() * 2 * math.Pi
-	start := cfg.Start.Unix()
+	ht := newHourTerms(cal.minute, phase)
+	modulated := zone == store.ZoneCommercial || zone == store.ZoneIndustrial
 	for h := 0; h < hours; h++ {
-		ts := start + int64(h)*3600
-		t := time.Unix(ts, 0).UTC()
-		v := baseValue(rng, p, t, scale, phase)
-		if zone == store.ZoneCommercial || zone == store.ZoneIndustrial {
-			// Business-hours modulation: ~±12% around the pattern level,
-			// peaking mid-day. Kept gentle so constant-high stays "constant"
-			// to the eye while still moving the city's demand centroid.
-			hour := float64(t.Hour())
-			v *= 0.88 + 0.24*diurnalCommercial(hour)
+		k := cal.hour0 + h
+		hod := k % 24
+		v := baseValue(rng, p, ht, hod, cal.days[k/24], scale)
+		if modulated {
+			v *= ht.commercial[hod]
 		}
 		// Multiplicative noise.
 		v *= 1 + 0.08*rng.NormFloat64()
@@ -240,26 +300,27 @@ func synthesize(rng *rand.Rand, cfg Config, p Pattern, zone store.ZoneType) []st
 		if cfg.MissingRate > 0 && rng.Float64() < cfg.MissingRate {
 			continue // dropped reading
 		}
-		out = append(out, store.Sample{TS: ts, Value: v})
+		out = append(out, store.Sample{TS: cal.start + int64(h)*3600, Value: v})
 	}
 	return out
 }
 
-// dayOfYearFrac returns the position of t within the year in [0, 1).
-func dayOfYearFrac(t time.Time) float64 {
-	return float64(t.YearDay()-1) / 365.0
+// dayOfYearFrac returns the position of the 1-based day of the year yday
+// within the year in [0, 1).
+func dayOfYearFrac(yday int) float64 {
+	return float64(yday-1) / 365.0
 }
 
 // seasonBimodal peaks in winter (heating) and summer (cooling): a
 // double-humped annual shape, maximal near January and July.
-func seasonBimodal(t time.Time) float64 {
-	y := dayOfYearFrac(t)
+func seasonBimodal(yday int) float64 {
+	y := dayOfYearFrac(yday)
 	return 0.6 + 0.4*math.Cos(4*math.Pi*y) // period = half year
 }
 
 // seasonMild is a gentle single winter peak (lighting/heating).
-func seasonMild(t time.Time) float64 {
-	y := dayOfYearFrac(t)
+func seasonMild(yday int) float64 {
+	y := dayOfYearFrac(yday)
 	return 0.85 + 0.15*math.Cos(2*math.Pi*y)
 }
 
@@ -293,41 +354,39 @@ func gauss(x, mu, sigma float64) float64 {
 }
 
 // baseValue composes the seasonal, weekly, and diurnal structure of each
-// pattern into an hourly kWh value.
-func baseValue(rng *rand.Rand, p Pattern, t time.Time, scale, phase float64) float64 {
-	hour := float64(t.Hour()) + float64(t.Minute())/60
-	weekend := t.Weekday() == time.Saturday || t.Weekday() == time.Sunday
+// pattern into an hourly kWh value, for a sample hod hours into UTC day d.
+func baseValue(rng *rand.Rand, p Pattern, ht *hourTerms, hod int, d dayTerms, scale float64) float64 {
 	switch p {
 	case PatternBimodal:
-		base := 1.6 * scale * seasonBimodal(t) * diurnalResidential(hour)
-		if weekend {
+		base := 1.6 * scale * d.bimodal * ht.residential[hod]
+		if d.weekend {
 			base *= 1.15 // home more on weekends
 		}
 		return base
 	case PatternEnergySaving:
-		base := 0.45 * scale * seasonMild(t) * diurnalResidential(hour)
-		if weekend {
+		base := 0.45 * scale * d.mild * ht.residential[hod]
+		if d.weekend {
 			base *= 1.1
 		}
 		return base
 	case PatternIdle:
 		// Near-zero standby load with faint fridge cycling.
-		return 0.05 * scale * (1 + 0.3*math.Sin(2*math.Pi*hour/3+phase))
+		return 0.05 * scale * ht.idle[hod]
 	case PatternConstantHigh:
 		// Flat high draw around the clock (cold stores, server rooms,
 		// 24h shops); tiny diurnal ripple.
-		return 3.2 * scale * (1 + 0.05*math.Sin(2*math.Pi*hour/24+phase))
+		return 3.2 * scale * ht.constant[hod]
 	case PatternSuspicious:
 		// Irregular: low baseline with heavy night-time bursts on random
 		// days — the profile utilities flag for inspection.
-		base := 0.3 * scale * diurnalResidential(hour)
-		if (hour >= 23 || hour < 4) && rng.Float64() < 0.35 {
+		base := 0.3 * scale * ht.residential[hod]
+		if (hod >= 23 || hod < 4) && rng.Float64() < 0.35 {
 			base += 2.5 + 2*rng.Float64()
 		}
 		return base
 	case PatternEarlyBird:
-		base := 1.3 * scale * seasonMild(t) * diurnalEarlyBird(hour)
-		if weekend {
+		base := 1.3 * scale * d.mild * ht.earlyBird[hod]
+		if d.weekend {
 			base *= 0.9 // early risers sleep in a little
 		}
 		return base
@@ -336,15 +395,32 @@ func baseValue(rng *rand.Rand, p Pattern, t time.Time, scale, phase float64) flo
 	}
 }
 
-// LoadInto registers all customers in st and appends all readings.
+// LoadInto registers all customers in st, in order, then appends each
+// meter's readings by one AppendBatch, the meters fanned out over
+// GOMAXPROCS workers: they are independent and the store is sharded, so the
+// store ends exactly as a serial load leaves it.
 func (d *Dataset) LoadInto(st *store.Store) error {
-	for i, c := range d.Customers {
+	for _, c := range d.Customers {
 		if err := st.PutMeter(c.Meter); err != nil {
 			return err
 		}
-		if _, err := st.AppendBatch(c.Meter.ID, d.Readings[i]); err != nil {
-			return err
-		}
 	}
-	return nil
+	return exec.ForEach(context.Background(), len(d.Customers), runtime.GOMAXPROCS(0), func(i int) error {
+		_, err := st.AppendBatch(d.Customers[i].Meter.ID, d.Readings[i])
+		return err
+	})
+}
+
+// Withhold returns a shallow copy of d without the readings of the
+// window's last days days (though always with those of its first hour):
+// what vapd -stream loads before it replays the rest live from d, which
+// keeps every reading.
+func (d *Dataset) Withhold(days int) *Dataset {
+	cutoff := d.Start.Unix() + int64(max(d.Hours-days*24, 1))*3600
+	out := *d
+	out.Readings = make([][]store.Sample, len(d.Readings))
+	for i, r := range d.Readings {
+		out.Readings[i] = r[:sort.Search(len(r), func(j int) bool { return r[j].TS >= cutoff })]
+	}
+	return &out
 }

@@ -42,7 +42,7 @@ func NewEncoder() *Encoder {
 // reset empties the encoder for a new block, keeping its bit buffer.
 func (e *Encoder) reset() {
 	w := e.w
-	w.data, w.avail = w.data[:0], 0
+	w.reset()
 	*e = Encoder{w: w, leading: 0xff}
 }
 
@@ -53,7 +53,7 @@ func (e *Encoder) Len() int { return e.n }
 func (e *Encoder) LastTS() int64 { return e.prevT }
 
 // SizeBytes returns the current compressed payload size.
-func (e *Encoder) SizeBytes() int { return len(e.w.bytes()) }
+func (e *Encoder) SizeBytes() int { return e.w.size() }
 
 // Append adds one sample; timestamps must be strictly increasing.
 func (e *Encoder) Append(s Sample) error {
@@ -142,11 +142,7 @@ func (e *Encoder) writeValue(v float64) {
 }
 
 // Bytes returns the compressed payload. The encoder remains usable.
-func (e *Encoder) Bytes() []byte {
-	out := make([]byte, len(e.w.bytes()))
-	copy(out, e.w.bytes())
-	return out
-}
+func (e *Encoder) Bytes() []byte { return e.w.bytes() }
 
 // Decode decompresses a payload produced by Encoder containing n samples.
 func Decode(data []byte, n int) ([]Sample, error) {

@@ -264,7 +264,7 @@ func TestBitStreamMixedWidths(t *testing.T) {
 }
 
 // bitLen returns the number of meaningful bits written.
-func (w *bitWriter) bitLen() int { return len(w.data)*8 - int(w.avail) }
+func (w *bitWriter) bitLen() int { return len(w.data)*8 + int(w.n) }
 
 func TestBitLen(t *testing.T) {
 	w := newBitWriter()

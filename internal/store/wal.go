@@ -126,6 +126,12 @@ type WAL struct {
 	writing  bool             // a swapped-out batch is on its way into the tail
 	sealed   map[uint64]int64 // sizes of full (rotated-out) segments
 
+	// spare is the last written batch's buffer, which the next new batch
+	// takes, so a bulk load does not leave a batch-sized garbage buffer
+	// per commit. Only the committer touches it, and it is not kept past
+	// 2 x maxBatchBytes.
+	spare []byte
+
 	wake chan struct{}
 	quit chan struct{}
 	done chan struct{}
@@ -471,7 +477,8 @@ func (w *WAL) commit() {
 		w.mu.Unlock()
 		return
 	}
-	w.cur = newWALBatch()
+	w.cur = &walBatch{buf: w.spare[:0], done: make(chan struct{})}
+	w.spare = nil
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
@@ -484,6 +491,9 @@ func (w *WAL) commit() {
 	w.mu.Unlock()
 
 	err := w.writeBatch(f, b)
+	if cap(b.buf) <= 2*maxBatchBytes {
+		w.spare = b.buf
+	}
 	w.mu.Lock()
 	w.writing = false
 	if err != nil && w.err == nil {
@@ -507,16 +517,18 @@ func (w *WAL) writeBatch(f *os.File, b *walBatch) error {
 		// that merely look like markers.
 		var pos [8]byte
 		binary.LittleEndian.PutUint64(pos[:], uint64(off))
-		out := appendFrame(make([]byte, 0, markerFrameLen+len(b.buf)), recCommit, pos[:])
-		out = append(out, b.buf...)
-		if _, err := f.Write(out); err != nil {
+		marker := appendFrame(make([]byte, 0, markerFrameLen), recCommit, pos[:])
+		if _, err := f.Write(marker); err != nil {
+			return err
+		}
+		if _, err := f.Write(b.buf); err != nil {
 			return err
 		}
 		if err := f.Sync(); err != nil {
 			return err
 		}
 		w.mu.Lock()
-		w.tailSize += int64(len(out))
+		w.tailSize += int64(markerFrameLen + len(b.buf))
 		w.mu.Unlock()
 	}
 	w.mu.Lock()
