@@ -185,12 +185,32 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 		{"reduce", "seed", "abc"}, {"patterns", "bx0", "abc"}, {"scatter", "bx0", "abc"},
 		{"scatter", "w", "abc"}, {"heat", "w", "abc"}, {"series", "w", "abc"},
 		{"patterns", "bx0", "NaN"}, {"patterns", "by1", "Inf"}, {"heat", "quantile", "NaN"},
+		// Out of range, where a default used to be read in its place.
+		{"flow", "cols", "-3"}, {"flow", "rows", "0"}, {"flow", "quantile", "-1"}, {"flow", "quantile", "2"},
+		{"shift", "w", "-5"}, {"heat", "w", "-5"}, {"heat", "h", "0"}, {"heat", "quantile", "7"},
+		{"series", "h", "0"}, {"reduce", "profile", "weekly"}, {"scatter", "profile", "weekly"},
 	} {
 		code, body := get(paths[c.name] + "&" + c.param + "=" + c.value)
 		if code != 400 || !strings.Contains(body, "bad "+c.param+" parameter") {
 			t.Errorf("%s, %s=%s: status %d, want 400 naming %s (%s)", c.name, c.param, c.value, code, c.param, strings.TrimSpace(body))
 		}
 	}
+	// A kernel or OD mode the owning package does not know is a 400 naming
+	// it, not an empty flow map; and a parameter a route does not read is
+	// no reason to refuse it.
+	for what, c := range map[string]struct{ path, param string }{
+		"flow, kernel=bogus": {paths["flow"] + "&kernel=bogus", "kernel"},
+		"flow, od=bogus":     {paths["flow"] + "&od=bogus", "od"},
+		"shift, od=bogus":    {paths["shift"] + "&od=bogus", "od"},
+	} {
+		if code, body := get(c.path); code != 400 || !strings.Contains(body, c.param) {
+			t.Errorf("%s: status %d, want 400 naming %s (%s)", what, code, c.param, strings.TrimSpace(body))
+		}
+	}
+	if code, body := get(paths["api series"] + "&seed=abc"); code != 200 {
+		t.Errorf("api series, seed=abc: status %d, want 200: /api/series reads no seed (%s)", code, strings.TrimSpace(body))
+	}
+
 	// PCA over a yearly profile of a window inside one calendar year has
 	// one feature column: its second axis is 0, not an index panic.
 	yearly := fmt.Sprintf("/api/reduce?method=pca&granularity=yearly&from=%d&to=%d", ds.Start.Unix(), ds.Start.Unix()+20*86400)
@@ -224,7 +244,7 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 }
 
 // TestShiftMapSharesFlowCacheEntry is the regression test for the flow map
-// being computed twice: /api/flow passes an explicit 96x96 grid and
+// being computed twice: /api/flow asks for an explicit 96x96 grid and
 // /view/map.svg?mode=shift leaves the grid unset, which kde defaults to
 // the same 96x96 — one flow map, so the second request must be a hit.
 func TestShiftMapSharesFlowCacheEntry(t *testing.T) {
@@ -239,7 +259,7 @@ func TestShiftMapSharesFlowCacheEntry(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
 		}
 	}
-	get(fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600))
+	get(fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly&cols=96&rows=96", noon, noon+8*3600))
 	before := an.ExecStats()
 	get(fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600))
 	after := an.ExecStats()

@@ -12,20 +12,16 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"vap/internal/core"
 	"vap/internal/frontend"
-	"vap/internal/geo"
 	"vap/internal/govern"
 	"vap/internal/kde"
 	"vap/internal/query"
 	"vap/internal/reduce"
 	"vap/internal/store"
 	"vap/internal/stream"
-	"vap/internal/vql"
 )
 
 // Server wires the analyzer to HTTP handlers. All expensive results
@@ -90,19 +86,15 @@ func (s *Server) Core() *frontend.Core { return s.fc }
 // defaulting, so a co-hosted wire server can bound statements identically.
 func (s *Server) HandlerTimeout() time.Duration { return s.cfg.HandlerTimeout }
 
-// analysis wraps an analysis or view handler: a malformed numeric
-// parameter is a 400 before it runs, and its request context carries the
-// tenant header, stamped for admission control, and is bounded by the
-// configured handler timeout.
-func (s *Server) analysis(h http.HandlerFunc) http.HandlerFunc {
+// analysis wraps an analysis or view handler: it hands the handler the
+// request's query parameters to read once, and a request context that
+// carries the tenant header, stamped for admission control, and is bounded
+// by the configured handler timeout.
+func (s *Server) analysis(h func(http.ResponseWriter, *http.Request, *params)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if err := badNumber(r); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
 		ctx, cancel := context.WithTimeout(govern.WithTenant(r.Context(), r.Header.Get(TenantHeader)), s.cfg.HandlerTimeout)
 		defer cancel()
-		h(w, r.WithContext(ctx))
+		h(w, r.WithContext(ctx), newParams(r))
 	}
 }
 
@@ -165,161 +157,6 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// numericParams names every query parameter a handler reads with qFloat
-// (false) or qInt64 (true). analysis answers a malformed one, or a float
-// that is NaN or infinite, with a 400 that names it, as qTime does, so a
-// handler never runs on the default read in its place; an absent one
-// keeps its default.
-var numericParams = map[string]bool{
-	"id": true, "seed": true, "w": true, "h": true, "cols": true, "rows": true,
-	"quantile": false, "bx0": false, "by0": false, "bx1": false, "by1": false,
-}
-
-func badNumber(r *http.Request) error {
-	q := r.URL.Query()
-	for key, integer := range numericParams {
-		v := q.Get(key)
-		if v == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if integer {
-			_, err = strconv.ParseInt(v, 10, 64)
-		} else if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
-			err = errors.New("not a finite number")
-		}
-		if err != nil {
-			return fmt.Errorf("api: bad %s parameter: %w", key, err)
-		}
-	}
-	return nil
-}
-
-func qFloat(r *http.Request, key string, def float64) float64 {
-	if v := r.URL.Query().Get(key); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return f
-		}
-	}
-	return def
-}
-
-// qBrush reads the brush corners bx0,by0,bx1,by1 (default the unit
-// square) and orders each axis's pair, so a brush dragged backwards on
-// either axis is the same rectangle.
-func qBrush(r *http.Request) core.Brush {
-	x0, y0 := qFloat(r, "bx0", 0), qFloat(r, "by0", 0)
-	x1, y1 := qFloat(r, "bx1", 1), qFloat(r, "by1", 1)
-	return core.Brush{MinX: min(x0, x1), MinY: min(y0, y1), MaxX: max(x0, x1), MaxY: max(y0, y1)}
-}
-
-func qInt64(r *http.Request, key string, def int64) int64 {
-	if v := r.URL.Query().Get(key); v != "" {
-		if f, err := strconv.ParseInt(v, 10, 64); err == nil {
-			return f
-		}
-	}
-	return def
-}
-
-func qStr(r *http.Request, key, def string) string {
-	if v := r.URL.Query().Get(key); v != "" {
-		return v
-	}
-	return def
-}
-
-// parseSelection reads bbox=minLon,minLat,maxLon,maxLat, zone=..., ids=1,2,3
-// and from/to (Unix seconds or a date/time string — the same literals the
-// VQL time predicates accept). Malformed values are a 400, never a silent
-// fall-back to the default selection.
-func parseSelection(r *http.Request) (query.Selection, error) {
-	var sel query.Selection
-	if bbox := r.URL.Query().Get("bbox"); bbox != "" {
-		parts := strings.Split(bbox, ",")
-		if len(parts) != 4 {
-			return sel, fmt.Errorf("api: bbox wants 4 comma-separated numbers")
-		}
-		var vals [4]float64
-		for i, p := range parts {
-			f, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				return sel, fmt.Errorf("api: bad bbox component %q", p)
-			}
-			vals[i] = f
-		}
-		// Shared with the VQL bbox predicate: finite, in lon/lat range,
-		// min <= max (so a NaN or swapped-corner box cannot silently
-		// select nothing).
-		if err := vql.ValidBBox(vals[0], vals[1], vals[2], vals[3]); err != nil {
-			return sel, fmt.Errorf("api: bad bbox: %w", err)
-		}
-		box := geo.NewBBox(
-			geo.Point{Lon: vals[0], Lat: vals[1]},
-			geo.Point{Lon: vals[2], Lat: vals[3]})
-		sel.BBox = &box
-	}
-	if zone := r.URL.Query().Get("zone"); zone != "" {
-		sel.Zone = store.ZoneType(zone)
-	}
-	if ids := r.URL.Query().Get("ids"); ids != "" {
-		for _, p := range strings.Split(ids, ",") {
-			id, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-			if err != nil {
-				return sel, fmt.Errorf("api: bad meter id %q", p)
-			}
-			sel.MeterIDs = append(sel.MeterIDs, id)
-		}
-	}
-	var err error
-	if sel.From, err = qTime(r, "from"); err != nil {
-		return sel, err
-	}
-	if sel.To, err = qTime(r, "to"); err != nil {
-		return sel, err
-	}
-	if sel.From != 0 && sel.To != 0 && sel.To <= sel.From {
-		return sel, fmt.Errorf("api: empty time window [%d, %d)", sel.From, sel.To)
-	}
-	return sel, nil
-}
-
-// qTime parses a time parameter through the shared VQL time-literal
-// validator (Unix seconds or a date/time string). Absent means 0
-// (unconstrained); malformed is an error. An explicit bound of exactly
-// Unix epoch 0 is rejected rather than silently collapsing into the
-// query.Selection 0-as-unset sentinel (and thereby dropping the
-// constraint).
-func qTime(r *http.Request, key string) (int64, error) {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return 0, nil
-	}
-	ts, err := vql.ParseTime(v)
-	if err != nil {
-		return 0, fmt.Errorf("api: bad %s parameter: %w", key, err)
-	}
-	if ts == 0 {
-		return 0, fmt.Errorf("api: %s at Unix epoch 0 is not representable; use 1, a negative bound, or omit the parameter", key)
-	}
-	return ts, nil
-}
-
-// qAnchors reads a flow map's t1 and t2 with qTime, so they take the same
-// literals as from and to. Both are required.
-func qAnchors(r *http.Request) (t1, t2 int64, err error) {
-	if t1, err = qTime(r, "t1"); err != nil {
-		return 0, 0, err
-	}
-	if t2, err = qTime(r, "t2"); err != nil {
-		return 0, 0, err
-	}
-	if t1 == 0 || t2 == 0 {
-		return 0, 0, fmt.Errorf("api: t1 and t2 parameters required")
-	}
-	return t1, t2, nil
-}
-
 // --- handlers ----------------------------------------------------------------
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -378,9 +215,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // bbox). Stats come from append-time chunk metadata, so the endpoint never
 // decodes data — it is cheap enough to poll.
 func (s *Server) handleSeriesStats(w http.ResponseWriter, r *http.Request) {
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	p := newParams(r)
+	sel := p.selection()
+	if p.answered(w) {
 		return
 	}
 	ids, err := s.an.Engine().ResolveMeters(sel)
@@ -462,9 +299,9 @@ func ratio(raw, comp int) float64 {
 }
 
 func (s *Server) handleCustomers(w http.ResponseWriter, r *http.Request) {
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	p := newParams(r)
+	sel := p.selection()
+	if p.answered(w) {
 		return
 	}
 	ids, err := s.an.Engine().ResolveMeters(sel)
@@ -482,23 +319,16 @@ func (s *Server) handleCustomers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"count": len(out), "customers": out})
 }
 
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	id := qInt64(r, "id", 0)
-	if id == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: id parameter required"))
+func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, p *params) {
+	id := p.int("id", 0, math.MinInt64)
+	sel := p.selection()
+	g := p.granularity(query.GranDaily)
+	fn := query.AggFunc(p.str("agg", string(query.AggMean)))
+	p.need(id != 0, "id parameter required")
+	if p.answered(w) {
 		return
 	}
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	g, err := query.ParseGranularity(qStr(r, "granularity", "daily"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	buckets, err := s.an.MeterSeries(r.Context(), id, sel, g, query.AggFunc(qStr(r, "agg", "mean")))
+	buckets, err := s.an.MeterSeries(r.Context(), id, sel, g, fn)
 	if err != nil {
 		writeAnalysisErr(w, err)
 		return
@@ -506,46 +336,44 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"id": id, "granularity": g, "buckets": buckets})
 }
 
-// reduceView computes (or returns the memoized) typical-pattern view for
-// the request's parameters; when it cannot it answers the request itself
-// and reports false. Caching, in-flight deduplication, and version-based
-// invalidation all live in the analyzer's execution engine.
-func (s *Server) reduceView(w http.ResponseWriter, r *http.Request) (*core.TypicalView, bool) {
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return nil, false
-	}
+// typical reads the typical-pattern view's parameters after any the
+// handler read, and computes (or returns the memoized) view; when it cannot
+// it answers the request itself and reports false. The view's caching and
+// its method, metric and granularity defaults are the analyzer's.
+func (s *Server) typical(w http.ResponseWriter, r *http.Request, p *params) (*core.TypicalView, bool) {
 	cfg := core.TypicalConfig{
-		Selection:       sel,
-		Method:          reduce.Method(qStr(r, "method", "tsne")),
-		Metric:          reduce.Metric(qStr(r, "metric", "pearson")),
-		Granularity:     query.Granularity(qStr(r, "granularity", "daily")),
-		Seed:            qInt64(r, "seed", 42),
-		UseDailyProfile: qStr(r, "profile", "") == "daily",
+		Selection:       p.selection(),
+		Method:          reduce.Method(p.str("method", "")),
+		Metric:          reduce.Metric(p.str("metric", "")),
+		Granularity:     p.granularity(""),
+		Seed:            p.int("seed", 42, math.MinInt64),
+		UseDailyProfile: p.str("profile", "", "daily") == "daily",
+	}
+	if p.answered(w) {
+		return nil, false
 	}
 	v, err := s.an.TypicalPatterns(r.Context(), cfg)
 	if err != nil {
 		writeAnalysisErr(w, err)
-		return nil, false
 	}
-	return v, true
+	return v, err == nil
 }
 
-func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	if v, ok := s.reduceView(w, r); ok {
+func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request, p *params) {
+	if v, ok := s.typical(w, r, p); ok {
 		writeJSON(w, http.StatusOK, v)
 	}
 }
 
 // handlePatterns applies a brush (bx0,by0,bx1,by1 in [0,1]) to the reduced
 // view and returns the group profile — the S1 interaction.
-func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.reduceView(w, r)
+func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request, p *params) {
+	b, _ := p.brush()
+	v, ok := s.typical(w, r, p)
 	if !ok {
 		return
 	}
-	ids, rowIdx, err := v.SelectBrush(qBrush(r))
+	ids, rowIdx, err := v.SelectBrush(b)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
@@ -555,39 +383,26 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"selected": len(ids),
-		"profile":  prof,
-	})
+	writeJSON(w, http.StatusOK, map[string]interface{}{"selected": len(ids), "profile": prof})
 }
 
-func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+// handleFlow answers the flow map between t1 and t2; core and kde default
+// an absent grid, kernel or OD mode and refuse one they do not know.
+func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request, p *params) {
+	cfg := core.ShiftConfig{
+		Selection:         p.selection(),
+		Granularity:       p.granularity(query.Gran4Hourly),
+		IntensityQuantile: p.float("quantile", 0, 0, 1),
+		GridCols:          int(p.int("cols", 0, 1)),
+		GridRows:          int(p.int("rows", 0, 1)),
+		Kernel:            kde.Kernel(p.str("kernel", "")),
+		OD:                core.ODMode(p.str("od", "")),
+	}
+	cfg.T1, cfg.T2 = p.anchors(true)
+	if p.answered(w) {
 		return
 	}
-	g, err := query.ParseGranularity(qStr(r, "granularity", "4hourly"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	t1, t2, err := qAnchors(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
-		Selection:         sel,
-		T1:                t1,
-		T2:                t2,
-		Granularity:       g,
-		IntensityQuantile: qFloat(r, "quantile", 0),
-		GridCols:          int(qInt64(r, "cols", 96)),
-		GridRows:          int(qInt64(r, "rows", 96)),
-		Kernel:            kde.Kernel(qStr(r, "kernel", "gaussian")),
-		OD:                core.ODMode(qStr(r, "od", "matching")),
-	})
+	res, err := s.an.ShiftPatternsCtx(r.Context(), cfg)
 	if err != nil {
 		writeAnalysisErr(w, err)
 		return

@@ -387,6 +387,32 @@ func TestReversedBrush(t *testing.T) {
 	}
 }
 
+// TestScatterBrushAnyCorner: the scatter view draws the brush when any
+// corner is given, as /api/patterns applies one, the others defaulting to
+// the unit square's.
+func TestScatterBrushAnyCorner(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	outlines := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return strings.Count(string(body), `stroke="#d62728"`)
+	}
+	plain := outlines("/view/scatter.svg?method=mds")
+	for _, corner := range []string{"bx0=0.5", "by0=0.5", "bx1=0.5", "by1=0.5"} {
+		if n := outlines("/view/scatter.svg?method=mds&" + corner); n != plain+1 {
+			t.Errorf("scatter with %s: %d brush outlines, want %d", corner, n, plain+1)
+		}
+	}
+}
+
 func TestReduceCaching(t *testing.T) {
 	srv, _ := newTestServer(t, nil)
 	t0 := time.Now()

@@ -297,11 +297,12 @@ func TestGovernMixedWorkload(t *testing.T) {
 		probe: func(t *testing.T, srv *httptest.Server, an *core.Analyzer, ds *gen.Dataset) {
 			// An hourly feature matrix from 1970: 8 meters x ~420k buckets.
 			// The series view averages the same matrix, and one meter's
-			// series is one of its rows.
+			// series is one of its rows. PCA over daily buckets to 2096 has
+			// a 2 MB matrix but a 6.6 GB covariance of its ~29k columns.
 			_, last, _ := an.Store().TimeBounds()
 			axis, _ := query.BucketAxis(query.GranHourly, 1, last+1)
 			matrix := uint64(8 * len(ds.Customers) * len(axis))
-			for _, path := range []string{"/api/reduce?from=1&granularity=hourly", "/view/series.svg?from=1&granularity=hourly", "/api/series?id=1&from=1&granularity=hourly"} {
+			for _, path := range []string{"/api/reduce?from=1&granularity=hourly", "/view/series.svg?from=1&granularity=hourly", "/api/series?id=1&from=1&granularity=hourly", "/api/reduce?method=pca&to=4000000000"} {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				resp, out := postQueryAs(t, srv.URL, "", path)

@@ -37,7 +37,8 @@ import (
 // holds. Malformed input is a 400 with the offending line/frame; store
 // failures (closed store, WAL errors) are a 500 and abort the request.
 // `?sync=1` forces a group commit before replying, so a 200 means every
-// accepted sample is fsynced.
+// accepted sample is fsynced; `sync=0` or none acknowledges without one, and
+// any other value is a 400 before the body is read.
 
 // ingestBinaryMagic marks the compact binary framing.
 var ingestBinaryMagic = [4]byte{'V', 'A', 'P', 'B'}
@@ -110,6 +111,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("api: ingest is POST-only"))
 		return
 	}
+	p := newParams(r)
+	synced := p.str("sync", "", "0", "1") == "1"
+	if p.answered(w) {
+		return
+	}
 	// A declared over-limit body fails before reading (or admitting) it.
 	if r.ContentLength > s.cfg.MaxIngestBytes {
 		writeErr(w, http.StatusRequestEntityTooLarge,
@@ -175,7 +181,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if r.URL.Query().Get("sync") == "1" {
+	if synced {
 		if err := st.Sync(); err != nil {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
@@ -194,7 +200,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		"skipped_unknown_meter": rep.UnknownMeter,
 		"duration_ms":           elapsed.Milliseconds(),
 		"samples_per_sec":       perSec,
-		"synced":                r.URL.Query().Get("sync") == "1",
+		"synced":                synced,
 		"data_version":          s.dataVersion(),
 	})
 }

@@ -153,6 +153,24 @@ func TestIngestSyncDurable(t *testing.T) {
 	}
 }
 
+// TestIngestSyncFlag: sync is 1, 0 or absent; any other value is a 400
+// naming it before the body is read, not an unsynced 200.
+func TestIngestSyncFlag(t *testing.T) {
+	srv, st := newIngestServer(t, store.Options{})
+	body := []byte(`{"meter":1,"lon":1,"lat":2}` + "\n" + `{"meter":1,"ts":60,"v":4.5}`)
+	code, out := postIngest(t, srv.URL+"/api/ingest?sync=true", "application/x-ndjson", body)
+	if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "bad sync parameter") {
+		t.Errorf("sync=true: status %d, response %v; want 400 naming sync", code, out)
+	}
+	if n := st.Catalog().Len(); n != 0 {
+		t.Errorf("sync=true applied the body: %d meters registered", n)
+	}
+	code, out = postIngest(t, srv.URL+"/api/ingest?sync=0", "application/x-ndjson", body)
+	if code != http.StatusOK || out["synced"] != false || out["samples"] != 1.0 {
+		t.Errorf("sync=0: status %d, response %v; want an unsynced 200 with 1 sample", code, out)
+	}
+}
+
 func TestIngestBadInput(t *testing.T) {
 	srv, _ := newIngestServer(t, store.Options{})
 	cases := []struct {

@@ -16,55 +16,38 @@ func writeSVG(w http.ResponseWriter, svg string) {
 }
 
 // handleMapSVG renders view A. Modes: markers (default), heat (density of
-// window [from,to)), shift (flow map between t1 and t2).
-func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+// window [from,to)), shift (flow map between t1 and t2). Every parameter is
+// read before the mode is, so a bad value is a 400 in every mode.
+func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request, p *params) {
+	sel := p.selection()
+	mode := p.str("mode", "markers")
+	mv := &viz.MapView{W: int(p.int("w", 0, 1)), H: int(p.int("h", 0, 1))}
+	cfg := core.ShiftConfig{
+		Selection:         sel,
+		Granularity:       p.granularity(query.Gran4Hourly),
+		IntensityQuantile: p.float("quantile", 0, 0, 1),
+		OD:                core.ODMode(p.str("od", "")),
+	}
+	cfg.T1, cfg.T2 = p.anchors(mode == "shift")
+	p.need(mode != "heat" || sel.From != 0 && sel.To != 0, "heat mode requires from and to parameters")
+	if p.answered(w) {
 		return
 	}
-	mode := qStr(r, "mode", "markers")
-	mv := &viz.MapView{
-		Box:    s.an.Store().Catalog().Bounds().Buffer(0.002),
-		W:      int(qInt64(r, "w", 720)),
-		H:      int(qInt64(r, "h", 560)),
-		Meters: s.an.Store().Catalog().All(),
-	}
+	mv.Box = s.an.Store().Catalog().Bounds().Buffer(0.002)
 	switch mode {
 	case "markers":
+		mv.Meters = s.an.Store().Catalog().All()
 		mv.Title = "VAP view A: customers"
 	case "heat":
-		if sel.From == 0 || sel.To == 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("api: heat mode requires from and to"))
-			return
-		}
 		field, err := s.an.DemandDensity(r.Context(), sel, sel.From, sel.To, kde.Config{})
 		if err != nil {
 			writeAnalysisErr(w, err)
 			return
 		}
 		mv.Heat = field
-		mv.Meters = nil
 		mv.Title = "VAP view A: demand density"
 	case "shift":
-		g, err := query.ParseGranularity(qStr(r, "granularity", "4hourly"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		t1, t2, err := qAnchors(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		res, err := s.an.ShiftPatternsCtx(r.Context(), core.ShiftConfig{
-			Selection:         sel,
-			T1:                t1,
-			T2:                t2,
-			Granularity:       g,
-			IntensityQuantile: qFloat(r, "quantile", 0),
-			OD:                core.ODMode(qStr(r, "od", "matching")),
-		})
+		res, err := s.an.ShiftPatternsCtx(r.Context(), cfg)
 		if err != nil {
 			writeAnalysisErr(w, err)
 			return
@@ -72,25 +55,24 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request) {
 		mv.Heat = res.Shift
 		mv.HeatDiv = true
 		mv.Flows = res.Flows
-		mv.Meters = nil
 		mv.Title = "VAP view A: demand shift flow map"
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: unknown map mode %q", mode))
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("api: bad mode parameter: unknown map mode %q", mode))
 		return
 	}
 	writeSVG(w, mv.Render())
 }
 
 // handleSeriesSVG renders view B for one meter or a brushed group.
-func (s *Server) handleSeriesSVG(w http.ResponseWriter, r *http.Request) {
-	sel, err := parseSelection(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func (s *Server) handleSeriesSVG(w http.ResponseWriter, r *http.Request, p *params) {
+	sel := p.selection()
+	g := p.granularity(query.GranDaily)
+	tsv := &viz.TimeSeriesView{
+		W: int(p.int("w", 0, 1)), H: int(p.int("h", 0, 1)),
+		Title:  "VAP view B: aggregated consumption pattern",
+		YLabel: "kWh",
 	}
-	g, err := query.ParseGranularity(qStr(r, "granularity", "daily"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if p.answered(w) {
 		return
 	}
 	buckets, err := s.an.SelectionSeries(r.Context(), sel, g)
@@ -98,28 +80,22 @@ func (s *Server) handleSeriesSVG(w http.ResponseWriter, r *http.Request) {
 		writeAnalysisErr(w, err)
 		return
 	}
-	tsv := &viz.TimeSeriesView{
-		W: int(qInt64(r, "w", 720)), H: int(qInt64(r, "h", 260)),
-		Title:  "VAP view B: aggregated consumption pattern",
-		YLabel: "kWh",
-		Series: []viz.LabeledSeries{{Name: "selection mean", Buckets: buckets}},
-	}
+	tsv.Series = []viz.LabeledSeries{{Name: "selection mean", Buckets: buckets}}
 	writeSVG(w, tsv.Render())
 }
 
-// handleScatterSVG renders view C with an optional brush overlay.
-func (s *Server) handleScatterSVG(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.reduceView(w, r)
+// handleScatterSVG renders view C, with the brush drawn when any corner of
+// it is given.
+func (s *Server) handleScatterSVG(w http.ResponseWriter, r *http.Request, p *params) {
+	sv := &viz.ScatterView{W: int(p.int("w", 0, 1)), H: int(p.int("h", 0, 1))}
+	b, brushed := p.brush()
+	v, ok := s.typical(w, r, p)
 	if !ok {
 		return
 	}
-	sv := &viz.ScatterView{
-		W: int(qInt64(r, "w", 420)), H: int(qInt64(r, "h", 420)),
-		Points: v.Points,
-		Title:  fmt.Sprintf("VAP view C: %s / %s", v.Method, v.Metric),
-	}
-	if r.URL.Query().Get("bx0") != "" {
-		b := qBrush(r)
+	sv.Points = v.Points
+	sv.Title = fmt.Sprintf("VAP view C: %s / %s", v.Method, v.Metric)
+	if brushed {
 		sv.Brush = &[4]float64{b.MinX, b.MinY, b.MaxX, b.MaxY}
 	}
 	writeSVG(w, sv.Render())

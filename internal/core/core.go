@@ -98,13 +98,14 @@ func (a *Analyzer) Gov() *govern.Controller { return a.gov }
 // job is one request as the lifecycle sees it, over meters its caller
 // resolved once. plan is the VQL statement each of its scans is equivalent
 // to; mem is what the post-step allocates beyond the scans, bucketMem more
-// per bucket of each scan (the feature matrix's columns).
+// per bucket of each scan (the feature matrix's columns), and squareMem
+// more per bucket squared (PCA's covariance matrix).
 type job struct {
-	kind           string // cache namespace
-	plan           *vql.Plan
-	ids            []int64
-	mem, bucketMem int64
-	config         []any // the post-step's knobs, keyed after the windows
+	kind                      string // cache namespace
+	plan                      *vql.Plan
+	ids                       []int64
+	mem, bucketMem, squareMem int64
+	config                    []any // the post-step's knobs, keyed after the windows
 }
 
 // run is the one request lifecycle of VQL and the paper's views alike. It
@@ -132,7 +133,8 @@ func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute f
 				return nil, cost.Refused
 			}
 			req.EstSamples += cost.EstSamples
-			req.EstMem += cost.EstMemBytes() + int64(cost.Buckets)*j.bucketMem
+			b := int64(cost.Buckets)
+			req.EstMem += cost.EstMemBytes() + b*j.bucketMem + b*b*j.squareMem
 		}
 	}
 	req.Tenant = govern.TenantFrom(ctx)
@@ -267,9 +269,11 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 	// float64 slices per tile, 32 bytes for each of at most n*n/128 + n row
 	// shares, and each iteration's copy of the coordinates, 16 bytes a
 	// point.
-	fn, g, mem, bucketMem := cfg.Aggregate, cfg.Granularity, 16*n*n+n*n/4+48*n, 8*n
+	fn, g, mem, bucketMem, squareMem := cfg.Aggregate, cfg.Granularity, 16*n*n+n*n/4+48*n, 8*n, int64(0)
 	if cfg.UseDailyProfile {
 		fn, g, mem, bucketMem = query.AggMean, query.GranHourly, mem+24*8*n, 0
+	} else if cfg.Method == reduce.MethodPCA {
+		squareMem = 8 // the covariance of the feature columns
 	}
 	p, err := scanPlan(fn, g)
 	if err != nil {
@@ -277,7 +281,7 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 	}
 	cfg.Selection = query.Selection{MeterIDs: ids, From: from, To: to}
 	v, err := a.run(ctx, job{
-		kind: "typical", plan: p, ids: ids, mem: mem, bucketMem: bucketMem,
+		kind: "typical", plan: p, ids: ids, mem: mem, bucketMem: bucketMem, squareMem: squareMem,
 		config: []any{cfg.Method, cfg.Metric, cfg.Seed, cfg.UseDailyProfile},
 	}, [][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
 		return a.computeTypical(ctx, cfg)
@@ -581,18 +585,24 @@ func (a *Analyzer) ShiftPatterns(cfg ShiftConfig) (*ShiftResult, error) {
 // ShiftPatternsCtx is ShiftPatterns with context cancellation and the same
 // admission and versioned memoization as TypicalPatterns: anchors are
 // canonicalized to their bucket starts, so any two requests landing in the
-// same (T1, T2) buckets on unchanged data share one cached flow map.
+// same (T1, T2) buckets on unchanged data share one cached flow map. An
+// unknown kernel or OD mode is an input error before admission.
 func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*ShiftResult, error) {
 	if cfg.Granularity == "" {
 		cfg.Granularity = query.GranHourly
 	}
 	// Canonicalize the grid and kernel kde would default anyway, so
-	// equivalent requests (/api/flow's explicit 96x96, /view/map.svg's unset
-	// grid) share one cached flow map.
+	// equivalent requests (an explicit 96x96 grid, an unset one) share one
+	// cached flow map.
 	k := kde.Config{Cols: cfg.GridCols, Rows: cfg.GridRows, Kernel: cfg.Kernel}.WithDefaults()
 	cfg.GridCols, cfg.GridRows, cfg.Kernel = k.Cols, k.Rows, k.Kernel
+	if err := k.Kernel.Valid(); err != nil {
+		return nil, err
+	}
 	if cfg.OD == "" {
 		cfg.OD = ODMatching
+	} else if cfg.OD != ODMatching && cfg.OD != ODGradient {
+		return nil, fmt.Errorf("%w: unknown od mode %q", query.ErrInput, cfg.OD)
 	}
 	g := cfg.Granularity
 	t1a, t1b := g.Truncate(cfg.T1), g.Next(cfg.T1)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"vap/internal/gen"
@@ -193,6 +194,30 @@ func TestShiftPatternsSameBucketFails(t *testing.T) {
 		T1: noon, T2: noon + 3600, Granularity: query.GranDaily,
 	}); !errors.Is(err, ErrSameBucket) {
 		t.Errorf("same-bucket anchors: err = %v, want ErrSameBucket", err)
+	}
+}
+
+// TestShiftPatternsRefusesUnknownKernelAndOD: a kernel kde does not know
+// and an OD mode core does not know are input errors before the request
+// reaches the cache or the governor, not an empty flow map.
+func TestShiftPatternsRefusesUnknownKernelAndOD(t *testing.T) {
+	an, ds := fixture(t)
+	noon := ds.Start.Unix() + 10*86400 + 12*3600
+	before := an.ExecStats()
+	for _, c := range []struct {
+		cfg  ShiftConfig
+		want error
+	}{
+		{ShiftConfig{Kernel: "bogus"}, kde.ErrInput},
+		{ShiftConfig{OD: "bogus"}, query.ErrInput},
+	} {
+		c.cfg.T1, c.cfg.T2, c.cfg.Granularity = noon, noon+8*3600, query.Gran4Hourly
+		if _, err := an.ShiftPatterns(c.cfg); !errors.Is(err, c.want) || !strings.Contains(err.Error(), "bogus") {
+			t.Errorf("%+v: err = %v, want %v naming the value", c.cfg, err, c.want)
+		}
+	}
+	if after := an.ExecStats(); after != before {
+		t.Errorf("refused requests reached the cache: %+v -> %+v", before, after)
 	}
 }
 

@@ -82,6 +82,14 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// Valid reports an unknown kernel; "" is WithDefaults' Gaussian.
+func (k Kernel) Valid() error {
+	if k != "" && k != KernelGaussian && k != KernelEpanechnikov && k != KernelUniform {
+		return fmt.Errorf("%w: unknown kernel %q", ErrInput, k)
+	}
+	return nil
+}
+
 // Field is a scalar raster over a geographic box: Values[row*Cols+col],
 // row 0 at the box's south edge.
 type Field struct {

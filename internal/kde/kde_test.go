@@ -2,9 +2,11 @@ package kde
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"vap/internal/geo"
@@ -82,6 +84,21 @@ func TestEstimateErrors(t *testing.T) {
 	pts := []WeightedPoint{{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1}}
 	if _, err := Estimate(pts, geo.EmptyBBox(), Config{}); err == nil {
 		t.Error("empty box should fail")
+	}
+}
+
+// TestKernelValid: the three kernels and the unset one are valid, and any
+// other name is an ErrInput naming it, not a field that stamps nothing.
+func TestKernelValid(t *testing.T) {
+	for _, k := range []Kernel{"", KernelGaussian, KernelEpanechnikov, KernelUniform} {
+		if err := k.Valid(); err != nil {
+			t.Errorf("%q: %v", k, err)
+		}
+	}
+	for _, k := range []Kernel{"bogus", "Gaussian", " uniform"} {
+		if err := k.Valid(); !errors.Is(err, ErrInput) || !strings.Contains(err.Error(), string(k)) {
+			t.Errorf("%q: %v, want ErrInput naming it", k, err)
+		}
 	}
 }
 

@@ -371,7 +371,7 @@ func (p *parser) parseBBox() (Pred, error) {
 		return nil, err
 	}
 	pred := BBoxPred{MinLon: vals[0], MinLat: vals[1], MaxLon: vals[2], MaxLat: vals[3], Pos: t.Pos}
-	if err := validBBox(vals[0], vals[1], vals[2], vals[3]); err != nil {
+	if err := ValidBBox(vals[0], vals[1], vals[2], vals[3]); err != nil {
 		return nil, errAt(t.Pos, "%v", err)
 	}
 	return pred, nil

@@ -40,10 +40,10 @@ func ParseTime(s string) (int64, error) {
 	return 0, fmt.Errorf("bad time %q (want Unix seconds or e.g. '2017-06-01', '2017-06-01 08:00', RFC3339)", s)
 }
 
-// validBBox validates the four bbox coordinates: finite, in lon/lat range,
+// ValidBBox validates the four bbox coordinates: finite, in lon/lat range,
 // and min <= max on both axes. Shared by the VQL bbox predicate and the
 // HTTP layer's bbox parameter so both surfaces reject the same inputs.
-func validBBox(minLon, minLat, maxLon, maxLat float64) error {
+func ValidBBox(minLon, minLat, maxLon, maxLat float64) error {
 	for _, v := range []float64{minLon, minLat, maxLon, maxLat} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("bbox coordinates must be finite numbers")
@@ -56,9 +56,4 @@ func validBBox(minLon, minLat, maxLon, maxLat float64) error {
 		return fmt.Errorf("bbox wants minLon <= maxLon and minLat <= maxLat")
 	}
 	return nil
-}
-
-// ValidBBox is validBBox for callers outside the package (the HTTP layer).
-func ValidBBox(minLon, minLat, maxLon, maxLat float64) error {
-	return validBBox(minLon, minLat, maxLon, maxLat)
 }
