@@ -211,7 +211,7 @@ func BenchmarkSMACOF(b *testing.B) {
 func BenchmarkPCA(b *testing.B) {
 	setupBench(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := reduce.PCA(benchData.rows); err != nil {
+		if _, err := reduce.PCA(context.Background(), benchData.rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,6 +82,7 @@ func TestFlowAndMapErrorStatuses(t *testing.T) {
 		"shift":    fmt.Sprintf("/view/map.svg?mode=shift&t1=%d&t2=%d&granularity=4hourly", noon, noon+8*3600),
 		"heat":     fmt.Sprintf("/view/map.svg?mode=heat&from=%d&to=%d", noon, noon+4*3600),
 		"reduce":   "/api/reduce?method=mds",
+		"pca":      "/api/reduce?method=pca",
 		"patterns": "/api/patterns?method=mds",
 		"scatter":  "/view/scatter.svg?method=mds",
 		"series":   "/view/series.svg?granularity=daily",
@@ -265,6 +266,36 @@ func TestShiftMapSharesFlowCacheEntry(t *testing.T) {
 	after := an.ExecStats()
 	if after.Computes != before.Computes || after.Hits != before.Hits+1 {
 		t.Errorf("map.svg?mode=shift after the matching /api/flow: computes %d -> %d, hits %d -> %d; want no compute and one hit",
+			before.Computes, after.Computes, before.Hits, after.Hits)
+	}
+}
+
+// TestHeatMapAbsentBoundsAreDataEdges: an absent from or to on the heat map
+// is the data's own edge, as on every other view, so the bare request draws
+// the same map as one spelling the edges out, and the two share one cache
+// entry.
+func TestHeatMapAbsentBoundsAreDataEdges(t *testing.T) {
+	an, _ := newTestAnalyzer(t)
+	mux := NewServer(an, nil).Routes()
+	first, last, _ := an.Store().TimeBounds()
+	get := func(path string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	bare := get("/view/map.svg?mode=heat")
+	before := an.ExecStats()
+	edges := get(fmt.Sprintf("/view/map.svg?mode=heat&from=%d&to=%d", first, last+1))
+	after := an.ExecStats()
+	if edges != bare {
+		t.Error("the heat map with explicit data-edge bounds differs from the one without bounds")
+	}
+	if after.Computes != before.Computes || after.Hits != before.Hits+1 {
+		t.Errorf("explicit edges after the bare request: computes %d -> %d, hits %d -> %d; want no compute and one hit",
 			before.Computes, after.Computes, before.Hits, after.Hits)
 	}
 }

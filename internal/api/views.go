@@ -16,8 +16,9 @@ func writeSVG(w http.ResponseWriter, svg string) {
 }
 
 // handleMapSVG renders view A. Modes: markers (default), heat (density of
-// window [from,to)), shift (flow map between t1 and t2). Every parameter is
-// read before the mode is, so a bad value is a 400 in every mode.
+// window [from,to), an absent bound the data's edge), shift (flow map
+// between t1 and t2). Every parameter is read before the mode is, so a bad
+// value is a 400 in every mode.
 func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request, p *params) {
 	sel := p.selection()
 	mode := p.str("mode", "markers")
@@ -29,7 +30,6 @@ func (s *Server) handleMapSVG(w http.ResponseWriter, r *http.Request, p *params)
 		OD:                core.ODMode(p.str("od", "")),
 	}
 	cfg.T1, cfg.T2 = p.anchors(mode == "shift")
-	p.need(mode != "heat" || sel.From != 0 && sel.To != 0, "heat mode requires from and to parameters")
 	if p.answered(w) {
 		return
 	}

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"vap/internal/stat"
 	"vap/internal/store"
@@ -117,25 +116,6 @@ func hampel(x []float64, half int, t float64) []int {
 		}
 		if math.Abs(x[i]-med) > t*mad {
 			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// RemoveIndexes returns samples with the given (sorted or unsorted) indexes
-// removed.
-func RemoveIndexes(samples []store.Sample, idx []int) []store.Sample {
-	if len(idx) == 0 {
-		return append([]store.Sample(nil), samples...)
-	}
-	drop := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		drop[i] = true
-	}
-	out := make([]store.Sample, 0, len(samples)-len(idx))
-	for i, s := range samples {
-		if !drop[i] {
-			out = append(out, s)
 		}
 	}
 	return out
@@ -295,60 +275,4 @@ func fillLinear(s []store.Sample) {
 		}
 		i = j
 	}
-}
-
-// Report summarizes a preprocessing pass.
-type Report struct {
-	Input     int `json:"input"`
-	Anomalies int `json:"anomalies"`
-	GapCount  int `json:"gaps"`
-	Filled    int `json:"filled"`
-	Output    int `json:"output"`
-}
-
-// Pipeline runs the full preprocessing pass the paper describes: detect and
-// remove anomalies, then fill missing values, returning a regular series.
-func Pipeline(samples []store.Sample, stepSec int64, acfg AnomalyConfig, fill FillMethod, period int) ([]store.Sample, Report, error) {
-	rep := Report{Input: len(samples)}
-	if len(samples) == 0 {
-		return nil, rep, ErrEmpty
-	}
-	anoms, err := DetectAnomalies(samples, acfg)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.Anomalies = len(anoms)
-	kept := RemoveIndexes(samples, anoms)
-	if len(kept) == 0 {
-		return nil, rep, errors.New("clean: all samples flagged anomalous")
-	}
-	gaps, err := FindGaps(kept, stepSec)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.GapCount = len(gaps)
-	filled, err := FillGaps(kept, stepSec, fill, period)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.Filled = len(filled) - len(kept)
-	rep.Output = len(filled)
-	return filled, rep, nil
-}
-
-// SortSamples orders samples by timestamp ascending (stable), dropping
-// exact-duplicate timestamps (keeping the first).
-func SortSamples(samples []store.Sample) []store.Sample {
-	out := append([]store.Sample(nil), samples...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	dedup := out[:0]
-	var lastTS int64
-	for i, s := range out {
-		if i > 0 && s.TS == lastTS {
-			continue
-		}
-		dedup = append(dedup, s)
-		lastTS = s.TS
-	}
-	return dedup
 }

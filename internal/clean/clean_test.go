@@ -89,23 +89,6 @@ func TestDetectAnomaliesErrors(t *testing.T) {
 	}
 }
 
-func TestRemoveIndexes(t *testing.T) {
-	s := regular(5, 1, func(i int) float64 { return float64(i) })
-	out := RemoveIndexes(s, []int{1, 3})
-	if len(out) != 3 || out[0].Value != 0 || out[1].Value != 2 || out[2].Value != 4 {
-		t.Fatalf("out = %v", out)
-	}
-	// No indexes: copy.
-	cp := RemoveIndexes(s, nil)
-	if len(cp) != 5 {
-		t.Fatal("nil removal changed length")
-	}
-	cp[0].Value = 99
-	if s[0].Value == 99 {
-		t.Fatal("RemoveIndexes aliased its input")
-	}
-}
-
 func TestFindGaps(t *testing.T) {
 	s := []store.Sample{
 		{TS: 0, Value: 1}, {TS: 3600, Value: 1},
@@ -183,62 +166,5 @@ func TestFillGapsUnknownMethod(t *testing.T) {
 	s := regular(3, 60, func(i int) float64 { return 1 })
 	if _, err := FillGaps(s, 60, "spline", 0); err == nil {
 		t.Error("unknown method should fail")
-	}
-}
-
-func TestPipelineEndToEnd(t *testing.T) {
-	// Clean series with a spike and two missing readings.
-	var s []store.Sample
-	for i := 0; i < 120; i++ {
-		if i == 40 || i == 41 {
-			continue
-		}
-		v := 5 + math.Sin(float64(i)/24*2*math.Pi)
-		if i == 80 {
-			v = 300
-		}
-		s = append(s, store.Sample{TS: int64(i) * 3600, Value: v})
-	}
-	out, rep, err := Pipeline(s, 3600, AnomalyConfig{Method: MethodHampel}, FillSeasonal, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Anomalies < 1 {
-		t.Errorf("report anomalies = %d, want >= 1", rep.Anomalies)
-	}
-	if rep.GapCount < 1 {
-		t.Errorf("report gaps = %d, want >= 1", rep.GapCount)
-	}
-	if len(out) != 120 {
-		t.Fatalf("pipeline output = %d samples, want 120 (regular)", len(out))
-	}
-	// Regular cadence, no NaNs, spike removed.
-	for i, smp := range out {
-		if smp.TS != int64(i)*3600 {
-			t.Fatalf("irregular output at %d", i)
-		}
-		if math.IsNaN(smp.Value) {
-			t.Fatalf("NaN at %d", i)
-		}
-		if smp.Value > 100 {
-			t.Fatalf("spike survived at %d: %v", i, smp.Value)
-		}
-	}
-}
-
-func TestSortSamples(t *testing.T) {
-	s := []store.Sample{
-		{TS: 30, Value: 3}, {TS: 10, Value: 1}, {TS: 20, Value: 2},
-		{TS: 10, Value: 99}, // duplicate ts, dropped
-	}
-	out := SortSamples(s)
-	if len(out) != 3 {
-		t.Fatalf("deduped = %d", len(out))
-	}
-	if out[0].TS != 10 || out[0].Value != 1 {
-		t.Fatalf("first = %+v (must keep first occurrence)", out[0])
-	}
-	if out[2].TS != 30 {
-		t.Fatalf("order wrong: %+v", out)
 	}
 }

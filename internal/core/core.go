@@ -536,7 +536,7 @@ func argmax(xs []float64) int {
 type ShiftConfig struct {
 	Selection query.Selection
 	// T1/T2 are the two bucket anchors; each window is
-	// [Granularity.Truncate(T), Granularity.Next(T)).
+	// [Granularity.Truncate(T), Granularity.Next(T)), 4hourly when unset.
 	T1, T2      int64
 	Granularity query.Granularity
 	// IntensityQuantile keeps only meters at or above this total-consumption
@@ -589,7 +589,7 @@ func (a *Analyzer) ShiftPatterns(cfg ShiftConfig) (*ShiftResult, error) {
 // unknown kernel or OD mode is an input error before admission.
 func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*ShiftResult, error) {
 	if cfg.Granularity == "" {
-		cfg.Granularity = query.GranHourly
+		cfg.Granularity = query.Gran4Hourly
 	}
 	// Canonicalize the grid and kernel kde would default anyway, so
 	// equivalent requests (an explicit 96x96 grid, an unset one) share one
@@ -698,14 +698,18 @@ func (a *Analyzer) computeShift(ctx context.Context, cfg ShiftConfig, t1a, t1b, 
 
 // DemandDensity returns the Eq. 3 density map of the selection's demand in
 // [from, to) over the catalog's study area — the standalone heat map of
-// view A. It carries the same admission and versioned-memoization contract
-// as the pattern entry points, so repeated renders of an unchanged dataset
-// reuse the grid.
+// view A. A zero from or to is the data's own edge. It carries the same
+// admission and versioned-memoization contract as the pattern entry
+// points, so repeated renders of an unchanged dataset reuse the grid.
 func (a *Analyzer) DemandDensity(ctx context.Context, sel query.Selection, from, to int64, kcfg kde.Config) (*kde.Field, error) {
-	// Canonicalize the knobs kde would default anyway, so equivalent
-	// requests share one cache entry.
+	// Canonicalize the knobs kde would default anyway, and the window, so
+	// equivalent requests share one cache entry.
 	kcfg = kcfg.WithDefaults()
 	kcfg.Workers = a.ex.Workers()
+	from, to, err := a.eng.TimeWindow(query.Selection{From: from, To: to})
+	if err != nil {
+		return nil, err
+	}
 	ids, err := a.eng.ResolveMeters(sel)
 	if err != nil {
 		return nil, err

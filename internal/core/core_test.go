@@ -221,6 +221,24 @@ func TestShiftPatternsRefusesUnknownKernelAndOD(t *testing.T) {
 	}
 }
 
+// TestShiftPatternsDefaultGranularity: an unset granularity is 4hourly, the
+// HTTP routes' default, so a library caller and an HTTP caller with the
+// same anchors share one flow map.
+func TestShiftPatternsDefaultGranularity(t *testing.T) {
+	an, ds := fixture(t)
+	noon := ds.Start.Unix() + 10*86400 + 12*3600
+	before := an.ExecStats()
+	for _, g := range []query.Granularity{"", query.Gran4Hourly} {
+		if _, err := an.ShiftPatterns(ShiftConfig{T1: noon, T2: noon + 8*3600, Granularity: g}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := an.ExecStats(); after.Computes != before.Computes+1 || after.Hits != before.Hits+1 {
+		t.Errorf("unset then explicit 4hourly: computes %d -> %d, hits %d -> %d; want one compute and one hit",
+			before.Computes, after.Computes, before.Hits, after.Hits)
+	}
+}
+
 func TestShiftPatternsGradientMode(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600

@@ -103,9 +103,6 @@ type Field struct {
 // At returns the value at (col, row).
 func (f *Field) At(col, row int) float64 { return f.Values[row*f.Cols+col] }
 
-// Set assigns the value at (col, row).
-func (f *Field) Set(col, row int, v float64) { f.Values[row*f.Cols+col] = v }
-
 // CellSize returns the width and height of one cell in degrees.
 func (f *Field) CellSize() (w, h float64) {
 	return (f.Box.Max.Lon - f.Box.Min.Lon) / float64(f.Cols),

@@ -147,8 +147,9 @@ func stress(d [][]float64, x Embedding) float64 {
 // PCA projects the raw rows (not a distance matrix) onto their top-2
 // principal components — the cheap linear baseline for the E4 comparison.
 // The components are mat.TopEigen's two leading eigenvectors of the
-// covariance matrix; with one feature column the second axis is 0.
-func PCA(rows [][]float64) (Embedding, error) {
+// covariance matrix; with one feature column the second axis is 0. The
+// covariance pass stops with ctx's error between input rows.
+func PCA(ctx context.Context, rows [][]float64) (Embedding, error) {
 	n := len(rows)
 	if n < 2 {
 		return nil, fmt.Errorf("%w: PCA needs at least 2 rows, got %d", ErrInput, n)
@@ -172,6 +173,9 @@ func PCA(rows [][]float64) (Embedding, error) {
 	// Covariance matrix (dim x dim).
 	cov := mat.NewDense(dim, dim)
 	for _, r := range rows {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for a := 0; a < dim; a++ {
 			da := r[a] - mean[a]
 			for b := a; b < dim; b++ {
@@ -221,7 +225,7 @@ const (
 func Reduce(ctx context.Context, rows [][]float64, method Method, metric Metric, seed int64, workers int) (Embedding, error) {
 	switch method {
 	case MethodPCA:
-		return PCA(rows)
+		return PCA(ctx, rows)
 	case MethodTSNE, MethodMDS, MethodSMACOF:
 		d, err := DistanceMatrixCtx(ctx, rows, metric, workers)
 		if err != nil {

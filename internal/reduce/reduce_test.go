@@ -2,6 +2,7 @@ package reduce
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -346,7 +347,7 @@ func TestPCAKnownDirection(t *testing.T) {
 		t2 := rng.NormFloat64() * 0.2
 		rows[i] = []float64{t1 + t2, t1 - t2}
 	}
-	emb, err := PCA(rows)
+	emb, err := PCA(context.Background(), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestPCAKnownDirection(t *testing.T) {
 // profile over a window inside one calendar year: the covariance is 1 x 1,
 // the first axis is the centred value and the second is 0.
 func TestPCAOneFeatureColumn(t *testing.T) {
-	emb, err := PCA([][]float64{{1}, {3}, {8}})
+	emb, err := PCA(context.Background(), [][]float64{{1}, {3}, {8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +378,22 @@ func TestPCAOneFeatureColumn(t *testing.T) {
 }
 
 func TestPCAErrors(t *testing.T) {
-	if _, err := PCA([][]float64{{1, 2}}); err == nil {
+	if _, err := PCA(context.Background(), [][]float64{{1, 2}}); err == nil {
 		t.Error("n<2 should fail")
 	}
-	if _, err := PCA([][]float64{{1, 2}, {1}}); err == nil {
+	if _, err := PCA(context.Background(), [][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged should fail")
+	}
+}
+
+// TestPCACancellation: the O(n·dim²) covariance pass checks its context, so
+// a handler timeout stops a PCA that admission let through.
+func TestPCACancellation(t *testing.T) {
+	rows, _ := threeClusters(20, 8, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Reduce(ctx, rows, MethodPCA, MetricPearson, 1, 1); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 

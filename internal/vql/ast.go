@@ -166,14 +166,3 @@ type OrderTerm struct {
 	Desc    bool
 	Pos     Pos
 }
-
-func (o OrderTerm) String() string {
-	dir := "asc"
-	if o.Desc {
-		dir = "desc"
-	}
-	if o.Ordinal > 0 {
-		return fmt.Sprintf("%d %s", o.Ordinal, dir)
-	}
-	return fmt.Sprintf("%s %s", o.Ref, dir)
-}
