@@ -13,14 +13,16 @@ import (
 // ErrInput flags invalid clustering input.
 var ErrInput = errors.New("cluster: invalid input")
 
+// tolerance is the centroid movement under which Lloyd iterations stop.
+const tolerance = 1e-6
+
 // KMeansConfig tunes the solver.
 type KMeansConfig struct {
 	K          int
 	MaxIter    int // default 100
 	Restarts   int // default 10; best inertia wins
 	Seed       int64
-	Tolerance  float64 // centroid movement threshold, default 1e-6
-	NormalizeZ bool    // z-normalize each row first (shape, not magnitude)
+	NormalizeZ bool // z-normalize each row first (shape, not magnitude)
 }
 
 func (c *KMeansConfig) defaults() {
@@ -29,9 +31,6 @@ func (c *KMeansConfig) defaults() {
 	}
 	if c.Restarts <= 0 {
 		c.Restarts = 10
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-6
 	}
 }
 
@@ -219,7 +218,7 @@ func lloyd(data [][]float64, cfg KMeansConfig, rng *rand.Rand) *KMeansResult {
 				centroids[k][j] = nv
 			}
 		}
-		if math.Sqrt(moved) < cfg.Tolerance {
+		if math.Sqrt(moved) < tolerance {
 			break
 		}
 	}

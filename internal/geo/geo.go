@@ -1,6 +1,6 @@
 // Package geo provides the geographic primitives used throughout VAP:
-// points, bounding boxes, great-circle distance, a Web-Mercator projection
-// for rendering, and geohash encoding for coarse spatial bucketing.
+// points, bounding boxes, great-circle distance and a Web-Mercator
+// projection for rendering.
 //
 // All longitudes are in degrees east in [-180, 180] and latitudes in degrees
 // north in [-90, 90]. Distances are in meters unless stated otherwise.
@@ -105,14 +105,6 @@ func (b BBox) Union(o BBox) BBox {
 		Min: Point{Lon: math.Min(b.Min.Lon, o.Min.Lon), Lat: math.Min(b.Min.Lat, o.Min.Lat)},
 		Max: Point{Lon: math.Max(b.Max.Lon, o.Max.Lon), Lat: math.Max(b.Max.Lat, o.Max.Lat)},
 	}
-}
-
-// Area returns the box area in square degrees (0 for an empty box).
-func (b BBox) Area() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.Max.Lon - b.Min.Lon) * (b.Max.Lat - b.Min.Lat)
 }
 
 // Center returns the box midpoint.

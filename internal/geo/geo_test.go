@@ -116,9 +116,6 @@ func TestEmptyBBox(t *testing.T) {
 	if !e.IsEmpty() {
 		t.Fatal("EmptyBBox should be empty")
 	}
-	if e.Area() != 0 {
-		t.Errorf("empty area = %v, want 0", e.Area())
-	}
 }
 
 func TestBBoxUnionIdentity(t *testing.T) {

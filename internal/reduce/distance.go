@@ -98,9 +98,9 @@ func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers 
 }
 
 // pearsonDistances standardizes every row once — mean 0, unit norm — so the
-// Pearson distance 1 - r of a pair is one dot product, where
-// stat.PearsonDistance recomputes both means and three sums per pair. A
-// zero-variance row correlates with nothing (r = 0), as in stat.Pearson.
+// Pearson distance 1 - r of a pair is one dot product, where the textbook
+// formula recomputes both means and three sums per pair. A zero-variance
+// row correlates with nothing (r = 0).
 func pearsonDistances(rows [][]float64) func(i, j int) float64 {
 	width := len(rows[0])
 	z := make([]float64, len(rows)*width)

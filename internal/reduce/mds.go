@@ -47,19 +47,18 @@ func ClassicalMDS(d [][]float64) (Embedding, error) {
 	return out, nil
 }
 
+// smacofEps is the relative stress improvement under which SMACOF stops.
+const smacofEps = 1e-6
+
 // SMACOFConfig tunes the stress-majorization MDS solver.
 type SMACOFConfig struct {
-	Iterations int     // default 300
-	Eps        float64 // relative stress improvement threshold, default 1e-6
+	Iterations int // default 300
 	Seed       int64
 }
 
 func (c *SMACOFConfig) defaults() {
 	if c.Iterations <= 0 {
 		c.Iterations = 300
-	}
-	if c.Eps <= 0 {
-		c.Eps = 1e-6
 	}
 }
 
@@ -121,7 +120,7 @@ func SMACOF(ctx context.Context, d [][]float64, cfg SMACOFConfig) (*SMACOFResult
 		copy(x, xNew)
 		s := stress(d, x)
 		res.Iterations = iter
-		if prevStress > 0 && (prevStress-s)/prevStress < cfg.Eps {
+		if prevStress > 0 && (prevStress-s)/prevStress < smacofEps {
 			prevStress = s
 			break
 		}

@@ -11,21 +11,24 @@ import (
 	"vap/internal/exec"
 )
 
+// The optimizer's schedule and step (matching van der Maaten & Hinton
+// 2008).
+const (
+	targetPerplexity = 30   // clamped for small n by perplexityFor
+	learnRate        = 200  // gradient step
+	momentum         = 0.5  // early momentum
+	finalMom         = 0.8  // momentum from momSwitch on
+	momSwitch        = 250  // iteration of the momentum switch
+	exaggeration     = 12   // early exaggeration factor
+	exaggerEnd       = 100  // last iteration of early exaggeration
+	minGradNorm      = 1e-7 // past exaggeration, a smaller gradient norm stops
+)
+
 // TSNEConfig tunes the exact t-SNE optimizer. Zero values take the
-// defaults noted per field (matching van der Maaten & Hinton 2008).
+// defaults noted per field.
 type TSNEConfig struct {
-	Perplexity float64 // default 30 (clamped to (n-1)/3)
-	Iterations int     // default 500
-	LearnRate  float64 // default 200
-	Momentum   float64 // early momentum, default 0.5
-	FinalMom   float64 // momentum after momentum switch, default 0.8
-	MomSwitch  int     // iteration of the momentum switch, default 250
-	Exagger    float64 // early exaggeration factor, default 12
-	ExaggerEnd int     // iteration early exaggeration stops, default 100
-	Seed       int64   // RNG seed for the initial layout
-	// MinGradNorm stops early when the gradient norm falls below it;
-	// default 1e-7.
-	MinGradNorm float64
+	Iterations int   // default 500
+	Seed       int64 // RNG seed for the initial layout
 	// Workers fans the perplexity search out across row bands and each
 	// iteration's pass over the pairs across fixed tiles of rows: 0
 	// selects runtime.GOMAXPROCS(0). The result is bit-identical for
@@ -33,41 +36,22 @@ type TSNEConfig struct {
 	Workers int
 }
 
-func (c *TSNEConfig) defaults(n int) {
-	if c.Perplexity <= 0 {
-		c.Perplexity = 30
-	}
-	maxPerp := float64(n-1) / 3
-	if maxPerp >= 1 && c.Perplexity > maxPerp {
-		c.Perplexity = maxPerp
-	}
+func (c *TSNEConfig) defaults() {
 	if c.Iterations <= 0 {
 		c.Iterations = 500
-	}
-	if c.LearnRate <= 0 {
-		c.LearnRate = 200
-	}
-	if c.Momentum <= 0 {
-		c.Momentum = 0.5
-	}
-	if c.FinalMom <= 0 {
-		c.FinalMom = 0.8
-	}
-	if c.MomSwitch <= 0 {
-		c.MomSwitch = 250
-	}
-	if c.Exagger <= 0 {
-		c.Exagger = 12
-	}
-	if c.ExaggerEnd <= 0 {
-		c.ExaggerEnd = 100
-	}
-	if c.MinGradNorm <= 0 {
-		c.MinGradNorm = 1e-7
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
+}
+
+// perplexityFor is the perplexity t-SNE matches over n points:
+// targetPerplexity, clamped to (n-1)/3 where that is at least 1.
+func perplexityFor(n int) float64 {
+	if maxPerp := float64(n-1) / 3; maxPerp >= 1 && targetPerplexity > maxPerp {
+		return maxPerp
+	}
+	return targetPerplexity
 }
 
 // TSNEResult carries the embedding and optimization diagnostics.
@@ -103,9 +87,9 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 			return nil, fmt.Errorf("%w: distance matrix row %d has %d cols, want %d", ErrInput, i, len(d[i]), n)
 		}
 	}
-	cfg.defaults(n)
+	cfg.defaults()
 
-	p, _, err := perplexitySearch(ctx, d, cfg.Perplexity, cfg.Workers)
+	p, _, err := perplexitySearch(ctx, d, perplexityFor(n), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -134,17 +118,17 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 		}
 		// Early exaggeration scales P inside the gradient only.
 		exagger := 1.0
-		if iter <= cfg.ExaggerEnd {
-			exagger = cfg.Exagger
+		if iter <= exaggerEnd {
+			exagger = exaggeration
 		}
 		if err := grad.compute(ctx, y, exagger); err != nil {
 			return nil, err
 		}
 
 		gnorm := 0.0
-		mom := cfg.Momentum
-		if iter >= cfg.MomSwitch {
-			mom = cfg.FinalMom
+		mom := momentum
+		if iter >= momSwitch {
+			mom = finalMom
 		}
 		for i := range y {
 			for k := 0; k < 2; k++ {
@@ -160,13 +144,13 @@ func tsne(ctx context.Context, d [][]float64, cfg TSNEConfig, avx2 bool) (*TSNER
 				if gains[i][k] < 0.01 {
 					gains[i][k] = 0.01
 				}
-				vel[i][k] = mom*vel[i][k] - cfg.LearnRate*gains[i][k]*g
+				vel[i][k] = mom*vel[i][k] - learnRate*gains[i][k]*g
 				y[i][k] += vel[i][k]
 			}
 		}
 		centerEmbedding(y)
 		res.Iterations = iter
-		if math.Sqrt(gnorm) < cfg.MinGradNorm && exagger == 1 {
+		if math.Sqrt(gnorm) < minGradNorm && exagger == 1 {
 			break
 		}
 	}

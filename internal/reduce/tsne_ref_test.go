@@ -27,13 +27,13 @@ func refTSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, e
 			return nil, fmt.Errorf("reduce: distance matrix row %d has %d cols, want %d", i, len(d[i]), n)
 		}
 	}
-	cfg.defaults(n)
+	cfg.defaults()
 
-	p := refConditionalToJoint(refPerplexitySearch(d, cfg.Perplexity))
+	p := refConditionalToJoint(refPerplexitySearch(d, perplexityFor(n)))
 	// Early exaggeration.
 	for i := range p {
 		for j := range p[i] {
-			p[i][j] *= cfg.Exagger
+			p[i][j] *= exaggeration
 		}
 	}
 
@@ -62,10 +62,10 @@ func refTSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, e
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if exaggerated && iter > cfg.ExaggerEnd {
+		if exaggerated && iter > exaggerEnd {
 			for i := range p {
 				for j := range p[i] {
-					p[i][j] /= cfg.Exagger
+					p[i][j] /= exaggeration
 				}
 			}
 			exaggerated = false
@@ -74,9 +74,9 @@ func refTSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, e
 		refGradKL(p, q, num, y, grad)
 
 		gnorm := 0.0
-		mom := cfg.Momentum
-		if iter >= cfg.MomSwitch {
-			mom = cfg.FinalMom
+		mom := momentum
+		if iter >= momSwitch {
+			mom = finalMom
 		}
 		for i := range y {
 			for k := 0; k < 2; k++ {
@@ -92,18 +92,18 @@ func refTSNE(ctx context.Context, d [][]float64, cfg TSNEConfig) (*TSNEResult, e
 				if gains[i][k] < 0.01 {
 					gains[i][k] = 0.01
 				}
-				vel[i][k] = mom*vel[i][k] - cfg.LearnRate*gains[i][k]*g
+				vel[i][k] = mom*vel[i][k] - learnRate*gains[i][k]*g
 				y[i][k] += vel[i][k]
 			}
 		}
 		centerEmbedding(y)
 		res.Iterations = iter
-		if math.Sqrt(gnorm) < cfg.MinGradNorm && !exaggerated {
+		if math.Sqrt(gnorm) < minGradNorm && !exaggerated {
 			break
 		}
 	}
 	refComputeQ(y, q, num)
-	res.KL = refKLDivergence(p, q, exaggerated, cfg.Exagger)
+	res.KL = refKLDivergence(p, q, exaggerated, exaggeration)
 	res.Embedding = y
 	return res, nil
 }

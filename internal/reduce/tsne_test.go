@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"vap/internal/exec"
@@ -560,8 +561,42 @@ func TestTSNECancelMidRun(t *testing.T) {
 	}
 }
 
+// pearson is the Pearson correlation coefficient of x and y, the textbook
+// two-pass formula that DistanceMatrixCtx's standardize-once matrix is held
+// to. A zero-variance input yields 0 (no linear association measurable),
+// which keeps the distance of a constant profile, such as the paper's
+// "idle" and "constant high" patterns, well defined.
+func pearson(x, y []float64) (float64, error) {
+	if len(x) != len(y) || len(x) == 0 {
+		return 0, stat.ErrLength
+	}
+	mx, my := stat.Mean(x), stat.Mean(y)
+	var sxy, sxx, syy float64
+	for i := range x {
+		dx := x[i] - mx
+		dy := y[i] - my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return 0, nil
+	}
+	return sxy / math.Sqrt(sxx*syy), nil
+}
+
+// pearsonDistance is 1 - r, the paper's trend-aware dissimilarity in
+// [0, 2].
+func pearsonDistance(x, y []float64) (float64, error) {
+	r, err := pearson(x, y)
+	if err != nil {
+		return 0, err
+	}
+	return 1 - r, nil
+}
+
 // TestPearsonMatrixMatchesStat: the standardize-once matrix is the
-// per-pair stat.PearsonDistance, including a constant row (r = 0, d = 1)
+// per-pair pearsonDistance, including a constant row (r = 0, d = 1)
 // and NaN-bearing rows (clamped to 0).
 func TestPearsonMatrixMatchesStat(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -591,7 +626,7 @@ func TestPearsonMatrixMatchesStat(t *testing.T) {
 			if i == j {
 				continue
 			}
-			want, err := stat.PearsonDistance(rows[i], rows[j])
+			want, err := pearsonDistance(rows[i], rows[j])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -599,7 +634,7 @@ func TestPearsonMatrixMatchesStat(t *testing.T) {
 				want = 0
 			}
 			if math.Abs(d[i][j]-want) > 1e-12 {
-				t.Fatalf("d[%d][%d] = %v, stat.PearsonDistance %v", i, j, d[i][j], want)
+				t.Fatalf("d[%d][%d] = %v, pearsonDistance %v", i, j, d[i][j], want)
 			}
 		}
 	}
@@ -608,5 +643,83 @@ func TestPearsonMatrixMatchesStat(t *testing.T) {
 	}
 	if d[5][20] != 0 || d[5][3] != 1 {
 		t.Errorf("NaN row: d = %v (vs varying), %v (vs constant), want 0, 1", d[5][20], d[5][3])
+	}
+}
+
+func TestPearsonPerfect(t *testing.T) {
+	x := []float64{1, 2, 3, 4, 5}
+	y := []float64{2, 4, 6, 8, 10}
+	r, err := pearson(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r-1) > 1e-12 {
+		t.Errorf("perfect correlation = %v", r)
+	}
+	neg := []float64{10, 8, 6, 4, 2}
+	r, _ = pearson(x, neg)
+	if math.Abs(r+1) > 1e-12 {
+		t.Errorf("perfect anticorrelation = %v", r)
+	}
+}
+
+func TestPearsonConstantInput(t *testing.T) {
+	r, err := pearson([]float64{1, 1, 1}, []float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != 0 {
+		t.Errorf("constant input correlation = %v, want 0", r)
+	}
+}
+
+func TestPearsonErrors(t *testing.T) {
+	if _, err := pearson([]float64{1}, []float64{1, 2}); err == nil {
+		t.Error("length mismatch should fail")
+	}
+	if _, err := pearson(nil, nil); err == nil {
+		t.Error("empty should fail")
+	}
+}
+
+func TestPearsonScaleInvariance(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + int(rng.Int31n(20))
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			y[i] = rng.NormFloat64()
+		}
+		r1, err1 := pearson(x, y)
+		// Affine transform of x must not change r (positive scale).
+		x2 := make([]float64, n)
+		for i := range x {
+			x2[i] = 3*x[i] + 7
+		}
+		r2, err2 := pearson(x2, y)
+		return err1 == nil && err2 == nil && math.Abs(r1-r2) <= 1e-9
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPearsonDistanceRange(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + int(rng.Int31n(10))
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			y[i] = rng.NormFloat64()
+		}
+		d, err := pearsonDistance(x, y)
+		return err == nil && d >= 0 && d <= 2
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

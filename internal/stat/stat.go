@@ -1,6 +1,5 @@
 // Package stat provides the statistics VAP relies on: descriptive moments,
-// Pearson correlation (the paper's distance metric for typical
-// pattern discovery), quantiles (S2's intensity selection), and external
+// quantiles (S2's intensity selection), and external
 // cluster-validation indices (silhouette, adjusted Rand index, NMI) used to
 // quantify the demo scenarios.
 package stat
@@ -60,39 +59,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// Pearson returns the Pearson correlation coefficient between x and y.
-// A zero-variance input yields 0 (no linear association measurable), which
-// keeps the derived distance well defined for constant consumption profiles
-// such as the paper's "idle" and "constant high" patterns.
-func Pearson(x, y []float64) (float64, error) {
-	if len(x) != len(y) || len(x) == 0 {
-		return 0, ErrLength
-	}
-	mx, my := Mean(x), Mean(y)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// PearsonDistance returns 1 - r, the paper's trend-aware dissimilarity in
-// [0, 2]. Errors propagate from Pearson.
-func PearsonDistance(x, y []float64) (float64, error) {
-	r, err := Pearson(x, y)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - r, nil
-}
-
 // Euclidean returns the L2 distance between x and y.
 func Euclidean(x, y []float64) (float64, error) {
 	if len(x) != len(y) || len(x) == 0 {
@@ -148,33 +114,6 @@ func MAD(xs []float64) float64 {
 		dev[i] = math.Abs(x - m)
 	}
 	return Median(dev)
-}
-
-// ZScoresRobust returns robust z-scores (x - median) / (1.4826 * MAD).
-// If MAD is zero, the scores fall back to classic z-scores; if the standard
-// deviation is also zero, all scores are zero.
-func ZScoresRobust(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	m := Median(xs)
-	mad := MAD(xs) * 1.4826
-	if mad > 0 {
-		for i, x := range xs {
-			out[i] = (x - m) / mad
-		}
-		return out
-	}
-	mu := Mean(xs)
-	sd := StdDev(xs)
-	if sd == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - mu) / sd
-	}
-	return out
 }
 
 // Normalize01 linearly rescales xs into [0,1] (all 0.5 if constant), used by

@@ -2,9 +2,7 @@ package stat
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -29,84 +27,6 @@ func TestMinMaxSum(t *testing.T) {
 	lo, hi := MinMax([]float64{3, -1, 7, 0})
 	if lo != -1 || hi != 7 {
 		t.Errorf("minmax = %v,%v", lo, hi)
-	}
-}
-
-func TestPearsonPerfect(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = Pearson(x, neg)
-	if !almostEq(r, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v", r)
-	}
-}
-
-func TestPearsonConstantInput(t *testing.T) {
-	r, err := Pearson([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("constant input correlation = %v, want 0", r)
-	}
-}
-
-func TestPearsonErrors(t *testing.T) {
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := Pearson(nil, nil); err == nil {
-		t.Error("empty should fail")
-	}
-}
-
-func TestPearsonScaleInvariance(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + int(rng.Int31n(20))
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		r1, err1 := Pearson(x, y)
-		// Affine transform of x must not change r (positive scale).
-		x2 := make([]float64, n)
-		for i := range x {
-			x2[i] = 3*x[i] + 7
-		}
-		r2, err2 := Pearson(x2, y)
-		return err1 == nil && err2 == nil && almostEq(r1, r2, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPearsonDistanceRange(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + int(rng.Int31n(10))
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		d, err := PearsonDistance(x, y)
-		return err == nil && d >= 0 && d <= 2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -150,26 +70,6 @@ func TestMedianMAD(t *testing.T) {
 	}
 	if m := MAD(xs); m != 1 {
 		t.Errorf("MAD = %v, want 1", m)
-	}
-}
-
-func TestZScoresRobustFlagsOutlier(t *testing.T) {
-	xs := []float64{10, 11, 12, 9, 10, 11, 9, 100}
-	z := ZScoresRobust(xs)
-	if math.Abs(z[7]) < 5 {
-		t.Errorf("outlier z = %v, want |z| >= 5", z[7])
-	}
-	if math.Abs(z[0]) > 1 {
-		t.Errorf("inlier z = %v", z[0])
-	}
-}
-
-func TestZScoresRobustConstant(t *testing.T) {
-	z := ZScoresRobust([]float64{5, 5, 5})
-	for _, v := range z {
-		if v != 0 {
-			t.Errorf("constant input z = %v, want 0", v)
-		}
 	}
 }
 

@@ -502,20 +502,6 @@ func (s *Store) runlock(held uint64) {
 	}
 }
 
-// MeterVersions returns the per-meter versions of ids, aligned by index
-// (0 for unknown meters). A meter's version is a counter bumped on every
-// mutation of that meter (registration, metadata replacement, append).
-func (s *Store) MeterVersions(ids []int64) []uint64 {
-	vers := make([]uint64, len(ids))
-	defer s.runlock(s.rlockFor(ids))
-	for i, id := range ids {
-		if ser, ok := s.shardFor(id).series[id]; ok {
-			vers[i] = ser.ver
-		}
-	}
-	return vers
-}
-
 // SeriesStats returns the per-series statistics of ids, aligned by index
 // (zero-valued entries, with MeterID preserved, for unknown meters).
 // Everything returned is append-time metadata, so the call never decodes a
@@ -541,8 +527,8 @@ func (s *Store) SeriesStats(ids []int64) []SeriesStats {
 // commutatively, so the fingerprint is insensitive to the order of ids —
 // two selections resolving to the same meter set fingerprint identically
 // regardless of how the caller enumerated it. It equals
-// FingerprintPairs(ids, s.MeterVersions(ids)), in one pass that allocates
-// nothing.
+// FingerprintPairs over ids and their SeriesStats versions, in one pass
+// that allocates nothing.
 func (s *Store) Fingerprint(ids []int64) uint64 {
 	if ids == nil {
 		ids = s.catalog.IDs()

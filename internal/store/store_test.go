@@ -25,7 +25,7 @@ func testMeter(id int64) Meter {
 // (0 for an unknown meter) the way production callers do.
 func seriesLen(st *Store, id int64) int { return st.SeriesStats([]int64{id})[0].Samples }
 
-func meterVersion(st *Store, id int64) uint64 { return st.MeterVersions([]int64{id})[0] }
+func meterVersion(st *Store, id int64) uint64 { return st.SeriesStats([]int64{id})[0].Version }
 
 func TestSeriesAppendRange(t *testing.T) {
 	s := NewSeries(1)

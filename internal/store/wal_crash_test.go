@@ -634,14 +634,18 @@ func TestSnapshotCrashPoints(t *testing.T) {
 	})
 }
 
-// TestLegacyWALMigration reopens a dir laid out in the seed's single-file
-// format: wal.log becomes wal-000001.log and every record survives. Both
-// layouts present at once is ambiguous and must refuse to open.
+// TestLegacyWALMigration opens a dir laid out in the seed's single-file
+// format: testdata/legacy/wal.log, meter 1 with samples at TS 1..5, is a
+// golden file written once, so a drift in the segment format fails here.
+// wal.log becomes wal-000001.log and every record survives. Both layouts
+// present at once is ambiguous and must refuse to open.
 func TestLegacyWALMigration(t *testing.T) {
-	dir := buildTemplate(t, 5)
-	// Rewind the layout to pre-segmentation: the first (only) segment has
-	// the identical byte format the old wal.log used.
-	if err := os.Rename(filepath.Join(dir, segmentName(1)), filepath.Join(dir, legacyWALName)); err != nil {
+	golden, err := os.ReadFile(filepath.Join("testdata", "legacy", legacyWALName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, legacyWALName), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	checkRecovery(t, dir, []int64{1, 2, 3, 4, 5})
@@ -654,11 +658,7 @@ func TestLegacyWALMigration(t *testing.T) {
 
 	// Ambiguous: both layouts at once.
 	dir2 := buildTemplate(t, 2)
-	data, err := os.ReadFile(filepath.Join(dir2, segmentName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir2, legacyWALName), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir2, legacyWALName), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(Options{Dir: dir2}); err == nil {

@@ -57,7 +57,10 @@ func ExecuteResolvedScalar(ctx context.Context, eng *query.Engine, p *Plan, ids 
 
 	partials := make([]map[refKey]*store.Fold, len(ids))
 	counts := make([]int, len(ids))
-	vers := eng.Store().MeterVersions(ids)
+	vers := make([]uint64, len(ids))
+	for i, st := range eng.Store().SeriesStats(ids) {
+		vers[i] = st.Version
+	}
 	err := exec.ForEach(ctx, len(ids), eng.Workers(), func(i int) error {
 		id := ids[i]
 		var zone store.ZoneType

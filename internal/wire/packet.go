@@ -9,6 +9,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,11 +52,17 @@ func readPacket(r *bufio.Reader) ([]byte, uint8, error) {
 	if n == maxPacketSize {
 		return nil, seq, fmt.Errorf("wire: oversized packet (%d bytes)", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The payload grows as its bytes arrive: a header alone, which any
+	// client may send before it authenticates, must not make the server
+	// allocate the length it claims.
+	var payload bytes.Buffer
+	if _, err := io.CopyN(&payload, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, seq, err
 	}
-	return payload, seq, nil
+	return payload.Bytes(), seq, nil
 }
 
 // writePacket frames payload with the given sequence id and writes it.

@@ -4,6 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"vap/internal/vql"
@@ -63,6 +68,15 @@ func (r *recWriter) writePacket(seq uint8, payload []byte) error {
 	return writePacket(&r.buf, seq, payload)
 }
 
+// goldenResultSet is the framed stream TestResultSetGolden pins.
+const goldenResultSet = "01000001032b000002036465660376617006726573756c7406726573756c7403" +
+	"646179036461790c3f00140000000800001f000033000003036465660376617006" +
+	"726573756c7406726573756c74076176675f6b7768076176675f6b77680c3f0016" +
+	"0000000500001f00002d000004036465660376617006726573756c7406726573756c" +
+	"74046e6f7465046e6f74650c210000040000fd00001f000005000005fe0000020011" +
+	"0000060a3134393632373532303003312e3501610e0000070a31343936333631363030" +
+	"fb016205000008fe00000200"
+
 // TestResultSetGolden pins a complete classic text result set — column
 // count, three column definitions (time, float, string), EOF, two rows
 // (one NULL cell), EOF — including framing and sequence ids.
@@ -81,14 +95,7 @@ func TestResultSetGolden(t *testing.T) {
 	if last != 8 {
 		t.Errorf("last sequence id = %d, want 8", last)
 	}
-	want := fromHex(t,
-		"01000001032b000002036465660376617006726573756c7406726573756c7403"+
-			"646179036461790c3f00140000000800001f000033000003036465660376617006"+
-			"726573756c7406726573756c74076176675f6b7768076176675f6b77680c3f0016"+
-			"0000000500001f00002d000004036465660376617006726573756c7406726573756c"+
-			"74046e6f7465046e6f74650c210000040000fd00001f000005000005fe0000020011"+
-			"0000060a3134393632373532303003312e3501610e0000070a31343936333631363030"+
-			"fb016205000008fe00000200")
+	want := fromHex(t, goldenResultSet)
 	if !bytes.Equal(w.buf.Bytes(), want) {
 		t.Fatalf("result set stream drifted:\n got %x\nwant %x", w.buf.Bytes(), want)
 	}
@@ -229,5 +236,136 @@ func TestParseUsers(t *testing.T) {
 		if _, err := ParseUsers(bufio.NewScanner(bytes.NewReader([]byte(bad)))); err == nil {
 			t.Errorf("ParseUsers(%q) accepted", bad)
 		}
+	}
+}
+
+func TestLoadUsers(t *testing.T) {
+	if users, err := LoadUsers(""); err != nil || len(users) != 1 || users["vap"].Name != "vap" {
+		t.Errorf("LoadUsers(\"\") = %v, %v; want DefaultUsers", users, err)
+	}
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	users, err := LoadUsers(write("ok", "alice:secret:dash\n"))
+	if err != nil || users["alice"].Tenant != "dash" {
+		t.Errorf("LoadUsers(ok) = %v, %v", users, err)
+	}
+	for name, src := range map[string]string{"bad": "alice:x\n", "empty": "# nobody\n"} {
+		if _, err := LoadUsers(write(name, src)); err == nil {
+			t.Errorf("LoadUsers(%s) accepted %q", name, src)
+		}
+	}
+	if _, err := LoadUsers(filepath.Join(dir, "missing")); err == nil {
+		t.Error("LoadUsers(missing) accepted")
+	}
+}
+
+// TestPacketHeaderAllocatesNoClaimedLength: a header that claims a 16 MiB
+// payload and sends none, which any client can do before it
+// authenticates, costs the reader what arrived, not what was claimed.
+func TestPacketHeaderAllocatesNoClaimedLength(t *testing.T) {
+	br := bufio.NewReader(bytes.NewReader([]byte{0xfe, 0xff, 0xff, 0x00}))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readPacket(br)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("reading a bare header allocated %d bytes", got)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated packet: err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+}
+
+// FuzzPacket drives what a client sends before it authenticates: any
+// bytes through readPacket, and the same bytes as a payload through
+// parseHandshakeResponse, readLenencInt and readLenencString. Nothing may
+// panic. A packet read fails or returns a payload of exactly the length
+// its header claims, and writing it back gives the bytes read; the
+// decoders fail or consume a prefix of their input.
+func FuzzPacket(f *testing.F) {
+	frame := func(seq uint8, payload []byte) []byte {
+		var buf bytes.Buffer
+		if err := writePacket(&buf, seq, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	tok := nativePasswordToken("secret", goldenScramble)
+	withDB := buildHandshakeResponse("alice", tok)
+	withDB[0] |= capConnectWithDB
+	withDB = append(bytes.TrimSuffix(withDB, []byte(nativePasswordPlugin+"\x00")), "vap\x00caching_sha2_password"...)
+	lenencTok := buildHandshakeResponse("bob", nil)
+	lenencTok[2] |= 0x20 // CLIENT_PLUGIN_AUTH_LENENC_CLIENT_DATA
+	nulTok := buildHandshakeResponse("carol", []byte("pw\x00"))
+	nulTok[1] &^= capSecureConnection >> 8
+	golden, err := hex.DecodeString(goldenResultSet)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		frame(0, buildHandshake(1, goldenScramble)),
+		frame(1, buildHandshakeResponse("alice", tok)),
+		frame(1, withDB),
+		frame(1, lenencTok),
+		frame(1, nulTok),
+		frame(1, nulTok[:36]),
+		frame(0, buildOK()),
+		frame(2, buildErr(1644, "45000", "cost")),
+		frame(0, nil),
+		golden,
+		{0xfe, 0xff, 0xff, 0x00},
+		{0xff, 0xff, 0xff, 0x00},
+		appendLenencString(nil, "zone"),
+		appendLenencInt(nil, 0xffff),
+		appendLenencInt(nil, 0xffffff),
+		appendLenencInt(nil, 1<<40),
+		{0xfb},
+		{0xfc, 1},
+		{0xfd, 1, 2},
+		{0xfe, 1, 2, 3},
+		{0x05, 'z'},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, seq, err := readPacket(bufio.NewReader(bytes.NewReader(data)))
+		decode(t, data)
+		if err == nil {
+			decode(t, payload)
+			n := int(data[0]) | int(data[1])<<8 | int(data[2])<<16
+			if len(payload) != n {
+				t.Fatalf("header claims %d bytes, payload has %d", n, len(payload))
+			}
+			var buf bytes.Buffer
+			if err := writePacket(&buf, seq, payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:4+n]) {
+				t.Fatalf("packet written back = %x, read from %x", buf.Bytes(), data[:4+n])
+			}
+			again, seq2, err := readPacket(bufio.NewReader(&buf))
+			if err != nil || seq2 != seq || !bytes.Equal(again, payload) {
+				t.Fatalf("read after write = %x seq %d (%v), want %x seq %d", again, seq2, err, payload, seq)
+			}
+		}
+	})
+}
+
+// decode runs FuzzPacket's payload decoders over b.
+func decode(t *testing.T, b []byte) {
+	if r, err := parseHandshakeResponse(b); err == nil && r.capabilities&capProtocol41 == 0 {
+		t.Fatalf("accepted a pre-4.1 handshake response %x", b)
+	}
+	if _, rest, err := readLenencInt(b); err == nil && (len(rest) >= len(b) || !bytes.HasSuffix(b, rest)) {
+		t.Fatalf("readLenencInt(%x) left %x", b, rest)
+	}
+	if s, rest, err := readLenencString(b); err == nil && (len(s)+len(rest) >= len(b) || !bytes.HasSuffix(b, rest)) {
+		t.Fatalf("readLenencString(%x) = %q, left %x", b, s, rest)
 	}
 }

@@ -297,6 +297,79 @@ func TestWireAuth(t *testing.T) {
 	}
 }
 
+// TestWireHandshakeVariants drives auth with hand-built handshake
+// responses: a client that opens with another auth plugin is switched to
+// mysql_native_password over the same scramble, a database named in the
+// handshake is selected (ERR 1049 for anything but "vap"), and a response
+// the server cannot parse is ERR 1835.
+func TestWireHandshakeVariants(t *testing.T) {
+	s := newStack(t, govern.Config{}, Users{"alice": {Name: "alice", Password: "secret", Tenant: "dash"}})
+	// dial answers the server's handshake with what resp builds from its
+	// scramble, and returns the server's reply.
+	dial := func(resp func(scramble []byte) []byte) (*clientConn, []byte, uint8) {
+		t.Helper()
+		nc, err := net.Dial("tcp", s.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		cc := &clientConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+		hs, _, err := cc.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scramble, err := parseHandshakeV10(hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cc.send(1, resp(scramble)); err != nil {
+			t.Fatal(err)
+		}
+		reply, seq, err := cc.recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cc, reply, seq
+	}
+	// tail replaces the plugin name that ends a built response.
+	tail := func(b []byte, rest string) []byte {
+		return append(bytes.TrimSuffix(b, []byte(nativePasswordPlugin+"\x00")), rest...)
+	}
+
+	var scramble []byte
+	cc, reply, seq := dial(func(sc []byte) []byte {
+		scramble = sc
+		return tail(buildHandshakeResponse("alice", []byte("sha2 proof")), "caching_sha2_password\x00")
+	})
+	if !isAuthSwitch(reply) {
+		t.Fatalf("reply to another plugin = %x, want an auth switch", reply)
+	}
+	if err := cc.send(seq+1, nativePasswordToken("secret", scramble)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, _, err := cc.recv(); err != nil || expectOK(reply) != nil {
+		t.Fatalf("after the auth switch: reply %x, err %v", reply, err)
+	}
+
+	for db, want := range map[string]uint16{"vap": 0, "other": frontend.MyErrUnknownDB} {
+		_, reply, _ := dial(func(sc []byte) []byte {
+			b := buildHandshakeResponse("alice", nativePasswordToken("secret", sc))
+			b[0] |= capConnectWithDB
+			return tail(b, db+"\x00"+nativePasswordPlugin+"\x00")
+		})
+		if err := expectOK(reply); want == 0 && err != nil {
+			t.Errorf("database %q in the handshake: %v", db, err)
+		} else if want != 0 && (err == nil || wireErrno(t, err) != want) {
+			t.Errorf("database %q in the handshake: %v, want errno %d", db, err, want)
+		}
+	}
+
+	_, reply, _ = dial(func([]byte) []byte { return []byte{1, 2, 3} })
+	if err := expectOK(reply); err == nil || wireErrno(t, err) != frontend.MyErrMalformed {
+		t.Errorf("malformed handshake response: %v, want errno %d", err, frontend.MyErrMalformed)
+	}
+}
+
 // TestWireSessionStatements covers the protocol shims: SET vap_* session
 // variables, driver-boilerplate SET tolerance, @@sysvar probes, USE, and
 // the statement-error taxonomy for bad input.
@@ -696,6 +769,34 @@ func TestWireShutdown(t *testing.T) {
 	// The listener is gone too.
 	if _, err := net.DialTimeout("tcp", s.addr, 200*time.Millisecond); err == nil {
 		t.Errorf("listener still accepting after Shutdown")
+	}
+}
+
+// TestWireListenAndServe: a server that binds its own listener reports
+// the address it got, serves on it, and returns ErrServerClosed once
+// Shutdown has drained it.
+func TestWireListenAndServe(t *testing.T) {
+	s := newStack(t, govern.Config{}, nil)
+	ws, err := NewServer(Config{Addr: "127.0.0.1:0", Core: s.core})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr := ws.Addr(); addr != "" {
+		t.Errorf("Addr before serving = %q, want empty", addr)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ws.ListenAndServe() }()
+	waitFor(t, 5*time.Second, func() bool { return ws.Addr() != "" })
+	if err := s.open(t, "vap:@"+ws.Addr()).Ping(); err != nil {
+		t.Fatalf("ping over ListenAndServe: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ws.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != ErrServerClosed {
+		t.Errorf("ListenAndServe after Shutdown = %v, want ErrServerClosed", err)
 	}
 }
 
