@@ -69,11 +69,11 @@ func setupBench(b *testing.B) {
 			panic(err)
 		}
 		an := core.NewAnalyzer(st)
-		_, _, rows, err := an.Engine().MeterMatrix(query.Selection{}, query.GranDaily, query.AggMean)
+		_, _, rows, err := an.Engine().MeterMatrixCtx(context.Background(), query.Selection{}, query.GranDaily, query.AggMean)
 		if err != nil {
 			panic(err)
 		}
-		dist, err := reduce.DistanceMatrix(rows, reduce.MetricPearson)
+		dist, err := reduce.DistanceMatrixCtx(context.Background(), rows, reduce.MetricPearson, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 		noon := benchNoon()
-		if _, err := benchData.an.ShiftPatterns(core.ShiftConfig{
+		if _, err := benchData.an.ShiftPatternsCtx(context.Background(), core.ShiftConfig{
 			T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
 		}); err != nil {
 			b.Fatal(err)
@@ -122,7 +122,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 func BenchmarkKDE(b *testing.B) {
 	setupBench(b)
 	noon := benchNoon()
-	pts, err := benchData.an.Engine().DemandSnapshot(query.Selection{}, noon, noon+4*3600)
+	pts, err := benchData.an.Engine().DemandSnapshotCtx(context.Background(), query.Selection{}, noon, noon+4*3600)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -133,14 +133,14 @@ func BenchmarkKDE(b *testing.B) {
 	box := benchData.st.Catalog().Bounds().Buffer(0.002)
 	b.Run("Serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := kde.Estimate(wpts, box, kde.Config{Cols: 96, Rows: 96, Workers: 1}); err != nil {
+			if _, err := kde.EstimateCtx(context.Background(), wpts, box, kde.Config{Cols: 96, Rows: 96, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("Parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := kde.Estimate(wpts, box, kde.Config{Cols: 96, Rows: 96, Workers: runtime.NumCPU()}); err != nil {
+			if _, err := kde.EstimateCtx(context.Background(), wpts, box, kde.Config{Cols: 96, Rows: 96, Workers: runtime.NumCPU()}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -150,7 +150,7 @@ func BenchmarkKDE(b *testing.B) {
 func BenchmarkKDEExact(b *testing.B) {
 	setupBench(b)
 	noon := benchNoon()
-	pts, _ := benchData.an.Engine().DemandSnapshot(query.Selection{}, noon, noon+4*3600)
+	pts, _ := benchData.an.Engine().DemandSnapshotCtx(context.Background(), query.Selection{}, noon, noon+4*3600)
 	wpts := make([]kde.WeightedPoint, len(pts))
 	for i, p := range pts {
 		wpts[i] = kde.WeightedPoint{Loc: p.Loc, Weight: p.Weight}
@@ -158,7 +158,7 @@ func BenchmarkKDEExact(b *testing.B) {
 	box := benchData.st.Catalog().Bounds().Buffer(0.002)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := kde.Estimate(wpts, box, kde.Config{Cols: 96, Rows: 96, Exact: true}); err != nil {
+		if _, err := kde.EstimateCtx(context.Background(), wpts, box, kde.Config{Cols: 96, Rows: 96, Exact: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkFlowMap(b *testing.B) {
 	noon := benchNoon()
 	for i := 0; i < b.N; i++ {
 		benchData.an.Exec().Invalidate() // measure compute, not cache hits
-		if _, err := benchData.an.ShiftPatterns(core.ShiftConfig{
+		if _, err := benchData.an.ShiftPatternsCtx(context.Background(), core.ShiftConfig{
 			T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
 		}); err != nil {
 			b.Fatal(err)
@@ -202,7 +202,7 @@ func BenchmarkSMACOF(b *testing.B) {
 	setupBench(b)
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		if _, err := reduce.SMACOF(ctx, benchData.dist, reduce.SMACOFConfig{Seed: 1, Iterations: 60}); err != nil {
+		if _, err := reduce.SMACOF(ctx, benchData.dist, reduce.SMACOFConfig{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func BenchmarkDistanceMatrixPearson(b *testing.B) {
 	setupBench(b)
 	b.Run("Serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := reduce.DistanceMatrix(benchData.rows, reduce.MetricPearson); err != nil {
+			if _, err := reduce.DistanceMatrixCtx(context.Background(), benchData.rows, reduce.MetricPearson, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -421,7 +421,7 @@ func BenchmarkKMeans(b *testing.B) {
 	setupBench(b)
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.KMeans(benchData.rows, cluster.KMeansConfig{
-			K: 5, Seed: 1, Restarts: 5, NormalizeZ: true,
+			K: 5, Seed: 1, NormalizeZ: true,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -434,7 +434,7 @@ func BenchmarkShiftGranularity(b *testing.B) {
 	noon := benchNoon()
 	for i := 0; i < b.N; i++ {
 		benchData.an.Exec().Invalidate() // measure compute, not cache hits
-		if _, _, err := benchData.an.GranularitySweep(core.ShiftConfig{
+		if _, _, err := benchData.an.GranularitySweep(context.Background(), core.ShiftConfig{
 			T1: noon, T2: noon + 8*3600,
 		}); err != nil {
 			b.Fatal(err)
@@ -446,7 +446,7 @@ func BenchmarkShiftGranularity(b *testing.B) {
 func BenchmarkIntensityBand(b *testing.B) {
 	setupBench(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := benchData.an.Engine().IntensityBand(query.Selection{}, 0.6); err != nil {
+		if _, err := benchData.an.Engine().IntensityBandCtx(context.Background(), query.Selection{}, 0.6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -604,7 +604,7 @@ func BenchmarkSpatialQuery(b *testing.B) {
 func BenchmarkMeterMatrix(b *testing.B) {
 	setupBench(b)
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := benchData.an.Engine().MeterMatrix(query.Selection{}, query.GranDaily, query.AggMean); err != nil {
+		if _, _, _, err := benchData.an.Engine().MeterMatrixCtx(context.Background(), query.Selection{}, query.GranDaily, query.AggMean); err != nil {
 			b.Fatal(err)
 		}
 	}

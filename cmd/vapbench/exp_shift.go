@@ -27,8 +27,9 @@ func midWinterNoon(h *harness) int64 {
 // at the center and residential districts around it, so the shift centroid
 // must move away from the core and flows must originate near it.
 func runE2(h *harness) error {
+	ctx := context.Background()
 	noon := midWinterNoon(h)
-	res, err := h.an.ShiftPatterns(core.ShiftConfig{
+	res, err := h.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
 		T1:          noon,          // 12:00-16:00 bucket (4-hourly)
 		T2:          noon + 8*3600, // 20:00-24:00 bucket
 		Granularity: query.Gran4Hourly,
@@ -89,7 +90,7 @@ func runE2(h *harness) error {
 	var rows [][]string
 	for _, k := range []kde.Kernel{kde.KernelGaussian, kde.KernelEpanechnikov, kde.KernelUniform} {
 		t0 := time.Now()
-		r2, err := h.an.ShiftPatterns(core.ShiftConfig{
+		r2, err := h.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
 			T1: noon, T2: noon + 8*3600,
 			Granularity: query.Gran4Hourly, Kernel: k,
 		})
@@ -108,7 +109,7 @@ func runE2(h *harness) error {
 
 	// E2b: exact vs truncated-support KDE evaluation.
 	fmt.Println("\nE2b exact vs truncated KDE (max abs cell difference):")
-	pts, err := h.an.Engine().DemandSnapshot(query.Selection{}, noon, noon+4*3600)
+	pts, err := h.an.Engine().DemandSnapshotCtx(ctx, query.Selection{}, noon, noon+4*3600)
 	if err != nil {
 		return err
 	}
@@ -118,13 +119,13 @@ func runE2(h *harness) error {
 	}
 	box := h.st.Catalog().Bounds().Buffer(0.002)
 	t0 := time.Now()
-	fTrunc, err := kde.Estimate(wpts, box, kde.Config{})
+	fTrunc, err := kde.EstimateCtx(ctx, wpts, box, kde.Config{})
 	if err != nil {
 		return err
 	}
 	dTrunc := time.Since(t0)
 	t0 = time.Now()
-	fExact, err := kde.Estimate(wpts, box, kde.Config{Exact: true})
+	fExact, err := kde.EstimateCtx(ctx, wpts, box, kde.Config{Exact: true})
 	if err != nil {
 		return err
 	}
@@ -154,7 +155,7 @@ func runE2(h *harness) error {
 // away or collapse both anchors into one bucket.
 func runE6(h *harness) error {
 	noon := midWinterNoon(h)
-	gs, sums, err := h.an.GranularitySweep(core.ShiftConfig{
+	gs, sums, err := h.an.GranularitySweep(context.Background(), core.ShiftConfig{
 		T1: noon, T2: noon + 8*3600,
 	})
 	if err != nil {
@@ -181,7 +182,7 @@ func runE6(h *harness) error {
 	// seasonal shifts when the anchors are far apart.
 	winter := h.ds.Start.Unix() + 15*86400
 	summer := h.ds.Start.Unix() + 196*86400
-	if r, err := h.an.ShiftPatterns(core.ShiftConfig{
+	if r, err := h.an.ShiftPatternsCtx(context.Background(), core.ShiftConfig{
 		T1: winter, T2: summer, Granularity: query.GranMonthly,
 	}); err == nil {
 		fmt.Printf("  cross-season monthly shift (Jan vs Jul): L1=%.4f centroid=%.0f m\n",
@@ -196,7 +197,7 @@ func runE6(h *harness) error {
 func runE7(h *harness) error {
 	noon := midWinterNoon(h)
 	quantiles := []float64{0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90}
-	sums, err := h.an.IntensitySweep(core.ShiftConfig{
+	sums, err := h.an.IntensitySweep(context.Background(), core.ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
 	}, quantiles)
 	if err != nil {
@@ -204,7 +205,7 @@ func runE7(h *harness) error {
 	}
 	var rows [][]string
 	for i, q := range quantiles {
-		ids, err := h.an.Engine().IntensityBand(query.Selection{}, q)
+		ids, err := h.an.Engine().IntensityBandCtx(context.Background(), query.Selection{}, q)
 		if err != nil {
 			return err
 		}

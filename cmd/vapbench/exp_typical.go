@@ -42,7 +42,7 @@ func runE1(h *harness) error {
 
 	t0 = time.Now()
 	anchor := h.ds.Start.Unix() + 30*86400
-	res, err := h.an.ShiftPatterns(core.ShiftConfig{
+	res, err := h.an.ShiftPatternsCtx(ctx, core.ShiftConfig{
 		T1: anchor + 12*3600, T2: anchor + 20*3600,
 		Granularity: query.Gran4Hourly,
 	})
@@ -173,11 +173,11 @@ func okMark(ok bool) string {
 func runE4(h *harness) error {
 	ctx := context.Background()
 	labels := h.ds.Labels()
-	_, _, rows, err := h.an.Engine().MeterMatrix(query.Selection{}, query.GranDaily, query.AggMean)
+	_, _, rows, err := h.an.Engine().MeterMatrixCtx(ctx, query.Selection{}, query.GranDaily, query.AggMean)
 	if err != nil {
 		return err
 	}
-	highD, err := reduce.DistanceMatrix(rows, reduce.MetricPearson)
+	highD, err := reduce.DistanceMatrixCtx(ctx, rows, reduce.MetricPearson, 1)
 	if err != nil {
 		return err
 	}
@@ -223,7 +223,7 @@ func runE4(h *harness) error {
 func runE5(h *harness) error {
 	ctx := context.Background()
 	truth := h.ds.Labels()
-	_, _, rows, err := h.an.Engine().MeterMatrix(query.Selection{}, query.GranDaily, query.AggMean)
+	_, _, rows, err := h.an.Engine().MeterMatrixCtx(ctx, query.Selection{}, query.GranDaily, query.AggMean)
 	if err != nil {
 		return err
 	}
@@ -312,7 +312,7 @@ func runE5(h *harness) error {
 	})
 	// Extension baselines: agglomerative clustering and DBSCAN on the same
 	// Pearson distances the visual view uses.
-	d, err := reduce.DistanceMatrix(rows, reduce.MetricPearson)
+	d, err := reduce.DistanceMatrixCtx(ctx, rows, reduce.MetricPearson, 1)
 	if err != nil {
 		return err
 	}

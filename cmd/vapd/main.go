@@ -190,35 +190,6 @@ func main() {
 		log.Printf("streaming enabled: replaying %d data-hours every %v", (to-from)/3600, *interval)
 	}
 
-	if *dir != "" && *snapInterval > 0 {
-		go func() {
-			t := time.NewTicker(*snapInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					start := time.Now()
-					if err := st.Snapshot(); err != nil {
-						log.Printf("background snapshot: %v", err)
-						continue
-					}
-					segs, bytes := st.WALStats()
-					log.Printf("snapshot done in %v: wal now %d segments / %d bytes",
-						time.Since(start).Round(time.Millisecond), segs, bytes)
-					if hub != nil {
-						hub.Publish(stream.Event{
-							Kind: stream.KindSnapshot, WALSegments: segs, WALBytes: bytes,
-							DataVersion: stream.DataVersion{Global: st.Version(), Fingerprint: st.GlobalFingerprint()},
-						})
-					}
-				}
-			}
-		}()
-		log.Printf("background snapshots every %v (writers are not blocked)", *snapInterval)
-	}
-
 	apiCfg := api.Config{HandlerTimeout: *handlerTimeout}
 	if *maxIngestBytes != "" {
 		if apiCfg.MaxIngestBytes, err = govern.ParseBytes(*maxIngestBytes); err != nil {
@@ -232,6 +203,29 @@ func main() {
 		Write:      *writeTimeout,
 		Idle:       *idleTimeout,
 	})
+
+	if *dir != "" && *snapInterval > 0 {
+		go func() {
+			t := time.NewTicker(*snapInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-ctx.Done():
+					return
+				case <-t.C:
+					start := time.Now()
+					segs, bytes, err := apiSrv.Snapshot()
+					if err != nil {
+						log.Printf("background snapshot: %v", err)
+						continue
+					}
+					log.Printf("snapshot done in %v: wal now %d segments / %d bytes",
+						time.Since(start).Round(time.Millisecond), segs, bytes)
+				}
+			}
+		}()
+		log.Printf("background snapshots every %v (writers are not blocked)", *snapInterval)
+	}
 
 	var wireSrv *wire.Server
 	if *mysqlAddr != "" {

@@ -63,7 +63,7 @@ func main() {
 
 	// Shift patterns: afternoon vs evening of one winter day.
 	noon := ds.Start.Unix() + 30*86400 + 12*3600
-	res, err := an.ShiftPatterns(vap.ShiftConfig{
+	res, err := an.ShiftPatternsCtx(context.Background(), vap.ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: vap.Gran4Hourly,
 	})
 	if err != nil {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,7 +32,7 @@ func main() {
 	noon := ds.Start.Unix() + 30*86400 + 12*3600
 
 	// Figure 2: afternoon vs evening density difference.
-	res, err := an.ShiftPatterns(vap.ShiftConfig{
+	res, err := an.ShiftPatternsCtx(context.Background(), vap.ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: vap.Gran4Hourly,
 	})
 	if err != nil {
@@ -52,7 +53,7 @@ func main() {
 
 	// S2 step 1: granularity sensitivity.
 	fmt.Println("\ngranularity sweep (same anchors):")
-	gs, sums, err := an.GranularitySweep(core.ShiftConfig{T1: noon, T2: noon + 8*3600})
+	gs, sums, err := an.GranularitySweep(context.Background(), core.ShiftConfig{T1: noon, T2: noon + 8*3600})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func main() {
 	// S2 step 2: intensity quantile sensitivity.
 	fmt.Println("\nintensity quantile sweep (4-hourly):")
 	quantiles := []float64{0.3, 0.5, 0.7, 0.9}
-	isums, err := an.IntensitySweep(core.ShiftConfig{
+	isums, err := an.IntensitySweep(context.Background(), core.ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: vap.Gran4Hourly,
 	}, quantiles)
 	if err != nil {

@@ -105,7 +105,7 @@ func main() {
 	}
 
 	// Step 4: k-means baseline on the raw series.
-	_, _, series, err := an.Engine().MeterMatrix(vap.Selection{}, vap.GranDaily, "mean")
+	_, _, series, err := an.Engine().MeterMatrixCtx(context.Background(), vap.Selection{}, vap.GranDaily, "mean")
 	if err != nil {
 		log.Fatal(err)
 	}

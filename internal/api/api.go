@@ -233,27 +233,15 @@ func (s *Server) handleSeriesStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleAdminSnapshot triggers a durability snapshot on demand (POST).
-// The snapshot runs without blocking writers; when it completes, covered
-// WAL segments are retired and — if streaming is enabled — a snapshot
-// event is broadcast to SSE subscribers.
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("api: snapshot trigger is POST-only"))
-		return
-	}
+// Snapshot persists the store without blocking writers, retiring the WAL
+// segments it covers, and announces it to stream subscribers when the
+// server has a hub. It returns the live WAL footprint afterwards.
+func (s *Server) Snapshot() (segs int, bytes int64, err error) {
 	st := s.an.Store()
-	start := time.Now()
 	if err := st.Snapshot(); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, store.ErrNoDurability) {
-			status = http.StatusConflict // in-memory store: nothing to snapshot
-		}
-		writeErr(w, status, err)
-		return
+		return 0, 0, err
 	}
-	segs, bytes := st.WALStats()
+	segs, bytes = st.WALStats()
 	if s.hub != nil {
 		s.hub.Publish(stream.Event{
 			Kind:        stream.KindSnapshot,
@@ -262,12 +250,32 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 			DataVersion: s.dataVersion(),
 		})
 	}
+	return segs, bytes, nil
+}
+
+// handleAdminSnapshot runs Snapshot on demand (POST).
+func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("api: snapshot trigger is POST-only"))
+		return
+	}
+	start := time.Now()
+	segs, bytes, err := s.Snapshot()
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, store.ErrNoDurability) {
+			status = http.StatusConflict // in-memory store: nothing to snapshot
+		}
+		writeErr(w, status, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"status":             "ok",
 		"duration_ms":        time.Since(start).Milliseconds(),
 		"wal_segments":       segs,
 		"wal_bytes":          bytes,
-		"last_snapshot_unix": st.LastSnapshotUnix(),
+		"last_snapshot_unix": s.an.Store().LastSnapshotUnix(),
 		"data_version":       s.dataVersion(),
 	})
 }
@@ -433,12 +441,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			name := e.Kind
-			if name == "" {
-				name = stream.KindIngest
-			}
 			payload, _ := json.Marshal(e)
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, payload)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, payload)
 			fl.Flush()
 		}
 	}

@@ -629,7 +629,7 @@ func TestStreamEndpointSSE(t *testing.T) {
 		case <-deadline:
 			t.Fatal("no SSE event received")
 		default:
-			hub.Publish(stream.Event{Seq: 7, Count: 1})
+			hub.Publish(stream.Event{Kind: stream.KindIngest, Seq: 7, Count: 1})
 			time.Sleep(20 * time.Millisecond)
 		}
 	}

@@ -13,25 +13,17 @@ import (
 // ErrInput flags invalid clustering input.
 var ErrInput = errors.New("cluster: invalid input")
 
-// tolerance is the centroid movement under which Lloyd iterations stop.
-const tolerance = 1e-6
+const (
+	tolerance = 1e-6 // centroid movement under which Lloyd iterations stop
+	maxIter   = 100  // Lloyd iterations per restart
+	restarts  = 10   // k-means++ restarts; the best inertia wins
+)
 
 // KMeansConfig tunes the solver.
 type KMeansConfig struct {
 	K          int
-	MaxIter    int // default 100
-	Restarts   int // default 10; best inertia wins
 	Seed       int64
 	NormalizeZ bool // z-normalize each row first (shape, not magnitude)
-}
-
-func (c *KMeansConfig) defaults() {
-	if c.MaxIter <= 0 {
-		c.MaxIter = 100
-	}
-	if c.Restarts <= 0 {
-		c.Restarts = 10
-	}
 }
 
 // KMeansResult holds the best clustering over all restarts.
@@ -57,7 +49,6 @@ func KMeans(rows [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 	if cfg.K < 1 || cfg.K > n {
 		return nil, fmt.Errorf("cluster: k=%d out of range [1, %d]", cfg.K, n)
 	}
-	cfg.defaults()
 	data := rows
 	if cfg.NormalizeZ {
 		data = make([][]float64, n)
@@ -67,7 +58,7 @@ func KMeans(rows [][]float64, cfg KMeansConfig) (*KMeansResult, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var best *KMeansResult
-	for r := 0; r < cfg.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		res := lloyd(data, cfg, rng)
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
@@ -168,7 +159,7 @@ func lloyd(data [][]float64, cfg KMeansConfig, rng *rand.Rand) *KMeansResult {
 	}
 	var inertia float64
 	iters := 0
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		// Assignment.
 		inertia = 0

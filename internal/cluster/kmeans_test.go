@@ -54,7 +54,7 @@ func TestKMeansInertiaDecreasesWithK(t *testing.T) {
 	rows, _ := blobs(3, 25, 4, 4, 3)
 	var curve []float64
 	for k := 1; k <= 6; k++ {
-		res, err := KMeans(rows, KMeansConfig{K: k, Seed: 1, Restarts: 5})
+		res, err := KMeans(rows, KMeansConfig{K: k, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestKMeansLabelsInRangeProperty(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		res, err := KMeans(rows, KMeansConfig{K: k, Seed: seed, Restarts: 2, MaxIter: 20})
+		res, err := KMeans(rows, KMeansConfig{K: k, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -5,7 +5,7 @@
 //     consumption series to an interactive 2-D view (t-SNE/MDS with
 //     Pearson distance) in which users brush point groups to identify
 //     typical patterns (view C -> view B);
-//   - ShiftPatterns computes the Eq. 3/Eq. 4 demand-shift flow maps
+//   - ShiftPatternsCtx computes the Eq. 3/Eq. 4 demand-shift flow maps
 //     between two time windows at any of the paper's seven temporal
 //     granularities (view A).
 //
@@ -572,21 +572,17 @@ type ShiftResult struct {
 	Meters   int           `json:"meters"`
 }
 
-// ErrSameBucket is wrapped by ShiftPatterns when the granularity is so
+// ErrSameBucket is wrapped by ShiftPatternsCtx when the granularity is so
 // coarse that both anchors land in one bucket: there is no shift to map.
 var ErrSameBucket = errors.New("no shift within one bucket")
 
-// ShiftPatterns computes the Figure 2 pipeline: two density-strength maps
-// (Eq. 3) and their difference (Eq. 4), plus renderable flows.
-func (a *Analyzer) ShiftPatterns(cfg ShiftConfig) (*ShiftResult, error) {
-	return a.ShiftPatternsCtx(context.Background(), cfg)
-}
-
-// ShiftPatternsCtx is ShiftPatterns with context cancellation and the same
-// admission and versioned memoization as TypicalPatterns: anchors are
-// canonicalized to their bucket starts, so any two requests landing in the
-// same (T1, T2) buckets on unchanged data share one cached flow map. An
-// unknown kernel or OD mode is an input error before admission.
+// ShiftPatternsCtx computes the Figure 2 pipeline: two density-strength maps
+// (Eq. 3) and their difference (Eq. 4), plus renderable flows. It stops on
+// ctx and runs under the same admission and versioned memoization as
+// TypicalPatterns: anchors are canonicalized to their bucket starts, so any
+// two requests landing in the same (T1, T2) buckets on unchanged data share
+// one cached flow map. An unknown kernel or OD mode is an input error
+// before admission.
 func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*ShiftResult, error) {
 	if cfg.Granularity == "" {
 		cfg.Granularity = query.Gran4Hourly
@@ -738,7 +734,7 @@ func (a *Analyzer) DemandDensity(ctx context.Context, sel query.Selection, from,
 }
 
 // demand returns a snapshot whose weights are rescaled to unit total mass.
-// DemandSnapshot normalizes each window's weights into [0,1] independently,
+// DemandSnapshotCtx normalizes each window's weights into [0,1] independently,
 // which is right for a standalone heat map but makes two windows'
 // densities incomparable in Eq. 4 (one window's field can dominate the
 // other everywhere, leaving the shift one-signed). Fixing both snapshots
@@ -764,16 +760,16 @@ func (a *Analyzer) demand(ctx context.Context, sel query.Selection, from, to int
 	return out, nil
 }
 
-// GranularitySweep runs ShiftPatterns for every granularity (S2 step 1) at
+// GranularitySweep runs ShiftPatternsCtx for every granularity (S2 step 1) at
 // the same anchor instants and returns the shift summaries keyed by
 // granularity, in AllGranularities order.
-func (a *Analyzer) GranularitySweep(base ShiftConfig) ([]query.Granularity, []flow.Summary, error) {
+func (a *Analyzer) GranularitySweep(ctx context.Context, base ShiftConfig) ([]query.Granularity, []flow.Summary, error) {
 	var gs []query.Granularity
 	var sums []flow.Summary
 	for _, g := range query.AllGranularities {
 		cfg := base
 		cfg.Granularity = g
-		res, err := a.ShiftPatterns(cfg)
+		res, err := a.ShiftPatternsCtx(ctx, cfg)
 		if err != nil {
 			// Coarse granularities can merge T1 and T2 into one bucket;
 			// that is a meaningful sensitivity result, not a failure.
@@ -790,13 +786,13 @@ func (a *Analyzer) GranularitySweep(base ShiftConfig) ([]query.Granularity, []fl
 	return gs, sums, nil
 }
 
-// IntensitySweep runs ShiftPatterns over intensity quantiles (S2 step 2).
-func (a *Analyzer) IntensitySweep(base ShiftConfig, quantiles []float64) ([]flow.Summary, error) {
+// IntensitySweep runs ShiftPatternsCtx over intensity quantiles (S2 step 2).
+func (a *Analyzer) IntensitySweep(ctx context.Context, base ShiftConfig, quantiles []float64) ([]flow.Summary, error) {
 	out := make([]flow.Summary, 0, len(quantiles))
 	for _, q := range quantiles {
 		cfg := base
 		cfg.IntensityQuantile = q
-		res, err := a.ShiftPatterns(cfg)
+		res, err := a.ShiftPatternsCtx(ctx, cfg)
 		if err != nil {
 			return nil, err
 		}

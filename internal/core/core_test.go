@@ -166,7 +166,7 @@ func TestClassifyProfileBimodalYear(t *testing.T) {
 func TestShiftPatternsBasics(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	res, err := an.ShiftPatterns(ShiftConfig{
+	res, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
 	})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestShiftPatternsBasics(t *testing.T) {
 func TestShiftPatternsSameBucketFails(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	if _, err := an.ShiftPatterns(ShiftConfig{
+	if _, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{
 		T1: noon, T2: noon + 3600, Granularity: query.GranDaily,
 	}); !errors.Is(err, ErrSameBucket) {
 		t.Errorf("same-bucket anchors: err = %v, want ErrSameBucket", err)
@@ -212,7 +212,7 @@ func TestShiftPatternsRefusesUnknownKernelAndOD(t *testing.T) {
 		{ShiftConfig{OD: "bogus"}, query.ErrInput},
 	} {
 		c.cfg.T1, c.cfg.T2, c.cfg.Granularity = noon, noon+8*3600, query.Gran4Hourly
-		if _, err := an.ShiftPatterns(c.cfg); !errors.Is(err, c.want) || !strings.Contains(err.Error(), "bogus") {
+		if _, err := an.ShiftPatternsCtx(context.Background(), c.cfg); !errors.Is(err, c.want) || !strings.Contains(err.Error(), "bogus") {
 			t.Errorf("%+v: err = %v, want %v naming the value", c.cfg, err, c.want)
 		}
 	}
@@ -229,7 +229,7 @@ func TestShiftPatternsDefaultGranularity(t *testing.T) {
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
 	before := an.ExecStats()
 	for _, g := range []query.Granularity{"", query.Gran4Hourly} {
-		if _, err := an.ShiftPatterns(ShiftConfig{T1: noon, T2: noon + 8*3600, Granularity: g}); err != nil {
+		if _, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{T1: noon, T2: noon + 8*3600, Granularity: g}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +242,7 @@ func TestShiftPatternsDefaultGranularity(t *testing.T) {
 func TestShiftPatternsGradientMode(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	res, err := an.ShiftPatterns(ShiftConfig{
+	res, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly, OD: ODGradient,
 	})
 	if err != nil {
@@ -256,11 +256,11 @@ func TestShiftPatternsGradientMode(t *testing.T) {
 func TestShiftPatternsIntensityQuantile(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	full, err := an.ShiftPatterns(ShiftConfig{T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly})
+	full, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly})
 	if err != nil {
 		t.Fatal(err)
 	}
-	band, err := an.ShiftPatterns(ShiftConfig{
+	band, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
 		IntensityQuantile: 0.7,
 	})
@@ -275,7 +275,7 @@ func TestShiftPatternsIntensityQuantile(t *testing.T) {
 func TestGranularitySweepCoversAll(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	gs, sums, err := an.GranularitySweep(ShiftConfig{T1: noon, T2: noon + 8*3600})
+	gs, sums, err := an.GranularitySweep(context.Background(), ShiftConfig{T1: noon, T2: noon + 8*3600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestGranularitySweepCoversAll(t *testing.T) {
 func TestIntensitySweep(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	sums, err := an.IntensitySweep(
+	sums, err := an.IntensitySweep(context.Background(),
 		ShiftConfig{T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly},
 		[]float64{0.3, 0.6, 0.9})
 	if err != nil {
@@ -323,7 +323,7 @@ func TestDailyProfileFeatureView(t *testing.T) {
 func TestShiftPatternsCustomKernelAndGrid(t *testing.T) {
 	an, ds := fixture(t)
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	res, err := an.ShiftPatterns(ShiftConfig{
+	res, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
 		GridCols: 32, GridRows: 24, Kernel: kde.KernelEpanechnikov, Bandwidth: 0.01,
 	})

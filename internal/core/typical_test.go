@@ -181,7 +181,7 @@ func TestNaNReadingKeepsTypicalFeaturesFinite(t *testing.T) {
 				}
 			}
 		}
-		d, err := reduce.DistanceMatrix(view.rows, reduce.MetricPearson)
+		d, err := reduce.DistanceMatrixCtx(context.Background(), view.rows, reduce.MetricPearson, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

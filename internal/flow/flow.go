@@ -118,29 +118,15 @@ func centralDiff(f *kde.Field, c, r, dc, dr int) float64 {
 	return (f.At(c1, r1) - f.At(c0, r0)) / span
 }
 
-// ODConfig tunes origin-destination extraction.
-type ODConfig struct {
-	// TopK caps the number of source and sink cells considered (by
-	// magnitude). Default 32.
-	TopK int
-	// MaxFlows caps the emitted flows. Default 64.
-	MaxFlows int
-	// MinMassFrac drops flows carrying less than this fraction of the
-	// largest flow's mass. Default 0.05.
-	MinMassFrac float64
-}
+// ODConfig is origin-destination extraction's settings. It holds none: the
+// caps below are fixed. The type stays because callers, bench/ among them,
+// pass ODConfig{}.
+type ODConfig struct{}
 
-func (c *ODConfig) defaults() {
-	if c.TopK <= 0 {
-		c.TopK = 32
-	}
-	if c.MaxFlows <= 0 {
-		c.MaxFlows = 64
-	}
-	if c.MinMassFrac <= 0 {
-		c.MinMassFrac = 0.05
-	}
-}
+const (
+	odTopK        = 32   // source and sink cells considered, by magnitude
+	odMinMassFrac = 0.05 // flows under this fraction of the largest are dropped
+)
 
 type cellMass struct {
 	c, r int
@@ -187,17 +173,17 @@ func topCells(shift *kde.Field, k int) (sources, sinks []cellMass) {
 // demand-losing cells (negative shift) are greedily matched to the
 // strongest demand-gaining cells (positive shift), nearest-first weighted
 // by transferable mass. The result approximates where high demand moved.
-func ExtractOD(shift *kde.Field, cfg ODConfig) []Vector {
+func ExtractOD(shift *kde.Field, _ ODConfig) []Vector {
 	if shift == nil || len(shift.Values) == 0 {
 		return nil
 	}
-	cfg.defaults()
-	sources, sinks := topCells(shift, cfg.TopK)
+	sources, sinks := topCells(shift, odTopK)
 	if len(sources) == 0 || len(sinks) == 0 {
 		return nil
 	}
 	// Greedy transport: repeatedly move mass along the pair maximizing
-	// transferable mass / (1 + normalized distance).
+	// transferable mass / (1 + normalized distance). Each move empties a
+	// source or a sink, so it ends within len(sources)+len(sinks)-1 moves.
 	srcRem := make([]float64, len(sources))
 	for i, s := range sources {
 		srcRem[i] = s.mass
@@ -208,7 +194,7 @@ func ExtractOD(shift *kde.Field, cfg ODConfig) []Vector {
 	}
 	diag := math.Hypot(float64(shift.Cols), float64(shift.Rows))
 	var out []Vector
-	for len(out) < cfg.MaxFlows {
+	for {
 		bestI, bestJ, bestScore := -1, -1, 0.0
 		for i := range sources {
 			if srcRem[i] <= 0 {
@@ -249,7 +235,7 @@ func ExtractOD(shift *kde.Field, cfg ODConfig) []Vector {
 	}
 	kept := out[:0]
 	for _, v := range out {
-		if v.Mass >= cfg.MinMassFrac*maxMass {
+		if v.Mass >= odMinMassFrac*maxMass {
 			v.Rate = v.Mass / maxMass
 			kept = append(kept, v)
 		}

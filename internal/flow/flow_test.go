@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -18,7 +19,7 @@ func box() geo.BBox {
 // densityAt builds a KDE field from one point mass.
 func densityAt(t *testing.T, p geo.Point, w float64) *kde.Field {
 	t.Helper()
-	f, err := kde.Estimate([]kde.WeightedPoint{{Loc: p, Weight: w}}, box(),
+	f, err := kde.EstimateCtx(context.Background(), []kde.WeightedPoint{{Loc: p, Weight: w}}, box(),
 		kde.Config{Cols: 64, Rows: 64, Bandwidth: 0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +137,19 @@ func TestExtractODRespectsCaps(t *testing.T) {
 	west := geo.Point{Lon: 12.5, Lat: 55.7}
 	east := geo.Point{Lon: 12.7, Lat: 55.7}
 	shift, _ := Shift(densityAt(t, west, 1), densityAt(t, east, 1))
-	flows := ExtractOD(shift, ODConfig{TopK: 4, MaxFlows: 5, MinMassFrac: 0.01})
-	if len(flows) > 5 {
-		t.Errorf("flows = %d, cap 5", len(flows))
+	flows := ExtractOD(shift, ODConfig{})
+	if len(flows) == 0 || len(flows) >= 2*odTopK {
+		t.Errorf("flows = %d, want 1..%d", len(flows), 2*odTopK-1)
+	}
+	from, to := map[geo.Point]bool{}, map[geo.Point]bool{}
+	for _, v := range flows {
+		from[v.From], to[v.To] = true, true
+		if v.Rate < odMinMassFrac || v.Rate > 1 {
+			t.Errorf("flow rate %v outside [%v, 1]", v.Rate, odMinMassFrac)
+		}
+	}
+	if len(from) > odTopK || len(to) > odTopK {
+		t.Errorf("%d sources and %d sinks, cap %d each", len(from), len(to), odTopK)
 	}
 }
 

@@ -224,16 +224,12 @@ func quantile(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// Estimate evaluates Eq. 3 over box with the given points and config.
-// Weights c_i are used as provided (the query layer normalizes them).
-func Estimate(pts []WeightedPoint, box geo.BBox, cfg Config) (*Field, error) {
-	return EstimateCtx(context.Background(), pts, box, cfg)
-}
-
-// EstimateCtx evaluates Eq. 3 with the raster split into disjoint
-// row bands fanned out across cfg.Workers goroutines. Each band
-// accumulates only its own cells, so no synchronization is needed on the
-// value buffer; ctx cancellation aborts between bands.
+// EstimateCtx evaluates Eq. 3 over box with the given points and config.
+// Weights c_i are used as provided (the query layer normalizes them). The
+// raster is split into disjoint row bands fanned out across cfg.Workers
+// goroutines. Each band accumulates only its own cells, so no
+// synchronization is needed on the value buffer; ctx cancellation aborts
+// between bands.
 func EstimateCtx(ctx context.Context, pts []WeightedPoint, box geo.BBox, cfg Config) (*Field, error) {
 	if len(pts) == 0 {
 		return nil, ErrInput

@@ -18,7 +18,7 @@ func box() geo.BBox {
 
 func TestEstimatePeakAtPointMass(t *testing.T) {
 	pts := []WeightedPoint{{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1}}
-	f, err := Estimate(pts, box(), Config{Cols: 64, Rows: 64, Bandwidth: 0.02})
+	f, err := EstimateCtx(context.Background(), pts, box(), Config{Cols: 64, Rows: 64, Bandwidth: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestEstimateMassConservation(t *testing.T) {
 			Weight: 1,
 		})
 	}
-	f, err := Estimate(pts, box(), Config{Cols: 128, Rows: 128, Bandwidth: 0.01})
+	f, err := EstimateCtx(context.Background(), pts, box(), Config{Cols: 128, Rows: 128, Bandwidth: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +57,8 @@ func TestEstimateMassConservation(t *testing.T) {
 
 func TestEstimateWeightsScaleDensity(t *testing.T) {
 	p := geo.Point{Lon: 12.6, Lat: 55.7}
-	f1, _ := Estimate([]WeightedPoint{{Loc: p, Weight: 1}}, box(), Config{Bandwidth: 0.02})
-	f2, _ := Estimate([]WeightedPoint{{Loc: p, Weight: 2}}, box(), Config{Bandwidth: 0.02})
+	f1, _ := EstimateCtx(context.Background(), []WeightedPoint{{Loc: p, Weight: 1}}, box(), Config{Bandwidth: 0.02})
+	f2, _ := EstimateCtx(context.Background(), []WeightedPoint{{Loc: p, Weight: 2}}, box(), Config{Bandwidth: 0.02})
 	_, hi1 := f1.MinMax()
 	_, hi2 := f2.MinMax()
 	if math.Abs(hi2-2*hi1) > 1e-9*hi1 {
@@ -68,7 +68,7 @@ func TestEstimateWeightsScaleDensity(t *testing.T) {
 
 func TestEstimateZeroWeightIgnored(t *testing.T) {
 	p := geo.Point{Lon: 12.6, Lat: 55.7}
-	f, err := Estimate([]WeightedPoint{{Loc: p, Weight: 0}}, box(), Config{Bandwidth: 0.02})
+	f, err := EstimateCtx(context.Background(), []WeightedPoint{{Loc: p, Weight: 0}}, box(), Config{Bandwidth: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestEstimateZeroWeightIgnored(t *testing.T) {
 }
 
 func TestEstimateErrors(t *testing.T) {
-	if _, err := Estimate(nil, box(), Config{}); err == nil {
+	if _, err := EstimateCtx(context.Background(), nil, box(), Config{}); err == nil {
 		t.Error("no points should fail")
 	}
 	pts := []WeightedPoint{{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1}}
-	if _, err := Estimate(pts, geo.EmptyBBox(), Config{}); err == nil {
+	if _, err := EstimateCtx(context.Background(), pts, geo.EmptyBBox(), Config{}); err == nil {
 		t.Error("empty box should fail")
 	}
 }
@@ -139,12 +139,12 @@ func TestTruncatedMatchesExact(t *testing.T) {
 		})
 	}
 	cfg := Config{Cols: 48, Rows: 48, Bandwidth: 0.01}
-	fast, err := Estimate(pts, box(), cfg)
+	fast, err := EstimateCtx(context.Background(), pts, box(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Exact = true
-	exact, err := Estimate(pts, box(), cfg)
+	exact, err := EstimateCtx(context.Background(), pts, box(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,8 @@ func TestSilvermanBandwidthPositive(t *testing.T) {
 
 func TestFieldSub(t *testing.T) {
 	p := geo.Point{Lon: 12.6, Lat: 55.7}
-	f1, _ := Estimate([]WeightedPoint{{Loc: p, Weight: 1}}, box(), Config{Bandwidth: 0.02})
-	f2, _ := Estimate([]WeightedPoint{{Loc: p, Weight: 3}}, box(), Config{Bandwidth: 0.02})
+	f1, _ := EstimateCtx(context.Background(), []WeightedPoint{{Loc: p, Weight: 1}}, box(), Config{Bandwidth: 0.02})
+	f2, _ := EstimateCtx(context.Background(), []WeightedPoint{{Loc: p, Weight: 3}}, box(), Config{Bandwidth: 0.02})
 	diff, err := f2.Sub(f1)
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +193,14 @@ func TestFieldSub(t *testing.T) {
 		}
 	}
 	// Geometry mismatch fails.
-	other, _ := Estimate([]WeightedPoint{{Loc: p, Weight: 1}}, box(), Config{Cols: 32, Rows: 32, Bandwidth: 0.02})
+	other, _ := EstimateCtx(context.Background(), []WeightedPoint{{Loc: p, Weight: 1}}, box(), Config{Cols: 32, Rows: 32, Bandwidth: 0.02})
 	if _, err := f1.Sub(other); err == nil {
 		t.Error("geometry mismatch should fail")
 	}
 }
 
 func TestCellRoundTrip(t *testing.T) {
-	f, _ := Estimate([]WeightedPoint{{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1}},
+	f, _ := EstimateCtx(context.Background(), []WeightedPoint{{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1}},
 		box(), Config{Cols: 40, Rows: 30, Bandwidth: 0.02})
 	for _, probe := range []struct{ c, r int }{{0, 0}, {39, 29}, {20, 15}, {7, 23}} {
 		ctr := f.CellCenter(probe.c, probe.r)
@@ -253,7 +253,7 @@ func TestEstimateMatchesOracle(t *testing.T) {
 			// The compact kernels end at one bandwidth; give them one wide
 			// enough to cover several cells.
 			cfg := Config{Cols: 80, Rows: 60, Bandwidth: 0.03, Kernel: k, Exact: exact, Workers: 3}
-			got, err := Estimate(pts, box(), cfg)
+			got, err := EstimateCtx(context.Background(), pts, box(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,7 +288,7 @@ func TestEstimateSinglePoint(t *testing.T) {
 	p := WeightedPoint{Loc: geo.Point{Lon: 12.61, Lat: 55.73}, Weight: 0.7}
 	for _, k := range allKernels {
 		cfg := Config{Cols: 50, Rows: 70, Bandwidth: 0.03, Kernel: k}
-		got, err := Estimate([]WeightedPoint{p}, box(), cfg)
+		got, err := EstimateCtx(context.Background(), []WeightedPoint{p}, box(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,13 +319,13 @@ func TestEstimateWorkerCountIdentity(t *testing.T) {
 		for _, k := range allKernels {
 			for _, exact := range []bool{false, true} {
 				cfg := Config{Cols: grid[0], Rows: grid[1], Bandwidth: 0.03, Kernel: k, Exact: exact, Workers: 1}
-				serial, err := Estimate(pts, box(), cfg)
+				serial, err := EstimateCtx(context.Background(), pts, box(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 3, 8, 0} {
 					cfg.Workers = workers
-					par, err := Estimate(pts, box(), cfg)
+					par, err := EstimateCtx(context.Background(), pts, box(), cfg)
 					if err != nil {
 						t.Fatalf("%v %s workers=%d exact=%v: %v", grid, k, workers, exact, err)
 					}

@@ -178,18 +178,12 @@ func (e *Engine) MeterSeriesCtx(ctx context.Context, meterID int64, sel Selectio
 	return out, err
 }
 
-// MeterMatrix returns one aggregated row per selected meter, all aligned to
-// the same bucket sequence (a bucket without a value filled with 0),
+// MeterMatrixCtx returns one aggregated row per selected meter, all aligned
+// to the same bucket sequence (a bucket without a value filled with 0),
 // together with the meter IDs (row order) and the bucket start times
-// (column order).
-// This is the "high-dimensional time series" input to dimension reduction.
-func (e *Engine) MeterMatrix(sel Selection, g Granularity, fn AggFunc) (ids []int64, times []int64, rows [][]float64, err error) {
-	return e.MeterMatrixCtx(context.Background(), sel, g, fn)
-}
-
-// MeterMatrixCtx is MeterMatrix with the per-meter scans fanned out across
-// the engine's workers; row order stays deterministic because each meter
-// writes only its own row.
+// (column order): the "high-dimensional time series" input to dimension
+// reduction. The per-meter scans fan out across the engine's workers; row
+// order stays deterministic because each meter writes only its own row.
 func (e *Engine) MeterMatrixCtx(ctx context.Context, sel Selection, g Granularity, fn AggFunc) (ids []int64, times []int64, rows [][]float64, err error) {
 	if err := fn.Valid(); err != nil {
 		return nil, nil, nil, err
@@ -298,15 +292,10 @@ func (e *Engine) TotalByMeterCtx(ctx context.Context, sel Selection) (map[int64]
 	return out, nil
 }
 
-// IntensityBand selects the meters whose total consumption lies at or above
-// the q-th quantile of the selection (the S2 "consumption intensity in a
-// quartile value ranging from 30% to 90%" control). q is in [0, 1].
-func (e *Engine) IntensityBand(sel Selection, q float64) ([]int64, error) {
-	return e.IntensityBandCtx(context.Background(), sel, q)
-}
-
-// IntensityBandCtx is IntensityBand with the underlying total-consumption
-// scan parallelized and cancellable.
+// IntensityBandCtx selects the meters whose total consumption lies at or
+// above the q-th quantile of the selection (the S2 "consumption intensity
+// in a quartile value ranging from 30% to 90%" control). q is in [0, 1].
+// The total-consumption scan is parallel and stops on ctx.
 func (e *Engine) IntensityBandCtx(ctx context.Context, sel Selection, q float64) ([]int64, error) {
 	if q < 0 || q > 1 {
 		return nil, fmt.Errorf("%w: quantile %v out of [0,1]", ErrInput, q)
@@ -341,15 +330,10 @@ type DemandPoint struct {
 	Weight  float64   `json:"weight"` // normalized mean consumption c_i
 }
 
-// DemandSnapshot returns, for the window [from, to), each selected meter's
-// location weighted by its normalized average consumption in that window —
-// exactly the (x_i, c_i) pairs of Eq. 3.
-func (e *Engine) DemandSnapshot(sel Selection, from, to int64) ([]DemandPoint, error) {
-	return e.DemandSnapshotCtx(context.Background(), sel, from, to)
-}
-
-// DemandSnapshotCtx is DemandSnapshot with per-meter window scans
-// parallelized across the engine's workers.
+// DemandSnapshotCtx returns, for the window [from, to), each selected
+// meter's location weighted by its normalized average consumption in that
+// window — exactly the (x_i, c_i) pairs of Eq. 3. The per-meter window
+// scans fan out across the engine's workers.
 func (e *Engine) DemandSnapshotCtx(ctx context.Context, sel Selection, from, to int64) ([]DemandPoint, error) {
 	s := sel
 	s.From, s.To = from, to

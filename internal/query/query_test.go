@@ -353,7 +353,7 @@ func TestMeterMatrixAlignment(t *testing.T) {
 	st := buildStore(t, 3)
 	defer st.Close()
 	eng := NewEngineWorkers(st, 0)
-	ids, times, rows, err := eng.MeterMatrix(Selection{}, GranDaily, AggMean)
+	ids, times, rows, err := eng.MeterMatrixCtx(context.Background(), Selection{}, GranDaily, AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestTotalByMeterAndIntensityBand(t *testing.T) {
 		t.Errorf("meter 2 total = %v, want 96", totals[2])
 	}
 	// Top half by quantile: meter 3 (mixed 1/10) and meter 2.
-	ids, err := eng.IntensityBand(Selection{}, 0.5)
+	ids, err := eng.IntensityBandCtx(context.Background(), Selection{}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +396,11 @@ func TestTotalByMeterAndIntensityBand(t *testing.T) {
 		t.Fatalf("band = %v", ids)
 	}
 	// q=0 keeps everyone.
-	ids, _ = eng.IntensityBand(Selection{}, 0)
+	ids, _ = eng.IntensityBandCtx(context.Background(), Selection{}, 0)
 	if len(ids) != 3 {
 		t.Fatalf("q=0 band = %v", ids)
 	}
-	if _, err := eng.IntensityBand(Selection{}, 1.5); err == nil {
+	if _, err := eng.IntensityBandCtx(context.Background(), Selection{}, 1.5); err == nil {
 		t.Error("q>1 should fail")
 	}
 }
@@ -410,7 +410,7 @@ func TestDemandSnapshotWeights(t *testing.T) {
 	defer st.Close()
 	eng := NewEngineWorkers(st, 0)
 	noon := ts("2018-01-01 12:00")
-	pts, err := eng.DemandSnapshot(Selection{}, noon, noon+3600)
+	pts, err := eng.DemandSnapshotCtx(context.Background(), Selection{}, noon, noon+3600)
 	if err != nil {
 		t.Fatal(err)
 	}

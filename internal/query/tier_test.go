@@ -194,11 +194,11 @@ func TestWindowFoldsTierMatchesRaw(t *testing.T) {
 func TestDemandSnapshotTierConsistency(t *testing.T) {
 	raw, tier, first, last := buildTierPair(t, nil)
 	rawEng, tierEng := NewEngineWorkers(raw, 0), NewEngineWorkers(tier, 0)
-	want, err := rawEng.DemandSnapshot(Selection{}, first, last+1)
+	want, err := rawEng.DemandSnapshotCtx(context.Background(), Selection{}, first, last+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tierEng.DemandSnapshot(Selection{}, first, last+1)
+	got, err := tierEng.DemandSnapshotCtx(context.Background(), Selection{}, first, last+1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,19 +34,12 @@ const (
 // while reducing; every such error wraps it.
 var ErrInput = errors.New("reduce: invalid input")
 
-// DistanceMatrix computes the full symmetric pairwise distance matrix of
-// rows under the metric, serially. Rows must be equal-length and
-// non-empty. It is the one-worker baseline DistanceMatrixCtx is
-// benchmarked against; new code should prefer DistanceMatrixCtx.
-func DistanceMatrix(rows [][]float64, m Metric) ([][]float64, error) {
-	return DistanceMatrixCtx(context.Background(), rows, m, 1)
-}
-
-// DistanceMatrixCtx computes the same matrix with the upper triangle
-// row-chunked across up to workers goroutines (workers <= 0 selects
-// runtime.GOMAXPROCS(0)). Rows are handed out dynamically, so the triangular
-// imbalance (row i has n-i-1 pairs) spreads evenly. Cancellation of ctx
-// aborts the computation.
+// DistanceMatrixCtx computes the full symmetric pairwise distance matrix of
+// rows under the metric. Rows must be equal-length and non-empty. The upper
+// triangle is row-chunked across up to workers goroutines (workers <= 0
+// selects runtime.GOMAXPROCS(0)). Rows are handed out dynamically, so the
+// triangular imbalance (row i has n-i-1 pairs) spreads evenly. Cancellation
+// of ctx aborts the computation.
 func DistanceMatrixCtx(ctx context.Context, rows [][]float64, m Metric, workers int) ([][]float64, error) {
 	n := len(rows)
 	if n == 0 {

@@ -47,19 +47,14 @@ func ClassicalMDS(d [][]float64) (Embedding, error) {
 	return out, nil
 }
 
-// smacofEps is the relative stress improvement under which SMACOF stops.
-const smacofEps = 1e-6
+const (
+	smacofEps        = 1e-6 // relative stress improvement under which SMACOF stops
+	smacofIterations = 300  // Guttman transforms at most
+)
 
 // SMACOFConfig tunes the stress-majorization MDS solver.
 type SMACOFConfig struct {
-	Iterations int // default 300
-	Seed       int64
-}
-
-func (c *SMACOFConfig) defaults() {
-	if c.Iterations <= 0 {
-		c.Iterations = 300
-	}
+	Seed int64
 }
 
 // SMACOFResult carries the embedding and the final normalized stress.
@@ -77,7 +72,6 @@ func SMACOF(ctx context.Context, d [][]float64, cfg SMACOFConfig) (*SMACOFResult
 	if n < 2 {
 		return nil, fmt.Errorf("%w: SMACOF needs at least 2 points, got %d", ErrInput, n)
 	}
-	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	x := make(Embedding, n)
 	for i := range x {
@@ -88,7 +82,7 @@ func SMACOF(ctx context.Context, d [][]float64, cfg SMACOFConfig) (*SMACOFResult
 	res := &SMACOFResult{}
 	nf := float64(n)
 	xNew := make(Embedding, n)
-	for iter := 1; iter <= cfg.Iterations; iter++ {
+	for iter := 1; iter <= smacofIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

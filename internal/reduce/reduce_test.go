@@ -46,7 +46,7 @@ func threeClusters(n, dim int, seed int64) ([][]float64, []int) {
 func TestDistanceMatrixProperties(t *testing.T) {
 	rows, _ := threeClusters(12, 24, 1)
 	for _, m := range []Metric{MetricPearson, MetricEuclidean} {
-		d, err := DistanceMatrix(rows, m)
+		d, err := DistanceMatrixCtx(context.Background(), rows, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,20 +68,20 @@ func TestDistanceMatrixProperties(t *testing.T) {
 }
 
 func TestDistanceMatrixErrors(t *testing.T) {
-	if _, err := DistanceMatrix(nil, MetricPearson); err == nil {
+	if _, err := DistanceMatrixCtx(context.Background(), nil, MetricPearson, 1); err == nil {
 		t.Error("empty should fail")
 	}
-	if _, err := DistanceMatrix([][]float64{{1, 2}, {1}}, MetricPearson); err == nil {
+	if _, err := DistanceMatrixCtx(context.Background(), [][]float64{{1, 2}, {1}}, MetricPearson, 1); err == nil {
 		t.Error("ragged should fail")
 	}
-	if _, err := DistanceMatrix([][]float64{{1, 2}}, "cosine"); err == nil {
+	if _, err := DistanceMatrixCtx(context.Background(), [][]float64{{1, 2}}, "cosine", 1); err == nil {
 		t.Error("unknown metric should fail")
 	}
 }
 
 func TestTSNESeparatesClusters(t *testing.T) {
 	rows, labels := threeClusters(60, 32, 2)
-	d, err := DistanceMatrix(rows, MetricPearson)
+	d, err := DistanceMatrixCtx(context.Background(), rows, MetricPearson, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTSNESeparatesClusters(t *testing.T) {
 // lower KL than after its first 50.
 func TestTSNEKLDecreases(t *testing.T) {
 	rows, _ := threeClusters(45, 24, 5)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	first, err := TSNE(context.Background(), d, TSNEConfig{Seed: 1, Iterations: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestTSNEKLDecreases(t *testing.T) {
 
 func TestTSNECancellation(t *testing.T) {
 	rows, _ := threeClusters(40, 16, 1)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := TSNE(ctx, d, TSNEConfig{}); err == nil {
@@ -146,7 +146,7 @@ func TestTSNEErrors(t *testing.T) {
 
 func TestTSNEDeterministicForSeed(t *testing.T) {
 	rows, _ := threeClusters(30, 16, 9)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	a, err := TSNE(context.Background(), d, TSNEConfig{Seed: 5, Iterations: 120})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestClassicalMDSRecoversLineGeometry(t *testing.T) {
 // 90 once took; every n now goes through the same eigen solve.
 func TestClassicalMDSLargeUsesPowerIteration(t *testing.T) {
 	rows, labels := threeClusters(90, 24, 4)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	emb, err := ClassicalMDS(d)
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +228,11 @@ func TestClassicalMDSByValueOnIndefiniteGram(t *testing.T) {
 		}
 		ids = append(ids, m.ID)
 	}
-	_, _, rows, err := query.NewEngineWorkers(st, 1).MeterMatrix(query.Selection{MeterIDs: ids}, query.GranMonthly, query.AggMean)
+	_, _, rows, err := query.NewEngineWorkers(st, 1).MeterMatrixCtx(context.Background(), query.Selection{MeterIDs: ids}, query.GranMonthly, query.AggMean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DistanceMatrix(rows, MetricPearson)
+	d, err := DistanceMatrixCtx(context.Background(), rows, MetricPearson, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestClassicalMDSEquidistantKeepsBothAxes(t *testing.T) {
 
 func TestSMACOFReducesStress(t *testing.T) {
 	rows, _ := threeClusters(40, 24, 6)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	res, err := SMACOF(context.Background(), d, SMACOFConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +330,7 @@ func TestSMACOFReducesStress(t *testing.T) {
 
 func TestSMACOFCancellation(t *testing.T) {
 	rows, _ := threeClusters(20, 8, 1)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := SMACOF(ctx, d, SMACOFConfig{}); err == nil {
@@ -452,7 +452,7 @@ func TestEmbeddingNormalizeProperty(t *testing.T) {
 
 func TestPerplexitySearchHitsTarget(t *testing.T) {
 	rows, _ := threeClusters(50, 16, 7)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	perp := 12.0
 	n := len(d)
 	cond, _, err := perplexitySearch(context.Background(), d, perp, 2)
@@ -485,7 +485,7 @@ func TestPerplexitySearchHitsTarget(t *testing.T) {
 func TestDistanceMatrixParallelMatchesSerial(t *testing.T) {
 	rows, _ := threeClusters(33, 48, 7)
 	for _, m := range []Metric{MetricPearson, MetricEuclidean} {
-		serial, err := DistanceMatrix(rows, m)
+		serial, err := DistanceMatrixCtx(context.Background(), rows, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func genDailyFixture(t *testing.T, seed int64) [][]float64 {
 // flat.
 func oracleP(n int) ([][]float64, []float64) {
 	rows, _ := threeClusters(n, 24, 4)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	pRef := refConditionalToJoint(refPerplexitySearch(d, 20))
 	return pRef, flatten(pRef)
 }
@@ -195,7 +195,7 @@ func TestKLMatchesOracle(t *testing.T) {
 // (uniform) or partly out of the Gaussian's floating-point reach.
 func TestPerplexitySearchMatchesOracle(t *testing.T) {
 	rows, _ := threeClusters(80, 16, 7)
-	clustered, _ := DistanceMatrix(rows, MetricEuclidean)
+	clustered, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 
 	const huge = 1e200 // squares to +Inf
 	allHuge := make([][]float64, 12)
@@ -426,7 +426,7 @@ func TestTSNEKLNearOracle(t *testing.T) {
 	// 150 points: clusters of 50 exceed the perplexity, which keeps the KL
 	// well away from 0, where a relative bound would only measure noise.
 	rows, _ := threeClusters(150, 24, 4)
-	clustered, _ := DistanceMatrix(rows, MetricPearson)
+	clustered, _ := DistanceMatrixCtx(context.Background(), rows, MetricPearson, 1)
 	type fixture struct {
 		name  string
 		d     [][]float64
@@ -468,7 +468,7 @@ func TestTSNEKLNearOracle(t *testing.T) {
 // first iterations the two implementations still trace the same path.
 func TestTSNEFirstIterationsMatchOracle(t *testing.T) {
 	rows, _ := threeClusters(90, 24, 4)
-	d, _ := DistanceMatrix(rows, MetricPearson)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricPearson, 1)
 	cfg := TSNEConfig{Seed: 3, Iterations: 5}
 	want, err := refTSNE(context.Background(), d, cfg)
 	if err != nil {
@@ -494,7 +494,7 @@ func TestTSNEFirstIterationsMatchOracle(t *testing.T) {
 // bit-identical for every worker count.
 func TestTSNEIdenticalAcrossWorkers(t *testing.T) {
 	rows, _ := threeClusters(520, 24, 8)
-	d, _ := DistanceMatrix(rows, MetricPearson)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricPearson, 1)
 	var base *TSNEResult
 	for _, workers := range []int{1, 2, 3, 8} {
 		res, err := TSNE(context.Background(), d, TSNEConfig{Seed: 5, Iterations: 120, Workers: workers})
@@ -537,7 +537,7 @@ func (c *flipCtx) Err() error {
 // the run's helper goroutines behind.
 func TestTSNECancelMidRun(t *testing.T) {
 	rows, _ := threeClusters(260, 16, 1)
-	d, _ := DistanceMatrix(rows, MetricEuclidean)
+	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 2, 4} {
 		ctx := &flipCtx{Context: context.Background(), after: 400}

@@ -1,0 +1,538 @@
+package store
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"maps"
+	"math"
+	"path/filepath"
+	"slices"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// crashOpts is the store the scripted workload drives: commits happen only
+// when a Sync, a Snapshot or Close asks for one, so the recorded calls are
+// the same on every run, and segments are small enough that the script
+// crosses one.
+func crashOpts() Options {
+	return Options{Dir: "db", SegmentBytes: 2048, CommitInterval: time.Hour, Shards: 4, RecoverWorkers: 4}
+}
+
+// crashAck is what a successful Sync, Snapshot or Close acknowledged: once
+// ops holds `at` calls, a crash must keep n[id] samples of every meter and
+// every meter in meters.
+type crashAck struct {
+	at     int
+	n      map[int64]int
+	meters map[int64]bool
+}
+
+// crashStep is one step of the script and how it ended.
+type crashStep struct {
+	name       string
+	start, end int // calls recorded before and after it
+	err        error
+	walFailed  bool // the open store's WAL holds a sticky commit error after it
+}
+
+// crashRun drives the scripted workload on a memFS and remembers what it
+// appended (hist) and what the store acknowledged (acks).
+type crashRun struct {
+	fs     *memFS
+	s      *Store
+	wal    *WAL // the open store's, kept past Close
+	hist   map[int64][]Sample
+	meters map[int64]bool
+	acks   []crashAck
+	steps  []crashStep
+	// corrupt counts the crash states checkImage saw refused as corrupt.
+	corrupt int
+}
+
+func newCrashRun(fsys *memFS) *crashRun {
+	return &crashRun{fs: fsys, hist: map[int64][]Sample{}, meters: map[int64]bool{}}
+}
+
+var errNotOpen = errors.New("store not open")
+
+func (r *crashRun) step(name string, f func() error) error {
+	st := crashStep{name: name, start: r.fs.calls()}
+	if r.s == nil && name != "open" {
+		st.err = errNotOpen
+	} else {
+		st.err = f()
+	}
+	st.end = r.fs.calls()
+	if r.wal != nil {
+		r.wal.mu.Lock()
+		st.walFailed = r.wal.err != nil
+		r.wal.mu.Unlock()
+	}
+	r.steps = append(r.steps, st)
+	return st.err
+}
+
+func (r *crashRun) ack() {
+	a := crashAck{at: r.fs.calls(), n: map[int64]int{}, meters: map[int64]bool{}}
+	for id, h := range r.hist {
+		a.n[id] = len(h)
+	}
+	for id := range r.meters {
+		a.meters[id] = true
+	}
+	r.acks = append(r.acks, a)
+}
+
+// required is the strongest acknowledgement a crash after k calls must keep.
+func (r *crashRun) required(k int) crashAck {
+	var out crashAck
+	for _, a := range r.acks {
+		if a.at <= k {
+			out = a
+		}
+	}
+	return out
+}
+
+func crashSample(id int64, i int) Sample {
+	return Sample{TS: 1_600_000_000 + int64(i)*900, Value: float64(id*1000+int64(i)) + 0.25}
+}
+
+func (r *crashRun) open() {
+	r.step("open", func() error {
+		r.wal = nil
+		s, err := open(crashOpts(), r.fs)
+		if err != nil {
+			return err
+		}
+		r.s, r.wal = s, s.wal
+		// What the store recovered is the history from here on: appends that
+		// were never acknowledged may be gone.
+		got := dumpStore(s)
+		for id := range r.hist {
+			r.hist[id] = r.hist[id][:len(got[id])]
+		}
+		for id := range r.meters {
+			if _, ok := got[id]; !ok {
+				delete(r.meters, id)
+			}
+		}
+		return nil
+	})
+}
+
+func (r *crashRun) putMeter(id int64) {
+	r.step(fmt.Sprintf("meter %d", id), func() error {
+		err := r.s.PutMeter(Meter{ID: id, Location: testPoint(float64(id)*0.01, 0)})
+		if err == nil {
+			r.meters[id] = true
+		}
+		return err
+	})
+}
+
+func (r *crashRun) append(id int64, from, n int) {
+	r.step(fmt.Sprintf("append %d [%d, %d)", id, from, from+n), func() error {
+		smps := make([]Sample, n)
+		for i := range smps {
+			smps[i] = crashSample(id, from+i)
+		}
+		got, err := r.s.AppendBatch(id, smps)
+		r.hist[id] = append(r.hist[id], smps[:got]...)
+		return err
+	})
+}
+
+func (r *crashRun) sync() {
+	if r.step("sync", func() error { return r.s.Sync() }) == nil {
+		r.ack()
+	}
+}
+
+func (r *crashRun) snapshot() {
+	if r.step("snapshot", func() error { return r.s.Snapshot() }) == nil {
+		r.ack()
+	}
+}
+
+func (r *crashRun) close() {
+	err := r.step("close", func() error {
+		err := r.s.Close()
+		r.s = nil
+		return err
+	})
+	if err == nil {
+		r.ack()
+	}
+}
+
+// script is the workload: meters, batches with and without Sync, a commit
+// that crosses SegmentBytes and rotates, a Snapshot (temp write, rename, WAL
+// retirement), reopens and more appends, and a second Snapshot whose
+// segment cut rotates and which replaces the first.
+func (r *crashRun) script() {
+	r.open()
+	r.putMeter(1)
+	r.putMeter(2)
+	r.putMeter(3)
+	r.sync()
+	r.append(1, 0, 20)
+	r.append(2, 0, 10)
+	r.sync()
+	r.append(3, 0, 5) // rides the next commit
+	r.append(2, 10, 80)
+	r.sync() // crosses SegmentBytes: the commit rotates
+	r.snapshot()
+	r.append(1, 20, 10)
+	r.sync()
+	r.putMeter(4)
+	r.append(4, 0, 12) // committed by Close
+	r.close()
+	r.open()
+	r.append(2, 90, 15)
+	r.sync()
+	r.append(1, 30, 40)
+	r.snapshot()      // its cut rotates; it replaces the first snapshot
+	r.append(3, 5, 5) // committed by Close
+	r.close()
+	r.open()
+	r.append(4, 12, 30)
+	r.sync()
+	r.close()
+}
+
+// dumpStore returns every meter's samples, keyed by meter.
+func dumpStore(s *Store) map[int64][]Sample {
+	out := map[int64][]Sample{}
+	for _, id := range s.Catalog().IDs() {
+		smps, _ := s.Range(id, math.MinInt64, math.MaxInt64)
+		out[id] = smps
+	}
+	return out
+}
+
+// recoverImage opens img with recovery on workers goroutines and returns
+// what the store holds. A panic is an error.
+func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("open panicked: %v", p)
+		}
+	}()
+	opts := crashOpts()
+	opts.RecoverWorkers = workers
+	s, err := open(opts, memFSFrom(img))
+	if err != nil {
+		return nil, err
+	}
+	got = dumpStore(s)
+	if err := s.Close(); err != nil {
+		return nil, fmt.Errorf("close after recovery: %w", err)
+	}
+	return got, nil
+}
+
+// checkImage opens img with serial and with parallel recovery and returns
+// what is wrong with it: a panic, an open that fails other than as
+// corruption (*CorruptError or ErrCorrupt), the two recoveries disagreeing,
+// a meter that is not a prefix of its append history, or a loss of what req
+// acknowledged. A store that refuses to open as corrupt, by both recoveries,
+// passes and is counted in r.corrupt.
+func (r *crashRun) checkImage(img image, req crashAck) []string {
+	serial, serr := recoverImage(img, 1)
+	parallel, perr := recoverImage(img, 4)
+	if errors.Is(serr, ErrCorrupt) && errors.Is(perr, ErrCorrupt) {
+		r.corrupt++
+		return nil
+	}
+	if serr != nil || perr != nil {
+		return []string{fmt.Sprintf("open: serial recovery: %v; parallel recovery: %v", serr, perr)}
+	}
+	var bad []string
+	if !sameStore(serial, parallel) {
+		bad = append(bad, "parallel replay differs from serial WAL.Replay")
+	}
+	for id, smps := range serial {
+		if h := r.hist[id]; len(smps) > len(h) || !slices.Equal(smps, h[:len(smps)]) {
+			bad = append(bad, fmt.Sprintf("meter %d holds %d samples that are not a prefix of its %d appended", id, len(smps), len(h)))
+		}
+	}
+	for id := range req.meters {
+		if _, ok := serial[id]; !ok {
+			bad = append(bad, fmt.Sprintf("acknowledged meter %d is gone", id))
+		}
+	}
+	for id, n := range req.n {
+		if len(serial[id]) < n {
+			bad = append(bad, fmt.Sprintf("meter %d holds %d samples, %d were acknowledged", id, len(serial[id]), n))
+		}
+	}
+	return bad
+}
+
+func sameStore(a, b map[int64][]Sample) bool {
+	return maps.EqualFunc(a, b, func(x, y []Sample) bool { return slices.Equal(x, y) })
+}
+
+// describe names the calls up to k for a failure message.
+func describe(ops []fsOp, k int) string {
+	var b strings.Builder
+	for i, op := range ops[:k] {
+		name := filepath.Base(op.name)
+		switch op.kind {
+		case opWrite:
+			fmt.Fprintf(&b, "\n  %3d write %s @%d +%d", i, name, op.off, len(op.data))
+		case opRename:
+			fmt.Fprintf(&b, "\n  %3d rename %s -> %s", i, name, filepath.Base(op.to))
+		default:
+			fmt.Fprintf(&b, "\n  %3d %s %s", i, [...]string{"mkdir", "create", "write", "truncate", "rename", "remove", "fsync", "fsync dir"}[op.kind], name)
+		}
+		if op.failed {
+			b.WriteString(" (failed)")
+		}
+	}
+	return b.String()
+}
+
+// TestCrashStates runs the scripted workload on a recording filesystem and
+// reopens every disk a crash can leave after each of its calls (see
+// crashImages): each must open, every meter must hold a prefix of what was
+// appended to it, serial and parallel replay must agree, and nothing a
+// Sync, Snapshot or Close acknowledged before the crash may be lost.
+func TestCrashStates(t *testing.T) {
+	before := goroutines()
+	r := newCrashRun(newMemFS())
+	r.script()
+	for _, st := range r.steps {
+		if st.err != nil {
+			t.Fatalf("script step %q: %v", st.name, st.err)
+		}
+	}
+	ops := r.fs.trace()
+	var order []uint64
+	images, lastK := map[uint64]image{}, map[uint64]int{}
+	for k := 0; k <= len(ops); k++ {
+		crashImages(ops, k, func(img image) {
+			key := img.key()
+			if _, ok := images[key]; !ok {
+				order = append(order, key)
+				images[key] = img
+			}
+			lastK[key] = k // the latest crash point asks the most
+		})
+	}
+	failures := 0
+	for _, key := range order {
+		k := lastK[key]
+		if bad := r.checkImage(images[key], r.required(k)); len(bad) > 0 {
+			failures++
+			if failures <= 3 {
+				t.Errorf("crash after call %d: %s\ncalls:%s", k, strings.Join(bad, "; "), describe(ops, k))
+			}
+		}
+	}
+	if failures > 3 {
+		t.Errorf("%d more crash states failed", failures-3)
+	}
+	t.Logf("%d calls, %d distinct crash states, %d refused as corrupt", len(ops), len(order), r.corrupt)
+	checkNoLeakedGoroutines(t, before)
+}
+
+// TestFaultInjection runs the scripted workload once per call it makes that
+// can fail (a write: ENOSPC or a short write; a rename; an fsync of a file
+// or a directory), failing that call. The contract: a failed commit
+// acknowledges nothing in its batch, and every later append, Sync,
+// Snapshot and Close of that open store fails fast with the same error,
+// because the segment is not trusted again; a failed Snapshot leaves the WAL working;
+// and the disk, both as the failure left it and as a crash right after it
+// and at the end of the script leaves it, reopens with everything
+// acknowledged (checkImage). No goroutine outlives its store.
+func TestFaultInjection(t *testing.T) {
+	clean := newCrashRun(newMemFS())
+	clean.script()
+	ops := clean.fs.trace()
+	for _, kind := range []faultKind{faultENOSPC, faultShort, faultRename, faultSync} {
+		for k := range ops {
+			if !kind.hits(ops[k].kind) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s at call %d", kind, k), func(t *testing.T) {
+				before := goroutines()
+				runFault(t, kind, k)
+				checkNoLeakedGoroutines(t, before)
+			})
+		}
+	}
+}
+
+func runFault(t *testing.T, kind faultKind, k int) {
+	fsys := newMemFS()
+	fsys.faultAt, fsys.faultKind = k, kind
+	r := newCrashRun(fsys)
+	r.script()
+	ops := fsys.trace()
+	if fsys.injected == nil {
+		t.Fatalf("call %d is not the one the clean run made:%s", k, describe(ops, min(k+1, len(ops))))
+	}
+	op, want := fsys.injected, kind.err()
+	hit := -1
+	for i, st := range r.steps {
+		if st.start <= k && k < st.end {
+			hit = i
+		}
+	}
+	st := r.steps[hit]
+	_, isSegment := parseSegmentName(filepath.Base(op.name))
+	if isSegment && st.name != "open" {
+		// A commit (or a rotation inside one) failed.
+		if !errors.Is(st.err, want) || !st.walFailed {
+			t.Errorf("%s on %s during %q: step returned %v and the WAL failed=%v; want the injected error, sticky", kind, op.name, st.name, st.err, st.walFailed)
+		}
+	}
+	if strings.HasPrefix(filepath.Base(op.name), "snapshot.vap") {
+		if !errors.Is(st.err, want) || st.walFailed {
+			t.Errorf("%s on %s during %q: step returned %v and the WAL failed=%v; want the injected error and a working WAL", kind, op.name, st.name, st.err, st.walFailed)
+		}
+	}
+	for _, later := range r.steps[hit+1:] {
+		if later.name == "open" || !st.walFailed {
+			break
+		}
+		// An append to a meter whose registration failed fast is refused
+		// before it reaches the WAL.
+		if !errors.Is(later.err, want) && !errors.Is(later.err, ErrUnknownMeter) {
+			t.Errorf("after the WAL failed, %q returned %v; want the injected error", later.name, later.err)
+		}
+	}
+	// The disk as the failure left it, and as a crash after each call from
+	// the failed one on leaves it when it keeps nothing volatile.
+	all := func(int) bool { return true }
+	check := func(what string, img image, req crashAck) {
+		if bad := r.checkImage(img, req); len(bad) > 0 {
+			t.Errorf("%s on call %d, %s: %s\ncalls:%s", kind, k, what, strings.Join(bad, "; "), describe(ops, len(ops)))
+		}
+	}
+	check("the disk after the script", build(ops, all, tear{op: -1}), r.required(len(ops)))
+	seen := map[uint64]bool{}
+	for end := len(ops); end > k; end-- { // latest first: it asks the most
+		img := durableImage(ops[:end])
+		if key := img.key(); !seen[key] {
+			seen[key] = true
+			check(fmt.Sprintf("a crash after call %d", end-1), img, r.required(end))
+		}
+	}
+}
+
+// TestReopenAfterFailedSegmentCreation: a rotation whose new segment fails
+// at its header write, its fsync or its directory's fsync leaves a segment
+// whose name is not durable. The next open makes it the tail and appends to
+// it, so it must sync the directory first, or a crash after the next
+// acknowledged Sync loses that Sync's samples with the segment's name.
+func TestReopenAfterFailedSegmentCreation(t *testing.T) {
+	clean := newCrashRun(newMemFS())
+	clean.script()
+	ops := clean.fs.trace()
+	seg2 := slices.IndexFunc(ops, func(op fsOp) bool {
+		return op.kind == opCreate && filepath.Base(op.name) == segmentName(2)
+	})
+	if seg2 < 0 || ops[seg2+1].kind != opWrite || ops[seg2+2].kind != opSync || ops[seg2+3].kind != opSyncDir {
+		t.Fatalf("the script no longer creates segment 2 as create, write, fsync, fsync dir:%s", describe(ops, len(ops)))
+	}
+	for _, c := range []struct {
+		kind faultKind
+		k    int
+	}{{faultENOSPC, seg2 + 1}, {faultShort, seg2 + 1}, {faultSync, seg2 + 2}, {faultSync, seg2 + 3}} {
+		before := goroutines()
+		runFault(t, c.kind, c.k)
+		checkNoLeakedGoroutines(t, before)
+	}
+}
+
+// TestFailedOpenLeavesNoCommitter: an open that fails after the WAL's
+// committer started (here, replay meets a corrupt sealed segment) closes
+// the WAL again, so no committer outlives it.
+func TestFailedOpenLeavesNoCommitter(t *testing.T) {
+	before := goroutines()
+	fsys := newMemFS()
+	s, err := open(crashOpts(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutMeter(Meter{ID: 1, Location: testPoint(0, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // each commit crosses SegmentBytes and rotates
+		smps := make([]Sample, 80)
+		for j := range smps {
+			smps[j] = crashSample(1, i*80+j)
+		}
+		if _, err := s.AppendBatch(1, smps); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := fsys.data[fsys.names[filepath.Join("db", segmentName(1))]]
+	seg[len(seg)-1] ^= 0xff // the last frame's CRC
+	if _, err := open(crashOpts(), fsys); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("open with a corrupt sealed segment: %v, want ErrCorrupt", err)
+	}
+	checkNoLeakedGoroutines(t, before)
+}
+
+// statFaultFS is a memFS whose stat of one file name fails with err.
+type statFaultFS struct {
+	*memFS
+	name string
+	err  error
+}
+
+func (f statFaultFS) stat(name string) (fs.FileInfo, error) {
+	if filepath.Base(name) == f.name {
+		return nil, &fs.PathError{Op: "stat", Path: name, Err: f.err}
+	}
+	return f.memFS.stat(name)
+}
+
+// TestStatErrorIsNotAbsence: only fs.ErrNotExist means a snapshot or a
+// legacy wal.log is absent. A snapshot that cannot be stat'ed, read as
+// absent, would open the WAL suffix alone (the segments it covered are
+// retired), and the next Snapshot would overwrite the good file with that
+// partial store; so Open fails instead, and the disk still opens in full.
+func TestStatErrorIsNotAbsence(t *testing.T) {
+	r := newCrashRun(newMemFS())
+	r.script()
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{"snapshot.vap", syscall.EACCES}, {"snapshot.vap", syscall.EIO}, {legacyWALName, syscall.EIO}} {
+		before := goroutines()
+		fsys := memFSFrom(durableImage(r.fs.trace()))
+		if s, err := open(crashOpts(), statFaultFS{fsys, c.name, c.err}); !errors.Is(err, c.err) {
+			if err == nil {
+				s.Close()
+			}
+			t.Errorf("stat of %s fails with %v: open returned %v, want that error", c.name, c.err, err)
+		}
+		checkNoLeakedGoroutines(t, before)
+		s, err := open(crashOpts(), fsys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dumpStore(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !sameStore(got, r.hist) {
+			t.Errorf("stat of %s failed: the disk no longer opens with every append", c.name)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 )
 
 func TestWALClosedErrors(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), walOptions{})
+	w, err := openWAL(osFS{}, Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestWALClosedErrors(t *testing.T) {
 // sync, and cut must fail fast with the original error — the log must
 // never silently stop persisting while memory runs ahead.
 func TestWALStickyCommitError(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), walOptions{CommitInterval: time.Hour})
+	w, err := openWAL(osFS{}, Options{Dir: t.TempDir(), CommitInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWALStickyCommitError(t *testing.T) {
 
 func TestWALReplayCallbackErrors(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, walOptions{})
+	w, err := openWAL(osFS{}, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestWALMeterZoneLengthMismatch(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(dir, walOptions{}); !errors.Is(err, ErrCorrupt) {
+	if _, err := openWAL(osFS{}, Options{Dir: dir}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("zone-length lie accepted: %v", err)
 	}
 }
@@ -236,7 +236,7 @@ func TestPutMeterValidationBeforeWAL(t *testing.T) {
 // that already covered it, and replayed on recovery (every meter's version
 // one too high: flaky TestRecoveryParity).
 func TestWALCutSegmentCoversInFlightCommit(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), walOptions{CommitInterval: 100 * time.Microsecond})
+	w, err := openWAL(osFS{}, Options{Dir: t.TempDir(), CommitInterval: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}

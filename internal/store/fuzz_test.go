@@ -174,7 +174,7 @@ func FuzzGorillaRoundTrip(f *testing.F) {
 //   - scanSegment never panics, and a successful scan's valid-prefix end
 //     is in bounds and idempotent (rescanning the prefix finds the same
 //     boundary cleanly — truncation converges in one step);
-//   - OpenWAL either rejects the file or repairs it, and after a repair an
+//   - openWAL either rejects the file or repairs it, and after a repair an
 //     appended record must survive close + reopen + replay with every
 //     previously valid record still present — post-crash appends can never
 //     land behind garbage, whatever the garbage is.
@@ -213,7 +213,7 @@ func FuzzWALSegment(f *testing.F) {
 			}
 		}
 
-		w, err := OpenWAL(dir, walOptions{CommitInterval: time.Millisecond})
+		w, err := openWAL(osFS{}, Options{Dir: dir, CommitInterval: time.Millisecond})
 		if err != nil {
 			return // rejected (interior corruption, foreign file): fine
 		}
@@ -234,7 +234,7 @@ func FuzzWALSegment(f *testing.F) {
 			t.Fatalf("close after repair: %v", err)
 		}
 
-		w2, err := OpenWAL(dir, walOptions{})
+		w2, err := openWAL(osFS{}, Options{Dir: dir})
 		if err != nil {
 			t.Fatalf("reopen after repair+append: %v", err)
 		}

@@ -72,7 +72,7 @@ func TestPersistenceBytesPinned(t *testing.T) {
 	// One synced append per group commit: each batch is its commit marker
 	// (naming its own segment offset) followed by the record.
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, walOptions{})
+	w, err := openWAL(osFS{}, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"os"
 	"sort"
 	"sync"
 )
@@ -94,7 +93,7 @@ func (s *Store) replayWALParallel(w *WAL) (int64, error) {
 		defer close(segCh)
 		for _, idx := range idxs {
 			path := w.segPath(idx)
-			data, err := os.ReadFile(path)
+			data, err := w.fs.readFile(path)
 			segCh <- segData{path: path, data: data, err: err}
 			if err != nil {
 				return

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -9,8 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -162,39 +159,13 @@ func (s *Store) Snapshot() error {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].m.ID < entries[j].m.ID })
 
-	tmp := filepath.Join(s.opts.Dir, "snapshot.vap.tmp")
-	final := filepath.Join(s.opts.Dir, "snapshot.vap")
-	f, err := os.Create(tmp)
+	// replaceDurable returns once the directory holds the new snapshot
+	// durably, before anything touches the WAL: a crash earlier leaves the
+	// old snapshot with every segment it needs.
+	err := replaceDurable(s.fs, s.snapPath(), func(w io.Writer) error {
+		return writeSnapshotV3(w, s.rollupRes, entries)
+	})
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	if err := writeSnapshotV3(w, s.rollupRes, entries); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	// The rename is only durable once the directory entry is; fsync it
-	// before touching the WAL, or a crash here could leave neither a
-	// reachable snapshot nor the log records it replaced.
-	if err := syncDir(s.opts.Dir); err != nil {
 		return err
 	}
 	// The snapshot is durable from here on: record it before retiring the
@@ -356,29 +327,25 @@ type loadTally struct{ meters, samples, chunks atomic.Int64 }
 // loadSnapshot dispatches on the snapshot magic. v3 / v4 files are loaded
 // with positioned section reads through the worker pool; the legacy v1/v2
 // layouts have no directory, so they still load from one whole-file read.
-func (s *Store) loadSnapshot(path string) error {
-	f, err := os.Open(path)
+func (s *Store) loadSnapshot(path string, size int64) error {
+	f, err := s.fs.open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	s.recovery.SnapshotBytes = st.Size()
+	s.recovery.SnapshotBytes = size
 	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
+	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return ErrCorrupt
 	}
 	var tally loadTally
 	switch magic {
 	case snapMagicV4:
 		s.recovery.SnapshotFormat = "v4"
-		err = s.loadSnapshotV3(f, st.Size(), magic, rollupBucketBytes, &tally)
+		err = s.loadSnapshotV3(f, size, magic, rollupBucketBytes, &tally)
 	case snapMagicV3:
 		s.recovery.SnapshotFormat = "v3"
-		err = s.loadSnapshotV3(f, st.Size(), magic, legacyBucketBytes, &tally)
+		err = s.loadSnapshotV3(f, size, magic, legacyBucketBytes, &tally)
 	case snapMagic:
 		s.recovery.SnapshotFormat = "v1"
 		err = s.loadSnapshotLegacy(path, false, &tally)
@@ -400,7 +367,7 @@ func (s *Store) loadSnapshot(path string) error {
 // sections out across the recovery worker pool: each worker preads only
 // its own section (bounding peak memory to the in-flight sections), checks
 // its CRCs, parses it and installs the meter through installSeries.
-func (s *Store) loadSnapshotV3(f *os.File, size int64, magic [4]byte, bucketBytes int, tally *loadTally) error {
+func (s *Store) loadSnapshotV3(f io.ReaderAt, size int64, magic [4]byte, bucketBytes int, tally *loadTally) error {
 	if size < int64(16+snapV3FooterLen) {
 		return ErrCorrupt
 	}
@@ -536,7 +503,7 @@ func parseSectionV3(wantID int64, sec []byte, fileRes []int64, bucketBytes int) 
 // A VAPS meter carries no tiers, so installSeries derives them all from its
 // samples; its raw history is complete, so they are exact.
 func (s *Store) loadSnapshotLegacy(path string, v2 bool, tally *loadTally) error {
-	raw, err := os.ReadFile(path)
+	raw, err := s.fs.readFile(path)
 	if err != nil {
 		return err
 	}

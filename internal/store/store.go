@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -91,6 +91,9 @@ type Store struct {
 	// replay never drops an append as out-of-order) and committed — one
 	// write+fsync per batch — by the WAL's committer goroutine.
 	wal *WAL
+	// fs is where the WAL and the snapshot live: the operating system's
+	// filesystem, or a test's recording one.
+	fs fileSystem
 	// snapMu serializes Snapshot against itself and Close. Lock order:
 	// snapMu before shard locks.
 	snapMu sync.Mutex
@@ -169,7 +172,10 @@ func nextPow2(n int) int {
 // across Options.RecoverWorkers workers (snapshot meter installs for
 // v3 / v4 files, per-shard WAL record appliers). Recovery() reports the
 // breakdown.
-func Open(opts Options) (*Store, error) {
+func Open(opts Options) (*Store, error) { return open(opts, osFS{}) }
+
+// open is Open on the filesystem fsys.
+func open(opts Options, fsys fileSystem) (*Store, error) {
 	n := opts.Shards
 	if n <= 0 {
 		n = defaultShards
@@ -181,6 +187,7 @@ func Open(opts Options) (*Store, error) {
 		mask:      uint64(n - 1),
 		opts:      opts,
 		rollupRes: normalizeRollupRes(opts.RollupRes),
+		fs:        fsys,
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{series: make(map[int64]*Series)}
@@ -190,27 +197,23 @@ func Open(opts Options) (*Store, error) {
 	}
 	start := time.Now()
 	s.recovery.Workers = s.recoverWorkers()
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := fsys.mkdirAll(opts.Dir); err != nil {
 		return nil, err
 	}
-	// A crash mid-snapshot can leave a partial temp file; it was never
-	// renamed into place, so it covers nothing and is safe to drop.
-	os.Remove(filepath.Join(opts.Dir, "snapshot.vap.tmp"))
-	snapPath := filepath.Join(opts.Dir, "snapshot.vap")
-	if _, err := os.Stat(snapPath); err == nil {
+	fsys.remove(tempPath(s.snapPath()))
+	if st, err := fsys.stat(s.snapPath()); err == nil {
 		snapStart := time.Now()
-		if err := s.loadSnapshot(snapPath); err != nil {
+		if err := s.loadSnapshot(s.snapPath(), st.Size()); err != nil {
 			return nil, fmt.Errorf("store: loading snapshot: %w", err)
 		}
 		s.recovery.SnapshotMS = time.Since(snapStart).Milliseconds()
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
 	}
-	// OpenWAL truncates the tail segment to its last valid record boundary
+	// openWAL truncates the tail segment to its last valid record boundary
 	// before anything is replayed or appended, so recovery can neither stop
 	// early at a torn record nor append new data behind one.
-	wal, err := OpenWAL(opts.Dir, walOptions{
-		SegmentBytes:   opts.SegmentBytes,
-		CommitInterval: opts.CommitInterval,
-	})
+	wal, err := openWAL(fsys, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -227,6 +230,9 @@ func Open(opts Options) (*Store, error) {
 	s.recovery.TotalMS = time.Since(start).Milliseconds()
 	return s, nil
 }
+
+// snapPath is the snapshot's file.
+func (s *Store) snapPath() string { return filepath.Join(s.opts.Dir, "snapshot.vap") }
 
 // ErrUnknownMeter is returned when appending to an unregistered meter.
 var ErrUnknownMeter = fmt.Errorf("store: unknown meter")

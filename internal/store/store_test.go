@@ -512,7 +512,7 @@ func TestWALRejectsForeignFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), []byte("not a wal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(dir, walOptions{}); err == nil {
+	if _, err := openWAL(osFS{}, Options{Dir: dir}); err == nil {
 		t.Error("foreign segment file should be rejected")
 	}
 	// Same through the legacy single-file migration path.
@@ -520,7 +520,7 @@ func TestWALRejectsForeignFile(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir2, legacyWALName), []byte("not a wal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenWAL(dir2, walOptions{}); err == nil {
+	if _, err := openWAL(osFS{}, Options{Dir: dir2}); err == nil {
 		t.Error("foreign legacy wal.log should be rejected")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -112,6 +112,7 @@ func (c *WALCommit) Wait() error {
 // truncated to the last valid record boundary, so a post-crash append can
 // never land behind a torn record.
 type WAL struct {
+	fs       fileSystem
 	dir      string
 	segBytes int64
 	interval time.Duration
@@ -120,7 +121,7 @@ type WAL struct {
 	cur      *walBatch
 	err      error // sticky commit failure: all later appends fail fast
 	closed   bool
-	f        *os.File // tail segment, append position
+	f        file // tail segment, append position
 	tailIdx  uint64
 	tailSize int64            // bytes written to the tail segment
 	writing  bool             // a swapped-out batch is on its way into the tail
@@ -135,12 +136,6 @@ type WAL struct {
 	wake chan struct{}
 	quit chan struct{}
 	done chan struct{}
-}
-
-// walOptions configures OpenWAL.
-type walOptions struct {
-	SegmentBytes   int64
-	CommitInterval time.Duration
 }
 
 func segmentName(idx uint64) string {
@@ -160,23 +155,9 @@ func parseSegmentName(name string) (uint64, bool) {
 
 func (w *WAL) segPath(idx uint64) string { return filepath.Join(w.dir, segmentName(idx)) }
 
-// syncDir fsyncs a directory so renames and file creations inside it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// listSegments returns the segment indices present in dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+// readSegments returns the segment indices present in dir, ascending.
+func readSegments(fsys fileSystem, dir string) ([]uint64, error) {
+	ents, err := fsys.readDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -190,39 +171,42 @@ func listSegments(dir string) ([]uint64, error) {
 	return idxs, nil
 }
 
-// OpenWAL opens (or creates) the segmented log in dir for appending. A
-// legacy single-file wal.log is migrated to wal-000001.log on first open.
-// The tail segment is truncated to its last valid record boundary, which
-// is the crash-recovery guarantee: appends resume exactly where the valid
-// prefix ends, never behind garbage left by a torn write.
-func OpenWAL(dir string, opts walOptions) (*WAL, error) {
+// openWAL opens (or creates) the segmented log in opts.Dir for appending,
+// reading opts.SegmentBytes and opts.CommitInterval. A legacy single-file
+// wal.log is migrated to wal-000001.log on first open. The tail segment is
+// truncated to its last valid record boundary, which is the crash-recovery
+// guarantee: appends resume exactly where the valid prefix ends, never
+// behind garbage left by a torn write.
+func openWAL(fsys fileSystem, opts Options) (*WAL, error) {
+	dir := opts.Dir
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.CommitInterval <= 0 {
 		opts.CommitInterval = DefaultCommitInterval
 	}
-	idxs, err := listSegments(dir)
+	idxs, err := readSegments(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
 	// Migrate the legacy single-file layout: the old wal.log becomes the
-	// first segment. Both layouts present at once is an ambiguous state we
-	// refuse to guess about.
+	// first segment (openTail's directory sync makes the rename durable).
+	// Both layouts present at once is an ambiguous state we refuse to guess
+	// about.
 	legacy := filepath.Join(dir, legacyWALName)
-	if _, err := os.Stat(legacy); err == nil {
+	if _, err := fsys.stat(legacy); err == nil {
 		if len(idxs) > 0 {
 			return nil, fmt.Errorf("store: both %s and wal segments exist in %s; remove one", legacyWALName, dir)
 		}
-		if err := os.Rename(legacy, filepath.Join(dir, segmentName(1))); err != nil {
-			return nil, err
-		}
-		if err := syncDir(dir); err != nil {
+		if err := fsys.rename(legacy, filepath.Join(dir, segmentName(1))); err != nil {
 			return nil, err
 		}
 		idxs = []uint64{1}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
 	}
 	w := &WAL{
+		fs:       fsys,
 		dir:      dir,
 		segBytes: opts.SegmentBytes,
 		interval: opts.CommitInterval,
@@ -233,109 +217,66 @@ func OpenWAL(dir string, opts walOptions) (*WAL, error) {
 		done:     make(chan struct{}),
 	}
 	if len(idxs) == 0 {
-		if err := w.createSegment(1); err != nil {
+		f, err := createDurable(fsys, w.segPath(1), walMagic[:])
+		if err != nil {
 			return nil, err
 		}
+		w.f, w.tailIdx, w.tailSize = f, 1, walHeaderLen
 	} else {
 		for _, idx := range idxs[:len(idxs)-1] {
-			st, err := os.Stat(w.segPath(idx))
+			st, err := fsys.stat(w.segPath(idx))
 			if err != nil {
 				return nil, err
 			}
 			w.sealed[idx] = st.Size()
 		}
-		tail := idxs[len(idxs)-1]
-		size, err := w.repairTail(tail)
-		if err != nil {
+		if err := w.openTail(idxs[len(idxs)-1]); err != nil {
 			return nil, err
 		}
-		f, err := os.OpenFile(w.segPath(tail), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		w.f, w.tailIdx, w.tailSize = f, tail, size
 	}
 	go w.run()
 	return w, nil
 }
 
-// prepareSegment creates a fresh segment file with the magic header and
-// makes it durable (file fsync, then directory fsync). This is the one
-// copy of the creation protocol; both the initial open and rotation use
-// it, so crash-safety fixes cannot drift between the two paths.
-func (w *WAL) prepareSegment(idx uint64) (*os.File, error) {
-	f, err := os.OpenFile(w.segPath(idx), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(walMagic[:]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := syncDir(w.dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
-
-// createSegment prepares a fresh segment and installs it as the tail.
-func (w *WAL) createSegment(idx uint64) error {
-	f, err := w.prepareSegment(idx)
+// openTail opens segment idx for appending as the tail, first cutting it to
+// its last valid record boundary (fsynced). A file too short to hold the
+// magic (a crash between segment creation and the header write) gets its
+// header again; a malformed record with valid records after it is interior
+// corruption and fails the open. The tail may be a segment whose creation
+// failed before its directory entry was durable, so the directory is
+// synced before anything is appended to it.
+func (w *WAL) openTail(idx uint64) error {
+	path := w.segPath(idx)
+	data, err := w.fs.readFile(path)
 	if err != nil {
 		return err
 	}
-	w.f, w.tailIdx, w.tailSize = f, idx, walHeaderLen
-	return nil
-}
-
-// repairTail scans the tail segment and truncates it to the last valid
-// record boundary. It returns the repaired size. A file too short to hold
-// the magic (a crash between segment creation and the header write) is
-// reinitialized; a malformed record with valid records after it is
-// interior corruption and fails the open.
-func (w *WAL) repairTail(idx uint64) (int64, error) {
-	path := w.segPath(idx)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(data) < walHeaderLen {
-		// Torn segment creation: rewrite the header in place.
-		if err := os.WriteFile(path, walMagic[:], 0o644); err != nil {
-			return 0, err
-		}
-		if err := syncDir(w.dir); err != nil {
-			return 0, err
-		}
-		return walHeaderLen, nil
-	}
 	validEnd, err := scanSegment(path, data, true, nil, nil)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if validEnd < int64(len(data)) {
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return 0, err
+	f, err := w.fs.openAppend(path)
+	if err != nil {
+		return err
+	}
+	if validEnd < int64(len(data)) || validEnd < walHeaderLen {
+		if err = f.Truncate(validEnd); err == nil && validEnd < walHeaderLen {
+			validEnd = walHeaderLen
+			_, err = f.Write(walMagic[:])
 		}
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return 0, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return 0, err
-		}
-		if err := f.Close(); err != nil {
-			return 0, err
+		if err == nil {
+			err = f.Sync()
 		}
 	}
-	return validEnd, nil
+	if err == nil {
+		err = syncDir(w.fs, w.dir)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	w.f, w.tailIdx, w.tailSize = f, idx, validEnd
+	return nil
 }
 
 // --- framing ------------------------------------------------------------
@@ -504,7 +445,7 @@ func (w *WAL) commit() {
 	close(b.done)
 }
 
-func (w *WAL) writeBatch(f *os.File, b *walBatch) error {
+func (w *WAL) writeBatch(f file, b *walBatch) error {
 	if len(b.buf) > 0 {
 		w.mu.Lock()
 		off := w.tailSize
@@ -550,7 +491,7 @@ func (w *WAL) rotate() error {
 	newIdx := w.tailIdx + 1
 	w.mu.Unlock()
 
-	f, err := w.prepareSegment(newIdx)
+	f, err := createDurable(w.fs, w.segPath(newIdx), walMagic[:])
 	if err != nil {
 		return err
 	}
@@ -622,7 +563,7 @@ func (w *WAL) DeleteSegmentsBelow(idx uint64) error {
 	var firstErr error
 	removed := victims[:0]
 	for _, i := range victims {
-		if err := os.Remove(w.segPath(i)); err != nil {
+		if err := w.fs.remove(w.segPath(i)); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -636,7 +577,7 @@ func (w *WAL) DeleteSegmentsBelow(idx uint64) error {
 	}
 	w.mu.Unlock()
 	if len(removed) > 0 {
-		if err := syncDir(w.dir); err != nil && firstErr == nil {
+		if err := syncDir(w.fs, w.dir); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -679,14 +620,14 @@ func (w *WAL) Close() error {
 // --- replay --------------------------------------------------------------
 
 // Replay reads every live segment in order, invoking the callbacks per
-// record. OpenWAL has already truncated any torn tail, so a malformed
+// record. openWAL has already truncated any torn tail, so a malformed
 // record seen here is interior corruption and is reported as a
 // CorruptError carrying the segment path and byte offset — never silently
 // skipped, because records after it were acknowledged appends.
 func (w *WAL) Replay(onMeter func(Meter) error, onSample func(int64, Sample) error) error {
 	for _, idx := range w.segmentIndices() {
 		path := w.segPath(idx)
-		data, err := os.ReadFile(path)
+		data, err := w.fs.readFile(path)
 		if err != nil {
 			return err
 		}

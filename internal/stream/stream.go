@@ -41,9 +41,9 @@ const (
 // Event is one hub broadcast: an ingest batch that became visible at Seq,
 // or a durability snapshot announcement.
 type Event struct {
-	// Kind discriminates the event (KindIngest, KindSnapshot); empty is
-	// KindIngest for wire compatibility with pre-snapshot-event payloads.
-	Kind     string         `json:"kind,omitempty"`
+	// Kind discriminates the event: KindIngest or KindSnapshot. Every
+	// producer sets it; it is also the SSE event name.
+	Kind     string         `json:"kind"`
 	Seq      int64          `json:"seq"`
 	DataTime int64          `json:"data_time"` // timestamp of the replayed slice
 	Count    int            `json:"count"`     // readings in the batch

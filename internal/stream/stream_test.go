@@ -107,7 +107,7 @@ func TestTrackerMatchesBatchKDE(t *testing.T) {
 		tr.Update(int64(i), latest[i])
 	}
 	snap, sum := tr.Snapshot()
-	batch, err := kde.Estimate(latest, box(), kde.Config{Cols: 48, Rows: 40, Bandwidth: 0.02})
+	batch, err := kde.EstimateCtx(context.Background(), latest, box(), kde.Config{Cols: 48, Rows: 40, Bandwidth: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}

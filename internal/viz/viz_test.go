@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestNiceTicks(t *testing.T) {
 func mapFixture(t *testing.T) *MapView {
 	t.Helper()
 	box := geo.NewBBox(geo.Point{Lon: 12.4, Lat: 55.5}, geo.Point{Lon: 12.8, Lat: 55.9})
-	field, err := kde.Estimate(
+	field, err := kde.EstimateCtx(context.Background(),
 		[]kde.WeightedPoint{{Loc: geo.Point{Lon: 12.6, Lat: 55.7}, Weight: 1}},
 		box, kde.Config{Cols: 16, Rows: 16, Bandwidth: 0.05})
 	if err != nil {

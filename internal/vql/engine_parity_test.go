@@ -123,7 +123,7 @@ func TestEngineMatchesVQL(t *testing.T) {
 				}
 				for _, g := range []query.Granularity{query.GranWeekly, query.GranMonthly} {
 					for fn, name := range vqlFn {
-						_, times, rows, err := eng.MeterMatrix(sel, g, fn)
+						_, times, rows, err := eng.MeterMatrixCtx(context.Background(), sel, g, fn)
 						if err != nil {
 							t.Fatal(err)
 						}

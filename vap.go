@@ -11,7 +11,7 @@
 //     durability) — Open/OpenInMemory;
 //   - the logic layer is the Analyzer with the two pattern-recognition
 //     models: TypicalPatterns (t-SNE/MDS dimension reduction with Pearson
-//     correlation distance, brushed-group profiling) and ShiftPatterns
+//     correlation distance, brushed-group profiling) and ShiftPatternsCtx
 //     (Gaussian-KDE density maps, Eq. 4 demand-shift flow extraction);
 //   - the presentation layer is server-side SVG rendering plus a JSON
 //     REST/SSE web application — NewHTTPServer.
@@ -136,7 +136,7 @@ func GenerateDataset(cfg DatasetConfig) *Dataset { return gen.Generate(cfg) }
 // Analyzer is the pattern-discovery façade (the paper's models layer).
 // Its expensive kernels run on a parallel execution engine whose results
 // are memoized against the store's data version: repeated identical
-// TypicalPatterns/ShiftPatterns calls on an unchanged store return cached
+// TypicalPatterns/ShiftPatternsCtx calls on an unchanged store return cached
 // views, and any Append invalidates them precisely.
 type Analyzer = core.Analyzer
 

@@ -55,7 +55,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 	// S2: shift pattern discovery.
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
-	res, err := an.ShiftPatterns(vap.ShiftConfig{
+	res, err := an.ShiftPatternsCtx(context.Background(), vap.ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: vap.Gran4Hourly,
 	})
 	if err != nil {
