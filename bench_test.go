@@ -532,19 +532,19 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 // BenchmarkDurableAppend measures durable ingest throughput through the
 // WAL's group-commit pipeline: G goroutines append to disjoint meters in a
-// directory-backed store. With sync on, every append waits until its batch
-// is written and fsynced — so goroutines=1 is the per-append-fsync
-// baseline (one commit per append, nothing to batch with), while
-// goroutines=16 shows concurrent appenders sharing commits: durable
-// throughput scales with concurrency instead of fsync count (the
-// acceptance bar is >= 5x the baseline). The sync=false rows measure the
-// buffered path where commits happen in the background every
-// CommitInterval.
+// directory-backed store. With sync on, every append is followed by a
+// Store.Sync, which waits until its batch is written and fsynced — so
+// goroutines=1 is the per-append-fsync baseline (one commit per append,
+// nothing to batch with), while goroutines=16 shows concurrent Syncs
+// sharing commits: durable throughput scales with concurrency instead of
+// fsync count (the acceptance bar is >= 5x the baseline). The sync=false
+// rows measure the buffered path where commits happen in the background
+// every CommitInterval.
 func BenchmarkDurableAppend(b *testing.B) {
 	for _, syncEvery := range []bool{false, true} {
 		for _, g := range []int{1, 16} {
 			b.Run(fmt.Sprintf("sync=%t/goroutines=%d", syncEvery, g), func(b *testing.B) {
-				st, err := store.Open(store.Options{Dir: b.TempDir(), SyncEveryAppend: syncEvery})
+				st, err := store.Open(store.Options{Dir: b.TempDir()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -563,7 +563,11 @@ func BenchmarkDurableAppend(b *testing.B) {
 					go func(id int64) {
 						defer wg.Done()
 						for i := 1; i <= per; i++ {
-							if err := st.Append(id, store.Sample{TS: int64(i), Value: float64(i % 24)}); err != nil {
+							err := st.Append(id, store.Sample{TS: int64(i), Value: float64(i % 24)})
+							if err == nil && syncEvery {
+								err = st.Sync()
+							}
+							if err != nil {
 								b.Error(err)
 								return
 							}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	vapd [-addr :8080] [-dir data/] [-seed 42] [-days 365] [-stream] [-interval 10s] [-shards 16]
-//	     [-sync] [-segment-bytes N] [-commit-interval 2ms] [-snapshot-interval 5m]
+//	     [-segment-bytes N] [-commit-interval 2ms] [-snapshot-interval 5m]
 //	     [-retain-raw 2160h] [-rollup-res 3600,86400] [-recover-workers N]
 //	     [-max-concurrent N] [-mem-budget 512MiB] [-tenant-quotas 'dash=16,64MiB,2e6']
 //	     [-query-deadline 30s] [-max-queue 256] [-max-queue-wait 5s] [-interactive-cutoff 2000000]
@@ -22,8 +22,9 @@
 //
 // With -dir, the store is durable (segmented WAL + snapshots); if the
 // directory is empty a synthetic dataset is generated and snapshotted into
-// it. -sync makes every append wait for its group commit (fsync-durable
-// acks); -snapshot-interval runs background snapshots that retire covered
+// it. Appends are group-committed in the background; POST
+// /api/ingest?sync=1 answers once its samples are fsynced.
+// -snapshot-interval runs background snapshots that retire covered
 // WAL segments without blocking ingest (POST /api/admin/snapshot triggers
 // one on demand). -retain-raw bounds how much raw history snapshots keep:
 // sealed chunks wholly older than the horizon age out of disk and memory
@@ -65,7 +66,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel kernel fan-out (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache", 0, "versioned result-cache entries (0 = default 64)")
 	shards := flag.Int("shards", 0, "store lock shards, rounded up to a power of two (0 = default 16)")
-	syncEvery := flag.Bool("sync", false, "fsync every append via group commit (durable acks)")
 	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB)")
 	commitInterval := flag.Duration("commit-interval", 0, "WAL group-commit cadence (0 = default 2ms)")
 	snapInterval := flag.Duration("snapshot-interval", 0, "background snapshot cadence; snapshots retire covered WAL segments without blocking ingest (0 = only on demand via POST /api/admin/snapshot)")
@@ -99,14 +99,13 @@ func main() {
 		log.Fatalf("parse -rollup-res: %v", err)
 	}
 	st, err := store.Open(store.Options{
-		Dir:             *dir,
-		Shards:          *shards,
-		SyncEveryAppend: *syncEvery,
-		SegmentBytes:    *segmentBytes,
-		CommitInterval:  *commitInterval,
-		RollupRes:       rollups,
-		RetainRaw:       *retainRaw,
-		RecoverWorkers:  *recoverWorkers,
+		Dir:            *dir,
+		Shards:         *shards,
+		SegmentBytes:   *segmentBytes,
+		CommitInterval: *commitInterval,
+		RollupRes:      rollups,
+		RetainRaw:      *retainRaw,
+		RecoverWorkers: *recoverWorkers,
 	})
 	if err != nil {
 		log.Fatalf("open store: %v", err)

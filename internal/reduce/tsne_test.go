@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -538,8 +539,8 @@ func (c *flipCtx) Err() error {
 func TestTSNECancelMidRun(t *testing.T) {
 	rows, _ := threeClusters(260, 16, 1)
 	d, _ := DistanceMatrixCtx(context.Background(), rows, MetricEuclidean, 1)
-	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 2, 4} {
+		before := goroutines()
 		ctx := &flipCtx{Context: context.Background(), after: 400}
 		_, err := TSNE(ctx, d, TSNEConfig{Workers: workers, Iterations: 1 << 30})
 		if !errors.Is(err, context.Canceled) {
@@ -550,14 +551,50 @@ func TestTSNECancelMidRun(t *testing.T) {
 		if extra := ctx.calls.Load() - ctx.after; extra > int64(workers) {
 			t.Errorf("workers=%d: %d probes after cancellation, want at most %d", workers, extra, workers)
 		}
-		// The team has joined its helpers before TSNE returns; an exited
-		// goroutine may take a moment to leave the count.
-		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
+		// The team has joined its helpers before TSNE returns.
+		checkNoLeakedGoroutines(t, before, "vap/internal/exec.(*Team).help")
+	}
+}
+
+// goroutines returns the stacks of the running goroutines by id.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
 		}
-		if got := runtime.NumGoroutine(); got > base {
-			t.Errorf("workers=%d: %d goroutines after the run, %d before", workers, got, base)
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(g, "goroutine "), " "); ok {
+			out[id] = g
 		}
+	}
+	return out
+}
+
+// checkNoLeakedGoroutines fails t if a goroutine whose stack holds fn was
+// started after before was taken and is still alive. Goroutines are given a
+// second to wind down.
+func checkNoLeakedGoroutines(t testing.TB, before map[string]string, fn string) {
+	t.Helper()
+	var leaked []string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		leaked = leaked[:0]
+		for id, g := range goroutines() {
+			if _, old := before[id]; !old && strings.Contains(g, fn) {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, g := range leaked {
+		t.Errorf("leaked goroutine:\n%s", g)
 	}
 }
 

@@ -350,23 +350,60 @@ func TestCrashStates(t *testing.T) {
 // because the segment is not trusted again; a failed Snapshot leaves the WAL working;
 // and the disk, both as the failure left it and as a crash right after it
 // and at the end of the script leaves it, reopens with everything
-// acknowledged (checkImage). No goroutine outlives its store.
+// acknowledged (checkImage) and is never refused as corrupt: the reopen
+// wrote back what the failed fsync left only in the page cache. No
+// goroutine outlives its store. Subtests are named by callNames.
 func TestFaultInjection(t *testing.T) {
 	clean := newCrashRun(newMemFS())
 	clean.script()
 	ops := clean.fs.trace()
+	names := callNames(clean, ops)
 	for _, kind := range []faultKind{faultENOSPC, faultShort, faultRename, faultSync} {
 		for k := range ops {
 			if !kind.hits(ops[k].kind) {
 				continue
 			}
-			t.Run(fmt.Sprintf("%s at call %d", kind, k), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s at %s", kind, names[k]), func(t *testing.T) {
 				before := goroutines()
 				runFault(t, kind, k)
 				checkNoLeakedGoroutines(t, before)
 			})
 		}
 	}
+}
+
+// callNames names each call of a clean run's trace for the subtest that
+// fails it. The workload's calls are numbered in order ("call 16"). The
+// calls by which an open makes durable what it found are named for that
+// instead: the fsync of a new store directory's parent, and the write-back
+// of the tail ("open 2's write-back"). A fault in the workload so keeps its
+// name whatever those open-time protocols cost; failure messages give the
+// call's index in the trace, as describe lists it.
+func callNames(r *crashRun, ops []fsOp) []string {
+	names := make([]string, len(ops))
+	n, opens := 0, 0
+	for _, st := range r.steps {
+		if st.name == "open" {
+			opens++
+		}
+		created := map[int]bool{}
+		for k := st.start; k < st.end; k++ {
+			op := &ops[k]
+			if op.kind == opCreate {
+				created[op.ino] = true
+			}
+			switch {
+			case st.name == "open" && op.kind == opSyncDir && op.name == filepath.Dir(crashOpts().Dir):
+				names[k] = "the store directory's parent"
+			case st.name == "open" && (op.kind == opWrite || op.kind == opTruncate || op.kind == opSync) && !created[op.ino]:
+				names[k] = fmt.Sprintf("open %d's write-back", opens)
+			default:
+				names[k] = fmt.Sprintf("call %d", n)
+				n++
+			}
+		}
+	}
+	return names
 }
 
 func runFault(t *testing.T, kind faultKind, k int) {
@@ -424,6 +461,9 @@ func runFault(t *testing.T, kind faultKind, k int) {
 			seen[key] = true
 			check(fmt.Sprintf("a crash after call %d", end-1), img, r.required(end))
 		}
+	}
+	if r.corrupt > 0 {
+		t.Errorf("%s on call %d: %d of the disks it leaves refuse to open as corrupt", kind, k, r.corrupt)
 	}
 }
 
@@ -484,6 +524,48 @@ func TestFailedOpenLeavesNoCommitter(t *testing.T) {
 	seg[len(seg)-1] ^= 0xff // the last frame's CRC
 	if _, err := open(crashOpts(), fsys); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with a corrupt sealed segment: %v, want ErrCorrupt", err)
+	}
+	checkNoLeakedGoroutines(t, before)
+}
+
+// TestNewNestedDirSurvivesCrash: open creates every missing level of Dir,
+// and a new directory's name is durable only once the directory holding it
+// is fsynced. A crash after the first acknowledged Sync must find the
+// store, whichever level was new.
+func TestNewNestedDirSurvivesCrash(t *testing.T) {
+	before := goroutines()
+	fsys := newMemFS()
+	opts := crashOpts()
+	opts.Dir = filepath.Join("a", "b")
+	s, err := open(opts, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutMeter(Meter{ID: 1, Location: testPoint(0, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendBatch(1, []Sample{crashSample(1, 0), crashSample(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	acked := fsys.calls()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops := fsys.trace()
+	for k := acked; k <= len(ops); k++ {
+		s, err := open(opts, memFSFrom(durableImage(ops[:k])))
+		if err != nil {
+			t.Fatalf("crash after call %d: %v", k-1, err)
+		}
+		if got := dumpStore(s); len(got[1]) != 2 {
+			t.Errorf("crash after call %d: meter 1 holds %d samples, 2 were acknowledged\ncalls:%s", k-1, len(got[1]), describe(ops, k))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkNoLeakedGoroutines(t, before)
 }

@@ -18,17 +18,16 @@ func TestWALClosedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}, true)
-	if err != nil {
+	if err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Wait(); err != nil {
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendSamples(1, []Sample{{TS: 2, Value: 1}}, true); !errors.Is(err, ErrWALClosed) {
+	if err := w.AppendSamples(1, []Sample{{TS: 2, Value: 1}}); !errors.Is(err, ErrWALClosed) {
 		t.Errorf("append after close = %v, want ErrWALClosed", err)
 	}
 	if err := w.Sync(); !errors.Is(err, ErrWALClosed) {
@@ -51,7 +50,7 @@ func TestWALStickyCommitError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}, false); err != nil {
+	if err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk on fire")
@@ -60,7 +59,7 @@ func TestWALStickyCommitError(t *testing.T) {
 	w.mu.Unlock()
 	w.commit() // the pending batch must be failed, not silently dropped
 
-	if _, err := w.AppendSamples(1, []Sample{{TS: 2, Value: 1}}, true); !errors.Is(err, boom) {
+	if err := w.AppendSamples(1, []Sample{{TS: 2, Value: 1}}); !errors.Is(err, boom) {
 		t.Errorf("append after sticky failure = %v, want %v", err, boom)
 	}
 	if err := w.Sync(); !errors.Is(err, boom) {
@@ -77,14 +76,13 @@ func TestWALReplayCallbackErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneMixed}, false); err != nil {
+	if err := w.AppendMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneMixed}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}, true)
-	if err != nil {
+	if err := w.AppendSamples(1, []Sample{{TS: 1, Value: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Wait(); err != nil {
+	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
@@ -242,7 +240,7 @@ func TestWALCutSegmentCoversInFlightCommit(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 300; i++ {
-		if _, err := w.AppendMeter(testMeter(int64(i+1)), false); err != nil {
+		if err := w.AppendMeter(testMeter(int64(i + 1))); err != nil {
 			t.Fatal(err)
 		}
 		// Give the ticker a chance to pick the record up, so the cut races

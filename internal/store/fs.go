@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -12,20 +13,21 @@ import (
 // production implementation; the package's tests put a recording
 // filesystem in its place, to crash the store at each call and to fail it.
 type fileSystem interface {
-	open(name string) (file, error)       // read-only: snapshots, and directories to sync
-	openAppend(name string) (file, error) // an existing file, written at its end
-	create(name string) (file, error)     // new or truncated, write-only
+	open(name string) (file, error)      // read-only: snapshots, and directories to sync
+	openWrite(name string) (file, error) // an existing file, write-only, written at chosen offsets
+	create(name string) (file, error)    // new or truncated, write-only
 	readFile(name string) ([]byte, error)
 	readDir(name string) ([]fs.DirEntry, error)
 	stat(name string) (fs.FileInfo, error)
 	rename(from, to string) error
 	remove(name string) error
-	mkdirAll(name string) error
+	mkdir(name string) error
 }
 
 // file is an open file of a fileSystem.
 type file interface {
 	io.Writer
+	io.WriterAt
 	io.ReaderAt
 	Sync() error
 	Truncate(size int64) error
@@ -36,8 +38,8 @@ type file interface {
 type osFS struct{}
 
 func (osFS) open(name string) (file, error) { return osFile(os.Open(name)) }
-func (osFS) openAppend(name string) (file, error) {
-	return osFile(os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0o644))
+func (osFS) openWrite(name string) (file, error) {
+	return osFile(os.OpenFile(name, os.O_WRONLY, 0o644))
 }
 func (osFS) create(name string) (file, error) {
 	return osFile(os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644))
@@ -47,7 +49,7 @@ func (osFS) readDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name
 func (osFS) stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
 func (osFS) rename(from, to string) error               { return os.Rename(from, to) }
 func (osFS) remove(name string) error                   { return os.Remove(name) }
-func (osFS) mkdirAll(name string) error                 { return os.MkdirAll(name, 0o755) }
+func (osFS) mkdir(name string) error                    { return os.Mkdir(name, 0o755) }
 
 // osFile keeps a failed open's nil *os.File out of the file interface.
 func osFile(f *os.File, err error) (file, error) {
@@ -72,6 +74,23 @@ func syncDir(fsys fileSystem, dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// mkdirDurable creates dir and its missing parents, each made durable by
+// an fsync of the directory holding it.
+func mkdirDurable(fsys fileSystem, dir string) error {
+	_, err := fsys.stat(dir)
+	parent := filepath.Dir(dir)
+	if !errors.Is(err, fs.ErrNotExist) || parent == dir {
+		return err
+	}
+	if err := mkdirDurable(fsys, parent); err != nil {
+		return err
+	}
+	if err := fsys.mkdir(dir); err != nil {
+		return err
+	}
+	return syncDir(fsys, parent)
 }
 
 // createDurable creates (or truncates) path holding header and makes both

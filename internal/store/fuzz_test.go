@@ -223,11 +223,10 @@ func FuzzWALSegment(f *testing.F) {
 			func(int64, Sample) error { pre++; return nil }); err != nil {
 			t.Fatalf("replay of repaired segment: %v", err)
 		}
-		c, err := w.AppendSamples(7, []Sample{{TS: 1 << 40, Value: 3.5}}, true)
-		if err != nil {
+		if err := w.AppendSamples(7, []Sample{{TS: 1 << 40, Value: 3.5}}); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
-		if err := c.Wait(); err != nil {
+		if err := w.Sync(); err != nil {
 			t.Fatalf("commit after repair: %v", err)
 		}
 		if err := w.Close(); err != nil {

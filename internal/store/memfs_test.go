@@ -45,7 +45,7 @@ type memFS struct {
 type opKind uint8
 
 const (
-	opMkdir    opKind = iota // durable at once: directories are not modelled
+	opMkdir    opKind = iota // name: a new directory
 	opCreate                 // name: a new inode ino
 	opWrite                  // ino: data at off
 	opTruncate               // ino: to size off
@@ -154,14 +154,14 @@ func (m *memFS) open(name string) (file, error) {
 	return &memFile{fs: m, name: name, ino: ino}, nil
 }
 
-func (m *memFS) openAppend(name string) (file, error) {
+func (m *memFS) openWrite(name string) (file, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ino, ok := m.names[filepath.Clean(name)]
 	if !ok {
 		return nil, notExist("open", name)
 	}
-	return &memFile{fs: m, name: name, ino: ino, writable: true, appending: true}, nil
+	return &memFile{fs: m, name: name, ino: ino, writable: true}, nil
 }
 
 func (m *memFS) create(name string) (file, error) {
@@ -207,7 +207,7 @@ func (m *memFS) readDir(name string) ([]fs.DirEntry, error) {
 	var out []fs.DirEntry
 	for p, ino := range m.names {
 		if filepath.Dir(p) == name {
-			out = append(out, fs.FileInfoToDirEntry(memInfo{filepath.Base(p), int64(len(m.data[ino]))}))
+			out = append(out, fs.FileInfoToDirEntry(memInfo{name: filepath.Base(p), size: int64(len(m.data[ino]))}))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
@@ -218,24 +218,33 @@ func (m *memFS) stat(name string) (fs.FileInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = filepath.Clean(name)
+	if m.dirs[name] {
+		return memInfo{name: filepath.Base(name), dir: true}, nil
+	}
 	ino, ok := m.names[name]
 	if !ok {
 		return nil, notExist("stat", name)
 	}
-	return memInfo{filepath.Base(name), int64(len(m.data[ino]))}, nil
+	return memInfo{name: filepath.Base(name), size: int64(len(m.data[ino]))}, nil
 }
 
-// memInfo describes a memFS file.
+// memInfo describes a memFS file or directory.
 type memInfo struct {
 	name string
 	size int64
+	dir  bool
 }
 
-func (i memInfo) Name() string       { return i.name }
-func (i memInfo) Size() int64        { return i.size }
-func (i memInfo) Mode() fs.FileMode  { return 0o644 }
+func (i memInfo) Name() string { return i.name }
+func (i memInfo) Size() int64  { return i.size }
+func (i memInfo) Mode() fs.FileMode {
+	if i.dir {
+		return fs.ModeDir | 0o755
+	}
+	return 0o644
+}
 func (i memInfo) ModTime() time.Time { return time.Time{} }
-func (i memInfo) IsDir() bool        { return false }
+func (i memInfo) IsDir() bool        { return i.dir }
 func (i memInfo) Sys() any           { return nil }
 
 func (m *memFS) rename(from, to string) error {
@@ -267,41 +276,48 @@ func (m *memFS) remove(name string) error {
 	return nil
 }
 
-func (m *memFS) mkdirAll(name string) error {
+func (m *memFS) mkdir(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for d := filepath.Clean(name); !m.dirs[d]; d = filepath.Dir(d) {
-		m.record(fsOp{kind: opMkdir, name: d})
-		m.dirs[d] = true
+	name = filepath.Clean(name)
+	if m.dirs[name] {
+		return &fs.PathError{Op: "mkdir", Path: name, Err: fs.ErrExist}
 	}
+	if !m.dirs[filepath.Dir(name)] {
+		return notExist("mkdir", name)
+	}
+	m.record(fsOp{kind: opMkdir, name: name})
+	m.dirs[name] = true
 	return nil
 }
 
 // memFile is an open memFS file or directory.
 type memFile struct {
-	fs        *memFS
-	name      string
-	ino       int
-	dir       bool
-	writable  bool
-	appending bool
-	pos       int64
-	closed    bool
+	fs       *memFS
+	name     string
+	ino      int
+	dir      bool
+	writable bool
+	pos      int64 // where Write writes
+	closed   bool
 }
 
 var errFileMode = errors.New("memfs: file closed, or not open for this call")
 
 func (f *memFile) Write(p []byte) (int, error) {
+	n, err := f.WriteAt(p, f.pos)
+	f.pos += int64(n)
+	return n, err
+}
+
+func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	m := f.fs
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if f.closed || !f.writable {
 		return 0, errFileMode
 	}
-	if f.appending {
-		f.pos = int64(len(m.data[f.ino]))
-	}
-	rec, err := m.record(fsOp{kind: opWrite, name: f.name, ino: f.ino, off: f.pos, data: bytes.Clone(p)})
+	rec, err := m.record(fsOp{kind: opWrite, name: f.name, ino: f.ino, off: off, data: bytes.Clone(p)})
 	n := len(p)
 	if err != nil {
 		if m.faultKind != faultShort {
@@ -311,8 +327,7 @@ func (f *memFile) Write(p []byte) (int, error) {
 		n /= 2
 		rec.data = rec.data[:n]
 	}
-	m.data[f.ino] = writeAt(m.data[f.ino], f.pos, p[:n])
-	f.pos += int64(n)
+	m.data[f.ino] = writeAt(m.data[f.ino], off, p[:n])
 	return n, err
 }
 
@@ -430,17 +445,20 @@ func (img image) key() uint64 {
 
 // durable marks the calls in ops that a crash right after the last one
 // cannot lose: each write and truncate followed by a successful fsync of its
-// file, each create, rename and remove followed by one of its directory.
-// A failed fsync only makes nothing durable itself: a later successful one
-// covers the writes it did not. That is laxer than Linux, which marks the
-// pages of a failed writeback clean so that no later fsync writes them;
-// the store is not yet safe under that rule (see README, Durability).
+// file, with no failed fsync of it in between; each create, rename, remove
+// and mkdir followed by an fsync of its directory (a mkdir's is its
+// parent). A failed fsync is Linux's: it marks the pages of the failed
+// writeback clean, so no later fsync of the file writes what came before
+// it, though the running program still reads those bytes back.
 func durable(ops []fsOp) []bool {
 	out := make([]bool, len(ops))
 	syncedIno, syncedDir := map[int]bool{}, map[string]bool{}
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := &ops[i]
 		if op.failed {
+			if op.kind == opSync {
+				syncedIno[op.ino] = false
+			}
 			continue
 		}
 		switch op.kind {
@@ -450,12 +468,10 @@ func durable(ops []fsOp) []bool {
 			syncedDir[op.name] = true
 		case opWrite, opTruncate:
 			out[i] = syncedIno[op.ino]
-		case opCreate, opRemove:
+		case opCreate, opRemove, opMkdir:
 			out[i] = syncedDir[filepath.Dir(op.name)]
 		case opRename:
 			out[i] = syncedDir[filepath.Dir(op.name)] && syncedDir[filepath.Dir(op.to)]
-		case opMkdir:
-			out[i] = true
 		}
 	}
 	return out
@@ -506,8 +522,19 @@ func build(ops []fsOp, keep func(i int) bool, t tear) image {
 			delete(names, op.name)
 		}
 	}
+	// A directory whose own entry, or an ancestor's, was lost is gone with
+	// everything in it.
+	var lost func(d string) bool
+	lost = func(d string) bool { return d != "." && (!img.dirs[d] || lost(filepath.Dir(d))) }
+	for d := range img.dirs {
+		if lost(d) {
+			delete(img.dirs, d)
+		}
+	}
 	for name, ino := range names {
-		img.files[name] = bytes.Clone(data[ino])
+		if img.dirs[filepath.Dir(name)] {
+			img.files[name] = bytes.Clone(data[ino])
+		}
 	}
 	return img
 }

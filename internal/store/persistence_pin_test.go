@@ -76,22 +76,21 @@ func TestPersistenceBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, write := range []func() (*WALCommit, error){
-		func() (*WALCommit, error) {
-			return w.AppendMeter(Meter{ID: 7, Location: geo.Point{Lon: 12.5, Lat: 55.6}, Zone: ZoneResidential}, true)
+	for _, write := range []func() error{
+		func() error {
+			return w.AppendMeter(Meter{ID: 7, Location: geo.Point{Lon: 12.5, Lat: 55.6}, Zone: ZoneResidential})
 		},
-		func() (*WALCommit, error) {
-			return w.AppendMeter(Meter{ID: -2, Location: geo.Point{Lon: -0.125, Lat: -33.75}}, true)
+		func() error {
+			return w.AppendMeter(Meter{ID: -2, Location: geo.Point{Lon: -0.125, Lat: -33.75}})
 		},
-		func() (*WALCommit, error) {
-			return w.AppendSamples(7, []Sample{{TS: -3600, Value: math.NaN()}}, true)
+		func() error {
+			return w.AppendSamples(7, []Sample{{TS: -3600, Value: math.NaN()}})
 		},
 	} {
-		c, err := write()
-		if err != nil {
+		if err := write(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Wait(); err != nil {
+		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}

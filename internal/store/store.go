@@ -20,18 +20,13 @@ type Options struct {
 	// Dir is the durability directory. Empty means a purely in-memory store
 	// with no WAL or snapshots.
 	Dir string
-	// SyncEveryAppend makes every Append wait for its group commit: when it
-	// returns nil, the sample is on disk. Defaults to false, where appends
-	// return immediately and the committer flushes+fsyncs the log in the
-	// background at most CommitInterval behind.
-	SyncEveryAppend bool
 	// SegmentBytes is the WAL segment rotation threshold; <= 0 selects
 	// DefaultSegmentBytes (64 MiB).
 	SegmentBytes int64
-	// CommitInterval is the group-commit cadence: sync appenders that
-	// arrive while a commit's fsync is in flight are batched into the next
-	// one, and buffered (non-sync) appends are flushed at least this often.
-	// <= 0 selects DefaultCommitInterval (2ms).
+	// CommitInterval is the group-commit cadence: appends are flushed and
+	// fsynced at least this often, and Sync callers that arrive while a
+	// commit's fsync is in flight share the next one. <= 0 selects
+	// DefaultCommitInterval (2ms).
 	CommitInterval time.Duration
 	// Shards is the number of lock shards the series map is split across.
 	// Meters are hashed by ID onto shards, so concurrent appends and reads
@@ -197,7 +192,7 @@ func open(opts Options, fsys fileSystem) (*Store, error) {
 	}
 	start := time.Now()
 	s.recovery.Workers = s.recoverWorkers()
-	if err := fsys.mkdirAll(opts.Dir); err != nil {
+	if err := mkdirDurable(fsys, filepath.Clean(opts.Dir)); err != nil {
 		return nil, err
 	}
 	fsys.remove(tempPath(s.snapPath()))
@@ -273,9 +268,10 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Sync forces a group commit of every append buffered so far (appends made
-// without SyncEveryAppend) and waits for it to reach disk. It is a no-op
-// for in-memory stores.
+// Sync forces a group commit of every append made so far and waits for it
+// to reach disk: a nil return means all of them are fsynced. It is the one
+// durability barrier; concurrent callers share one fsync. It is a no-op for
+// in-memory stores.
 func (s *Store) Sync() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -323,24 +319,15 @@ func (s *Store) PutMeter(m Meter) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("store: meter %d has invalid location %v", m.ID, m.Location)
 	}
-	var commit *WALCommit
 	if s.wal != nil {
-		c, err := s.wal.AppendMeter(m, s.opts.SyncEveryAppend)
-		if err != nil {
+		if err := s.wal.AppendMeter(m); err != nil {
 			sh.mu.Unlock()
 			return err
 		}
-		commit = c
 	}
 	err := s.putMeterShardLocked(sh, m)
 	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if commit != nil {
-		return commit.Wait()
-	}
-	return nil
+	return err
 }
 
 func (s *Store) replayMeter(m Meter) error {
@@ -385,11 +372,9 @@ func (s *Store) Append(meterID int64, smp Sample) error {
 // Durability contract: the WAL records are enqueued before any sample is
 // applied in memory, so a WAL failure (sticky commit error, closed log)
 // returns without mutating the series and the caller can retry without
-// hitting ErrOutOfOrder. With SyncEveryAppend the call additionally waits
-// for the group commit: a nil return means the batch is fsynced. If that
-// wait itself reports a commit failure, the samples are applied in memory
-// but their durability is unknown; the WAL's failure is sticky, so every
-// subsequent append fails fast until the store is reopened.
+// hitting ErrOutOfOrder. The batch reaches disk with the next group commit;
+// a nil Sync after the call means it is fsynced. A commit failure is
+// sticky, so every later append and Sync fails until the store is reopened.
 func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 	sh := s.shardFor(meterID)
 	sh.mu.Lock()
@@ -415,14 +400,11 @@ func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 		}
 		last, nonEmpty = smp.TS, true
 	}
-	var commit *WALCommit
 	if s.wal != nil && n > 0 {
-		c, err := s.wal.AppendSamples(meterID, smps[:n], s.opts.SyncEveryAppend)
-		if err != nil {
+		if err := s.wal.AppendSamples(meterID, smps[:n]); err != nil {
 			sh.mu.Unlock()
 			return 0, err
 		}
-		commit = c
 	}
 	b := GetBatch()
 	_ = ser.appendRun(smps[:n], b) // validated above
@@ -432,11 +414,6 @@ func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 		s.version.Add(uint64(n))
 	}
 	sh.mu.Unlock()
-	if commit != nil {
-		if err := commit.Wait(); err != nil {
-			return n, err
-		}
-	}
 	return n, batchErr
 }
 

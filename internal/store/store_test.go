@@ -251,12 +251,13 @@ func TestAppendEqualsAppendBatchOfOne(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts Options
+		sync bool // Sync after every call
 		ops  []op
 	}{
 		// Every record is its own commit, so marker positions are fixed.
-		{"sync", Options{SyncEveryAppend: true}, ops[len(ops)-30:]},
+		{"sync", Options{}, true, ops[len(ops)-30:]},
 		// Nothing commits before Close: one batch holds the whole log.
-		{"buffered", Options{CommitInterval: time.Hour}, ops},
+		{"buffered", Options{CommitInterval: time.Hour}, false, ops},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			open := func(dir string) *Store {
@@ -298,6 +299,17 @@ func TestAppendEqualsAppendBatchOfOne(t *testing.T) {
 				}
 				return err
 			}
+			commit := func(sts ...*Store) {
+				t.Helper()
+				if !mode.sync {
+					return
+				}
+				for _, st := range sts {
+					if err := st.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 
 			dirA, dirB := t.TempDir(), t.TempDir()
 			a, b := open(dirA), open(dirB)
@@ -306,11 +318,13 @@ func TestAppendEqualsAppendBatchOfOne(t *testing.T) {
 					if err := st.PutMeter(testMeter(id)); err != nil {
 						t.Fatal(err)
 					}
+					commit(st)
 				}
 			}
 			rejected := 0
 			for i, o := range mode.ops {
 				errA, errB := a.Append(o.meter, o.smp), batchOfOne(b, o)
+				commit(a, b)
 				if errA != errB {
 					t.Fatalf("op %d %+v: Append err %v, AppendBatch err %v", i, o, errA, errB)
 				}
@@ -561,25 +575,6 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 			t.Fatalf("meter %d has %d samples, want 500", id, n)
 		}
 	}
-}
-
-func TestStoreSyncEveryAppend(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = st.PutMeter(testMeter(1))
-	if err := st.Append(1, Sample{TS: 1, Value: 2}); err != nil {
-		t.Fatal(err)
-	}
-	// Without Close, the records must already be on disk: replay a copy of
-	// the live segment and count what a crash right now would recover.
-	meters, samples := replayDirCounts(t, dir)
-	if meters != 1 || samples != 1 {
-		t.Errorf("on-disk after sync append: %d meters / %d samples, want 1/1", meters, samples)
-	}
-	_ = st.Close()
 }
 
 // tailSegmentPath returns the highest-numbered WAL segment in dir.

@@ -91,17 +91,6 @@ type walBatch struct {
 
 func newWALBatch() *walBatch { return &walBatch{done: make(chan struct{})} }
 
-// WALCommit is a handle on the group commit that will make an enqueued
-// record durable. Wait blocks until the batch has been written and fsynced
-// (or has failed) and returns the batch's outcome.
-type WALCommit struct{ b *walBatch }
-
-// Wait blocks until the record's commit completes.
-func (c *WALCommit) Wait() error {
-	<-c.b.done
-	return c.b.err
-}
-
 // WAL is a segmented append-only write-ahead log providing crash
 // durability between snapshots. Records are framed with a CRC32 and
 // written to numbered segment files (wal-000001.log, ...) that rotate at
@@ -121,7 +110,7 @@ type WAL struct {
 	cur      *walBatch
 	err      error // sticky commit failure: all later appends fail fast
 	closed   bool
-	f        file // tail segment, append position
+	f        file // tail segment, written at tailSize
 	tailIdx  uint64
 	tailSize int64            // bytes written to the tail segment
 	writing  bool             // a swapped-out batch is on its way into the tail
@@ -238,13 +227,16 @@ func openWAL(fsys fileSystem, opts Options) (*WAL, error) {
 	return w, nil
 }
 
-// openTail opens segment idx for appending as the tail, first cutting it to
-// its last valid record boundary (fsynced). A file too short to hold the
-// magic (a crash between segment creation and the header write) gets its
-// header again; a malformed record with valid records after it is interior
-// corruption and fails the open. The tail may be a segment whose creation
-// failed before its directory entry was durable, so the directory is
-// synced before anything is appended to it.
+// openTail opens segment idx as the tail, cut to its last valid record
+// boundary; a malformed record with valid records after it is interior
+// corruption and fails the open. What the open read may be only in the
+// page cache: after a failed fsync Linux marks the unwritten pages clean,
+// so no later fsync writes them. So every byte from the last commit marker
+// (which attests that what lies before it was fsynced) to the valid end is
+// written back in place, the rest cut off, and the file fsynced; with no
+// marker, that is the header (given again to a file too short to hold it)
+// and every frame. The tail may be a segment whose creation failed before
+// its directory entry was durable, so the directory is synced too.
 func (w *WAL) openTail(idx uint64) error {
 	path := w.segPath(idx)
 	data, err := w.fs.readFile(path)
@@ -255,21 +247,25 @@ func (w *WAL) openTail(idx uint64) error {
 	if err != nil {
 		return err
 	}
-	f, err := w.fs.openAppend(path)
+	if validEnd < walHeaderLen {
+		data, validEnd = walMagic[:], walHeaderLen
+	}
+	from := 0
+	for off := walHeaderLen; off < int(validEnd); off += walFrameOverhead + int(binary.LittleEndian.Uint32(data[off+1:])) {
+		if data[off] == recCommit {
+			from = off
+		}
+	}
+	f, err := w.fs.openWrite(path)
 	if err != nil {
 		return err
 	}
-	if validEnd < int64(len(data)) || validEnd < walHeaderLen {
-		if err = f.Truncate(validEnd); err == nil && validEnd < walHeaderLen {
-			validEnd = walHeaderLen
-			_, err = f.Write(walMagic[:])
+	if _, err = f.WriteAt(data[from:validEnd], int64(from)); err == nil {
+		if err = f.Truncate(validEnd); err == nil {
+			if err = f.Sync(); err == nil {
+				err = syncDir(w.fs, w.dir)
+			}
 		}
-		if err == nil {
-			err = f.Sync()
-		}
-	}
-	if err == nil {
-		err = syncDir(w.fs, w.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -301,24 +297,23 @@ func samplePayload(dst []byte, meterID int64, s Sample) []byte {
 
 // --- appending (group commit) --------------------------------------------
 
-// enqueue adds framed records to the current batch. When syncWait is set
-// the committer is woken immediately and the returned commit handle is
-// non-nil; otherwise the record rides the next background flush (at most
-// CommitInterval away) and the handle is nil. A sticky commit failure or a
-// closed WAL fails fast here, before the caller mutates any other state.
-// An enqueue into a batch already holding maxBatchBytes blocks until the
-// committer drains it (backpressure), then retries against the fresh one.
-func (w *WAL) enqueue(frames []byte, syncWait bool) (*WALCommit, error) {
+// enqueue adds framed records to the current batch, which the next commit
+// (a Sync, or the background flush at most CommitInterval away) writes. A
+// sticky commit failure or a closed WAL fails fast here, before the caller
+// mutates any other state. An enqueue into a batch already holding
+// maxBatchBytes blocks until the committer drains it (backpressure), then
+// retries against the fresh one.
+func (w *WAL) enqueue(frames []byte) error {
 	for {
 		w.mu.Lock()
 		if w.closed {
 			w.mu.Unlock()
-			return nil, ErrWALClosed
+			return ErrWALClosed
 		}
 		if w.err != nil {
 			err := w.err
 			w.mu.Unlock()
-			return nil, err
+			return err
 		}
 		b := w.cur
 		if len(b.buf) > 0 && len(b.buf)+len(frames) > maxBatchBytes {
@@ -329,11 +324,7 @@ func (w *WAL) enqueue(frames []byte, syncWait bool) (*WALCommit, error) {
 		}
 		b.buf = append(b.buf, frames...)
 		w.mu.Unlock()
-		if !syncWait {
-			return nil, nil
-		}
-		w.signal()
-		return &WALCommit{b: b}, nil
+		return nil
 	}
 }
 
@@ -345,22 +336,24 @@ func (w *WAL) signal() {
 }
 
 // AppendMeter logs a meter registration.
-func (w *WAL) AppendMeter(m Meter, syncWait bool) (*WALCommit, error) {
-	return w.enqueue(appendFrame(nil, recMeter, appendMeter(nil, m)), syncWait)
+func (w *WAL) AppendMeter(m Meter) error {
+	return w.enqueue(appendFrame(nil, recMeter, appendMeter(nil, m)))
 }
 
 // AppendSamples logs a batch of samples for one meter as a single enqueue,
 // so the whole batch lands in one commit.
-func (w *WAL) AppendSamples(meterID int64, smps []Sample, syncWait bool) (*WALCommit, error) {
+func (w *WAL) AppendSamples(meterID int64, smps []Sample) error {
 	frames := make([]byte, 0, len(smps)*(24+walFrameOverhead))
 	var payload [24]byte
 	for _, s := range smps {
 		frames = appendFrame(frames, recSample, samplePayload(payload[:0], meterID, s))
 	}
-	return w.enqueue(frames, syncWait)
+	return w.enqueue(frames)
 }
 
 // Sync forces a commit of everything enqueued so far and waits for it.
+// Batches commit in order and a failure is sticky, so a nil return covers
+// every earlier enqueue, a batch already being written included.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	if w.closed {
@@ -376,14 +369,13 @@ func (w *WAL) Sync() error {
 	b.forced = true
 	w.mu.Unlock()
 	w.signal()
-	c := WALCommit{b: b}
-	return c.Wait()
+	<-b.done
+	return b.err
 }
 
 // run is the committer: the only goroutine that writes segment files. It
-// commits promptly when a sync appender (or Sync/CutSegment) signals, and
-// on the CommitInterval ticker so buffered, non-waited appends still reach
-// disk within one interval.
+// commits promptly when Sync or CutSegment signals, and on the
+// CommitInterval ticker so appends reach disk within one interval.
 func (w *WAL) run() {
 	ticker := time.NewTicker(w.interval)
 	defer ticker.Stop()
@@ -407,8 +399,8 @@ func (w *WAL) run() {
 // refuses further appends, so in-memory state can never run ahead of a log
 // that silently stopped persisting.
 func (w *WAL) commit() {
-	// Let appenders that are already runnable finish enqueueing before the
-	// batch is sealed: a wave of concurrent sync appends then shares one
+	// Let appenders and Sync callers that are already runnable reach the
+	// batch before it is sealed: a wave of concurrent Syncs then shares one
 	// fsync instead of being split across several partial commits. Costs
 	// one scheduler pass (~µs) on the solo-appender path.
 	runtime.Gosched()
@@ -459,10 +451,10 @@ func (w *WAL) writeBatch(f file, b *walBatch) error {
 		var pos [8]byte
 		binary.LittleEndian.PutUint64(pos[:], uint64(off))
 		marker := appendFrame(make([]byte, 0, markerFrameLen), recCommit, pos[:])
-		if _, err := f.Write(marker); err != nil {
+		if _, err := f.WriteAt(marker, off); err != nil {
 			return err
 		}
-		if _, err := f.Write(b.buf); err != nil {
+		if _, err := f.WriteAt(b.buf, off+markerFrameLen); err != nil {
 			return err
 		}
 		if err := f.Sync(); err != nil {
@@ -535,9 +527,9 @@ func (w *WAL) CutSegment() (uint64, error) {
 	b.rotate = true
 	w.mu.Unlock()
 	w.signal()
-	c := WALCommit{b: b}
-	if err := c.Wait(); err != nil {
-		return 0, err
+	<-b.done
+	if b.err != nil {
+		return 0, b.err
 	}
 	w.mu.Lock()
 	idx := w.tailIdx

@@ -41,22 +41,39 @@ func testPoint(dLon, dLat float64) geo.Point {
 func buildTemplate(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneResidential}); err != nil {
 		t.Fatal(err)
 	}
+	mustSync(t, st)
 	for i := 1; i <= n; i++ {
-		if err := st.Append(1, Sample{TS: int64(i), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		appendSynced(t, st, Sample{TS: int64(i), Value: float64(i)})
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// mustSync commits everything appended to st so far.
+func mustSync(t *testing.T, st *Store) {
+	t.Helper()
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendSynced appends smp to meter 1 and syncs: one group commit per
+// sample.
+func appendSynced(t *testing.T, st *Store, smp Sample) {
+	t.Helper()
+	if err := st.Append(1, smp); err != nil {
+		t.Fatal(err)
+	}
+	mustSync(t, st)
 }
 
 // cloneDir copies every regular file of src into a fresh temp dir, so each
@@ -339,20 +356,20 @@ func TestWALInteriorCorruptionDetected(t *testing.T) {
 // old any-valid-frame-after heuristic got exactly this wrong.
 func TestWALTornMultiFrameBatch(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SyncEveryAppend: true})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneResidential}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(1, Sample{TS: 1, Value: 1}); err != nil {
-		t.Fatal(err)
-	}
+	mustSync(t, st)
+	appendSynced(t, st, Sample{TS: 1, Value: 1})
 	// One batch, three frames (TS 2, 3, 4), one marker ahead of it.
 	if _, err := st.AppendBatch(1, []Sample{{TS: 2, Value: 2}, {TS: 3, Value: 3}, {TS: 4, Value: 4}}); err != nil {
 		t.Fatal(err)
 	}
+	mustSync(t, st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,17 +400,16 @@ func TestWALTornMultiFrameBatch(t *testing.T) {
 // there is interior corruption by construction — even at the very end.
 func TestWALSealedSegmentCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SyncEveryAppend: true, SegmentBytes: 256})
+	st, err := Open(Options{Dir: dir, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneResidential}); err != nil {
 		t.Fatal(err)
 	}
+	mustSync(t, st)
 	for i := 1; i <= 40; i++ {
-		if err := st.Append(1, Sample{TS: int64(i), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		appendSynced(t, st, Sample{TS: int64(i), Value: float64(i)})
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -463,18 +479,17 @@ func TestWALReplayNewShardCount(t *testing.T) {
 // below its watermark.
 func TestWALRotationLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, SyncEveryAppend: true, SegmentBytes: 256})
+	st, err := Open(Options{Dir: dir, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneCommercial}); err != nil {
 		t.Fatal(err)
 	}
+	mustSync(t, st)
 	const n = 64
 	for i := 1; i <= n; i++ {
-		if err := st.Append(1, Sample{TS: int64(i), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		appendSynced(t, st, Sample{TS: int64(i), Value: float64(i)})
 	}
 	if segs, _ := st.WALStats(); segs < 3 {
 		t.Fatalf("rotation did not happen: %d segments", segs)
@@ -483,7 +498,7 @@ func TestWALRotationLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err = Open(Options{Dir: dir, SyncEveryAppend: true, SegmentBytes: 256})
+	st, err = Open(Options{Dir: dir, SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,9 +512,7 @@ func TestWALRotationLifecycle(t *testing.T) {
 		t.Errorf("segments after snapshot = %d, want 1 (covered segments deleted)", segs)
 	}
 	for i := n + 1; i <= n+10; i++ {
-		if err := st.Append(1, Sample{TS: int64(i), Value: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		appendSynced(t, st, Sample{TS: int64(i), Value: float64(i)})
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -666,8 +679,8 @@ func TestLegacyWALMigration(t *testing.T) {
 	}
 }
 
-// TestStoreSyncFlushesBufferedAppends: appends made without
-// SyncEveryAppend become durable after an explicit Sync.
+// TestStoreSyncFlushesBufferedAppends: appends become durable after an
+// explicit Sync, with no background flush in between.
 func TestStoreSyncFlushesBufferedAppends(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir, CommitInterval: time.Hour}) // never auto-flush
@@ -794,12 +807,12 @@ func TestSnapshotDoesNotBlockAppends(t *testing.T) {
 
 // --- real-kill matrix ----------------------------------------------------
 
-// TestWALKillRecovery SIGKILLs a child process that is appending with
-// SyncEveryAppend (tiny segments force rotations; periodic snapshots open
-// that crash window too), then reopens the dir and verifies every sample
-// whose Append the child acknowledged is present. Acks flow over a pipe
-// *after* the group commit returns, so any ack the parent observed is a
-// durability promise the recovery must honor.
+// TestWALKillRecovery SIGKILLs a child process that syncs after every
+// append (tiny segments force rotations; periodic snapshots open that
+// crash window too), then reopens the dir and verifies every sample whose
+// append the child acknowledged is present. Acks flow over a pipe *after*
+// Sync returns, so any ack the parent observed is a durability promise the
+// recovery must honor.
 func TestWALKillRecovery(t *testing.T) {
 	if os.Getenv("VAP_WAL_CRASH_CHILD") != "" {
 		t.Skip("child-mode helper")
@@ -893,11 +906,10 @@ func TestWALCrashChild(t *testing.T) {
 		t.Skip("not in child mode")
 	}
 	st, err := Open(Options{
-		Dir:             dir,
-		SyncEveryAppend: true,
-		SegmentBytes:    2048, // rotate constantly so the kill can land mid-rotation
-		CommitInterval:  500 * time.Microsecond,
-		Shards:          4,
+		Dir:            dir,
+		SegmentBytes:   2048, // rotate constantly so the kill can land mid-rotation
+		CommitInterval: 500 * time.Microsecond,
+		Shards:         4,
 	})
 	if err != nil {
 		t.Fatalf("child open: %v", err)
@@ -906,10 +918,16 @@ func TestWALCrashChild(t *testing.T) {
 		if err := st.PutMeter(Meter{ID: m, Location: testPoint(float64(m)*0.01, 0), Zone: ZoneResidential}); err != nil {
 			t.Fatalf("child put meter: %v", err)
 		}
+		if err := st.Sync(); err != nil {
+			t.Fatalf("child sync: %v", err)
+		}
 	}
 	for i := int64(1); ; i++ {
 		if err := st.Append(i%4+1, Sample{TS: i, Value: float64(i)}); err != nil {
 			t.Fatalf("child append %d: %v", i, err)
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatalf("child sync %d: %v", i, err)
 		}
 		fmt.Printf("ACK %d\n", i)
 		if i%400 == 0 {

@@ -741,15 +741,27 @@ func TestResultSetSequenceWraps(t *testing.T) {
 
 // TestWireShutdown drains the server under load: an idle connection
 // receives a final ERR 1053 before its socket closes, and Shutdown
-// returns once every connection goroutine exits.
+// returns once every connection goroutine exits, leaving none behind.
 func TestWireShutdown(t *testing.T) {
 	s := newStack(t, govern.Config{}, nil)
+	before := goroutines()
 
 	raw, err := vapDriver{}.Open("vap:@" + s.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := raw.(*clientConn)
+	defer cc.Close() // open until the end: a collected socket would close itself
+	// Shut down once the connection's goroutine reads its next command,
+	// past the draining check: from there only Shutdown can end it.
+	waitFor(t, 5*time.Second, func() bool {
+		for _, g := range goroutines() {
+			if strings.Contains(g, "wire.(*conn).commandLoop") && strings.Contains(g, "wire.readPacket") {
+				return true
+			}
+		}
+		return false
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -766,6 +778,7 @@ func TestWireShutdown(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	checkNoLeakedGoroutines(t, before, "vap/internal/wire.(*")
 	// The listener is gone too.
 	if _, err := net.DialTimeout("tcp", s.addr, 200*time.Millisecond); err == nil {
 		t.Errorf("listener still accepting after Shutdown")

@@ -56,9 +56,9 @@ import (
 type Store = store.Store
 
 // StoreOptions configures durability: Dir selects the data directory,
-// SyncEveryAppend makes appends wait for their group commit (a nil return
-// means the sample is fsynced), SegmentBytes sets the WAL rotation
-// threshold, and CommitInterval the group-commit cadence.
+// SegmentBytes sets the WAL rotation threshold, and CommitInterval the
+// group-commit cadence. Appends are committed in the background; a nil
+// Store.Sync means every append made before it is fsynced.
 type StoreOptions = store.Options
 
 // Durability defaults (used when the corresponding StoreOptions field is
