@@ -1,6 +1,6 @@
 // Benchmarks regenerating the performance-relevant piece of every
-// experiment in EXPERIMENTS.md (the paper is a demo paper with no numeric
-// tables; E1..E10 are the reproducible claims). Run with:
+// cmd/vapbench experiment (the paper is a demo paper with no numeric
+// tables; vapbench's E1..E10 are the reproducible claims). Run with:
 //
 //	go test -bench=. -benchmem
 //

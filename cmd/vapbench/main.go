@@ -1,6 +1,6 @@
-// Command vapbench regenerates every experiment in EXPERIMENTS.md: the
+// Command vapbench regenerates every experiment E1..E10 listed in main: the
 // paper has no numbered tables (it is a demo paper), so each figure and
-// demo-scenario claim is reproduced as a measurable experiment E1..E10.
+// demo-scenario claim is reproduced as a measurable experiment.
 //
 // Usage:
 //

@@ -4,47 +4,35 @@
 //
 // Usage:
 //
-//	vapd [-addr :8080] [-dir data/] [-seed 42] [-days 365] [-stream] [-interval 10s] [-shards 16]
-//	     [-segment-bytes N] [-commit-interval 2ms] [-snapshot-interval 5m]
-//	     [-retain-raw 2160h] [-rollup-res 3600,86400] [-recover-workers N]
-//	     [-max-concurrent N] [-mem-budget 512MiB] [-tenant-quotas 'dash=16,64MiB,2e6']
-//	     [-query-deadline 30s] [-max-queue 256] [-max-queue-wait 5s] [-interactive-cutoff 2000000]
-//	     [-handler-timeout 120s] [-max-ingest-bytes 1GiB]
-//	     [-read-header-timeout 10s] [-read-timeout 15m] [-write-timeout 0] [-idle-timeout 2m]
-//	     [-mysql-addr :3306] [-mysql-users users.txt] [-max-conns N] [-shutdown-timeout 5s]
+//	vapd [-addr :8080] [-dir data/] [-seed 42] [-days 365] [-workers N]
+//	     [-stream] [-interval 10s] [-mem-budget 512MiB]
+//	     [-tenant-quotas 'dash=16,64MiB,2e6'] [-mysql-addr :3306] [-mysql-users users.txt]
 //
 // With -mysql-addr, a MySQL wire-protocol listener serves the same VQL
 // statements to stock MySQL clients: mysql_native_password auth against
 // the -mysql-users file (username:password:tenant per line; without the
-// flag a single password-less "vap" user on the default tenant),
+// flag a single password-less "vap" user on the default tenant) and
 // governance rejections as ERR packets from the same error taxonomy the
-// HTTP API uses, and -max-conns bounding open wire connections.
+// HTTP API uses.
 //
 // With -dir, the store is durable (segmented WAL + snapshots); if the
 // directory is empty a synthetic dataset is generated and snapshotted into
 // it. Appends are group-committed in the background; POST
-// /api/ingest?sync=1 answers once its samples are fsynced.
-// -snapshot-interval runs background snapshots that retire covered
-// WAL segments without blocking ingest (POST /api/admin/snapshot triggers
-// one on demand). -retain-raw bounds how much raw history snapshots keep:
-// sealed chunks wholly older than the horizon age out of disk and memory
-// while the rollup tiers (-rollup-res) continue to serve coarse
-// aggregates over the full history. With -stream, the last 7 days of data
-// are withheld from the initial load and replayed live at -interval per
-// hour of data.
+// /api/ingest?sync=1 answers once its samples are fsynced, and POST
+// /api/admin/snapshot snapshots the store without blocking ingest,
+// retiring the WAL segments it covers. With -stream, the last 7 days of
+// data are withheld from the initial load and replayed live at -interval
+// per hour of data. Every other setting is its package's default.
 package main
 
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"vap/internal/api"
@@ -56,6 +44,9 @@ import (
 	"vap/internal/wire"
 )
 
+// shutdownTimeout bounds the graceful drain of both listeners on SIGINT.
+const shutdownTimeout = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "durability directory (empty = in-memory)")
@@ -64,49 +55,13 @@ func main() {
 	doStream := flag.Bool("stream", false, "replay the last week live (S2 step 3)")
 	interval := flag.Duration("interval", 10*time.Second, "streaming tick interval")
 	workers := flag.Int("workers", 0, "parallel kernel fan-out (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache", 0, "versioned result-cache entries (0 = default 64)")
-	shards := flag.Int("shards", 0, "store lock shards, rounded up to a power of two (0 = default 16)")
-	segmentBytes := flag.Int64("segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB)")
-	commitInterval := flag.Duration("commit-interval", 0, "WAL group-commit cadence (0 = default 2ms)")
-	snapInterval := flag.Duration("snapshot-interval", 0, "background snapshot cadence; snapshots retire covered WAL segments without blocking ingest (0 = only on demand via POST /api/admin/snapshot)")
-	retainRaw := flag.Duration("retain-raw", 0, "raw-sample retention horizon behind the newest sample; snapshots age older sealed chunks out of disk and memory while rollup tiers keep serving coarse aggregates (0 = keep raw data forever)")
-	rollupRes := flag.String("rollup-res", "", "comma-separated rollup tier resolutions in seconds (empty = default 3600,86400; 'off' disables rollups)")
-	recoverWorkers := flag.Int("recover-workers", 0, "recovery fan-out: workers installing snapshot sections and applying WAL records on open (0 = GOMAXPROCS, 1 = serial)")
-	// Resource governance (admission control, budgets, shedding).
-	maxConcurrent := flag.Int("max-concurrent", 0, "global concurrently-admitted request bound (0 = 4 x GOMAXPROCS)")
 	memBudget := flag.String("mem-budget", "", "global in-flight memory budget, e.g. 512MiB (empty = default 512MiB)")
 	tenantQuotas := flag.String("tenant-quotas", "", "per-tenant quotas: name=maxConcurrent,memBudget,maxCostSamples[;...] — 0 fields inherit the global bound; e.g. 'dash=16,64MiB,2e6;batch=2,256MiB,0'")
-	queryDeadline := flag.Duration("query-deadline", 0, "per-query execution deadline enforced in the executor's batch loops (0 = only the handler timeout)")
-	maxQueue := flag.Int("max-queue", 0, "admission queue depth before lowest-priority work sheds with 429 (0 = default 256)")
-	maxQueueWait := flag.Duration("max-queue-wait", 0, "longest a request may queue before shedding with 429 (0 = default 5s)")
-	interactiveCutoff := flag.Int64("interactive-cutoff", 0, "estimated-sample threshold separating interactive from analytics queries (0 = default 2000000)")
-	// HTTP front-door hardening.
-	handlerTimeout := flag.Duration("handler-timeout", 0, "per-request handler timeout; governance query deadlines supersede it per request (0 = default 120s)")
-	maxIngestBytes := flag.String("max-ingest-bytes", "", "largest /api/ingest request body, e.g. 1GiB (empty = default 1GiB)")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 0, "http.Server.ReadHeaderTimeout, the slowloris bound (0 = default 10s, negative disables)")
-	readTimeout := flag.Duration("read-timeout", 0, "http.Server.ReadTimeout over the whole request incl. body (0 = default 15m, negative disables)")
-	writeTimeout := flag.Duration("write-timeout", 0, "http.Server.WriteTimeout (0 = default disabled: /api/stream is long-lived SSE)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "http.Server.IdleTimeout for keep-alive connections (0 = default 2m, negative disables)")
-	// MySQL wire-protocol frontend.
 	mysqlAddr := flag.String("mysql-addr", "", "MySQL wire-protocol listen address, e.g. :3306 (empty = disabled)")
 	mysqlUsers := flag.String("mysql-users", "", "wire-protocol user file, username:password:tenant per line (empty = one password-less 'vap' user on the default tenant)")
-	maxConns := flag.Int("max-conns", 0, "open wire-protocol connection bound enforced by the governor before the handshake (0 = unlimited)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "graceful drain bound for both listeners on SIGINT")
 	flag.Parse()
 
-	rollups, err := parseRollupRes(*rollupRes)
-	if err != nil {
-		log.Fatalf("parse -rollup-res: %v", err)
-	}
-	st, err := store.Open(store.Options{
-		Dir:            *dir,
-		Shards:         *shards,
-		SegmentBytes:   *segmentBytes,
-		CommitInterval: *commitInterval,
-		RollupRes:      rollups,
-		RetainRaw:      *retainRaw,
-		RecoverWorkers: *recoverWorkers,
-	})
+	st, err := store.Open(store.Options{Dir: *dir})
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
@@ -135,14 +90,7 @@ func main() {
 		log.Printf("loaded existing dataset: %+v", st.Stats())
 	}
 
-	govCfg := govern.Config{
-		MaxConcurrent:     *maxConcurrent,
-		MaxQueue:          *maxQueue,
-		MaxQueueWait:      *maxQueueWait,
-		InteractiveCutoff: *interactiveCutoff,
-		QueryDeadline:     *queryDeadline,
-		MaxConns:          *maxConns,
-	}
+	var govCfg govern.Config
 	if *memBudget != "" {
 		if govCfg.MemBudget, err = govern.ParseBytes(*memBudget); err != nil {
 			log.Fatalf("parse -mem-budget: %v", err)
@@ -153,7 +101,7 @@ func main() {
 	}
 	gov := govern.New(govCfg)
 
-	an := core.NewAnalyzerOpts(st, core.Options{Workers: *workers, CacheEntries: *cacheEntries, Gov: gov})
+	an := core.NewAnalyzerOpts(st, core.Options{Workers: *workers, Gov: gov})
 	log.Printf("exec engine: %d workers over %d store shards, result cache at /api/exec",
 		an.Exec().Workers(), st.NumShards())
 	eff := gov.Config()
@@ -189,42 +137,8 @@ func main() {
 		log.Printf("streaming enabled: replaying %d data-hours every %v", (to-from)/3600, *interval)
 	}
 
-	apiCfg := api.Config{HandlerTimeout: *handlerTimeout}
-	if *maxIngestBytes != "" {
-		if apiCfg.MaxIngestBytes, err = govern.ParseBytes(*maxIngestBytes); err != nil {
-			log.Fatalf("parse -max-ingest-bytes: %v", err)
-		}
-	}
-	apiSrv := api.NewServerWith(an, hub, apiCfg)
-	srv := api.NewHTTPServer(*addr, apiSrv.Routes(), api.ServerTimeouts{
-		ReadHeader: *readHeaderTimeout,
-		Read:       *readTimeout,
-		Write:      *writeTimeout,
-		Idle:       *idleTimeout,
-	})
-
-	if *dir != "" && *snapInterval > 0 {
-		go func() {
-			t := time.NewTicker(*snapInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					start := time.Now()
-					segs, bytes, err := apiSrv.Snapshot()
-					if err != nil {
-						log.Printf("background snapshot: %v", err)
-						continue
-					}
-					log.Printf("snapshot done in %v: wal now %d segments / %d bytes",
-						time.Since(start).Round(time.Millisecond), segs, bytes)
-				}
-			}
-		}()
-		log.Printf("background snapshots every %v (writers are not blocked)", *snapInterval)
-	}
+	apiSrv := api.NewServer(an, hub)
+	srv := api.NewHTTPServer(*addr, apiSrv.Routes())
 
 	var wireSrv *wire.Server
 	if *mysqlAddr != "" {
@@ -265,7 +179,7 @@ func main() {
 	go func() {
 		defer close(drained)
 		<-ctx.Done()
-		shutCtx, c2 := context.WithTimeout(context.Background(), *shutdownTimeout)
+		shutCtx, c2 := context.WithTimeout(context.Background(), shutdownTimeout)
 		defer c2()
 		if hub != nil {
 			hub.Close()
@@ -304,28 +218,4 @@ func logRecovery(rec store.RecoveryStats) {
 		rec.SnapshotFormat, rec.SnapshotBytes, rec.SnapshotMeters, rec.SnapshotSamples, rec.SnapshotChunks, rec.SnapshotMS,
 		rec.WALSegments, rec.WALRecords, rec.WALReplayMS,
 		rec.TotalMS, rec.Workers, perSec)
-}
-
-// parseRollupRes maps the -rollup-res flag onto store.Options.RollupRes:
-// "" selects the store defaults (nil), "off" disables rollups (non-nil
-// empty slice), anything else parses as comma-separated seconds.
-func parseRollupRes(s string) ([]int64, error) {
-	switch strings.TrimSpace(s) {
-	case "":
-		return nil, nil
-	case "off":
-		return []int64{}, nil
-	}
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad resolution %q: %w", part, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("resolution %d must be positive", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -38,12 +38,10 @@ func main() {
 	seed := flag.Int64("seed", 42, "synthetic data seed")
 	days := flag.Int("days", 90, "days of synthetic data when generating")
 	workers := flag.Int("workers", 0, "parallel fan-out (0 = GOMAXPROCS)")
-	cacheEntries := flag.Int("cache", 0, "versioned result-cache entries (0 = default)")
-	shards := flag.Int("shards", 0, "store lock shards (0 = default 16)")
 	oneShot := flag.String("e", "", "execute one statement and exit")
 	flag.Parse()
 
-	st, err := store.Open(store.Options{Dir: *dir, Shards: *shards})
+	st, err := store.Open(store.Options{Dir: *dir})
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
@@ -61,7 +59,7 @@ func main() {
 			}
 		}
 	}
-	an := core.NewAnalyzerOpts(st, core.Options{Workers: *workers, CacheEntries: *cacheEntries})
+	an := core.NewAnalyzerOpts(st, core.Options{Workers: *workers})
 
 	if *oneShot != "" {
 		if !runStatement(an, *oneShot) {

@@ -5,47 +5,22 @@ import (
 	"time"
 )
 
-// ServerTimeouts configures the http.Server bounds vapd listens with. The
-// seed built http.Server with none of these set, so a slowloris client
-// trickling header bytes — or an ingest stream that stalls mid-body —
-// pinned a goroutine and a connection forever. For each field, 0 selects
-// the production default and a negative value disables the bound.
-type ServerTimeouts struct {
-	// ReadHeader bounds reading one request's headers — the slowloris
-	// kill switch. Default 10s.
-	ReadHeader time.Duration
-	// Read bounds reading the entire request, body included. Generous by
-	// default (15m) so a multi-gigabyte ingest replay over a slow link
-	// still fits, while a stalled stream cannot hold its connection
-	// forever.
-	Read time.Duration
-	// Write bounds writing the response. Default disabled (0): /api/stream
-	// is a long-lived Server-Sent-Events response that a write deadline
-	// would sever mid-subscription.
-	Write time.Duration
-	// Idle bounds keep-alive connections between requests. Default 2m.
-	Idle time.Duration
-}
-
-func pickTimeout(v, def time.Duration) time.Duration {
-	switch {
-	case v < 0:
-		return 0 // explicitly disabled
-	case v == 0:
-		return def
-	default:
-		return v
-	}
-}
-
 // NewHTTPServer builds the hardened http.Server for addr and handler.
-func NewHTTPServer(addr string, handler http.Handler, t ServerTimeouts) *http.Server {
+// Without its bounds a slowloris client trickling header bytes, or an
+// ingest stream that stalls mid-body, pins a goroutine and a connection
+// forever.
+func NewHTTPServer(addr string, handler http.Handler) *http.Server {
 	return &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: pickTimeout(t.ReadHeader, 10*time.Second),
-		ReadTimeout:       pickTimeout(t.Read, 15*time.Minute),
-		WriteTimeout:      pickTimeout(t.Write, 0),
-		IdleTimeout:       pickTimeout(t.Idle, 2*time.Minute),
+		Addr:    addr,
+		Handler: handler,
+		// The slowloris kill switch: one request's headers.
+		ReadHeaderTimeout: 10 * time.Second,
+		// The whole request, body included: generous, so a
+		// multi-gigabyte ingest replay over a slow link still fits, while
+		// a stalled stream cannot hold its connection forever.
+		ReadTimeout: 15 * time.Minute,
+		// WriteTimeout stays off: /api/stream is a long-lived
+		// Server-Sent-Events response that a write deadline would sever.
+		IdleTimeout: 2 * time.Minute,
 	}
 }

@@ -2,10 +2,12 @@ package api
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,26 +15,11 @@ import (
 	"vap/internal/core"
 	"vap/internal/geo"
 	"vap/internal/store"
+	"vap/internal/stream"
 )
 
-func TestPickTimeout(t *testing.T) {
-	cases := []struct {
-		v, def, want time.Duration
-	}{
-		{0, 10 * time.Second, 10 * time.Second}, // zero selects the default
-		{5 * time.Second, 10 * time.Second, 5 * time.Second},
-		{-1, 10 * time.Second, 0}, // negative disables
-		{0, 0, 0},
-	}
-	for _, tc := range cases {
-		if got := pickTimeout(tc.v, tc.def); got != tc.want {
-			t.Errorf("pickTimeout(%v, %v) = %v, want %v", tc.v, tc.def, got, tc.want)
-		}
-	}
-}
-
 func TestNewHTTPServerDefaults(t *testing.T) {
-	srv := NewHTTPServer(":0", http.NewServeMux(), ServerTimeouts{})
+	srv := NewHTTPServer(":0", http.NewServeMux())
 	if srv.ReadHeaderTimeout != 10*time.Second {
 		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
 	}
@@ -54,7 +41,8 @@ func TestNewHTTPServerDefaults(t *testing.T) {
 func TestSlowlorisConnectionClosed(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
-	srv := NewHTTPServer("", mux, ServerTimeouts{ReadHeader: 150 * time.Millisecond})
+	srv := NewHTTPServer("", mux)
+	srv.ReadHeaderTimeout = 150 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +133,7 @@ func TestSlowlorisStalledExportReader(t *testing.T) {
 	srv := NewHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		routes.ServeHTTP(w, r)
 		returned <- time.Now()
-	}), ServerTimeouts{})
+	}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,5 +161,95 @@ func TestSlowlorisStalledExportReader(t *testing.T) {
 		}
 	case <-time.After(4 * timeout):
 		t.Fatalf("handler still writing to a stalled reader after %v", 4*timeout)
+	}
+}
+
+// TestShutdownLeavesNoGoroutines serves Routes with a stream hub through
+// NewHTTPServer, holds an /api/stream subscription open and shuts down in
+// vapd's order: the hub first, so the SSE handler returns and its
+// connection goes idle, then the HTTP drain. Shutdown must finish inside
+// its bound, and no handler or connection goroutine may outlive it.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	before := goroutines()
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	hub := stream.NewHub()
+	hub.Publish(stream.Event{Kind: stream.KindIngest, Seq: 1, Count: 1}) // a subscriber's first event
+	srv := NewHTTPServer("", NewServer(core.NewAnalyzer(st), hub).Routes())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() { srv.Serve(ln); close(served) }()
+	t.Cleanup(func() { srv.Close(); <-served })
+
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	resp, err := (&http.Client{Transport: tr}).Get("http://" + ln.Addr().String() + "/api/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && !strings.HasPrefix(sc.Text(), "data: ") {
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading the subscription: %v", err)
+	}
+
+	hub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown with an open subscription: %v", err)
+	}
+	<-served
+	checkNoLeakedGoroutines(t, before, "vap/internal/api.")
+	checkNoLeakedGoroutines(t, before, "net/http.(*conn).serve")
+}
+
+// goroutines returns the stacks of the running goroutines by id.
+func goroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if id, _, ok := strings.Cut(strings.TrimPrefix(g, "goroutine "), " "); ok {
+			out[id] = g
+		}
+	}
+	return out
+}
+
+// checkNoLeakedGoroutines fails t if a goroutine whose stack holds fn was
+// started after before was taken and is still alive. Goroutines are given a
+// second to wind down.
+func checkNoLeakedGoroutines(t testing.TB, before map[string]string, fn string) {
+	t.Helper()
+	var leaked []string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(5 * time.Millisecond) {
+		leaked = leaked[:0]
+		for id, g := range goroutines() {
+			if _, old := before[id]; !old && strings.Contains(g, fn) {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, g := range leaked {
+		t.Errorf("leaked goroutine:\n%s", g)
 	}
 }

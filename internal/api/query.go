@@ -236,9 +236,7 @@ func encodeQueryResult(w io.Writer, out *core.VQLOutput, dv stream.DataVersion, 
 // default, because /api/stream's Server-Sent Events must outlive any fixed
 // bound, so without this a client that stops reading an export would hold
 // its handler goroutine, and the rows, forever. A reader that takes a
-// 32 KiB chunk at all takes it well inside the bound. (An operator's
-// -write-timeout, when set, is replaced by these per-chunk deadlines for
-// the rest of an export.)
+// 32 KiB chunk at all takes it well inside the bound.
 const queryWriteTimeout = 5 * time.Second
 
 // writeChunk writes one chunk of a multi-chunk body, under a fresh

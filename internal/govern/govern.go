@@ -98,9 +98,8 @@ type Config struct {
 	// MemBudget is the global estimated in-flight memory bound in bytes
 	// (<= 0 selects 512 MiB).
 	MemBudget int64
-	// DefaultQuota applies to tenants absent from Tenants.
-	DefaultQuota Quota
-	// Tenants maps tenant names to explicit quotas.
+	// Tenants maps tenant names to explicit quotas; a tenant absent from
+	// it runs under the zero Quota, the global bounds alone.
 	Tenants map[string]Quota
 	// MaxQueue bounds the admission queue; beyond it the lowest-priority
 	// work is shed (<= 0 selects 256).
@@ -307,11 +306,7 @@ func (c *Controller) Classify(estSamples int64) Class {
 func (c *Controller) tenantLocked(name string) *tenantState {
 	ts, ok := c.tenants[name]
 	if !ok {
-		q := c.cfg.DefaultQuota
-		if tq, ok := c.cfg.Tenants[name]; ok {
-			q = tq
-		}
-		ts = &tenantState{quota: q}
+		ts = &tenantState{quota: c.cfg.Tenants[name]}
 		c.tenants[name] = ts
 	}
 	return ts

@@ -4,7 +4,7 @@
 // (Torgerson) MDS, SMACOF stress-majorization MDS, and a PCA baseline.
 // The paper's distance metric is the Pearson correlation distance, which
 // "better reflects the correlation of the trend between two time series";
-// Euclidean distance is available for the ablation in EXPERIMENTS.md.
+// Euclidean distance is available for cmd/vapbench's E3a ablation.
 package reduce
 
 import (

@@ -7,7 +7,7 @@ import (
 
 // Trustworthiness and Continuity (Venna & Kaski 2001) quantify how well a
 // low-dimensional embedding preserves neighborhood structure — the
-// quality measures used by EXPERIMENTS.md to compare the S1 reduction
+// quality measures cmd/vapbench's E4 uses to compare the S1 reduction
 // methods beyond label-based scores.
 //
 // Trustworthiness penalizes points that are close in the embedding but

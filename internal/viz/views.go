@@ -140,7 +140,6 @@ type TimeSeriesView struct {
 type LabeledSeries struct {
 	Name    string
 	Buckets []query.Bucket
-	Color   string // empty selects from the category palette
 }
 
 // Render produces the SVG document.
@@ -206,10 +205,7 @@ func (v *TimeSeriesView) Render() string {
 			time.Unix(ts, 0).UTC().Format("2006-01-02 15:04"))
 	}
 	for i, s := range v.Series {
-		color := s.Color
-		if color == "" {
-			color = CategoryColor(i)
-		}
+		color := CategoryColor(i)
 		pts := make([][2]float64, len(s.Buckets))
 		for j, b := range s.Buckets {
 			pts[j] = [2]float64{xOf(b.Start), yOf(b.Value)}

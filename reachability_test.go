@@ -3,6 +3,7 @@ package vap_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"go/ast"
 	"go/parser"
@@ -10,9 +11,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestReachability computes the rule that production code is what a
@@ -24,10 +27,14 @@ import (
 // among them, be an exported name of the vap facade, or be listed in
 // testdata/unreached.txt. A listed function that is now reached or no
 // longer exists fails the test too, so the list only shrinks truthfully.
+// The built vapd and vapql are run once, with -h, to hold their flags to
+// the lists written here.
 func TestReachability(t *testing.T) {
 	bin := t.TempDir()
 	goCmd(t, ".", "build", "-gcflags=all=-l", "-o", bin+string(filepath.Separator), "./cmd/...", "./examples/...")
 	goCmd(t, "bench", "build", "-gcflags=all=-l", "-o", filepath.Join(bin, "bench"), ".")
+	checkFlags(t, filepath.Join(bin, "vapd"), "addr", "days", "dir", "interval", "mem-budget", "mysql-addr", "mysql-users", "seed", "stream", "tenant-quotas", "workers")
+	checkFlags(t, filepath.Join(bin, "vapql"), "days", "dir", "e", "seed", "workers")
 
 	reached := map[string]bool{}
 	bins, err := os.ReadDir(bin)
@@ -106,6 +113,31 @@ func TestReachability(t *testing.T) {
 	}
 	if len(stale) > 0 {
 		t.Errorf("testdata/unreached.txt lists functions that are reached or gone (drop their lines):\n\t%s", strings.Join(stale, "\n\t"))
+	}
+}
+
+// checkFlags runs the built main bin with -h and fails t unless its usage
+// lists exactly the flags kept (sorted, as the flag package prints them):
+// a setting that no caller turns is a constant, so a flag added or dropped
+// fails by name. The child is waited for; one still running after ten
+// seconds is killed, so none outlives the test.
+func checkFlags(t *testing.T, bin string, kept ...string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	out, err := exec.CommandContext(ctx, bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s -h: %v\n%s", filepath.Base(bin), err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(name, " ")
+			got = append(got, name)
+		}
+	}
+	if !slices.Equal(got, kept) {
+		t.Errorf("%s flags = %v, want %v", filepath.Base(bin), got, kept)
 	}
 }
 
