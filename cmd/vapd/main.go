@@ -193,12 +193,25 @@ func main() {
 			log.Printf("http shutdown: %v", err)
 		}
 	}()
-	log.Printf("VAP listening on %s (ui at http://localhost%s/)", *addr, *addr)
+	log.Printf("VAP listening on %s (ui at %s)", *addr, uiURL(*addr))
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("serve: %v", err)
 	}
 	<-drained
 	log.Printf("shutdown complete")
+}
+
+// uiURL is the URL a browser opens for the listen address addr: its host,
+// bracketed when IPv6, or localhost when addr names only a port.
+func uiURL(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "http://" + addr + "/"
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port) + "/"
 }
 
 // logRecovery prints the startup recovery breakdown — snapshot format,

@@ -98,9 +98,18 @@ func (r *crashRun) required(k int) crashAck {
 	return out
 }
 
+// crashSample is meter id's i-th sample: every 900 s, or every hour for
+// the hourly meter, whose hourly tier is dense pages.
 func crashSample(id int64, i int) Sample {
-	return Sample{TS: 1_600_000_000 + int64(i)*900, Value: float64(id*1000+int64(i)) + 0.25}
+	step := int64(900)
+	if id == crashHourly {
+		step = 3600
+	}
+	return Sample{TS: 1_600_000_000 + int64(i)*step, Value: float64(id*1000+int64(i)) + 0.25}
 }
+
+// crashHourly is the script's hourly meter.
+const crashHourly = 5
 
 func (r *crashRun) open() {
 	r.step("open", func() error {
@@ -173,20 +182,24 @@ func (r *crashRun) close() {
 // script is the workload: meters, batches with and without Sync, a commit
 // that crosses SegmentBytes and rotates, a Snapshot (temp write, rename, WAL
 // retirement), reopens and more appends, and a second Snapshot whose
-// segment cut rotates and which replaces the first.
+// segment cut rotates and which replaces the first. Both snapshots hold the
+// hourly meter's dense hourly pages.
 func (r *crashRun) script() {
 	r.open()
 	r.putMeter(1)
 	r.putMeter(2)
 	r.putMeter(3)
+	r.putMeter(crashHourly)
 	r.sync()
 	r.append(1, 0, 20)
 	r.append(2, 0, 10)
+	r.append(crashHourly, 0, 2*denseMinRun)
 	r.sync()
 	r.append(3, 0, 5) // rides the next commit
 	r.append(2, 10, 80)
 	r.sync() // crosses SegmentBytes: the commit rotates
 	r.snapshot()
+	r.append(crashHourly, 2*denseMinRun, denseMinRun)
 	r.append(1, 20, 10)
 	r.sync()
 	r.putMeter(4)
@@ -216,7 +229,11 @@ func dumpStore(s *Store) map[int64][]Sample {
 }
 
 // recoverImage opens img with recovery on workers goroutines and returns
-// what the store holds. A panic is an error.
+// what the store holds. The recovered tiers must equal a fold of the
+// recovered samples; the store then snapshots, and its reload must hold the
+// same samples and tiers again, so every crash state's tiers, dense pages
+// among them, go through a snapshot and back. A panic is an error, and so
+// is any failure after the first open (never one that reads as corrupt).
 func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -225,13 +242,34 @@ func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 	}()
 	opts := crashOpts()
 	opts.RecoverWorkers = workers
-	s, err := open(opts, memFSFrom(img))
+	fsys := memFSFrom(img)
+	s, err := open(opts, fsys)
 	if err != nil {
 		return nil, err
 	}
 	got = dumpStore(s)
+	for pass := 0; ; pass++ {
+		if err := tiersRebuilt(s); err != nil {
+			return nil, fmt.Errorf("pass %d: %v", pass, err)
+		}
+		if pass == 1 {
+			break
+		}
+		if err := s.Snapshot(); err != nil {
+			return nil, fmt.Errorf("snapshot after recovery: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			return nil, fmt.Errorf("close after recovery: %v", err)
+		}
+		if s, err = open(opts, fsys); err != nil {
+			return nil, fmt.Errorf("reopen of the recovered store's snapshot: %v", err)
+		}
+		if again := dumpStore(s); !sameStore(again, got) {
+			return nil, fmt.Errorf("the recovered store's snapshot reloads other samples")
+		}
+	}
 	if err := s.Close(); err != nil {
-		return nil, fmt.Errorf("close after recovery: %w", err)
+		return nil, fmt.Errorf("close after reload: %v", err)
 	}
 	return got, nil
 }

@@ -21,11 +21,20 @@ import (
 // grow (Gorilla's closed blocks), which is what lets TierScan hand out
 // zero-copy views consistent with a point-in-time raw iterator.
 //
+// A page is one of two kinds. A general page holds 48-byte RollupBuckets.
+// A dense page holds a run of consecutive buckets each folded from exactly
+// one sample as that sample's value alone, 8 bytes a bucket: a meter that
+// reports once per bucket (an hourly meter's hourly tier) keeps one
+// float64 per hour, as Gorilla bets on regular timestamps (Pelkonen et
+// al., VLDB 2015, §4.1.1). Readers rebuild a dense bucket through the
+// general fold (singleFold), so both kinds yield the same bits.
+//
 // Rollup state is a pure function of the appended samples, so WAL replay
 // and legacy (v1) snapshot loads rebuild tiers exactly from the raw data.
 // Once retention (Options.RetainRaw) starts aging raw chunks out of
 // snapshots the equivalence breaks — rollups outlive the raw data that
-// built them — so v2, v3 and v4 snapshots persist the tiers alongside it.
+// built them — so v2, v3 and v4 snapshots persist the tiers alongside it,
+// every bucket as a 48-byte record whatever page kind holds it.
 
 // DefaultRollupRes is the tier set used when Options.RollupRes is nil:
 // hourly and daily buckets. Hourly serves hourly/4-hourly queries; daily
@@ -127,21 +136,111 @@ type RollupBucket struct {
 	Fold
 }
 
-// rollupBucketBytes is one bucket's size in memory and in a v4 snapshot.
+// rollupBucketBytes is one general bucket's size in memory, and one bucket
+// record's size in a v4 snapshot, whatever page kind held the bucket.
 const rollupBucketBytes = 48
 
+// denseBucketBytes is one dense-page slot: the bucket's one value.
+const denseBucketBytes = 8
+
 // tierPageBuckets is the size of a tier page opened without a
-// reservation: 256 buckets, 12 KiB.
+// reservation: 256 buckets, 12 KiB general or 2 KiB dense.
 const tierPageBuckets = 256
 
+// denseMinRun is the shortest run of single-sample buckets that a gap lets
+// open a new dense page behind it, and that a snapshot load puts on a dense
+// page of its own. Shorter runs stay on general pages, so no input pattern
+// scatters a tier over pages that cost more than general buckets would.
+const denseMinRun = 8
+
+// tierPage is one page of a tier. A general page holds RollupBuckets in
+// gen; a dense page (vals non-nil) holds consecutive buckets, bucket i
+// starting at base + i·res and folded from vals[i] alone (singleFold).
+type tierPage struct {
+	base int64
+	vals []float64
+	gen  []RollupBucket
+}
+
+func (p *tierPage) len() int { return len(p.vals) + len(p.gen) }
+
+// free is the number of buckets the page has room for.
+func (p *tierPage) free() int { return cap(p.vals) - len(p.vals) + cap(p.gen) - len(p.gen) }
+
+// start returns bucket i's Start.
+func (p *tierPage) start(i int, res int64) int64 {
+	if p.vals != nil {
+		return p.base + int64(i)*res
+	}
+	return p.gen[i].Start
+}
+
+// bucket returns bucket i.
+func (p *tierPage) bucket(i int, res int64) RollupBucket {
+	if p.vals != nil {
+		return RollupBucket{Start: p.base + int64(i)*res, Fold: singleFold(p.vals[i])}
+	}
+	return p.gen[i]
+}
+
+// slice returns buckets [lo, hi), lo < hi, as a page sharing p's array.
+func (p *tierPage) slice(lo, hi int, res int64) tierPage {
+	if p.vals != nil {
+		return tierPage{base: p.base + int64(lo)*res, vals: p.vals[lo:hi]}
+	}
+	return tierPage{gen: p.gen[lo:hi]}
+}
+
+// search returns the first index whose Start >= ts: by binary search on a
+// general page, by arithmetic on a dense one.
+func (p *tierPage) search(ts, res int64) int {
+	if p.vals == nil {
+		return searchBuckets(p.gen, ts)
+	}
+	if ts <= p.base {
+		return 0
+	}
+	d := uint64(ts) - uint64(p.base)
+	i := d / uint64(res)
+	if d%uint64(res) != 0 {
+		i++
+	}
+	return int(min(i, uint64(len(p.vals))))
+}
+
+// singleFold is the bucket one sample of value v folds to: EmptyFold and
+// then FoldVals of v, so -0 sums to +0 and a NaN is a tally over the empty
+// bounds, exactly as on a general page.
+func singleFold(v float64) Fold {
+	f := EmptyFold()
+	f.FoldVals([]float64{v})
+	return f
+}
+
+// singleSample reports whether f is bit for bit singleFold(v) for some
+// value v, and returns v (a NaN for a NaN tally).
+func singleSample(f *Fold) (float64, bool) {
+	v := f.Min
+	if f.Count == 0 {
+		v = math.NaN()
+	}
+	g, bits := singleFold(v), math.Float64bits
+	return v, g.Count == f.Count && g.NaN == f.NaN && bits(g.Sum) == bits(f.Sum) &&
+		bits(g.Min) == bits(f.Min) && bits(g.Max) == bits(f.Max)
+}
+
 // rollupTier is one resolution's buckets, ascending by Start, kept as a
-// list of pages. A page's backing array is allocated once and never grows:
-// opening a bucket appends to the last page while it has room and starts a
-// new page otherwise, so no append ever copies the buckets already held.
-// No page is empty, and only the last bucket of the last page mutates.
+// list of pages of either kind. A page's backing array is allocated once
+// and never grows: opening a bucket appends to the last page while it has
+// room and starts a new page otherwise, so no append ever copies the
+// buckets already held. No page is empty, and only the last bucket of the
+// last page mutates. Every general page but the last is full, and a dense
+// page that stops being last keeps at most as many empty slots as buckets
+// (trim), so a tier holds at most one page of room beyond 8 bytes a dense
+// bucket.
 type rollupTier struct {
 	res   int64
-	pages [][]RollupBucket
+	pages []tierPage
 	// want is the room the next page must have (see reserveRollups); zero
 	// means tierPageBuckets.
 	want int
@@ -151,43 +250,110 @@ type rollupTier struct {
 // open a new one — the interior is never touched. A sample in the last
 // bucket or the next one finds its bucket without a division; the
 // difference is taken unsigned so a jump across the whole int64 range
-// cannot alias into either.
+// cannot alias into either. The next bucket of a dense page with room is
+// one store.
 func (t *rollupTier) fold(smp Sample) {
-	if last := t.last(); last != nil {
-		d, res := uint64(smp.TS)-uint64(last.Start), uint64(t.res)
+	if n := len(t.pages); n > 0 {
+		p := &t.pages[n-1]
+		last := p.start(p.len()-1, t.res)
+		d, res := uint64(smp.TS)-uint64(last), uint64(t.res)
 		if d < res {
-			last.FoldVals([]float64{smp.Value})
+			t.lastGeneral().FoldVals([]float64{smp.Value})
 			return
 		}
 		if d < 2*res {
-			t.open(last.Start + t.res).FoldVals([]float64{smp.Value})
+			if len(p.vals) < cap(p.vals) {
+				p.vals = append(p.vals, smp.Value)
+				return
+			}
+			t.open(last+t.res, true, smp.Value)
 			return
 		}
 	}
-	t.open(smp.TS - mod64(smp.TS, t.res)).FoldVals([]float64{smp.Value})
+	t.open(smp.TS-mod64(smp.TS, t.res), false, smp.Value)
 }
 
-// last returns the tier's live last bucket, or nil when the tier is empty.
-func (t *rollupTier) last() *RollupBucket {
-	n := len(t.pages)
-	if n == 0 {
-		return nil
+// open appends a bucket at start folded from the one value v, next telling
+// whether it follows the last bucket without a gap. A general last page
+// with room takes it. Otherwise a new page opens, dense when the tier looks
+// regular: it is empty, its last page is a dense one this bucket continues
+// or whose run was at least denseMinRun long, or its last page is a full
+// general page ending in a single-sample bucket.
+func (t *rollupTier) open(start int64, next bool, v float64) {
+	dense := true
+	if n := len(t.pages); n > 0 {
+		p := &t.pages[n-1]
+		if p.vals == nil {
+			if len(p.gen) < cap(p.gen) {
+				p.gen = append(p.gen, RollupBucket{Start: start, Fold: singleFold(v)})
+				return
+			}
+			b := &p.gen[len(p.gen)-1]
+			dense = b.Count+b.NaN == 1
+		} else {
+			dense = next || len(p.vals) >= denseMinRun
+			p.trim()
+		}
 	}
-	p := t.pages[n-1]
-	return &p[len(p)-1]
+	if p := t.newPage(dense); dense {
+		p.base, p.vals = start, append(p.vals, v)
+	} else {
+		p.gen = append(p.gen, RollupBucket{Start: start, Fold: singleFold(v)})
+	}
 }
 
-// open appends an empty bucket, starting a page when the last one is full,
-// and returns its fold state.
-func (t *rollupTier) open(start int64) *Fold {
+// lastGeneral returns the fold of the live last bucket for a second
+// sample. A dense slot holds one sample's bucket only, so a bucket in a
+// dense page first moves out to a new general page; the dense page is
+// trimmed, or dropped when that was its one bucket (its room passing to
+// the general page).
+func (t *rollupTier) lastGeneral() *Fold {
 	n := len(t.pages)
-	if n == 0 || len(t.pages[n-1]) == cap(t.pages[n-1]) {
-		t.pages = append(t.pages, make([]RollupBucket, 0, max(tierPageBuckets, t.want)))
-		t.want = 0
-		n++
+	p := &t.pages[n-1]
+	if p.vals == nil {
+		return &p.gen[len(p.gen)-1].Fold
 	}
-	t.pages[n-1] = append(t.pages[n-1], RollupBucket{Start: start, Fold: EmptyFold()})
-	return &t.pages[n-1][len(t.pages[n-1])-1].Fold
+	k := len(p.vals) - 1
+	b := p.bucket(k, t.res)
+	if k == 0 {
+		t.want = max(t.want, cap(p.vals))
+		t.pages[n-1] = tierPage{}
+		t.pages = t.pages[:n-1]
+	} else {
+		p.vals = p.vals[:k]
+		p.trim()
+	}
+	g := t.newPage(false)
+	g.gen = append(g.gen, b)
+	return &g.gen[0].Fold
+}
+
+// newPage appends an empty page of the kind asked for the caller to fill,
+// with the room the reservation asks, tierPageBuckets at least.
+func (t *rollupTier) newPage(dense bool) *tierPage {
+	k := max(tierPageBuckets, t.want)
+	t.want = 0
+	var p tierPage
+	if dense {
+		p.vals = make([]float64, 0, k)
+	} else {
+		p.gen = make([]RollupBucket, 0, k)
+	}
+	t.pages = append(t.pages, p)
+	return &t.pages[len(t.pages)-1]
+}
+
+// trim gives back the room of a dense page that stops being the tier's
+// last, by reallocating it to its length, when that room outweighs the
+// values the copy moves; otherwise the page keeps its room unused. Either
+// way a page behind the last holds at most as many empty slots as
+// buckets. Captures may still hold the old array; nothing writes it again.
+func (p *tierPage) trim() {
+	if cap(p.vals)-len(p.vals) > len(p.vals) {
+		vals := make([]float64, len(p.vals))
+		copy(vals, p.vals)
+		p.vals = vals
+	}
 }
 
 // reserveRollups makes room, once per batch, for every bucket the in-order
@@ -205,7 +371,7 @@ func (s *Series) reserveRollups(smps []Sample) {
 		if b := span / uint64(t.res); b < uint64(k) {
 			k = min(k, int(b)+2)
 		}
-		if n := len(t.pages); n == 0 || cap(t.pages[n-1])-len(t.pages[n-1]) < k {
+		if n := len(t.pages); n == 0 || t.pages[n-1].free() < k {
 			t.want = k
 		}
 	}
@@ -284,33 +450,27 @@ func (s *Series) installRollups(res []int64, file []rollupTier) error {
 	return nil
 }
 
-// loadedTier wraps a tier read from a snapshot as one exactly sized page;
-// buckets opened after recovery land on new pages.
-func loadedTier(res int64, buckets []RollupBucket) rollupTier {
-	t := rollupTier{res: res}
-	if len(buckets) > 0 {
-		t.pages = [][]RollupBucket{buckets}
-	}
-	return t
-}
-
 // tierView is a point-in-time capture of a run of one tier's buckets: the
 // immutable interior as page sub-slices (zero-copy), and the tier's live
 // last bucket, when the run includes it, copied into tail, since that one
 // bucket keeps mutating under appends.
 type tierView struct {
-	interior [][]RollupBucket
+	res      int64
+	interior []tierPage
 	tail     RollupBucket
 	hasTail  bool
 	// two backs interior when the run spans at most two pages (a loaded
-	// tier is one page), so a capture allocates nothing in the common case.
-	two [2][]RollupBucket
+	// tier of one kind is one page), so a capture allocates nothing in the
+	// common case.
+	two [2]tierPage
+	// cur is the one bucket each hands every dense bucket through.
+	cur RollupBucket
 }
 
 func (v *tierView) len() int {
 	n := 0
-	for _, p := range v.interior {
-		n += len(p)
+	for i := range v.interior {
+		n += v.interior[i].len()
 	}
 	if v.hasTail {
 		n++
@@ -318,11 +478,22 @@ func (v *tierView) len() int {
 	return n
 }
 
-// each calls fn on every captured bucket in ascending Start order.
+// each calls fn on every captured bucket in ascending Start order. A dense
+// bucket is rebuilt into v.cur, which fn must not keep.
 func (v *tierView) each(fn func(*RollupBucket)) {
-	for _, p := range v.interior {
-		for i := range p {
-			fn(&p[i])
+	for i := range v.interior {
+		p := &v.interior[i]
+		if p.vals == nil {
+			for j := range p.gen {
+				fn(&p.gen[j])
+			}
+			continue
+		}
+		b := &v.cur
+		for j := range p.vals {
+			b.Start, b.Fold = p.base+int64(j)*v.res, EmptyFold()
+			b.FoldVals(p.vals[j : j+1])
+			fn(b)
 		}
 	}
 	if v.hasTail {
@@ -333,9 +504,9 @@ func (v *tierView) each(fn func(*RollupBucket)) {
 // search returns the position (page, index) of the first bucket whose
 // Start >= ts; (len(pages), 0) when there is none.
 func (t *rollupTier) search(ts int64) (p, i int) {
-	p = sort.Search(len(t.pages), func(k int) bool { pg := t.pages[k]; return pg[len(pg)-1].Start >= ts })
+	p = sort.Search(len(t.pages), func(k int) bool { pg := &t.pages[k]; return pg.start(pg.len()-1, t.res) >= ts })
 	if p < len(t.pages) {
-		i = searchBuckets(t.pages[p], ts)
+		i = t.pages[p].search(ts, t.res)
 	}
 	return p, i
 }
@@ -343,20 +514,22 @@ func (t *rollupTier) search(ts int64) (p, i int) {
 // capture fills v with the buckets from position (p0, i0) up to, not
 // including, (p1, i1).
 func (t *rollupTier) capture(v *tierView, p0, i0, p1, i1 int) {
+	v.res = t.res
 	if p0 > p1 || p0 == p1 && i0 >= i1 {
 		return
 	}
 	if p1 == len(t.pages) {
 		p1 = len(t.pages) - 1
-		i1 = len(t.pages[p1]) - 1
-		v.tail, v.hasTail = t.pages[p1][i1], true
+		i1 = t.pages[p1].len() - 1
+		v.tail, v.hasTail = t.pages[p1].bucket(i1, t.res), true
 	}
 	v.interior = v.two[:0]
 	if p1-p0 >= len(v.two) {
-		v.interior = make([][]RollupBucket, 0, p1-p0+1)
+		v.interior = make([]tierPage, 0, p1-p0+1)
 	}
 	for p := p0; p <= p1; p++ {
-		lo, hi := 0, len(t.pages[p])
+		pg := &t.pages[p]
+		lo, hi := 0, pg.len()
 		if p == p0 {
 			lo = i0
 		}
@@ -364,7 +537,7 @@ func (t *rollupTier) capture(v *tierView, p0, i0, p1, i1 int) {
 			hi = i1
 		}
 		if hi > lo {
-			v.interior = append(v.interior, t.pages[p][lo:hi])
+			v.interior = append(v.interior, pg.slice(lo, hi, t.res))
 		}
 	}
 }
@@ -408,6 +581,9 @@ type TierScan struct {
 }
 
 // Buckets iterates the captured interior buckets in ascending Start order.
+// A dense page's buckets arrive through one bucket the scan reuses, so fn
+// must not keep b after it returns, and one goroutine at a time walks a
+// TierScan.
 func (t *TierScan) Buckets(fn func(*RollupBucket)) { t.buckets.each(fn) }
 
 // TierScan captures one meter's tier-served scan of [from, to) under a
@@ -467,11 +643,14 @@ func searchBuckets(buckets []RollupBucket, ts int64) int {
 func (s *Store) RollupResolutions() []int64 { return s.rollupRes }
 
 // RollupTierStats is one tier's store-wide footprint, reported by Stats
-// and /api/stats. Bytes is what the tier's pages hold, room not yet filled
-// included.
+// and /api/stats. Buckets is Dense + General, the buckets on each page
+// kind. Bytes is what the tier's pages hold, room not yet filled
+// included: 8 bytes a dense slot, 48 a general one.
 type RollupTierStats struct {
 	Res     int64 `json:"res_sec"`
 	Buckets int   `json:"buckets"`
+	Dense   int   `json:"dense_buckets"`
+	General int   `json:"general_buckets"`
 	Bytes   int64 `json:"bytes"`
 }
 
@@ -494,13 +673,17 @@ func (s *Store) rollupStats() []RollupTierStats {
 						continue
 					}
 					for _, p := range t.pages {
-						out[i].Buckets += len(p)
-						out[i].Bytes += int64(cap(p)) * rollupBucketBytes
+						out[i].Dense += len(p.vals)
+						out[i].General += len(p.gen)
+						out[i].Bytes += int64(cap(p.vals))*denseBucketBytes + int64(cap(p.gen))*rollupBucketBytes
 					}
 				}
 			}
 		}
 		sh.mu.RUnlock()
+	}
+	for i := range out {
+		out[i].Buckets = out[i].Dense + out[i].General
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestNormalizeRollupRes(t *testing.T) {
@@ -284,7 +285,8 @@ func checkTierWindows(t *testing.T, st *Store, smps []Sample) {
 		}
 		sh := st.shardFor(1)
 		sh.mu.RLock()
-		live := sh.series[1].rollupFor(res).last()
+		pages := sh.series[1].rollupFor(res).pages
+		live := lastSlot(&pages[len(pages)-1])
 		sh.mu.RUnlock()
 		for _, w := range wins {
 			tsc, err := st.TierScan(1, res, w.from, w.from, w.to, w.to)
@@ -304,12 +306,20 @@ func checkTierWindows(t *testing.T, st *Store, smps []Sample) {
 				t.Fatalf("%ds tier, window [%d, %d): tail copied %t, want %t", res, w.from, w.to, tsc.buckets.hasTail, want)
 			}
 			for _, p := range tsc.buckets.interior {
-				if &p[len(p)-1] == live {
+				if lastSlot(&p) == live {
 					t.Fatalf("%ds tier, window [%d, %d): interior aliases the live bucket", res, w.from, w.to)
 				}
 			}
 		}
 	}
+}
+
+// lastSlot returns the address of a page's last bucket, of either kind.
+func lastSlot(p *tierPage) unsafe.Pointer {
+	if p.vals != nil {
+		return unsafe.Pointer(&p.vals[len(p.vals)-1])
+	}
+	return unsafe.Pointer(&p.gen[len(p.gen)-1])
 }
 
 // TestTierScanSeesLiveTail: the last (still-mutating) bucket is captured by

@@ -662,18 +662,94 @@ func readRollupBucket(r *sliceReader, b *RollupBucket, size int) {
 	}
 }
 
-// tiers reads one tier per resolution in res: a u32 bucket count, then the
-// bucketBytes-long buckets, loaded as one exactly sized page.
+// tiers reads one tier per resolution in res: a u32 bucket count, then
+// the bucketBytes-long records, loaded as exactly sized pages (tierPages).
 func (r *sliceReader) tiers(res []int64, bucketBytes int) []rollupTier {
 	out := make([]rollupTier, len(res))
 	for i := range out {
-		buckets := make([]RollupBucket, r.count(bucketBytes))
-		for j := range buckets {
-			readRollupBucket(r, &buckets[j], bucketBytes)
+		out[i].res = res[i]
+		if recs := r.bytes(r.count(bucketBytes) * bucketBytes); r.err == nil {
+			out[i].pages = r.tierPages(recs, bucketBytes, res[i])
 		}
-		out[i] = loadedTier(res[i], buckets)
 	}
 	return out
+}
+
+// tierPages loads one tier's records of size bytes as exactly sized pages.
+// Each run of at least denseMinRun consecutive buckets that are each bit
+// for bit the fold of one sample (singleSample) becomes a dense page of
+// their values; every other bucket, near misses included, lands on a
+// general page as the file holds it. One pass plans the pages and keeps
+// the values; a tier that is one dense run is done there, and any other
+// gets a second pass that reads its general buckets.
+func (r *sliceReader) tierPages(recs []byte, size int, res int64) []tierPage {
+	type span struct {
+		lo, hi int
+		base   int64 // a dense span's first Start
+		dense  bool
+	}
+	var plan []span
+	general := func(lo, hi int) {
+		if k := len(plan) - 1; k >= 0 && !plan[k].dense {
+			plan[k].hi = hi
+		} else {
+			plan = append(plan, span{lo: lo, hi: hi})
+		}
+	}
+	n, lo := len(recs)/size, 0 // the current run is [lo, i), from Start base
+	var base, prev int64
+	end := func(hi int) {
+		if hi-lo >= denseMinRun {
+			plan = append(plan, span{lo, hi, base, true})
+		} else if hi > lo {
+			general(lo, hi)
+		}
+	}
+	var vals []float64 // each single-sample bucket's value, by index
+	in := &sliceReader{data: recs}
+	var b RollupBucket
+	for i := 0; i < n; i++ {
+		if readRollupBucket(in, &b, size); in.err != nil {
+			r.err = in.err
+			return nil
+		}
+		v, single := singleSample(&b.Fold)
+		if single {
+			if vals == nil {
+				vals = make([]float64, n)
+			}
+			vals[i] = v
+			if i > lo && uint64(b.Start)-uint64(prev) == uint64(res) {
+				prev = b.Start
+				continue
+			}
+		}
+		end(i)
+		lo, base, prev = i, b.Start, b.Start
+		if !single {
+			general(i, i+1)
+			lo = i + 1
+		}
+	}
+	end(n)
+	if len(plan) == 1 && plan[0].dense {
+		return []tierPage{{base: plan[0].base, vals: vals}}
+	}
+	pages := make([]tierPage, len(plan))
+	for k, s := range plan {
+		p := &pages[k]
+		if s.dense {
+			p.base, p.vals = s.base, make([]float64, s.hi-s.lo)
+			copy(p.vals, vals[s.lo:s.hi])
+			continue
+		}
+		p.gen = make([]RollupBucket, s.hi-s.lo)
+		in := &sliceReader{data: recs[s.lo*size : s.hi*size]}
+		for j := range p.gen {
+			readRollupBucket(in, &p.gen[j], size)
+		}
+	}
+	return pages
 }
 
 // errShortRecord is what a sliceReader latches on its first read past the

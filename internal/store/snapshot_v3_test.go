@@ -69,6 +69,45 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	// 1500 samples per meter: two sealed chunks (720 each) plus a 60-sample
 	// head, so all three section parts are non-trivial.
 	dir := buildV3Template(t, 6, 1500)
+	// Meter 7 reports hourly, with one half-hour extra sample and a NaN:
+	// its hourly tier is a dense, a general and a dense page. It gets no
+	// post-snapshot sample, so every page it holds after the reopen is one
+	// the load built. Meters 1..6 get a second post-snapshot sample, 30 s
+	// after the first, for the WAL to replay.
+	{
+		st, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutMeter(testMeter(7)); err != nil {
+			t.Fatal(err)
+		}
+		var smps []Sample
+		for i := 0; i < 1000; i++ {
+			v := float64(i) * 0.5
+			if i == 321 {
+				v = math.NaN()
+			}
+			smps = append(smps, Sample{TS: int64(i+1) * 3600, Value: v})
+			if i == 500 {
+				smps = append(smps, Sample{TS: int64(i+1)*3600 + 1800, Value: 1})
+			}
+		}
+		if _, err := st.AppendBatch(7, smps); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(1); id <= 6; id++ {
+			if err := st.Append(id, Sample{TS: 1501*60 + 30, Value: 123.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.vap"))
 	if err != nil {
@@ -84,26 +123,29 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopen with %d workers: %v", workers, err)
 		}
-		if got := st.Stats().Meters; got != 6 {
-			t.Fatalf("workers=%d: meters = %d, want 6", workers, got)
+		if got := st.Stats().Meters; got != 7 {
+			t.Fatalf("workers=%d: meters = %d, want 7", workers, got)
 		}
 		for id := int64(1); id <= 6; id++ {
 			smps, err := st.Range(id, minInt64, maxInt64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(smps) != 1501 {
-				t.Fatalf("workers=%d meter %d: %d samples, want 1501", workers, id, len(smps))
+			if len(smps) != 1502 {
+				t.Fatalf("workers=%d meter %d: %d samples, want 1502", workers, id, len(smps))
 			}
-			if smps[1500].Value != 123.5 {
+			if smps[1500].Value != 123.5 || smps[1501].Value != 123.5 {
 				t.Fatalf("workers=%d meter %d: post-snapshot WAL sample = %v", workers, id, smps[1500])
 			}
 		}
 		checkRollupsRebuilt(t, st)
-		// A loaded tier is one page sized exactly to the snapshot (no
-		// slack), and no append ever copies it: the WAL replay folded into
-		// its last bucket in place, and live appends open new pages.
-		loaded := map[*RollupBucket]int{}
+		// Every loaded page, of either kind, is sized exactly to the
+		// snapshot (no slack), and no append ever copies or grows one: the
+		// WAL replay folded into its last bucket in place, a second sample
+		// in a dense page's last bucket moves only that bucket out, and live
+		// appends open new pages.
+		loaded := map[[2]int64][]pageShape{}
+		var kinds [2]int // general and dense pages loaded
 		for _, sh := range st.shards {
 			for id, ser := range sh.series {
 				// A loaded chunk owns its payload: one that aliased the
@@ -115,18 +157,35 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 					}
 				}
 				for _, tier := range ser.rollups {
-					if p := tier.pages[0]; cap(p) != len(p) {
-						t.Errorf("workers=%d meter %d: loaded %ds page of %d buckets has capacity %d", workers, id, tier.res, len(p), cap(p))
-					} else {
-						loaded[&p[0]] = len(p)
+					for i := range tier.pages {
+						p := shapeOf(&tier.pages[i])
+						if p.cap != p.len {
+							t.Errorf("workers=%d meter %d: loaded %ds page of %d buckets has capacity %d", workers, id, tier.res, p.len, p.cap)
+						}
+						kinds[btoi(p.dense)]++
+						loaded[[2]int64{id, tier.res}] = append(loaded[[2]int64{id, tier.res}], p)
 					}
 				}
 			}
 		}
-		for id := int64(1); id <= 6; id++ {
-			smps := make([]Sample, 600) // ten more hours, past the loaded pages
+		if kinds[0] == 0 || kinds[1] < 2 {
+			t.Errorf("workers=%d: loaded %d general and %d dense pages, want both kinds", workers, kinds[0], kinds[1])
+		}
+		// Meter 7's first live sample is a second one in its last loaded
+		// hour: that bucket moves out to a general page, and the loaded
+		// dense page it leaves stays where it is, one bucket shorter.
+		hourly := loaded[[2]int64{7, 3600}]
+		hourly[len(hourly)-1].len--
+		for id := int64(1); id <= 7; id++ {
+			smps := make([]Sample, 600) // ten more hours (25 days for meter 7), past the loaded pages
 			for i := range smps {
 				smps[i] = Sample{TS: 1501*60 + int64(i+1)*60, Value: float64(i)}
+				if id == 7 {
+					smps[i].TS = 1000*3600 + int64(i+1)*3600
+				}
+			}
+			if id == 7 {
+				smps = append([]Sample{{TS: 1000*3600 + 1800, Value: 2}}, smps...)
 			}
 			if _, err := st.AppendBatch(id, smps); err != nil {
 				t.Fatal(err)
@@ -136,14 +195,16 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 		for _, sh := range st.shards {
 			for id, ser := range sh.series {
 				for _, tier := range ser.rollups {
-					if p := tier.pages[0]; loaded[&p[0]] != len(p) || cap(p) != len(p) {
-						t.Errorf("workers=%d meter %d: appends moved or grew the loaded %ds page", workers, id, tier.res)
+					for i, want := range loaded[[2]int64{id, tier.res}] {
+						if i >= len(tier.pages) || shapeOf(&tier.pages[i]) != want {
+							t.Errorf("workers=%d meter %d: appends moved or grew the loaded %ds page %d", workers, id, tier.res, i)
+						}
 					}
 				}
 			}
 		}
 		rec := st.Recovery()
-		if rec.SnapshotFormat != "v4" || rec.SnapshotMeters != 6 || rec.SnapshotChunks != 12 {
+		if rec.SnapshotFormat != "v4" || rec.SnapshotMeters != 7 || rec.SnapshotChunks != 13 {
 			t.Errorf("workers=%d: recovery stats = %+v", workers, rec)
 		}
 		if rec.WALRecords == 0 {
@@ -153,11 +214,34 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 	}
 }
 
+// pageShape is where a tier page's array starts, its length and capacity,
+// and its kind.
+type pageShape struct {
+	at       unsafe.Pointer
+	len, cap int
+	dense    bool
+}
+
+func shapeOf(p *tierPage) pageShape {
+	if p.vals != nil {
+		return pageShape{unsafe.Pointer(unsafe.SliceData(p.vals)), len(p.vals), cap(p.vals), true}
+	}
+	return pageShape{unsafe.Pointer(unsafe.SliceData(p.gen)), len(p.gen), cap(p.gen), false}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // TestYearAppendAllocatesWhatItKeeps: one AppendBatch of a year of hourly
 // samples into a fresh two-tier series allocates each tier once, one page
-// at the size the batch reserves, so it allocates little more than the tier pages
-// and chunk payloads it keeps. Tiers grown by append re-allocated and
-// copied themselves at every growth step: over four times what was kept.
+// at the size the batch reserves, so it allocates little more than the
+// tier pages and chunk payloads it keeps. Tiers grown by append
+// re-allocated and copied themselves at every growth step: over four times
+// what was kept. The hourly tier is one dense page: 8 bytes an hour.
 func TestYearAppendAllocatesWhatItKeeps(t *testing.T) {
 	st, err := Open(Options{})
 	if err != nil {
@@ -171,6 +255,10 @@ func TestYearAppendAllocatesWhatItKeeps(t *testing.T) {
 	for i := range smps {
 		smps[i] = Sample{TS: 1483228800 + int64(i)*3600, Value: float64(i%24) * 0.37}
 	}
+	// The batch AppendBatch seals chunks through comes from a pool the
+	// whole process shares; its first use allocates 16 KiB that no append
+	// keeps or repeats, so it is taken before the count starts.
+	PutBatch(GetBatch())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := st.AppendBatch(1, smps); err != nil {
@@ -188,10 +276,16 @@ func TestYearAppendAllocatesWhatItKeeps(t *testing.T) {
 		if len(tier.pages) != 1 {
 			t.Errorf("%ds tier: the batch allocated %d pages, want 1", tier.res, len(tier.pages))
 		}
+		var bytes uint64
 		for _, p := range tier.pages {
-			kept += uint64(cap(p)) * rollupBucketBytes
+			bytes += uint64(cap(p.vals))*denseBucketBytes + uint64(cap(p.gen))*rollupBucketBytes
 		}
+		if want := uint64(8760+tierPageBuckets) * denseBucketBytes; tier.res == 3600 && bytes > want {
+			t.Errorf("hourly tier keeps %d bytes for a year of hourly samples, want at most %d", bytes, want)
+		}
+		kept += bytes
 	}
+	t.Logf("allocated %d bytes to keep %d (%.3fx)", allocated, kept, float64(allocated)/float64(kept))
 	if float64(allocated) >= 1.2*float64(kept) {
 		t.Errorf("a year's AppendBatch allocated %d bytes to keep %d (%.2fx), want under 1.2x", allocated, kept, float64(allocated)/float64(kept))
 	}

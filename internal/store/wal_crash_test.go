@@ -137,42 +137,34 @@ func flatBuckets(v *tierView) []RollupBucket {
 // diverges from what straight ingest would have built.
 func checkRollupsRebuilt(t *testing.T, st *Store) {
 	t.Helper()
+	if err := tiersRebuilt(st); err != nil {
+		t.Error(err)
+	}
+}
+
+// tiersRebuilt is checkRollupsRebuilt's check: it names the first meter
+// whose tier differs bit for bit from the general-only reference fold
+// (generalFold) of the meter's raw samples.
+func tiersRebuilt(st *Store) error {
 	for _, id := range st.Catalog().IDs() {
 		smps, err := st.Range(id, minInt64, maxInt64)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		ref := NewSeriesRollup(id, st.rollupRes)
-		for _, smp := range smps {
-			for i := range ref.rollups {
-				ref.rollups[i].fold(smp)
-			}
-		}
-		want := ref.captureTiers()
 		sh := st.shardFor(id)
 		sh.mu.RLock()
 		got := sh.series[id].captureTiers()
 		sh.mu.RUnlock()
-		if len(got) != len(want) {
-			t.Fatalf("meter %d: recovered %d tiers, want %d", id, len(got), len(want))
+		if len(got) != len(st.rollupRes) {
+			return fmt.Errorf("meter %d: recovered %d tiers, want %d", id, len(got), len(st.rollupRes))
 		}
 		for i := range got {
-			g, w := &got[i], &want[i]
-			gb, wb := flatBuckets(&g.tierView), flatBuckets(&w.tierView)
-			if g.res != w.res || len(gb) != len(wb) || g.hasTail != w.hasTail {
-				t.Errorf("meter %d tier %d: shape (res=%d buckets=%d tail=%t), want (res=%d buckets=%d tail=%t)",
-					id, i, g.res, len(gb), g.hasTail, w.res, len(wb), w.hasTail)
-				continue
-			}
-			for j := range gb {
-				if !rollupBucketEqual(&gb[j], &wb[j]) {
-					t.Errorf("meter %d %ds tier: recovered bucket %d diverges from a from-scratch rebuild: %+v vs %+v",
-						id, g.res, j, gb[j], wb[j])
-					break
-				}
+			if err := sameBuckets(flatBuckets(&got[i].tierView), generalFold(smps, st.rollupRes[i])); err != nil {
+				return fmt.Errorf("meter %d %ds tier diverges from a from-scratch rebuild: %w", id, st.rollupRes[i], err)
 			}
 		}
 	}
+	return nil
 }
 
 // checkRecovery opens dir and asserts exactly wantTS survived for meter 1,
