@@ -182,8 +182,8 @@ func (r *crashRun) close() {
 // script is the workload: meters, batches with and without Sync, a commit
 // that crosses SegmentBytes and rotates, a Snapshot (temp write, rename, WAL
 // retirement), reopens and more appends, and a second Snapshot whose
-// segment cut rotates and which replaces the first. Both snapshots hold the
-// hourly meter's dense hourly pages.
+// segment cut rotates and which replaces the first. Every open derives the
+// hourly meter's dense hourly pages from the samples it recovers.
 func (r *crashRun) script() {
 	r.open()
 	r.putMeter(1)
@@ -232,7 +232,7 @@ func dumpStore(s *Store) map[int64][]Sample {
 // what the store holds. The recovered tiers must equal a fold of the
 // recovered samples; the store then snapshots, and its reload must hold the
 // same samples and tiers again, so every crash state's tiers, dense pages
-// among them, go through a snapshot and back. A panic is an error, and so
+// among them, are derived again from its snapshot. A panic is an error, and so
 // is any failure after the first open (never one that reads as corrupt).
 func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 	defer func() {
@@ -507,9 +507,10 @@ func runFault(t *testing.T, kind faultKind, k int) {
 
 // TestReopenAfterFailedSegmentCreation: a rotation whose new segment fails
 // at its header write, its fsync or its directory's fsync leaves a segment
-// whose name is not durable. The next open makes it the tail and appends to
-// it, so it must sync the directory first, or a crash after the next
-// acknowledged Sync loses that Sync's samples with the segment's name.
+// whose name is not durable, and after a failed directory fsync no later
+// one makes it so. The failed creation removes the segment again, so the
+// next open does not take it for its tail; otherwise a crash after the next
+// acknowledged Sync would lose that Sync's samples with the segment's name.
 func TestReopenAfterFailedSegmentCreation(t *testing.T) {
 	clean := newCrashRun(newMemFS())
 	clean.script()
@@ -569,43 +570,54 @@ func TestFailedOpenLeavesNoCommitter(t *testing.T) {
 // TestNewNestedDirSurvivesCrash: open creates every missing level of Dir,
 // and a new directory's name is durable only once the directory holding it
 // is fsynced. A crash after the first acknowledged Sync must find the
-// store, whichever level was new.
+// store, whichever level was new, also after an open whose fsync of a new
+// level's parent failed: no later fsync makes that name durable, so the
+// failed open removes the level again and the next open makes it afresh.
 func TestNewNestedDirSurvivesCrash(t *testing.T) {
-	before := goroutines()
-	fsys := newMemFS()
-	opts := crashOpts()
-	opts.Dir = filepath.Join("a", "b")
-	s, err := open(opts, fsys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutMeter(Meter{ID: 1, Location: testPoint(0, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AppendBatch(1, []Sample{crashSample(1, 0), crashSample(1, 1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	acked := fsys.calls()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ops := fsys.trace()
-	for k := acked; k <= len(ops); k++ {
-		s, err := open(opts, memFSFrom(durableImage(ops[:k])))
+	// The first open's calls: mkdir a, fsync ., mkdir a/b, fsync a.
+	for _, fault := range []int{-1, 1, 3} {
+		before := goroutines()
+		fsys := newMemFS()
+		fsys.faultAt, fsys.faultKind = fault, faultSync
+		opts := crashOpts()
+		opts.Dir = filepath.Join("a", "b")
+		if fault >= 0 {
+			if _, err := open(opts, fsys); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("fsync fault at call %d: open returned %v, want EIO", fault, err)
+			}
+		}
+		s, err := open(opts, fsys)
 		if err != nil {
-			t.Fatalf("crash after call %d: %v", k-1, err)
+			t.Fatal(err)
 		}
-		if got := dumpStore(s); len(got[1]) != 2 {
-			t.Errorf("crash after call %d: meter 1 holds %d samples, 2 were acknowledged\ncalls:%s", k-1, len(got[1]), describe(ops, k))
+		if err := s.PutMeter(Meter{ID: 1, Location: testPoint(0, 0)}); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := s.AppendBatch(1, []Sample{crashSample(1, 0), crashSample(1, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		acked := fsys.calls()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
+		ops := fsys.trace()
+		for k := acked; k <= len(ops); k++ {
+			s, err := open(opts, memFSFrom(durableImage(ops[:k])))
+			if err != nil {
+				t.Fatalf("fsync fault at call %d, crash after call %d: %v", fault, k-1, err)
+			}
+			if got := dumpStore(s); len(got[1]) != 2 {
+				t.Errorf("fsync fault at call %d, crash after call %d: meter 1 holds %d samples, 2 were acknowledged\ncalls:%s", fault, k-1, len(got[1]), describe(ops, k))
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkNoLeakedGoroutines(t, before)
 	}
-	checkNoLeakedGoroutines(t, before)
 }
 
 // statFaultFS is a memFS whose stat of one file name fails with err.

@@ -6,7 +6,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -131,8 +130,16 @@ func TestSnapshotTruncationMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{0, 3, 4, 7, 8, 20, len(snap) / 2, len(snap) - 5, len(snap) - 1} {
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+	// A cut measured from the file's size is named by the measure, so a
+	// change of the snapshot's size leaves every subtest's name as it was.
+	cuts := []struct {
+		name string
+		at   int
+	}{{"0", 0}, {"3", 3}, {"4", 4}, {"7", 7}, {"8", 8}, {"20", 20},
+		{"half", len(snap) / 2}, {"len-5", len(snap) - 5}, {"len-1", len(snap) - 1}}
+	for _, c := range cuts {
+		cut := c.at
+		t.Run("cut="+c.name, func(t *testing.T) {
 			dir := cloneDir(t, tpl)
 			if err := os.WriteFile(filepath.Join(dir, "snapshot.vap"), snap[:cut], 0o644); err != nil {
 				t.Fatal(err)

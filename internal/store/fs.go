@@ -61,6 +61,10 @@ func osFile(f *os.File, err error) (file, error) {
 
 // The durability protocols. A file's bytes are durable once the file is
 // fsynced; its name (a create, rename or remove) once its directory is.
+// A failed fsync is final for what it was to make durable: no later fsync
+// writes it (Linux marks the failed writeback clean). So a name whose
+// directory fsync failed is removed again, for the next attempt to make
+// afresh, rather than left for a later fsync to cover.
 
 // syncDir fsyncs a directory so the creates, renames and removes inside it
 // are durable.
@@ -90,12 +94,18 @@ func mkdirDurable(fsys fileSystem, dir string) error {
 	if err := fsys.mkdir(dir); err != nil {
 		return err
 	}
-	return syncDir(fsys, parent)
+	if err := syncDir(fsys, parent); err != nil {
+		fsys.remove(dir)
+		return err
+	}
+	return nil
 }
 
 // createDurable creates (or truncates) path holding header and makes both
 // durable: the file's fsync, then its directory's. The file stays open for
-// writing after the header. WAL segments are created this way only.
+// writing after the header. A failure removes the file again, so a reopen
+// cannot take a segment whose name never became durable for its tail and
+// append to it. WAL segments are created this way only.
 func createDurable(fsys fileSystem, path string, header []byte) (file, error) {
 	f, err := fsys.create(path)
 	if err != nil {
@@ -108,6 +118,7 @@ func createDurable(fsys fileSystem, path string, header []byte) (file, error) {
 	}
 	if err != nil {
 		f.Close()
+		fsys.remove(path)
 		return nil, err
 	}
 	return f, nil

@@ -50,7 +50,7 @@ const (
 	opWrite                  // ino: data at off
 	opTruncate               // ino: to size off
 	opRename                 // name -> to
-	opRemove                 // name
+	opRemove                 // name: a file or an empty directory
 	opSync                   // ino: every earlier write and truncate of it is durable
 	opSyncDir                // name: every earlier create, rename and remove in it is
 )
@@ -268,6 +268,21 @@ func (m *memFS) remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = filepath.Clean(name)
+	if m.dirs[name] {
+		for p := range m.names {
+			if filepath.Dir(p) == name {
+				return &fs.PathError{Op: "remove", Path: name, Err: syscall.ENOTEMPTY}
+			}
+		}
+		for d := range m.dirs {
+			if filepath.Dir(d) == name && d != name {
+				return &fs.PathError{Op: "remove", Path: name, Err: syscall.ENOTEMPTY}
+			}
+		}
+		m.record(fsOp{kind: opRemove, name: name})
+		delete(m.dirs, name)
+		return nil
+	}
 	if _, ok := m.names[name]; !ok {
 		return notExist("remove", name)
 	}
@@ -447,17 +462,22 @@ func (img image) key() uint64 {
 // cannot lose: each write and truncate followed by a successful fsync of its
 // file, with no failed fsync of it in between; each create, rename, remove
 // and mkdir followed by an fsync of its directory (a mkdir's is its
-// parent). A failed fsync is Linux's: it marks the pages of the failed
-// writeback clean, so no later fsync of the file writes what came before
-// it, though the running program still reads those bytes back.
+// parent), with no failed fsync of that directory in between. A failed
+// fsync is Linux's: it marks the pages of the failed writeback clean, so no
+// later fsync of the file writes what came before it, though the running
+// program still reads those bytes back; a directory's failed fsync loses
+// the entries it was to make durable the same way.
 func durable(ops []fsOp) []bool {
 	out := make([]bool, len(ops))
 	syncedIno, syncedDir := map[int]bool{}, map[string]bool{}
 	for i := len(ops) - 1; i >= 0; i-- {
 		op := &ops[i]
 		if op.failed {
-			if op.kind == opSync {
+			switch op.kind {
+			case opSync:
 				syncedIno[op.ino] = false
+			case opSyncDir:
+				syncedDir[op.name] = false
 			}
 			continue
 		}
@@ -520,6 +540,7 @@ func build(ops []fsOp, keep func(i int) bool, t tear) image {
 			}
 		case opRemove:
 			delete(names, op.name)
+			delete(img.dirs, op.name)
 		}
 	}
 	// A directory whose own entry, or an ancestor's, was lost is gone with

@@ -14,10 +14,12 @@ import (
 // TestPersistenceBytesPinned holds the on-disk formats byte for byte, where
 // the round-trip tests only compare recovered states.
 //
-//   - testdata/v4.vap is Snapshot() of fillStore(3, 1500) with no
-//     retention; a fresh fill must write exactly those bytes at any shard
-//     count. It and testdata/legacy/v3.vap, the same fill as the last VAP3
-//     writer wrote it, must both load to the live-built state.
+//   - testdata/v4.vap is Snapshot() of fillStore(3, 1500): raw chunks and
+//     head samples, no tiers. A fresh fill must write exactly those bytes
+//     at any shard count. It, testdata/legacy/v3.vap (the same fill as the
+//     last VAP3 writer wrote it) and testdata/legacy/v4.vap (as the last
+//     VAP4 writer that wrote tiers wrote it) must all load to the
+//     live-built state.
 //   - A WAL segment of three group commits must hold exactly the frames
 //     below.
 func TestPersistenceBytesPinned(t *testing.T) {
@@ -57,7 +59,11 @@ func TestPersistenceBytesPinned(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(v4Dir, "snapshot.vap"), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []struct{ format, dir string }{{"v3", legacySnapshotDir(t, "v3.vap")}, {"v4", v4Dir}} {
+	for _, g := range []struct{ format, dir string }{
+		{"v3", legacySnapshotDir(t, "v3.vap")},
+		{"v4", legacySnapshotDir(t, "v4.vap")},
+		{"v4", v4Dir},
+	} {
 		loaded, err := Open(Options{Dir: g.dir})
 		if err != nil {
 			t.Fatal(err)

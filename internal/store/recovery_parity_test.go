@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 const parityShards = 4 // GlobalFingerprint folds per-shard versions, so all compared stores share this
@@ -72,10 +71,10 @@ func parityApply(t *testing.T, st *Store, meters []parityMeter, phase int) {
 // buildParityDir materializes the population into a durable store: pre
 // samples, snapshot, then post samples left in the WAL for recovery to
 // replay.
-func buildParityDir(t *testing.T, meters []parityMeter, retain time.Duration) string {
+func buildParityDir(t *testing.T, meters []parityMeter) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: parityShards, RetainRaw: retain})
+	st, err := Open(Options{Dir: dir, Shards: parityShards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func buildParityDir(t *testing.T, meters []parityMeter, retain time.Duration) st
 	return dir
 }
 
-func captureTiersOf(t *testing.T, st *Store, id int64) []snapTier {
+func captureTiersOf(t *testing.T, st *Store, id int64) []tierView {
 	t.Helper()
 	sh := st.shardFor(id)
 	sh.mu.RLock()
@@ -99,7 +98,7 @@ func captureTiersOf(t *testing.T, st *Store, id int64) []snapTier {
 	if !ok {
 		t.Fatalf("meter %d missing", id)
 	}
-	return ser.captureTiers()
+	return tierCaptures(ser)
 }
 
 // parityCompare asserts store b is bit-identical to reference a.
@@ -142,7 +141,7 @@ func parityCompare(t *testing.T, label string, a, b *Store) {
 		}
 		for i := range at {
 			g, w := &bt[i], &at[i]
-			gb, wb := flatBuckets(&g.tierView), flatBuckets(&w.tierView)
+			gb, wb := flatBuckets(g), flatBuckets(w)
 			if g.res != w.res || len(gb) != len(wb) || g.hasTail != w.hasTail {
 				t.Errorf("%s meter %d tier %d: shape (res=%d buckets=%d tail=%t), want (res=%d buckets=%d tail=%t)",
 					label, id, i, g.res, len(gb), g.hasTail, w.res, len(wb), w.hasTail)
@@ -172,7 +171,7 @@ func TestRecoveryParity(t *testing.T) {
 			parityApply(t, ref, meters, 0)
 			parityApply(t, ref, meters, 1)
 
-			dir := buildParityDir(t, meters, 0)
+			dir := buildParityDir(t, meters)
 			for _, workers := range []int{1, 8} {
 				name := fmt.Sprintf("workers=%d", workers)
 				st, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: workers})
@@ -183,35 +182,5 @@ func TestRecoveryParity(t *testing.T) {
 				st.Close()
 			}
 		})
-	}
-}
-
-// TestRecoveryParityRetainRaw: with a retention horizon a live-built store
-// is no reference (its raw prefix is still there), so the serial and the
-// parallel recovery of one directory must match each other bit for bit —
-// and must actually have lost raw samples. The legacy formats' side of the
-// same rule is TestSnapshotV2StillLoads.
-func TestRecoveryParityRetainRaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	meters := genParityMeters(rng)
-	const retain = 8 * time.Hour // data-time horizon behind the newest sample
-	dir := buildParityDir(t, meters, retain)
-	a, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	parityCompare(t, "retention serial-vs-parallel", a, b)
-	appended := 0
-	for _, m := range meters {
-		appended += len(m.pre) + len(m.post)
-	}
-	if got := a.Stats().Samples; got >= appended {
-		t.Errorf("recovered %d raw samples of %d appended: retention aged nothing out", got, appended)
 	}
 }

@@ -29,12 +29,10 @@ import (
 // al., VLDB 2015, §4.1.1). Readers rebuild a dense bucket through the
 // general fold (singleFold), so both kinds yield the same bits.
 //
-// Rollup state is a pure function of the appended samples, so WAL replay
-// and legacy (v1) snapshot loads rebuild tiers exactly from the raw data.
-// Once retention (Options.RetainRaw) starts aging raw chunks out of
-// snapshots the equivalence breaks — rollups outlive the raw data that
-// built them — so v2, v3 and v4 snapshots persist the tiers alongside it,
-// every bucket as a 48-byte record whatever page kind holds it.
+// Rollup state is a pure function of the appended samples, and it is kept
+// nowhere else: a snapshot holds the raw chunks only, and every open
+// derives the tiers from them (installRollups) before WAL replay folds the
+// log's samples on top, as the live appends did.
 
 // DefaultRollupRes is the tier set used when Options.RollupRes is nil:
 // hourly and daily buckets. Hourly serves hourly/4-hourly queries; daily
@@ -136,8 +134,8 @@ type RollupBucket struct {
 	Fold
 }
 
-// rollupBucketBytes is one general bucket's size in memory, and one bucket
-// record's size in a v4 snapshot, whatever page kind held the bucket.
+// rollupBucketBytes is one general bucket's size in memory, and the size of
+// the tier bucket records VAP4 files written before tiers were derived hold.
 const rollupBucketBytes = 48
 
 // denseBucketBytes is one dense-page slot: the bucket's one value.
@@ -148,9 +146,10 @@ const denseBucketBytes = 8
 const tierPageBuckets = 256
 
 // denseMinRun is the shortest run of single-sample buckets that a gap lets
-// open a new dense page behind it, and that a snapshot load puts on a dense
-// page of its own. Shorter runs stay on general pages, so no input pattern
-// scatters a tier over pages that cost more than general buckets would.
+// open a new dense page behind it, and that a second sample in its last
+// bucket leaves dense. Shorter runs stay on general pages, so no input
+// pattern scatters a tier over pages that cost more than general buckets
+// would.
 const denseMinRun = 8
 
 // tierPage is one page of a tier. A general page holds RollupBuckets in
@@ -217,18 +216,6 @@ func singleFold(v float64) Fold {
 	return f
 }
 
-// singleSample reports whether f is bit for bit singleFold(v) for some
-// value v, and returns v (a NaN for a NaN tally).
-func singleSample(f *Fold) (float64, bool) {
-	v := f.Min
-	if f.Count == 0 {
-		v = math.NaN()
-	}
-	g, bits := singleFold(v), math.Float64bits
-	return v, g.Count == f.Count && g.NaN == f.NaN && bits(g.Sum) == bits(f.Sum) &&
-		bits(g.Min) == bits(f.Min) && bits(g.Max) == bits(f.Max)
-}
-
 // rollupTier is one resolution's buckets, ascending by Start, kept as a
 // list of pages of either kind. A page's backing array is allocated once
 // and never grows: opening a bucket appends to the last page while it has
@@ -278,7 +265,8 @@ func (t *rollupTier) fold(smp Sample) {
 // with room takes it. Otherwise a new page opens, dense when the tier looks
 // regular: it is empty, its last page is a dense one this bucket continues
 // or whose run was at least denseMinRun long, or its last page is a full
-// general page ending in a single-sample bucket.
+// general page ending in a single-sample bucket or holding one bucket alone
+// (one that lastGeneral moved out of a dense run).
 func (t *rollupTier) open(start int64, next bool, v float64) {
 	dense := true
 	if n := len(t.pages); n > 0 {
@@ -289,7 +277,7 @@ func (t *rollupTier) open(start int64, next bool, v float64) {
 				return
 			}
 			b := &p.gen[len(p.gen)-1]
-			dense = b.Count+b.NaN == 1
+			dense = b.Count+b.NaN == 1 || len(p.gen) == 1
 		} else {
 			dense = next || len(p.vals) >= denseMinRun
 			p.trim()
@@ -304,9 +292,12 @@ func (t *rollupTier) open(start int64, next bool, v float64) {
 
 // lastGeneral returns the fold of the live last bucket for a second
 // sample. A dense slot holds one sample's bucket only, so a bucket in a
-// dense page first moves out to a new general page; the dense page is
-// trimmed, or dropped when that was its one bucket (its room passing to
-// the general page).
+// dense page first moves out to a general page. When that was the page's
+// one bucket, the page is dropped and its room passes to a new general
+// page. Otherwise the dense page is trimmed; behind a run of at least
+// denseMinRun the bucket gets a general page of its own, after which the
+// run goes on dense (open), and behind a shorter run a general page with
+// the next page's room.
 func (t *rollupTier) lastGeneral() *Fold {
 	n := len(t.pages)
 	p := &t.pages[n-1]
@@ -323,7 +314,13 @@ func (t *rollupTier) lastGeneral() *Fold {
 		p.vals = p.vals[:k]
 		p.trim()
 	}
-	g := t.newPage(false)
+	var g *tierPage
+	if k >= denseMinRun {
+		t.pages = append(t.pages, tierPage{gen: make([]RollupBucket, 0, 1)})
+		g = &t.pages[n]
+	} else {
+		g = t.newPage(false)
+	}
 	g.gen = append(g.gen, b)
 	return &g.gen[0].Fold
 }
@@ -343,31 +340,31 @@ func (t *rollupTier) newPage(dense bool) *tierPage {
 	return &t.pages[len(t.pages)-1]
 }
 
-// trim gives back the room of a dense page that stops being the tier's
-// last, by reallocating it to its length, when that room outweighs the
-// values the copy moves; otherwise the page keeps its room unused. Either
-// way a page behind the last holds at most as many empty slots as
-// buckets. Captures may still hold the old array; nothing writes it again.
+// trim gives back the room of a page that stops being the tier's last, by
+// reallocating it to its length, when that room outweighs the buckets the
+// copy moves; otherwise the page keeps its room unused. Either way a page
+// behind the last holds at most as many empty slots as buckets. Captures
+// may still hold the old array; nothing writes it again.
 func (p *tierPage) trim() {
-	if cap(p.vals)-len(p.vals) > len(p.vals) {
-		vals := make([]float64, len(p.vals))
-		copy(vals, p.vals)
-		p.vals = vals
+	if p.free() <= p.len() {
+		return
+	}
+	if p.vals != nil {
+		p.vals = append(make([]float64, 0, len(p.vals)), p.vals...)
+	} else {
+		p.gen = append(make([]RollupBucket, 0, len(p.gen)), p.gen...)
 	}
 }
 
-// reserveRollups makes room, once per batch, for every bucket the in-order
-// batch smps can open in each tier: at most one per sample, and at most
-// span/res + 2. When a tier's last page lacks that room, its next page is
-// opened with all of it, so a year-long batch allocates each tier once.
-func (s *Series) reserveRollups(smps []Sample) {
-	if len(smps) == 0 {
-		return
-	}
-	span := uint64(smps[len(smps)-1].TS) - uint64(smps[0].TS)
+// reserveRollups makes room, once per batch, for every bucket an in-order
+// batch of n samples spanning span seconds can open in each tier: at most
+// one per sample, and at most span/res + 2. When a tier's last page lacks
+// that room, its next page is opened with all of it, so a year-long batch
+// allocates each tier once.
+func (s *Series) reserveRollups(n int, span uint64) {
 	for i := range s.rollups {
 		t := &s.rollups[i]
-		k := len(smps)
+		k := n
 		if b := span / uint64(t.res); b < uint64(k) {
 			k = min(k, int(b)+2)
 		}
@@ -407,46 +404,38 @@ func normalizeRollupRes(res []int64) []int64 {
 	return dedup
 }
 
-// installRollups sets the series' tiers to the configured resolutions,
-// taking bucket pages from file (a persisted capture) where the
-// resolution matches and deriving the rest from the raw samples present.
-// A derived tier is exact only while raw data covers the full history —
-// after retention has aged chunks out, only persisted tiers cover the
-// dropped span. The series is not yet published (installSeries).
-func (s *Series) installRollups(res []int64, file []rollupTier) error {
-	final := make([]rollupTier, len(res))
-	var missing []*rollupTier
-	for i, r := range res {
-		final[i] = rollupTier{res: r}
-		found := false
-		for j := range file {
-			if file[j].res == r {
-				final[i].pages = file[j].pages
-				found = true
-				break
+// installRollups derives every tier of a freshly loaded series from its
+// raw samples: each tier is reserved once for the whole history, as one
+// batch of it would be, and every page is then trimmed and capped at its
+// length, so a loaded tier is sized to its buckets and no later append
+// moves or grows a page it holds (the next bucket opens a new one). The
+// series is not yet published (installSeries).
+func (s *Series) installRollups() error {
+	if s.total == 0 {
+		return nil
+	}
+	first, last, _ := s.Bounds()
+	s.reserveRollups(s.total, uint64(last)-uint64(first))
+	it := s.Iter(minInt64, maxInt64)
+	b := GetBatch()
+	defer PutBatch(b)
+	for it.NextBatch(b) {
+		for i, ts := range b.TS {
+			for j := range s.rollups {
+				s.rollups[j].fold(Sample{TS: ts, Value: b.Val[i]})
 			}
 		}
-		if !found {
-			missing = append(missing, &final[i])
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	for i := range s.rollups {
+		for j := range s.rollups[i].pages {
+			p := &s.rollups[i].pages[j]
+			p.trim()
+			p.vals, p.gen = p.vals[:len(p.vals):len(p.vals)], p.gen[:len(p.gen):len(p.gen)]
 		}
 	}
-	if len(missing) > 0 && s.total > 0 {
-		it := s.Iter(minInt64, maxInt64)
-		b := GetBatch()
-		for it.NextBatch(b) {
-			for i, ts := range b.TS {
-				smp := Sample{TS: ts, Value: b.Val[i]}
-				for _, t := range missing {
-					t.fold(smp)
-				}
-			}
-		}
-		PutBatch(b)
-		if err := it.Err(); err != nil {
-			return err
-		}
-	}
-	s.rollups = final
 	return nil
 }
 
@@ -465,17 +454,6 @@ type tierView struct {
 	two [2]tierPage
 	// cur is the one bucket each hands every dense bucket through.
 	cur RollupBucket
-}
-
-func (v *tierView) len() int {
-	n := 0
-	for i := range v.interior {
-		n += v.interior[i].len()
-	}
-	if v.hasTail {
-		n++
-	}
-	return n
 }
 
 // each calls fn on every captured bucket in ascending Start order. A dense
@@ -540,23 +518,6 @@ func (t *rollupTier) capture(v *tierView, p0, i0, p1, i1 int) {
 			v.interior = append(v.interior, pg.slice(lo, hi, t.res))
 		}
 	}
-}
-
-// snapTier is one tier's zero-copy capture for snapshotting.
-type snapTier struct {
-	res int64
-	tierView
-}
-
-// captureTiers snapshots every tier under the caller-held shard lock.
-func (s *Series) captureTiers() []snapTier {
-	out := make([]snapTier, len(s.rollups))
-	for i := range s.rollups {
-		t := &s.rollups[i]
-		out[i].res = t.res
-		t.capture(&out[i].tierView, 0, 0, len(t.pages), 0)
-	}
-	return out
 }
 
 // rollupFor returns the tier with resolution res, or nil.

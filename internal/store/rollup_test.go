@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 )
 
@@ -399,9 +398,9 @@ func TestTierScanSeesLiveTail(t *testing.T) {
 	readers.Wait()
 }
 
-// TestSnapshotV2RoundTrip: a durable cycle persists the tiers and the
-// reopen installs them bit-identically (checkRollupsRebuilt also proves
-// install — not refold — happened via the sample data itself).
+// TestSnapshotV2RoundTrip: a durable cycle's reopen derives the tiers from
+// the snapshot's samples bit-identically to the live ones, each page sized
+// exactly to the buckets it holds.
 func TestSnapshotV2RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(Options{Dir: dir})
@@ -477,96 +476,4 @@ func TestSnapshotV1Migration(t *testing.T) {
 	if got := st.RollupResolutions(); len(got) != len(DefaultRollupRes) {
 		t.Errorf("resolutions after migration = %v, want defaults", got)
 	}
-}
-
-// TestRetentionAgesRawKeepsTiers: with RetainRaw set, a snapshot drops
-// sealed chunks wholly behind the horizon from disk and memory, while the
-// rollup tiers keep answering over the full history.
-func TestRetentionAgesRawKeepsTiers(t *testing.T) {
-	const day = int64(86400)
-	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, RetainRaw: 2 * 24 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutMeter(Meter{ID: 1, Location: testPoint(0, 0), Zone: ZoneResidential}); err != nil {
-		t.Fatal(err)
-	}
-	// Six days of one-minute samples: 8640 samples = 12 sealed chunks of
-	// 12 hours each, so the two-day horizon leaves whole chunks behind it.
-	var all []Sample
-	for i := 0; i < 6*1440; i++ {
-		all = append(all, Sample{TS: int64(i) * 60, Value: float64(i%23) * 0.25})
-	}
-	for _, s := range all {
-		if err := st.Append(1, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantDaily := foldReference(all, day)
-
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	_, last, _ := st.TimeBounds()
-	cutoff := last + 1 - 2*day
-
-	check := func(st *Store, phase string) {
-		t.Helper()
-		first, _, err := st.Bounds(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Pruning is chunk-granular, so it may not reach the cutoff — but it
-		// must never drop a sample the horizon still covers.
-		keepFrom := int64(math.MaxInt64)
-		for _, s := range all {
-			if s.TS >= cutoff {
-				keepFrom = s.TS
-				break
-			}
-		}
-		if first > keepFrom {
-			t.Errorf("%s: first retained raw sample %d, but the horizon covers %d — pruning overshot", phase, first, keepFrom)
-		}
-		if n := seriesLen(st, 1); n >= len(all) {
-			t.Errorf("%s: %d raw samples survive, want fewer than %d (aged out)", phase, n, len(all))
-		}
-		// Chunk-granular: everything from the first surviving chunk on is
-		// still there.
-		smps, err := st.Range(1, minInt64, maxInt64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(smps))*60+first != last+60 {
-			t.Errorf("%s: retained raw run is not contiguous to the tail", phase)
-		}
-		// The daily tier still covers the full history, pruned region
-		// included, bit-identical to a fold of the original data.
-		tsc, err := st.TierScan(1, day, 0, 0, 6*day, 6*day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []RollupBucket
-		tsc.Buckets(func(b *RollupBucket) { got = append(got, *b) })
-		if len(got) != len(wantDaily) {
-			t.Fatalf("%s: %d daily buckets, want %d", phase, len(got), len(wantDaily))
-		}
-		for i := range got {
-			if !rollupBucketEqual(&got[i], &wantDaily[i]) {
-				t.Fatalf("%s: daily bucket %d = %+v, want %+v", phase, i, got[i], wantDaily[i])
-			}
-		}
-	}
-	check(st, "after snapshot")
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := Open(Options{Dir: dir, RetainRaw: 2 * 24 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	check(st2, "after reopen")
 }

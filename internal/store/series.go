@@ -28,8 +28,8 @@ type Series struct {
 	// ver is the per-meter version: bumped on every mutation of this meter
 	// (Append here; registration/replacement by the Store). Guarded by the
 	// owner's shard lock, like every other field. Invariant: every change
-	// to what Stats reports bumps ver — appendRaw, pruneRawBefore,
-	// installChunks and a re-put (Store.putMeterShardLocked) — so equal
+	// to what Stats reports bumps ver — appendRaw, installChunks and a
+	// re-put (Store.putMeterShardLocked) — so equal
 	// versions mean equal stats. A cached statement's key holds its meters'
 	// versions, and core admits a hit with the cost estimated from the
 	// stats those versions name (TestVersionStampsStats).
@@ -79,7 +79,9 @@ func (s *Series) Append(smp Sample) error { return s.appendRun([]Sample{smp}, ni
 // order: each tier reserves its room once, and every chunk the run fills
 // seals through b (a pooled batch when b is nil).
 func (s *Series) appendRun(smps []Sample, b *Batch) error {
-	s.reserveRollups(smps)
+	if len(smps) > 0 {
+		s.reserveRollups(len(smps), uint64(smps[len(smps)-1].TS)-uint64(smps[0].TS))
+	}
 	for _, smp := range smps {
 		if err := s.appendRaw(smp, b); err != nil {
 			return err
@@ -155,22 +157,12 @@ func (s *Series) seal(b *Batch) {
 
 // captureChunks snapshots the series for a v4 (chunk-verbatim) snapshot:
 // the sealed chunk list is aliased as-is (chunks are immutable) and the
-// head block is copied. Retention is chunk-granular on purpose: sealed
-// chunks wholly older than cutoff are left out here and dropped from
-// memory by pruneRawBefore under the same rule, so what a
-// retention-trimmed snapshot persists is exactly what memory keeps.
-// Caller holds the owning shard lock.
-func (s *Series) captureChunks(cutoff int64) (chunks []*chunk, headPayload []byte, headCount int) {
-	for _, c := range s.sealed {
-		if c.maxTS < cutoff {
-			continue
-		}
-		chunks = append(chunks, c)
-	}
+// head block is copied. Caller holds the owning shard lock.
+func (s *Series) captureChunks() (chunks []*chunk, headPayload []byte, headCount int) {
 	if s.head.Len() > 0 {
 		headPayload, headCount = s.head.Bytes(), s.head.Len()
 	}
-	return chunks, headPayload, headCount
+	return s.sealed, headPayload, headCount
 }
 
 // installChunks bulk-loads a parsed snapshot meter into an empty series:
@@ -248,26 +240,6 @@ const (
 
 // ErrEmptySeries is returned by operations requiring data.
 var ErrEmptySeries = errors.New("store: empty series")
-
-// pruneRawBefore drops sealed chunks wholly older than cutoff (the
-// retention rule of captureChunks), bumping the version when anything was
-// dropped so caches keyed on it invalidate — aging raw data out changes
-// what raw scans observe. Rollup tiers are untouched: they are what
-// survives. Returns the number of samples dropped.
-func (s *Series) pruneRawBefore(cutoff int64) int {
-	n, dropped := 0, 0
-	for n < len(s.sealed) && s.sealed[n].maxTS < cutoff {
-		dropped += s.sealed[n].count
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	s.total -= dropped
-	s.sealed = append([]*chunk(nil), s.sealed[n:]...)
-	s.ver++
-	return dropped
-}
 
 // Bounds returns the first and last timestamps. Both ends are O(1): chunk
 // boundaries and the head min/max are tracked on append, never decoded.

@@ -19,8 +19,7 @@ import (
 // Snapshot formats, oldest first:
 //
 //   - snapMagic ("VAPS", v1): raw 16 B/sample pairs only, no rollup tiers.
-//   - snapMagicV2 ("VAP2"): v1 plus per-meter rollup tier bucket arrays, so
-//     tiers survive retention aging raw data out.
+//   - snapMagicV2 ("VAP2"): v1 plus per-meter rollup tier bucket arrays.
 //   - snapMagicV3 ("VAP3"): the chunk-verbatim layout. Sealed
 //     Gorilla chunks are written as their compressed block bytes plus
 //     count/TS-bounds/CRC — the snapshot writer never decodes a sealed
@@ -33,14 +32,16 @@ import (
 //     with sectioned reads (io.ReaderAt), bounding peak memory to the
 //     in-flight sections instead of the whole file.
 //   - snapMagicV4 ("VAP4"): the current layout, VAP3's with 48-byte tier
-//     buckets (rollupBucketBytes). VAP2 and VAP3 buckets are 64 bytes, the
-//     last 16 the first/last sample values no reader used, and load with
-//     those bytes skipped.
+//     buckets (rollupBucketBytes) where VAP2 and VAP3 have 64-byte ones.
 //
-// Open reads all four; Snapshot writes v4. Every format encodes its meter
-// records, (ts, value) pairs and tier buckets with the codec at the end of
-// this file (which the WAL shares), and every format installs a parsed
-// meter through installSeries.
+// Rollup tiers are derived state (rollup.go): Snapshot writes VAP4 with an
+// empty tier-resolution list, so a section ends after its head samples, and
+// every loader skips whatever tier records an older file holds, after
+// bounds-checking them, their section or file CRC still covering them.
+// Open reads all four formats; every one encodes its meter records and
+// (ts, value) pairs with the codec at the end of this file (which the WAL
+// shares), and installs a parsed meter through installSeries, which
+// derives its tiers from its samples.
 var (
 	snapMagic   = [4]byte{'V', 'A', 'P', 'S'}
 	snapMagicV2 = [4]byte{'V', 'A', 'P', '2'}
@@ -48,7 +49,8 @@ var (
 	snapMagicV4 = [4]byte{'V', 'A', 'P', '4'}
 )
 
-// legacyBucketBytes is the size of a VAP2 / VAP3 tier bucket record.
+// legacyBucketBytes is the size of a VAP2 / VAP3 tier bucket record; a
+// VAP4 one is rollupBucketBytes.
 const legacyBucketBytes = 64
 
 const (
@@ -91,18 +93,15 @@ type RecoveryStats struct {
 // back: snapshot bytes/format/duration and WAL segments/records/duration.
 func (s *Store) Recovery() RecoveryStats { return s.recovery }
 
-// snapEntry is one meter's captured state: metadata, the rollup tier
-// capture, and the sealed chunk list (immutable, aliased verbatim) plus a
-// private head-block copy. Captures are taken under brief shard read
-// locks; the disk write itself needs no locks at all. With retention
-// active the raw capture covers only the retained chunks while tiers
-// always cover the full history.
+// snapEntry is one meter's captured state: metadata and the sealed chunk
+// list (immutable, aliased verbatim) plus a private head-block copy.
+// Captures are taken under brief shard read locks; the disk write itself
+// needs no locks at all.
 type snapEntry struct {
 	m           Meter
 	chunks      []*chunk
 	headPayload []byte
 	headCount   int
-	tiers       []snapTier
 }
 
 // Snapshot atomically writes the full dataset to Dir/snapshot.vap without
@@ -134,15 +133,6 @@ func (s *Store) Snapshot() error {
 			return err
 		}
 	}
-	// Retention cutoff in data time: sealed chunks wholly older than this
-	// are left out of the snapshot and pruned from memory once it is
-	// durable. minInt64 (no retention, or no data yet) retains everything.
-	cutoff := int64(minInt64)
-	if s.opts.RetainRaw > 0 {
-		if _, last, ok := s.TimeBounds(); ok {
-			cutoff = last + 1 - int64(s.opts.RetainRaw/time.Second)
-		}
-	}
 	var entries []snapEntry
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -151,8 +141,8 @@ func (s *Store) Snapshot() error {
 			if !ok {
 				continue
 			}
-			e := snapEntry{m: m, tiers: ser.captureTiers()}
-			e.chunks, e.headPayload, e.headCount = ser.captureChunks(cutoff)
+			e := snapEntry{m: m}
+			e.chunks, e.headPayload, e.headCount = ser.captureChunks()
 			entries = append(entries, e)
 		}
 		sh.mu.RUnlock()
@@ -163,7 +153,7 @@ func (s *Store) Snapshot() error {
 	// durably, before anything touches the WAL: a crash earlier leaves the
 	// old snapshot with every segment it needs.
 	err := replaceDurable(s.fs, s.snapPath(), func(w io.Writer) error {
-		return writeSnapshotV3(w, s.rollupRes, entries)
+		return writeSnapshotV3(w, entries)
 	})
 	if err != nil {
 		return err
@@ -173,24 +163,6 @@ func (s *Store) Snapshot() error {
 	// failed (and stats-wise stale) snapshot. The next snapshot retries
 	// any segment that could not be removed.
 	s.lastSnapUnix.Store(time.Now().Unix())
-	// Raw data below the cutoff is durably out of the snapshot now; drop
-	// the same chunks from memory (chunk-granular, the identical rule the
-	// capture applied, so disk and memory agree on what survived). New
-	// chunks sealed since the capture are strictly newer and unaffected.
-	if cutoff != minInt64 {
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			pruned := 0
-			for _, ser := range sh.series {
-				pruned += ser.pruneRawBefore(cutoff)
-			}
-			if pruned > 0 {
-				sh.version.Add(1)
-				s.version.Add(1)
-			}
-			sh.mu.Unlock()
-		}
-	}
 	if s.wal != nil {
 		if err := s.wal.DeleteSegmentsBelow(watermark); err != nil {
 			return fmt.Errorf("store: snapshot is durable, but retiring covered WAL segments failed: %w", err)
@@ -202,7 +174,8 @@ func (s *Store) Snapshot() error {
 // --- v4: chunk-verbatim writer -----------------------------------------
 //
 // The functions and constants named V3 cover the chunk-verbatim layout
-// VAP3 and VAP4 share; the two differ only in magic and bucket size.
+// VAP3 and VAP4 share; the two differ only in magic and bucket size, and
+// this writer writes no buckets.
 
 // countingWriter tracks the byte offset the v4 writer is at, so section
 // offsets recorded in the directory match the file layout.
@@ -219,7 +192,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // writeSnapshotV3 serializes the chunk-verbatim layout:
 //
-//	header:   magic "VAP4", tier resolutions, meter count, header CRC
+//	header:   magic "VAP4", tier resolution count (0), meter count, header CRC
 //	sections: one per meter, back to back (layout in appendSnapSectionV3)
 //	directory: per meter (id, section offset, section length)
 //	footer:   directory offset, meter count, directory CRC, magic "VAP4"
@@ -227,15 +200,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // The footer-at-the-end arrangement lets the writer stream sections
 // without knowing their sizes up front, and lets the loader find the
 // directory with two small reads before fanning sections out to workers.
-func writeSnapshotV3(w io.Writer, res []int64, entries []snapEntry) error {
+func writeSnapshotV3(w io.Writer, entries []snapEntry) error {
 	cw := &countingWriter{w: w}
 	le := binary.LittleEndian
-	hdr := make([]byte, 0, 16+8*len(res))
-	hdr = append(hdr, snapMagicV4[:]...)
-	hdr = le.AppendUint32(hdr, uint32(len(res)))
-	for _, r := range res {
-		hdr = le.AppendUint64(hdr, uint64(r))
-	}
+	hdr := append(make([]byte, 0, 16), snapMagicV4[:]...)
+	hdr = le.AppendUint32(hdr, 0) // tier resolutions: none
 	hdr = le.AppendUint32(hdr, uint32(len(entries)))
 	hdr = le.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
 	if _, err := cw.Write(hdr); err != nil {
@@ -246,7 +215,7 @@ func writeSnapshotV3(w io.Writer, res []int64, entries []snapEntry) error {
 	for i := range entries {
 		off := cw.n
 		var err error
-		buf, err = appendSnapSectionV3(buf[:0], res, &entries[i])
+		buf, err = appendSnapSectionV3(buf[:0], &entries[i])
 		if err != nil {
 			return err
 		}
@@ -273,13 +242,13 @@ func writeSnapshotV3(w io.Writer, res []int64, entries []snapEntry) error {
 //	meter record (appendMeter)
 //	nChunks × { minTS, maxTS, count, payloadLen, payloadCRC, payload }
 //	headCount × { ts, value } — the unsealed head, materialized
-//	nRes × { nBuckets, buckets } — rollup tiers in header order
+//	nRes × { nBuckets, buckets } — rollup tiers; nRes is 0 here
 //	section CRC over every byte above
 //
 // Sealed chunk payloads go out verbatim — no decode. The head block is the
 // one part that must be materialized: an Encoder cannot resume from its
 // payload bytes, so the loader re-appends these raw pairs instead.
-func appendSnapSectionV3(buf []byte, res []int64, e *snapEntry) ([]byte, error) {
+func appendSnapSectionV3(buf []byte, e *snapEntry) ([]byte, error) {
 	le := binary.LittleEndian
 	buf = appendMeter(buf, e.m)
 	buf = le.AppendUint32(buf, uint32(len(e.chunks)))
@@ -301,19 +270,6 @@ func appendSnapSectionV3(buf []byte, res []int64, e *snapEntry) ([]byte, error) 
 	buf = le.AppendUint32(buf, uint32(len(head)))
 	for _, smp := range head {
 		buf = appendSample(buf, smp)
-	}
-	// Tiers in header order; captureTiers preserves the store's tier
-	// order, so a mismatch here is a programming error worth failing on.
-	if len(e.tiers) != len(res) {
-		return nil, fmt.Errorf("store: snapshot of meter %d captured %d tiers, store maintains %d", e.m.ID, len(e.tiers), len(res))
-	}
-	for ti := range e.tiers {
-		t := &e.tiers[ti]
-		if t.res != res[ti] {
-			return nil, fmt.Errorf("store: snapshot tier order mismatch for meter %d", e.m.ID)
-		}
-		buf = le.AppendUint32(buf, uint32(t.len()))
-		t.each(func(b *RollupBucket) { buf = appendRollupBucket(buf, b) })
 	}
 	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
 }
@@ -362,7 +318,7 @@ func (s *Store) loadSnapshot(path string, size int64) error {
 }
 
 // loadSnapshotV3 restores a chunk-verbatim snapshot whose magic is magic
-// and whose tier buckets are bucketBytes long. It reads the footer
+// and whose tier buckets, skipped, are bucketBytes long. It reads the footer
 // and directory with two small positioned reads, then fans the per-meter
 // sections out across the recovery worker pool: each worker preads only
 // its own section (bounding peak memory to the in-flight sections), checks
@@ -395,8 +351,9 @@ func (s *Store) loadSnapshotV3(f io.ReaderAt, size int64, magic [4]byte, bucketB
 	if crc32.ChecksumIEEE(dir) != dirCRC {
 		return ErrCorrupt
 	}
-	// The header: magic (checked by loadSnapshot), the resolutions, the
-	// meter count and the header CRC.
+	// The header: magic (checked by loadSnapshot), the tier resolutions
+	// (their count is all a section's layout needs), the meter count and
+	// the header CRC.
 	var fixed [8]byte
 	if _, err := f.ReadAt(fixed[:], 0); err != nil {
 		return err
@@ -410,10 +367,8 @@ func (s *Store) loadSnapshotV3(f io.ReaderAt, size int64, magic [4]byte, bucketB
 		return err
 	}
 	r := &sliceReader{data: hdr[4:]}
-	fileRes := make([]int64, r.count(8))
-	for i := range fileRes {
-		fileRes[i] = r.int64()
-	}
+	nRes := r.count(8)
+	r.bytes(8 * nRes)
 	if int64(r.uint32()) != nMeters || crc32.ChecksumIEEE(hdr[:hdrLen-4]) != r.uint32() {
 		return ErrCorrupt
 	}
@@ -444,7 +399,7 @@ func (s *Store) loadSnapshotV3(f io.ReaderAt, size int64, magic [4]byte, bucketB
 		if _, err := f.ReadAt(sec, off); err != nil {
 			return err
 		}
-		sm, err := parseSectionV3(id, sec, fileRes, bucketBytes)
+		sm, err := parseSectionV3(id, sec, nRes, bucketBytes)
 		if err != nil {
 			return err
 		}
@@ -454,9 +409,10 @@ func (s *Store) loadSnapshotV3(f io.ReaderAt, size int64, magic [4]byte, bucketB
 
 // parseSectionV3 parses one meter section: the section CRC is checked first
 // (it covers every byte including chunk payloads), then each chunk's own
-// payload CRC. Chunks get their own copy of the payload: aliasing sec would
-// pin the section, tiers and all, for the life of the store.
-func parseSectionV3(wantID int64, sec []byte, fileRes []int64, bucketBytes int) (snapMeter, error) {
+// payload CRC, and the section's nRes tier record runs are skipped. Chunks
+// get their own copy of the payload: aliasing sec would pin the section for
+// the life of the store.
+func parseSectionV3(wantID int64, sec []byte, nRes, bucketBytes int) (snapMeter, error) {
 	corrupt := func(what string) error {
 		return fmt.Errorf("store: snapshot section for meter %d: %s: %w", wantID, what, ErrCorrupt)
 	}
@@ -480,7 +436,7 @@ func parseSectionV3(wantID int64, sec []byte, fileRes []int64, bucketBytes int) 
 		sm.chunks[i] = &chunk{minTS: minTS, maxTS: maxTS, count: count, payload: bytes.Clone(payload)}
 	}
 	sm.head = r.samples()
-	sm.tiers = r.tiers(fileRes, bucketBytes)
+	r.skipTiers(nRes, bucketBytes)
 	switch {
 	case r.err != nil:
 		return snapMeter{}, fmt.Errorf("store: snapshot section for meter %d: %w", wantID, r.err)
@@ -500,8 +456,8 @@ func parseSectionV3(wantID int64, sec []byte, fileRes []int64, bucketBytes int) 
 //	nMeters × { meter record, nSamples, nSamples × { ts, value }, [nRes × tier] }
 //	whole-file CRC
 //
-// A VAPS meter carries no tiers, so installSeries derives them all from its
-// samples; its raw history is complete, so they are exact.
+// The tier records are skipped, as in every format: installSeries derives
+// the tiers from the samples.
 func (s *Store) loadSnapshotLegacy(path string, v2 bool, tally *loadTally) error {
 	raw, err := s.fs.readFile(path)
 	if err != nil {
@@ -515,16 +471,14 @@ func (s *Store) loadSnapshotLegacy(path string, v2 bool, tally *loadTally) error
 		return fmt.Errorf("store: snapshot checksum mismatch: %w", ErrCorrupt)
 	}
 	r := &sliceReader{data: body[4:]}
-	var fileRes []int64
+	nRes := 0
 	if v2 {
-		fileRes = make([]int64, r.count(8))
-		for i := range fileRes {
-			fileRes[i] = r.int64()
-		}
+		nRes = r.count(8)
+		r.bytes(8 * nRes)
 	}
 	for n := r.uint32(); n > 0 && r.err == nil; n-- {
 		sm := snapMeter{m: r.meter(), head: r.samples()}
-		if sm.tiers = r.tiers(fileRes, legacyBucketBytes); r.err != nil {
+		if r.skipTiers(nRes, legacyBucketBytes); r.err != nil {
 			break
 		}
 		if err := s.installSeries(&sm, tally); err != nil {
@@ -540,31 +494,29 @@ func (s *Store) loadSnapshotLegacy(path string, v2 bool, tally *loadTally) error
 // --- the one install path -----------------------------------------------
 
 // snapMeter is one meter as a snapshot file holds it, parsed but not yet
-// installed: metadata, sealed chunks (v3 / v4), raw samples (their head,
-// or a v1/v2 sample run), and the tiers the file carries (none in v1).
+// installed: metadata, sealed chunks (v3 / v4), and raw samples (their
+// head, or a v1/v2 sample run).
 type snapMeter struct {
 	m      Meter
 	chunks []*chunk
 	head   []Sample
-	tiers  []rollupTier
 }
 
 // installSeries installs one parsed snapshot meter: the one path every
 // snapshot format takes into a shard. The series is assembled off-lock —
-// sealed chunks wholesale, head samples re-appended, the file's tiers
-// verbatim and any tier the file lacks derived from the raw samples — so
-// the shard lock covers only the map insert, and v3 / v4 workers installing
-// into one shard serialize for nanoseconds. Versions count 1 for the
-// registration and 1 per sample, as the live append path does, so a loaded
-// store fingerprints exactly like a live-built one. A meter the file holds
-// twice is corruption.
+// sealed chunks wholesale, head samples re-appended, every tier derived
+// from the raw samples — so the shard lock covers only the map insert, and
+// v3 / v4 workers installing into one shard serialize for nanoseconds.
+// Versions count 1 for the registration and 1 per sample, as the live
+// append path does, so a loaded store fingerprints exactly like a
+// live-built one. A meter the file holds twice is corruption.
 func (s *Store) installSeries(sm *snapMeter, tally *loadTally) error {
 	id := sm.m.ID
 	ser := NewSeriesRollup(id, s.rollupRes)
 	if err := ser.installChunks(sm.chunks, sm.head); err != nil {
 		return fmt.Errorf("store: snapshot meter %d: %w", id, err)
 	}
-	if err := ser.installRollups(s.rollupRes, sm.tiers); err != nil {
+	if err := ser.installRollups(); err != nil {
 		return err
 	}
 	if err := s.catalog.Put(sm.m); err != nil {
@@ -631,125 +583,13 @@ func (r *sliceReader) samples() []Sample {
 	return out
 }
 
-// appendRollupBucket appends a tier bucket record, rollupBucketBytes long:
-// start, count, NaN tally, sum, min, max.
-func appendRollupBucket(buf []byte, b *RollupBucket) []byte {
-	for _, v := range [...]uint64{uint64(b.Start), uint64(b.Count), uint64(b.NaN),
-		math.Float64bits(b.Sum), math.Float64bits(b.Min), math.Float64bits(b.Max)} {
-		buf = binary.LittleEndian.AppendUint64(buf, v)
+// skipTiers skips nRes tier record runs, each a u32 bucket count and that
+// many size-byte records, bounds-checked like any count (count). Tiers are
+// derived from the raw samples, so no loader reads the records.
+func (r *sliceReader) skipTiers(nRes, size int) {
+	for range nRes {
+		r.bytes(r.count(size) * size)
 	}
-	return buf
-}
-
-// readRollupBucket reads one bucket record of size bytes (rollupBucketBytes,
-// or legacyBucketBytes, whose trailing first/last values it skips). A bucket
-// that folded no value holds the empty state's ±Inf bounds, as every writer
-// seeds it with EmptyFold; any other bound would enter a scan that no sample
-// carries, so it is corruption.
-func readRollupBucket(r *sliceReader, b *RollupBucket, size int) {
-	p := r.bytes(size)
-	if p == nil {
-		return
-	}
-	b.Start = int64(binary.LittleEndian.Uint64(p[0:]))
-	b.Count = int64(binary.LittleEndian.Uint64(p[8:]))
-	b.NaN = int64(binary.LittleEndian.Uint64(p[16:]))
-	b.Sum = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
-	b.Min = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
-	b.Max = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-	if b.Count == 0 && (!math.IsInf(b.Min, 1) || !math.IsInf(b.Max, -1)) {
-		r.err = fmt.Errorf("store: tier bucket with no values has bounds: %w", ErrCorrupt)
-	}
-}
-
-// tiers reads one tier per resolution in res: a u32 bucket count, then
-// the bucketBytes-long records, loaded as exactly sized pages (tierPages).
-func (r *sliceReader) tiers(res []int64, bucketBytes int) []rollupTier {
-	out := make([]rollupTier, len(res))
-	for i := range out {
-		out[i].res = res[i]
-		if recs := r.bytes(r.count(bucketBytes) * bucketBytes); r.err == nil {
-			out[i].pages = r.tierPages(recs, bucketBytes, res[i])
-		}
-	}
-	return out
-}
-
-// tierPages loads one tier's records of size bytes as exactly sized pages.
-// Each run of at least denseMinRun consecutive buckets that are each bit
-// for bit the fold of one sample (singleSample) becomes a dense page of
-// their values; every other bucket, near misses included, lands on a
-// general page as the file holds it. One pass plans the pages and keeps
-// the values; a tier that is one dense run is done there, and any other
-// gets a second pass that reads its general buckets.
-func (r *sliceReader) tierPages(recs []byte, size int, res int64) []tierPage {
-	type span struct {
-		lo, hi int
-		base   int64 // a dense span's first Start
-		dense  bool
-	}
-	var plan []span
-	general := func(lo, hi int) {
-		if k := len(plan) - 1; k >= 0 && !plan[k].dense {
-			plan[k].hi = hi
-		} else {
-			plan = append(plan, span{lo: lo, hi: hi})
-		}
-	}
-	n, lo := len(recs)/size, 0 // the current run is [lo, i), from Start base
-	var base, prev int64
-	end := func(hi int) {
-		if hi-lo >= denseMinRun {
-			plan = append(plan, span{lo, hi, base, true})
-		} else if hi > lo {
-			general(lo, hi)
-		}
-	}
-	var vals []float64 // each single-sample bucket's value, by index
-	in := &sliceReader{data: recs}
-	var b RollupBucket
-	for i := 0; i < n; i++ {
-		if readRollupBucket(in, &b, size); in.err != nil {
-			r.err = in.err
-			return nil
-		}
-		v, single := singleSample(&b.Fold)
-		if single {
-			if vals == nil {
-				vals = make([]float64, n)
-			}
-			vals[i] = v
-			if i > lo && uint64(b.Start)-uint64(prev) == uint64(res) {
-				prev = b.Start
-				continue
-			}
-		}
-		end(i)
-		lo, base, prev = i, b.Start, b.Start
-		if !single {
-			general(i, i+1)
-			lo = i + 1
-		}
-	}
-	end(n)
-	if len(plan) == 1 && plan[0].dense {
-		return []tierPage{{base: plan[0].base, vals: vals}}
-	}
-	pages := make([]tierPage, len(plan))
-	for k, s := range plan {
-		p := &pages[k]
-		if s.dense {
-			p.base, p.vals = s.base, make([]float64, s.hi-s.lo)
-			copy(p.vals, vals[s.lo:s.hi])
-			continue
-		}
-		p.gen = make([]RollupBucket, s.hi-s.lo)
-		in := &sliceReader{data: recs[s.lo*size : s.hi*size]}
-		for j := range p.gen {
-			readRollupBucket(in, &p.gen[j], size)
-		}
-	}
-	return pages
 }
 
 // errShortRecord is what a sliceReader latches on its first read past the

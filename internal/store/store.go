@@ -37,15 +37,10 @@ type Options struct {
 	// RollupRes lists the rollup tier resolutions, in seconds, to maintain
 	// per meter (see rollup.go). nil selects DefaultRollupRes (hourly +
 	// daily); an explicitly empty non-nil slice disables rollups. Values
-	// are sorted and deduplicated; non-positive entries are dropped.
+	// are sorted and deduplicated; non-positive entries are dropped. Tiers
+	// are derived state: every open rebuilds them from the raw samples, and
+	// snapshots do not hold them.
 	RollupRes []int64
-	// RetainRaw ages raw samples out of snapshots: when > 0, each Snapshot
-	// drops sealed chunks wholly older than (newest sample - RetainRaw)
-	// from both the snapshot file and memory. Rollup tiers are never aged,
-	// so coarse aggregates survive past the raw horizon. Zero keeps raw
-	// data forever. The cutoff is data time, not wall time: it trails the
-	// newest stored sample.
-	RetainRaw time.Duration
 	// RecoverWorkers is the worker-pool width Open uses for parallel
 	// recovery: v3 / v4 snapshot sections are installed and WAL records
 	// applied across this many goroutines. <= 0 selects GOMAXPROCS; 1

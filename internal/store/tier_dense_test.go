@@ -1,13 +1,9 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"unsafe"
@@ -246,7 +242,7 @@ func TestDenseTierMatchesGeneral(t *testing.T) {
 				close(done)
 				readers.Wait()
 				for i, tier := range captureTiersOf(t, st, 1) {
-					if err := sameBuckets(flatBuckets(&tier.tierView), generalFold(pat.smps, tier.res)); err != nil {
+					if err := sameBuckets(flatBuckets(&tier), generalFold(pat.smps, tier.res)); err != nil {
 						t.Errorf("%ds tier: %v", DefaultRollupRes[i], err)
 					}
 				}
@@ -291,252 +287,36 @@ func TestDenseTierFootprintBound(t *testing.T) {
 	}
 }
 
-// TestDenseSnapshotBytesMatchGeneral: a store of hourly meters, every
-// dense pattern one meter, writes exactly the v4 bytes that the
-// general-only reference buckets write, and its reload re-snapshots to
-// the same bytes with every bucket equal to the reference.
-func TestDenseSnapshotBytesMatchGeneral(t *testing.T) {
-	pats := densePatterns()
-	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+// TestLateDuplicateKeepsTierDense: an hourly meter whose one late
+// duplicate lands in the last hour of a dense page keeps its hourly tier
+// dense around it: that hour alone moves to a general page, and the hours
+// after it go on 8 bytes each. A general page that took the tier's next
+// page of room filled up with the following hours at 48 bytes each.
+func TestLateDuplicateKeepsTierDense(t *testing.T) {
+	const hour, t0 = int64(3600), int64(1483228800)
+	var smps []Sample
+	for i := 0; i < 400; i++ {
+		smps = append(smps, Sample{TS: t0 + int64(i)*hour, Value: float64(i)})
+		if i == 99 {
+			smps = append(smps, Sample{TS: t0 + int64(i)*hour + 1800, Value: -1})
+		}
 	}
-	for i, pat := range pats {
-		id := int64(i + 1)
-		if err := st.PutMeter(testMeter(id)); err != nil {
+	for _, batch := range denseAppendModes {
+		st, err := Open(Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := st.AppendBatch(id, pat.smps); err != nil {
+		if err := st.PutMeter(testMeter(1)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	var entries []snapEntry
-	for i, pat := range pats {
-		id := int64(i + 1)
-		m, _ := st.catalog.Get(id)
-		e := snapEntry{m: m}
-		sh := st.shardFor(id)
-		sh.mu.RLock()
-		e.chunks, e.headPayload, e.headCount = sh.series[id].captureChunks(math.MinInt64)
-		sh.mu.RUnlock()
-		for _, res := range st.rollupRes {
-			e.tiers = append(e.tiers, snapTier{res: res, tierView: tierView{res: res, interior: []tierPage{{gen: generalFold(pat.smps, res)}}}})
+		appendPattern(t, st, smps[:101], batch)
+		appendPattern(t, st, smps[101:], batch)
+		rs := st.Stats().Rollups[0]
+		if bound := int64(rs.Buckets)*denseBucketBytes + rollupBucketBytes + tierPageBuckets*denseBucketBytes; rs.General != 1 || rs.Bytes > bound {
+			t.Errorf("batch %d: hourly tier = %+v, want one general bucket and at most %d bytes", batch, rs, bound)
 		}
-		entries = append(entries, e)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := writeSnapshotV3(&want, DefaultRollupRes, entries); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "snapshot.vap")
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("snapshot of dense tiers is %d bytes and differs from the %d the general reference writes", len(got), want.Len())
-	}
-
-	st, err = Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pat := range pats {
-		for _, tier := range captureTiersOf(t, st, int64(i+1)) {
-			if err := sameBuckets(flatBuckets(&tier.tierView), generalFold(pat.smps, tier.res)); err != nil {
-				t.Errorf("%s: reloaded %ds tier: %v", pat.name, tier.res, err)
-			}
-		}
-	}
-	if rs := st.Stats().Rollups[0]; rs.Dense == 0 {
-		t.Errorf("reloaded hourly tier holds no dense bucket: %+v", rs)
-	}
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, got) {
-		t.Errorf("the reloaded store re-snapshots to different bytes (err %v)", err)
-	}
-}
-
-// nearMissSnapshot returns a VAP4 file of one meter with no raw data whose
-// hourly tier holds runs of single-sample buckets broken by near misses:
-// buckets a field or a bit away from the fold of one sample. dense says
-// which hourly buckets the loader must put on dense pages: the runs of at
-// least denseMinRun, and never a near miss.
-func nearMissSnapshot(t testing.TB) (file []byte, hourly []RollupBucket, dense []bool) {
-	negZero, inf := math.Copysign(0, -1), math.Inf(1)
-	start := int64(1483228800)
-	add := func(f Fold, d bool) {
-		hourly = append(hourly, RollupBucket{Start: start, Fold: f})
-		dense = append(dense, d)
-		start += 3600
-	}
-	run := func(n int, d bool) {
-		for i := 0; i < n; i++ {
-			add(singleFold(float64(len(hourly))*0.5-7), d)
-		}
-	}
-	run(10, true)
-	add(Fold{Sum: 1, Count: 1, Min: 1, Max: 2}, false) // Count 1, Min ≠ Max
-	run(9, true)
-	add(Fold{Sum: negZero, Count: 1, Min: negZero, Max: negZero}, false) // Sum bits ≠ 0 + Min
-	run(denseMinRun, true)
-	add(Fold{Sum: 2, Count: 1, NaN: 1, Min: 2, Max: 2}, false) // a value and a NaN
-	add(Fold{Sum: 3, NaN: 1, Min: inf, Max: -inf}, false)      // a NaN tally with a sum
-	add(Fold{Sum: math.NaN(), Count: 1, Min: math.NaN(), Max: math.NaN()}, false)
-	run(denseMinRun-1, false) // single-sample, but too short a run
-	add(Fold{Sum: 4, Count: 2, Min: 2, Max: 2}, false)
-	for _, v := range []float64{math.NaN(), negZero, inf, -inf, 0, 1, 2, 3} {
-		add(singleFold(v), true)
-	}
-	start += 7200 // a gap ends the run
-	run(denseMinRun+1, true)
-	add(Fold{Sum: 5, Count: 1, Min: 5, Max: 5 + 1e-12}, false)
-	daily := []RollupBucket{
-		{Start: 1483228800, Fold: Fold{Sum: 10, Count: 20, NaN: 4, Min: -1, Max: 3}},
-		{Start: 1483315200, Fold: singleFold(2)},
-	}
-	e := snapEntry{m: testMeter(1), tiers: []snapTier{
-		{res: 3600, tierView: tierView{res: 3600, interior: []tierPage{{gen: hourly}}}},
-		{res: 86400, tierView: tierView{res: 86400, interior: []tierPage{{gen: daily}}}},
-	}}
-	var buf bytes.Buffer
-	if err := writeSnapshotV3(&buf, DefaultRollupRes, []snapEntry{e}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), hourly, dense
-}
-
-// TestTierLoadKeepsNearMisses: the loader puts exactly the qualifying runs
-// on dense pages, leaves every near miss a general bucket as the file holds
-// it (never repaired into the fold it almost is), and the load
-// re-snapshots to the same bytes.
-func TestTierLoadKeepsNearMisses(t *testing.T) {
-	file, hourly, dense := nearMissSnapshot(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snapshot.vap")
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameBuckets(flatBuckets(&captureTiersOf(t, st, 1)[0].tierView), hourly); err != nil {
-		t.Errorf("loaded hourly tier: %v", err)
-	}
-	var got []bool
-	for _, p := range st.shardFor(1).series[1].rollups[0].pages {
-		for range p.len() {
-			got = append(got, p.vals != nil)
-		}
-	}
-	for i := range dense {
-		if i >= len(got) || got[i] != dense[i] {
-			t.Fatalf("hourly bucket %d %+v: on a dense page %v, want %v", i, hourly[i], i < len(got) && got[i], dense[i])
-		}
-	}
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, file) {
-		t.Errorf("the loaded near misses re-snapshot to different bytes (err %v)", err)
-	}
-}
-
-// fileTierRecords returns the tier bucket records of every meter of a
-// VAP3 or VAP4 file that opened, each record cut to the 48 bytes a v4
-// bucket holds, keyed by meter and resolution. It walks the sections
-// itself, so it checks the loader's page planning rather than repeating it.
-func fileTierRecords(data []byte) map[[2]int64][]byte {
-	le := binary.LittleEndian
-	size := rollupBucketBytes
-	if [4]byte(data[:4]) == snapMagicV3 {
-		size = legacyBucketBytes
-	}
-	foot := data[len(data)-snapV3FooterLen:]
-	dirOff, n := le.Uint64(foot), int(le.Uint32(foot[8:]))
-	hdr := &sliceReader{data: data[4:]}
-	res := make([]int64, hdr.count(8))
-	for i := range res {
-		res[i] = hdr.int64()
-	}
-	out := map[[2]int64][]byte{}
-	for i := 0; i < n; i++ {
-		ent := data[dirOff+uint64(i*snapV3DirEntryLen):]
-		off, length := le.Uint64(ent[8:]), le.Uint64(ent[16:])
-		r := &sliceReader{data: data[off : off+length-4]}
-		id := r.meter().ID
-		for c := r.count(snapV3ChunkHdrLen); c > 0; c-- {
-			r.bytes(20)
-			plen := r.uint32()
-			r.bytes(4 + int(plen))
-		}
-		r.samples()
-		for _, rs := range res {
-			var recs []byte
-			for k := r.count(size); k > 0; k-- {
-				recs = append(recs, r.bytes(size)[:rollupBucketBytes]...)
-			}
-			if _, dup := out[[2]int64{id, rs}]; !dup { // the store installs the first
-				out[[2]int64{id, rs}] = recs
-			}
-		}
-	}
-	return out
-}
-
-// TestSingleSampleIsExact: singleSample, the loader's test for a
-// single-sample bucket, accepts the fold of one sample of every kind of
-// value and of random bit patterns, returns a value that folds back to the
-// bucket, and refuses every bucket one field or one bit away.
-func TestSingleSampleIsExact(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	vals := []float64{0, negZero, 1, -1, 0.37, math.Inf(1), math.Inf(-1), math.NaN(),
-		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000001),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100000; i++ {
-		vals = append(vals, math.Float64frombits(rng.Uint64()))
-	}
-	same := func(a, b Fold) bool {
-		return rollupBucketEqual(&RollupBucket{Fold: a}, &RollupBucket{Fold: b})
-	}
-	for _, v := range vals {
-		f := EmptyFold()
-		f.FoldVals([]float64{v})
-		got, ok := singleSample(&f)
-		if g := singleFold(got); !ok || !same(g, f) {
-			t.Errorf("singleSample(fold of %#x) = %v, %t", math.Float64bits(v), got, ok)
-		}
-		for _, miss := range []func(*Fold){
-			func(f *Fold) { f.Count++ },
-			func(f *Fold) { f.NaN++ },
-			func(f *Fold) { f.Sum = math.Float64frombits(math.Float64bits(f.Sum) ^ 1<<63) },
-			func(f *Fold) { f.Sum = math.Float64frombits(math.Float64bits(f.Sum) ^ 1) },
-			func(f *Fold) { f.Min = math.Float64frombits(math.Float64bits(f.Min) ^ 1) },
-			func(f *Fold) { f.Max = math.Float64frombits(math.Float64bits(f.Max) ^ 1<<63) },
-		} {
-			g := f
-			miss(&g)
-			if w, ok := singleSample(&g); ok && !same(g, singleFold(w)) {
-				t.Errorf("singleSample accepts %+v, a near miss of the fold of %#x", g, math.Float64bits(v))
-			}
-		}
+		checkRollupsRebuilt(t, st)
+		st.Close()
 	}
 }
 

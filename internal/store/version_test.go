@@ -131,28 +131,10 @@ func TestVersionStampsStats(t *testing.T) {
 	mutated("a re-put")
 
 	sh := st.shardFor(id)
-	sh.mu.Lock()
-	dropped := sh.series[id].pruneRawBefore(chunkTargetSamples * 3600 * 3 / 2)
-	sh.mu.Unlock()
-	if dropped != chunkTargetSamples {
-		t.Fatalf("prune dropped %d samples, want one chunk", dropped)
-	}
-	if now := read(); now.Samples != last.Samples-dropped {
-		t.Fatalf("prune: %d samples, want %d", now.Samples, last.Samples-dropped)
-	}
-	mutated("a prune")
-	sh.mu.Lock()
-	dropped = sh.series[id].pruneRawBefore(0)
-	sh.mu.Unlock()
-	if dropped != 0 {
-		t.Fatal("prune before the first chunk dropped samples")
-	}
-	unchanged("a prune that drops nothing")
-
 	// A snapshot install stamps a series exactly as replaying its samples
 	// would: registration plus one per sample.
 	sh.mu.RLock()
-	chunks, headPayload, headCount := sh.series[id].captureChunks(minInt64)
+	chunks, headPayload, headCount := sh.series[id].captureChunks()
 	sh.mu.RUnlock()
 	head, err := Decode(headPayload, headCount)
 	if err != nil {

@@ -123,6 +123,17 @@ func rollupBucketEqual(a, b *RollupBucket) bool {
 		math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
+// tierCaptures returns a capture of each of the series' whole tiers, in
+// the store's tier order. The caller holds the series' shard lock.
+func tierCaptures(ser *Series) []tierView {
+	out := make([]tierView, len(ser.rollups))
+	for i := range ser.rollups {
+		t := &ser.rollups[i]
+		t.capture(&out[i], 0, 0, len(t.pages), 0)
+	}
+	return out
+}
+
 // flatBuckets returns a tier capture's buckets as one ascending sequence,
 // the copied tail included.
 func flatBuckets(v *tierView) []RollupBucket {
@@ -133,8 +144,8 @@ func flatBuckets(v *tierView) []RollupBucket {
 
 // checkRollupsRebuilt asserts every meter's in-memory rollup tiers equal a
 // from-scratch fold of the recovered raw samples — the invariant that
-// recovery (snapshot tier load, WAL replay folding, or both) never
-// diverges from what straight ingest would have built.
+// recovery (tiers derived from a snapshot's samples, WAL replay folding, or
+// both) never diverges from what straight ingest would have built.
 func checkRollupsRebuilt(t *testing.T, st *Store) {
 	t.Helper()
 	if err := tiersRebuilt(st); err != nil {
@@ -153,13 +164,13 @@ func tiersRebuilt(st *Store) error {
 		}
 		sh := st.shardFor(id)
 		sh.mu.RLock()
-		got := sh.series[id].captureTiers()
+		got := tierCaptures(sh.series[id])
 		sh.mu.RUnlock()
 		if len(got) != len(st.rollupRes) {
 			return fmt.Errorf("meter %d: recovered %d tiers, want %d", id, len(got), len(st.rollupRes))
 		}
 		for i := range got {
-			if err := sameBuckets(flatBuckets(&got[i].tierView), generalFold(smps, st.rollupRes[i])); err != nil {
+			if err := sameBuckets(flatBuckets(&got[i]), generalFold(smps, st.rollupRes[i])); err != nil {
 				return fmt.Errorf("meter %d %ds tier diverges from a from-scratch rebuild: %w", id, st.rollupRes[i], err)
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"vap/internal/geo"
 	"vap/internal/query"
@@ -29,7 +28,6 @@ import (
 func TestRollupMatchesRaw(t *testing.T) {
 	t.Run("2017", func(t *testing.T) { rollupMatchesRaw(t, base) })
 	t.Run("pre-epoch", func(t *testing.T) { rollupMatchesRaw(t, -9*86400-4321) })
-	t.Run("retain-raw", retainRawServesTierDays)
 }
 
 func rollupMatchesRaw(t *testing.T, start int64) {
@@ -184,73 +182,6 @@ func rollupMatchesRaw(t *testing.T, start int64) {
 				t.Errorf("%s win=%v: tier result diverges from raw:\nraw:  %+v\ntier: %+v", q.src, win, raw, tier)
 			}
 		}
-	}
-}
-
-// retainRawServesTierDays pins what a weekly statement answers where raw
-// chunks have aged out and the daily tier survives (the fixture of
-// store/rollup_test.go's TestRetentionAgesRawKeepsTiers): the tier's days,
-// exactly as bucket(daily) does there — each weekly row is the in-order
-// merge of that daily statement's rows, and over a window whose edges still
-// have their raw samples, the rows of a store that kept everything.
-func retainRawServesTierDays(t *testing.T) {
-	open := func(opts store.Options) *query.Engine {
-		st, err := store.Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		if err := st.PutMeter(store.Meter{ID: 1, Location: geo.Point{Lon: 10.1, Lat: 55.6}, Zone: store.ZoneResidential}); err != nil {
-			t.Fatal(err)
-		}
-		// Six days of one-minute samples from ts 0 (a Thursday: the first
-		// four days close one Monday week, the last two open the next).
-		batch := make([]store.Sample, 6*1440)
-		for i := range batch {
-			batch[i] = store.Sample{TS: int64(i) * 60, Value: float64(i%23) * 0.1}
-		}
-		if _, err := st.AppendBatch(1, batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-		return query.NewEngineWorkers(st, 2)
-	}
-	aged := open(store.Options{Dir: t.TempDir(), RetainRaw: 2 * 24 * time.Hour})
-	kept := open(store.Options{Dir: t.TempDir()})
-	if first, _, err := aged.Store().Bounds(1); err != nil || first < 2*86400 {
-		t.Fatalf("first retained raw sample = %d (%v), want the first days aged out", first, err)
-	}
-
-	// The window is named: an absent bound resolves to the surviving raw
-	// extent. Its right edge, at an hour offset, still has its raw samples.
-	const where = ` from meters where time >= '1970-01-01' and time < '1970-01-06 18:00' group by `
-	weekly := run(t, aged, `select bucket(weekly), sum(value), count(*)`+where+`bucket(weekly)`)
-	if !strings.Contains(weekly.Plan, "86400s rollup serves weekly buckets") {
-		t.Fatalf("weekly plan over aged-out raw:\n%s", weekly.Plan)
-	}
-	if want := run(t, kept, `select bucket(weekly), sum(value), count(*)`+where+`bucket(weekly)`); !reflect.DeepEqual(weekly.Rows, want.Rows) {
-		t.Errorf("weekly rows over aged-out raw = %v, a store that kept its raw answers %v", weekly.Rows, want.Rows)
-	}
-	daily := run(t, aged, `select bucket(daily), sum(value), count(*)`+where+`bucket(daily)`)
-	var merged [][]any
-	for _, d := range daily.Rows {
-		week := query.GranWeekly.Truncate(d[0].(int64))
-		if n := len(merged); n == 0 || merged[n-1][0] != week {
-			merged = append(merged, []any{week, 0.0, int64(0)})
-		}
-		m := merged[len(merged)-1]
-		m[1], m[2] = m[1].(float64)+d[1].(float64), m[2].(int64)+d[2].(int64)
-	}
-	if len(daily.Rows) != 6 || !reflect.DeepEqual(weekly.Rows, merged) {
-		t.Errorf("weekly rows = %v, want the in-order merge of the %d daily rows: %v", weekly.Rows, len(daily.Rows), merged)
-	}
-	// The cost gate reads raw-only statistics: a window wholly behind the
-	// raw horizon estimates no samples, plans raw and finds none.
-	behind := run(t, aged, `select bucket(weekly), count(*) from meters where time >= '1970-01-01' and time < '1970-01-03' group by bucket(weekly)`)
-	if !strings.Contains(behind.Plan, "raw scan (tier would read") || len(behind.Rows) != 0 {
-		t.Errorf("window behind the raw horizon: %d rows, plan:\n%s", len(behind.Rows), behind.Plan)
 	}
 }
 

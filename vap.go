@@ -58,7 +58,9 @@ type Store = store.Store
 // StoreOptions configures durability: Dir selects the data directory,
 // SegmentBytes sets the WAL rotation threshold, and CommitInterval the
 // group-commit cadence. Appends are committed in the background; a nil
-// Store.Sync means every append made before it is fsynced.
+// Store.Sync means every append made before it is fsynced. Snapshots hold
+// the raw samples only: the rollup tiers RollupRes names are derived from
+// them at every open.
 type StoreOptions = store.Options
 
 // Durability defaults (used when the corresponding StoreOptions field is
