@@ -98,11 +98,8 @@ func setup(seed int64, days int, scale float64) (*harness, error) {
 	fmt.Printf("generating dataset: seed=%d days=%d scale=%.2f\n", seed, days, scale)
 	t0 := time.Now()
 	ds := gen.Generate(gen.Config{Seed: seed, Days: days, Counts: counts})
-	st, err := store.Open(store.Options{})
+	st, err := store.OpenSeeded(store.Options{}, ds.LoadInto)
 	if err != nil {
-		return nil, err
-	}
-	if err := ds.LoadInto(st); err != nil {
 		return nil, err
 	}
 	stats := st.Stats()

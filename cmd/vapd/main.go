@@ -16,8 +16,10 @@
 // HTTP API uses.
 //
 // With -dir, the store is durable (segmented WAL + snapshots); if the
-// directory is empty a synthetic dataset is generated and snapshotted into
-// it. Appends are group-committed in the background; POST
+// directory is empty a synthetic dataset is generated into it and
+// committed by one snapshot, the WAL empty behind it (store.OpenSeeded),
+// and the log breaks that first start into its stages. Appends are
+// group-committed in the background; POST
 // /api/ingest?sync=1 answers once its samples are fsynced, and POST
 // /api/admin/snapshot snapshots the store without blocking ingest,
 // retiring the WAL segments it covers. With -stream, the last 7 days of
@@ -61,32 +63,29 @@ func main() {
 	mysqlUsers := flag.String("mysql-users", "", "wire-protocol user file, username:password:tenant per line (empty = one password-less 'vap' user on the default tenant)")
 	flag.Parse()
 
-	st, err := store.Open(store.Options{Dir: *dir})
-	if err != nil {
-		log.Fatalf("open store: %v", err)
-	}
-	defer st.Close()
-	if *dir != "" {
-		logRecovery(st.Recovery())
-	}
-
 	var ds *gen.Dataset
-	if st.Stats().Samples == 0 {
+	var genMS, loadMS int64
+	st, err := store.OpenSeeded(store.Options{Dir: *dir}, func(st *store.Store) error {
 		log.Printf("generating synthetic dataset (seed=%d days=%d)", *seed, *days)
+		start := time.Now()
 		ds = gen.Generate(gen.Config{Seed: *seed, Days: *days})
+		loadStart := time.Now()
 		load := ds
 		if *doStream {
 			load = ds.Withhold(7) // the last week is replayed live
 		}
-		if err := load.LoadInto(st); err != nil {
-			log.Fatalf("load dataset: %v", err)
-		}
-		if *dir != "" {
-			if err := st.Snapshot(); err != nil {
-				log.Printf("snapshot: %v", err)
-			}
-		}
+		err := load.LoadInto(st)
+		genMS, loadMS = loadStart.Sub(start).Milliseconds(), time.Since(loadStart).Milliseconds()
+		return err
+	})
+	if err != nil {
+		log.Fatalf("open store: %v", err)
+	}
+	defer st.Close()
+	if rec := st.Recovery(); ds != nil {
+		log.Printf("first start: generate %dms, load %dms, snapshot %dms (%d bytes)", genMS, loadMS, rec.SeedSnapshotMS, rec.SeedSnapshotBytes)
 	} else {
+		logRecovery(rec)
 		log.Printf("loaded existing dataset: %+v", st.Stats())
 	}
 
@@ -219,10 +218,6 @@ func uiURL(addr string) string {
 // fan-out, and the resulting samples/s — so a restart-time regression
 // shows up in the log instead of having to be inferred.
 func logRecovery(rec store.RecoveryStats) {
-	if rec.SnapshotFormat == "" && rec.WALRecords == 0 {
-		log.Printf("recovery: empty directory (cold start), %d workers", rec.Workers)
-		return
-	}
 	perSec := float64(0)
 	if rec.TotalMS > 0 {
 		perSec = float64(rec.SnapshotSamples) / (float64(rec.TotalMS) / 1000)

@@ -1,8 +1,10 @@
 // Command vapgen generates a synthetic smart-meter dataset and either
-// writes it into a durable VAP store directory, dumps it as CSV, or
-// replays it against a running vapd's batched ingest endpoint; with
-// -import-meters/-import-readings it instead loads an existing CSV data
-// set (e.g. a real utility export) into a store.
+// writes it into a new durable VAP store directory (as one snapshot, the
+// way vapd's first start does; a directory that already holds a store is
+// refused), dumps it as CSV, or replays it against a running vapd's
+// batched ingest endpoint; with -import-meters/-import-readings it instead
+// loads an existing CSV data set (e.g. a real utility export) into a
+// store, which may already hold data.
 //
 // Usage:
 //
@@ -69,15 +71,16 @@ func main() {
 	}
 
 	if *dir != "" {
-		st, err := store.Open(store.Options{Dir: *dir})
+		filled := false
+		st, err := store.OpenSeeded(store.Options{Dir: *dir}, func(st *store.Store) error {
+			filled = true
+			return ds.LoadInto(st)
+		})
 		if err != nil {
 			log.Fatalf("open store: %v", err)
 		}
-		if err := ds.LoadInto(st); err != nil {
-			log.Fatalf("load: %v", err)
-		}
-		if err := st.Snapshot(); err != nil {
-			log.Fatalf("snapshot: %v", err)
+		if !filled {
+			log.Fatalf("vapgen: %s: directory not empty", *dir)
 		}
 		stats := st.Stats()
 		log.Printf("store: %d meters, %d samples, %.1fx compression",

@@ -41,24 +41,14 @@ func main() {
 	oneShot := flag.String("e", "", "execute one statement and exit")
 	flag.Parse()
 
-	st, err := store.Open(store.Options{Dir: *dir})
+	st, err := store.OpenSeeded(store.Options{Dir: *dir}, func(st *store.Store) error {
+		fmt.Fprintf(os.Stderr, "generating synthetic dataset (seed=%d days=%d)...\n", *seed, *days)
+		return gen.Generate(gen.Config{Seed: *seed, Days: *days}).LoadInto(st)
+	})
 	if err != nil {
 		log.Fatalf("open store: %v", err)
 	}
 	defer st.Close()
-
-	if st.Stats().Samples == 0 {
-		fmt.Fprintf(os.Stderr, "generating synthetic dataset (seed=%d days=%d)...\n", *seed, *days)
-		ds := gen.Generate(gen.Config{Seed: *seed, Days: *days})
-		if err := ds.LoadInto(st); err != nil {
-			log.Fatalf("load dataset: %v", err)
-		}
-		if *dir != "" {
-			if err := st.Snapshot(); err != nil {
-				log.Printf("snapshot: %v", err)
-			}
-		}
-	}
 	an := core.NewAnalyzerOpts(st, core.Options{Workers: *workers})
 
 	if *oneShot != "" {

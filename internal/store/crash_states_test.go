@@ -114,7 +114,7 @@ const crashHourly = 5
 func (r *crashRun) open() {
 	r.step("open", func() error {
 		r.wal = nil
-		s, err := open(crashOpts(), r.fs)
+		s, err := open(crashOpts(), r.fs, nil)
 		if err != nil {
 			return err
 		}
@@ -243,7 +243,7 @@ func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 	opts := crashOpts()
 	opts.RecoverWorkers = workers
 	fsys := memFSFrom(img)
-	s, err := open(opts, fsys)
+	s, err := open(opts, fsys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 		if err := s.Close(); err != nil {
 			return nil, fmt.Errorf("close after recovery: %v", err)
 		}
-		if s, err = open(opts, fsys); err != nil {
+		if s, err = open(opts, fsys, nil); err != nil {
 			return nil, fmt.Errorf("reopen of the recovered store's snapshot: %v", err)
 		}
 		if again := dumpStore(s); !sameStore(again, got) {
@@ -390,12 +390,23 @@ func TestCrashStates(t *testing.T) {
 // and at the end of the script leaves it, reopens with everything
 // acknowledged (checkImage) and is never refused as corrupt: the reopen
 // wrote back what the failed fsync left only in the page cache. No
-// goroutine outlives its store. Subtests are named by callNames.
+// goroutine outlives its store. Subtests are named by callNames. The seeded
+// first start (OpenSeeded on an empty directory) has its calls failed in
+// turn too, in the subtests named "seeded open" (runSeededFault).
 func TestFaultInjection(t *testing.T) {
 	clean := newCrashRun(newMemFS())
 	clean.script()
 	ops := clean.fs.trace()
 	names := callNames(clean, ops)
+	seeded := newMemFS()
+	s, err := open(crashOpts(), seeded, seedFill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seededOps := seeded.trace()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for _, kind := range []faultKind{faultENOSPC, faultShort, faultRename, faultSync} {
 		for k := range ops {
 			if !kind.hits(ops[k].kind) {
@@ -407,6 +418,72 @@ func TestFaultInjection(t *testing.T) {
 				checkNoLeakedGoroutines(t, before)
 			})
 		}
+		for k := range seededOps {
+			if !kind.hits(seededOps[k].kind) {
+				continue
+			}
+			t.Run(fmt.Sprintf("seeded open: %s at call %d", kind, k), func(t *testing.T) {
+				before := goroutines()
+				runSeededFault(t, kind, k)
+				checkNoLeakedGoroutines(t, before)
+			})
+		}
+	}
+}
+
+// runSeededFault fails call k of the seeded first start with kind. The open
+// must return the injected error, and the disk it leaves, as it is and as a
+// crash after each call from the failed one on leaves it, must open to no
+// meter or to every sample the fill appended, never refused as corrupt.
+// The next seeded open of the disk as it is holds every sample, and so does
+// a crash after its first acknowledged append: the failed open left no
+// snapshot whose name no fsync can make durable any more.
+func runSeededFault(t *testing.T, kind faultKind, k int) {
+	fsys := newMemFS()
+	fsys.faultAt, fsys.faultKind = k, kind
+	s, err := open(crashOpts(), fsys, seedFill)
+	if err == nil {
+		s.Close()
+	}
+	ops := fsys.trace()
+	if fsys.injected == nil {
+		t.Fatalf("call %d is not the one the clean seeded open made:%s", k, describe(ops, min(k+1, len(ops))))
+	}
+	if !errors.Is(err, kind.err()) {
+		t.Errorf("%s at call %d: the seeded open returned %v, want the injected error", kind, k, err)
+	}
+	all := func(int) bool { return true }
+	check := func(what string, img image) {
+		if got := seededImage(img); got != "empty" && got != "whole" {
+			t.Errorf("%s at call %d, %s: %s\ncalls:%s", kind, k, what, got, describe(ops, len(ops)))
+		}
+	}
+	check("the disk after the failed open", build(ops, all, tear{op: -1}))
+	for end := len(ops); end > k; end-- {
+		check(fmt.Sprintf("a crash after call %d", end-1), durableImage(ops[:end]))
+	}
+	s, err = open(crashOpts(), fsys, seedFill)
+	if err != nil {
+		t.Fatalf("%s at call %d: the next seeded open: %v", kind, k, err)
+	}
+	want := seedWant()
+	if got := dumpStore(s); !sameStore(got, want) {
+		t.Errorf("%s at call %d: the next seeded open holds other samples than the fill appended", kind, k)
+	}
+	next := crashSample(1, len(want[1]))
+	want[1] = append(want[1], next)
+	if err := s.Append(1, next); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := recoverImage(durableImage(fsys.trace()), 1)
+	if err != nil || !sameStore(got, want) {
+		t.Errorf("%s at call %d: a crash after the next seeded open's acknowledged append: %v, and the samples are the fill's and the append: %v", kind, k, err, sameStore(got, want))
 	}
 }
 
@@ -537,7 +614,7 @@ func TestReopenAfterFailedSegmentCreation(t *testing.T) {
 func TestFailedOpenLeavesNoCommitter(t *testing.T) {
 	before := goroutines()
 	fsys := newMemFS()
-	s, err := open(crashOpts(), fsys)
+	s, err := open(crashOpts(), fsys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +638,7 @@ func TestFailedOpenLeavesNoCommitter(t *testing.T) {
 	}
 	seg := fsys.data[fsys.names[filepath.Join("db", segmentName(1))]]
 	seg[len(seg)-1] ^= 0xff // the last frame's CRC
-	if _, err := open(crashOpts(), fsys); !errors.Is(err, ErrCorrupt) {
+	if _, err := open(crashOpts(), fsys, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with a corrupt sealed segment: %v, want ErrCorrupt", err)
 	}
 	checkNoLeakedGoroutines(t, before)
@@ -582,11 +659,11 @@ func TestNewNestedDirSurvivesCrash(t *testing.T) {
 		opts := crashOpts()
 		opts.Dir = filepath.Join("a", "b")
 		if fault >= 0 {
-			if _, err := open(opts, fsys); !errors.Is(err, syscall.EIO) {
+			if _, err := open(opts, fsys, nil); !errors.Is(err, syscall.EIO) {
 				t.Fatalf("fsync fault at call %d: open returned %v, want EIO", fault, err)
 			}
 		}
-		s, err := open(opts, fsys)
+		s, err := open(opts, fsys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -605,7 +682,7 @@ func TestNewNestedDirSurvivesCrash(t *testing.T) {
 		}
 		ops := fsys.trace()
 		for k := acked; k <= len(ops); k++ {
-			s, err := open(opts, memFSFrom(durableImage(ops[:k])))
+			s, err := open(opts, memFSFrom(durableImage(ops[:k])), nil)
 			if err != nil {
 				t.Fatalf("fsync fault at call %d, crash after call %d: %v", fault, k-1, err)
 			}
@@ -648,14 +725,14 @@ func TestStatErrorIsNotAbsence(t *testing.T) {
 	}{{"snapshot.vap", syscall.EACCES}, {"snapshot.vap", syscall.EIO}, {legacyWALName, syscall.EIO}} {
 		before := goroutines()
 		fsys := memFSFrom(durableImage(r.fs.trace()))
-		if s, err := open(crashOpts(), statFaultFS{fsys, c.name, c.err}); !errors.Is(err, c.err) {
+		if s, err := open(crashOpts(), statFaultFS{fsys, c.name, c.err}, nil); !errors.Is(err, c.err) {
 			if err == nil {
 				s.Close()
 			}
 			t.Errorf("stat of %s fails with %v: open returned %v, want that error", c.name, c.err, err)
 		}
 		checkNoLeakedGoroutines(t, before)
-		s, err := open(crashOpts(), fsys)
+		s, err := open(crashOpts(), fsys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

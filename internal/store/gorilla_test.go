@@ -277,3 +277,90 @@ func TestBitLen(t *testing.T) {
 		t.Fatalf("bitLen = %d, want 11", w.bitLen())
 	}
 }
+
+// TestSealedChunksMatchTheirData holds what Series.seal takes from the head
+// encoder without decoding it. Over random, gapped and NaN / ±Inf series,
+// appended a sample at a time and as one run, every sealed chunk decodes,
+// through the batch decoder and the bit-at-a-time reference alike, to
+// exactly its count of samples, from its minTS to its maxTS: the run that
+// was appended to it, bit for bit.
+func TestSealedChunksMatchTheirData(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	kinds := map[string]func(ts int64) (int64, float64){
+		"random": func(ts int64) (int64, float64) {
+			return ts + 1 + rng.Int63n(1<<20), rng.NormFloat64() * math.Pow(10, float64(rng.Intn(8)))
+		},
+		"gapped": func(ts int64) (int64, float64) {
+			if rng.Intn(50) == 0 {
+				ts += rng.Int63n(1 << 34) // beyond every prefix code: a raw delta
+			}
+			return ts + 3600, float64(rng.Intn(400)) / 100
+		},
+		"special": func(ts int64) (int64, float64) {
+			if rng.Intn(3) == 0 {
+				return ts + 900, specials[rng.Intn(len(specials))]
+			}
+			return ts + 900, rng.Float64()
+		},
+	}
+	for name, next := range kinds {
+		smps := make([]Sample, 4*chunkTargetSamples+37)
+		ts := rng.Int63n(1 << 40)
+		for i := range smps {
+			ts, smps[i].Value = next(ts)
+			smps[i].TS = ts
+		}
+		one, run := NewSeries(1), NewSeries(1)
+		for _, smp := range smps {
+			if err := one.Append(smp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := run.appendRun(smps); err != nil {
+			t.Fatal(err)
+		}
+		for how, ser := range map[string]*Series{"one at a time": one, "as one run": run} {
+			if len(ser.sealed) != len(smps)/chunkTargetSamples {
+				t.Fatalf("%s, %s: %d sealed chunks, want %d", name, how, len(ser.sealed), len(smps)/chunkTargetSamples)
+			}
+			off := 0
+			for i, c := range ser.sealed {
+				want := smps[off : off+chunkTargetSamples]
+				off += chunkTargetSamples
+				if c.count != len(want) || c.minTS != want[0].TS || c.maxTS != want[len(want)-1].TS {
+					t.Errorf("%s, %s, chunk %d: count %d, TS [%d, %d]; want %d, [%d, %d]", name, how, i, c.count, c.minTS, c.maxTS, len(want), want[0].TS, want[len(want)-1].TS)
+				}
+				got, err := Decode(c.payload, c.count)
+				if err != nil || !sameBits(got, want) {
+					t.Errorf("%s, %s, chunk %d: the batch decoder read other samples than were appended (%v)", name, how, i, err)
+				}
+				var ref []Sample
+				it := NewIterator(c.payload, c.count)
+				for it.Next() {
+					ref = append(ref, it.Sample())
+				}
+				if it.Err() != nil || !sameBits(ref, want) {
+					t.Errorf("%s, %s, chunk %d: the reference decoder read other samples than were appended (%v)", name, how, i, it.Err())
+				}
+			}
+			if off+ser.head.Len() != len(smps) {
+				t.Errorf("%s, %s: %d sealed and %d in the head, want %d", name, how, off, ser.head.Len(), len(smps))
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same timestamps and the same
+// value bits, so NaNs compare equal to themselves.
+func sameBits(a, b []Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].TS != b[i].TS || math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+	}
+	return true
+}

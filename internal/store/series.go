@@ -73,17 +73,16 @@ func (s *Series) LastTS() int64 {
 
 // Append adds one sample. Timestamps must be strictly increasing across the
 // series lifetime.
-func (s *Series) Append(smp Sample) error { return s.appendRun([]Sample{smp}, nil) }
+func (s *Series) Append(smp Sample) error { return s.appendRun([]Sample{smp}) }
 
 // appendRun appends an in-order run, stopping at the first sample out of
-// order: each tier reserves its room once, and every chunk the run fills
-// seals through b (a pooled batch when b is nil).
-func (s *Series) appendRun(smps []Sample, b *Batch) error {
+// order: each tier reserves its room once.
+func (s *Series) appendRun(smps []Sample) error {
 	if len(smps) > 0 {
 		s.reserveRollups(len(smps), uint64(smps[len(smps)-1].TS)-uint64(smps[0].TS))
 	}
 	for _, smp := range smps {
-		if err := s.appendRaw(smp, b); err != nil {
+		if err := s.appendRaw(smp); err != nil {
 			return err
 		}
 		for i := range s.rollups {
@@ -96,7 +95,7 @@ func (s *Series) appendRun(smps []Sample, b *Batch) error {
 // appendRaw is Append without the rollup fold: the snapshot load path
 // (installChunks), whose tiers are installed separately (folding here too
 // would double-count).
-func (s *Series) appendRaw(smp Sample, b *Batch) error {
+func (s *Series) appendRaw(smp Sample) error {
 	if s.total > 0 && smp.TS <= s.LastTS() {
 		return ErrOutOfOrder
 	}
@@ -109,49 +108,25 @@ func (s *Series) appendRaw(smp Sample, b *Batch) error {
 	s.total++
 	s.ver++
 	if s.head.Len() >= chunkTargetSamples {
-		s.seal(b)
+		s.seal()
 	}
 	return nil
 }
 
-// seal freezes the head encoder into an immutable chunk. The payload is
-// decoded once, to verify it, before the head lets go of it: through b, or
-// a pooled batch when b is nil, keeping only the count and the first and
-// last timestamps. The encoder then reuses its bit buffer for the next
-// block; nothing aliases it, since Bytes copies and Iter and captureChunks
-// go through Bytes.
-func (s *Series) seal(b *Batch) {
-	n := s.head.Len()
-	if n == 0 {
-		return
-	}
-	payload := s.head.Bytes()
-	var d blockReader
-	d.reset(payload, n)
-	if b == nil {
-		b = GetBatch()
-		defer PutBatch(b)
-	}
-	c := &chunk{payload: payload}
-	for !d.done() {
-		b.Reset()
-		d.decodeInto(b)
-		if b.Len() == 0 {
-			continue
-		}
-		if c.count == 0 {
-			c.minTS = b.TS[0]
-		}
-		c.maxTS = b.TS[b.Len()-1]
-		c.count += b.Len()
-	}
-	if d.err != nil || c.count == 0 {
-		// A decode failure here indicates an encoder bug; keep data raw in
-		// the head rather than lose it. This path is exercised in tests via
-		// corruption injection only.
-		return
-	}
-	s.sealed = append(s.sealed, c)
+// seal freezes the (non-empty) head encoder into an immutable chunk: its
+// payload, with the count and the first and last timestamps the head
+// already tracks, so nothing is decoded. That every sealed chunk decodes to
+// exactly that metadata is a test's to hold (TestSealedChunksMatchTheirData).
+// The encoder then reuses its bit buffer for the next block; nothing
+// aliases it, since Bytes copies and Iter and captureChunks go through
+// Bytes.
+func (s *Series) seal() {
+	s.sealed = append(s.sealed, &chunk{
+		minTS:   s.headMinTS,
+		maxTS:   s.head.LastTS(),
+		count:   s.head.Len(),
+		payload: s.head.Bytes(),
+	})
 	s.head.reset()
 }
 
@@ -193,7 +168,7 @@ func (s *Series) installChunks(chunks []*chunk, head []Sample) error {
 	}
 	for _, smp := range head {
 		// appendRaw validates ordering against the last sealed chunk too.
-		if err := s.appendRaw(smp, nil); err != nil {
+		if err := s.appendRaw(smp); err != nil {
 			return err
 		}
 	}

@@ -87,6 +87,10 @@ type RecoveryStats struct {
 	WALReplayMS     int64  `json:"wal_replay_ms"`
 	Workers         int    `json:"workers"`
 	TotalMS         int64  `json:"total_ms"`
+	// SeedSnapshotMS and SeedSnapshotBytes are the snapshot OpenSeeded
+	// wrote after filling a new directory; 0 otherwise.
+	SeedSnapshotMS    int64 `json:"seed_snapshot_ms,omitempty"`
+	SeedSnapshotBytes int64 `json:"seed_snapshot_bytes,omitempty"`
 }
 
 // Recovery returns the breakdown of the work Open did to bring this store

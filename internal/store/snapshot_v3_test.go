@@ -254,17 +254,6 @@ func TestYearAppendAllocatesWhatItKeeps(t *testing.T) {
 	for i := range smps {
 		smps[i] = Sample{TS: 1483228800 + int64(i)*3600, Value: float64(i%24) * 0.37}
 	}
-	// The batch AppendBatch seals chunks through comes from a pool the
-	// whole process shares; its first use allocates 16 KiB that no append
-	// keeps or repeats, so it is taken before the count starts. Several go
-	// in: under the race detector a Put drops its item one time in four.
-	warm := make([]*Batch, 8)
-	for i := range warm {
-		warm[i] = GetBatch()
-	}
-	for _, b := range warm {
-		PutBatch(b)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := st.AppendBatch(1, smps); err != nil {

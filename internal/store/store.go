@@ -162,10 +162,21 @@ func nextPow2(n int) int {
 // across Options.RecoverWorkers workers (snapshot meter installs for
 // v3 / v4 files, per-shard WAL record appliers). Recovery() reports the
 // breakdown.
-func Open(opts Options) (*Store, error) { return open(opts, osFS{}) }
+func Open(opts Options) (*Store, error) { return open(opts, osFS{}, nil) }
 
-// open is Open on the filesystem fsys.
-func open(opts Options, fsys fileSystem) (*Store, error) {
+// OpenSeeded is Open for a store that starts from data of its own, such as
+// a generated dataset: fill loads a new store (in memory, or a directory
+// whose snapshot and WAL hold no meter and no record) before OpenSeeded
+// returns, and is never called otherwise. A durable store is filled with
+// no WAL attached and committed by one snapshot, so a crash before its
+// rename leaves a directory the next OpenSeeded fills again. The WAL
+// starts empty and logs every mutation after the return.
+func OpenSeeded(opts Options, fill func(*Store) error) (*Store, error) {
+	return open(opts, osFS{}, fill)
+}
+
+// open is OpenSeeded on the filesystem fsys; a nil fill is Open.
+func open(opts Options, fsys fileSystem, fill func(*Store) error) (*Store, error) {
 	n := opts.Shards
 	if n <= 0 {
 		n = defaultShards
@@ -183,6 +194,9 @@ func open(opts Options, fsys fileSystem) (*Store, error) {
 		s.shards[i] = &shard{series: make(map[int64]*Series)}
 	}
 	if opts.Dir == "" {
+		if err := s.seed(fill); err != nil {
+			return nil, err
+		}
 		return s, nil
 	}
 	start := time.Now()
@@ -216,9 +230,40 @@ func open(opts Options, fsys fileSystem) (*Store, error) {
 		wal.Close()
 		return nil, fmt.Errorf("store: replaying WAL: %w", err)
 	}
-	s.wal = wal
 	s.recovery.TotalMS = time.Since(start).Milliseconds()
+	if s.catalog.Len() == 0 && records == 0 {
+		if err := s.seed(fill); err != nil {
+			wal.Close()
+			return nil, err
+		}
+	}
+	s.wal = wal
 	return s, nil
+}
+
+// seed runs fill, if any, on a new store, and snapshots a durable one. It
+// runs before open attaches the WAL: with s.wal nil, neither the fill's
+// mutations nor the snapshot's watermark touch the log, which stays empty.
+func (s *Store) seed(fill func(*Store) error) error {
+	if fill == nil {
+		return nil
+	}
+	if err := fill(s); err != nil || s.opts.Dir == "" {
+		return err
+	}
+	start := time.Now()
+	if err := s.Snapshot(); err != nil {
+		// A snapshot whose directory fsync failed may still be named in the
+		// directory, and no later fsync makes that name durable. It is the
+		// only copy of the fill, so it goes: the next open fills again.
+		s.fs.remove(s.snapPath())
+		return fmt.Errorf("store: snapshot of the seeded store: %w", err)
+	}
+	s.recovery.SeedSnapshotMS = time.Since(start).Milliseconds()
+	if fi, err := s.fs.stat(s.snapPath()); err == nil {
+		s.recovery.SeedSnapshotBytes = fi.Size()
+	}
+	return nil
 }
 
 // snapPath is the snapshot's file.
@@ -401,9 +446,7 @@ func (s *Store) AppendBatch(meterID int64, smps []Sample) (int, error) {
 			return 0, err
 		}
 	}
-	b := GetBatch()
-	_ = ser.appendRun(smps[:n], b) // validated above
-	PutBatch(b)
+	_ = ser.appendRun(smps[:n]) // validated above
 	if n > 0 {
 		sh.version.Add(uint64(n))
 		s.version.Add(uint64(n))
