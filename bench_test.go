@@ -621,81 +621,75 @@ func BenchmarkMeterMatrix(b *testing.B) {
 // microsecond-scale (the pushdown iterator decodes outside the lock, and
 // the scan window is pinned to the preloaded region so its cost stays
 // constant as appends accumulate), so the measurement is dominated by the
-// store's locking. With one shard — the old global-RWMutex layout — the
-// whole workload serializes behind a single mutex; the Shards16 variant
-// should pull ahead on any multi-core runner.
+// store's locking across its 16 shards.
 func BenchmarkConcurrentAppendQuery(b *testing.B) {
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("Shards%d", shards), func(b *testing.B) {
-			st, err := store.Open(store.Options{Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			const (
-				meters  = 64
-				preload = 60
-				writers = 4
-				readers = 4
-				burst   = 1000 // ops per goroutine per iteration
-			)
-			for id := int64(1); id <= meters; id++ {
-				if err := st.PutMeter(store.Meter{
-					ID:       id,
-					Location: vap.Point{Lon: 12.5 + float64(id)*0.001, Lat: 55.7},
-					Zone:     store.ZoneResidential,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				batch := make([]store.Sample, preload)
-				for i := range batch {
-					batch[i] = store.Sample{TS: int64(i) * 60, Value: float64(i % 24)}
-				}
-				if _, err := st.AppendBatch(id, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next [meters]int64
-			for i := range next {
-				next[i] = preload * 60
-			}
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						const per = meters / writers
-						for i := 0; i < burst; i++ {
-							slot := w*per + i%per
-							next[slot] += 60
-							if err := st.Append(int64(slot)+1, store.Sample{TS: next[slot], Value: 1}); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				for r := 0; r < readers; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						for i := 0; i < burst; i++ {
-							id := int64((r*burst+i)%meters) + 1
-							if _, err := st.Range(id, 0, preload*60); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(r)
-				}
-				wg.Wait()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64((writers+readers)*burst), "storeops/op")
-		})
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer st.Close()
+	const (
+		meters  = 64
+		preload = 60
+		writers = 4
+		readers = 4
+		burst   = 1000 // ops per goroutine per iteration
+	)
+	for id := int64(1); id <= meters; id++ {
+		if err := st.PutMeter(store.Meter{
+			ID:       id,
+			Location: vap.Point{Lon: 12.5 + float64(id)*0.001, Lat: 55.7},
+			Zone:     store.ZoneResidential,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		batch := make([]store.Sample, preload)
+		for i := range batch {
+			batch[i] = store.Sample{TS: int64(i) * 60, Value: float64(i % 24)}
+		}
+		if _, err := st.AppendBatch(id, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var next [meters]int64
+	for i := range next {
+		next[i] = preload * 60
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				const per = meters / writers
+				for i := 0; i < burst; i++ {
+					slot := w*per + i%per
+					next[slot] += 60
+					if err := st.Append(int64(slot)+1, store.Sample{TS: next[slot], Value: 1}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := 0; i < burst; i++ {
+					id := int64((r*burst+i)%meters) + 1
+					if _, err := st.Range(id, 0, preload*60); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64((writers+readers)*burst), "storeops/op")
 }
 
 // BenchmarkRecover measures cold-start recovery of a durable store whose
@@ -742,11 +736,12 @@ func BenchmarkRecover(b *testing.B) {
 		workers int
 	}{
 		{"V3Serial", 1},
-		{"V3Parallel", 0}, // 0 = GOMAXPROCS
+		{"V3Parallel", 0}, // 0 = GOMAXPROCS as it is
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.workers)) // recovery runs on GOMAXPROCS workers
 			for i := 0; i < b.N; i++ {
-				st, err := store.Open(store.Options{Dir: dir, RecoverWorkers: tc.workers})
+				st, err := store.Open(store.Options{Dir: dir})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -41,10 +41,8 @@ type Server struct {
 
 // Config tunes the HTTP front door. The zero value selects the defaults.
 type Config struct {
-	// HandlerTimeout bounds one request's handler work — the single
-	// configurable default that used to be hardcoded (twice) as 120s.
-	// Governance query deadlines, when configured, supersede it
-	// per-request with a tighter bound. <= 0 selects 120s.
+	// HandlerTimeout bounds one request's handler work; a /api/query
+	// request's X-VAP-Deadline may tighten it. <= 0 selects 120s.
 	HandlerTimeout time.Duration
 	// MaxIngestBytes caps one /api/ingest request body; beyond it the
 	// request fails with 413 and the skip counts of the work already

@@ -22,7 +22,7 @@ import (
 // statement must answer what a fresh analyzer answers over the final
 // catalog.
 func TestCatalogChurnUnderQueries(t *testing.T) {
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

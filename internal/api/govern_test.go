@@ -135,7 +135,6 @@ func TestQueryShed429(t *testing.T) {
 		MaxConcurrent:     1,
 		MaxQueue:          1,
 		MaxQueueWait:      time.Minute,
-		RetryAfter:        2 * time.Second,
 		InteractiveCutoff: 1, // everything estimable is analytics
 	}, 8)
 	gov := an.Gov()
@@ -164,8 +163,8 @@ func TestQueryShed429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d (%v), want 429", resp.StatusCode, out)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if out["class"] != string(govern.ClassAnalytics) || out["tenant"] != "dash" {
 		t.Errorf("429 body taxonomy: %v", out)
@@ -240,7 +239,6 @@ func TestGovernMixedWorkload(t *testing.T) {
 			MaxConcurrent:     16,
 			MaxQueue:          1,
 			MaxQueueWait:      30 * time.Second,
-			RetryAfter:        2 * time.Second,
 			InteractiveCutoff: 5_000,
 			Tenants: map[string]govern.Quota{
 				"capped": {MaxCostSamples: 100},
@@ -280,8 +278,8 @@ func TestGovernMixedWorkload(t *testing.T) {
 			}
 			noon := ds.Start.Unix() + 5*86400 + 12*3600
 			resp, out := postQueryAs(t, srv.URL, "batch", fmt.Sprintf("/api/flow?t1=%d&t2=%d&granularity=4hourly&quantile=0.5", noon, noon+8*3600))
-			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "2" {
-				t.Errorf("overflowing flow map: status %d, Retry-After %q (%v), want 429 and \"2\"", resp.StatusCode, resp.Header.Get("Retry-After"), out["error"])
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+				t.Errorf("overflowing flow map: status %d, Retry-After %q (%v), want 429 and \"1\"", resp.StatusCode, resp.Header.Get("Retry-After"), out["error"])
 			}
 			for _, g := range held {
 				g.Release()

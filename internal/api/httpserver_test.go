@@ -109,7 +109,7 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 // queryWriteTimeout to keep the test short.
 func TestSlowlorisStalledExportReader(t *testing.T) {
 	t.Parallel()
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ const vqlBase int64 = 1496275200
 // for cache and mutation assertions.
 func newVQLTestServer(t testing.TB) (*httptest.Server, *core.Analyzer, *store.Store) {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,13 +87,13 @@ func newViewFuzzEnv(tb testing.TB) *viewFuzzEnv {
 		tb.Fatal(err)
 	}
 	// A small memory budget refuses a huge grid or window before it is
-	// built, and a query deadline bounds a slow one: both are the
+	// built, and a handler timeout bounds a slow one: both are the
 	// governor's answers (422, 504), never a 500.
-	gov := govern.New(govern.Config{MemBudget: 32 << 20, QueryDeadline: 20 * time.Second})
-	an := core.NewAnalyzerOpts(st, core.Options{Workers: 2, CacheEntries: 4096, Gov: gov})
+	gov := govern.New(govern.Config{MemBudget: 32 << 20})
+	an := core.NewAnalyzerOpts(st, core.Options{Workers: 2, Gov: gov})
 	b := st.Catalog().Bounds()
 	return &viewFuzzEnv{
-		mux:   NewServer(an, nil).Routes(),
+		mux:   NewServerWith(an, nil, Config{HandlerTimeout: 20 * time.Second}).Routes(),
 		start: ds.Start.Unix(),
 		days:  days,
 		box:   [4]float64{b.Min.Lon, b.Min.Lat, b.Max.Lon, b.Max.Lat},

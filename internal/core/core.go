@@ -39,8 +39,6 @@ type Options struct {
 	// (distance matrix, KDE grid, per-meter decode). <= 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheEntries bounds the versioned result cache (<= 0 selects 64).
-	CacheEntries int
 	// Gov is the admission controller every VQL statement and analysis
 	// request passes through (nil selects one with govern.Config defaults).
 	Gov *govern.Controller
@@ -66,7 +64,7 @@ func NewAnalyzer(st *store.Store) *Analyzer {
 
 // NewAnalyzerOpts wraps a store with explicit execution options.
 func NewAnalyzerOpts(st *store.Store, opts Options) *Analyzer {
-	ex := exec.New(exec.Options{Workers: opts.Workers, CacheEntries: opts.CacheEntries})
+	ex := exec.New(exec.Options{Workers: opts.Workers})
 	gov := opts.Gov
 	if gov == nil {
 		gov = govern.New(govern.Config{})
@@ -120,8 +118,7 @@ type job struct {
 // windows and the meters' stats, the key holds the first three and the
 // versions, and equal versions mean equal stats (store.Series.ver), so the
 // miss's request is the one the hit would estimate. The grant rides the
-// context: the executor's batch loops pace against it, and the controller's
-// query deadline bounds execution.
+// context: the executor's batch loops pace against it.
 func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute func(context.Context) (any, error)) (any, error) {
 	val, note, hit := a.ex.Lookup(a.key(j, windows))
 	req, known := note.(govern.Request)
@@ -146,13 +143,7 @@ func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute f
 	if hit {
 		return val, nil
 	}
-	ctx = govern.WithGrant(ctx, grant)
-	if d := grant.Deadline(); !d.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, d)
-		defer cancel()
-	}
-	return a.ex.DoNote(ctx, a.key(j, windows), req, compute)
+	return a.ex.DoNote(govern.WithGrant(ctx, grant), a.key(j, windows), req, compute)
 }
 
 // key is the memo key of j over windows as the store stands now.
@@ -201,11 +192,11 @@ func fieldBytes(cols, rows int) int64 { return int64(min(8*float64(cols)*float64
 // TypicalConfig parameterizes a typical-pattern analysis run.
 type TypicalConfig struct {
 	Selection query.Selection
-	// Granularity of the feature vectors; daily gives 365-dim yearly
-	// shapes (captures the bimodal winter/summer signature), hourly x
-	// day-profile captures diurnal habits. Default daily.
+	// Granularity of the feature vectors, each bucket a mean; daily gives
+	// 365-dim yearly shapes (captures the bimodal winter/summer
+	// signature), hourly x day-profile captures diurnal habits. Default
+	// daily.
 	Granularity query.Granularity
-	Aggregate   query.AggFunc // default mean
 	Method      reduce.Method // default t-SNE
 	Metric      reduce.Metric // default Pearson (the paper's choice)
 	Seed        int64
@@ -218,9 +209,6 @@ type TypicalConfig struct {
 func (c *TypicalConfig) defaults() {
 	if c.Granularity == "" {
 		c.Granularity = query.GranDaily
-	}
-	if c.Aggregate == "" {
-		c.Aggregate = query.AggMean
 	}
 	if c.Method == "" {
 		c.Method = reduce.MethodTSNE
@@ -269,13 +257,13 @@ func (a *Analyzer) TypicalPatterns(ctx context.Context, cfg TypicalConfig) (*Typ
 	// float64 slices per tile, 32 bytes for each of at most n*n/128 + n row
 	// shares, and each iteration's copy of the coordinates, 16 bytes a
 	// point.
-	fn, g, mem, bucketMem, squareMem := cfg.Aggregate, cfg.Granularity, 16*n*n+n*n/4+48*n, 8*n, int64(0)
+	g, mem, bucketMem, squareMem := cfg.Granularity, 16*n*n+n*n/4+48*n, 8*n, int64(0)
 	if cfg.UseDailyProfile {
-		fn, g, mem, bucketMem = query.AggMean, query.GranHourly, mem+24*8*n, 0
+		g, mem, bucketMem = query.GranHourly, mem+24*8*n, 0
 	} else if cfg.Method == reduce.MethodPCA {
 		squareMem = 8 // the covariance of the feature columns
 	}
-	p, err := scanPlan(fn, g)
+	p, err := scanPlan(query.AggMean, g)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +294,7 @@ func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*Typi
 		ids = cfg.Selection.MeterIDs
 		rows, err = a.eng.DayProfilesCtx(ctx, ids, cfg.Selection.From, cfg.Selection.To)
 	} else {
-		ids, times, rows, err = a.eng.MeterMatrixCtx(ctx, cfg.Selection, cfg.Granularity, cfg.Aggregate)
+		ids, times, rows, err = a.eng.MeterMatrixCtx(ctx, cfg.Selection, cfg.Granularity, query.AggMean)
 	}
 	if err != nil {
 		return nil, err
@@ -542,9 +530,8 @@ type ShiftConfig struct {
 	// IntensityQuantile keeps only meters at or above this total-consumption
 	// quantile (0 disables; S2 sweeps 0.30..0.90).
 	IntensityQuantile float64
-	// KDE controls.
+	// KDE controls; both maps share one Silverman bandwidth.
 	GridCols, GridRows int
-	Bandwidth          float64
 	Kernel             kde.Kernel
 	// Flow extraction.
 	OD ODMode
@@ -625,7 +612,7 @@ func (a *Analyzer) ShiftPatternsCtx(ctx context.Context, cfg ShiftConfig) (*Shif
 	// outside the selection that widens the box must still miss.
 	v, err := a.run(ctx, job{
 		kind: "shift", plan: windowPlan, ids: ids, mem: 3 * fieldBytes(cfg.GridCols, cfg.GridRows),
-		config: []any{g, cfg.IntensityQuantile, cfg.GridCols, cfg.GridRows, cfg.Bandwidth, cfg.Kernel, cfg.OD, a.Store().Catalog().Bounds()},
+		config: []any{g, cfg.IntensityQuantile, cfg.GridCols, cfg.GridRows, cfg.Kernel, cfg.OD, a.Store().Catalog().Bounds()},
 	}, windows, func(ctx context.Context) (any, error) {
 		return a.computeShift(ctx, cfg, t1a, t1b, t2a, t2b)
 	})
@@ -655,13 +642,10 @@ func (a *Analyzer) computeShift(ctx context.Context, cfg ShiftConfig, t1a, t1b, 
 		return nil, err
 	}
 	box := a.Store().Catalog().Bounds().Buffer(0.002)
+	// One shared bandwidth, so the two maps are comparable.
 	kcfg := kde.Config{
-		Cols: cfg.GridCols, Rows: cfg.GridRows, Bandwidth: cfg.Bandwidth,
-		Kernel: cfg.Kernel, Workers: a.ex.Workers(),
-	}
-	// Use one shared bandwidth so the two maps are comparable.
-	if kcfg.Bandwidth <= 0 {
-		kcfg.Bandwidth = kde.SilvermanBandwidth(append(append([]kde.WeightedPoint{}, pts1...), pts2...))
+		Cols: cfg.GridCols, Rows: cfg.GridRows, Kernel: cfg.Kernel, Workers: a.ex.Workers(),
+		Bandwidth: kde.SilvermanBandwidth(append(append([]kde.WeightedPoint{}, pts1...), pts2...)),
 	}
 	d1, err := kde.EstimateCtx(ctx, pts1, box, kcfg)
 	if err != nil {

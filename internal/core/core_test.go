@@ -325,7 +325,7 @@ func TestShiftPatternsCustomKernelAndGrid(t *testing.T) {
 	noon := ds.Start.Unix() + 10*86400 + 12*3600
 	res, err := an.ShiftPatternsCtx(context.Background(), ShiftConfig{
 		T1: noon, T2: noon + 8*3600, Granularity: query.Gran4Hourly,
-		GridCols: 32, GridRows: 24, Kernel: kde.KernelEpanechnikov, Bandwidth: 0.01,
+		GridCols: 32, GridRows: 24, Kernel: kde.KernelEpanechnikov,
 	})
 	if err != nil {
 		t.Fatal(err)

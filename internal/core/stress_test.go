@@ -43,7 +43,7 @@ func TestAnalyzerConcurrentStress(t *testing.T) {
 	if err := ds.LoadInto(st); err != nil {
 		t.Fatal(err)
 	}
-	an := NewAnalyzerOpts(st, Options{Workers: 4, CacheEntries: 64})
+	an := NewAnalyzerOpts(st, Options{Workers: 4})
 	ctx := context.Background()
 	noon := ds.Start.Unix() + 5*86400 + 12*3600
 

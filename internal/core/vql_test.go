@@ -13,7 +13,7 @@ import (
 
 func newVQLAnalyzer(t *testing.T) (*Analyzer, *store.Store) {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 2})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

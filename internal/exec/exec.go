@@ -35,21 +35,11 @@ type Options struct {
 	// Workers is the fan-out width for parallel kernels. <= 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheEntries bounds the result cache (LRU eviction). <= 0 selects
-	// 64 entries. The bound is a count, not a byte size: one cached
-	// analysis result can hold a full feature matrix or several density
-	// grids (megabytes at large meter counts), so size this to the
-	// distinct (selection, parameter) combinations expected between
-	// ingests, not to available memory.
-	CacheEntries int
 }
 
 func (o *Options) defaults() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.CacheEntries <= 0 {
-		o.CacheEntries = 64
 	}
 }
 
@@ -115,6 +105,13 @@ func hashString(h uint64, s string) uint64 {
 	return h
 }
 
+// cacheEntries bounds the result cache (LRU eviction). The bound is a
+// count, not a byte size: one cached analysis result can hold a full
+// feature matrix or several density grids (megabytes at large meter
+// counts), so it is sized to the distinct (selection, parameter)
+// combinations expected between ingests, not to available memory.
+const cacheEntries = 64
+
 // call is one in-flight computation other Do callers can join.
 type call struct {
 	done chan struct{}
@@ -126,7 +123,6 @@ type call struct {
 // concurrent use.
 type Engine struct {
 	workers int
-	maxEnt  int
 
 	mu     sync.Mutex
 	lru    *list.List            // front = most recently used; values are *entry
@@ -147,7 +143,6 @@ func New(opts Options) *Engine {
 	opts.defaults()
 	return &Engine{
 		workers: opts.Workers,
-		maxEnt:  opts.CacheEntries,
 		lru:     list.New(),
 		byKey:   make(map[Key]*list.Element),
 		flight:  make(map[Key]*call),
@@ -288,7 +283,7 @@ func (e *Engine) insertLocked(ent *entry) {
 		return
 	}
 	e.byKey[ent.key] = e.lru.PushFront(ent)
-	for e.lru.Len() > e.maxEnt {
+	for e.lru.Len() > cacheEntries {
 		tail := e.lru.Back()
 		e.lru.Remove(tail)
 		delete(e.byKey, tail.Value.(*entry).key)

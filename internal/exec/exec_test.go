@@ -41,7 +41,7 @@ func TestKeyOfCanonical(t *testing.T) {
 }
 
 func TestDoCachesSuccess(t *testing.T) {
-	e := New(Options{Workers: 2, CacheEntries: 8})
+	e := New(Options{Workers: 2})
 	key := KeyOf(1, "t", "x")
 	var calls atomic.Int64
 	compute := func(context.Context) (any, error) {
@@ -83,7 +83,7 @@ func TestDoDoesNotCacheErrors(t *testing.T) {
 }
 
 func TestDoSingleflight(t *testing.T) {
-	e := New(Options{Workers: 4, CacheEntries: 8})
+	e := New(Options{Workers: 4})
 	key := KeyOf(7, "t", "shared")
 	var calls atomic.Int64
 	gate := make(chan struct{})
@@ -255,23 +255,22 @@ func TestDoRespectsCallerContext(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	e := New(Options{CacheEntries: 3})
+	e := New(Options{})
 	mk := func(i int) Key { return KeyOf(1, "t", i) }
-	for i := 0; i < 5; i++ {
-		i := i
+	for i := 0; i < cacheEntries+2; i++ {
 		if _, err := e.Do(context.Background(), mk(i), func(context.Context) (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.Len() != 3 {
-		t.Fatalf("cache holds %d entries, want 3", e.Len())
+	if e.Len() != cacheEntries {
+		t.Fatalf("cache holds %d entries, want %d", e.Len(), cacheEntries)
 	}
 	if e.Cached(mk(0)) || e.Cached(mk(1)) {
 		t.Fatal("oldest entries were not evicted")
 	}
-	for i := 2; i < 5; i++ {
+	for i := 2; i < cacheEntries+2; i++ {
 		if !e.Cached(mk(i)) {
-			t.Fatalf("entry %d missing, want newest 3 retained", i)
+			t.Fatalf("entry %d missing, want newest %d retained", i, cacheEntries)
 		}
 	}
 	if st := e.Stats(); st.Evictions != 2 {
@@ -281,7 +280,7 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := e.Do(context.Background(), mk(2), func(context.Context) (any, error) { return nil, errors.New("must hit cache") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Do(context.Background(), mk(9), func(context.Context) (any, error) { return 9, nil }); err != nil {
+	if _, err := e.Do(context.Background(), mk(-1), func(context.Context) (any, error) { return -1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Cached(mk(2)) {

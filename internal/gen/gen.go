@@ -79,13 +79,8 @@ type Config struct {
 	Seed int64
 	// Counts per pattern; zero entries use the default mix.
 	Counts map[Pattern]int
-	// Start of the observation window; zero means 2018-01-01 UTC.
-	Start time.Time
-	// Days of data at hourly cadence.
+	// Days of data at hourly cadence, from start.
 	Days int
-	// Center of the synthetic city; zero value uses Copenhagen-ish
-	// coordinates (the paper's case study is Danish).
-	Center geo.Point
 	// AnomalyRate is the fraction of samples replaced by spikes (meter
 	// faults); MissingRate is the fraction of samples dropped.
 	AnomalyRate float64
@@ -103,16 +98,19 @@ func (c *Config) defaults() {
 			PatternEarlyBird:    60,
 		}
 	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
-	}
 	if c.Days <= 0 {
 		c.Days = 365
 	}
-	if c.Center == (geo.Point{}) {
-		c.Center = geo.Point{Lon: 12.568, Lat: 55.676}
-	}
 }
+
+var (
+	// start is the first sample's time, on a UTC midnight: every sample
+	// sits on the whole hour.
+	start = time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+	// center is the synthetic city's commercial core, Copenhagen-ish
+	// coordinates (the paper's case study is Danish).
+	center = geo.Point{Lon: 12.568, Lat: 55.676}
+)
 
 // Dataset is the generated population plus its readings.
 type Dataset struct {
@@ -121,8 +119,8 @@ type Dataset struct {
 	Readings [][]store.Sample
 	Start    time.Time
 	Hours    int
-	// Center is the synthetic city's commercial core (the generator's
-	// configured center), the reference point for shift-direction checks.
+	// Center is the synthetic city's commercial core, the reference point
+	// for shift-direction checks.
 	Center geo.Point
 }
 
@@ -140,13 +138,13 @@ func Generate(cfg Config) *Dataset {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	hours := cfg.Days * 24
-	ds := &Dataset{Start: cfg.Start, Hours: hours, Center: cfg.Center}
-	cal := newCalendar(cfg.Start, hours)
+	ds := &Dataset{Start: start, Hours: hours, Center: center}
+	cal := newCalendar(hours)
 	id := int64(1)
 	for p := Pattern(0); p < numPatterns; p++ {
 		n := cfg.Counts[p]
 		for k := 0; k < n; k++ {
-			loc, zone := placeCustomer(rng, cfg.Center, p)
+			loc, zone := placeCustomer(rng, center, p)
 			cust := Customer{
 				Meter: store.Meter{
 					ID:       id,
@@ -210,14 +208,10 @@ func placeCustomer(rng *rand.Rand, center geo.Point, p Pattern) (geo.Point, stor
 }
 
 // calendar is what the generator reads of the clock over one observation
-// window, worked out once per Generate: every sample shares the start's
-// minute, the first one sits hour0 hours into its UTC day, and days[k]
-// holds the terms of the k-th UTC day the window touches.
+// window, worked out once per Generate: days[k] holds the terms of the k-th
+// UTC day from start.
 type calendar struct {
-	start  int64
-	hour0  int
-	minute int
-	days   []dayTerms
+	days []dayTerms
 }
 
 // dayTerms are the terms of one UTC day.
@@ -226,12 +220,10 @@ type dayTerms struct {
 	bimodal, mild float64 // seasonBimodal and seasonMild of the day
 }
 
-func newCalendar(start time.Time, hours int) *calendar {
-	t := start.UTC()
-	c := &calendar{start: t.Unix(), hour0: t.Hour(), minute: t.Minute()}
-	c.days = make([]dayTerms, (c.hour0+hours+23)/24)
+func newCalendar(hours int) *calendar {
+	c := &calendar{days: make([]dayTerms, (hours+23)/24)}
 	for k := range c.days {
-		day := t.AddDate(0, 0, k)
+		day := start.AddDate(0, 0, k)
 		c.days[k] = dayTerms{
 			weekend: day.Weekday() == time.Saturday || day.Weekday() == time.Sunday,
 			bimodal: seasonBimodal(day.YearDay()),
@@ -248,17 +240,17 @@ type hourTerms struct {
 	idle, constant                     [24]float64 // the per-customer ripples
 }
 
-func newHourTerms(minute int, phase float64) *hourTerms {
+func newHourTerms(phase float64) *hourTerms {
 	ht := new(hourTerms)
 	for h := range ht.residential {
-		hour := float64(h) + float64(minute)/60 // the clock as the shapes read it
+		hour := float64(h)
 		ht.residential[h] = diurnalResidential(hour)
 		ht.earlyBird[h] = diurnalEarlyBird(hour)
-		// Business-hours modulation, on the whole hour: ~±12% around the
+		// Business-hours modulation: ~±12% around the
 		// pattern level, peaking mid-day. Kept gentle so constant-high stays
 		// "constant" to the eye while still moving the city's demand
 		// centroid.
-		ht.commercial[h] = 0.88 + 0.24*diurnalCommercial(float64(h))
+		ht.commercial[h] = 0.88 + 0.24*diurnalCommercial(hour)
 		// Faint fridge cycling on the idle standby load.
 		ht.idle[h] = 1 + 0.3*math.Sin(2*math.Pi*hour/3+phase)
 		// Constant-high's tiny diurnal ripple.
@@ -279,12 +271,12 @@ func synthesize(rng *rand.Rand, cfg Config, cal *calendar, p Pattern, zone store
 	// not identical.
 	scale := 0.8 + 0.4*rng.Float64()
 	phase := rng.Float64() * 2 * math.Pi
-	ht := newHourTerms(cal.minute, phase)
+	ht := newHourTerms(phase)
 	modulated := zone == store.ZoneCommercial || zone == store.ZoneIndustrial
+	t0 := start.Unix()
 	for h := 0; h < hours; h++ {
-		k := cal.hour0 + h
-		hod := k % 24
-		v := baseValue(rng, p, ht, hod, cal.days[k/24], scale)
+		hod := h % 24
+		v := baseValue(rng, p, ht, hod, cal.days[h/24], scale)
 		if modulated {
 			v *= ht.commercial[hod]
 		}
@@ -300,7 +292,7 @@ func synthesize(rng *rand.Rand, cfg Config, cal *calendar, p Pattern, zone store
 		if cfg.MissingRate > 0 && rng.Float64() < cfg.MissingRate {
 			continue // dropped reading
 		}
-		out = append(out, store.Sample{TS: cal.start + int64(h)*3600, Value: v})
+		out = append(out, store.Sample{TS: t0 + int64(h)*3600, Value: v})
 	}
 	return out
 }

@@ -107,16 +107,10 @@ type Config struct {
 	// MaxQueueWait sheds a waiter that has queued this long (<= 0
 	// selects 5s) — bounded queueing, not unbounded goroutine stacking.
 	MaxQueueWait time.Duration
-	// RetryAfter is the hint shed responses carry (<= 0 selects 1s).
-	RetryAfter time.Duration
 	// InteractiveCutoff classifies queries: estimated samples at or
 	// below it are interactive, above analytics (<= 0 selects 2M —
 	// roughly 20ms of vectorized decode).
 	InteractiveCutoff int64
-	// QueryDeadline, when positive, stamps every admitted query grant
-	// with an execution deadline enforced by the executor's per-batch
-	// cancellation checks (0 = only the front door's handler timeout).
-	QueryDeadline time.Duration
 	// MaxConns bounds concurrently open long-lived client connections
 	// (the wire-protocol front door calls ConnOpen per accepted
 	// connection, before any handshake crypto, so a connection flood is
@@ -138,13 +132,13 @@ func (c *Config) defaults() {
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 5 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.InteractiveCutoff <= 0 {
 		c.InteractiveCutoff = 2_000_000
 	}
 }
+
+// retryAfter is the hint shed responses carry.
+const retryAfter = time.Second
 
 // CostError is the typed up-front rejection for a query whose estimate
 // exceeds its tenant's ceiling. It maps to HTTP 422: retrying without
@@ -356,11 +350,7 @@ func (c *Controller) admitLocked(ts *tenantState, req Request, wait time.Duratio
 	if wait > ts.maxWait {
 		ts.maxWait = wait
 	}
-	g := &Grant{c: c, tenant: req.Tenant, class: req.Class, mem: req.EstMem}
-	if c.cfg.QueryDeadline > 0 && req.Class != ClassIngest {
-		g.deadline = time.Now().Add(c.cfg.QueryDeadline)
-	}
-	return g
+	return &Grant{c: c, tenant: req.Tenant, class: req.Class, mem: req.EstMem}
 }
 
 // Admit grants req admission, queuing it (class-priority, FIFO within a
@@ -414,7 +404,7 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 				c.pressure.Add(-1)
 			}
 			c.mu.Unlock()
-			return nil, &ShedError{Tenant: req.Tenant, Class: req.Class, Reason: "admission queue full", RetryAfter: c.cfg.RetryAfter}
+			return nil, &ShedError{Tenant: req.Tenant, Class: req.Class, Reason: "admission queue full", RetryAfter: retryAfter}
 		}
 		c.shedLocked(worst, "displaced by higher-priority work")
 	}
@@ -456,7 +446,7 @@ func (c *Controller) shedLocked(w *waiter, reason string) {
 	if w.req.Class == ClassInteractive {
 		c.pressure.Add(-1)
 	}
-	w.ready <- waitResult{err: &ShedError{Tenant: w.req.Tenant, Class: w.req.Class, Reason: reason, RetryAfter: c.cfg.RetryAfter}}
+	w.ready <- waitResult{err: &ShedError{Tenant: w.req.Tenant, Class: w.req.Class, Reason: reason, RetryAfter: retryAfter}}
 }
 
 // expireWaiter sheds w if it is still queued when its wait bound fires.
@@ -533,7 +523,7 @@ func (c *Controller) ConnOpen() (func(), error) {
 		return nil, &ShedError{
 			Tenant: DefaultTenant, Class: ClassConn,
 			Reason:     fmt.Sprintf("connection limit %d reached", c.cfg.MaxConns),
-			RetryAfter: c.cfg.RetryAfter,
+			RetryAfter: retryAfter,
 		}
 	}
 	c.conns++
@@ -577,13 +567,8 @@ type Grant struct {
 	tenant   string
 	class    Class
 	mem      int64
-	deadline time.Time
 	released atomic.Bool
 }
-
-// Deadline returns the execution deadline the controller stamped on the
-// grant (zero when none is configured).
-func (g *Grant) Deadline() time.Time { return g.deadline }
 
 // Release returns the grant's reservations and dispatches newly fitting
 // waiters. Safe to call more than once.

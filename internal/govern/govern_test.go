@@ -266,26 +266,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestGrantDeadline(t *testing.T) {
-	c := New(Config{QueryDeadline: time.Minute})
-	g, err := c.Admit(context.Background(), Request{Class: ClassInteractive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Release()
-	if g.Deadline().IsZero() {
-		t.Fatal("query grant missing deadline")
-	}
-	gi, err := c.Admit(context.Background(), Request{Class: ClassIngest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gi.Release()
-	if !gi.Deadline().IsZero() {
-		t.Fatal("ingest grant must not carry a query deadline")
-	}
-}
-
 func TestPace(t *testing.T) {
 	c := New(Config{})
 	// Nil grant: plain ctx probe.

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -19,7 +20,7 @@ import (
 // the same on every run, and segments are small enough that the script
 // crosses one.
 func crashOpts() Options {
-	return Options{Dir: "db", SegmentBytes: 2048, CommitInterval: time.Hour, Shards: 4, RecoverWorkers: 4}
+	return Options{Dir: "db", SegmentBytes: 2048, CommitInterval: time.Hour}
 }
 
 // crashAck is what a successful Sync, Snapshot or Close acknowledged: once
@@ -228,7 +229,7 @@ func dumpStore(s *Store) map[int64][]Sample {
 	return out
 }
 
-// recoverImage opens img with recovery on workers goroutines and returns
+// recoverImage opens img with recovery on workers goroutines (GOMAXPROCS) and returns
 // what the store holds. The recovered tiers must equal a fold of the
 // recovered samples; the store then snapshots, and its reload must hold the
 // same samples and tiers again, so every crash state's tiers, dense pages
@@ -240,10 +241,9 @@ func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 			err = fmt.Errorf("open panicked: %v", p)
 		}
 	}()
-	opts := crashOpts()
-	opts.RecoverWorkers = workers
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	fsys := memFSFrom(img)
-	s, err := open(opts, fsys, nil)
+	s, err := open(crashOpts(), fsys, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func recoverImage(img image, workers int) (got map[int64][]Sample, err error) {
 		if err := s.Close(); err != nil {
 			return nil, fmt.Errorf("close after recovery: %v", err)
 		}
-		if s, err = open(opts, fsys, nil); err != nil {
+		if s, err = open(crashOpts(), fsys, nil); err != nil {
 			return nil, fmt.Errorf("reopen of the recovered store's snapshot: %v", err)
 		}
 		if again := dumpStore(s); !sameStore(again, got) {

@@ -152,12 +152,12 @@ func TestSnapshotTruncationMatrix(t *testing.T) {
 }
 
 func TestStoreReadAccessors(t *testing.T) {
-	st, err := Open(Options{Shards: 4})
+	st, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.NumShards() != 4 {
+	if st.NumShards() != numShards {
 		t.Errorf("NumShards = %d", st.NumShards())
 	}
 	for id := int64(1); id <= 3; id++ {

@@ -8,15 +8,13 @@ import (
 )
 
 // TestFingerprintProperties is a property test for selection fingerprints:
-// across random shard counts and random mutation sequences,
+// across random mutation sequences,
 // Store.Fingerprint(ids) must change iff some id in ids was mutated, and
 // must be insensitive to the order of ids.
 func TestFingerprintProperties(t *testing.T) {
-	shardCounts := []int{1, 2, 4, 7, 16, 64}
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		shards := shardCounts[trial%len(shardCounts)]
-		st, err := Open(Options{Shards: shards})
+		st, err := Open(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,12 +76,12 @@ func TestFingerprintProperties(t *testing.T) {
 			for i, sel := range selections {
 				after := st.Fingerprint(sel.ids)
 				if sel.in[target] && after == before[i] {
-					t.Fatalf("trial %d (shards=%d) step %d: meter %d in selection mutated but fingerprint unchanged",
-						trial, shards, step, target)
+					t.Fatalf("trial %d step %d: meter %d in selection mutated but fingerprint unchanged",
+						trial, step, target)
 				}
 				if !sel.in[target] && after != before[i] {
-					t.Fatalf("trial %d (shards=%d) step %d: meter %d outside selection mutated but fingerprint changed %#x -> %#x",
-						trial, shards, step, target, before[i], after)
+					t.Fatalf("trial %d step %d: meter %d outside selection mutated but fingerprint changed %#x -> %#x",
+						trial, step, target, before[i], after)
 				}
 				// Order-insensitivity: a shuffled enumeration of the same
 				// set fingerprints identically.

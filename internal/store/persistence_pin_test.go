@@ -15,8 +15,8 @@ import (
 // the round-trip tests only compare recovered states.
 //
 //   - testdata/v4.vap is Snapshot() of fillStore(3, 1500): raw chunks and
-//     head samples, no tiers. A fresh fill must write exactly those bytes
-//     at any shard count. It, testdata/legacy/v3.vap (the same fill as the
+//     head samples, no tiers. A fresh fill must write exactly those bytes.
+//     It, testdata/legacy/v3.vap (the same fill as the
 //     last VAP3 writer wrote it) and testdata/legacy/v4.vap (as the last
 //     VAP4 writer that wrote tiers wrote it) must all load to the
 //     live-built state.
@@ -27,26 +27,24 @@ func TestPersistenceBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4, 0} {
-		dir := t.TempDir()
-		st, err := Open(Options{Dir: dir, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillStore(t, st, 3, 1500)
-		if err := st.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(filepath.Join(dir, "snapshot.vap"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, golden) {
-			t.Errorf("shards=%d: snapshot is %d bytes and differs from the %d-byte golden v4.vap", shards, len(raw), len(golden))
-		}
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, st, 3, 1500)
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot.vap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, golden) {
+		t.Errorf("snapshot is %d bytes and differs from the %d-byte golden v4.vap", len(raw), len(golden))
 	}
 
 	live, err := Open(Options{})
@@ -77,7 +75,7 @@ func TestPersistenceBytesPinned(t *testing.T) {
 
 	// One synced append per group commit: each batch is its commit marker
 	// (naming its own segment offset) followed by the record.
-	dir := t.TempDir()
+	dir = t.TempDir()
 	w, err := openWAL(osFS{}, Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,6 @@ import (
 	"testing"
 )
 
-const parityShards = 4 // GlobalFingerprint folds per-shard versions, so all compared stores share this
-
 type parityMeter struct {
 	id   int64
 	pre  []Sample // appended before the snapshot
@@ -74,7 +72,7 @@ func parityApply(t *testing.T, st *Store, meters []parityMeter, phase int) {
 func buildParityDir(t *testing.T, meters []parityMeter) string {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: parityShards})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +161,7 @@ func TestRecoveryParity(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
 			meters := genParityMeters(rng)
-			ref, err := Open(Options{Shards: parityShards}) // live-built in-memory reference
+			ref, err := Open(Options{}) // live-built in-memory reference
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +172,7 @@ func TestRecoveryParity(t *testing.T) {
 			dir := buildParityDir(t, meters)
 			for _, workers := range []int{1, 8} {
 				name := fmt.Sprintf("workers=%d", workers)
-				st, err := Open(Options{Dir: dir, Shards: parityShards, RecoverWorkers: workers})
+				st, err := openOn(workers, Options{Dir: dir})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 )
@@ -48,14 +49,15 @@ func (w *WAL) segmentIndices() []uint64 {
 }
 
 // replayWAL applies every live WAL record on top of the snapshot state,
-// returning the record and segment counts. RecoverWorkers <= 1 (or a
-// single-shard store) uses the serial path; otherwise records are applied
-// on per-shard appliers. Replay may overlap the snapshot, so stale samples
-// (ErrOutOfOrder) and samples for meters the snapshot already aged out of
-// the catalog (ErrUnknownMeter) are skipped, exactly as in serial replay.
+// returning the record and segment counts. One recovery worker uses the
+// serial path; otherwise records are applied on per-shard appliers. Replay
+// may overlap the snapshot, so stale samples (ErrOutOfOrder) are skipped.
+// A sample whose meter neither the snapshot nor the log registers fails
+// the replay (replayErr): nothing deletes a meter, and AppendBatch refuses
+// an unknown one before logging, so only lost or corrupt state leaves one.
 func (s *Store) replayWAL(w *WAL) (records int64, segments int, err error) {
 	segments = len(w.segmentIndices())
-	if s.recoverWorkers() <= 1 || len(s.shards) == 1 {
+	if recoverWorkers() <= 1 {
 		err = w.Replay(
 			func(m Meter) error {
 				records++
@@ -63,16 +65,24 @@ func (s *Store) replayWAL(w *WAL) (records int64, segments int, err error) {
 			},
 			func(id int64, smp Sample) error {
 				records++
-				err := s.replaySample(id, smp)
-				if err == ErrOutOfOrder || err == ErrUnknownMeter {
-					return nil
-				}
-				return err
+				return replayErr(id, s.replaySample(id, smp))
 			})
 		return records, segments, err
 	}
 	records, err = s.replayWALParallel(w)
 	return records, segments, err
+}
+
+// replayErr is what replay makes of an append's error: a stale sample is
+// skipped, and a sample of an unregistered meter is corruption.
+func replayErr(id int64, err error) error {
+	switch err {
+	case ErrOutOfOrder:
+		return nil
+	case ErrUnknownMeter:
+		return fmt.Errorf("store: WAL sample of meter %d, which neither the snapshot nor the WAL registers: %w", id, ErrCorrupt)
+	}
+	return err
 }
 
 // replayWALParallel is the fan-out path: a prefetcher reads segment files
@@ -131,8 +141,8 @@ func (s *Store) replayWALParallel(w *WAL) (int64, error) {
 					var err error
 					if rec.meter != nil {
 						err = s.putMeterShardLocked(sh, *rec.meter)
-					} else if err = s.appendShardLocked(sh, rec.id, rec.smp); err == ErrOutOfOrder || err == ErrUnknownMeter {
-						err = nil // replay may overlap the snapshot
+					} else {
+						err = replayErr(rec.id, s.appendShardLocked(sh, rec.id, rec.smp))
 					}
 					if err != nil {
 						failed = true

@@ -406,10 +406,10 @@ func normalizeRollupRes(res []int64) []int64 {
 
 // installRollups derives every tier of a freshly loaded series from its
 // raw samples: each tier is reserved once for the whole history, as one
-// batch of it would be, and every page is then trimmed and capped at its
-// length, so a loaded tier is sized to its buckets and no later append
-// moves or grows a page it holds (the next bucket opens a new one). The
-// series is not yet published (installSeries).
+// batch of it would be, and every page is then trimmed, so no page holds
+// more room than buckets. What room the last page keeps takes the next
+// appends in place, as a live tier's does. The series is not yet published
+// (installSeries).
 func (s *Series) installRollups() error {
 	if s.total == 0 {
 		return nil
@@ -431,9 +431,7 @@ func (s *Series) installRollups() error {
 	}
 	for i := range s.rollups {
 		for j := range s.rollups[i].pages {
-			p := &s.rollups[i].pages[j]
-			p.trim()
-			p.vals, p.gen = p.vals[:len(p.vals):len(p.vals)], p.gen[:len(p.gen):len(p.gen)]
+			s.rollups[i].pages[j].trim()
 		}
 	}
 	return nil

@@ -377,7 +377,7 @@ func (s *Store) loadSnapshotV3(f io.ReaderAt, size int64, magic [4]byte, bucketB
 		return ErrCorrupt
 	}
 
-	workers := s.recoverWorkers()
+	workers := recoverWorkers()
 	// One section buffer per worker, reused from meter to meter (install
 	// keeps nothing of it). A fresh buffer per meter was as many new pages
 	// as the whole file, and first-touch page faults are the part of a

@@ -118,7 +118,7 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 
 	for _, workers := range []int{1, 8} {
 		// A copy per reopen: the live appends below must not reach the next.
-		st, err := Open(Options{Dir: cloneDir(t, dir), RecoverWorkers: workers})
+		st, err := openOn(workers, Options{Dir: cloneDir(t, dir)})
 		if err != nil {
 			t.Fatalf("reopen with %d workers: %v", workers, err)
 		}
@@ -138,11 +138,11 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 			}
 		}
 		checkRollupsRebuilt(t, st)
-		// Every loaded page, of either kind, is sized exactly to the buckets
-		// it holds (no slack), and no append ever copies or grows one: the
-		// WAL replay folded into its last bucket in place, a second sample
-		// in a dense page's last bucket moves only that bucket out, and live
-		// appends open new pages.
+		// No loaded page, of either kind, holds more room than buckets
+		// (trim's bound), and no append ever copies or grows one: the WAL
+		// replay folded into its last bucket in place, a second sample in a
+		// dense page's last bucket moves only that bucket out, and the live
+		// appends below, a general run after it, open new pages.
 		loaded := map[[2]int64][]pageShape{}
 		var kinds [2]int // general and dense pages loaded
 		for _, sh := range st.shards {
@@ -158,7 +158,7 @@ func TestSnapshotV3RoundTrip(t *testing.T) {
 				for _, tier := range ser.rollups {
 					for i := range tier.pages {
 						p := shapeOf(&tier.pages[i])
-						if p.cap != p.len {
+						if p.cap > 2*p.len {
 							t.Errorf("workers=%d meter %d: loaded %ds page of %d buckets has capacity %d", workers, id, tier.res, p.len, p.cap)
 						}
 						kinds[btoi(p.dense)]++
@@ -586,9 +586,9 @@ func TestLegacySnapshotStrictFraming(t *testing.T) {
 }
 
 // TestRecoveryStatsColdStart: an empty durability dir reports zeroed
-// breakdown but the configured worker fan-out.
+// breakdown but the host's worker fan-out.
 func TestRecoveryStatsColdStart(t *testing.T) {
-	st, err := Open(Options{Dir: t.TempDir(), RecoverWorkers: 3})
+	st, err := openOn(3, Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,12 +28,6 @@ type Options struct {
 	// commit's fsync is in flight share the next one. <= 0 selects
 	// DefaultCommitInterval (2ms).
 	CommitInterval time.Duration
-	// Shards is the number of lock shards the series map is split across.
-	// Meters are hashed by ID onto shards, so concurrent appends and reads
-	// touching different meters contend only when they land on the same
-	// shard. <= 0 selects 16; other values are rounded up to the next
-	// power of two.
-	Shards int
 	// RollupRes lists the rollup tier resolutions, in seconds, to maintain
 	// per meter (see rollup.go). nil selects DefaultRollupRes (hourly +
 	// daily); an explicitly empty non-nil slice disables rollups. Values
@@ -41,14 +35,22 @@ type Options struct {
 	// are derived state: every open rebuilds them from the raw samples, and
 	// snapshots do not hold them.
 	RollupRes []int64
-	// RecoverWorkers is the worker-pool width Open uses for parallel
-	// recovery: v3 / v4 snapshot sections are installed and WAL records
-	// applied across this many goroutines. <= 0 selects GOMAXPROCS; 1
-	// forces the fully serial paths.
-	RecoverWorkers int
 }
 
-const defaultShards = 16
+func (o *Options) defaults() {
+	if o.SegmentBytes <= 0 {
+		o.SegmentBytes = DefaultSegmentBytes
+	}
+	if o.CommitInterval <= 0 {
+		o.CommitInterval = DefaultCommitInterval
+	}
+}
+
+// numShards is the number of lock shards the series map is split across.
+// Meters are hashed by ID onto shards, so concurrent appends and reads
+// touching different meters contend only when they land on the same
+// shard. A power of two, at most 64 (rlockFor's lock set is a word).
+const numShards = 16
 
 // shard owns a disjoint slice of the meter space: its own series map,
 // mutex, and monotonic mutation counter.
@@ -62,7 +64,7 @@ type shard struct {
 // a spatial index, one compressed time series per meter, and optional
 // durability (WAL + snapshots). It is safe for concurrent use.
 //
-// The series map is split across lock shards (Options.Shards) so ingest
+// The series map is split across numShards lock shards so ingest
 // and query traffic on different meters does not serialize behind one
 // global mutex. Every series additionally carries a per-meter version,
 // bumped on each mutation of that meter; Fingerprint hashes the versions
@@ -70,8 +72,7 @@ type shard struct {
 // the meters a task reads.
 type Store struct {
 	catalog *Catalog
-	shards  []*shard
-	mask    uint64
+	shards  [numShards]*shard
 	opts    Options
 	// rollupRes is the normalized tier resolution set (ascending, deduped)
 	// every series maintains. Immutable after Open.
@@ -135,31 +136,20 @@ func (s *Store) shardIndex(id int64) int {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return int(x & s.mask)
+	return int(x & (numShards - 1))
 }
 
 // shardFor returns the shard owning a meter ID.
 func (s *Store) shardFor(id int64) *shard { return s.shards[s.shardIndex(id)] }
 
-// recoverWorkers resolves Options.RecoverWorkers (<= 0 means GOMAXPROCS).
-func (s *Store) recoverWorkers() int {
-	if s.opts.RecoverWorkers > 0 {
-		return s.opts.RecoverWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// recoverWorkers is the worker-pool width Open uses for parallel recovery:
+// v3 / v4 snapshot sections are installed across this many goroutines, and
+// 1 selects the fully serial paths.
+func recoverWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Open creates a Store. If opts.Dir is non-empty, it loads the latest
 // snapshot (if any) and replays the WAL on top of it — both fanned out
-// across Options.RecoverWorkers workers (snapshot meter installs for
+// across recoverWorkers workers (snapshot meter installs for
 // v3 / v4 files, per-shard WAL record appliers). Recovery() reports the
 // breakdown.
 func Open(opts Options) (*Store, error) { return open(opts, osFS{}, nil) }
@@ -177,15 +167,8 @@ func OpenSeeded(opts Options, fill func(*Store) error) (*Store, error) {
 
 // open is OpenSeeded on the filesystem fsys; a nil fill is Open.
 func open(opts Options, fsys fileSystem, fill func(*Store) error) (*Store, error) {
-	n := opts.Shards
-	if n <= 0 {
-		n = defaultShards
-	}
-	n = nextPow2(n)
 	s := &Store{
 		catalog:   NewCatalog(),
-		shards:    make([]*shard, n),
-		mask:      uint64(n - 1),
 		opts:      opts,
 		rollupRes: normalizeRollupRes(opts.RollupRes),
 		fs:        fsys,
@@ -200,7 +183,7 @@ func open(opts Options, fsys fileSystem, fill func(*Store) error) (*Store, error
 		return s, nil
 	}
 	start := time.Now()
-	s.recovery.Workers = s.recoverWorkers()
+	s.recovery.Workers = recoverWorkers()
 	if err := mkdirDurable(fsys, filepath.Clean(opts.Dir)); err != nil {
 		return nil, err
 	}
@@ -500,15 +483,11 @@ func (s *Store) Bounds(meterID int64) (int64, int64, error) {
 // deadlocks with a whole-store writer. It returns the set to hand to
 // runlock. Finding the set is one pass over ids that builds nothing.
 func (s *Store) rlockFor(ids []int64) (held uint64) {
-	held = ^uint64(0) // more than 64 shards: lock them all
-	if len(s.shards) <= 64 {
-		held = 0
-		for _, id := range ids {
-			held |= 1 << s.shardIndex(id)
-		}
+	for _, id := range ids {
+		held |= 1 << s.shardIndex(id)
 	}
 	for i, sh := range s.shards {
-		if i >= 64 || held&(1<<i) != 0 {
+		if held&(1<<i) != 0 {
 			sh.mu.RLock()
 		}
 	}
@@ -517,7 +496,7 @@ func (s *Store) rlockFor(ids []int64) (held uint64) {
 
 func (s *Store) runlock(held uint64) {
 	for i, sh := range s.shards {
-		if i >= 64 || held&(1<<i) != 0 {
+		if held&(1<<i) != 0 {
 			sh.mu.RUnlock()
 		}
 	}

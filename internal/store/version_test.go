@@ -29,53 +29,50 @@ func TestPairHashIsFNV1a(t *testing.T) {
 
 // TestOnePassReadsMatchPerMeter: Fingerprint and SeriesStats lock each
 // owning shard once for the whole id list; what they return equals a
-// per-meter read, on one shard, on many, and past the 64 shards a lock set
-// can name.
+// per-meter read.
 func TestOnePassReadsMatchPerMeter(t *testing.T) {
-	for _, shards := range []int{1, 16, 128} {
-		st, err := Open(Options{Shards: shards})
-		if err != nil {
+	st, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(16))
+	var ids []int64
+	for id := int64(1); id <= 300; id++ {
+		if err := st.PutMeter(randomMeter(rng, id)); err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(int64(shards)))
-		var ids []int64
-		for id := int64(1); id <= 300; id++ {
-			if err := st.PutMeter(randomMeter(rng, id)); err != nil {
+		for k := 0; k < int(id%5); k++ {
+			if err := st.Append(id, Sample{TS: int64(1 + k), Value: 1}); err != nil {
 				t.Fatal(err)
 			}
-			for k := 0; k < int(id%5); k++ {
-				if err := st.Append(id, Sample{TS: int64(1 + k), Value: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ids = append(ids, id)
 		}
-		ids = append(ids, 9999) // unknown: version 0, zero stats
-		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-
-		stats := st.SeriesStats(ids)
-		vers := make([]uint64, len(ids))
-		for i, id := range ids {
-			sh := st.shardFor(id)
-			sh.mu.RLock()
-			ser, ok := sh.series[id]
-			var want SeriesStats
-			if ok {
-				want = ser.Stats()
-			} else {
-				want.MeterID = id
-			}
-			sh.mu.RUnlock()
-			if stats[i] != want {
-				t.Fatalf("%d shards, meter %d: stats %+v, want %+v", shards, id, stats[i], want)
-			}
-			vers[i] = want.Version
-		}
-		if got, want := st.Fingerprint(ids), FingerprintPairs(ids, vers); got != want {
-			t.Fatalf("%d shards: Fingerprint %#x, FingerprintPairs %#x", shards, got, want)
-		}
-		st.Close()
+		ids = append(ids, id)
 	}
+	ids = append(ids, 9999) // unknown: version 0, zero stats
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+
+	stats := st.SeriesStats(ids)
+	vers := make([]uint64, len(ids))
+	for i, id := range ids {
+		sh := st.shardFor(id)
+		sh.mu.RLock()
+		ser, ok := sh.series[id]
+		var want SeriesStats
+		if ok {
+			want = ser.Stats()
+		} else {
+			want.MeterID = id
+		}
+		sh.mu.RUnlock()
+		if stats[i] != want {
+			t.Fatalf("meter %d: stats %+v, want %+v", id, stats[i], want)
+		}
+		vers[i] = want.Version
+	}
+	if got, want := st.Fingerprint(ids), FingerprintPairs(ids, vers); got != want {
+		t.Fatalf("Fingerprint %#x, FingerprintPairs %#x", got, want)
+	}
+	st.Close()
 }
 
 // TestVersionStampsStats holds the invariant core's cache hits rely on:
@@ -84,7 +81,7 @@ func TestOnePassReadsMatchPerMeter(t *testing.T) {
 // estimated from the stats of the versions its key holds, so a stats change
 // without a version bump would admit a hit at a stale cost.
 func TestVersionStampsStats(t *testing.T) {
-	st, err := Open(Options{Shards: 2})
+	st, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,12 +168,7 @@ func readSegments(fsys fileSystem, dir string) ([]uint64, error) {
 // behind garbage left by a torn write.
 func openWAL(fsys fileSystem, opts Options) (*WAL, error) {
 	dir := opts.Dir
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.CommitInterval <= 0 {
-		opts.CommitInterval = DefaultCommitInterval
-	}
+	opts.defaults()
 	idxs, err := readSegments(fsys, dir)
 	if err != nil {
 		return nil, err

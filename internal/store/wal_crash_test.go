@@ -435,45 +435,43 @@ func TestWALSealedSegmentCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestWALReplayNewShardCount reopens a durable store under different shard
-// counts: the WAL and snapshot formats are shard-agnostic.
-func TestWALReplayNewShardCount(t *testing.T) {
+// TestReplayRefusesUnregisteredMeter: a WAL sample whose meter neither the
+// snapshot nor the log registers means lost or corrupt state (nothing
+// deletes a meter), so the open fails, serially and in parallel, rather
+// than opening an empty store over acknowledged samples.
+func TestReplayRefusesUnregisteredMeter(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: 4})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const meters, perMeter = 16, 20
-	for m := int64(1); m <= meters; m++ {
-		if err := st.PutMeter(Meter{ID: m, Location: testPoint(float64(m)*0.01, 0), Zone: ZoneResidential}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= perMeter; i++ {
-			if err := st.Append(m, Sample{TS: int64(i), Value: float64(m * int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := st.PutMeter(Meter{ID: 9, Location: testPoint(0, 0), Zone: ZoneResidential}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(9, Sample{TS: 3600, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 32} {
-		st2, err := Open(Options{Dir: dir, Shards: shards})
-		if err != nil {
-			t.Fatalf("reopen shards=%d: %v", shards, err)
+	if err := os.Remove(filepath.Join(dir, "snapshot.vap")); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		re, err := openOn(workers, Options{Dir: cloneDir(t, dir)})
+		if err == nil {
+			re.Close()
+			t.Fatalf("workers=%d: the open succeeded with %d meters over a WAL sample of an unregistered meter", workers, re.Stats().Meters)
 		}
-		stats := st2.Stats()
-		if stats.Meters != meters || stats.Samples != meters*perMeter {
-			t.Errorf("shards=%d: %d meters / %d samples, want %d / %d",
-				shards, stats.Meters, stats.Samples, meters, meters*perMeter)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "meter 9") {
+			t.Errorf("workers=%d: open = %v, want ErrCorrupt naming meter 9", workers, err)
 		}
-		for m := int64(1); m <= meters; m++ {
-			if set := sampleTSSet(t, st2, m); len(set) != perMeter {
-				t.Errorf("shards=%d meter %d: %d samples, want %d", shards, m, len(set), perMeter)
-			}
-		}
-		checkRollupsRebuilt(t, st2)
-		st2.Close()
 	}
 }
 
@@ -720,7 +718,7 @@ func TestStoreSyncFlushesBufferedAppends(t *testing.T) {
 // disk write was done).
 func TestSnapshotDoesNotBlockAppends(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: 8})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -872,10 +870,9 @@ func TestWALKillRecovery(t *testing.T) {
 			// Recover the same crashed state serially and with the worker
 			// pool (the child's periodic snapshots are v3, so the parallel
 			// leg drives the sectioned loader and sharded WAL replay over
-			// real crash debris), each under a different shard count for
-			// good measure.
+			// real crash debris).
 			for _, workers := range []int{1, 8} {
-				st, err := Open(Options{Dir: cloneDir(t, dir), Shards: 2, RecoverWorkers: workers})
+				st, err := openOn(workers, Options{Dir: cloneDir(t, dir)})
 				if err != nil {
 					t.Fatalf("recovery after kill (workers=%d, lastAck=%d): %v", workers, lastAck, err)
 				}
@@ -912,7 +909,6 @@ func TestWALCrashChild(t *testing.T) {
 		Dir:            dir,
 		SegmentBytes:   2048, // rotate constantly so the kill can land mid-rotation
 		CommitInterval: 500 * time.Microsecond,
-		Shards:         4,
 	})
 	if err != nil {
 		t.Fatalf("child open: %v", err)

@@ -20,10 +20,8 @@ type MapView struct {
 	Heat    *kde.Field    // optional density or shift layer
 	HeatDiv bool          // true renders Heat with the diverging ramp
 	Meters  []store.Meter // optional markers
-	// Highlight marks a subset of meter IDs drawn emphasized.
-	Highlight map[int64]bool
-	Flows     []flow.Vector
-	Title     string
+	Flows   []flow.Vector
+	Title   string
 }
 
 // project maps a geographic point into canvas pixels.
@@ -52,11 +50,7 @@ func (m *MapView) Render() string {
 	}
 	for _, mt := range m.Meters {
 		x, y := m.project(mt.Location)
-		if m.Highlight != nil && m.Highlight[mt.ID] {
-			c.Circle(x, y, 3.4, "#d62728", 0.95)
-		} else {
-			c.Circle(x, y, 2.0, zoneColor(mt.Zone), 0.55)
-		}
+		c.Circle(x, y, 2.0, zoneColor(mt.Zone), 0.55)
 	}
 	for _, f := range m.Flows {
 		x1, y1 := m.project(f.From)

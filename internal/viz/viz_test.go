@@ -151,7 +151,6 @@ func mapFixture(t *testing.T) *MapView {
 			{ID: 1, Location: geo.Point{Lon: 12.5, Lat: 55.6}, Zone: store.ZoneResidential},
 			{ID: 2, Location: geo.Point{Lon: 12.7, Lat: 55.8}, Zone: store.ZoneCommercial},
 		},
-		Highlight: map[int64]bool{2: true},
 		Flows: []flow.Vector{
 			{From: geo.Point{Lon: 12.5, Lat: 55.6}, To: geo.Point{Lon: 12.7, Lat: 55.8}, Mass: 1, Rate: 1},
 		},

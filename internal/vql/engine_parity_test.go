@@ -18,7 +18,7 @@ import (
 // with a handful of readings — into a store maintaining the given tiers.
 func parityStore(t *testing.T, seed int64, tiers []int64) (eng *query.Engine, first, last int64) {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 4, RollupRes: tiers})
+	st, err := store.Open(store.Options{RollupRes: tiers})
 	if err != nil {
 		t.Fatal(err)
 	}

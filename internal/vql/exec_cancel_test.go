@@ -90,10 +90,11 @@ func TestCancellationAbortsMidScan(t *testing.T) {
 }
 
 // TestGrantDeadlineAbortsScan drives the same path through a governed
-// grant: an admitted query whose controller-stamped deadline expires
-// mid-scan surfaces context.DeadlineExceeded from the batch loop.
+// grant: an admitted analytics query whose deadline (the front door's
+// handler timeout) expires mid-scan surfaces context.DeadlineExceeded from
+// the batch loop.
 func TestGrantDeadlineAbortsScan(t *testing.T) {
-	c := govern.New(govern.Config{QueryDeadline: time.Minute})
+	c := govern.New(govern.Config{})
 	g, err := c.Admit(context.Background(), govern.Request{Class: govern.ClassAnalytics})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestFanOutChunkGrid(t *testing.T) {
 	)
 	// No rollup tiers: the daily tier would serve the weekly plan below from
 	// ~30 buckets a meter, too little work for any grid point to fan out.
-	st, err := store.Open(store.Options{Shards: 4, RollupRes: []int64{}})
+	st, err := store.Open(store.Options{RollupRes: []int64{}})
 	if err != nil {
 		t.Fatal(err)
 	}

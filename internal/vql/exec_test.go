@@ -19,7 +19,7 @@ import (
 // readings and meter 2 holds only NaN readings.
 func newNaNEngine(t *testing.T) *query.Engine {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 2})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	zones := []store.ZoneType{store.ZoneResidential, store.ZoneCommercial, store.ZoneIndustrial}
 
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

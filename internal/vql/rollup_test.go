@@ -35,7 +35,7 @@ func rollupMatchesRaw(t *testing.T, start int64) {
 	zones := []store.ZoneType{store.ZoneResidential, store.ZoneCommercial, store.ZoneIndustrial}
 
 	open := func(res []int64) *store.Store {
-		st, err := store.Open(store.Options{Shards: 4, RollupRes: res})
+		st, err := store.Open(store.Options{RollupRes: res})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestPlanTierDecisions(t *testing.T) {
 // TestExplainShowsTier: EXPLAIN output carries the tier line in both the
 // serving and the raw case, naming the reason for the latter.
 func TestExplainShowsTier(t *testing.T) {
-	st, err := store.Open(store.Options{Shards: 2})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

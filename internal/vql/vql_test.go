@@ -21,7 +21,7 @@ const base int64 = 1496275200
 // meter ID.
 func newTestEngine(t testing.TB) *query.Engine {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,6 @@ type Config struct {
 	// whose client accepts no byte of a response for as long
 	// (default 5m).
 	IdleTimeout time.Duration
-	// AuthTimeout bounds the handshake exchange (default 10s).
-	AuthTimeout time.Duration
 	// Logf, when set, receives connection lifecycle log lines.
 	Logf func(format string, args ...any)
 }
@@ -59,6 +57,9 @@ type Server struct {
 	nextID   atomic.Uint32
 }
 
+// authTimeout bounds the handshake exchange.
+const authTimeout = 10 * time.Second
+
 // NewServer returns a wire server for cfg. cfg.Core is required.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Core == nil {
@@ -69,9 +70,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 5 * time.Minute
-	}
-	if cfg.AuthTimeout <= 0 {
-		cfg.AuthTimeout = 10 * time.Second
 	}
 	return &Server{cfg: cfg, conns: make(map[*conn]struct{})}, nil
 }
@@ -339,7 +337,7 @@ func (c *conn) auth() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.nc.SetDeadline(time.Now().Add(c.srv.cfg.AuthTimeout))
+	c.nc.SetDeadline(time.Now().Add(authTimeout))
 	defer c.nc.SetDeadline(time.Time{})
 	if err := c.writePacket(0, buildHandshake(c.id, scramble)); err != nil {
 		return "", err

@@ -36,7 +36,7 @@ const testBase int64 = 1496275200
 // transports produce exactly predictable rows.
 func newTestStore(t testing.TB) *store.Store {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func newStack(t testing.TB, govCfg govern.Config, users Users) *testStack {
 // overflow a socket buffer, which the four-meter store's 192 rows are not.
 func newExportStore(t testing.TB, meters, hours int) *store.Store {
 	t.Helper()
-	st, err := store.Open(store.Options{Shards: 4})
+	st, err := store.Open(store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -23,18 +24,20 @@ import (
 // compiler's export data for their imports, and records every write to a
 // field: a composite-literal element, keyed or positional, an assignment,
 // op-assignment or ++/-- on a selector, or &x.F. A field of a struct
-// declared under internal/ that production code reads, and that no
-// production code writes but its own package's defaults method, fails the
-// test unless testdata/unturned.txt lists it. Tests are type-checked too
-// (each package with its _test.go files, and its external tests), so the
-// failure says whether only tests set the field or nothing does. Fields of
-// a type vap.go aliases are the facade's, and bench/ is production. A
-// listed field that production now writes, or that is gone, fails the
-// test too, so the list only shrinks truthfully.
+// declared under internal/ that production code reads, that no production
+// code writes, and that tests or its own package's defaulting do, fails the
+// test unless testdata/unturned.txt lists it: a knob only a test turns is a
+// constant to production. Defaulting is a method named defaults, or an if
+// that assigns a constant to a field its condition finds zero (x.F == 0,
+// x.F <= 0, x.F == "", x.F == nil, x.F.IsZero()), in the field's package.
+// Tests are type-checked too (each package with its _test.go files, and
+// its external tests), so the failure says whether tests set the field. bench/ and vap.go are production, and
+// a type vap.go aliases is no exception. A listed field that production
+// now writes, or that is gone, fails the test too, so the list only
+// shrinks truthfully.
 func TestUnturnedKnobs(t *testing.T) {
 	fset := token.NewFileSet()
 	fields := map[string]*fieldUse{}
-	roots := map[string]bool{}
 	check := func(exports map[string]string, pkg listedPackage, tests bool) {
 		files := make([]*ast.File, len(pkg.GoFiles))
 		for i, name := range pkg.GoFiles {
@@ -56,15 +59,6 @@ func TestUnturnedKnobs(t *testing.T) {
 		tpkg, err := (&types.Config{Importer: imp}).Check(path, fset, files, info)
 		if err != nil {
 			t.Fatalf("type-checking %s: %v", pkg.ImportPath, err)
-		}
-		if path == "vap" && !tests {
-			for _, name := range tpkg.Scope().Names() {
-				if tn, ok := tpkg.Scope().Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
-					if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-						roots[named.Obj().Pkg().Path()+"."+named.Obj().Name()] = true
-					}
-				}
-			}
 		}
 		for _, f := range files {
 			if tests != strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
@@ -95,8 +89,7 @@ func TestUnturnedKnobs(t *testing.T) {
 
 	unturned := map[string]*fieldUse{}
 	for key, use := range fields {
-		owner := key[:strings.LastIndexByte(key, '.')]
-		if strings.HasPrefix(key, "vap/internal/") && !roots[owner] && use.prodRead && use.defaultsWrite && !use.prodWrite {
+		if strings.HasPrefix(key, "vap/internal/") && use.prodRead && !use.prodWrite && (use.defaultsWrite || use.testWrite) {
 			unturned[key] = use
 		}
 	}
@@ -116,7 +109,7 @@ func TestUnturnedKnobs(t *testing.T) {
 	}
 	var found []string
 	for key, use := range unturned {
-		who := "nothing else writes it"
+		who := "only its defaulting writes it"
 		if use.testWrite {
 			who = "only tests write it"
 		}
@@ -124,7 +117,7 @@ func TestUnturnedKnobs(t *testing.T) {
 	}
 	sort.Strings(found)
 	if len(found) > 0 {
-		t.Errorf("config fields that production reads and only their package's defaults method sets (make them constants, or list them with a reason in testdata/unturned.txt):\n\t%s", strings.Join(found, "\n\t"))
+		t.Errorf("config fields that production reads and never sets (make them constants, or list them with a reason in testdata/unturned.txt):\n\t%s", strings.Join(found, "\n\t"))
 	}
 	if len(stale) > 0 {
 		t.Errorf("testdata/unturned.txt lists fields that production writes, or that are gone (drop their lines):\n\t%s", strings.Join(stale, "\n\t"))
@@ -147,13 +140,17 @@ func recordFieldUses(f *ast.File, path string, info *types.Info, tests bool, fie
 		return fields[key]
 	}
 	written := map[*ast.SelectorExpr]bool{}
+	// guarded holds the constants an if assigns to a field its condition
+	// finds zero: inline defaulting, a defaults method by another name.
+	// (The first-error-wins idiom assigns a variable, not a constant.)
+	guarded := map[*ast.SelectorExpr]bool{}
 	var defaults bool // inside a method named defaults
-	write := func(key string) {
+	write := func(key string, defaulting bool) {
 		switch {
 		case key == "":
 		case tests:
 			use(key).testWrite = true
-		case defaults && strings.HasPrefix(key, path+"."):
+		case defaulting && strings.HasPrefix(key, path+"."):
 			use(key).defaultsWrite = true
 		default:
 			use(key).prodWrite = true
@@ -162,7 +159,7 @@ func recordFieldUses(f *ast.File, path string, info *types.Info, tests bool, fie
 	writeSel := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			written[sel] = true
-			write(selectedField(info, sel))
+			write(selectedField(info, sel), defaults || guarded[sel])
 		}
 	}
 	for _, decl := range f.Decls {
@@ -170,6 +167,17 @@ func recordFieldUses(f *ast.File, path string, info *types.Info, tests bool, fie
 		defaults = ok && fn.Recv != nil && fn.Name.Name == "defaults"
 		ast.Inspect(decl, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.IfStmt: // visited before the assignments in its body
+				zero := zeroTested(info, n.Cond)
+				for _, stmt := range n.Body.List {
+					if as, ok := stmt.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == len(as.Rhs) {
+						for i, lhs := range as.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && zero[selectedField(info, sel)] && info.Types[as.Rhs[i]].Value != nil {
+								guarded[sel] = true
+							}
+						}
+					}
+				}
 			case *ast.CompositeLit:
 				typ := info.TypeOf(n)
 				if ptr, ok := typ.(*types.Pointer); ok {
@@ -190,7 +198,7 @@ func recordFieldUses(f *ast.File, path string, info *types.Info, tests bool, fie
 					} else {
 						name = st.Field(i).Name()
 					}
-					write(fieldKey(named, name))
+					write(fieldKey(named, name), defaults)
 				}
 			case *ast.AssignStmt:
 				if n.Tok != token.DEFINE {
@@ -212,6 +220,42 @@ func recordFieldUses(f *ast.File, path string, info *types.Info, tests bool, fie
 			return true
 		})
 	}
+}
+
+// zeroTested is the set of fields cond compares with their zero value:
+// x.F == zero, x.F <= 0, or x.F.IsZero().
+func zeroTested(info *types.Info, cond ast.Expr) map[string]bool {
+	keys := map[string]bool{}
+	ast.Inspect(cond, func(n ast.Node) bool {
+		var x ast.Expr
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if tv := info.Types[n.Y]; (n.Op == token.EQL || n.Op == token.LEQ) && (tv.IsNil() || tv.Value != nil && isZeroConst(tv.Value)) {
+				x = n.X
+			}
+		case *ast.CallExpr:
+			if fun, ok := n.Fun.(*ast.SelectorExpr); ok && fun.Sel.Name == "IsZero" && len(n.Args) == 0 {
+				x = fun.X
+			}
+		}
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			keys[selectedField(info, sel)] = true
+		}
+		return true
+	})
+	return keys
+}
+
+func isZeroConst(v constant.Value) bool {
+	switch v.Kind() {
+	case constant.String:
+		return constant.StringVal(v) == ""
+	case constant.Bool:
+		return !constant.BoolVal(v)
+	case constant.Unknown:
+		return false
+	}
+	return constant.Sign(v) == 0
 }
 
 // selectedField is the key of the field sel selects, "" if it selects

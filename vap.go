@@ -55,12 +55,12 @@ import (
 // Store is the embedded spatio-temporal database.
 type Store = store.Store
 
-// StoreOptions configures durability: Dir selects the data directory,
-// SegmentBytes sets the WAL rotation threshold, and CommitInterval the
-// group-commit cadence. Appends are committed in the background; a nil
-// Store.Sync means every append made before it is fsynced. Snapshots hold
-// the raw samples only: the rollup tiers RollupRes names are derived from
-// them at every open.
+// StoreOptions configures durability: Dir selects the data directory and
+// RollupRes the rollup tiers, which every open derives from the raw
+// samples (snapshots hold nothing else). Appends are committed in the
+// background, at most DefaultCommitInterval behind, to WAL segments of
+// DefaultSegmentBytes; a nil Store.Sync means every append made before it
+// is fsynced. SegmentBytes and CommitInterval are for tests.
 type StoreOptions = store.Options
 
 // Durability defaults (used when the corresponding StoreOptions field is
@@ -143,8 +143,8 @@ func GenerateDataset(cfg DatasetConfig) *Dataset { return gen.Generate(cfg) }
 type Analyzer = core.Analyzer
 
 // ExecOptions tunes the analyzer's execution engine: Workers is the
-// parallel fan-out width (default runtime.GOMAXPROCS(0)), CacheEntries
-// bounds the versioned result cache (default 64; entries can be megabytes).
+// parallel fan-out width (default runtime.GOMAXPROCS(0)), and Gov the
+// admission controller; the result cache holds 64 entries.
 type ExecOptions = core.Options
 
 // ExecStats reports the execution engine's cache and deduplication
@@ -161,10 +161,9 @@ func NewAnalyzerWithOptions(st *Store, opts ExecOptions) *Analyzer {
 }
 
 // GovernConfig tunes the admission controller embedded analyzers run
-// under (ExecOptions.Gov): global and per-tenant concurrency, in-flight
-// memory budgets, per-query cost ceilings, queue bounds, and the
-// interactive/analytics classification cutoff. The zero value selects
-// production-safe defaults sized to the host.
+// under (ExecOptions.Gov): the in-flight memory budget and per-tenant
+// quotas. The zero value selects production-safe defaults sized to the
+// host; its other fields are for tests that need a full house by hand.
 type GovernConfig = govern.Config
 
 // GovernQuota bounds one tenant (see GovernConfig.Tenants).
