@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime/metrics"
 	"time"
 
 	"vap/internal/core"
@@ -280,20 +281,25 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleExec reports the execution engine's cache and parallelism state:
 // the operational view of "is the interactive path actually hitting the
-// memoized embeddings".
+// memoized embeddings", with the bytes the cache holds beside the live
+// heap they are part of.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	es := s.an.ExecStats()
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(live)
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"workers":        s.an.Exec().Workers(),
-		"cache_entries":  s.an.Exec().Len(),
-		"cache_hits":     es.Hits,
-		"cache_misses":   es.Misses,
-		"computes":       es.Computes,
-		"dedups":         es.Dedups,
-		"evictions":      es.Evictions,
-		"shards":         s.an.Store().NumShards(),
-		"shard_versions": s.an.Store().ShardVersions(),
-		"data_version":   s.dataVersion(),
+		"workers":         s.an.Exec().Workers(),
+		"cache_entries":   s.an.Exec().Len(),
+		"cache_bytes":     s.an.Exec().Bytes(),
+		"heap_live_bytes": live[0].Value.Uint64(),
+		"cache_hits":      es.Hits,
+		"cache_misses":    es.Misses,
+		"computes":        es.Computes,
+		"dedups":          es.Dedups,
+		"evictions":       es.Evictions,
+		"shards":          s.an.Store().NumShards(),
+		"shard_versions":  s.an.Store().ShardVersions(),
+		"data_version":    s.dataVersion(),
 	})
 }
 

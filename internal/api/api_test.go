@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -303,6 +304,49 @@ func TestSeriesEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, srv.URL+"/api/series?id=9999", nil); code != 400 {
 		t.Errorf("unknown meter status = %d", code)
+	}
+}
+
+// TestExecReportsCacheBytes: /api/exec reports the bytes the result cache
+// holds, which a miss raises and Invalidate returns to 0, beside the
+// runtime's live heap as the last collection marked it.
+func TestExecReportsCacheBytes(t *testing.T) {
+	an, _ := newTestAnalyzer(t)
+	srv := httptest.NewServer(NewServer(an, nil).Routes())
+	t.Cleanup(srv.Close)
+	type execState struct {
+		Entries  int   `json:"cache_entries"`
+		Bytes    int64 `json:"cache_bytes"`
+		HeapLive int64 `json:"heap_live_bytes"`
+	}
+	get := func() execState {
+		t.Helper()
+		var st execState
+		if code := getJSON(t, srv.URL+"/api/exec", &st); code != 200 {
+			t.Fatalf("exec status = %d", code)
+		}
+		return st
+	}
+	runtime.GC()
+	if st := get(); st.Entries != 0 || st.Bytes != 0 || st.HeapLive <= 0 {
+		t.Fatalf("fresh server reports %+v, want an empty cache and a live heap", st)
+	}
+	if code := getJSON(t, srv.URL+"/api/series?id=1&granularity=hourly", nil); code != 200 {
+		t.Fatalf("series status = %d", code)
+	}
+	one := get()
+	if one.Entries != 1 || one.Bytes <= 20*24*24 {
+		t.Fatalf("after one miss: %+v, want 1 entry charged at least its 480 buckets", one)
+	}
+	if code := getJSON(t, srv.URL+"/api/series?id=2&granularity=hourly", nil); code != 200 {
+		t.Fatalf("series status = %d", code)
+	}
+	if two := get(); two.Entries != 2 || two.Bytes <= one.Bytes {
+		t.Fatalf("after a second miss: %+v, want 2 entries in more than %d bytes", two, one.Bytes)
+	}
+	an.Exec().Invalidate()
+	if st := get(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("after Invalidate: %+v, want an empty cache", st)
 	}
 }
 

@@ -146,7 +146,10 @@ func (a *Analyzer) run(ctx context.Context, j job, windows [][2]int64, compute f
 	return a.ex.DoNote(govern.WithGrant(ctx, grant), a.key(j, windows), req, compute)
 }
 
-// key is the memo key of j over windows as the store stands now.
+// key is the memo key of j over windows as the store stands now. The ids
+// enter the hash as well as the version, so that the cache's one entry a
+// task (exec) is one a selection; they are mixed in after KeyOf, which
+// would box the slice.
 func (a *Analyzer) key(j job, windows [][2]int64) exec.Key {
 	parts := make([]any, 0, 16)
 	parts = append(parts, j.plan.Fingerprint())
@@ -154,7 +157,11 @@ func (a *Analyzer) key(j job, windows [][2]int64) exec.Key {
 		parts = append(parts, w[0], w[1])
 	}
 	parts = append(parts, j.config...)
-	return exec.KeyOf(a.Store().Fingerprint(j.ids), j.kind, parts...)
+	k := exec.KeyOf(a.Store().Fingerprint(j.ids), j.kind, parts...)
+	for _, id := range j.ids {
+		k.Hash = (k.Hash ^ uint64(id)) * 1099511628211 // FNV-1a's prime, a word at a time
+	}
+	return k
 }
 
 // scanPlan compiles the VQL statement an analysis scan is equivalent to
@@ -229,6 +236,13 @@ type TypicalView struct {
 	rows     [][]float64      // retained for selection profiling
 	times    []int64
 	gran     query.Granularity
+}
+
+// CacheBytes is the view's heap footprint from its lengths (exec.Sizer):
+// ids, points, the retained feature rows and their bucket starts.
+func (v *TypicalView) CacheBytes() int64 {
+	n := int64(len(v.rows))
+	return 8*int64(len(v.MeterIDs)) + 16*int64(len(v.Points)) + n*(24+8*int64(v.FeatDim)) + 8*int64(len(v.times))
 }
 
 // TypicalPatterns runs the pipeline: select meters, build the feature
@@ -314,6 +328,12 @@ func (a *Analyzer) computeTypical(ctx context.Context, cfg TypicalConfig) (*Typi
 	}, nil
 }
 
+// buckets is a series result as the cache holds it (exec.Sizer).
+type buckets []query.Bucket
+
+// CacheBytes is 24 bytes a bucket.
+func (b buckets) CacheBytes() int64 { return 24 * int64(len(b)) }
+
 // SelectionSeries is view B: the mean of the selection's meters per g
 // bucket (Engine.AggregateSelection), estimated, admitted and memoized like
 // the other views. It averages a matrix of 8 bytes per meter per bucket
@@ -334,12 +354,13 @@ func (a *Analyzer) SelectionSeries(ctx context.Context, sel query.Selection, g q
 	sel = query.Selection{MeterIDs: ids, From: from, To: to}
 	v, err := a.run(ctx, job{kind: "series", plan: p, ids: ids, bucketMem: 8*int64(len(ids)) + 24},
 		[][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
-			return a.eng.AggregateSelection(ctx, sel, g, query.AggMean)
+			bs, err := a.eng.AggregateSelection(ctx, sel, g, query.AggMean)
+			return buckets(bs), err
 		})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]query.Bucket), nil
+	return v.(buckets), nil
 }
 
 // MeterSeries is one meter's fn per g bucket over sel's window
@@ -356,12 +377,13 @@ func (a *Analyzer) MeterSeries(ctx context.Context, id int64, sel query.Selectio
 	}
 	v, err := a.run(ctx, job{kind: "meter-series", plan: p, ids: []int64{id}, bucketMem: 24},
 		[][2]int64{{from, to}}, func(ctx context.Context) (any, error) {
-			return a.eng.MeterSeriesCtx(ctx, id, query.Selection{From: from, To: to}, g, fn)
+			bs, err := a.eng.MeterSeriesCtx(ctx, id, query.Selection{From: from, To: to}, g, fn)
+			return buckets(bs), err
 		})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]query.Bucket), nil
+	return v.(buckets), nil
 }
 
 // --- Brushing / selection ------------------------------------------------
@@ -557,6 +579,12 @@ type ShiftResult struct {
 	Flows    []flow.Vector `json:"flows"`
 	Summary  flow.Summary  `json:"summary"`
 	Meters   int           `json:"meters"`
+}
+
+// CacheBytes is the result's heap footprint (exec.Sizer): its three
+// fields and its flows.
+func (r *ShiftResult) CacheBytes() int64 {
+	return r.Density1.CacheBytes() + r.Density2.CacheBytes() + r.Shift.CacheBytes() + 48*int64(len(r.Flows))
 }
 
 // ErrSameBucket is wrapped by ShiftPatternsCtx when the granularity is so

@@ -11,12 +11,12 @@
 //     Team keeps those goroutines across the passes of one computation);
 //   - singleflight deduplication: concurrent Do calls for the same Key
 //     share one computation instead of racing duplicates;
-//   - a versioned, LRU-bounded result cache: keys embed a data-layer
-//     version — typically the selection fingerprint of exactly the meters
-//     a task reads (store.Store.Fingerprint over the sharded
-//     store's per-meter versions) — so an append invalidates only the
-//     results whose selections contain the mutated meters, without any
-//     explicit cache flush.
+//   - a versioned result cache, bounded by bytes (LRU eviction): keys
+//     embed a data-layer version — typically the selection fingerprint of
+//     exactly the meters a task reads (store.Store.Fingerprint over the
+//     sharded store's per-meter versions) — so an append invalidates only
+//     the results whose selections contain the mutated meters, without
+//     any explicit cache flush.
 package exec
 
 import (
@@ -50,7 +50,7 @@ type Stats struct {
 	Misses    uint64 // Do calls that found no cached value
 	Computes  uint64 // compute functions actually executed
 	Dedups    uint64 // Do calls that joined an in-flight computation
-	Evictions uint64 // cache entries dropped by the LRU bound
+	Evictions uint64 // results dropped by the byte bound, or never stored for exceeding it
 }
 
 // Key identifies one memoizable result: the data version it was computed
@@ -105,12 +105,26 @@ func hashString(h uint64, s string) uint64 {
 	return h
 }
 
-// cacheEntries bounds the result cache (LRU eviction). The bound is a
-// count, not a byte size: one cached analysis result can hold a full
-// feature matrix or several density grids (megabytes at large meter
-// counts), so it is sized to the distinct (selection, parameter)
-// combinations expected between ingests, not to available memory.
-const cacheEntries = 64
+// cacheBytes bounds the result cache: LRU entries are evicted until the
+// charged total is at or under it, and a result charged more than it is
+// returned but never stored. 16 MiB holds a dashboard's 48 statements
+// (≈ 0.2 MB together) beside an analyst's 460 x 365 TypicalView (≈ 1.4 MB)
+// and a few of its flow maps (≈ 0.2 MB each), with room for four 40,320-row
+// exports (≈ 3.2 MB each), which are rarely asked for twice. The Go heap
+// grows to about twice what is live, so each cached byte costs about two
+// of RSS: a 64-entry bound kept ≈ 13 exports and ≈ 55 MB more peak RSS.
+const cacheBytes = 16 << 20
+
+// entryBytes is the fixed charge of one cached result beyond its value's
+// own bytes: its key, entry, list element, map slot and boxed note.
+const entryBytes = 256
+
+// Sizer is implemented by the results a cache keeps: CacheBytes is the
+// value's heap footprint, from its lengths, charged once when it is
+// stored. A value that is not a Sizer is charged entryBytes alone.
+type Sizer interface {
+	CacheBytes() int64
+}
 
 // call is one in-flight computation other Do callers can join.
 type call struct {
@@ -125,17 +139,29 @@ type Engine struct {
 	workers int
 
 	mu     sync.Mutex
-	lru    *list.List            // front = most recently used; values are *entry
-	byKey  map[Key]*list.Element // cache index
-	flight map[Key]*call         // in-flight computations
+	lru    *list.List             // front = most recently used; values are *entry
+	byTask map[task]*list.Element // cache index: the last version stored of each task
+	bytes  int64                  // sum of the cached entries' charges
+	flight map[Key]*call          // in-flight computations
 
 	hits, misses, computes, dedups, evictions atomic.Uint64
 }
 
+// task is a Key without its version. The cache holds one entry a task:
+// versions only move forward, so a result stored for an older version can
+// never be hit again, and a newer one replaces it instead of leaving it to
+// the byte bound (a dashboard under ingest would otherwise fill the bound
+// with dead entries).
+type task struct {
+	kind string
+	hash uint64
+}
+
 type entry struct {
-	key  Key
-	val  any
-	note any
+	key   Key
+	val   any
+	note  any
+	bytes int64 // what val is charged, taken by insertLocked
 }
 
 // New returns an engine with the given options.
@@ -144,7 +170,7 @@ func New(opts Options) *Engine {
 	return &Engine{
 		workers: opts.Workers,
 		lru:     list.New(),
-		byKey:   make(map[Key]*list.Element),
+		byTask:  make(map[task]*list.Element),
 		flight:  make(map[Key]*call),
 	}
 }
@@ -170,6 +196,13 @@ func (e *Engine) Len() int {
 	return e.lru.Len()
 }
 
+// Bytes returns the cached results' total charge (Sizer).
+func (e *Engine) Bytes() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.bytes
+}
+
 // Invalidate drops every currently cached result. Computations already in
 // flight are unaffected and will still store their results when they
 // complete, so the cache is only guaranteed empty if nothing is computing.
@@ -179,7 +212,8 @@ func (e *Engine) Invalidate() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lru.Init()
-	e.byKey = make(map[Key]*list.Element)
+	e.byTask = make(map[task]*list.Element)
+	e.bytes = 0
 }
 
 // Lookup returns the value cached under key and the note Do stored beside
@@ -187,7 +221,7 @@ func (e *Engine) Invalidate() {
 // that follows it counts the miss.
 func (e *Engine) Lookup(key Key) (val, note any, ok bool) {
 	e.mu.Lock()
-	el, ok := e.byKey[key]
+	el, ok := e.cachedLocked(key)
 	if !ok {
 		e.mu.Unlock()
 		return nil, nil, false
@@ -201,10 +235,10 @@ func (e *Engine) Lookup(key Key) (val, note any, ok bool) {
 
 // Do returns the cached value for key, or computes it via compute,
 // deduplicating concurrent calls for the same key. Successful results are
-// cached (LRU-bounded); errors are not. A panic in compute is returned,
-// to the caller and every joiner, as a *PanicError. If the computation
-// leader is cancelled, joined callers whose own context is still live
-// retry.
+// cached (bounded by bytes, LRU eviction); errors are not. A panic in
+// compute is returned, to the caller and every joiner, as a *PanicError.
+// If the computation leader is cancelled, joined callers whose own context
+// is still live retry.
 func (e *Engine) Do(ctx context.Context, key Key, compute func(ctx context.Context) (any, error)) (any, error) {
 	return e.DoNote(ctx, key, nil, compute)
 }
@@ -218,7 +252,7 @@ func (e *Engine) DoNote(ctx context.Context, key Key, note any, compute func(ctx
 			return nil, err
 		}
 		e.mu.Lock()
-		if el, ok := e.byKey[key]; ok {
+		if el, ok := e.cachedLocked(key); ok {
 			e.lru.MoveToFront(el)
 			v := el.Value.(*entry).val
 			e.mu.Unlock()
@@ -274,19 +308,43 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// insertLocked adds a result, evicting from the LRU tail past capacity.
-// Callers hold e.mu.
+// cachedLocked returns the entry cached under key. Callers hold e.mu.
+func (e *Engine) cachedLocked(key Key) (*list.Element, bool) {
+	el, ok := e.byTask[task{key.Kind, key.Hash}]
+	if !ok || el.Value.(*entry).key.Version != key.Version {
+		return nil, false
+	}
+	return el, true
+}
+
+// insertLocked charges a result and adds it in place of any version of its
+// task, evicting from the LRU tail until the total charge is at or under
+// cacheBytes. A key stored again is re-charged; a result charged more than
+// the bound is not stored (one eviction). Callers hold e.mu.
 func (e *Engine) insertLocked(ent *entry) {
-	if el, ok := e.byKey[ent.key]; ok {
-		el.Value = ent
-		e.lru.MoveToFront(el)
+	ent.bytes = entryBytes
+	if s, ok := ent.val.(Sizer); ok {
+		ent.bytes += s.CacheBytes()
+	}
+	t := task{ent.key.Kind, ent.key.Hash}
+	if el, ok := e.byTask[t]; ok {
+		e.removeLocked(el)
+	}
+	if ent.bytes > cacheBytes {
+		e.evictions.Add(1)
 		return
 	}
-	e.byKey[ent.key] = e.lru.PushFront(ent)
-	for e.lru.Len() > cacheEntries {
-		tail := e.lru.Back()
-		e.lru.Remove(tail)
-		delete(e.byKey, tail.Value.(*entry).key)
+	e.byTask[t] = e.lru.PushFront(ent)
+	e.bytes += ent.bytes
+	for e.bytes > cacheBytes {
+		e.removeLocked(e.lru.Back())
 		e.evictions.Add(1)
 	}
+}
+
+// removeLocked drops one cached entry and its charge. Callers hold e.mu.
+func (e *Engine) removeLocked(el *list.Element) {
+	ent := e.lru.Remove(el).(*entry)
+	delete(e.byTask, task{ent.key.Kind, ent.key.Hash})
+	e.bytes -= ent.bytes
 }

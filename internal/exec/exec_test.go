@@ -15,7 +15,7 @@ import (
 func (e *Engine) Cached(key Key) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, ok := e.byKey[key]
+	_, ok := e.cachedLocked(key)
 	return ok
 }
 
@@ -254,23 +254,36 @@ func TestDoRespectsCallerContext(t *testing.T) {
 	}
 }
 
+// sized is a test result that reports n bytes.
+type sized int64
+
+func (s sized) CacheBytes() int64 { return int64(s) }
+
+// TestLRUEviction: the cache evicts from the LRU tail until its charged
+// bytes are at or under cacheBytes. Each value here is charged a quarter of
+// the bound, so four fit exactly.
 func TestLRUEviction(t *testing.T) {
 	e := New(Options{})
 	mk := func(i int) Key { return KeyOf(1, "t", i) }
-	for i := 0; i < cacheEntries+2; i++ {
-		if _, err := e.Do(context.Background(), mk(i), func(context.Context) (any, error) { return i, nil }); err != nil {
+	quarter := sized(cacheBytes/4 - entryBytes)
+	put := func(i int) {
+		t.Helper()
+		if _, err := e.Do(context.Background(), mk(i), func(context.Context) (any, error) { return quarter, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e.Len() != cacheEntries {
-		t.Fatalf("cache holds %d entries, want %d", e.Len(), cacheEntries)
+	for i := 0; i < 6; i++ {
+		put(i)
+	}
+	if e.Len() != 4 || e.Bytes() != cacheBytes {
+		t.Fatalf("cache holds %d entries in %d bytes, want 4 in %d", e.Len(), e.Bytes(), cacheBytes)
 	}
 	if e.Cached(mk(0)) || e.Cached(mk(1)) {
 		t.Fatal("oldest entries were not evicted")
 	}
-	for i := 2; i < cacheEntries+2; i++ {
+	for i := 2; i < 6; i++ {
 		if !e.Cached(mk(i)) {
-			t.Fatalf("entry %d missing, want newest %d retained", i, cacheEntries)
+			t.Fatalf("entry %d missing, want the newest 4 retained", i)
 		}
 	}
 	if st := e.Stats(); st.Evictions != 2 {
@@ -280,26 +293,142 @@ func TestLRUEviction(t *testing.T) {
 	if _, err := e.Do(context.Background(), mk(2), func(context.Context) (any, error) { return nil, errors.New("must hit cache") }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Do(context.Background(), mk(-1), func(context.Context) (any, error) { return -1, nil }); err != nil {
-		t.Fatal(err)
-	}
+	put(-1)
 	if !e.Cached(mk(2)) {
 		t.Fatal("recently used entry was evicted")
 	}
 	if e.Cached(mk(3)) {
 		t.Fatal("least recently used entry survived")
 	}
+	// One value of half the bound evicts the two least recently used
+	// quarters (4, then 5), not the entry just touched.
+	if _, err := e.Do(context.Background(), mk(-2), func(context.Context) (any, error) { return sized(cacheBytes/2 - entryBytes), nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range map[int]bool{-2: true, -1: true, 2: true, 4: false, 5: false} {
+		if e.Cached(mk(i)) != want {
+			t.Fatalf("entry %d cached = %v, want %v", i, !want, want)
+		}
+	}
+	if e.Bytes() != cacheBytes {
+		t.Fatalf("cache holds %d bytes, want %d", e.Bytes(), cacheBytes)
+	}
+}
+
+// TestOversizeResultNotCached: a result charged more than the whole bound
+// reaches its caller and every joiner, is counted as one eviction, and
+// leaves the cache as it was.
+func TestOversizeResultNotCached(t *testing.T) {
+	e := New(Options{})
+	small := KeyOf(1, "t", "small")
+	if _, err := e.Do(context.Background(), small, func(context.Context) (any, error) { return sized(100), nil }); err != nil {
+		t.Fatal(err)
+	}
+	held := e.Bytes()
+	key := KeyOf(1, "t", "big")
+	big := sized(cacheBytes)
+	gate := make(chan struct{})
+	var calls atomic.Int64
+	const callers = 4
+	var wg sync.WaitGroup
+	got := make([]any, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := e.Do(context.Background(), key, func(context.Context) (any, error) {
+				calls.Add(1)
+				<-gate
+				return big, nil
+			})
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+			got[i] = v
+		}(i)
+	}
+	for e.Stats().Dedups < callers-1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("compute ran %d times, want 1", calls.Load())
+	}
+	for i, v := range got {
+		if v != big {
+			t.Fatalf("caller %d got %v, want the oversize value", i, v)
+		}
+	}
+	if e.Cached(key) || !e.Cached(small) || e.Len() != 1 || e.Bytes() != held {
+		t.Fatalf("oversize value changed the cache: %d entries, %d bytes (was 1, %d)", e.Len(), e.Bytes(), held)
+	}
+	if st := e.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+}
+
+// TestReinsertRecharges: storing a key again replaces its charge instead of
+// adding to it.
+func TestReinsertRecharges(t *testing.T) {
+	e := New(Options{})
+	key := KeyOf(1, "t", "x")
+	for _, n := range []int64{1000, 300, 5000} {
+		e.mu.Lock()
+		e.insertLocked(&entry{key: key, val: sized(n)})
+		e.mu.Unlock()
+		if e.Len() != 1 || e.Bytes() != entryBytes+n {
+			t.Fatalf("after storing %d bytes: %d entries, %d bytes; want 1, %d", n, e.Len(), e.Bytes(), entryBytes+n)
+		}
+	}
+	if v, _, ok := e.Lookup(key); !ok || v != sized(5000) {
+		t.Fatalf("Lookup = %v, %v; want the last value", v, ok)
+	}
+}
+
+// TestNewerVersionReplacesOlder: the cache holds one entry a task (kind
+// and hash). Storing a task's newer version drops the older one, which no
+// lookup can reach again, and its charge; other tasks stay.
+func TestNewerVersionReplacesOlder(t *testing.T) {
+	e := New(Options{})
+	put := func(k Key, n int64) {
+		t.Helper()
+		if _, err := e.Do(context.Background(), k, func(context.Context) (any, error) { return sized(n), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old, other := KeyOf(1, "t", "x"), KeyOf(1, "t", "y")
+	put(old, 1000)
+	put(other, 2000)
+	newer := KeyOf(2, "t", "x")
+	put(newer, 500)
+	if e.Cached(old) || !e.Cached(newer) || !e.Cached(other) || e.Len() != 2 {
+		t.Fatalf("after a newer version: old %v, newer %v, other %v, %d entries; want false, true, true, 2",
+			e.Cached(old), e.Cached(newer), e.Cached(other), e.Len())
+	}
+	if want := int64(2*entryBytes + 2000 + 500); e.Bytes() != want {
+		t.Fatalf("cache holds %d bytes, want %d", e.Bytes(), want)
+	}
+	if _, _, ok := e.Lookup(old); ok {
+		t.Fatal("Lookup found the replaced version")
+	}
+	if st := e.Stats(); st.Evictions != 0 {
+		t.Fatalf("a replaced version counted %d evictions, want 0", st.Evictions)
+	}
 }
 
 func TestInvalidate(t *testing.T) {
 	e := New(Options{})
 	key := KeyOf(1, "t", "x")
-	if _, err := e.Do(context.Background(), key, func(context.Context) (any, error) { return 1, nil }); err != nil {
+	if _, err := e.Do(context.Background(), key, func(context.Context) (any, error) { return sized(4096), nil }); err != nil {
 		t.Fatal(err)
 	}
+	if e.Bytes() != entryBytes+4096 {
+		t.Fatalf("cache holds %d bytes, want %d", e.Bytes(), entryBytes+4096)
+	}
 	e.Invalidate()
-	if e.Cached(key) || e.Len() != 0 {
-		t.Fatal("Invalidate left cached entries")
+	if e.Cached(key) || e.Len() != 0 || e.Bytes() != 0 {
+		t.Fatalf("Invalidate left %d entries, %d bytes", e.Len(), e.Bytes())
 	}
 }
 

@@ -100,6 +100,10 @@ type Field struct {
 	Kernel     Kernel
 }
 
+// CacheBytes is the field's heap footprint (exec.Sizer): its values and
+// the struct.
+func (f *Field) CacheBytes() int64 { return 8*int64(len(f.Values)) + 96 }
+
 // At returns the value at (col, row).
 func (f *Field) At(col, row int) float64 { return f.Values[row*f.Cols+col] }
 

@@ -53,6 +53,20 @@ type Result struct {
 	Fingerprint uint64 `json:"fingerprint"`
 }
 
+// CacheBytes is the result's heap footprint from its lengths (exec.Sizer):
+// each row's slice header and interface cells, and the 8-byte box of each
+// float64 cell. Key cells are boxed once per bucket, meter or zone and
+// shared by their rows, so they are not charged.
+func (r *Result) CacheBytes() int64 {
+	floats := 0
+	for _, t := range r.Types {
+		if t == TypeFloat64 {
+			floats++
+		}
+	}
+	return int64(len(r.Rows))*int64(24+16*len(r.Columns)+8*floats) + int64(len(r.Plan))
+}
+
 // ResolveWindow returns the plan's effective half-open scan window over
 // st under the shared rule (query.ResolveWindow): explicit bounds where the
 // query set them, the store's data extent filling the absent side(s). ok is

@@ -144,7 +144,7 @@ type Analyzer = core.Analyzer
 
 // ExecOptions tunes the analyzer's execution engine: Workers is the
 // parallel fan-out width (default runtime.GOMAXPROCS(0)), and Gov the
-// admission controller; the result cache holds 64 entries.
+// admission controller; the result cache holds 16 MiB of results.
 type ExecOptions = core.Options
 
 // ExecStats reports the execution engine's cache and deduplication
